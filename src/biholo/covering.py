@@ -23,15 +23,15 @@ from .maps import Chain, Mobius, PrincipalSqrt, Square
 
 __all__ = [
     "TWO_PI",
-    "DeckRangeWarning",
     "SlitMapError",
     "principal_lift",
-    "DeckDistance",
-    "punctured_distance_detail",
     "punctured_distance",
     "deck_minimum",
     "slit_distance",
     "circle_supremum",
+    "DeckRangeWarning",
+    "DeckDistance",
+    "punctured_distance_detail",
     "deck_minimum_enumerated",
     "grid_slit_distance",
     "grid_circle_supremum",
@@ -40,13 +40,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-
-# Hard ceiling for automatic widening of the deck enumeration.
-_DECK_RANGE_CAP = 1 << 16
-
-
-class DeckRangeWarning(UserWarning):
-    """The deck-transform argmin hit the enumeration boundary; range widened."""
 
 
 class SlitMapError(RuntimeError):
@@ -71,6 +64,86 @@ def principal_lift(q: complex) -> complex:
     return complex(x, -math.log(m))
 
 
+def punctured_distance(p: complex, q: complex, mode: MetricMode = MetricMode.POINCARE) -> float:
+    """Punctured-disc distance: the minimum over deck translates of the lifts.
+
+    Both principal lifts have real part in ``[0, 2 pi)``, so their
+    horizontal offset lies in ``(-2 pi, 2 pi)``; at fixed heights the
+    half-plane distance grows with the absolute horizontal offset, so the
+    translate nearest in real part is one of ``k = -1, 0, 1`` and the
+    minimum over those three is the minimum over all deck translates.
+    """
+    zp = principal_lift(p)
+    zq = principal_lift(q)
+    return min(halfplane_distance(zp, zq + TWO_PI * k, mode) for k in (-1, 0, 1))
+
+
+def deck_minimum(p: float, theta: float, mode: MetricMode = MetricMode.POINCARE) -> float:
+    """Closed form of the lifted distance at horizontal offset ``theta``:
+
+        log((theta^2 + 2 (log p)^2 + theta sqrt(theta^2 + 4 (log p)^2))
+            / (2 (log p)^2))
+
+    The argument of the log equals ``(u + sqrt(u^2 + 1))^2`` with
+    ``u = theta / (2 |log p|)``, so the value is ``2 asinh(u)``; that form
+    keeps full relative precision at tiny ``theta``, where the log of an
+    argument near 1 loses it to cancellation.
+
+    For ``theta <= pi`` this equals the deck infimum, hence the
+    punctured-disc distance between two points of modulus ``p`` with that
+    angular offset.  For larger offsets the infimum wraps around the
+    puncture (deck index -1), so the metric distance is the closed form at
+    ``2 pi - theta``; the form itself keeps increasing and its value at
+    ``theta = 2 pi`` is the circle supremum.
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError("modulus must lie in (0, 1)")
+    if not 0.0 <= theta <= TWO_PI:
+        raise ValueError("angular offset must lie in [0, 2*pi]")
+    return mode.scale * 2.0 * math.asinh(theta / (-2.0 * math.log(p)))
+
+
+def slit_distance(p: float, mode: MetricMode = MetricMode.POINCARE) -> float:
+    """Distance from ``p`` in (0, 1) to the slit ``(-1, 0]``:
+
+        log(x + sqrt(x^2 + 1)),  x = -pi / log p.
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError("base point must lie in (0, 1)")
+    x = -math.pi / math.log(p)
+    return mode.scale * math.asinh(x)
+
+
+def circle_supremum(p: float, mode: MetricMode = MetricMode.POINCARE) -> float:
+    """Supremum over the circle ``|q| = p`` of the distance from ``p``:
+
+        log(2 x^2 + 1 + 2 x sqrt(x^2 + 1)),  x = -pi / log p.
+
+    This is the positive-root form (the sign carried by ``2 pi / log p``
+    would make the argument of the log smaller than 1); it agrees with the
+    ``theta -> 2 pi`` limit of :func:`deck_minimum` and algebraically equals
+    twice :func:`slit_distance`, which is asserted by tests, not assumed.
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError("base point must lie in (0, 1)")
+    x = -math.pi / math.log(p)
+    value = math.log(2.0 * x * x + 1.0 + 2.0 * x * math.sqrt(x * x + 1.0))
+    return mode.scale * value
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles
+# ---------------------------------------------------------------------------
+
+
+# Hard ceiling for automatic widening of the deck enumeration.
+_DECK_RANGE_CAP = 1 << 16
+
+
+class DeckRangeWarning(UserWarning):
+    """The deck-transform argmin hit the enumeration boundary; range widened."""
+
+
 @dataclass(frozen=True)
 class DeckDistance:
     """Distance together with the achieving deck index and range used."""
@@ -87,7 +160,7 @@ def punctured_distance_detail(
     mode: MetricMode = MetricMode.POINCARE,
     deck_range: int = 100,
 ) -> DeckDistance:
-    """Punctured-disc distance as a minimum over deck translates of the lifts.
+    """Oracle for :func:`punctured_distance`: enumeration of deck translates.
 
     Enumerates ``k`` in ``[-K, K]``; if the argmin lands on the boundary the
     range is doubled (with a :class:`DeckRangeWarning`) until it is interior.
@@ -114,74 +187,6 @@ def punctured_distance_detail(
         )
         k_range *= 2
         widened = True
-
-
-def punctured_distance(
-    p: complex,
-    q: complex,
-    mode: MetricMode = MetricMode.POINCARE,
-    deck_range: int = 100,
-) -> float:
-    return punctured_distance_detail(p, q, mode, deck_range).value
-
-
-def _mode_scale(mode: MetricMode) -> float:
-    return 1.0 if mode is MetricMode.POINCARE else 0.5
-
-
-def deck_minimum(p: float, theta: float, mode: MetricMode = MetricMode.POINCARE) -> float:
-    """Closed form of the lifted distance at horizontal offset ``theta``:
-
-        log((theta^2 + 2 (log p)^2 + theta sqrt(theta^2 + 4 (log p)^2))
-            / (2 (log p)^2))
-
-    For ``theta <= pi`` this equals the deck infimum, hence the
-    punctured-disc distance between two points of modulus ``p`` with that
-    angular offset.  For larger offsets the infimum wraps around the
-    puncture (deck index -1), so the metric distance is the closed form at
-    ``2 pi - theta``; the form itself keeps increasing and its value at
-    ``theta = 2 pi`` is the circle supremum.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError("modulus must lie in (0, 1)")
-    if not 0.0 <= theta <= TWO_PI:
-        raise ValueError("angular offset must lie in [0, 2*pi]")
-    y2 = math.log(p) ** 2
-    value = math.log((theta * theta + 2.0 * y2 + theta * math.sqrt(theta * theta + 4.0 * y2)) / (2.0 * y2))
-    return _mode_scale(mode) * value
-
-
-def slit_distance(p: float, mode: MetricMode = MetricMode.POINCARE) -> float:
-    """Distance from ``p`` in (0, 1) to the slit ``(-1, 0]``:
-
-        log(x + sqrt(x^2 + 1)),  x = -pi / log p.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError("base point must lie in (0, 1)")
-    x = -math.pi / math.log(p)
-    return _mode_scale(mode) * math.asinh(x)
-
-
-def circle_supremum(p: float, mode: MetricMode = MetricMode.POINCARE) -> float:
-    """Supremum over the circle ``|q| = p`` of the distance from ``p``:
-
-        log(2 x^2 + 1 + 2 x sqrt(x^2 + 1)),  x = -pi / log p.
-
-    This is the positive-root form (the sign carried by ``2 pi / log p``
-    would make the argument of the log smaller than 1); it agrees with the
-    ``theta -> 2 pi`` limit of :func:`deck_minimum` and algebraically equals
-    twice :func:`slit_distance`, which is asserted by tests, not assumed.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError("base point must lie in (0, 1)")
-    x = -math.pi / math.log(p)
-    value = math.log(2.0 * x * x + 1.0 + 2.0 * x * math.sqrt(x * x + 1.0))
-    return _mode_scale(mode) * value
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracles
-# ---------------------------------------------------------------------------
 
 
 def deck_minimum_enumerated(
@@ -223,7 +228,7 @@ def grid_slit_distance(
     for k in range(-deck_range, deck_range + 1):
         dx = math.pi + TWO_PI * k
         np.minimum(best, _acosh_rows(np.full(moduli.shape, dx), yp, yq), out=best)
-    return _mode_scale(mode) * float(best.min())
+    return mode.scale * float(best.min())
 
 
 def grid_circle_supremum(
@@ -239,7 +244,7 @@ def grid_circle_supremum(
     y2 = math.log(p) ** 2
     vals = np.log((theta**2 + 2.0 * y2 + theta * np.sqrt(theta**2 + 4.0 * y2)) / (2.0 * y2))
     idx = int(vals.argmax())
-    return _mode_scale(mode) * float(vals[idx]), float(theta[idx])
+    return mode.scale * float(vals[idx]), float(theta[idx])
 
 
 # ---------------------------------------------------------------------------

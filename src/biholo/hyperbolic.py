@@ -32,14 +32,21 @@ __all__ = [
 
 
 class MetricMode(Enum):
-    """Normalization of the hyperbolic metric; POINCARE = 2 * KOBAYASHI."""
+    """Normalization of the hyperbolic metric; POINCARE = 2 * KOBAYASHI.
+
+    ``mode.scale`` is the factor taking a POINCARE distance to ``mode``,
+    1.0 or 0.5, and the only place that factor is written.  Both values are
+    powers of two, so converting by it is exact and the two modes differ by
+    exactly 2 bit for bit.
+    """
 
     POINCARE = "poincare"
     KOBAYASHI = "kobayashi"
 
-
-def _mode_scale(mode: MetricMode) -> float:
-    return 1.0 if mode is MetricMode.POINCARE else 0.5
+    def __init__(self, value: str) -> None:
+        # a member attribute rather than a property: every distance call
+        # reads it, and an attribute lookup costs a sixth of a property call
+        self.scale = 1.0 if value == "poincare" else 0.5
 
 
 # Below this ratio of (|z - conj w| - |z - w|) to |z - conj w| the log-ratio
@@ -78,8 +85,8 @@ def halfplane_distance(z: complex, w: complex, mode: MetricMode = MetricMode.POI
         return 0.0
     den = a - b
     if den < _LOG_RATIO_CUTOFF * a:
-        return _mode_scale(mode) * halfplane_distance_acosh(z, w)
-    return _mode_scale(mode) * math.log((a + b) / den)
+        return mode.scale * halfplane_distance_acosh(z, w)
+    return mode.scale * math.log((a + b) / den)
 
 
 def halfplane_distance_acosh(z: complex, w: complex, mode: MetricMode = MetricMode.POINCARE) -> float:
@@ -91,7 +98,7 @@ def halfplane_distance_acosh(z: complex, w: complex, mode: MetricMode = MetricMo
     z = _require_halfplane(z)
     w = _require_halfplane(w)
     s = abs(z - w) ** 2 / (2.0 * z.imag * w.imag)
-    return _mode_scale(mode) * math.log1p(s + math.sqrt(s * (s + 2.0)))
+    return mode.scale * math.log1p(s + math.sqrt(s * (s + 2.0)))
 
 
 def disc_distance(a: complex, b: complex, mode: MetricMode = MetricMode.POINCARE) -> float:
@@ -103,8 +110,7 @@ def disc_distance(a: complex, b: complex, mode: MetricMode = MetricMode.POINCARE
     a = _require_disc(a)
     b = _require_disc(b)
     t = abs(a - b) / abs(1.0 - a.conjugate() * b)
-    d = math.atanh(t)
-    return d if mode is MetricMode.KOBAYASHI else 2.0 * d
+    return 2.0 * mode.scale * math.atanh(t)
 
 
 def cayley_disc_to_halfplane(a: complex) -> complex:
@@ -141,5 +147,5 @@ def halfplane_metric_circle(center: complex, radius: float, mode: MetricMode = M
     center = _require_halfplane(center)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    t = radius / _mode_scale(mode)
+    t = radius / mode.scale
     return complex(center.real, center.imag * math.cosh(t)), center.imag * math.sinh(t)

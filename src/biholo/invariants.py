@@ -234,10 +234,7 @@ def fridman_exact(d: ModelDomain, p=None, mode: MetricMode = MetricMode.KOBAYASH
     if isinstance(d, Polydisc):
         if d.dim == 1:
             return 0.0
-        radius = math.atanh(1.0 / math.sqrt(d.dim))
-        if mode is MetricMode.POINCARE:
-            radius *= 2.0
-        return 1.0 / radius
+        return 1.0 / (2.0 * mode.scale * math.atanh(1.0 / math.sqrt(d.dim)))
     raise UnsupportedDomainError(
         f"no exact Fridman value for {domain_label(d)}; use an estimator "
         "(fridman_bounds_punctured or fridman_upper_from_embedding)"

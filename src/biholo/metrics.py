@@ -53,10 +53,6 @@ __all__ = [
 ]
 
 
-def _mode_scale(mode: MetricMode) -> float:
-    return 1.0 if mode is MetricMode.POINCARE else 0.5
-
-
 def ball_distance(a, b, mode: MetricMode = MetricMode.POINCARE) -> float:
     """Kobayashi distance on the unit ball of C^n.
 
@@ -72,7 +68,7 @@ def ball_distance(a, b, mode: MetricMode = MetricMode.POINCARE) -> float:
     inner = sum(x * y.conjugate() for x, y in zip(a, b))
     t2 = 1.0 - (1.0 - na) * (1.0 - nb) / abs(1.0 - inner) ** 2
     t = math.sqrt(max(t2, 0.0))
-    return 2.0 * _mode_scale(mode) * math.atanh(t)
+    return 2.0 * mode.scale * math.atanh(t)
 
 
 def ball_automorphism(a) -> "callable":
@@ -141,7 +137,6 @@ def kobayashi_distance(
     p,
     q,
     mode: MetricMode = MetricMode.POINCARE,
-    deck_range: int = 100,
 ) -> float:
     """Kobayashi distance between two points of a model domain."""
     p = as_point(p, domain_dim(d))
@@ -158,7 +153,7 @@ def kobayashi_distance(
         a = d.linear_coeff
         return halfplane_distance(1j * (0.5 - a * p[0]), 1j * (0.5 - a * q[0]), mode)
     if isinstance(d, PuncturedDisc):
-        return covering.punctured_distance(p[0], q[0], mode, deck_range)
+        return covering.punctured_distance(p[0], q[0], mode)
     if isinstance(d, SlitDisc):
         m = _slit_base_map()
         return disc_distance(m.inverse(p[0]), m.inverse(q[0]), mode)
@@ -247,7 +242,7 @@ def sample_metric_sphere(
     center = as_point(center, domain_dim(d))
     if radius <= 0:
         raise ValueError("radius must be positive")
-    radius_k = radius * _mode_scale(MetricMode.KOBAYASHI) / _mode_scale(mode)
+    radius_k = radius * MetricMode.KOBAYASHI.scale / mode.scale
     if isinstance(d, Ball):
         rho = math.tanh(radius_k)
         sphere = [tuple(rho * c for c in v) for v in random_unit_vectors(d.dim, count, rng)]
@@ -271,7 +266,7 @@ def sample_metric_sphere(
         angles = np.linspace(0.0, covering.TWO_PI, count, endpoint=False)
         return [(ecenter + eradius * complex(math.cos(t), math.sin(t)),) for t in angles]
     if isinstance(d, PuncturedDisc):
-        radius_p = radius / _mode_scale(mode)
+        radius_p = radius / mode.scale
         return _punctured_sphere(center[0], radius_p, count, rng)
     raise UnsupportedDomainError(f"no sphere sampler for domain {d!r}")
 

@@ -444,11 +444,10 @@ def _limit_ball_samples(
     if isinstance(limit, HalfPlaneC):
         return sample_metric_ball(limit, family.basepoint, radius, samples, rng, mode)
     if isinstance(limit, Siegel):
-        scale = 1.0 if mode is MetricMode.POINCARE else 2.0
         pts = []
         for v in random_unit_vectors(limit.dim, samples, rng):
             t = radius * math.sqrt(rng.uniform())
-            rho = math.tanh(0.5 * scale * t)
+            rho = math.tanh(0.5 * t / mode.scale)
             pts.append(ball_to_siegel(tuple(rho * c for c in v)))
         return pts
     raise ValueError(f"no ball sampler for limit domain {limit!r}")

@@ -9,7 +9,6 @@ subcommand prints one line per suite.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +49,7 @@ class RunConfig:
     """Knobs for the verification suites and the CLI."""
 
     mode: MetricMode = MetricMode.POINCARE
-    deck_range: int = 100
+    deck_range: int = 100  # half-width of the deck-enumeration oracles
     theta_grid: int = 1_000_000
     slit_grid: int = 100_000
     tol: float = 1e-6
@@ -69,7 +68,6 @@ class SuiteResult:
     name: str
     checks: int = 0
     failures: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -169,39 +167,34 @@ def suite_vertical_line(cfg: RunConfig) -> SuiteResult:
 def suite_deck_oracle(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("deck-closed-form-vs-enumeration")
     rng = np.random.default_rng(cfg.seed + 4)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", covering.DeckRangeWarning)
-        for _ in range(1_000):
-            p = float(rng.uniform(0.01, 0.99))
-            # the closed form is the deck infimum on offsets up to pi; past
-            # that the infimum wraps around the puncture (checked below)
-            theta = float(rng.uniform(0.0, math.pi))
-            closed = covering.deck_minimum(p, theta)
-            brute = covering.deck_minimum_enumerated(p, theta, cfg.deck_range)
-            res.expect(abs(closed - brute) <= 1e-12, f"deck mismatch at p={p}, theta={theta}")
-            q = p * complex(math.cos(theta), math.sin(theta))
-            res.expect(
-                abs(covering.punctured_distance(p, q, deck_range=cfg.deck_range) - closed) <= 1e-12,
-                f"punctured distance disagrees with deck minimum at p={p}, theta={theta}",
-            )
-        for _ in range(200):
-            p = float(rng.uniform(0.01, 0.99))
-            theta = float(rng.uniform(math.pi, covering.TWO_PI))
-            wrapped = covering.deck_minimum(p, covering.TWO_PI - theta)
-            brute = covering.deck_minimum_enumerated(p, theta, cfg.deck_range)
-            res.expect(
-                abs(wrapped - brute) <= 1e-12,
-                f"wrap-around infimum wrong at p={p}, theta={theta}",
-            )
-            # these offsets drive the argmin to the enumeration edge when the
-            # deck range is small, exercising the automatic widening
-            q = p * complex(math.cos(theta), math.sin(theta))
-            res.expect(
-                abs(covering.punctured_distance(p, q, deck_range=cfg.deck_range) - wrapped) <= 1e-12,
-                f"widened distance wrong at p={p}, theta={theta}",
-            )
-        res.expect(covering.deck_minimum(0.3, 0.0) == 0.0, "zero offset must give zero")
-    res.warnings.extend(str(w.message) for w in caught if issubclass(w.category, covering.DeckRangeWarning))
+    for _ in range(1_000):
+        p = float(rng.uniform(0.01, 0.99))
+        # the closed form is the deck infimum on offsets up to pi; past
+        # that the infimum wraps around the puncture (checked below)
+        theta = float(rng.uniform(0.0, math.pi))
+        closed = covering.deck_minimum(p, theta)
+        brute = covering.deck_minimum_enumerated(p, theta, cfg.deck_range)
+        res.expect(abs(closed - brute) <= 1e-12, f"deck mismatch at p={p}, theta={theta}")
+        q = p * complex(math.cos(theta), math.sin(theta))
+        res.expect(
+            abs(covering.punctured_distance(p, q) - closed) <= 1e-12,
+            f"punctured distance disagrees with deck minimum at p={p}, theta={theta}",
+        )
+    for _ in range(200):
+        p = float(rng.uniform(0.01, 0.99))
+        theta = float(rng.uniform(math.pi, covering.TWO_PI))
+        wrapped = covering.deck_minimum(p, covering.TWO_PI - theta)
+        brute = covering.deck_minimum_enumerated(p, theta, cfg.deck_range)
+        res.expect(
+            abs(wrapped - brute) <= 1e-12,
+            f"wrap-around infimum wrong at p={p}, theta={theta}",
+        )
+        q = p * complex(math.cos(theta), math.sin(theta))
+        res.expect(
+            abs(covering.punctured_distance(p, q) - wrapped) <= 1e-12,
+            f"wrap-around distance wrong at p={p}, theta={theta}",
+        )
+    res.expect(covering.deck_minimum(0.3, 0.0) == 0.0, "zero offset must give zero")
     return res
 
 

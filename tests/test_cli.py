@@ -209,13 +209,15 @@ class TestScale:
 
 
 class TestVerify:
-    def test_scaled_down_run_passes(self, capsys):
+    @pytest.mark.parametrize("oracle_width", [[], ["--deck-k", "1"]], ids=["default", "deck-k-1"])
+    def test_scaled_down_run_passes(self, capsys, oracle_width):
         code, out, _ = run_cli(
             capsys,
             "verify",
             "--theta-grid", "20000",
             "--slit-grid", "5000",
             "--samples", "64",
+            *oracle_width,
         )
         assert code == 0
         assert "suites passed" in out

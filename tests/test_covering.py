@@ -70,12 +70,23 @@ class TestPuncturedDistance:
         assert punctured_distance(P_UNIT, -P_UNIT) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.9624236501192069, abs=1e-15)
 
-    def test_closed_form_matches_enumeration_small_offset(self):
-        p = P_UNIT
-        q = p * cmath.exp(0.1j)
-        assert punctured_distance(p, q, deck_range=100) == pytest.approx(
-            deck_minimum(p, 0.1), abs=1e-12
-        )
+    def test_closed_form_matches_enumeration_oracle(self):
+        """The three-candidate deck selection equals the enumeration oracle
+        bit for bit, at offsets within 1e-14 of pi (where the minimizing
+        translate switches), nearly equal moduli and moduli up to 1 - 1e-6."""
+        rng = np.random.default_rng(13)
+        for i in range(1_000):
+            m1 = 1.0 - 10.0 ** rng.uniform(-6.0, -0.01)
+            if i % 2:
+                m2 = m1 * (1.0 - 10.0 ** rng.uniform(-15.0, -1.0))
+            else:
+                m2 = 1.0 - 10.0 ** rng.uniform(-6.0, -0.01)
+            offset = math.pi + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-14.0, 0.0)
+            phase = rng.uniform(0.0, TWO_PI)
+            p = m1 * cmath.exp(1j * phase)
+            q = m2 * cmath.exp(1j * (phase + offset))
+            for mode in MetricMode:
+                assert punctured_distance(p, q, mode) == punctured_distance_detail(p, q, mode).value
 
     def test_metric_dominates_disc_distance(self):
         rng = np.random.default_rng(5)
@@ -118,6 +129,11 @@ class TestPuncturedDistance:
 class TestDeckMinimum:
     def test_zero_offset(self):
         assert deck_minimum(0.3, 0.0) == 0.0
+
+    def test_relative_precision_at_tiny_offsets(self):
+        """Values of 2 asinh(theta / (2 |log p|)) from a 50-digit reference."""
+        assert deck_minimum(0.5, 1e-12) == pytest.approx(1.4426950408889635e-12, rel=1e-14)
+        assert deck_minimum(0.9, 1e-9) == pytest.approx(9.491221581029906e-09, rel=1e-14)
 
     def test_full_turn_value(self):
         """At -pi/log p = 1 the offset-2pi value is log(3 + 2 sqrt 2)."""
