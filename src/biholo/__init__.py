@@ -33,6 +33,8 @@ from .domains import (
     check_homogeneity,
     check_psh,
     contains,
+    contains_rows,
+    defining_rows,
     defining_value,
     modulus_power,
     parse_polynomial,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import SlitDisc, contains
+from .domains import SlitDisc, contains, contains_rows
 from .hyperbolic import MetricMode, halfplane_distance
 from .maps import Chain, Mobius, PrincipalSqrt, Square
 
@@ -254,7 +254,10 @@ def grid_circle_supremum(
 
 @dataclass(frozen=True)
 class SlitDiscMap:
-    """Conformal bijection of the unit disc onto the slit disc with 0 -> target."""
+    """Conformal bijection of the unit disc onto the slit disc with 0 -> target.
+
+    The map and its inverse take a complex scalar or act elementwise on a
+    complex array."""
 
     target: float
     chain: Chain
@@ -318,22 +321,14 @@ def _validate_slit_map(m: SlitDiscMap, samples: int, seed: int) -> None:
     if abs(origin_image - m.target) > 1e-10:
         raise SlitMapError(f"normalization failure: map(0) = {origin_image!r}, wanted {m.target!r}")
     rng = np.random.default_rng(seed)
-    slit = SlitDisc()
     # boundary-approaching radii exercise the slit and circle edges
     radii = 1.0 - np.geomspace(1e-4, 1.0, samples)
     angles = rng.uniform(0.0, TWO_PI, samples)
-    for r, t in zip(radii, angles):
-        w = m(complex(r * math.cos(t), r * math.sin(t)))
-        if not contains(slit, w):
-            raise SlitMapError(f"image point {w!r} escaped the slit disc")
-    grid = [
-        complex(r * math.cos(t), r * math.sin(t))
-        for r in np.linspace(0.1, 0.95, 18)
-        for t in np.linspace(0.0, TWO_PI, 18, endpoint=False)
-    ]
-    images = [m(z) for z in grid]
-    min_sep = min(
-        abs(u - v) for i, u in enumerate(images) for v in images[i + 1 :]
-    )
-    if not min_sep > 0.0:
+    w = m(radii * np.exp(1j * angles))
+    inside = contains_rows(SlitDisc(), w[:, None])
+    if not inside.all():
+        raise SlitMapError(f"image point {complex(w[np.argmin(inside)])!r} escaped the slit disc")
+    r, t = np.meshgrid(np.linspace(0.1, 0.95, 18), np.linspace(0.0, TWO_PI, 18, endpoint=False))
+    images = m(r * np.exp(1j * t)).ravel().tolist()
+    if len(set(images)) < len(images):
         raise SlitMapError("images of distinct grid points collide")

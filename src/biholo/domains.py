@@ -13,7 +13,11 @@ defining function (negative inside, zero on the boundary):
 * ``WeightedModel``    -- ``2 Re z_n + P('z, conj 'z)``
 
 Points are plain tuples of complex numbers; planar domains also accept a
-bare complex scalar.
+bare complex scalar.  Many points at once are rows: a complex array of shape
+``[m, n]``.  ``defining_rows``/``contains_rows`` apply the same formulas as
+``defining_value``/``contains`` to every row, and ``sample_rows`` draws rows
+for the embedding-witness sources.  The scalar functions stay pure Python,
+because a one-row array costs more than the whole scalar call.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import numpy as np
 __all__ = [
     "Point",
     "as_point",
+    "as_rows",
     "parse_complex_literal",
     "format_complex",
     "UnsupportedDomainError",
@@ -46,6 +51,10 @@ __all__ = [
     "defining_value",
     "contains",
     "sample_point",
+    "defining_rows",
+    "contains_rows",
+    "sample_rows",
+    "random_unit_vectors",
     "Multitype",
     "Term",
     "WeightedPolynomial",
@@ -81,6 +90,19 @@ def as_point(p: Union[complex, float, Sequence[complex]], dim: int | None = None
     if dim is not None and len(pt) != dim:
         raise ValueError(f"expected a point of dimension {dim}, got {len(pt)}")
     return pt
+
+
+def as_rows(rows, dim: int) -> np.ndarray:
+    """Coerce an array-like of points to a complex array of shape ``[m, dim]``,
+    checking that every row is finite."""
+    z = np.asarray(rows, dtype=complex)
+    if z.ndim != 2 or z.shape[1] != dim:
+        raise ValueError(f"expected rows of dimension {dim}, got an array of shape {z.shape}")
+    finite = np.isfinite(z).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"row {k} {tuple(z[k])!r} has non-finite coordinates")
+    return z
 
 
 _BARE_I = re.compile(r"(?<![0-9.])i")
@@ -240,6 +262,26 @@ def poly_eval(poly: WeightedPolynomial, w: Sequence[complex], tol: float = 1e-12
     if abs(total.imag) > tol * max(1.0, abs(total.real)):
         raise ValueError(
             f"polynomial evaluated to a non-real value {total!r}; "
+            "the term list is not conjugate-pair symmetric"
+        )
+    return total.real
+
+
+def _poly_rows(poly: WeightedPolynomial, w: np.ndarray) -> np.ndarray:
+    """:func:`poly_eval`, at its default tolerance, on every row of ``w``
+    (shape ``[m, poly.nvars]``)."""
+    total = np.zeros(len(w), dtype=complex)
+    for t in poly.terms:
+        m = np.full(len(w), t.coeff, dtype=complex)
+        for c, a, b in zip(w.T, t.alpha, t.beta):
+            if a:
+                m *= c**a
+            if b:
+                m *= c.conj() ** b
+        total += m
+    if (np.abs(total.imag) > 1e-12 * np.maximum(1.0, np.abs(total.real))).any():
+        raise ValueError(
+            "polynomial evaluated to a non-real value; "
             "the term list is not conjugate-pair symmetric"
         )
     return total.real
@@ -583,3 +625,87 @@ def sample_point(d: ModelDomain, rng: np.random.Generator) -> Point:
         zn = complex(-(val / 2.0 + margin), rng.normal(scale=1.0))
         return tang + (zn,)
     raise UnsupportedDomainError(f"unknown domain {d!r}")
+
+
+# ---------------------------------------------------------------------------
+# rows: many points at once
+# ---------------------------------------------------------------------------
+
+
+def _segment_rows(z: np.ndarray) -> np.ndarray:
+    """:func:`_segment_distance` of every entry of ``z``."""
+    x, y = z.real, z.imag
+    return np.where(x > 0, np.hypot(x, y), np.where(x < -1, np.hypot(x + 1, y), np.abs(y)))
+
+
+def defining_rows(d: ModelDomain, rows) -> np.ndarray:
+    """:func:`defining_value` of every row of ``rows`` (shape ``[m, dim]``)."""
+    z = as_rows(rows, domain_dim(d))
+    if isinstance(d, Ball):
+        return (np.abs(z) ** 2).sum(axis=1) - 1.0
+    if isinstance(d, Polydisc):
+        return (np.abs(z) ** 2).max(axis=1) - 1.0
+    if isinstance(d, UpperHalfPlane):
+        return -z[:, 0].imag
+    if isinstance(d, HalfPlaneC):
+        return 2.0 * (d.linear_coeff * z[:, 0]).real - 1.0
+    if isinstance(d, PuncturedDisc):
+        m = np.abs(z[:, 0])
+        return np.maximum(m * m - 1.0, -m)
+    if isinstance(d, SlitDisc):
+        m = np.abs(z[:, 0])
+        return np.maximum(m * m - 1.0, -_segment_rows(z[:, 0]))
+    if isinstance(d, Siegel):
+        return 2.0 * z[:, -1].real + (np.abs(z[:, :-1]) ** 2).sum(axis=1)
+    if isinstance(d, WeightedModel):
+        return 2.0 * z[:, -1].real + _poly_rows(d.poly, z[:, :-1])
+    raise UnsupportedDomainError(f"unknown domain {d!r}")
+
+
+def contains_rows(d: ModelDomain, rows) -> np.ndarray:
+    """:func:`contains` of every row: one bool per row."""
+    return defining_rows(d, rows) < 0.0
+
+
+def random_unit_vectors(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` uniformly distributed unit vectors of ``C^n``, as rows.
+
+    One ``normal((count, n, 2))`` draw, the same stream as ``count`` draws
+    of ``normal((n, 2))``; each row is divided by the norm that
+    ``np.linalg.norm`` gives it, bit for bit.  A zero draw becomes the
+    first basis vector.
+    """
+    raw = rng.normal(size=(count, n, 2))
+    re, im = raw[..., 0], raw[..., 1]
+    # stacked dot products add up in the order np.linalg.norm uses
+    norm = np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+    zero = norm == 0.0
+    raw[zero, 0, 0] = 1.0
+    norm[zero] = 1.0
+    return (raw / norm[:, None, None]).view(np.complex128)[..., 0]
+
+
+def _uniform_disc_rows(rng: np.random.Generator, shape) -> np.ndarray:
+    r = np.sqrt(rng.uniform(size=shape))
+    return r * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=shape))
+
+
+def sample_rows(d: ModelDomain, rng: np.random.Generator, m: int) -> np.ndarray:
+    """Draw ``m`` interior points as rows, with the distribution of
+    :func:`sample_point` (not its draw order).  Implemented for the sources
+    of the embedding witnesses: ``Ball``, ``Polydisc`` and ``PuncturedDisc``."""
+    if isinstance(d, Ball):
+        radius = rng.uniform(size=m) ** (1.0 / (2 * d.dim))
+        return random_unit_vectors(d.dim, m, rng) * radius[:, None]
+    if isinstance(d, Polydisc):
+        return _uniform_disc_rows(rng, (m, d.dim))
+    if isinstance(d, PuncturedDisc):
+        parts, need = [], m
+        while need:
+            z = _uniform_disc_rows(rng, need)
+            a = np.abs(z)
+            z = z[(a > 0) & (a < 1)]
+            parts.append(z)
+            need -= len(z)
+        return np.concatenate(parts)[:, None]
+    raise UnsupportedDomainError(f"no row sampler for {domain_label(d)}; use sample_point")

@@ -34,10 +34,12 @@ from .domains import (
     UnsupportedDomainError,
     UpperHalfPlane,
     as_point,
+    as_rows,
     contains,
+    contains_rows,
     domain_dim,
     domain_label,
-    sample_point,
+    sample_rows,
 )
 from .hyperbolic import MetricMode
 
@@ -65,75 +67,77 @@ class WitnessValidationError(RuntimeError):
     """An embedding witness failed one of its validation checks."""
 
 
+# Rows sampled at a time by EmbeddingWitness.validate: large enough to
+# amortize numpy's per-call cost, small enough to keep peak memory flat.
+VALIDATION_CHUNK = 2_048
+
+
 @dataclass
 class EmbeddingWitness:
     """Injective holomorphic map between two model domains, with basepoints.
 
-    ``image_domain``, when set, is the exact image as a model domain and is
-    used for fast membership decisions; otherwise membership in the image
-    is decided by the inverse round-trip.
+    ``forward`` and ``inverse`` map rows to rows: complex arrays of shape
+    ``[m, n]``.  ``image_domain``, when set, is the exact image as a model
+    domain and is used for fast membership decisions; otherwise membership
+    in the image is decided by the inverse round-trip.
     """
 
     source: ModelDomain
     target: ModelDomain
-    forward: Callable[[Point], Point]
-    inverse: Callable[[Point], Point]
+    forward: Callable[[np.ndarray], np.ndarray]
+    inverse: Callable[[np.ndarray], np.ndarray]
     source_basepoint: Point
     target_basepoint: Point
     description: str
     image_domain: ModelDomain | None = None
 
-    def image_contains(self, w, tol: float = 1e-9) -> bool:
-        w = as_point(w, domain_dim(self.target))
-        if self.image_domain is not None and not contains(self.image_domain, w):
-            return False
-        try:
+    def image_contains(self, w, tol: float = 1e-9) -> np.ndarray:
+        """One bool per row of ``w``: does the row lie in the image?
+
+        A row whose inverse is not finite (a pole of the inverse) lies
+        outside; a row of ``w`` that is not finite raises ``ValueError``.
+        """
+        w = as_rows(w, domain_dim(self.target))
+        with np.errstate(all="ignore"):
             z = self.inverse(w)
-        except (ZeroDivisionError, ValueError, OverflowError):
-            return False
-        if not contains(self.source, z):
-            return False
-        fz = self.forward(z)
-        err = max(abs(u - v) for u, v in zip(fz, w))
-        scale = 1.0 + max(abs(c) for c in w)
-        return err <= tol * scale
+            err = np.abs(self.forward(z) - w).max(axis=1)
+        inside = np.isfinite(z).all(axis=1) & (err <= tol * (1.0 + np.abs(w).max(axis=1)))
+        if self.image_domain is not None:
+            inside &= contains_rows(self.image_domain, w)
+        inside[inside] = contains_rows(self.source, z[inside])
+        return inside
 
     def validate(self, samples: int = 10_000, seed: int = 0) -> None:
         """Check image containment, injectivity on a grid, and basepoints."""
         rng = np.random.default_rng(seed)
-        fb = self.forward(self.source_basepoint)
+        fb = self.forward(np.array([self.source_basepoint], dtype=complex))[0]
         err = max(abs(u - v) for u, v in zip(fb, self.target_basepoint))
         if err > 1e-10:
             raise WitnessValidationError(
                 f"basepoint normalization off by {err:.3e} for {self.description}"
             )
-        grid: list[Point] = []
-        for k in range(samples):
-            z = sample_point(self.source, rng)
+        stride = max(samples // 150, 1)
+        grid = []
+        for start in range(0, samples, VALIDATION_CHUNK):
+            z = sample_rows(self.source, rng, min(VALIDATION_CHUNK, samples - start))
             w = self.forward(z)
-            if not contains(self.target, w):
+            inside = contains_rows(self.target, w)
+            if not inside.all():
+                k = int(np.argmin(inside))
                 raise WitnessValidationError(
-                    f"image point {w!r} of {z!r} escaped the target for {self.description}"
+                    f"image point {tuple(w[k])!r} of {tuple(z[k])!r} escaped the target "
+                    f"for {self.description}"
                 )
-            if k % max(samples // 150, 1) == 0:
-                grid.append(w)
-        min_sep = min(
-            (max(abs(a - b) for a, b in zip(u, v)) for i, u in enumerate(grid) for v in grid[i + 1 :]),
-            default=1.0,
-        )
-        if not min_sep > 0.0:
+            grid.append(w[-start % stride :: stride])  # sample k with k % stride == 0
+        # finite rows are a positive distance apart exactly when they differ
+        grid = np.concatenate(grid).tolist()
+        if len(set(map(tuple, grid))) < len(grid):
             raise WitnessValidationError(f"witness {self.description} is not injective on the grid")
-
-
-def _vectorize(fn: Callable[[complex], complex], dim: int = 1) -> Callable[[Point], Point]:
-    if dim != 1:
-        raise ValueError("scalar adapters are planar only")
-    return lambda z: (fn(as_point(z, 1)[0]),)
 
 
 def ball_inclusion_into_polydisc(n: int) -> EmbeddingWitness:
     """The inclusion of the unit ball into the unit polydisc, fixing 0."""
-    ident = lambda z: as_point(z, n)
+    ident = lambda z: z
     return EmbeddingWitness(
         source=Ball(n),
         target=Polydisc(n),
@@ -153,8 +157,8 @@ def slit_embedding_of_disc(p: float) -> EmbeddingWitness:
     return EmbeddingWitness(
         source=Ball(1),
         target=PuncturedDisc(),
-        forward=_vectorize(slit_map),
-        inverse=_vectorize(slit_map.inverse),
+        forward=slit_map,
+        inverse=slit_map.inverse,
         source_basepoint=(0j,),
         target_basepoint=(complex(p),),
         description=f"disc onto the slit disc with 0 -> {p}",
@@ -163,7 +167,7 @@ def slit_embedding_of_disc(p: float) -> EmbeddingWitness:
 
 
 def identity_ball_witness(n: int) -> EmbeddingWitness:
-    ident = lambda z: as_point(z, n)
+    ident = lambda z: z
     return EmbeddingWitness(
         source=Ball(n),
         target=Ball(n),
@@ -182,8 +186,8 @@ def scaled_polydisc_into_ball(n: int) -> EmbeddingWitness:
     return EmbeddingWitness(
         source=Polydisc(n),
         target=Ball(n),
-        forward=lambda z: tuple(c / s for c in as_point(z, n)),
-        inverse=lambda w: tuple(c * s for c in as_point(w, n)),
+        forward=lambda z: z / s,
+        inverse=lambda w: w * s,
         source_basepoint=(0j,) * n,
         target_basepoint=(0j,) * n,
         description=f"scaling z -> z/sqrt({n}) of the polydisc into the ball",
@@ -197,14 +201,14 @@ def punctured_automorphism_witness(p: complex) -> EmbeddingWitness:
     if not 0 < abs(p) < 1:
         raise ValueError("basepoint must lie in the punctured disc")
 
-    def phi(z: complex) -> complex:
+    def phi(z: np.ndarray) -> np.ndarray:
         return (p - z) / (1.0 - p.conjugate() * z)
 
     return EmbeddingWitness(
         source=PuncturedDisc(),
         target=Ball(1),
-        forward=_vectorize(phi),
-        inverse=_vectorize(phi),
+        forward=phi,
+        inverse=phi,
         source_basepoint=(p,),
         target_basepoint=(0j,),
         description=f"disc automorphism moving {p} to 0 on the punctured disc "
@@ -299,13 +303,19 @@ class RadiusSearch:
     seed: int = 7
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.r_max) and math.isfinite(self.tol)):
+            raise ValueError("r_max and tol must be finite")
         if self.r_max <= 0 or self.tol <= 0 or self.samples < 8:
             raise ValueError("invalid search parameters")
 
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """One-sided invariant estimate with its sampling metadata."""
+    """One-sided invariant estimate with its sampling metadata.
+
+    ``evaluations`` counts the sphere tests made, the probe at the cap
+    included.
+    """
 
     value: float
     radius: float
@@ -314,6 +324,7 @@ class EstimateReport:
     tol: float
     mode: str | None
     witness: str
+    evaluations: int
 
 
 def _bisect_largest(predicate: Callable[[float], bool], lo: float, hi: float, tol: float) -> float:
@@ -352,31 +363,29 @@ def fridman_upper_from_embedding(
     if base_err > 1e-10:
         raise WitnessValidationError("witness does not send its basepoint to the given point")
     witness.validate(seed=search.seed)
+    evaluations = 0
 
     def inside(r: float) -> bool:
+        nonlocal evaluations
+        evaluations += 1
         rng = np.random.default_rng(search.seed)
         sphere = metrics.sample_metric_sphere(d, p, r, search.samples, rng, mode)
-        return all(witness.image_contains(s) for s in sphere)
+        return bool(witness.image_contains(sphere).all())
 
     if inside(search.r_max):
-        return EstimateReport(
-            value=1.0 / search.r_max,
-            radius=search.r_max,
-            hit_cap=True,
-            samples=search.samples,
-            tol=search.tol,
-            mode=mode.value,
-            witness=witness.description,
-        )
-    r_star = _bisect_largest(inside, min(search.tol, search.r_max / 2), search.r_max, search.tol)
+        r_star, hit_cap = search.r_max, True
+    else:
+        r_star = _bisect_largest(inside, min(search.tol, search.r_max / 2), search.r_max, search.tol)
+        hit_cap = False
     return EstimateReport(
         value=1.0 / r_star,
         radius=r_star,
-        hit_cap=False,
+        hit_cap=hit_cap,
         samples=search.samples,
         tol=search.tol,
         mode=mode.value,
         witness=witness.description,
+        evaluations=evaluations,
     )
 
 
@@ -394,13 +403,13 @@ def squeezing_exact(d: ModelDomain, p=None) -> float:
     )
 
 
-def _euclidean_sphere(n: int, r: float, count: int, rng: np.random.Generator) -> list[Point]:
-    pts: list[Point] = []
+def _euclidean_sphere(n: int, r: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Rows on the euclidean sphere of radius r: the 4n points r * phase * e_k
+    with phase in (1, i, -1, -i), then ``count`` random ones."""
+    axes = np.zeros((n, 4, n), dtype=complex)
     for k in range(n):
-        for phase in (1.0, 1j, -1.0, -1j):
-            pts.append(tuple(r * phase if i == k else 0j for i in range(n)))
-    pts.extend(tuple(r * c for c in v) for v in metrics.random_unit_vectors(n, count, rng))
-    return pts
+        axes[k, :, k] = [r * phase for phase in (1.0, 1j, -1.0, -1j)]
+    return np.concatenate([axes.reshape(4 * n, n), r * metrics.random_unit_vectors(n, count, rng)])
 
 
 def squeezing_lower_from_embedding(
@@ -425,10 +434,13 @@ def squeezing_lower_from_embedding(
         raise WitnessValidationError("witness must normalize the basepoint to the origin")
     witness.validate(seed=search.seed)
     n = domain_dim(witness.target)
+    evaluations = 0
 
     def inside(r: float) -> bool:
+        nonlocal evaluations
+        evaluations += 1
         rng = np.random.default_rng(search.seed)
-        return all(witness.image_contains(s) for s in _euclidean_sphere(n, r, search.samples, rng))
+        return bool(witness.image_contains(_euclidean_sphere(n, r, search.samples, rng)).all())
 
     cap = min(search.r_max, 1.0)
     if inside(cap):
@@ -444,6 +456,7 @@ def squeezing_lower_from_embedding(
         tol=search.tol,
         mode=None,
         witness=witness.description,
+        evaluations=evaluations,
     )
 
 
@@ -466,7 +479,6 @@ def largest_centered_polydisc(
 
     def inside(c: float) -> bool:
         rng = np.random.default_rng(seed)
-        pts = metrics.polydisc_sphere_sample(n, c, samples, rng)
-        return all(witness.image_contains(s) for s in pts)
+        return bool(witness.image_contains(metrics.polydisc_sphere_sample(n, c, samples, rng)).all())
 
     return _bisect_largest(inside, tol, 1.0 - tol, tol)

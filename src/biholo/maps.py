@@ -3,6 +3,7 @@
 Every step knows its forward action and its local inverse; a
 :class:`Chain` composes steps and can be run in both directions.  Chains
 realize the slit-disc uniformization and the planar embedding witnesses.
+Every step acts on a complex scalar, or elementwise on a complex array.
 """
 
 from __future__ import annotations
@@ -10,7 +11,15 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = ["Mobius", "PrincipalSqrt", "Square", "Chain"]
+
+
+def _sqrt(z):
+    # np.sqrt and cmath.sqrt agree bit for bit, signed-zero branch cut
+    # included; cmath keeps scalar calls off numpy's per-call overhead
+    return np.sqrt(z) if isinstance(z, np.ndarray) else cmath.sqrt(z)
 
 
 @dataclass(frozen=True)
@@ -60,7 +69,7 @@ class PrincipalSqrt:
     """Principal square root; inverse is squaring."""
 
     def apply(self, z: complex) -> complex:
-        return cmath.sqrt(z)
+        return _sqrt(z)
 
     def unapply(self, w: complex) -> complex:
         return w * w
@@ -74,7 +83,7 @@ class Square:
         return z * z
 
     def unapply(self, w: complex) -> complex:
-        return cmath.sqrt(w)
+        return _sqrt(w)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .domains import (
     as_point,
     contains,
     domain_dim,
+    random_unit_vectors,
 )
 from .hyperbolic import (
     MetricMode,
@@ -173,41 +174,26 @@ def kobayashi_distance(
 # ---------------------------------------------------------------------------
 
 
-def random_unit_vectors(n: int, count: int, rng: np.random.Generator) -> list[Point]:
-    out: list[Point] = []
-    for _ in range(count):
-        v = rng.normal(size=(n, 2)).view(np.complex128).ravel()
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            v = np.zeros(n, dtype=complex)
-            v[0] = 1.0
-            norm = 1.0
-        out.append(tuple(complex(c) / norm for c in v))
-    return out
-
-
-def polydisc_sphere_sample(n: int, modulus: float, count: int, rng: np.random.Generator) -> list[Point]:
+def polydisc_sphere_sample(n: int, modulus: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Rows on the polydisc sphere ``max_k |z_k| = modulus``: the corner
+    first, then ``count`` random points with every coordinate at the full
+    modulus with probability 1/2 and one (random) coordinate at it surely."""
     # The corner (all coordinates at the maximal modulus) realizes the
     # extreme euclidean norm on the sphere, so include it deterministically.
-    pts: list[Point] = [(complex(modulus),) * n]
-    for _ in range(count):
-        mask = rng.uniform(size=n) < 0.5
-        mask[int(rng.integers(n))] = True
-        moduli = np.where(mask, modulus, rng.uniform(0.0, modulus, size=n))
-        phases = rng.uniform(0.0, covering.TWO_PI, size=n)
-        pts.append(tuple(complex(m * math.cos(t), m * math.sin(t)) for m, t in zip(moduli, phases)))
-    return pts
+    full = rng.uniform(size=(count, n)) < 0.5
+    full[np.arange(count), rng.integers(n, size=count)] = True
+    moduli = np.where(full, modulus, rng.uniform(0.0, modulus, size=(count, n)))
+    pts = moduli * np.exp(1j * rng.uniform(0.0, covering.TWO_PI, size=(count, n)))
+    return np.concatenate([np.full((1, n), complex(modulus)), pts])
 
 
-def _punctured_sphere(center: complex, radius_p: float, count: int, rng: np.random.Generator) -> list[Point]:
+def _punctured_sphere(center: complex, radius_p: float, count: int, rng: np.random.Generator) -> np.ndarray:
     z0 = covering.principal_lift(center)
     ecenter, eradius = halfplane_metric_circle(z0, radius_p, MetricMode.POINCARE)
-    pts: list[Point] = []
     angles = np.linspace(0.0, covering.TWO_PI, count, endpoint=False) + rng.uniform(0.0, 1e-3)
-    for t in angles:
-        w = ecenter + eradius * complex(math.cos(t), math.sin(t))
-        if abs(w.real - z0.real) <= math.pi:
-            pts.append((cmath.exp(1j * w),))
+    w = ecenter + eradius * np.exp(1j * angles)
+    pts = np.exp(1j * w[np.abs(w.real - z0.real) <= math.pi])
+    extreme = []
     # Where the circle crosses the lines Re = x0 +/- pi the projection lands
     # exactly on the antipodal ray; those are the extreme sphere points, so
     # add them exactly (crucially, on the negative real axis when the center
@@ -219,10 +205,10 @@ def _punctured_sphere(center: complex, radius_p: float, count: int, rng: np.rand
                 continue
             r = math.exp(-y)
             if z0.real == 0.0:
-                pts.append((complex(-r, 0.0),))
+                extreme.append(complex(-r, 0.0))
             else:
-                pts.append((cmath.exp(1j * complex(z0.real + math.pi, y)),))
-    return pts
+                extreme.append(cmath.exp(1j * complex(z0.real + math.pi, y)))
+    return np.concatenate([pts, np.array(extreme, dtype=complex)])[:, None]
 
 
 def sample_metric_sphere(
@@ -232,8 +218,8 @@ def sample_metric_sphere(
     count: int,
     rng: np.random.Generator,
     mode: MetricMode = MetricMode.POINCARE,
-) -> list[Point]:
-    """Sample the Kobayashi sphere of the given radius around ``center``.
+) -> np.ndarray:
+    """Sample the Kobayashi sphere of the given radius around ``center``, as rows.
 
     Samples are dense in angle and include the extreme points that decide
     ball-containment questions (polydisc corners, antipodal crossings in the
@@ -244,27 +230,21 @@ def sample_metric_sphere(
         raise ValueError("radius must be positive")
     radius_k = radius * MetricMode.KOBAYASHI.scale / mode.scale
     if isinstance(d, Ball):
-        rho = math.tanh(radius_k)
-        sphere = [tuple(rho * c for c in v) for v in random_unit_vectors(d.dim, count, rng)]
+        sphere = math.tanh(radius_k) * random_unit_vectors(d.dim, count, rng)
         if any(c != 0 for c in center):
             phi = ball_automorphism(center)
-            sphere = [phi(s) for s in sphere]
+            sphere = np.array([phi(s) for s in sphere])
         return sphere
     if isinstance(d, Polydisc):
-        rho = math.tanh(radius_k)
-        pts = polydisc_sphere_sample(d.dim, rho, count, rng)
+        pts = polydisc_sphere_sample(d.dim, math.tanh(radius_k), count, rng)
         if any(c != 0 for c in center):
-            moved = []
-            for s in pts:
-                moved.append(
-                    tuple((c + a) / (1.0 + a.conjugate() * c) for c, a in zip(s, center))
-                )
-            pts = moved
+            a = np.array(center)
+            pts = (pts + a) / (1.0 + a.conj() * pts)
         return pts
     if isinstance(d, UpperHalfPlane):
         ecenter, eradius = halfplane_metric_circle(center[0], radius, mode)
         angles = np.linspace(0.0, covering.TWO_PI, count, endpoint=False)
-        return [(ecenter + eradius * complex(math.cos(t), math.sin(t)),) for t in angles]
+        return (ecenter + eradius * np.exp(1j * angles))[:, None]
     if isinstance(d, PuncturedDisc):
         radius_p = radius / mode.scale
         return _punctured_sphere(center[0], radius_p, count, rng)

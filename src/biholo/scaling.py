@@ -445,7 +445,7 @@ def _limit_ball_samples(
         return sample_metric_ball(limit, family.basepoint, radius, samples, rng, mode)
     if isinstance(limit, Siegel):
         pts = []
-        for v in random_unit_vectors(limit.dim, samples, rng):
+        for v in random_unit_vectors(limit.dim, samples, rng).tolist():
             t = radius * math.sqrt(rng.uniform())
             rho = math.tanh(0.5 * t / mode.scale)
             pts.append(ball_to_siegel(tuple(rho * c for c in v)))

@@ -16,12 +16,15 @@ from biholo.domains import (
     Siegel,
     SlitDisc,
     Term,
+    UnsupportedDomainError,
     UpperHalfPlane,
     WeightedModel,
     WeightedPolynomial,
     check_homogeneity,
     check_psh,
     contains,
+    contains_rows,
+    defining_rows,
     defining_value,
     format_complex,
     format_polynomial,
@@ -31,7 +34,9 @@ from biholo.domains import (
     parse_complex_literal,
     parse_polynomial,
     poly_eval,
+    random_unit_vectors,
     sample_point,
+    sample_rows,
     symbolic_weight_check,
 )
 
@@ -93,6 +98,93 @@ class TestMembership:
                 p = sample_point(dom, rng)
                 assert defining_value(dom, p) < 0.0
                 assert contains(dom, p)
+
+
+ROW_VARIANTS = [
+    Ball(2),
+    Polydisc(2),
+    UpperHalfPlane(),
+    HalfPlaneC(1.0 + 0.5j),
+    PuncturedDisc(),
+    SlitDisc(),
+    Siegel(2),
+    WeightedModel(Multitype((1, 4)), modulus_power(1, 0, 2)),
+]
+
+
+def _near_boundary(dom, rng, m: int) -> np.ndarray:
+    """Rows whose defining value is within about 2e-12 of zero, on both
+    sides, at least 1e-13 away from it."""
+    eps = rng.choice([-1.0, 1.0], size=m) * rng.uniform(1e-13, 1e-12, size=m)
+    t = rng.uniform(-1.5, 1.5, size=m)
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=m))
+    if isinstance(dom, Ball):
+        return random_unit_vectors(dom.dim, m, rng) * (1.0 + eps)[:, None]
+    if isinstance(dom, Polydisc):
+        z = 0.99 * sample_rows(dom, rng, m)
+        z[np.arange(m), rng.integers(dom.dim, size=m)] = phase * (1.0 + eps)
+        return z
+    if isinstance(dom, UpperHalfPlane):
+        return (t + 1j * eps)[:, None]
+    if isinstance(dom, HalfPlaneC):
+        return ((0.5 + eps + 1j * t) / dom.linear_coeff)[:, None]
+    if isinstance(dom, PuncturedDisc):
+        # the unit circle, and the puncture (0 itself is outside)
+        return np.where(t > 0, phase * (1.0 + eps), phase * np.abs(eps))[:, None]
+    if isinstance(dom, SlitDisc):
+        # the slit, its two ends, and the unit circle
+        ends = np.where(t > 0, 0.0, -1.0) + eps
+        z = np.select([t < -0.5, t < 0.5], [-np.abs(t) / 1.5 + 1j * eps, ends], phase * (1.0 + eps))
+        return z[:, None]
+    z1 = phase * rng.uniform(0.0, 1.0, size=m)  # |z1| <= 1 keeps rounding far below eps
+    tangential = np.abs(z1) ** (2 if isinstance(dom, Siegel) else 4)
+    return np.stack([z1, (eps - tangential) / 2.0 + 1j * t], axis=1)
+
+
+class TestRows:
+    """The row kernels against the scalar functions they batch."""
+
+    @pytest.mark.parametrize("dom", ROW_VARIANTS, ids=repr)
+    def test_contains_rows_matches_contains(self, dom):
+        rng = np.random.default_rng(5)
+        n = 2 if isinstance(dom, (Ball, Polydisc, Siegel, WeightedModel)) else 1
+        bulk = rng.uniform(-1.6, 1.6, size=(5_000, n)) + 1j * rng.uniform(-1.6, 1.6, size=(5_000, n))
+        edge = _near_boundary(dom, rng, 5_000)
+        rows = np.concatenate([bulk, edge])
+        scalar = [contains(dom, tuple(r)) for r in rows]
+        assert contains_rows(dom, rows).tolist() == scalar
+        # the edge rows fall on both sides, each within 2e-12 of the boundary
+        assert 1_000 < sum(scalar[5_000:]) < 4_000
+        values = defining_rows(dom, edge)
+        assert np.abs(values).max() <= 2.5e-12
+        assert values.tolist() == pytest.approx([defining_value(dom, tuple(r)) for r in edge], abs=1e-15)
+
+    def test_non_finite_row_raises(self):
+        rows = np.zeros((4, 2), dtype=complex)
+        rows[2, 1] = complex(0.0, np.nan)
+        with pytest.raises(ValueError, match="row 2 .* non-finite"):
+            contains_rows(Ball(2), rows)
+        with pytest.raises(ValueError, match="dimension 2"):
+            contains_rows(Ball(2), np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("dom", [Ball(3), Polydisc(2), PuncturedDisc()], ids=repr)
+    def test_sample_rows_lie_inside(self, dom):
+        rows = sample_rows(dom, np.random.default_rng(6), 3_000)
+        assert rows.shape == (3_000, dom.dim if not isinstance(dom, PuncturedDisc) else 1)
+        assert contains_rows(dom, rows).all()
+
+    def test_sample_rows_unsupported_variant(self):
+        with pytest.raises(UnsupportedDomainError, match="sample_point"):
+            sample_rows(SlitDisc(), np.random.default_rng(0), 10)
+
+    def test_unit_vectors_keep_the_scalar_stream(self):
+        """One draw of shape (count, n, 2) gives what count draws of (n, 2)
+        gave, normalized by np.linalg.norm, bit for bit."""
+        rows = random_unit_vectors(3, 500, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        for row in rows:
+            v = rng.normal(size=(3, 2)).view(np.complex128).ravel()
+            assert row.tolist() == [complex(c) / float(np.linalg.norm(v)) for c in v]
 
 
 class TestComplexLiterals:

@@ -17,6 +17,7 @@ from biholo.domains import (
     UpperHalfPlane,
 )
 from biholo.hyperbolic import MetricMode
+from biholo.metrics import sample_metric_sphere
 from biholo.invariants import (
     BoundEstimate,
     RadiusSearch,
@@ -133,6 +134,8 @@ class TestFridmanUpperFromEmbedding:
             assert est.value == pytest.approx(fridman_exact(Polydisc(n)), abs=1e-4)
             assert not est.hit_cap
             assert est.mode == "kobayashi"
+            # the cap, the lower end, and 28 halvings of 16 - 1e-7 down to 1e-7
+            assert est.evaluations == 30
 
     def test_slit_witness_near_the_outer_boundary(self):
         """The embedded slit disc certifies h <= 1/r(0.9) ~ 0.2446."""
@@ -158,6 +161,7 @@ class TestFridmanUpperFromEmbedding:
                 RadiusSearch(r_max=cap, tol=1e-6, samples=64, seed=0),
             )
             assert est.hit_cap
+            assert est.evaluations == 1
             values.append(est.value)
         assert values == sorted(values, reverse=True)
 
@@ -226,7 +230,7 @@ class TestSqueezing:
 
 class TestWitnessValidation:
     def test_broken_injectivity_is_caught(self):
-        collapse = lambda z: (0.5 + 0j,)
+        collapse = lambda z: np.full_like(z, 0.5)
         bad = EmbeddingWitness(
             source=Ball(1),
             target=Ball(1),
@@ -240,18 +244,47 @@ class TestWitnessValidation:
             bad.validate(samples=500)
 
     def test_escaping_image_is_caught(self):
-        blowup = lambda z: (2.0 * z[0],)
+        blowup = lambda z: 2.0 * z
         bad = EmbeddingWitness(
             source=Ball(1),
             target=Ball(1),
             forward=blowup,
-            inverse=lambda w: (w[0] / 2.0,),
+            inverse=lambda w: w / 2.0,
             source_basepoint=(0j,),
             target_basepoint=(0j,),
             description="doubling map (escapes)",
         )
         with pytest.raises(WitnessValidationError, match="escaped"):
             bad.validate(samples=500)
+
+
+    def test_non_finite_row_raises(self):
+        sphere = sample_metric_sphere(Polydisc(2), (0j, 0j), 0.5, 64, np.random.default_rng(0))
+        sphere[7, 1] = complex(np.nan, 0.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            ball_inclusion_into_polydisc(2).image_contains(sphere)
+
+    def test_pole_of_the_inverse_is_outside_the_image(self):
+        """The inverse of the automorphism moving 0.5 to 0 has its pole at
+        w = 2; the row counts as outside, with no RuntimeWarning."""
+        witness = punctured_automorphism_witness(0.5)
+        rows = np.array([[2.0 + 0j], [0.25 + 0j], [0.5 + 0j], [0j]])
+        # 0.5 is the image of the puncture; 0 is the image of the basepoint
+        assert witness.image_contains(rows).tolist() == [False, True, False, True]
+
+    def test_image_contains_gives_one_bool_per_row(self):
+        witness = ball_inclusion_into_polydisc(3)
+        rows = np.array([[0.5, 0.5, 0.5], [0.6, 0.6, 0.6], [0.9, 0, 0], [1.0, 0, 0]], dtype=complex)
+        assert witness.image_contains(rows).tolist() == [True, False, True, False]
+
+
+class TestRadiusSearch:
+    @pytest.mark.parametrize(
+        "r_max,tol", [(1.0, math.inf), (math.nan, 1e-6), (math.inf, 1e-6), (1.0, math.nan)]
+    )
+    def test_non_finite_parameters_rejected(self, r_max, tol):
+        with pytest.raises(ValueError, match="finite"):
+            RadiusSearch(r_max=r_max, tol=tol)
 
 
 class TestCenteredPolydisc:

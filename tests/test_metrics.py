@@ -124,7 +124,8 @@ class TestSphereSampling:
         r = 0.9
         pts = sample_metric_sphere(Polydisc(2), (0j, 0j), r, 32, rng, MetricMode.KOBAYASHI)
         rho = math.tanh(r)
-        assert pts[0] == (complex(rho), complex(rho))
+        assert pts.shape == (33, 2)
+        assert tuple(pts[0]) == (complex(rho), complex(rho))
         for s in pts:
             assert max(abs(c) for c in s) == pytest.approx(rho, abs=1e-12)
 
