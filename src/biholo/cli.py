@@ -37,7 +37,6 @@ from .domains import (
     UnsupportedDomainError,
     UpperHalfPlane,
     as_point,
-    domain_label,
     format_complex,
     parse_complex_literal,
     parse_polynomial,
@@ -141,7 +140,7 @@ def cmd_dist(args) -> int:
     emit_record(
         {
             "command": "dist",
-            "domain": domain_label(domain),
+            "domain": domain.label,
             "p": p,
             "q": q,
             "mode": args.mode,
@@ -160,7 +159,7 @@ def cmd_invariant(args) -> int:
     mode = _mode(args)
     record = {
         "command": args.kind,
-        "domain": domain_label(domain),
+        "domain": domain.label,
         "point": point,
         "mode": args.mode,
     }
@@ -248,7 +247,7 @@ def _run_scale_spec(spec: dict, args) -> tuple[dict[str, list[dict]], bool]:
         g = spec.get("grid", {"min": -2.0, "max": 2.0, "n": 15})
         lo, hi, n = float(g.get("min", -2)), float(g.get("max", 2)), int(g.get("n", 15))
         planar = scaling.complex_grid(lo, hi, lo, hi, n)
-        if scaling.domain_dim(family.limit) == 1:
+        if family.limit.dim == 1:
             grid = planar
         else:
             coarse = scaling.complex_grid(lo, hi, lo, hi, max(3, n // 3))

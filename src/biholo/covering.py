@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import SlitDisc, contains, contains_rows
+from .domains import SlitDisc, contains_rows
 from .hyperbolic import MetricMode, halfplane_distance
 from .maps import Chain, Mobius, PrincipalSqrt, Square
 
@@ -267,19 +267,6 @@ class SlitDiscMap:
 
     def inverse(self, w: complex) -> complex:
         return self.chain.unapply(w)
-
-    def contains_image(self, w: complex, tol: float = 1e-9) -> bool:
-        """Membership of ``w`` in the image (the slit disc), decided by the
-        defining inequality plus an inverse round-trip."""
-        if not contains(SlitDisc(), w):
-            return False
-        try:
-            z = self.inverse(w)
-        except ZeroDivisionError:
-            return False
-        if not abs(z) < 1.0:
-            return False
-        return abs(self.chain.apply(z) - w) <= tol * (1.0 + abs(w))
 
 
 def _base_slit_chain() -> Chain:

@@ -12,16 +12,22 @@ defining function (negative inside, zero on the boundary):
 * ``Siegel(n)``        -- ``2 Re z_n + |z_1|^2 + ... + |z_{n-1}|^2``
 * ``WeightedModel``    -- ``2 Re z_n + P('z, conj 'z)``
 
+Each variant is a class that owns its ``dim``, ``label``, ``sample(rng)``,
+optional ``sample_rows(rng, m)`` and its one defining formula
+``defining(z)``; the module functions below only hand over to them.
+
 Points are plain tuples of complex numbers; planar domains also accept a
 bare complex scalar.  Many points at once are rows: a complex array of shape
-``[m, n]``.  ``defining_rows``/``contains_rows`` apply the same formulas as
-``defining_value``/``contains`` to every row, and ``sample_rows`` draws rows
-for the embedding-witness sources.  The scalar functions stay pure Python,
-because a one-row array costs more than the whole scalar call.
+``[m, n]``.  ``defining_rows``/``contains_rows`` run the formula of
+``defining_value``/``contains`` on the columns of the rows, and
+``sample_rows`` draws rows for the embedding-witness sources.  A single
+point stays pure Python, because a one-row array costs more than the whole
+scalar call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -46,8 +52,6 @@ __all__ = [
     "Siegel",
     "WeightedModel",
     "ModelDomain",
-    "domain_dim",
-    "domain_label",
     "defining_value",
     "contains",
     "sample_point",
@@ -245,11 +249,14 @@ def modulus_power(nvars: int, var: int, half_degree: int, coeff: float = 1.0) ->
     return WeightedPolynomial.from_terms([Term(idx, idx, coeff)], nvars)
 
 
-def poly_eval(poly: WeightedPolynomial, w: Sequence[complex], tol: float = 1e-12) -> float:
-    """Evaluate a polynomial, returning the (checked) real value."""
-    w = tuple(complex(c) for c in w)
-    if len(w) != poly.nvars:
-        raise ValueError(f"expected {poly.nvars} variables, got {len(w)}")
+def _max(*values):
+    """The largest of the values, elementwise when they are arrays."""
+    return functools.reduce(np.maximum, values) if isinstance(values[0], np.ndarray) else max(values)
+
+
+def _poly_value(poly: WeightedPolynomial, w, tol: float = 1e-12):
+    """``P`` at the point ``w`` (a tuple of complex numbers), or at every row
+    whose columns ``w`` holds (``poly.nvars`` arrays), as checked real values."""
     total = 0j
     for t in poly.terms:
         m = t.coeff
@@ -259,32 +266,22 @@ def poly_eval(poly: WeightedPolynomial, w: Sequence[complex], tol: float = 1e-12
             if b:
                 m *= c.conjugate() ** b
         total += m
-    if abs(total.imag) > tol * max(1.0, abs(total.real)):
+    bad = abs(total.imag) > tol * _max(abs(total.real), 1.0)
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
+        first = complex(np.ravel(total)[np.argmax(bad)])
         raise ValueError(
-            f"polynomial evaluated to a non-real value {total!r}; "
+            f"polynomial evaluated to a non-real value {first!r}; "
             "the term list is not conjugate-pair symmetric"
         )
     return total.real
 
 
-def _poly_rows(poly: WeightedPolynomial, w: np.ndarray) -> np.ndarray:
-    """:func:`poly_eval`, at its default tolerance, on every row of ``w``
-    (shape ``[m, poly.nvars]``)."""
-    total = np.zeros(len(w), dtype=complex)
-    for t in poly.terms:
-        m = np.full(len(w), t.coeff, dtype=complex)
-        for c, a, b in zip(w.T, t.alpha, t.beta):
-            if a:
-                m *= c**a
-            if b:
-                m *= c.conj() ** b
-        total += m
-    if (np.abs(total.imag) > 1e-12 * np.maximum(1.0, np.abs(total.real))).any():
-        raise ValueError(
-            "polynomial evaluated to a non-real value; "
-            "the term list is not conjugate-pair symmetric"
-        )
-    return total.real
+def poly_eval(poly: WeightedPolynomial, w: Sequence[complex], tol: float = 1e-12) -> float:
+    """Evaluate a polynomial, returning the (checked) real value."""
+    w = tuple(complex(c) for c in w)
+    if len(w) != poly.nvars:
+        raise ValueError(f"expected {poly.nvars} variables, got {len(w)}")
+    return _poly_value(poly, w, tol)
 
 
 def levi_form(poly: WeightedPolynomial, w: Sequence[complex]) -> np.ndarray:
@@ -436,147 +433,19 @@ def format_polynomial(poly: WeightedPolynomial) -> str:
 # ---------------------------------------------------------------------------
 # domain variants
 # ---------------------------------------------------------------------------
+#
+# Each variant owns its dimension, label, samplers and one ``defining(z)``.
+# ``z`` is a point tuple or the columns of rows (``rows.T``): the same
+# formula text runs on Python numbers for a point and on numpy arrays for
+# rows, with ``_max`` and ``_segment_distance`` picking the library by type.
 
 
-@dataclass(frozen=True)
-class Ball:
-    dim: int = 1
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
-
-
-@dataclass(frozen=True)
-class Polydisc:
-    dim: int
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
-
-
-@dataclass(frozen=True)
-class UpperHalfPlane:
-    pass
-
-
-@dataclass(frozen=True)
-class HalfPlaneC:
-    """Planar half-plane ``{z : 2 Re(a z) - 1 < 0}`` with linear part ``a``."""
-
-    linear_coeff: complex
-
-    def __post_init__(self) -> None:
-        if self.linear_coeff == 0:
-            raise ValueError("the linear coefficient must be nonzero")
-
-
-@dataclass(frozen=True)
-class PuncturedDisc:
-    pass
-
-
-@dataclass(frozen=True)
-class SlitDisc:
-    pass
-
-
-@dataclass(frozen=True)
-class Siegel:
-    dim: int
-
-    def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise ValueError("the Siegel domain needs dimension >= 2")
-
-
-@dataclass(frozen=True)
-class WeightedModel:
-    """Model domain ``{z : 2 Re z_n + P('z, conj 'z) < 0}``."""
-
-    multitype: Multitype
-    poly: WeightedPolynomial
-
-    def __post_init__(self) -> None:
-        if self.poly.nvars != self.multitype.dim - 1:
-            raise ValueError("polynomial and multitype dimensions do not match")
-
-    @property
-    def dim(self) -> int:
-        return self.multitype.dim
-
-
-ModelDomain = Union[
-    Ball, Polydisc, UpperHalfPlane, HalfPlaneC, PuncturedDisc, SlitDisc, Siegel, WeightedModel
-]
-
-
-def domain_dim(d: ModelDomain) -> int:
-    if isinstance(d, (Ball, Polydisc, Siegel)):
-        return d.dim
-    if isinstance(d, WeightedModel):
-        return d.dim
-    return 1
-
-
-def domain_label(d: ModelDomain) -> str:
-    if isinstance(d, Ball):
-        return f"ball{d.dim}"
-    if isinstance(d, Polydisc):
-        return f"polydisc{d.dim}"
-    if isinstance(d, Siegel):
-        return f"siegel{d.dim}"
-    if isinstance(d, UpperHalfPlane):
-        return "halfplane"
-    if isinstance(d, HalfPlaneC):
-        return f"halfplane-linear({format_complex(d.linear_coeff)})"
-    if isinstance(d, PuncturedDisc):
-        return "punctured"
-    if isinstance(d, SlitDisc):
-        return "slit"
-    if isinstance(d, WeightedModel):
-        return f"weighted-model(dim={d.dim})"
-    raise UnsupportedDomainError(f"unknown domain {d!r}")
-
-
-def _segment_distance(z: complex) -> float:
+def _segment_distance(z):
     """Euclidean distance from z to the closed segment [-1, 0] of the real axis."""
     x, y = z.real, z.imag
-    if x > 0:
-        return math.hypot(x, y)
-    if x < -1:
-        return math.hypot(x + 1, y)
-    return abs(y)
-
-
-def defining_value(d: ModelDomain, p) -> float:
-    """Canonical signed defining function; negative exactly on the domain."""
-    pt = as_point(p, domain_dim(d))
-    if isinstance(d, Ball):
-        return sum(abs(c) ** 2 for c in pt) - 1.0
-    if isinstance(d, Polydisc):
-        return max(abs(c) ** 2 for c in pt) - 1.0
-    if isinstance(d, UpperHalfPlane):
-        return -pt[0].imag
-    if isinstance(d, HalfPlaneC):
-        return 2.0 * (d.linear_coeff * pt[0]).real - 1.0
-    if isinstance(d, PuncturedDisc):
-        m = abs(pt[0])
-        return max(m * m - 1.0, -m)
-    if isinstance(d, SlitDisc):
-        m = abs(pt[0])
-        return max(m * m - 1.0, -_segment_distance(pt[0]))
-    if isinstance(d, Siegel):
-        return 2.0 * pt[-1].real + sum(abs(c) ** 2 for c in pt[:-1])
-    if isinstance(d, WeightedModel):
-        return 2.0 * pt[-1].real + poly_eval(d.poly, pt[:-1])
-    raise UnsupportedDomainError(f"unknown domain {d!r}")
-
-
-def contains(d: ModelDomain, p) -> bool:
-    """True iff the defining inequality holds strictly."""
-    return defining_value(d, p) < 0.0
+    if isinstance(z, np.ndarray):
+        return np.hypot(x - np.clip(x, -1.0, 0.0), y)
+    return math.hypot(x - min(max(x, -1.0), 0.0), y)
 
 
 def _uniform_disc(rng: np.random.Generator) -> complex:
@@ -585,86 +454,9 @@ def _uniform_disc(rng: np.random.Generator) -> complex:
     return complex(r * math.cos(phi), r * math.sin(phi))
 
 
-def sample_point(d: ModelDomain, rng: np.random.Generator) -> Point:
-    """Draw an interior point of the domain (distribution is variant-specific)."""
-    if isinstance(d, Ball):
-        v = rng.normal(size=(d.dim, 2)).view(np.complex128).ravel()
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            return (0j,) * d.dim
-        radius = rng.uniform() ** (1.0 / (2 * d.dim))
-        return tuple(complex(c) * radius / norm for c in v)
-    if isinstance(d, Polydisc):
-        return tuple(_uniform_disc(rng) for _ in range(d.dim))
-    if isinstance(d, UpperHalfPlane):
-        return (complex(rng.normal(scale=2.0), math.exp(rng.normal())),)
-    if isinstance(d, HalfPlaneC):
-        # pull back a standard half-plane sample through a z = 1/2 + i zeta
-        zeta = complex(rng.normal(scale=2.0), math.exp(rng.normal()))
-        return ((0.5 + 1j * zeta) / d.linear_coeff,)
-    if isinstance(d, PuncturedDisc):
-        while True:
-            z = _uniform_disc(rng)
-            if 0 < abs(z) < 1:
-                return (z,)
-    if isinstance(d, SlitDisc):
-        while True:
-            z = _uniform_disc(rng)
-            if abs(z) < 1 and _segment_distance(z) > 0:
-                return (z,)
-    if isinstance(d, Siegel):
-        tang = tuple(complex(a, b) for a, b in rng.normal(size=(d.dim - 1, 2)))
-        margin = float(rng.exponential(scale=0.5))
-        sq = sum(abs(c) ** 2 for c in tang)
-        zn = complex(-(sq / 2.0 + margin), rng.normal(scale=2.0))
-        return tang + (zn,)
-    if isinstance(d, WeightedModel):
-        tang = tuple(complex(a, b) * 0.7 for a, b in rng.normal(size=(d.dim - 1, 2)))
-        margin = float(rng.exponential(scale=0.3))
-        val = poly_eval(d.poly, tang)
-        zn = complex(-(val / 2.0 + margin), rng.normal(scale=1.0))
-        return tang + (zn,)
-    raise UnsupportedDomainError(f"unknown domain {d!r}")
-
-
-# ---------------------------------------------------------------------------
-# rows: many points at once
-# ---------------------------------------------------------------------------
-
-
-def _segment_rows(z: np.ndarray) -> np.ndarray:
-    """:func:`_segment_distance` of every entry of ``z``."""
-    x, y = z.real, z.imag
-    return np.where(x > 0, np.hypot(x, y), np.where(x < -1, np.hypot(x + 1, y), np.abs(y)))
-
-
-def defining_rows(d: ModelDomain, rows) -> np.ndarray:
-    """:func:`defining_value` of every row of ``rows`` (shape ``[m, dim]``)."""
-    z = as_rows(rows, domain_dim(d))
-    if isinstance(d, Ball):
-        return (np.abs(z) ** 2).sum(axis=1) - 1.0
-    if isinstance(d, Polydisc):
-        return (np.abs(z) ** 2).max(axis=1) - 1.0
-    if isinstance(d, UpperHalfPlane):
-        return -z[:, 0].imag
-    if isinstance(d, HalfPlaneC):
-        return 2.0 * (d.linear_coeff * z[:, 0]).real - 1.0
-    if isinstance(d, PuncturedDisc):
-        m = np.abs(z[:, 0])
-        return np.maximum(m * m - 1.0, -m)
-    if isinstance(d, SlitDisc):
-        m = np.abs(z[:, 0])
-        return np.maximum(m * m - 1.0, -_segment_rows(z[:, 0]))
-    if isinstance(d, Siegel):
-        return 2.0 * z[:, -1].real + (np.abs(z[:, :-1]) ** 2).sum(axis=1)
-    if isinstance(d, WeightedModel):
-        return 2.0 * z[:, -1].real + _poly_rows(d.poly, z[:, :-1])
-    raise UnsupportedDomainError(f"unknown domain {d!r}")
-
-
-def contains_rows(d: ModelDomain, rows) -> np.ndarray:
-    """:func:`contains` of every row: one bool per row."""
-    return defining_rows(d, rows) < 0.0
+def _uniform_disc_rows(rng: np.random.Generator, shape) -> np.ndarray:
+    r = np.sqrt(rng.uniform(size=shape))
+    return r * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=shape))
 
 
 def random_unit_vectors(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -685,21 +477,121 @@ def random_unit_vectors(n: int, count: int, rng: np.random.Generator) -> np.ndar
     return (raw / norm[:, None, None]).view(np.complex128)[..., 0]
 
 
-def _uniform_disc_rows(rng: np.random.Generator, shape) -> np.ndarray:
-    r = np.sqrt(rng.uniform(size=shape))
-    return r * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=shape))
+class _Variant:
+    """What a variant without a row sampler inherits."""
+
+    def sample_rows(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        raise UnsupportedDomainError(f"no row sampler for {self.label}; use sample_point")
 
 
-def sample_rows(d: ModelDomain, rng: np.random.Generator, m: int) -> np.ndarray:
-    """Draw ``m`` interior points as rows, with the distribution of
-    :func:`sample_point` (not its draw order).  Implemented for the sources
-    of the embedding witnesses: ``Ball``, ``Polydisc`` and ``PuncturedDisc``."""
-    if isinstance(d, Ball):
-        radius = rng.uniform(size=m) ** (1.0 / (2 * d.dim))
-        return random_unit_vectors(d.dim, m, rng) * radius[:, None]
-    if isinstance(d, Polydisc):
-        return _uniform_disc_rows(rng, (m, d.dim))
-    if isinstance(d, PuncturedDisc):
+@dataclass(frozen=True)
+class Ball(_Variant):
+    dim: int = 1
+
+    def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise ValueError("dimension must be >= 1")
+
+    @property
+    def label(self) -> str:
+        return f"ball{self.dim}"
+
+    def defining(self, z):
+        return sum(abs(c) ** 2 for c in z) - 1.0
+
+    def sample(self, rng: np.random.Generator) -> Point:
+        v = rng.normal(size=(self.dim, 2)).view(np.complex128).ravel()
+        norm = float(np.linalg.norm(v))
+        if norm == 0.0:
+            return (0j,) * self.dim
+        radius = rng.uniform() ** (1.0 / (2 * self.dim))
+        return tuple(complex(c) * radius / norm for c in v)
+
+    def sample_rows(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        radius = rng.uniform(size=m) ** (1.0 / (2 * self.dim))
+        return random_unit_vectors(self.dim, m, rng) * radius[:, None]
+
+
+@dataclass(frozen=True)
+class Polydisc(_Variant):
+    dim: int
+
+    def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise ValueError("dimension must be >= 1")
+
+    @property
+    def label(self) -> str:
+        return f"polydisc{self.dim}"
+
+    def defining(self, z):
+        return _max(*(abs(c) ** 2 for c in z)) - 1.0
+
+    def sample(self, rng: np.random.Generator) -> Point:
+        return tuple(_uniform_disc(rng) for _ in range(self.dim))
+
+    def sample_rows(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        return _uniform_disc_rows(rng, (m, self.dim))
+
+
+@dataclass(frozen=True)
+class UpperHalfPlane(_Variant):
+    dim = 1
+    label = "halfplane"
+
+    def defining(self, z):
+        return -z[0].imag
+
+    def sample(self, rng: np.random.Generator) -> Point:
+        return (complex(rng.normal(scale=2.0), math.exp(rng.normal())),)
+
+
+@dataclass(frozen=True)
+class HalfPlaneC(_Variant):
+    """Planar half-plane ``{z : 2 Re(a z) - 1 < 0}`` with linear part ``a``."""
+
+    linear_coeff: complex
+    dim = 1
+
+    def __post_init__(self) -> None:
+        if self.linear_coeff == 0:
+            raise ValueError("the linear coefficient must be nonzero")
+
+    @property
+    def label(self) -> str:
+        return f"halfplane-linear({format_complex(self.linear_coeff)})"
+
+    def defining(self, z):
+        return 2.0 * (self.linear_coeff * z[0]).real - 1.0
+
+    def to_halfplane(self, z):
+        """The affine bijection ``z -> i (1/2 - a z)`` onto the upper half-plane."""
+        return 1j * (0.5 - self.linear_coeff * z)
+
+    def from_halfplane(self, w):
+        """The inverse of :meth:`to_halfplane`, ``w -> (1/2 + i w) / a``."""
+        return (0.5 + 1j * w) / self.linear_coeff
+
+    def sample(self, rng: np.random.Generator) -> Point:
+        return (self.from_halfplane(complex(rng.normal(scale=2.0), math.exp(rng.normal()))),)
+
+
+@dataclass(frozen=True)
+class PuncturedDisc(_Variant):
+    dim = 1
+    label = "punctured"
+
+    def defining(self, z):
+        m = abs(z[0])
+        return _max(m * m - 1.0, -m)
+
+    def sample(self, rng: np.random.Generator) -> Point:
+        while True:
+            z = _uniform_disc(rng)
+            if 0 < abs(z) < 1:
+                return (z,)
+
+    def sample_rows(self, rng: np.random.Generator, m: int) -> np.ndarray:
         parts, need = [], m
         while need:
             z = _uniform_disc_rows(rng, need)
@@ -708,4 +600,109 @@ def sample_rows(d: ModelDomain, rng: np.random.Generator, m: int) -> np.ndarray:
             parts.append(z)
             need -= len(z)
         return np.concatenate(parts)[:, None]
-    raise UnsupportedDomainError(f"no row sampler for {domain_label(d)}; use sample_point")
+
+
+@dataclass(frozen=True)
+class SlitDisc(_Variant):
+    dim = 1
+    label = "slit"
+
+    def defining(self, z):
+        m = abs(z[0])
+        return _max(m * m - 1.0, -_segment_distance(z[0]))
+
+    def sample(self, rng: np.random.Generator) -> Point:
+        while True:
+            z = _uniform_disc(rng)
+            if abs(z) < 1 and _segment_distance(z) > 0:
+                return (z,)
+
+
+@dataclass(frozen=True)
+class Siegel(_Variant):
+    dim: int
+
+    def __post_init__(self) -> None:
+        if self.dim < 2:
+            raise ValueError("the Siegel domain needs dimension >= 2")
+
+    @property
+    def label(self) -> str:
+        return f"siegel{self.dim}"
+
+    def defining(self, z):
+        return 2.0 * z[-1].real + sum(abs(c) ** 2 for c in z[:-1])
+
+    def sample(self, rng: np.random.Generator) -> Point:
+        tang = tuple(complex(a, b) for a, b in rng.normal(size=(self.dim - 1, 2)))
+        margin = float(rng.exponential(scale=0.5))
+        sq = sum(abs(c) ** 2 for c in tang)
+        zn = complex(-(sq / 2.0 + margin), rng.normal(scale=2.0))
+        return tang + (zn,)
+
+
+@dataclass(frozen=True)
+class WeightedModel(_Variant):
+    """Model domain ``{z : 2 Re z_n + P('z, conj 'z) < 0}``."""
+
+    multitype: Multitype
+    poly: WeightedPolynomial
+
+    def __post_init__(self) -> None:
+        if self.poly.nvars != self.multitype.dim - 1:
+            raise ValueError("polynomial and multitype dimensions do not match")
+
+    @property
+    def dim(self) -> int:
+        return self.multitype.dim
+
+    @property
+    def label(self) -> str:
+        return f"weighted-model(dim={self.dim})"
+
+    def defining(self, z):
+        return 2.0 * z[-1].real + _poly_value(self.poly, z[:-1])
+
+    def sample(self, rng: np.random.Generator) -> Point:
+        tang = tuple(complex(a, b) * 0.7 for a, b in rng.normal(size=(self.dim - 1, 2)))
+        margin = float(rng.exponential(scale=0.3))
+        val = poly_eval(self.poly, tang)
+        zn = complex(-(val / 2.0 + margin), rng.normal(scale=1.0))
+        return tang + (zn,)
+
+
+ModelDomain = Union[
+    Ball, Polydisc, UpperHalfPlane, HalfPlaneC, PuncturedDisc, SlitDisc, Siegel, WeightedModel
+]
+
+
+def defining_value(d: ModelDomain, p) -> float:
+    """Canonical signed defining function; negative exactly on the domain."""
+    return d.defining(as_point(p, d.dim))
+
+
+def contains(d: ModelDomain, p) -> bool:
+    """True iff the defining inequality holds strictly."""
+    return defining_value(d, p) < 0.0
+
+
+def sample_point(d: ModelDomain, rng: np.random.Generator) -> Point:
+    """Draw an interior point of the domain (distribution is variant-specific)."""
+    return d.sample(rng)
+
+
+def defining_rows(d: ModelDomain, rows) -> np.ndarray:
+    """:func:`defining_value` of every row of ``rows`` (shape ``[m, dim]``)."""
+    return d.defining(as_rows(rows, d.dim).T)
+
+
+def contains_rows(d: ModelDomain, rows) -> np.ndarray:
+    """:func:`contains` of every row: one bool per row."""
+    return defining_rows(d, rows) < 0.0
+
+
+def sample_rows(d: ModelDomain, rng: np.random.Generator, m: int) -> np.ndarray:
+    """Draw ``m`` interior points as rows, with the distribution of
+    :func:`sample_point` (not its draw order).  Implemented for the sources
+    of the embedding witnesses: ``Ball``, ``Polydisc`` and ``PuncturedDisc``."""
+    return d.sample_rows(rng, m)

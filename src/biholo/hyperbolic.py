@@ -49,12 +49,6 @@ class MetricMode(Enum):
         self.scale = 1.0 if value == "poincare" else 0.5
 
 
-# Below this ratio of (|z - conj w| - |z - w|) to |z - conj w| the log-ratio
-# form loses more than ~2e-13 to cancellation (error grows like eps * e^d),
-# so the algebraically equal acosh form takes over.
-_LOG_RATIO_CUTOFF = 1e-3
-
-
 def _require_halfplane(z: complex) -> complex:
     z = complex(z)
     if not z.imag > 0:
@@ -73,27 +67,27 @@ def halfplane_distance(z: complex, w: complex, mode: MetricMode = MetricMode.POI
     """Distance between two points of the upper half-plane.
 
     In POINCARE mode this is the log-ratio closed form
-    ``log((|z - conj w| + |z - w|) / (|z - conj w| - |z - w|))``; for nearly
-    ideal pairs, where the denominator cancels, the equivalent stabilized
-    acosh form is used instead.
+    ``log((|z - conj w| + |z - w|) / (|z - conj w| - |z - w|))``.  The
+    identity ``|z - conj w|^2 - |z - w|^2 = 4 Im z Im w`` turns its
+    denominator into a product, which gives one form without cancellation
+    for every pair, nearly equal or nearly ideal:
+    ``log1p(|z - w| (|z - conj w| + |z - w|) / (2 Im z Im w))``.
     """
     z = _require_halfplane(z)
     w = _require_halfplane(w)
-    a = abs(z - w.conjugate())
     b = abs(z - w)
-    if b == 0.0:
-        return 0.0
-    den = a - b
-    if den < _LOG_RATIO_CUTOFF * a:
-        return mode.scale * halfplane_distance_acosh(z, w)
-    return mode.scale * math.log((a + b) / den)
+    # dividing each factor by sqrt(Im z Im w), taken as a product of square
+    # roots, keeps the ratio scale-invariant: no overflow or underflow for
+    # very large or very small coordinates, and symmetric in z and w
+    r = math.sqrt(z.imag) * math.sqrt(w.imag)
+    return mode.scale * math.log1p(0.5 * (b / r) * ((abs(z - w.conjugate()) + b) / r))
 
 
 def halfplane_distance_acosh(z: complex, w: complex, mode: MetricMode = MetricMode.POINCARE) -> float:
-    """Independent acosh form of the half-plane distance.
+    """Independent acosh form of the half-plane distance: the oracle that
+    :func:`halfplane_distance` is checked against, not a fallback for it.
 
-    Evaluates ``arccosh(1 + |z - w|^2 / (2 Im z Im w))`` through log1p so it
-    is stable for both close and nearly ideal pairs.
+    Evaluates ``arccosh(1 + |z - w|^2 / (2 Im z Im w))`` through log1p.
     """
     z = _require_halfplane(z)
     w = _require_halfplane(w)

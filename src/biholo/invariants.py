@@ -37,8 +37,7 @@ from .domains import (
     as_rows,
     contains,
     contains_rows,
-    domain_dim,
-    domain_label,
+    random_unit_vectors,
     sample_rows,
 )
 from .hyperbolic import MetricMode
@@ -97,7 +96,7 @@ class EmbeddingWitness:
         A row whose inverse is not finite (a pole of the inverse) lies
         outside; a row of ``w`` that is not finite raises ``ValueError``.
         """
-        w = as_rows(w, domain_dim(self.target))
+        w = as_rows(w, self.target.dim)
         with np.errstate(all="ignore"):
             z = self.inverse(w)
             err = np.abs(self.forward(z) - w).max(axis=1)
@@ -230,7 +229,7 @@ def fridman_exact(d: ModelDomain, p=None, mode: MetricMode = MetricMode.KOBAYASH
     the invariant, relative to POINCARE).
     """
     if p is not None:
-        pt = as_point(p, domain_dim(d))
+        pt = as_point(p, d.dim)
         if not contains(d, pt):
             raise ValueError(f"point {pt!r} is not in the domain")
     if isinstance(d, (Ball, UpperHalfPlane, HalfPlaneC, Siegel)):
@@ -240,7 +239,7 @@ def fridman_exact(d: ModelDomain, p=None, mode: MetricMode = MetricMode.KOBAYASH
             return 0.0
         return 1.0 / (2.0 * mode.scale * math.atanh(1.0 / math.sqrt(d.dim)))
     raise UnsupportedDomainError(
-        f"no exact Fridman value for {domain_label(d)}; use an estimator "
+        f"no exact Fridman value for {d.label}; use an estimator "
         "(fridman_bounds_punctured or fridman_upper_from_embedding)"
     )
 
@@ -356,7 +355,7 @@ def fridman_upper_from_embedding(
     the witness image; membership goes through the validated inverse.
     """
     search = search or RadiusSearch()
-    p = as_point(p, domain_dim(d))
+    p = as_point(p, d.dim)
     if witness.target != d:
         raise WitnessValidationError("witness target does not match the domain")
     base_err = max(abs(u - v) for u, v in zip(witness.target_basepoint, p))
@@ -392,13 +391,13 @@ def fridman_upper_from_embedding(
 def squeezing_exact(d: ModelDomain, p=None) -> float:
     """Exact squeezing function; proved only for the ball, where it is 1."""
     if p is not None:
-        pt = as_point(p, domain_dim(d))
+        pt = as_point(p, d.dim)
         if not contains(d, pt):
             raise ValueError(f"point {pt!r} is not in the domain")
     if isinstance(d, Ball):
         return 1.0
     raise UnsupportedDomainError(
-        f"no exact squeezing value for {domain_label(d)}; "
+        f"no exact squeezing value for {d.label}; "
         "use squeezing_lower_from_embedding"
     )
 
@@ -409,7 +408,7 @@ def _euclidean_sphere(n: int, r: float, count: int, rng: np.random.Generator) ->
     axes = np.zeros((n, 4, n), dtype=complex)
     for k in range(n):
         axes[k, :, k] = [r * phase for phase in (1.0, 1j, -1.0, -1j)]
-    return np.concatenate([axes.reshape(4 * n, n), r * metrics.random_unit_vectors(n, count, rng)])
+    return np.concatenate([axes.reshape(4 * n, n), r * random_unit_vectors(n, count, rng)])
 
 
 def squeezing_lower_from_embedding(
@@ -424,7 +423,7 @@ def squeezing_lower_from_embedding(
     sample of the sphere of radius r lies in the witness image.
     """
     search = search or RadiusSearch(r_max=1.0)
-    p = as_point(p, domain_dim(d))
+    p = as_point(p, d.dim)
     if witness.source != d or not isinstance(witness.target, Ball):
         raise WitnessValidationError("witness must embed the domain into a ball")
     base_err = max(abs(u - v) for u, v in zip(witness.source_basepoint, p))
@@ -433,7 +432,7 @@ def squeezing_lower_from_embedding(
     if max(abs(c) for c in witness.target_basepoint) > 1e-10:
         raise WitnessValidationError("witness must normalize the basepoint to the origin")
     witness.validate(seed=search.seed)
-    n = domain_dim(witness.target)
+    n = witness.target.dim
     evaluations = 0
 
     def inside(r: float) -> bool:

@@ -30,7 +30,6 @@ from .domains import (
     WeightedModel,
     as_point,
     contains,
-    domain_dim,
     random_unit_vectors,
 )
 from .hyperbolic import (
@@ -47,7 +46,6 @@ __all__ = [
     "ball_to_siegel",
     "siegel_equivalent",
     "kobayashi_distance",
-    "random_unit_vectors",
     "polydisc_sphere_sample",
     "sample_metric_sphere",
     "sample_metric_ball",
@@ -140,8 +138,8 @@ def kobayashi_distance(
     mode: MetricMode = MetricMode.POINCARE,
 ) -> float:
     """Kobayashi distance between two points of a model domain."""
-    p = as_point(p, domain_dim(d))
-    q = as_point(q, domain_dim(d))
+    p = as_point(p, d.dim)
+    q = as_point(q, d.dim)
     if not contains(d, p) or not contains(d, q):
         raise ValueError("both points must lie in the domain")
     if isinstance(d, Ball):
@@ -151,8 +149,7 @@ def kobayashi_distance(
     if isinstance(d, UpperHalfPlane):
         return halfplane_distance(p[0], q[0], mode)
     if isinstance(d, HalfPlaneC):
-        a = d.linear_coeff
-        return halfplane_distance(1j * (0.5 - a * p[0]), 1j * (0.5 - a * q[0]), mode)
+        return halfplane_distance(d.to_halfplane(p[0]), d.to_halfplane(q[0]), mode)
     if isinstance(d, PuncturedDisc):
         return covering.punctured_distance(p[0], q[0], mode)
     if isinstance(d, SlitDisc):
@@ -225,7 +222,7 @@ def sample_metric_sphere(
     ball-containment questions (polydisc corners, antipodal crossings in the
     punctured disc).
     """
-    center = as_point(center, domain_dim(d))
+    center = as_point(center, d.dim)
     if radius <= 0:
         raise ValueError("radius must be positive")
     radius_k = radius * MetricMode.KOBAYASHI.scale / mode.scale
@@ -260,33 +257,23 @@ def sample_metric_ball(
     mode: MetricMode = MetricMode.POINCARE,
 ) -> list[Point]:
     """Sample the closed Kobayashi ball, weighting the outer shells."""
-    center = as_point(center, domain_dim(d))
-    if isinstance(d, (UpperHalfPlane, HalfPlaneC)):
-        if isinstance(d, HalfPlaneC):
-            a = d.linear_coeff
-            z0 = 1j * (0.5 - a * center[0])
+    center = as_point(center, d.dim)
+    if not isinstance(d, (UpperHalfPlane, HalfPlaneC)):
+        raise UnsupportedDomainError(f"no ball sampler for domain {d!r}")
+    z0 = d.to_halfplane(center[0]) if isinstance(d, HalfPlaneC) else center[0]
+    ws = []
+    for _ in range(count):
+        t = radius * math.sqrt(rng.uniform())
+        if t == 0.0:
+            ws.append(z0)
         else:
-            z0 = center[0]
-        pts: list[Point] = []
-        for _ in range(count):
-            t = radius * math.sqrt(rng.uniform())
-            if t == 0.0:
-                w = z0
-            else:
-                ecenter, eradius = halfplane_metric_circle(z0, t, mode)
-                ang = rng.uniform(0.0, covering.TWO_PI)
-                w = ecenter + eradius * complex(math.cos(ang), math.sin(ang))
-            if isinstance(d, HalfPlaneC):
-                pts.append(((0.5 - w / 1j) / a,))
-            else:
-                pts.append((w,))
-        # boundary shell
-        ecenter, eradius = halfplane_metric_circle(z0, radius, mode)
-        for ang in np.linspace(0.0, covering.TWO_PI, max(count // 2, 8), endpoint=False):
-            w = ecenter + eradius * complex(math.cos(ang), math.sin(ang))
-            if isinstance(d, HalfPlaneC):
-                pts.append(((0.5 - w / 1j) / a,))
-            else:
-                pts.append((w,))
-        return pts
-    raise UnsupportedDomainError(f"no ball sampler for domain {d!r}")
+            ecenter, eradius = halfplane_metric_circle(z0, t, mode)
+            ang = rng.uniform(0.0, covering.TWO_PI)
+            ws.append(ecenter + eradius * complex(math.cos(ang), math.sin(ang)))
+    # boundary shell
+    ecenter, eradius = halfplane_metric_circle(z0, radius, mode)
+    for ang in np.linspace(0.0, covering.TWO_PI, max(count // 2, 8), endpoint=False):
+        ws.append(ecenter + eradius * complex(math.cos(ang), math.sin(ang)))
+    if isinstance(d, HalfPlaneC):
+        return [(d.from_halfplane(w),) for w in ws]
+    return [(w,) for w in ws]

@@ -31,15 +31,14 @@ from .domains import (
     check_homogeneity,
     contains,
     defining_value,
-    domain_dim,
     poly_eval,
+    random_unit_vectors,
     sample_point,
 )
 from .hyperbolic import MetricMode, disc_distance
 from .metrics import (
     ball_to_siegel,
     kobayashi_distance,
-    random_unit_vectors,
     sample_metric_ball,
     siegel_equivalent,
 )
@@ -357,7 +356,7 @@ def hausdorff_check(family: ScaledFamily, grid: Sequence, tol: float) -> Hausdor
     ``tol``.  Also reports the fraction of grid points classified the same
     way (inside/outside) by the scaled and limit domains.
     """
-    dim = domain_dim(family.limit)
+    dim = family.limit.dim
     pts = [as_point(p, dim) for p in grid]
     if not pts:
         raise ValueError("empty grid")

@@ -28,7 +28,6 @@ from .domains import (
     WeightedPolynomial,
     contains,
     contains_rows,
-    domain_dim,
     modulus_power,
     poly_eval,
     sample_point,
@@ -276,7 +275,7 @@ def suite_domains(cfg: RunConfig) -> SuiteResult:
         model,
     ]
     for dom in variants:
-        n = domain_dim(dom)
+        n = dom.dim
         # flat coordinates, not point tuples, keep the suite's peak memory flat
         coords, scalar, bad = [], [], 0
         for k in range(10_000):

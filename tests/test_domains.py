@@ -1,5 +1,7 @@
 """Tests for domain membership, defining functions and weighted polynomials."""
 
+import re
+import typing
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from biholo.domains import (
     Ball,
     HalfPlaneC,
+    ModelDomain,
     Multitype,
     Polydisc,
     PuncturedDisc,
@@ -100,6 +103,55 @@ class TestMembership:
                 assert contains(dom, p)
 
 
+# one instance of every variant, with the dimension and the label that CLI
+# records print
+CONTRACT = {
+    Ball: (Ball(2), 2, "ball2"),
+    Polydisc: (Polydisc(3), 3, "polydisc3"),
+    Siegel: (Siegel(2), 2, "siegel2"),
+    UpperHalfPlane: (UpperHalfPlane(), 1, "halfplane"),
+    HalfPlaneC: (HalfPlaneC(1.0 + 0.5j), 1, "halfplane-linear(1.0+0.5i)"),
+    PuncturedDisc: (PuncturedDisc(), 1, "punctured"),
+    SlitDisc: (SlitDisc(), 1, "slit"),
+    WeightedModel: (WeightedModel(Multitype((1, 4)), modulus_power(1, 0, 2)), 2, "weighted-model(dim=2)"),
+}
+ROW_SAMPLERS = (Ball, Polydisc, PuncturedDisc)
+
+
+class TestVariantContract:
+    """What every variant owns: dimension, label, samplers, defining function."""
+
+    @pytest.mark.parametrize("kind", typing.get_args(ModelDomain), ids=lambda kind: kind.__name__)
+    def test_variant_owns_its_facts(self, kind):
+        dom, dim, label = CONTRACT[kind]  # a new variant needs an entry
+        assert type(dom) is kind
+        assert (dom.dim, dom.label) == (dim, label)
+        rng = np.random.default_rng(4)
+        points = [sample_point(dom, rng) for _ in range(300)]
+        assert all(len(p) == dim and contains(dom, p) for p in points)
+        assert contains_rows(dom, np.array(points)).all()
+        if kind in ROW_SAMPLERS:
+            rows = sample_rows(dom, rng, 300)
+            assert rows.shape == (300, dim) and contains_rows(dom, rows).all()
+        else:
+            message = f"^no row sampler for {re.escape(label)}; use sample_point$"
+            with pytest.raises(UnsupportedDomainError, match=message):
+                sample_rows(dom, rng, 10)
+
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: Ball(0), "dimension must be >= 1"),
+            (lambda: Polydisc(0), "dimension must be >= 1"),
+            (lambda: Siegel(1), "the Siegel domain needs dimension >= 2"),
+        ],
+        ids=["Ball(0)", "Polydisc(0)", "Siegel(1)"],
+    )
+    def test_constructor_rejects_bad_dimension(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+
 ROW_VARIANTS = [
     Ball(2),
     Polydisc(2),
@@ -147,7 +199,7 @@ class TestRows:
     @pytest.mark.parametrize("dom", ROW_VARIANTS, ids=repr)
     def test_contains_rows_matches_contains(self, dom):
         rng = np.random.default_rng(5)
-        n = 2 if isinstance(dom, (Ball, Polydisc, Siegel, WeightedModel)) else 1
+        n = dom.dim
         bulk = rng.uniform(-1.6, 1.6, size=(5_000, n)) + 1j * rng.uniform(-1.6, 1.6, size=(5_000, n))
         edge = _near_boundary(dom, rng, 5_000)
         rows = np.concatenate([bulk, edge])
@@ -170,7 +222,7 @@ class TestRows:
     @pytest.mark.parametrize("dom", [Ball(3), Polydisc(2), PuncturedDisc()], ids=repr)
     def test_sample_rows_lie_inside(self, dom):
         rows = sample_rows(dom, np.random.default_rng(6), 3_000)
-        assert rows.shape == (3_000, dom.dim if not isinstance(dom, PuncturedDisc) else 1)
+        assert rows.shape == (3_000, dom.dim)
         assert contains_rows(dom, rows).all()
 
     def test_sample_rows_unsupported_variant(self):

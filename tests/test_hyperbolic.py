@@ -67,12 +67,41 @@ class TestHalfplaneDistance:
         assert slack >= -1e-10
 
     def test_nearly_ideal_pair_is_stable(self):
-        """The guarded path stays finite and accurate near the boundary."""
+        """The single form stays finite and accurate near the boundary."""
         z = complex(0.0, 1e-9)
         w = complex(50.0, 1e-9)
         d = halfplane_distance(z, w)
         assert math.isfinite(d)
         assert d == pytest.approx(halfplane_distance_acosh(z, w), abs=1e-12)
+
+    def test_relative_accuracy_against_mpmath(self):
+        """Relative error at most 1e-13 for separations from 1e-13 to 1e4 and
+        heights from 1e-3 to 1e3, against ``2 asinh(|z - w| / (2 sqrt(Im z Im w)))``
+        at 50 digits.  (The acosh(1 + s) reference loses its own digits once
+        s is below about 1e-33.)"""
+        mpmath = pytest.importorskip("mpmath", reason="the 50-digit reference needs mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+
+        def reference(z: complex, w: complex):
+            dx = mp.mpf(z.real) - mp.mpf(w.real)
+            dy = mp.mpf(z.imag) - mp.mpf(w.imag)
+            return 2 * mp.asinh(mp.sqrt(dx * dx + dy * dy) / (2 * mp.sqrt(mp.mpf(z.imag) * mp.mpf(w.imag))))
+
+        rng = np.random.default_rng(29)
+        # the log-ratio form gave 0.0 here, against 1.16e-16
+        pairs = [(complex(0.5, 860.0), complex(0.5 + 1e-13, 860.0))]
+        for _ in range(5_000):
+            z = complex(rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-3.0, 3.0))
+            step = 10.0 ** rng.uniform(-13.0, 4.0) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            pairs.append((z, z + complex(step.real, abs(step.imag))))
+        for z, w in pairs:
+            d, ref = halfplane_distance(z, w), reference(z, w)
+            assert abs(mp.mpf(d) - ref) <= 1e-13 * ref, (z, w, d, ref)
+            # the distance is invariant under z -> 4^k z, and so is the form,
+            # bit for bit, far beyond the range where Im z Im w is a float
+            for k in (-300, 300):
+                assert halfplane_distance(z * 4.0**k, w * 4.0**k) == d
 
     def test_mobius_invariance(self):
         """Real fractional linear maps with det 1 preserve distances."""
