@@ -156,16 +156,12 @@ def cmd_dist(args) -> int:
 def cmd_invariant(args) -> int:
     domain = parse_domain(args.domain)
     point = parse_point(args.point)
-    mode = _mode(args)
-    record = {
-        "command": args.kind,
-        "domain": domain.label,
-        "point": point,
-        "mode": args.mode,
-    }
+    record = {"command": args.kind, "domain": domain.label, "point": point}
     try:
         point = as_point(point, None)
         if args.kind == "fridman":
+            mode = _mode(args)
+            record["mode"] = args.mode
             if isinstance(domain, PuncturedDisc):
                 est = invariants.fridman_bounds_punctured(point[0], mode)
                 record.update(
@@ -177,8 +173,8 @@ def cmd_invariant(args) -> int:
             else:
                 record["value"] = invariants.fridman_exact(domain, point, mode)
         else:
-            record["value"] = invariants.squeezing_exact(domain, point)
             record["mode"] = "euclidean"  # squeezing is a ratio of euclidean radii
+            record["value"] = invariants.squeezing_exact(domain, point)
     except UnsupportedDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -289,11 +285,9 @@ def cmd_scale(args) -> int:
 def cmd_verify(args) -> int:
     try:
         cfg = verify.RunConfig(
-            mode=_mode(args),
             deck_range=args.deck_k,
             theta_grid=args.theta_grid,
             slit_grid=args.slit_grid,
-            tol=args.tol,
             samples=args.samples,
             seed=args.seed,
         )
@@ -319,32 +313,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mode", choices=["poincare", "kobayashi"], default="poincare",
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=["json", "csv"], default="json", help="output format")
+    output.add_argument("--out", default=None, help="output file (dist/fridman/squeeze) or directory (scale)")
+    metric = argparse.ArgumentParser(add_help=False)
+    metric.add_argument("--mode", choices=["poincare", "kobayashi"], default="poincare",
                         help="metric normalization (poincare = twice kobayashi)")
-    common.add_argument("--theta-grid", type=int, default=1_000_000, help="circle oracle grid size")
-    common.add_argument("--slit-grid", type=int, default=100_000, help="slit oracle grid size")
-    common.add_argument("--tol", type=float, default=1e-6, help="bisection tolerance")
-    common.add_argument("--samples", type=int, default=1024, help="sphere sampling density")
-    common.add_argument("--format", choices=["json", "csv"], default="json", help="output format")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed")
-    common.add_argument("--out", default=None, help="output file (dist/fridman/squeeze) or directory (scale)")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="RNG seed")
 
-    p_dist = sub.add_parser("dist", parents=[common], help="Kobayashi distance between two points")
+    p_dist = sub.add_parser("dist", parents=[metric, output], help="Kobayashi distance between two points")
     p_dist.add_argument("domain")
     p_dist.add_argument("p")
     p_dist.add_argument("q")
     p_dist.set_defaults(func=cmd_dist)
 
-    for kind, blurb in (("fridman", "Fridman invariant"), ("squeeze", "squeezing function")):
-        p_inv = sub.add_parser(kind, parents=[common], help=blurb)
+    # squeezing is a ratio of euclidean radii, so squeeze takes no --mode
+    for kind, blurb, parents in (
+        ("fridman", "Fridman invariant", [metric, output]),
+        ("squeeze", "squeezing function", [output]),
+    ):
+        p_inv = sub.add_parser(kind, parents=parents, help=blurb)
         p_inv.add_argument("domain")
         p_inv.add_argument("point")
         p_inv.set_defaults(func=cmd_invariant, kind=kind)
 
     p_scale = sub.add_parser(
         "scale",
-        parents=[common],
+        parents=[metric, output, seeded],
         help="run a scaling experiment spec",
         epilog=(
             "Writes one file per declared check. Stable CSV columns: "
@@ -356,7 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_scale.add_argument("spec", help="JSON experiment spec file")
     p_scale.set_defaults(func=cmd_scale)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="closed-form vs oracle suites")
+    p_verify = sub.add_parser("verify", parents=[seeded], help="closed-form vs oracle suites")
+    p_verify.add_argument("--theta-grid", type=int, default=1_000_000, help="circle oracle grid size")
+    p_verify.add_argument("--slit-grid", type=int, default=100_000, help="slit oracle grid size")
+    p_verify.add_argument("--samples", type=int, default=1024, help="sphere sampling density")
     p_verify.add_argument("--deck-k", type=int, default=100, help="deck-enumeration oracle half-width")
     p_verify.set_defaults(func=cmd_verify)
     return parser

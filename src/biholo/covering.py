@@ -3,10 +3,11 @@
 The cover is the upper half-plane with projection ``z -> exp(i z)``; deck
 transformations are the horizontal translations ``z -> z + 2 pi k``.
 Distances on the punctured disc descend as an infimum over deck
-translates.  The distance to the slit ``(-1, 0]`` and the supremum of the
-distance over a centred circle both reduce to elementary closed forms, and
-a composed chain of elementary maps realizes the uniformization of the
-slit disc by the disc.
+translates.  The distance to the slit ``(-1, 0]`` and the translation
+length of the deck generator at a point (the ``circle_supremum``, which
+bounds the distance over the centred circle through that point) both
+reduce to elementary closed forms, and a composed chain of elementary maps
+realizes the uniformization of the slit disc by the disc.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def deck_minimum(p: float, theta: float, mode: MetricMode = MetricMode.POINCARE)
     angular offset.  For larger offsets the infimum wraps around the
     puncture (deck index -1), so the metric distance is the closed form at
     ``2 pi - theta``; the form itself keeps increasing and its value at
-    ``theta = 2 pi`` is the circle supremum.
+    ``theta = 2 pi`` is the deck translation length :func:`circle_supremum`.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("modulus must lie in (0, 1)")
@@ -115,13 +116,20 @@ def slit_distance(p: float, mode: MetricMode = MetricMode.POINCARE) -> float:
 
 
 def circle_supremum(p: float, mode: MetricMode = MetricMode.POINCARE) -> float:
-    """Supremum over the circle ``|q| = p`` of the distance from ``p``:
+    """Translation length of the deck generator at ``p`` in (0, 1), the
+    half-plane distance ``d(z_p, z_p + 2 pi) = deck_minimum(p, 2 pi)``:
 
         log(2 x^2 + 1 + 2 x sqrt(x^2 + 1)),  x = -pi / log p.
 
+    Despite the name this is not the supremum over the circle ``|q| = p``
+    of the distance from ``p``: that supremum is reached at the antipode
+    and equals ``deck_minimum(p, pi)`` (3.113 against 4.433 at p = 0.5).
+    It is an upper bound for it, so the metric ball of this radius around
+    ``p`` contains the circle.
+
     This is the positive-root form (the sign carried by ``2 pi / log p``
-    would make the argument of the log smaller than 1); it agrees with the
-    ``theta -> 2 pi`` limit of :func:`deck_minimum` and algebraically equals
+    would make the argument of the log smaller than 1); it agrees with
+    :func:`deck_minimum` at ``theta = 2 pi`` and algebraically equals
     twice :func:`slit_distance`, which is asserted by tests, not assumed.
     """
     if not 0.0 < p < 1.0:
@@ -236,8 +244,10 @@ def grid_circle_supremum(
     grid: int = 1_000_000,
     mode: MetricMode = MetricMode.POINCARE,
 ) -> tuple[float, float]:
-    """Oracle for :func:`circle_supremum`: maximize the deck minimum over an
-    angular grid of ``[0, 2 pi)``.  Returns ``(supremum, argmax angle)``."""
+    """Oracle for :func:`circle_supremum`: maximize the unwrapped closed form
+    of :func:`deck_minimum` (no wrap-around at ``theta > pi``, so not the
+    distance) over an angular grid of ``[0, 2 pi)``.  Returns
+    ``(maximum, argmax angle)``; the argmax is the far end of the grid."""
     if not 0.0 < p < 1.0:
         raise ValueError("base point must lie in (0, 1)")
     theta = np.linspace(0.0, TWO_PI, grid, endpoint=False)

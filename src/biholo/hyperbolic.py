@@ -4,9 +4,9 @@ Two normalizations of the same metric are used side by side in this
 package, so every distance function takes a :class:`MetricMode`:
 
 * ``MetricMode.POINCARE`` -- the curvature -1 metric, density
-  ``|dz| / Im z`` on the half-plane.  Its distance has the log-ratio
-  closed form ``log((|z - conj w| + |z - w|) / (|z - conj w| - |z - w|))``
-  and on the disc ``d(0, s) = 2 artanh(s)``.
+  ``|dz| / Im z`` on the half-plane.  Its distance has the closed form
+  ``2 asinh(|z - w| / (2 sqrt(Im z Im w)))`` and on the disc
+  ``d(0, s) = 2 artanh(s)``.
 * ``MetricMode.KOBAYASHI`` -- the Kobayashi convention, exactly half of
   the above, with ``d(0, s) = artanh(s)`` on the disc, so the metric ball
   of radius r around 0 has euclidean radius tanh(r).
@@ -66,21 +66,16 @@ def _require_disc(a: complex) -> complex:
 def halfplane_distance(z: complex, w: complex, mode: MetricMode = MetricMode.POINCARE) -> float:
     """Distance between two points of the upper half-plane.
 
-    In POINCARE mode this is the log-ratio closed form
-    ``log((|z - conj w| + |z - w|) / (|z - conj w| - |z - w|))``.  The
-    identity ``|z - conj w|^2 - |z - w|^2 = 4 Im z Im w`` turns its
-    denominator into a product, which gives one form without cancellation
-    for every pair, nearly equal or nearly ideal:
-    ``log1p(|z - w| (|z - conj w| + |z - w|) / (2 Im z Im w))``.
+    In POINCARE mode this is ``2 asinh(|z - w| / (2 sqrt(Im z) sqrt(Im w)))``,
+    one form without cancellation for every pair, nearly equal or nearly
+    ideal.  Taking the square roots separately keeps the ratio
+    scale-invariant and symmetric in ``z`` and ``w``: no overflow or
+    underflow for very large or very small coordinates, and a finite value
+    for distances up to about 1,400.
     """
     z = _require_halfplane(z)
     w = _require_halfplane(w)
-    b = abs(z - w)
-    # dividing each factor by sqrt(Im z Im w), taken as a product of square
-    # roots, keeps the ratio scale-invariant: no overflow or underflow for
-    # very large or very small coordinates, and symmetric in z and w
-    r = math.sqrt(z.imag) * math.sqrt(w.imag)
-    return mode.scale * math.log1p(0.5 * (b / r) * ((abs(z - w.conjugate()) + b) / r))
+    return mode.scale * 2.0 * math.asinh(abs(z - w) / (2.0 * (math.sqrt(z.imag) * math.sqrt(w.imag))))
 
 
 def halfplane_distance_acosh(z: complex, w: complex, mode: MetricMode = MetricMode.POINCARE) -> float:

@@ -5,7 +5,9 @@ vanishes identically on domains biholomorphic to the ball, equals
 ``2 / log((sqrt n + 1)/(sqrt n - 1))`` on the polydisc (KOBAYASHI
 normalization), and the squeezing function of the ball is identically 1.
 The punctured disc gets a two-sided bracket from the slit-disc embedding
-(upper bound) and the circle-supremum obstruction (lower bound).
+(upper bound) and the circle obstruction (lower bound): the metric ball
+whose radius is the deck translation length contains the centred circle
+through the point.
 
 Everything else is an estimator: both invariants quantify over *all*
 embeddings, so a single witness embedding only ever certifies one side.
@@ -264,8 +266,11 @@ def fridman_bounds_punctured(p: complex, mode: MetricMode = MetricMode.POINCARE)
 
     Rotations are automorphisms, so only ``|p|`` matters.  The upper bound
     is the reciprocal distance to the slit (certified by the slit-disc
-    embedding); the lower bound is the reciprocal circle supremum (no
-    simply connected image can contain a circle around the puncture).
+    embedding).  The lower bound is the reciprocal of the deck translation
+    length ``circle_supremum(|p|)``: the metric ball of that radius contains
+    the circle ``|q| = |p|``, because the distance from ``p`` over the
+    circle peaks at ``deck_minimum(|p|, pi)``, which is smaller, and no
+    simply connected image can contain a circle around the puncture.
     """
     m = abs(complex(p))
     if not 0.0 < m < 1.0:
@@ -275,8 +280,8 @@ def fridman_bounds_punctured(p: complex, mode: MetricMode = MetricMode.POINCARE)
     return BoundEstimate(
         lower=lower,
         upper=upper,
-        lower_witness="a simply connected image cannot contain the circle "
-        f"of radius {m} around the puncture",
+        lower_witness="the metric ball whose radius is the deck translation length "
+        f"contains the circle of radius {m} around the puncture; a simply connected image cannot",
         upper_witness=f"disc embedded onto the slit disc with 0 -> {m}",
         mode=mode,
     )

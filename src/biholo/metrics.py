@@ -121,14 +121,9 @@ def siegel_equivalent(d: WeightedModel) -> bool:
     return set(got) == expected and all(abs(c - 1.0) < 1e-14 for c in got.values())
 
 
-_SLIT_BASE = None
-
-
-def _slit_base_map():
-    global _SLIT_BASE
-    if _SLIT_BASE is None:
-        _SLIT_BASE = covering.build_slit_map(0.5, validate=False)
-    return _SLIT_BASE
+# the uniformization of SlitDisc(), built once at import and unvalidated:
+# the tests validate build_slit_map(0.5)
+_SLIT_MAP = covering.build_slit_map(0.5, validate=False)
 
 
 def kobayashi_distance(
@@ -153,8 +148,7 @@ def kobayashi_distance(
     if isinstance(d, PuncturedDisc):
         return covering.punctured_distance(p[0], q[0], mode)
     if isinstance(d, SlitDisc):
-        m = _slit_base_map()
-        return disc_distance(m.inverse(p[0]), m.inverse(q[0]), mode)
+        return disc_distance(_SLIT_MAP.inverse(p[0]), _SLIT_MAP.inverse(q[0]), mode)
     if isinstance(d, Siegel):
         return ball_distance(siegel_to_ball(p), siegel_to_ball(q), mode)
     if isinstance(d, WeightedModel):
@@ -256,8 +250,17 @@ def sample_metric_ball(
     rng: np.random.Generator,
     mode: MetricMode = MetricMode.POINCARE,
 ) -> list[Point]:
-    """Sample the closed Kobayashi ball, weighting the outer shells."""
+    """Sample the closed Kobayashi ball: on the half-planes with the outer
+    shells weighted, on the Siegel domain through the Cayley transform."""
     center = as_point(center, d.dim)
+    if isinstance(d, Siegel):
+        phi = ball_automorphism(siegel_to_ball(center))
+        pts = []
+        for v in random_unit_vectors(d.dim, count, rng).tolist():
+            t = radius * math.sqrt(rng.uniform())
+            rho = math.tanh(0.5 * t / mode.scale)
+            pts.append(ball_to_siegel(phi(tuple(rho * c for c in v))))
+        return pts
     if not isinstance(d, (UpperHalfPlane, HalfPlaneC)):
         raise UnsupportedDomainError(f"no ball sampler for domain {d!r}")
     z0 = d.to_halfplane(center[0]) if isinstance(d, HalfPlaneC) else center[0]

@@ -28,16 +28,14 @@ from .domains import (
     WeightedModel,
     WeightedPolynomial,
     as_point,
-    check_homogeneity,
     contains,
     defining_value,
     poly_eval,
-    random_unit_vectors,
     sample_point,
+    symbolic_weight_check,
 )
 from .hyperbolic import MetricMode, disc_distance
 from .metrics import (
-    ball_to_siegel,
     kobayashi_distance,
     sample_metric_ball,
     siegel_equivalent,
@@ -270,7 +268,7 @@ def make_anisotropic(
         raise ValueError("anisotropic scaling expects normalized coordinates (base point 0)")
     if any(c != 0 for c in normal[:-1]) or normal[-1] != 1:
         raise ValueError("anisotropic scaling expects the approach along -e_n")
-    if not check_homogeneity(poly, multitype):
+    if not symbolic_weight_check(poly, multitype):
         raise ValueError("the model polynomial is not weight-one homogeneous for the multitype")
     if remainder is not None:
         if gamma is None or not gamma > 1.0:
@@ -436,34 +434,17 @@ class BallInclusionReport:
         ]
 
 
-def _limit_ball_samples(
-    family: ScaledFamily, radius: float, samples: int, rng: np.random.Generator, mode: MetricMode
-) -> list[Point]:
-    limit = family.limit
-    if isinstance(limit, HalfPlaneC):
-        return sample_metric_ball(limit, family.basepoint, radius, samples, rng, mode)
-    if isinstance(limit, Siegel):
-        pts = []
-        for v in random_unit_vectors(limit.dim, samples, rng).tolist():
-            t = radius * math.sqrt(rng.uniform())
-            rho = math.tanh(0.5 * t / mode.scale)
-            pts.append(ball_to_siegel(tuple(rho * c for c in v)))
-        return pts
-    raise ValueError(f"no ball sampler for limit domain {limit!r}")
+def _scaled_distance(family: ScaledFamily, mode: MetricMode) -> Callable[[int, Point, Point], float]:
+    """The Kobayashi distance of the scaled domains, as ``f(index, u, v)``."""
+    if family.kind == "isotropic" and family.rho is not None and family.rho.is_disc:
+        def distance(index: int, u: Point, v: Point) -> float:
+            dil = family.dilations[index]
+            return disc_distance(dil.inverse(u)[0], dil.inverse(v)[0], mode)
 
-
-def _scaled_distance(family: ScaledFamily, index: int, u: Point, v: Point, mode: MetricMode) -> float:
-    if family.kind == "isotropic":
-        if family.rho is None or not family.rho.is_disc:
-            raise ValueError(
-                "scaled Kobayashi distances are computable only for the unit-disc "
-                "defining function in the isotropic case"
-            )
-        dil = family.dilations[index]
-        return disc_distance(dil.inverse(u)[0], dil.inverse(v)[0], mode)
-    if family.remainder is None and isinstance(family.limit, Siegel):
+        return distance
+    if family.kind == "anisotropic" and family.remainder is None and isinstance(family.limit, Siegel):
         # weight-one invariance makes every scaled domain the limit itself
-        return kobayashi_distance(family.limit, u, v, mode)
+        return lambda index, u, v: kobayashi_distance(family.limit, u, v, mode)
     raise ValueError("no computable Kobayashi distance for this scaled family")
 
 
@@ -483,17 +464,9 @@ def ball_inclusion_check(
     """
     if radius <= 0 or eps < 0 or eps >= radius:
         raise ValueError("need 0 <= eps < radius")
-    computable = (
-        family.kind == "isotropic" and family.rho is not None and family.rho.is_disc
-    ) or (
-        family.kind == "anisotropic"
-        and family.remainder is None
-        and isinstance(family.limit, Siegel)
-    )
-    if not computable:
-        raise ValueError("no computable Kobayashi distance for this scaled family")
+    distance = _scaled_distance(family, mode)
     rng = np.random.default_rng(seed)
-    pts = _limit_ball_samples(family, radius - eps, samples, rng, mode)
+    pts = sample_metric_ball(family.limit, family.basepoint, radius - eps, samples, rng, mode)
     rows = []
     for idx, (j, delta) in enumerate(zip(family.approach.js, family.approach.deltas)):
         ok = True
@@ -502,7 +475,7 @@ def ball_inclusion_check(
             if not family.scaled_contains(idx, q):
                 ok = False
                 continue
-            d = _scaled_distance(family, idx, family.basepoint, q, mode)
+            d = distance(idx, family.basepoint, q)
             worst = max(worst, d)
             if d > radius:
                 ok = False

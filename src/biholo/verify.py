@@ -49,19 +49,15 @@ __all__ = ["RunConfig", "SuiteResult", "ALL_SUITES", "run_all"]
 class RunConfig:
     """Knobs for the verification suites and the CLI."""
 
-    mode: MetricMode = MetricMode.POINCARE
     deck_range: int = 100  # half-width of the deck-enumeration oracles
     theta_grid: int = 1_000_000
     slit_grid: int = 100_000
-    tol: float = 1e-6
     samples: int = 1024
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.deck_range < 1 or self.theta_grid < 8 or self.slit_grid < 8 or self.samples < 8:
             raise ValueError("grid and sample sizes must be positive")
-        if not 0.0 < self.tol <= 1e-2:
-            raise ValueError("tolerance must lie in (0, 1e-2]")
 
 
 @dataclass

@@ -1,10 +1,11 @@
 """Tests for the command-line runner."""
 
+import argparse
 import json
 
 import pytest
 
-from biholo.cli import main, parse_domain, parse_point
+from biholo.cli import build_parser, main, parse_domain, parse_point
 from biholo.domains import Ball, Polydisc, PuncturedDisc, Siegel, UpperHalfPlane
 
 
@@ -223,7 +224,42 @@ class TestVerify:
         assert "suites passed" in out
         assert "FAIL" not in out
 
-    def test_invalid_tolerance_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--tol", "0.5")
+    @pytest.mark.parametrize("flag", ["--theta-grid", "--slit-grid", "--samples", "--deck-k"])
+    def test_invalid_size_rejected(self, capsys, flag):
+        code, _, err = run_cli(capsys, "verify", flag, "0")
         assert code == 2
-        assert "tolerance" in err
+        assert "grid and sample sizes" in err
+
+
+class TestFlags:
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {
+            name: {opt for action in p._actions for opt in action.option_strings if opt != "-h"}
+            for name, p in sub.choices.items()
+        }
+        out = {"--format", "--out"}
+        assert flags == {
+            "dist": {"--help", "--mode"} | out,
+            "fridman": {"--help", "--mode"} | out,
+            "squeeze": {"--help"} | out,
+            "scale": {"--help", "--mode", "--seed"} | out,
+            "verify": {"--help", "--seed", "--theta-grid", "--slit-grid", "--samples", "--deck-k"},
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dist", "halfplane", "i", "2i", "--seed", "1"],
+            ["squeeze", "ball2", "0,0", "--mode", "kobayashi"],
+            ["scale", "spec.json", "--tol", "1e-3"],
+            ["verify", "--mode", "kobayashi"],
+            ["verify", "--format", "csv"],
+        ],
+        ids=["dist-seed", "squeeze-mode", "scale-tol", "verify-mode", "verify-format"],
+    )
+    def test_unread_flag_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err

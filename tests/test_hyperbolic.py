@@ -28,7 +28,7 @@ disc_points = st.complex_numbers(max_magnitude=0.95, allow_infinity=False, allow
 
 
 class TestHalfplaneDistance:
-    """Tests for the log-ratio closed form."""
+    """Tests for the asinh closed form."""
 
     def test_coincident_points(self):
         assert halfplane_distance(1j, 1j) == 0.0
@@ -52,7 +52,7 @@ class TestHalfplaneDistance:
     @given(z=halfplane_points, w=halfplane_points)
     @settings(max_examples=300)
     def test_agrees_with_acosh_oracle(self, z, w):
-        """The log-ratio form equals arccosh(1 + |z-w|^2/(2 Im z Im w))."""
+        """The asinh form equals arccosh(1 + |z-w|^2/(2 Im z Im w))."""
         assert abs(halfplane_distance(z, w) - halfplane_distance_acosh(z, w)) <= 1e-12
 
     @given(z=halfplane_points, w=halfplane_points)
@@ -73,6 +73,22 @@ class TestHalfplaneDistance:
         d = halfplane_distance(z, w)
         assert math.isfinite(d)
         assert d == pytest.approx(halfplane_distance_acosh(z, w), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "z, w",
+        [(1e-3j, complex(1e160, 1e-3)), (1j, complex(1e300, 1.0))],
+        ids=["750", "1381"],
+    )
+    def test_far_pair_is_finite_and_accurate(self, z, w):
+        """Distances past about 709, where exp overflows, stay finite and
+        within 1e-14 relative of a 50-digit reference."""
+        mpmath = pytest.importorskip("mpmath", reason="the 50-digit reference needs mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        ref = 2 * mp.asinh(abs(mp.mpc(z) - mp.mpc(w)) / (2 * mp.sqrt(mp.mpf(z.imag) * mp.mpf(w.imag))))
+        d = halfplane_distance(z, w)
+        assert math.isfinite(d)
+        assert abs(mp.mpf(d) - ref) <= 1e-14 * ref, (d, ref)
 
     def test_relative_accuracy_against_mpmath(self):
         """Relative error at most 1e-13 for separations from 1e-13 to 1e4 and

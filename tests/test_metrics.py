@@ -23,6 +23,7 @@ from biholo.metrics import (
     ball_distance,
     ball_to_siegel,
     kobayashi_distance,
+    sample_metric_ball,
     sample_metric_sphere,
     siegel_equivalent,
     siegel_to_ball,
@@ -155,3 +156,21 @@ class TestSphereSampling:
         pts = sample_metric_sphere(UpperHalfPlane(), 1j, 0.6, 32, rng)
         for (s,) in pts:
             assert halfplane_distance(1j, s) == pytest.approx(0.6, abs=1e-10)
+
+
+class TestBallSampling:
+    @pytest.mark.parametrize("mode", list(MetricMode), ids=lambda m: m.value)
+    def test_siegel_ball_off_the_basepoint(self, mode):
+        """Samples of the Siegel ball around a point other than the basepoint
+        ``(0, -1)`` lie within the radius of that point, and fill it out."""
+        d = Siegel(2)
+        center = (0.3 - 0.2j, -1.4 + 0.5j)
+        pts = sample_metric_ball(d, center, 1.5, 400, np.random.default_rng(3), mode)
+        dists = [kobayashi_distance(d, center, q, mode) for q in pts]
+        assert len(pts) == 400
+        assert max(dists) <= 1.5 + 1e-12
+        assert max(dists) > 1.45
+
+    def test_unsupported_domain(self):
+        with pytest.raises(UnsupportedDomainError, match="ball sampler"):
+            sample_metric_ball(Ball(2), (0j, 0j), 1.0, 8, np.random.default_rng(0))
