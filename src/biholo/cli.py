@@ -216,17 +216,16 @@ def _run_scale_spec(spec: dict, args) -> tuple[dict[str, list[dict]], bool]:
         mt = Multitype(tuple(spec["multitype"]))
         poly = parse_polynomial(spec["poly"])
         rem_spec = spec.get("remainder")
-        rem = rate = None
-        gamma = spec.get("gamma")
+        exponents = None
         if rem_spec:
             if rem_spec.get("type") != "abs_power":
                 raise CliError("remainder type must be 'abs_power'")
-            rem, rate = scaling.tangential_modulus_remainder(rem_spec["exponents"], mt)
+            exponents = rem_spec["exponents"]
         approach = _approach_from_spec(
             {"base_point": ["0"] * mt.dim, "normal": ["0"] * (mt.dim - 1) + ["1"], **spec},
             mt.dim,
         )
-        family = scaling.make_anisotropic(poly, mt, approach, rem, gamma, rate)
+        family = scaling.make_anisotropic(poly, mt, approach, exponents)
         if "invariance" in checks:
             ok = scaling.invariance_check(poly, mt, int(spec.get("trials", 10_000)), args.seed)
             outputs["invariance"] = [{"invariant_under_dilations": ok}]
@@ -272,7 +271,12 @@ def cmd_scale(args) -> int:
         spec = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read experiment spec {path}: {exc}") from exc
-    outputs, passed = _run_scale_spec(spec, args)
+    try:
+        outputs, passed = _run_scale_spec(spec, args)
+    except KeyError as exc:
+        raise CliError(f"experiment spec {path} lacks the key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"bad experiment spec {path}: {exc}") from exc
     out_dir = Path(args.out) if args.out else path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     ext = "csv" if args.format == "csv" else "json"

@@ -155,6 +155,8 @@ class Multitype:
         if any(m < 2 for m in ent[1:]):
             raise ValueError("multitype entries after the first must be >= 2")
         object.__setattr__(self, "entries", ent)
+        # the dilations read the float weights on every call: convert once
+        object.__setattr__(self, "_exponents", tuple(float(w) for w in self.tangential_weights()))
 
     @property
     def dim(self) -> int:
@@ -166,7 +168,7 @@ class Multitype:
         return tuple(Fraction(1) / self.entries[n - 1 - k] for k in range(n - 1))
 
     def tangential_exponents(self) -> tuple[float, ...]:
-        return tuple(float(w) for w in self.tangential_weights())
+        return self._exponents
 
 
 # ---------------------------------------------------------------------------

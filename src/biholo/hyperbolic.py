@@ -94,12 +94,15 @@ def disc_distance(a: complex, b: complex, mode: MetricMode = MetricMode.POINCARE
     """Mobius-invariant distance on the unit disc.
 
     ``d(0, s) = artanh(s)`` in KOBAYASHI mode and twice that in POINCARE
-    mode.
+    mode.  Evaluated as ``2 asinh(|a - b| / sqrt((1 - |a|^2)(1 - |b|^2)))``
+    with ``1 - |a|^2 = (1 - |a|)(1 + |a|)``: no subtraction of nearly equal
+    quantities for nearly equal points or for points near the circle.
     """
     a = _require_disc(a)
     b = _require_disc(b)
-    t = abs(a - b) / abs(1.0 - a.conjugate() * b)
-    return 2.0 * mode.scale * math.atanh(t)
+    ra, rb = abs(a), abs(b)
+    s = abs(a - b) / math.sqrt((1.0 - ra) * (1.0 + ra) * (1.0 - rb) * (1.0 + rb))
+    return 2.0 * mode.scale * math.asinh(s)
 
 
 def cayley_disc_to_halfplane(a: complex) -> complex:

@@ -55,8 +55,11 @@ __all__ = [
 def ball_distance(a, b, mode: MetricMode = MetricMode.POINCARE) -> float:
     """Kobayashi distance on the unit ball of C^n.
 
-    ``d(0, z) = artanh |z|`` in KOBAYASHI mode; the general pair goes through
-    the invariant ``1 - (1 - |a|^2)(1 - |b|^2) / |1 - <a, b>|^2``.
+    ``d(0, z) = artanh |z|`` in KOBAYASHI mode.  With ``e = b - a``, the
+    general pair is ``2 asinh`` of the root of
+    ``sinh^2(d/2) = (|e|^2 (1 - |a|^2) + |<e, a>|^2) / ((1 - |a|^2)(1 - |b|^2))``
+    in POINCARE mode: a sum of nonnegative terms, so nearly equal points
+    lose no digits.
     """
     a = as_point(a)
     b = as_point(b, len(a))
@@ -64,10 +67,11 @@ def ball_distance(a, b, mode: MetricMode = MetricMode.POINCARE) -> float:
     nb = sum(abs(c) ** 2 for c in b)
     if na >= 1.0 or nb >= 1.0:
         raise ValueError("both points must lie in the open unit ball")
-    inner = sum(x * y.conjugate() for x, y in zip(a, b))
-    t2 = 1.0 - (1.0 - na) * (1.0 - nb) / abs(1.0 - inner) ** 2
-    t = math.sqrt(max(t2, 0.0))
-    return 2.0 * mode.scale * math.atanh(t)
+    e = [y - x for x, y in zip(a, b)]
+    ne = sum(abs(c) ** 2 for c in e)
+    inner = sum(x * y.conjugate() for x, y in zip(e, a))
+    s2 = (ne * (1.0 - na) + abs(inner) ** 2) / ((1.0 - na) * (1.0 - nb))
+    return 2.0 * mode.scale * math.asinh(math.sqrt(s2))
 
 
 def ball_automorphism(a) -> "callable":

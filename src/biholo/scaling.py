@@ -110,24 +110,15 @@ class BoundaryApproach:
 
 @dataclass(frozen=True)
 class PlanarDefiningFunction:
-    """C^2 defining function of a planar domain, with optional z-derivative."""
+    """C^2 defining function of a planar domain with its z-derivative, and
+    the Kobayashi distance of the domain ``f(a, b, mode)`` where one is known."""
 
     func: Callable[[complex], float]
-    dz: Callable[[complex], complex] | None = None
-    label: str = "custom"
-    is_disc: bool = False
+    dz: Callable[[complex], complex]
+    distance: Callable[[complex, complex, MetricMode], float] | None = None
 
     def __call__(self, z: complex) -> float:
         return float(self.func(complex(z)))
-
-    def wirtinger(self, z: complex, h: float = 1e-6) -> complex:
-        """d rho / dz, analytically if supplied, else by central differences."""
-        if self.dz is not None:
-            return complex(self.dz(complex(z)))
-        z = complex(z)
-        dx = (self(z + h) - self(z - h)) / (2.0 * h)
-        dy = (self(z + 1j * h) - self(z - 1j * h)) / (2.0 * h)
-        return 0.5 * complex(dx, -dy)
 
 
 def disc_defining() -> PlanarDefiningFunction:
@@ -135,8 +126,7 @@ def disc_defining() -> PlanarDefiningFunction:
     return PlanarDefiningFunction(
         func=lambda z: abs(z) ** 2 - 1.0,
         dz=lambda z: z.conjugate(),
-        label="unit-disc",
-        is_disc=True,
+        distance=disc_distance,
     )
 
 
@@ -158,38 +148,38 @@ class IsotropicDilation:
 
 @dataclass(frozen=True)
 class AnisotropicDilation:
-    """Weighted dilation: tangential ``z_k`` by ``delta^(-w_k)``, the
-    distinguished coordinate by ``delta^(-1)``."""
+    """Weighted dilation: tangential ``z_k`` by ``scale^(-w_k)``, the
+    distinguished coordinate by ``scale^(-1)``."""
 
     multitype: Multitype
-    delta: float
-
-    def _exponents(self) -> tuple[float, ...]:
-        return self.multitype.tangential_exponents() + (1.0,)
+    scale: float
 
     def forward(self, z) -> Point:
         z = as_point(z, self.multitype.dim)
-        return tuple(c * self.delta ** (-e) for c, e in zip(z, self._exponents()))
+        exps = self.multitype.tangential_exponents() + (1.0,)
+        return tuple(c * self.scale ** (-e) for c, e in zip(z, exps))
 
     def inverse(self, w) -> Point:
         w = as_point(w, self.multitype.dim)
-        return tuple(c * self.delta**e for c, e in zip(w, self._exponents()))
+        exps = self.multitype.tangential_exponents() + (1.0,)
+        return tuple(c * self.scale**e for c, e in zip(w, exps))
 
 
 @dataclass(frozen=True)
 class ScaledFamily:
-    """A boundary approach together with its dilations and limit domain."""
+    """A boundary approach together with its dilations and limit domain.
 
-    kind: str  # "isotropic" | "anisotropic"
+    ``defining(z)`` is the defining function of the domain before scaling,
+    and ``distance(index, u, v, mode)`` the Kobayashi distance of the
+    rescaled domain ``D_j``, or None where no closed form is known.
+    """
+
     approach: BoundaryApproach
     dilations: tuple
     limit: ModelDomain
     basepoint: Point  # normalized image of the approach points
-    rho: PlanarDefiningFunction | None = None
-    poly: WeightedPolynomial | None = None
-    multitype: Multitype | None = None
-    remainder: Callable[[Point], float] | None = None
-    remainder_rate: float | None = None
+    defining: Callable[[Point], float]
+    distance: Callable[[int, Point, Point, MetricMode], float] | None
 
     def __len__(self) -> int:
         return len(self.dilations)
@@ -197,16 +187,7 @@ class ScaledFamily:
     def scaled_defining(self, index: int, w) -> float:
         """Defining function of the rescaled domain ``D_j`` at ``w``."""
         dil = self.dilations[index]
-        z = dil.inverse(w)
-        if self.kind == "isotropic":
-            return self.rho(z[0]) / dil.scale
-        val = 2.0 * z[-1].real + poly_eval(self.poly, z[:-1])
-        if self.remainder is not None:
-            val += float(self.remainder(z))
-        return val / dil.delta
-
-    def limit_defining(self, w) -> float:
-        return defining_value(self.limit, w)
+        return self.defining(dil.inverse(w)) / dil.scale
 
     def scaled_contains(self, index: int, w) -> bool:
         return self.scaled_defining(index, w) < 0.0
@@ -220,7 +201,7 @@ def make_isotropic(rho: PlanarDefiningFunction, approach: BoundaryApproach) -> S
     defining function at the boundary point.
     """
     base = as_point(approach.base_point, 1)[0]
-    grad = rho.wirtinger(base)
+    grad = complex(rho.dz(base))
     if abs(grad) < 1e-12:
         raise ValueError("the defining function has vanishing gradient at the base point")
     dilations = []
@@ -229,13 +210,19 @@ def make_isotropic(rho: PlanarDefiningFunction, approach: BoundaryApproach) -> S
         if not value < 0:
             raise ValueError(f"approach point {p[0]!r} is not inside the domain")
         dilations.append(IsotropicDilation(center=p[0], scale=-value))
+    distance = None
+    if rho.distance is not None:
+        def distance(index: int, u: Point, v: Point, mode: MetricMode) -> float:
+            dil = dilations[index]
+            return rho.distance(dil.inverse(u)[0], dil.inverse(v)[0], mode)
+
     return ScaledFamily(
-        kind="isotropic",
         approach=approach,
         dilations=tuple(dilations),
         limit=HalfPlaneC(grad),
         basepoint=(0j,),
-        rho=rho,
+        defining=lambda z: rho(z[0]),
+        distance=distance,
     )
 
 
@@ -250,16 +237,16 @@ def make_anisotropic(
     poly: WeightedPolynomial,
     multitype: Multitype,
     approach: BoundaryApproach,
-    remainder: Callable[[Point], float] | None = None,
-    gamma: float | None = None,
-    remainder_rate: float | None = None,
+    remainder_exponents: Sequence[int] | None = None,
 ) -> ScaledFamily:
     """Anisotropic rescaling of ``{2 Re z_n + P('z) + R(z) < 0}``.
 
     Coordinates are assumed already normalized: the approach must run along
     the inner normal ``-e_n`` from the origin, so ``T_j('0, -delta_j) =
-    ('0, -1)``.  ``P`` must be weight-one homogeneous for the multitype; a
-    remainder needs a declared exponent ``gamma > 1``.
+    ('0, -1)``.  ``P`` must be weight-one homogeneous for the multitype.
+    The remainder ``R = prod_k |z_k|^(e_k)`` is given by its exponents and
+    must decay under the dilations: its rate from
+    :func:`tangential_modulus_remainder` must be positive.
     """
     n = multitype.dim
     base = as_point(approach.base_point, n)
@@ -270,20 +257,31 @@ def make_anisotropic(
         raise ValueError("anisotropic scaling expects the approach along -e_n")
     if not symbolic_weight_check(poly, multitype):
         raise ValueError("the model polynomial is not weight-one homogeneous for the multitype")
-    if remainder is not None:
-        if gamma is None or not gamma > 1.0:
-            raise ValueError("a remainder requires a declared exponent gamma > 1")
-    dilations = tuple(AnisotropicDilation(multitype, d) for d in approach.deltas)
+    limit = _canonical_limit(multitype, poly)
+    distance = None
+    if remainder_exponents is None:
+        def defining(z: Point) -> float:
+            return 2.0 * z[-1].real + poly_eval(poly, z[:-1])
+
+        if isinstance(limit, Siegel):
+            # weight-one invariance makes every scaled domain the limit itself
+            def distance(index: int, u: Point, v: Point, mode: MetricMode) -> float:
+                return kobayashi_distance(limit, u, v, mode)
+    else:
+        remainder, rate = tangential_modulus_remainder(remainder_exponents, multitype)
+        if not rate > 0:
+            raise ValueError(f"the remainder does not decay under the dilations: its rate is {rate}, not > 0")
+
+        def defining(z: Point) -> float:
+            return 2.0 * z[-1].real + poly_eval(poly, z[:-1]) + remainder(z)
+
     return ScaledFamily(
-        kind="anisotropic",
         approach=approach,
-        dilations=dilations,
-        limit=_canonical_limit(multitype, poly),
+        dilations=tuple(AnisotropicDilation(multitype, d) for d in approach.deltas),
+        limit=limit,
         basepoint=(0j,) * (n - 1) + (complex(-1.0),),
-        poly=poly,
-        multitype=multitype,
-        remainder=remainder,
-        remainder_rate=remainder_rate,
+        defining=defining,
+        distance=distance,
     )
 
 
@@ -292,12 +290,11 @@ def tangential_modulus_remainder(
 ) -> tuple[Callable[[Point], float], float]:
     """Remainder ``R(z) = prod_k |z_k|^(e_k)`` over the tangential variables,
     together with its weight-calculus decay exponent
-    ``sum_k e_k w_k - 1`` under the dilations."""
+    ``sum_k e_k w_k - 1`` under the dilations, computed exactly."""
     exps = tuple(int(e) for e in exponents)
     if len(exps) != multitype.dim - 1:
         raise ValueError("one exponent per tangential variable is required")
-    weights = multitype.tangential_exponents()
-    rate = sum(e * w for e, w in zip(exps, weights)) - 1.0
+    rate = float(sum(e * w for e, w in zip(exps, multitype.tangential_weights())) - 1)
 
     def rem(z: Point) -> float:
         out = 1.0
@@ -330,10 +327,6 @@ class HausdorffReport:
     passed: bool
     empirical_constant: float
     slope: float | None
-    note: str = (
-        "set convergence verified through local uniform convergence of the "
-        "defining functions plus membership agreement on the grid"
-    )
 
     def to_rows(self) -> list[dict]:
         return [
@@ -358,7 +351,7 @@ def hausdorff_check(family: ScaledFamily, grid: Sequence, tol: float) -> Hausdor
     pts = [as_point(p, dim) for p in grid]
     if not pts:
         raise ValueError("empty grid")
-    limit_vals = [family.limit_defining(p) for p in pts]
+    limit_vals = [defining_value(family.limit, p) for p in pts]
     rows = []
     for idx, (j, delta) in enumerate(zip(family.approach.js, family.approach.deltas)):
         sup_err = 0.0
@@ -434,20 +427,6 @@ class BallInclusionReport:
         ]
 
 
-def _scaled_distance(family: ScaledFamily, mode: MetricMode) -> Callable[[int, Point, Point], float]:
-    """The Kobayashi distance of the scaled domains, as ``f(index, u, v)``."""
-    if family.kind == "isotropic" and family.rho is not None and family.rho.is_disc:
-        def distance(index: int, u: Point, v: Point) -> float:
-            dil = family.dilations[index]
-            return disc_distance(dil.inverse(u)[0], dil.inverse(v)[0], mode)
-
-        return distance
-    if family.kind == "anisotropic" and family.remainder is None and isinstance(family.limit, Siegel):
-        # weight-one invariance makes every scaled domain the limit itself
-        return lambda index, u, v: kobayashi_distance(family.limit, u, v, mode)
-    raise ValueError("no computable Kobayashi distance for this scaled family")
-
-
 def ball_inclusion_check(
     family: ScaledFamily,
     radius: float,
@@ -464,7 +443,8 @@ def ball_inclusion_check(
     """
     if radius <= 0 or eps < 0 or eps >= radius:
         raise ValueError("need 0 <= eps < radius")
-    distance = _scaled_distance(family, mode)
+    if family.distance is None:
+        raise ValueError("no computable Kobayashi distance for this scaled family")
     rng = np.random.default_rng(seed)
     pts = sample_metric_ball(family.limit, family.basepoint, radius - eps, samples, rng, mode)
     rows = []
@@ -475,7 +455,7 @@ def ball_inclusion_check(
             if not family.scaled_contains(idx, q):
                 ok = False
                 continue
-            d = distance(idx, family.basepoint, q)
+            d = family.distance(idx, family.basepoint, q, mode)
             worst = max(worst, d)
             if d > radius:
                 ok = False

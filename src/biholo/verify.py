@@ -204,13 +204,13 @@ def suite_slit_circle_oracles(cfg: RunConfig) -> SuiteResult:
         res.expect(abs(r - r_grid) <= 1e-4, f"slit distance off by {abs(r - r_grid):.2e} at p={p}")
         s = covering.circle_supremum(p)
         s_grid, arg = covering.grid_circle_supremum(p, cfg.theta_grid)
-        res.expect(abs(s - s_grid) <= 1e-4, f"circle supremum off by {abs(s - s_grid):.2e} at p={p}")
-        res.expect(arg > covering.TWO_PI - 1e-3, f"supremum argmax {arg} not at the far end")
+        res.expect(abs(s - s_grid) <= 1e-4, f"deck translation length off by {abs(s - s_grid):.2e} at p={p}")
+        res.expect(arg > covering.TWO_PI - 1e-3, f"deck translation length grid maximum at theta={arg}, not at the far end")
     for _ in range(1_000):
         p = float(rng.uniform(0.01, 0.99))
         res.expect(
             abs(covering.circle_supremum(p) - 2.0 * covering.slit_distance(p)) <= 1e-12,
-            f"supremum is not twice the slit distance at p={p}",
+            f"deck translation length is not twice the slit distance at p={p}",
         )
     return res
 
@@ -408,8 +408,8 @@ def suite_scaling(cfg: RunConfig) -> SuiteResult:
     fam = scaling.make_isotropic(scaling.disc_defining(), approach)
     mt = Multitype((1, 4))
     aniso_approach = scaling.BoundaryApproach.geometric((0j, 0j), (0j, 1.0), 1, 10)
-    rem, rate = scaling.tangential_modulus_remainder((6,), mt)
-    aniso = scaling.make_anisotropic(modulus_power(1, 0, 2), mt, aniso_approach, rem, gamma=1.5, remainder_rate=rate)
+    _, rate = scaling.tangential_modulus_remainder((6,), mt)
+    aniso = scaling.make_anisotropic(modulus_power(1, 0, 2), mt, aniso_approach, (6,))
     for idx, p in enumerate(approach.points()):
         image = fam.dilations[idx].forward(p)
         res.expect(max(abs(u - v) for u, v in zip(image, fam.basepoint)) <= 1e-12, "isotropic normalization broken")

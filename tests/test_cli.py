@@ -181,6 +181,32 @@ class TestScale:
         assert code == 2
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "anisotropic", "poly": "1.0 2 | 2\n"},
+            {"kind": "anisotropic", "multitype": 4, "poly": "1.0 2 | 2\n"},
+            {"kind": "anisotropic", "multitype": [1, 4], "poly": "1.0 1 | 1\n"},
+            {"kind": "anisotropic", "multitype": [1, 4], "poly": "1.0 2 | 2\n",
+             "remainder": {"type": "abs_power", "exponents": [4]}},
+            {"kind": "anisotropic", "multitype": [1, 4], "poly": "1.0 2 | 2\n",
+             "remainder": {"type": "abs_power"}},
+            {"kind": "anisotropic", "multitype": [1, 4], "poly": "1.0 2 | 2\n",
+             "checks": ["ball_inclusion"]},
+        ],
+        ids=["no-multitype", "scalar-multitype", "not-weight-one", "rate-0-remainder",
+             "no-exponents", "no-distance"],
+    )
+    def test_bad_spec_is_a_usage_error(self, tmp_path, capsys, payload):
+        """Exit 2 with an ``error:`` line, not a traceback, and no file."""
+        spec = self.make_spec(tmp_path, payload)
+        out_dir = tmp_path / "never"
+        code, out, err = run_cli(capsys, "scale", str(spec), "--out", str(out_dir))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out == ""
+        assert not out_dir.exists()
+
     def test_deterministic_output(self, tmp_path, capsys):
         payload = {
             "kind": "isotropic",

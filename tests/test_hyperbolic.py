@@ -169,6 +169,28 @@ class TestDiscDistance:
     def test_mode_factor_is_exactly_two(self, a, b):
         assert disc_distance(a, b) == 2.0 * disc_distance(a, b, MetricMode.KOBAYASHI)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (1 - 1e-9, -(1 - 1e-9)),
+            (1 - 1e-12, complex(0.0, 1 - 1e-12)),
+            (1 - 1e-8, -(1 - 1e-8)),
+            (0.3, 0.3 + 1e-9),
+        ],
+        ids=["antipodal-1e-9", "quarter-turn-1e-12", "antipodal-1e-8", "nearly-equal"],
+    )
+    def test_relative_accuracy_against_mpmath(self, a, b):
+        """Pairs near the circle, where the atanh form raised a math domain
+        error or was 2% off, and a nearly equal pair: within 1e-12 relative
+        of ``2 artanh(|a - b| / |1 - conj(a) b|)`` at 60 digits."""
+        mpmath = pytest.importorskip("mpmath", reason="the 60-digit reference needs mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 60
+        za, zb = mp.mpc(a), mp.mpc(b)
+        ref = 2 * mp.atanh(abs(za - zb) / abs(1 - mp.conj(za) * zb))
+        d = disc_distance(a, b)
+        assert abs(mp.mpf(d) - ref) <= 1e-12 * ref, (d, ref)
+
 
 class TestCayley:
     """Tests for the disc <-> half-plane equivalence."""

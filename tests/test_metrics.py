@@ -49,6 +49,50 @@ class TestBallDistance:
         rotated = tuple(phase * c for c in a), tuple(phase * c for c in b)
         assert ball_distance(a, b) == pytest.approx(ball_distance(*rotated), abs=1e-12)
 
+    @staticmethod
+    def reference(mp, a, b):
+        """``2 artanh`` of the invariant ``1 - (1-|a|^2)(1-|b|^2)/|1-<a,b>|^2``,
+        evaluated at 60 digits, where its cancellation costs nothing."""
+        a, b = [mp.mpc(c) for c in a], [mp.mpc(c) for c in b]
+        na, nb = sum(abs(c) ** 2 for c in a), sum(abs(c) ** 2 for c in b)
+        inner = sum(x * mp.conj(y) for x, y in zip(a, b))
+        return 2 * mp.atanh(mp.sqrt(1 - (1 - na) * (1 - nb) / abs(1 - inner) ** 2))
+
+    def test_relative_accuracy_against_mpmath(self):
+        """Within 1e-12 relative for Ball(2) pairs with both points at least
+        1e-3 from the sphere and separations from 1e-12 to 1, and for the
+        nearly equal pair at which the atanh form returned 0.0."""
+        mpmath = pytest.importorskip("mpmath", reason="the 60-digit reference needs mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 60
+        rng = np.random.default_rng(31)
+        pairs = [((0.3,), (0.3 + 1e-9,))]
+        while len(pairs) < 2_000:
+            u, v = rng.normal(size=(2, 4))
+            radius = 1.0 - 10.0 ** rng.uniform(-3.0, 0.0)
+            step = 10.0 ** rng.uniform(-12.0, 0.0) / np.linalg.norm(v)
+            a = tuple(complex(x, y) * radius / np.linalg.norm(u) for x, y in u.reshape(2, 2))
+            b = tuple(c + complex(x, y) * step for c, (x, y) in zip(a, v.reshape(2, 2)))
+            if sum(abs(c) ** 2 for c in b) <= (1.0 - 1e-3) ** 2:
+                pairs.append((a, b))
+        for a, b in pairs:
+            d, ref = ball_distance(a, b), self.reference(mp, a, b)
+            assert abs(mp.mpf(d) - ref) <= 1e-12 * ref, (a, b, d, ref)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [((1 - 1e-9,), (-(1 - 1e-9),)), ((1 - 1e-12,), (complex(0.0, 1 - 1e-12),))],
+        ids=["antipodal-1e-9", "quarter-turn-1e-12"],
+    )
+    def test_pairs_near_the_sphere_are_finite(self, a, b):
+        """The atanh form raised a math domain error here.  The remaining
+        error, 2.3e-11 relative, is the rounding of ``1 - sum |a_i|^2``."""
+        mpmath = pytest.importorskip("mpmath", reason="the 60-digit reference needs mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 60
+        d, ref = ball_distance(a, b), self.reference(mp, a, b)
+        assert abs(mp.mpf(d) - ref) <= 1e-10 * ref, (d, ref)
+
 
 class TestDispatcher:
     def test_polydisc_is_max_metric(self):

@@ -1,5 +1,7 @@
 """Tests for dilations, Hausdorff-limit diagnostics and boundary experiments."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from biholo.scaling import (
     AnisotropicDilation,
     BoundaryApproach,
     IsotropicDilation,
+    PlanarDefiningFunction,
+    ScaledFamily,
     ball_inclusion_check,
     complex_grid,
     convergence_experiment,
@@ -43,10 +47,7 @@ def quartic_family(remainder_exponent=None, j_end=10):
     approach = BoundaryApproach.geometric((0j, 0j), (0j, 1.0), 1, j_end)
     if remainder_exponent is None:
         return make_anisotropic(modulus_power(1, 0, 2), mt, approach)
-    rem, rate = tangential_modulus_remainder((remainder_exponent,), mt)
-    return make_anisotropic(
-        modulus_power(1, 0, 2), mt, approach, rem, gamma=1.5, remainder_rate=rate
-    )
+    return make_anisotropic(modulus_power(1, 0, 2), mt, approach, (remainder_exponent,))
 
 
 class TestBoundaryApproach:
@@ -84,17 +85,18 @@ class TestIsotropicFamily:
             assert abs(dil.forward(p)[0]) <= 1e-12
 
     def test_numeric_gradient_agrees_with_analytic(self):
-        from biholo.scaling import PlanarDefiningFunction
-
-        numeric = PlanarDefiningFunction(func=lambda z: abs(z) ** 2 - 1.0)
-        analytic = disc_defining()
+        """The disc's ``dz`` is the Wirtinger derivative of its ``func``."""
+        rho, h = disc_defining(), 1e-6
         for z in (1.0 + 0j, 0.5 + 0.5j, -0.2 + 0.9j):
-            assert numeric.wirtinger(z) == pytest.approx(analytic.wirtinger(z), abs=1e-8)
+            dx = (rho(z + h) - rho(z - h)) / (2.0 * h)
+            dy = (rho(z + 1j * h) - rho(z - 1j * h)) / (2.0 * h)
+            assert rho.dz(z) == pytest.approx(0.5 * complex(dx, -dy), abs=1e-8)
 
     def test_vanishing_gradient_rejected(self):
-        from biholo.scaling import PlanarDefiningFunction
-
-        flat = PlanarDefiningFunction(func=lambda z: abs(z) ** 4 - abs(z) ** 2)
+        flat = PlanarDefiningFunction(
+            func=lambda z: abs(z) ** 4 - abs(z) ** 2,
+            dz=lambda z: (2.0 * abs(z) ** 2 - 1.0) * z.conjugate(),
+        )
         approach = BoundaryApproach((0j,), (1.0,), (0.5, 0.25))
         with pytest.raises(ValueError, match="gradient"):
             make_isotropic(flat, approach)
@@ -137,7 +139,7 @@ class TestHausdorffCheck:
     def test_sextic_remainder_decays_at_the_weight_rate(self):
         """|z1|^6 under (1, 4) rescales like delta^(1/2)."""
         fam = quartic_family(remainder_exponent=6)
-        assert fam.remainder_rate == pytest.approx(0.5, abs=1e-15)
+        assert tangential_modulus_remainder((6,), Multitype((1, 4)))[1] == 0.5
         grid = [
             (complex(a, b), complex(c, d))
             for a in (-1.0, 0.5, 1.0)
@@ -177,12 +179,26 @@ class TestAnisotropicDilations:
         with pytest.raises(ValueError, match="homogeneous"):
             make_anisotropic(bad, mt, approach)
 
-    def test_remainder_requires_gamma(self):
+    @pytest.mark.parametrize("exponent", [4, 2, 0], ids=["rate-0", "rate-minus-half", "constant"])
+    def test_non_decaying_remainder_rejected(self, exponent):
+        """A remainder with rate ``sum_k e_k w_k - 1 <= 0`` (|z1|^4 under
+        (1, 4) has rate 0) does not vanish in the limit, so the family
+        cannot converge and is refused up front."""
         mt = Multitype((1, 4))
         approach = BoundaryApproach.geometric((0j, 0j), (0j, 1.0), 1, 5)
-        rem, _ = tangential_modulus_remainder((6,), mt)
-        with pytest.raises(ValueError, match="gamma"):
-            make_anisotropic(modulus_power(1, 0, 2), mt, approach, rem, gamma=0.9)
+        with pytest.raises(ValueError, match="does not decay"):
+            make_anisotropic(modulus_power(1, 0, 2), mt, approach, (exponent,))
+
+    def test_remainder_needs_one_exponent_per_tangential_variable(self):
+        mt = Multitype((1, 4))
+        approach = BoundaryApproach.geometric((0j, 0j), (0j, 1.0), 1, 5)
+        with pytest.raises(ValueError, match="one exponent"):
+            make_anisotropic(modulus_power(1, 0, 2), mt, approach, (6, 6))
+
+    def test_float_weights_are_computed_once(self):
+        mt = Multitype((1, 4, 2))
+        assert mt.tangential_exponents() == (0.5, 0.25)
+        assert mt.tangential_exponents() is mt.tangential_exponents()
 
     def test_unnormalized_coordinates_rejected(self):
         mt = Multitype((1, 4))
@@ -200,6 +216,36 @@ class TestAnisotropicDilations:
         z = (complex(a, b), complex(c, d))
         back = dil.inverse(dil.forward(z))
         assert max(abs(u - v) for u, v in zip(back, z)) <= 1e-12 * (1.0 + max(map(abs, z)))
+
+
+class TestScaledFamily:
+    def test_settable_values(self):
+        """A family is its data and two functions; no variant tag."""
+        assert [f.name for f in fields(ScaledFamily)] == [
+            "approach", "dilations", "limit", "basepoint", "defining", "distance",
+        ]
+        assert [f.name for f in fields(PlanarDefiningFunction)] == ["func", "dz", "distance"]
+
+    def test_scaled_defining_is_the_rescaled_defining_function(self):
+        """``defining(T_j^-1 w) / scale_j`` for both dilation types."""
+        w = (0.3 - 0.2j, -0.7 + 0.1j)
+        fam = quartic_family(remainder_exponent=6)
+        for idx, dil in enumerate(fam.dilations):
+            z = dil.inverse(w)
+            expected = (2.0 * z[1].real + abs(z[0]) ** 4 + abs(z[0]) ** 6) / dil.scale
+            assert fam.scaled_defining(idx, w) == pytest.approx(expected, rel=1e-14)
+        disc = disc_family(1, 6)
+        for idx, dil in enumerate(disc.dilations):
+            z = dil.inverse(w[:1])[0]
+            assert disc.scaled_defining(idx, w[:1]) == (abs(z) ** 2 - 1.0) / dil.scale
+
+    def test_distance_only_where_computable(self):
+        assert disc_family().distance is not None
+        assert quartic_family().distance is None
+        assert quartic_family(remainder_exponent=6).distance is None
+        no_distance = PlanarDefiningFunction(func=lambda z: abs(z) ** 2 - 1.0, dz=lambda z: z.conjugate())
+        approach = BoundaryApproach.geometric((1.0,), (1.0,), 1, 4)
+        assert make_isotropic(no_distance, approach).distance is None
 
 
 class TestInvarianceCheck:
