@@ -10,7 +10,8 @@ Subcommands::
 
 Domains are written ``ball2``, ``polydisc3``, ``siegel2``, ``disc``,
 ``halfplane``, ``punctured``, ``slit``; points are comma-separated complex
-literals like ``0.5+0.1i``.  All randomness is seeded (``--seed``), so
+literals like ``0.5+0.1i``, and one that starts with ``-`` (``-0.2+0.1i``,
+``-i``) is read as a point, not as a flag.  All randomness is seeded (``--seed``), so
 identical configurations produce byte-identical output.
 """
 
@@ -83,6 +84,32 @@ def parse_point(text: str):
         return tuple(parse_complex_literal(tok) for tok in text.split(","))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+
+
+class _PointWord:
+    """Matches a word that :func:`parse_point` accepts."""
+
+    @staticmethod
+    def match(word: str) -> bool:
+        try:
+            parse_point(word)
+        except CliError:
+            return False
+        return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads every point as a value.
+
+    ``argparse`` takes a word that starts with ``-`` for a value only when
+    its ``_negative_number_matcher`` matches it, by default a plain negative
+    number; here it matches every point, so ``-0.2+0.1i`` and ``-i`` need
+    no ``--``.  Subparsers are made of the same class.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _PointWord
 
 
 def _json_safe(value):
@@ -311,7 +338,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="biholo",
         description="hyperbolic metrics and biholomorphic invariants on model domains",
     )

@@ -20,9 +20,17 @@ Points are plain tuples of complex numbers; planar domains also accept a
 bare complex scalar.  Many points at once are rows: a complex array of shape
 ``[m, n]``.  ``defining_rows``/``contains_rows`` run the formula of
 ``defining_value``/``contains`` on the columns of the rows, and
-``sample_rows`` draws rows for the embedding-witness sources.  A single
-point stays pure Python, because a one-row array costs more than the whole
-scalar call.
+``sample_rows`` draws rows for the embedding-witness sources and the
+dilation-invariance check.  A single point stays pure Python, because a
+one-row array costs more than the whole scalar call.
+
+Rows agree with points to rounding, not bit for bit: numpy's array kernels
+for ``abs`` and complex ``*``/``**`` (SIMD paths on AVX-512) can differ from
+Python's scalar arithmetic by an ulp, so a defining value on rows can differ
+from the point's in the last place (relatively more near a zero crossing),
+and the two memberships can disagree for a point on the boundary to within
+rounding.  ``np.hypot`` matches Python's ``abs`` bit for bit, but the sums of
+squares still differ for ``Ball`` and ``Siegel``.
 """
 
 from __future__ import annotations
@@ -672,6 +680,13 @@ class WeightedModel(_Variant):
         zn = complex(-(val / 2.0 + margin), rng.normal(scale=1.0))
         return tang + (zn,)
 
+    def sample_rows(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        tang = rng.normal(size=(m, self.dim - 1, 2)).view(np.complex128)[..., 0] * 0.7
+        margin = rng.exponential(scale=0.3, size=m)
+        val = _poly_value(self.poly, tang.T)
+        zn = -(val / 2.0 + margin) + 1j * rng.normal(scale=1.0, size=m)
+        return np.column_stack((tang, zn))
+
 
 ModelDomain = Union[
     Ball, Polydisc, UpperHalfPlane, HalfPlaneC, PuncturedDisc, SlitDisc, Siegel, WeightedModel
@@ -694,7 +709,8 @@ def sample_point(d: ModelDomain, rng: np.random.Generator) -> Point:
 
 
 def defining_rows(d: ModelDomain, rows) -> np.ndarray:
-    """:func:`defining_value` of every row of ``rows`` (shape ``[m, dim]``)."""
+    """:func:`defining_value` of every row of ``rows`` (shape ``[m, dim]``),
+    to rounding."""
     return d.defining(as_rows(rows, d.dim).T)
 
 
@@ -706,5 +722,7 @@ def contains_rows(d: ModelDomain, rows) -> np.ndarray:
 def sample_rows(d: ModelDomain, rng: np.random.Generator, m: int) -> np.ndarray:
     """Draw ``m`` interior points as rows, with the distribution of
     :func:`sample_point` (not its draw order).  Implemented for the sources
-    of the embedding witnesses: ``Ball``, ``Polydisc`` and ``PuncturedDisc``."""
+    of the embedding witnesses, ``Ball``, ``Polydisc`` and ``PuncturedDisc``,
+    and for ``WeightedModel``, whose rows the dilation-invariance check
+    draws."""
     return d.sample_rows(rng, m)

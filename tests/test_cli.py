@@ -6,7 +6,15 @@ import json
 import pytest
 
 from biholo.cli import build_parser, main, parse_domain, parse_point
-from biholo.domains import Ball, Polydisc, PuncturedDisc, Siegel, UpperHalfPlane
+from biholo.domains import (
+    Ball,
+    Polydisc,
+    PuncturedDisc,
+    Siegel,
+    UpperHalfPlane,
+    format_complex,
+    parse_complex_literal,
+)
 
 
 class TestParsing:
@@ -65,6 +73,28 @@ class TestDist:
     def test_exterior_point_exits_nonzero(self, capsys):
         code, _, err = run_cli(capsys, "dist", "disc", "0", "2")
         assert code == 2
+
+
+@pytest.mark.parametrize("literal", ["-0.2+0.1i", "-i", "-2i"])
+class TestPointStartingWithMinus:
+    """A point that starts with ``-`` and is not a plain number is a value,
+    not a flag, for every subcommand that takes points."""
+
+    def test_dist(self, capsys, literal):
+        code, out, _ = run_cli(capsys, "dist", "siegel2", "0,-1", f"{literal},-3")
+        assert code == 0
+        assert json.loads(out)["q"] == [format_complex(parse_complex_literal(literal)), "-3.0"]
+
+    def test_fridman(self, capsys, literal):
+        code, out, _ = run_cli(capsys, "fridman", "siegel2", f"{literal},-3")
+        assert code == 0
+        assert json.loads(out)["point"] == [format_complex(parse_complex_literal(literal)), "-3.0"]
+
+    def test_squeeze(self, capsys, literal):
+        # the point is read and found inside; the Siegel domain has no exact value
+        code, _, err = run_cli(capsys, "squeeze", "siegel2", f"{literal},-3")
+        assert code == 1
+        assert err.startswith("error: no exact squeezing value for siegel2")
 
 
 class TestInvariantCommands:
@@ -193,9 +223,11 @@ class TestScale:
              "remainder": {"type": "abs_power"}},
             {"kind": "anisotropic", "multitype": [1, 4], "poly": "1.0 2 | 2\n",
              "checks": ["ball_inclusion"]},
+            {"kind": "anisotropic", "multitype": [1, 4], "poly": "1.0 2 | 2\n",
+             "checks": ["invariance"], "trials": 0},
         ],
         ids=["no-multitype", "scalar-multitype", "not-weight-one", "rate-0-remainder",
-             "no-exponents", "no-distance"],
+             "no-exponents", "no-distance", "zero-trials"],
     )
     def test_bad_spec_is_a_usage_error(self, tmp_path, capsys, payload):
         """Exit 2 with an ``error:`` line, not a traceback, and no file."""

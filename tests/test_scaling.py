@@ -13,9 +13,13 @@ from biholo.domains import (
     PuncturedDisc,
     Siegel,
     WeightedModel,
+    as_point,
     contains,
+    defining_value,
     modulus_power,
 )
+from biholo.hyperbolic import MetricMode
+from biholo.metrics import sample_metric_ball
 from biholo.scaling import (
     AnisotropicDilation,
     BoundaryApproach,
@@ -48,6 +52,20 @@ def quartic_family(remainder_exponent=None, j_end=10):
     if remainder_exponent is None:
         return make_anisotropic(modulus_power(1, 0, 2), mt, approach)
     return make_anisotropic(modulus_power(1, 0, 2), mt, approach, (remainder_exponent,))
+
+
+def scalar_hausdorff(family, grid):
+    """Per step, the sup error and the membership agreement of
+    ``hausdorff_check``, computed one point at a time."""
+    pts = [as_point(p, family.limit.dim) for p in grid]
+    limit = [defining_value(family.limit, p) for p in pts]
+    out = []
+    for idx in range(len(family)):
+        scaled = [family.scaled_defining(idx, p) for p in pts]
+        sup = max(abs(s - v) for s, v in zip(scaled, limit))
+        agree = sum((s < 0.0) == (v < 0.0) for s, v in zip(scaled, limit))
+        out.append((sup, agree / len(pts)))
+    return out
 
 
 class TestBoundaryApproach:
@@ -121,6 +139,26 @@ class TestHausdorffCheck:
         assert report.passed
         assert report.slope == pytest.approx(1.0, abs=0.15)
         assert report.rows[-1].membership_agreement > 0.99
+
+    @pytest.mark.parametrize("which", ["disc", "quartic-sextic-remainder"])
+    def test_rows_agree_with_points(self, which):
+        """Rows give the membership agreement of the scalar loop exactly and
+        its sup error to rounding: the array kernels of ``abs`` and complex
+        powers may differ from Python's by an ulp, which the division by a
+        small scale magnifies."""
+        coarse = complex_grid(-2, 2, -2, 2, 7)
+        if which == "disc":
+            fam, grid = disc_family(3, 12), complex_grid(-2, 2, -2, 2, 21)
+        else:
+            fam, grid = quartic_family(remainder_exponent=6), [(a, b) for a in coarse for b in coarse]
+        report = hausdorff_check(fam, grid, tol=1e-2)
+        for row, (sup, agree) in zip(report.rows, scalar_hausdorff(fam, grid), strict=True):
+            assert row.membership_agreement == agree
+            assert row.sup_error == pytest.approx(sup, rel=1e-9, abs=0.0)
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="empty grid"):
+            hausdorff_check(disc_family(), [], tol=1e-2)
 
     def test_empirical_constant_is_reported(self):
         fam = disc_family(1, 8)
@@ -263,6 +301,19 @@ class TestInvarianceCheck:
         bad = modulus_power(1, 0, 2) + modulus_power(1, 0, 1, 2.0)
         assert not invariance_check(bad, Multitype((1, 4)), trials=10_000)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_verdicts_do_not_depend_on_the_seed(self, seed):
+        assert invariance_check(modulus_power(1, 0, 1), Multitype((1, 2)), seed=seed)
+        assert invariance_check(modulus_power(1, 0, 2), Multitype((1, 4)), seed=seed)
+        bad = modulus_power(1, 0, 2) + modulus_power(1, 0, 1, 2.0)
+        assert not invariance_check(bad, Multitype((1, 4)), seed=seed)
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_no_trials_rejected(self, trials):
+        """Zero trials would check nothing and report invariance."""
+        with pytest.raises(ValueError, match=f"^the invariance check needs at least one trial, got {trials}$"):
+            invariance_check(modulus_power(1, 0, 1), Multitype((1, 2)), trials=trials)
+
     def test_exact_scaling_identity_on_memberships(self):
         """For weight-one data the defining value scales exactly by 1/delta."""
         rng = np.random.default_rng(17)
@@ -289,6 +340,19 @@ class TestBallInclusion:
         for row in report.rows:
             if row.j >= report.j0:
                 assert row.inside
+
+    def test_rows_agree_with_points(self):
+        """Membership on rows, distances by the scalar closed forms in sample
+        order: the same rows as a loop over points, bit for bit."""
+        fam = disc_family(1, 12)
+        report = ball_inclusion_check(fam, radius=1.0, eps=0.1, samples=120, seed=3)
+        pts = sample_metric_ball(fam.limit, fam.basepoint, 0.9, 120, np.random.default_rng(3))
+        for idx, row in enumerate(report.rows):
+            inside = [fam.scaled_defining(idx, q) < 0.0 for q in pts]
+            dists = [fam.distance(idx, fam.basepoint, q, MetricMode.POINCARE) for q, ok in zip(pts, inside) if ok]
+            assert row.inside == (all(inside) and max(dists) <= 1.0)
+            assert row.max_distance == max(dists)
+        assert not report.rows[0].inside and report.rows[-1].inside
 
     def test_small_radius_passes_early(self):
         fam = disc_family(1, 8)
