@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -260,7 +261,7 @@ def _run_scale_spec(spec: dict, args) -> tuple[dict[str, list[dict]], bool]:
     elif kind == "convergence":
         approach = _approach_from_spec(spec, 1)
         report = scaling.convergence_experiment(PuncturedDisc(), approach, _mode(args))
-        outputs["convergence"] = report.to_rows()
+        outputs["convergence"] = [dataclasses.asdict(r) for r in report.rows]
         return outputs, report.strictly_decreasing
     else:
         raise CliError(f"unknown experiment kind {kind!r}")
@@ -275,7 +276,7 @@ def _run_scale_spec(spec: dict, args) -> tuple[dict[str, list[dict]], bool]:
             coarse = scaling.complex_grid(lo, hi, lo, hi, max(3, n // 3))
             grid = [(a, b) for a in coarse for b in coarse]
         report = scaling.hausdorff_check(family, grid, float(spec.get("tol", 1e-2)))
-        outputs["hausdorff"] = report.to_rows()
+        outputs["hausdorff"] = [dataclasses.asdict(r) for r in report.rows]
         passed &= report.passed
     if "ball_inclusion" in checks:
         bi = spec.get("ball_inclusion", {})
@@ -287,7 +288,7 @@ def _run_scale_spec(spec: dict, args) -> tuple[dict[str, list[dict]], bool]:
             mode=_mode(args),
             seed=args.seed,
         )
-        outputs["ball_inclusion"] = report.to_rows()
+        outputs["ball_inclusion"] = [dataclasses.asdict(r) for r in report.rows]
         passed &= report.passed
     return outputs, passed
 

@@ -244,15 +244,18 @@ def grid_circle_supremum(
     grid: int = 1_000_000,
     mode: MetricMode = MetricMode.POINCARE,
 ) -> tuple[float, float]:
-    """Oracle for :func:`circle_supremum`: maximize the unwrapped closed form
-    of :func:`deck_minimum` (no wrap-around at ``theta > pi``, so not the
-    distance) over an angular grid of ``[0, 2 pi)``.  Returns
-    ``(maximum, argmax angle)``; the argmax is the far end of the grid."""
+    """Oracle for :func:`circle_supremum`: maximize the half-plane distance
+    between the lifts ``i y`` and ``theta + i y`` (``y = -log p``) over an
+    angular grid of ``[0, 2 pi)``, evaluated by the ``acosh`` form of the
+    distance, not by the closed form of :func:`deck_minimum`.  There is no
+    wrap-around at ``theta > pi``, so this is the distance between lifts, not
+    between points of the punctured disc.  Returns ``(maximum, argmax
+    angle)``; the argmax is the far end of the grid."""
     if not 0.0 < p < 1.0:
         raise ValueError("base point must lie in (0, 1)")
     theta = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    y2 = math.log(p) ** 2
-    vals = np.log((theta**2 + 2.0 * y2 + theta * np.sqrt(theta**2 + 4.0 * y2)) / (2.0 * y2))
+    y = -math.log(p)
+    vals = _acosh_rows(theta, y, y)
     idx = int(vals.argmax())
     return mode.scale * float(vals[idx]), float(theta[idx])
 

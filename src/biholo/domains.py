@@ -12,17 +12,17 @@ defining function (negative inside, zero on the boundary):
 * ``Siegel(n)``        -- ``2 Re z_n + |z_1|^2 + ... + |z_{n-1}|^2``
 * ``WeightedModel``    -- ``2 Re z_n + P('z, conj 'z)``
 
-Each variant is a class that owns its ``dim``, ``label``, ``sample(rng)``,
-optional ``sample_rows(rng, m)`` and its one defining formula
-``defining(z)``; the module functions below only hand over to them.
+Each variant is a class that owns its ``dim``, ``label``, its one sampler
+``sample_rows(rng, m)`` and its one defining formula ``defining(z)``; the
+module functions below only hand over to them.
 
 Points are plain tuples of complex numbers; planar domains also accept a
 bare complex scalar.  Many points at once are rows: a complex array of shape
 ``[m, n]``.  ``defining_rows``/``contains_rows`` run the formula of
-``defining_value``/``contains`` on the columns of the rows, and
-``sample_rows`` draws rows for the embedding-witness sources and the
-dilation-invariance check.  A single point stays pure Python, because a
-one-row array costs more than the whole scalar call.
+``defining_value``/``contains`` on the columns of the rows.  Sampling is on
+rows only: ``sample_rows`` draws them, and ``sample_point`` is its first row
+of one.  A single point is otherwise pure Python, because a one-row array
+costs more than the whole scalar call.
 
 Rows agree with points to rounding, not bit for bit: numpy's array kernels
 for ``abs`` and complex ``*``/``**`` (SIMD paths on AVX-512) can differ from
@@ -102,6 +102,17 @@ def as_point(p: Union[complex, float, Sequence[complex]], dim: int | None = None
     if dim is not None and len(pt) != dim:
         raise ValueError(f"expected a point of dimension {dim}, got {len(pt)}")
     return pt
+
+
+def _coordinates(z, dim: int | None = None):
+    """A point as its tuple, or the columns of rows (an array of shape
+    ``[dim, m]`` or a tuple of ``dim`` arrays) unchanged: the argument of a
+    formula that serves both."""
+    if isinstance(z, np.ndarray) or isinstance(z, tuple) and z and isinstance(z[0], np.ndarray):
+        if dim is not None and len(z) != dim:
+            raise ValueError(f"expected the {dim} columns of rows, got {len(z)}")
+        return z
+    return as_point(z, dim)
 
 
 def as_rows(rows, dim: int) -> np.ndarray:
@@ -444,7 +455,7 @@ def format_polynomial(poly: WeightedPolynomial) -> str:
 # domain variants
 # ---------------------------------------------------------------------------
 #
-# Each variant owns its dimension, label, samplers and one ``defining(z)``.
+# Each variant owns its dimension, label, row sampler and one ``defining(z)``.
 # ``z`` is a point tuple or the columns of rows (``rows.T``): the same
 # formula text runs on Python numbers for a point and on numpy arrays for
 # rows, with ``_max`` and ``_segment_distance`` picking the library by type.
@@ -458,13 +469,8 @@ def _segment_distance(z):
     return math.hypot(x - min(max(x, -1.0), 0.0), y)
 
 
-def _uniform_disc(rng: np.random.Generator) -> complex:
-    r = math.sqrt(rng.uniform())
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    return complex(r * math.cos(phi), r * math.sin(phi))
-
-
-def _uniform_disc_rows(rng: np.random.Generator, shape) -> np.ndarray:
+def _disc_rows(rng: np.random.Generator, shape) -> np.ndarray:
+    """Points drawn uniformly from the unit disc, in an array of ``shape``."""
     r = np.sqrt(rng.uniform(size=shape))
     return r * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=shape))
 
@@ -487,15 +493,34 @@ def random_unit_vectors(n: int, count: int, rng: np.random.Generator) -> np.ndar
     return (raw / norm[:, None, None]).view(np.complex128)[..., 0]
 
 
-class _Variant:
-    """What a variant without a row sampler inherits."""
+def _disc_rows_inside(d, rng: np.random.Generator, m: int) -> np.ndarray:
+    """``m`` rows drawn uniformly from the unit disc and kept where the
+    planar domain ``d`` holds them, by rejection."""
+    parts, need = [], m
+    while need:
+        z = _disc_rows(rng, need)
+        z = z[d.defining((z,)) < 0.0]
+        parts.append(z)
+        need -= len(z)
+    return np.concatenate(parts)[:, None]
 
-    def sample_rows(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        raise UnsupportedDomainError(f"no row sampler for {self.label}; use sample_point")
+
+def _rows_below_graph(
+    d, rng: np.random.Generator, m: int, spread: float, depth: float, height: float
+) -> np.ndarray:
+    """``m`` rows of ``{2 Re z_n + P('z) < 0}`` (``Siegel``, ``WeightedModel``):
+    normal tangential coordinates times ``spread``, then ``z_n`` an
+    exponential depth of mean ``depth`` below the boundary, with a normal
+    imaginary part of scale ``height``."""
+    tang = rng.normal(size=(m, d.dim - 1, 2)).view(np.complex128)[..., 0] * spread
+    below = rng.exponential(scale=depth, size=m)
+    graph = d.defining((*tang.T, 0.0))  # the defining value at z_n = 0 is P('z)
+    zn = -(graph / 2.0 + below) + 1j * rng.normal(scale=height, size=m)
+    return np.column_stack((tang, zn))
 
 
 @dataclass(frozen=True)
-class Ball(_Variant):
+class Ball:
     dim: int = 1
 
     def __post_init__(self) -> None:
@@ -509,21 +534,13 @@ class Ball(_Variant):
     def defining(self, z):
         return sum(abs(c) ** 2 for c in z) - 1.0
 
-    def sample(self, rng: np.random.Generator) -> Point:
-        v = rng.normal(size=(self.dim, 2)).view(np.complex128).ravel()
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            return (0j,) * self.dim
-        radius = rng.uniform() ** (1.0 / (2 * self.dim))
-        return tuple(complex(c) * radius / norm for c in v)
-
     def sample_rows(self, rng: np.random.Generator, m: int) -> np.ndarray:
         radius = rng.uniform(size=m) ** (1.0 / (2 * self.dim))
         return random_unit_vectors(self.dim, m, rng) * radius[:, None]
 
 
 @dataclass(frozen=True)
-class Polydisc(_Variant):
+class Polydisc:
     dim: int
 
     def __post_init__(self) -> None:
@@ -537,27 +554,25 @@ class Polydisc(_Variant):
     def defining(self, z):
         return _max(*(abs(c) ** 2 for c in z)) - 1.0
 
-    def sample(self, rng: np.random.Generator) -> Point:
-        return tuple(_uniform_disc(rng) for _ in range(self.dim))
-
     def sample_rows(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        return _uniform_disc_rows(rng, (m, self.dim))
+        return _disc_rows(rng, (m, self.dim))
 
 
 @dataclass(frozen=True)
-class UpperHalfPlane(_Variant):
+class UpperHalfPlane:
     dim = 1
     label = "halfplane"
 
     def defining(self, z):
         return -z[0].imag
 
-    def sample(self, rng: np.random.Generator) -> Point:
-        return (complex(rng.normal(scale=2.0), math.exp(rng.normal())),)
+    def sample_rows(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        x = rng.normal(scale=2.0, size=m)
+        return (x + 1j * np.exp(rng.normal(size=m)))[:, None]
 
 
 @dataclass(frozen=True)
-class HalfPlaneC(_Variant):
+class HalfPlaneC:
     """Planar half-plane ``{z : 2 Re(a z) - 1 < 0}`` with linear part ``a``."""
 
     linear_coeff: complex
@@ -582,12 +597,12 @@ class HalfPlaneC(_Variant):
         """The inverse of :meth:`to_halfplane`, ``w -> (1/2 + i w) / a``."""
         return (0.5 + 1j * w) / self.linear_coeff
 
-    def sample(self, rng: np.random.Generator) -> Point:
-        return (self.from_halfplane(complex(rng.normal(scale=2.0), math.exp(rng.normal()))),)
+    def sample_rows(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        return self.from_halfplane(UpperHalfPlane().sample_rows(rng, m))
 
 
 @dataclass(frozen=True)
-class PuncturedDisc(_Variant):
+class PuncturedDisc:
     dim = 1
     label = "punctured"
 
@@ -595,25 +610,12 @@ class PuncturedDisc(_Variant):
         m = abs(z[0])
         return _max(m * m - 1.0, -m)
 
-    def sample(self, rng: np.random.Generator) -> Point:
-        while True:
-            z = _uniform_disc(rng)
-            if 0 < abs(z) < 1:
-                return (z,)
-
     def sample_rows(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        parts, need = [], m
-        while need:
-            z = _uniform_disc_rows(rng, need)
-            a = np.abs(z)
-            z = z[(a > 0) & (a < 1)]
-            parts.append(z)
-            need -= len(z)
-        return np.concatenate(parts)[:, None]
+        return _disc_rows_inside(self, rng, m)
 
 
 @dataclass(frozen=True)
-class SlitDisc(_Variant):
+class SlitDisc:
     dim = 1
     label = "slit"
 
@@ -621,15 +623,12 @@ class SlitDisc(_Variant):
         m = abs(z[0])
         return _max(m * m - 1.0, -_segment_distance(z[0]))
 
-    def sample(self, rng: np.random.Generator) -> Point:
-        while True:
-            z = _uniform_disc(rng)
-            if abs(z) < 1 and _segment_distance(z) > 0:
-                return (z,)
+    def sample_rows(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        return _disc_rows_inside(self, rng, m)
 
 
 @dataclass(frozen=True)
-class Siegel(_Variant):
+class Siegel:
     dim: int
 
     def __post_init__(self) -> None:
@@ -643,16 +642,12 @@ class Siegel(_Variant):
     def defining(self, z):
         return 2.0 * z[-1].real + sum(abs(c) ** 2 for c in z[:-1])
 
-    def sample(self, rng: np.random.Generator) -> Point:
-        tang = tuple(complex(a, b) for a, b in rng.normal(size=(self.dim - 1, 2)))
-        margin = float(rng.exponential(scale=0.5))
-        sq = sum(abs(c) ** 2 for c in tang)
-        zn = complex(-(sq / 2.0 + margin), rng.normal(scale=2.0))
-        return tang + (zn,)
+    def sample_rows(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        return _rows_below_graph(self, rng, m, spread=1.0, depth=0.5, height=2.0)
 
 
 @dataclass(frozen=True)
-class WeightedModel(_Variant):
+class WeightedModel:
     """Model domain ``{z : 2 Re z_n + P('z, conj 'z) < 0}``."""
 
     multitype: Multitype
@@ -673,19 +668,8 @@ class WeightedModel(_Variant):
     def defining(self, z):
         return 2.0 * z[-1].real + _poly_value(self.poly, z[:-1])
 
-    def sample(self, rng: np.random.Generator) -> Point:
-        tang = tuple(complex(a, b) * 0.7 for a, b in rng.normal(size=(self.dim - 1, 2)))
-        margin = float(rng.exponential(scale=0.3))
-        val = poly_eval(self.poly, tang)
-        zn = complex(-(val / 2.0 + margin), rng.normal(scale=1.0))
-        return tang + (zn,)
-
     def sample_rows(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        tang = rng.normal(size=(m, self.dim - 1, 2)).view(np.complex128)[..., 0] * 0.7
-        margin = rng.exponential(scale=0.3, size=m)
-        val = _poly_value(self.poly, tang.T)
-        zn = -(val / 2.0 + margin) + 1j * rng.normal(scale=1.0, size=m)
-        return np.column_stack((tang, zn))
+        return _rows_below_graph(self, rng, m, spread=0.7, depth=0.3, height=1.0)
 
 
 ModelDomain = Union[
@@ -704,8 +688,9 @@ def contains(d: ModelDomain, p) -> bool:
 
 
 def sample_point(d: ModelDomain, rng: np.random.Generator) -> Point:
-    """Draw an interior point of the domain (distribution is variant-specific)."""
-    return d.sample(rng)
+    """Draw one interior point of the domain: the first row of
+    :func:`sample_rows`."""
+    return tuple(d.sample_rows(rng, 1)[0].tolist())
 
 
 def defining_rows(d: ModelDomain, rows) -> np.ndarray:
@@ -720,9 +705,8 @@ def contains_rows(d: ModelDomain, rows) -> np.ndarray:
 
 
 def sample_rows(d: ModelDomain, rng: np.random.Generator, m: int) -> np.ndarray:
-    """Draw ``m`` interior points as rows, with the distribution of
-    :func:`sample_point` (not its draw order).  Implemented for the sources
-    of the embedding witnesses, ``Ball``, ``Polydisc`` and ``PuncturedDisc``,
-    and for ``WeightedModel``, whose rows the dilation-invariance check
-    draws."""
+    """Draw ``m`` interior points as rows; the distribution is the variant's:
+    uniform on ``Ball``, ``Polydisc``, ``PuncturedDisc`` and ``SlitDisc``,
+    spread over the half-planes and below the graph of the Siegel and weighted
+    models."""
     return d.sample_rows(rng, m)

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 
+import numpy as np
+
 __all__ = [
     "MetricMode",
     "halfplane_distance",
@@ -129,15 +131,17 @@ def vertical_line_distance(z: complex, c: float, mode: MetricMode = MetricMode.P
     return halfplane_distance(z, foot, mode)
 
 
-def halfplane_metric_circle(center: complex, radius: float, mode: MetricMode = MetricMode.POINCARE) -> tuple[complex, float]:
-    """Euclidean (center, radius) of a metric circle in the half-plane.
+def halfplane_metric_circle(center: complex, radius, mode: MetricMode = MetricMode.POINCARE):
+    """Euclidean (center, radius) of a metric circle in the half-plane, or
+    arrays of them for an array of radii.
 
     A hyperbolic circle around ``x0 + i y0`` of curvature -1 radius t is the
     euclidean circle with center ``x0 + i y0 cosh t`` and radius
     ``y0 sinh t``.
     """
     center = _require_halfplane(center)
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
     t = radius / mode.scale
-    return complex(center.real, center.imag * math.cosh(t)), center.imag * math.sinh(t)
+    if not np.all(t >= 0):
+        raise ValueError("radius must be nonnegative")
+    lib = np if isinstance(t, np.ndarray) else math
+    return center.real + 1j * (center.imag * lib.cosh(t)), center.imag * lib.sinh(t)

@@ -222,19 +222,28 @@ def punctured_automorphism_witness(p: complex) -> EmbeddingWitness:
 # ---------------------------------------------------------------------------
 
 
-def fridman_exact(d: ModelDomain, p=None, mode: MetricMode = MetricMode.KOBAYASHI) -> float:
-    """Exact Fridman invariant where a closed form exists.
+# the variants biholomorphic to the ball
+_BALL_LIKE = (Ball, UpperHalfPlane, HalfPlaneC, Siegel, SlitDisc)
 
-    Ball, half-planes and the unbounded ball realization are biholomorphic
-    to the ball, so the invariant is 0.  The polydisc value is
-    ``1 / artanh(1/sqrt n)`` in KOBAYASHI mode (half the metric radii, twice
-    the invariant, relative to POINCARE).
-    """
+
+def _require_inside(d: ModelDomain, p) -> None:
     if p is not None:
         pt = as_point(p, d.dim)
         if not contains(d, pt):
             raise ValueError(f"point {pt!r} is not in the domain")
-    if isinstance(d, (Ball, UpperHalfPlane, HalfPlaneC, Siegel)):
+
+
+def fridman_exact(d: ModelDomain, p=None, mode: MetricMode = MetricMode.KOBAYASHI) -> float:
+    """Exact Fridman invariant where a closed form exists.
+
+    Ball, half-planes, the unbounded ball realization and the slit disc
+    (through the uniformization :func:`covering.build_slit_map`) are
+    biholomorphic to the ball, so the invariant is 0.  The polydisc value is
+    ``1 / artanh(1/sqrt n)`` in KOBAYASHI mode (half the metric radii, twice
+    the invariant, relative to POINCARE).
+    """
+    _require_inside(d, p)
+    if isinstance(d, _BALL_LIKE):
         return 0.0
     if isinstance(d, Polydisc):
         if d.dim == 1:
@@ -394,13 +403,15 @@ def fridman_upper_from_embedding(
 
 
 def squeezing_exact(d: ModelDomain, p=None) -> float:
-    """Exact squeezing function; proved only for the ball, where it is 1."""
-    if p is not None:
-        pt = as_point(p, d.dim)
-        if not contains(d, pt):
-            raise ValueError(f"point {pt!r} is not in the domain")
-    if isinstance(d, Ball):
+    """Exact squeezing function where a closed form exists: 1 on the domains
+    biholomorphic to the ball (those where :func:`fridman_exact` is 0), and
+    ``1/sqrt n`` on the polydisc (Deng, Guan and Zhang 2012); both are
+    constant in the point."""
+    _require_inside(d, p)
+    if isinstance(d, _BALL_LIKE):
         return 1.0
+    if isinstance(d, Polydisc):
+        return 1.0 / math.sqrt(d.dim)
     raise UnsupportedDomainError(
         f"no exact squeezing value for {d.label}; "
         "use squeezing_lower_from_embedding"

@@ -20,7 +20,6 @@ from .domains import (
     Ball,
     HalfPlaneC,
     ModelDomain,
-    Point,
     Polydisc,
     PuncturedDisc,
     Siegel,
@@ -28,6 +27,7 @@ from .domains import (
     UnsupportedDomainError,
     UpperHalfPlane,
     WeightedModel,
+    _coordinates,
     as_point,
     contains,
     random_unit_vectors,
@@ -75,17 +75,18 @@ def ball_distance(a, b, mode: MetricMode = MetricMode.POINCARE) -> float:
 
 
 def ball_automorphism(a) -> "callable":
-    """Involutive automorphism of the ball swapping ``a`` and the origin."""
+    """Involutive automorphism of the ball swapping ``a`` and the origin, of
+    a point or of the columns of rows."""
     a = as_point(a)
     na2 = sum(abs(c) ** 2 for c in a)
     if na2 >= 1.0:
         raise ValueError("parameter must lie in the open unit ball")
     if na2 == 0.0:
-        return lambda z: as_point(z, len(a))
+        return lambda z: _coordinates(z, len(a))
     s = math.sqrt(1.0 - na2)
 
-    def phi(z) -> Point:
-        z = as_point(z, len(a))
+    def phi(z):
+        z = _coordinates(z, len(a))
         inner = sum(x * y.conjugate() for x, y in zip(z, a))
         proj = tuple(inner / na2 * c for c in a)
         orth = tuple(x - y for x, y in zip(z, proj))
@@ -95,17 +96,18 @@ def ball_automorphism(a) -> "callable":
     return phi
 
 
-def siegel_to_ball(z) -> Point:
+def siegel_to_ball(z):
     """Cayley transform of ``{2 Re z_n + |'z|^2 < 0}`` onto the unit ball,
-    sending ``('0, -1)`` to the origin."""
-    z = as_point(z)
+    sending ``('0, -1)`` to the origin; of a point or of the columns of rows."""
+    z = _coordinates(z)
     zn = z[-1]
     wn = (1.0 + zn) / (1.0 - zn)
     return tuple(c * math.sqrt(2.0) / (1.0 - zn) for c in z[:-1]) + (wn,)
 
 
-def ball_to_siegel(w) -> Point:
-    w = as_point(w)
+def ball_to_siegel(w):
+    """The inverse of :func:`siegel_to_ball`."""
+    w = _coordinates(w)
     wn = w[-1]
     zn = (wn - 1.0) / (wn + 1.0)
     return tuple(c * math.sqrt(2.0) / (1.0 + wn) for c in w[:-1]) + (zn,)
@@ -226,10 +228,7 @@ def sample_metric_sphere(
     radius_k = radius * MetricMode.KOBAYASHI.scale / mode.scale
     if isinstance(d, Ball):
         sphere = math.tanh(radius_k) * random_unit_vectors(d.dim, count, rng)
-        if any(c != 0 for c in center):
-            phi = ball_automorphism(center)
-            sphere = np.array([phi(s) for s in sphere])
-        return sphere
+        return np.column_stack(ball_automorphism(center)(sphere.T))
     if isinstance(d, Polydisc):
         pts = polydisc_sphere_sample(d.dim, math.tanh(radius_k), count, rng)
         if any(c != 0 for c in center):
@@ -253,34 +252,30 @@ def sample_metric_ball(
     count: int,
     rng: np.random.Generator,
     mode: MetricMode = MetricMode.POINCARE,
-) -> list[Point]:
-    """Sample the closed Kobayashi ball: on the half-planes with the outer
-    shells weighted, on the Siegel domain through the Cayley transform."""
+) -> np.ndarray:
+    """Sample the closed Kobayashi ball, as rows: on the half-planes with the
+    outer shells weighted, on the Siegel domain through the Cayley transform.
+
+    The random stream is that of drawing one sample at a time: on the
+    half-planes one ``uniform((count, 2))``, each sample's radius and then
+    its angle, and the fixed boundary circle of ``max(count // 2, 8)``
+    points after the samples; on the Siegel domain ``random_unit_vectors``
+    and then one ``uniform(count)`` of radii.
+    """
     center = as_point(center, d.dim)
     if isinstance(d, Siegel):
+        directions = random_unit_vectors(d.dim, count, rng)
+        t = radius * np.sqrt(rng.uniform(size=count))
+        v = np.tanh(0.5 * t / mode.scale)[:, None] * directions
         phi = ball_automorphism(siegel_to_ball(center))
-        pts = []
-        for v in random_unit_vectors(d.dim, count, rng).tolist():
-            t = radius * math.sqrt(rng.uniform())
-            rho = math.tanh(0.5 * t / mode.scale)
-            pts.append(ball_to_siegel(phi(tuple(rho * c for c in v))))
-        return pts
+        return np.column_stack(ball_to_siegel(phi(v.T)))
     if not isinstance(d, (UpperHalfPlane, HalfPlaneC)):
         raise UnsupportedDomainError(f"no ball sampler for domain {d!r}")
     z0 = d.to_halfplane(center[0]) if isinstance(d, HalfPlaneC) else center[0]
-    ws = []
-    for _ in range(count):
-        t = radius * math.sqrt(rng.uniform())
-        if t == 0.0:
-            ws.append(z0)
-        else:
-            ecenter, eradius = halfplane_metric_circle(z0, t, mode)
-            ang = rng.uniform(0.0, covering.TWO_PI)
-            ws.append(ecenter + eradius * complex(math.cos(ang), math.sin(ang)))
-    # boundary shell
-    ecenter, eradius = halfplane_metric_circle(z0, radius, mode)
-    for ang in np.linspace(0.0, covering.TWO_PI, max(count // 2, 8), endpoint=False):
-        ws.append(ecenter + eradius * complex(math.cos(ang), math.sin(ang)))
-    if isinstance(d, HalfPlaneC):
-        return [(d.from_halfplane(w),) for w in ws]
-    return [(w,) for w in ws]
+    u = rng.uniform(size=(count, 2))
+    shell = np.linspace(0.0, covering.TWO_PI, max(count // 2, 8), endpoint=False)
+    t = np.concatenate([radius * np.sqrt(u[:, 0]), np.full(len(shell), radius)])
+    angle = np.concatenate([covering.TWO_PI * u[:, 1], shell])
+    ecenter, eradius = halfplane_metric_circle(z0, t, mode)
+    w = ecenter + eradius * (np.cos(angle) + 1j * np.sin(angle))
+    return (d.from_halfplane(w) if isinstance(d, HalfPlaneC) else w)[:, None]

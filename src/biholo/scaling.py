@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,6 +33,7 @@ from .domains import (
     Siegel,
     WeightedModel,
     WeightedPolynomial,
+    _coordinates,
     _poly_value,
     as_point,
     as_rows,
@@ -114,16 +114,6 @@ class BoundaryApproach:
             tuple(b - d * n for b, n in zip(self.base_point, self.normal))
             for d in self.deltas
         ]
-
-
-def _coordinates(z, dim: int):
-    """A point as its tuple, or the columns of rows (an array of shape
-    ``[dim, m]``) unchanged."""
-    if isinstance(z, np.ndarray):
-        if len(z) != dim:
-            raise ValueError(f"expected the {dim} columns of rows, got an array of shape {z.shape}")
-        return z
-    return as_point(z, dim)
 
 
 @dataclass(frozen=True)
@@ -350,17 +340,6 @@ class HausdorffReport:
     empirical_constant: float
     slope: float | None
 
-    def to_rows(self) -> list[dict]:
-        return [
-            {
-                "j": r.j,
-                "delta": r.delta,
-                "sup_error": r.sup_error,
-                "membership_agreement": r.membership_agreement,
-            }
-            for r in self.rows
-        ]
-
 
 def hausdorff_check(family: ScaledFamily, grid: Sequence, tol: float) -> HausdorffReport:
     """Per-step sup distance between scaled and limit defining functions.
@@ -453,12 +432,6 @@ class BallInclusionReport:
     j0: int | None
     passed: bool
 
-    def to_rows(self) -> list[dict]:
-        return [
-            {"j": r.j, "delta": r.delta, "inside": r.inside, "max_distance": r.max_distance}
-            for r in self.rows
-        ]
-
 
 def ball_inclusion_check(
     family: ScaledFamily,
@@ -475,18 +448,19 @@ def ball_inclusion_check(
     index ``j0`` from which every later step passes.  Membership is tested
     on rows; distances are taken for the samples inside, in sample order.
     """
-    if radius <= 0 or eps < 0 or eps >= radius:
-        raise ValueError("need 0 <= eps < radius")
+    if not 0.0 <= eps < radius < math.inf:
+        raise ValueError(f"need 0 <= eps < radius < inf, got eps={eps} and radius={radius}")
+    if samples < 1:
+        raise ValueError(f"the ball-inclusion check needs at least one sample, got {samples}")
     if family.distance is None:
         raise ValueError("no computable Kobayashi distance for this scaled family")
     rng = np.random.default_rng(seed)
     pts = sample_metric_ball(family.limit, family.basepoint, radius - eps, samples, rng, mode)
-    cols = as_rows(pts, family.limit.dim).T
     rows = []
     for idx, (j, delta) in enumerate(zip(family.approach.js, family.approach.deltas)):
-        inside = family.scaled_defining(idx, cols) < 0.0
+        inside = family.scaled_defining(idx, pts.T) < 0.0
         worst = max(
-            (family.distance(idx, family.basepoint, q, mode) for q in compress(pts, inside)),
+            (family.distance(idx, family.basepoint, q, mode) for q in pts[inside].tolist()),
             default=0.0,
         )
         rows.append(BallInclusionRow(j, delta, bool(inside.all()) and worst <= radius, worst))
@@ -510,12 +484,6 @@ class ConvergenceReport:
     mode: MetricMode
     rows: tuple[ConvergenceRow, ...]
     strictly_decreasing: bool
-
-    def to_rows(self) -> list[dict]:
-        return [
-            {"j": r.j, "modulus": r.modulus, "upper_bound": r.upper_bound}
-            for r in self.rows
-        ]
 
 
 def convergence_experiment(

@@ -30,7 +30,7 @@ from .domains import (
     contains_rows,
     modulus_power,
     poly_eval,
-    sample_point,
+    sample_rows,
     symbolic_weight_check,
     numeric_scaling_check,
 )
@@ -219,10 +219,7 @@ def suite_punctured_metric(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("punctured-disc-metric")
     rng = np.random.default_rng(cfg.seed + 6)
     pd = PuncturedDisc()
-    for _ in range(200):
-        p = sample_point(pd, rng)[0]
-        q = sample_point(pd, rng)[0]
-        u = sample_point(pd, rng)[0]
+    for p, q, u in sample_rows(pd, rng, 600).reshape(200, 3).tolist():
         dpq = covering.punctured_distance(p, q)
         res.expect(abs(dpq - covering.punctured_distance(q, p)) <= 1e-12, "asymmetric")
         slack = dpq + covering.punctured_distance(q, u) - covering.punctured_distance(p, u)
@@ -271,20 +268,18 @@ def suite_domains(cfg: RunConfig) -> SuiteResult:
         model,
     ]
     for dom in variants:
-        n = dom.dim
-        # flat coordinates, not point tuples, keep the suite's peak memory flat
-        coords, scalar, bad = [], [], 0
-        for k in range(10_000):
-            if k % 2 == 0:
-                pt = sample_point(dom, rng)
-            else:
-                pt = tuple(complex(a, b) for a, b in rng.uniform(-1.6, 1.6, size=(n, 2)))
+        # sampled points alternate with points of the box [-1.6, 1.6]^(2n)
+        rows = np.empty((10_000, dom.dim), dtype=complex)
+        rows[0::2] = sample_rows(dom, rng, 5_000)
+        rows[1::2] = rng.uniform(-1.6, 1.6, size=(5_000, dom.dim, 2)).view(np.complex128)[..., 0]
+        scalar, bad = [], 0
+        for row in rows:
+            pt = tuple(row.tolist())
             inside = contains(dom, pt)
             bad += inside != _independent_membership(dom, pt)
             scalar.append(inside)
-            coords.extend(pt)
         # the batch path against the scalar one, on the same points
-        bad += int((contains_rows(dom, np.reshape(coords, (-1, n))) != scalar).sum())
+        bad += int((contains_rows(dom, rows) != scalar).sum())
         res.expect(bad == 0, f"{bad} membership mismatches for {dom!r}")
     # the slit disc is the punctured disc minus the interval (-1, 0]
     axis = np.linspace(-0.999, 0.999, 1001)

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 
 import pytest
 
@@ -91,10 +92,11 @@ class TestPointStartingWithMinus:
         assert json.loads(out)["point"] == [format_complex(parse_complex_literal(literal)), "-3.0"]
 
     def test_squeeze(self, capsys, literal):
-        # the point is read and found inside; the Siegel domain has no exact value
-        code, _, err = run_cli(capsys, "squeeze", "siegel2", f"{literal},-3")
-        assert code == 1
-        assert err.startswith("error: no exact squeezing value for siegel2")
+        code, out, _ = run_cli(capsys, "squeeze", "siegel2", f"{literal},-3")
+        assert code == 0
+        record = json.loads(out)
+        assert record["point"] == [format_complex(parse_complex_literal(literal)), "-3.0"]
+        assert record["value"] == 1.0
 
 
 class TestInvariantCommands:
@@ -116,8 +118,13 @@ class TestInvariantCommands:
         assert record["value"] == 1.0
         assert record["mode"] == "euclidean"
 
-    def test_squeeze_polydisc_suggests_estimator(self, capsys):
-        code, _, err = run_cli(capsys, "squeeze", "polydisc2", "0,0")
+    def test_squeeze_polydisc(self, capsys):
+        code, out, _ = run_cli(capsys, "squeeze", "polydisc2", "0.5,-0.1i")
+        assert code == 0
+        assert json.loads(out)["value"] == 1.0 / math.sqrt(2.0)
+
+    def test_squeeze_punctured_suggests_estimator(self, capsys):
+        code, _, err = run_cli(capsys, "squeeze", "punctured", "0.5")
         assert code == 1
         assert "squeezing_lower_from_embedding" in err
 
@@ -225,9 +232,15 @@ class TestScale:
              "checks": ["ball_inclusion"]},
             {"kind": "anisotropic", "multitype": [1, 4], "poly": "1.0 2 | 2\n",
              "checks": ["invariance"], "trials": 0},
+            {"kind": "anisotropic", "multitype": [1, 2], "poly": "1.0 1 | 1\n",
+             "checks": ["ball_inclusion"], "ball_inclusion": {"samples": 0}},
+            {"kind": "isotropic", "base_point": "1", "normal": "1",
+             "checks": ["ball_inclusion"], "ball_inclusion": {"R": float("nan")}},
+            {"kind": "isotropic", "base_point": "1", "normal": "1",
+             "checks": ["ball_inclusion"], "ball_inclusion": {"eps": float("nan")}},
         ],
         ids=["no-multitype", "scalar-multitype", "not-weight-one", "rate-0-remainder",
-             "no-exponents", "no-distance", "zero-trials"],
+             "no-exponents", "no-distance", "zero-trials", "zero-samples", "nan-radius", "nan-eps"],
     )
     def test_bad_spec_is_a_usage_error(self, tmp_path, capsys, payload):
         """Exit 2 with an ``error:`` line, not a traceback, and no file."""

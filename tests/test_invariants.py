@@ -9,12 +9,15 @@ import pytest
 from biholo.domains import (
     Ball,
     HalfPlaneC,
+    Multitype,
     Polydisc,
     PuncturedDisc,
     Siegel,
     SlitDisc,
     UnsupportedDomainError,
     UpperHalfPlane,
+    WeightedModel,
+    modulus_power,
 )
 from biholo.hyperbolic import MetricMode
 from biholo.metrics import sample_metric_sphere
@@ -37,6 +40,13 @@ from biholo.invariants import (
 )
 
 P_UNIT = math.exp(-math.pi)
+# a weighted model that is not the Siegel domain: no exact value is known
+GENERAL_MODEL = WeightedModel(Multitype((1, 4)), modulus_power(1, 0, 2))
+# the variants with exact values of both invariants
+EXACT_TABLE = [
+    Ball(1), Ball(3), Polydisc(2), Polydisc(3), Polydisc(7),
+    UpperHalfPlane(), HalfPlaneC(1.0 + 0.5j), Siegel(2), SlitDisc(),
+]
 
 
 class TestFridmanExact:
@@ -48,6 +58,7 @@ class TestFridmanExact:
         assert fridman_exact(HalfPlaneC(1.0), 0j) == 0.0
         assert fridman_exact(Siegel(2), (0j, -1.0 + 0j)) == 0.0
         assert fridman_exact(Polydisc(1), 0.3) == 0.0
+        assert fridman_exact(SlitDisc(), 0.5) == 0.0
 
     def test_polydisc_two(self):
         """h = 2 / log((sqrt 2 + 1)/(sqrt 2 - 1)) = 1/artanh(1/sqrt 2)."""
@@ -71,9 +82,9 @@ class TestFridmanExact:
         assert p == 0.5 * k
 
     def test_unsupported_variants_point_to_estimators(self):
-        for dom in (PuncturedDisc(), SlitDisc()):
+        for dom, p in ((PuncturedDisc(), 0.5), (GENERAL_MODEL, (0j, -1.0 + 0j))):
             with pytest.raises(UnsupportedDomainError, match="estimator"):
-                fridman_exact(dom, 0.5)
+                fridman_exact(dom, p)
 
     def test_exterior_point_rejected(self):
         with pytest.raises(ValueError):
@@ -186,9 +197,31 @@ class TestSqueezing:
         assert squeezing_exact(Ball(2), (0j, 0j)) == 1.0
         assert squeezing_exact(Ball(5), (0.1 + 0j, 0j, 0j, 0j, 0.2 + 0j)) == 1.0
 
-    def test_polydisc_requires_estimator(self):
+    def test_ball_like_domains_are_one(self):
+        assert squeezing_exact(UpperHalfPlane(), 2j) == 1.0
+        assert squeezing_exact(HalfPlaneC(1.0), 0j) == 1.0
+        assert squeezing_exact(Siegel(2), (0j, -1.0 + 0j)) == 1.0
+        assert squeezing_exact(SlitDisc(), -0.5 + 0.1j) == 1.0
+
+    def test_polydisc_is_inverse_root_n(self):
+        assert squeezing_exact(Polydisc(1), 0.3) == 1.0
+        assert squeezing_exact(Polydisc(2), (0.5 + 0.1j, -0.3j)) == 1.0 / math.sqrt(2.0)
+        assert squeezing_exact(Polydisc(5)) == 1.0 / math.sqrt(5.0)
+
+    def test_general_weighted_model_requires_estimator(self):
         with pytest.raises(UnsupportedDomainError, match="estimator|embedding"):
-            squeezing_exact(Polydisc(2), (0j, 0j))
+            squeezing_exact(GENERAL_MODEL, (0j, -1.0 + 0j))
+
+    @pytest.mark.parametrize("dom", EXACT_TABLE, ids=repr)
+    def test_squeezing_is_at_most_tanh_of_inverse_fridman(self, dom):
+        """s <= tanh(1/h) with h in KOBAYASHI normalization (h = 0 gives 1),
+        with equality on the ball and the polydisc to an ulp."""
+        s = squeezing_exact(dom)
+        h = fridman_exact(dom, mode=MetricMode.KOBAYASHI)
+        bound = math.tanh(1.0 / h) if h else 1.0
+        assert s <= bound + math.ulp(bound)
+        if isinstance(dom, (Ball, Polydisc)):
+            assert abs(s - bound) <= math.ulp(s)
 
     def test_ball_identity_witness_gives_one(self):
         est = squeezing_lower_from_embedding(

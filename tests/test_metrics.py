@@ -1,5 +1,6 @@
 """Tests for the model-domain distance dispatcher and sphere sampling."""
 
+import cmath
 import math
 
 import numpy as np
@@ -17,9 +18,11 @@ from biholo.domains import (
     UpperHalfPlane,
     WeightedModel,
     modulus_power,
+    random_unit_vectors,
 )
-from biholo.hyperbolic import MetricMode, disc_distance, halfplane_distance
+from biholo.hyperbolic import MetricMode, disc_distance, halfplane_distance, halfplane_metric_circle
 from biholo.metrics import (
+    ball_automorphism,
     ball_distance,
     ball_to_siegel,
     kobayashi_distance,
@@ -214,6 +217,42 @@ class TestBallSampling:
         assert len(pts) == 400
         assert max(dists) <= 1.5 + 1e-12
         assert max(dists) > 1.45
+
+    @pytest.mark.parametrize(
+        "d,center",
+        [
+            (UpperHalfPlane(), (0.3 + 2j,)),
+            (HalfPlaneC(1.0 + 0.5j), (-0.4j,)),
+            (Siegel(2), (0.3 - 0.2j, -1.4 + 0.5j)),
+        ],
+        ids=["halfplane", "halfplane-linear", "siegel2"],
+    )
+    def test_rows_match_one_sample_at_a_time(self, d, center):
+        """The rows against the loop they replaced, on the same random
+        stream: the same points to rounding (numpy's cosh, sinh and tanh may
+        differ from the math module's in the last place)."""
+        radius, count, mode = 1.3, 64, MetricMode.KOBAYASHI
+        rows = sample_metric_ball(d, center, radius, count, np.random.default_rng(9), mode)
+        rng = np.random.default_rng(9)
+        if isinstance(d, Siegel):
+            phi = ball_automorphism(siegel_to_ball(center))
+            expected = []
+            for v in random_unit_vectors(d.dim, count, rng).tolist():
+                rho = math.tanh(0.5 * radius * math.sqrt(rng.uniform()) / mode.scale)
+                expected.append(ball_to_siegel(phi(tuple(rho * c for c in v))))
+        else:
+            z0 = d.to_halfplane(center[0]) if isinstance(d, HalfPlaneC) else center[0]
+            ws = []
+            for _ in range(count):
+                t = radius * math.sqrt(rng.uniform())
+                ecenter, eradius = halfplane_metric_circle(z0, t, mode)
+                ws.append(ecenter + eradius * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+            ecenter, eradius = halfplane_metric_circle(z0, radius, mode)
+            shell = np.linspace(0.0, 2.0 * math.pi, count // 2, endpoint=False)
+            ws += [ecenter + eradius * cmath.exp(1j * a) for a in shell]
+            expected = [(d.from_halfplane(w) if isinstance(d, HalfPlaneC) else w,) for w in ws]
+        assert rows.shape == (len(expected), d.dim)
+        assert rows.tolist() == [pytest.approx(list(p), rel=1e-13) for p in expected]
 
     def test_unsupported_domain(self):
         with pytest.raises(UnsupportedDomainError, match="ball sampler"):
