@@ -9,8 +9,6 @@ brute-force oracle (see :mod:`biholo.verify` and the test suite).
 
 from .hyperbolic import (
     MetricMode,
-    cayley_disc_to_halfplane,
-    cayley_halfplane_to_disc,
     disc_distance,
     halfplane_distance,
     halfplane_distance_acosh,
@@ -42,7 +40,6 @@ from .domains import (
 )
 from .covering import (
     DeckRangeWarning,
-    SlitDiscMap,
     SlitMapError,
     build_slit_map,
     circle_supremum,

@@ -7,7 +7,9 @@ translates.  The distance to the slit ``(-1, 0]`` and the translation
 length of the deck generator at a point (the ``circle_supremum``, which
 bounds the distance over the centred circle through that point) both
 reduce to elementary closed forms, and a composed chain of elementary maps
-realizes the uniformization of the slit disc by the disc.
+realizes the uniformization of the slit disc by the disc.  The chain is
+returned bare: :class:`biholo.invariants.EmbeddingWitness` validates it
+where it is used as a witness.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import SlitDisc, contains_rows
 from .hyperbolic import MetricMode, halfplane_distance
 from .maps import Chain, Mobius, PrincipalSqrt, Square
 
@@ -36,7 +37,6 @@ __all__ = [
     "deck_minimum_enumerated",
     "grid_slit_distance",
     "grid_circle_supremum",
-    "SlitDiscMap",
     "build_slit_map",
 ]
 
@@ -44,7 +44,7 @@ TWO_PI = 2.0 * math.pi
 
 
 class SlitMapError(RuntimeError):
-    """A constructed slit-disc uniformization failed its validation."""
+    """The slit-disc uniformization pulled its basepoint back outside the disc."""
 
 
 def principal_lift(q: complex) -> complex:
@@ -117,26 +117,18 @@ def slit_distance(p: float, mode: MetricMode = MetricMode.POINCARE) -> float:
 
 def circle_supremum(p: float, mode: MetricMode = MetricMode.POINCARE) -> float:
     """Translation length of the deck generator at ``p`` in (0, 1), the
-    half-plane distance ``d(z_p, z_p + 2 pi) = deck_minimum(p, 2 pi)``:
-
-        log(2 x^2 + 1 + 2 x sqrt(x^2 + 1)),  x = -pi / log p.
+    half-plane distance ``d(z_p, z_p + 2 pi) = deck_minimum(p, 2 pi)``.
+    That is ``2 asinh(x)`` with ``x = -pi / log p``: twice
+    :func:`slit_distance`, computed as such, so it keeps that form's
+    relative precision (doubling is exact).
 
     Despite the name this is not the supremum over the circle ``|q| = p``
     of the distance from ``p``: that supremum is reached at the antipode
     and equals ``deck_minimum(p, pi)`` (3.113 against 4.433 at p = 0.5).
     It is an upper bound for it, so the metric ball of this radius around
     ``p`` contains the circle.
-
-    This is the positive-root form (the sign carried by ``2 pi / log p``
-    would make the argument of the log smaller than 1); it agrees with
-    :func:`deck_minimum` at ``theta = 2 pi`` and algebraically equals
-    twice :func:`slit_distance`, which is asserted by tests, not assumed.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError("base point must lie in (0, 1)")
-    x = -math.pi / math.log(p)
-    value = math.log(2.0 * x * x + 1.0 + 2.0 * x * math.sqrt(x * x + 1.0))
-    return mode.scale * value
+    return 2.0 * slit_distance(p, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -265,23 +257,6 @@ def grid_circle_supremum(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SlitDiscMap:
-    """Conformal bijection of the unit disc onto the slit disc with 0 -> target.
-
-    The map and its inverse take a complex scalar or act elementwise on a
-    complex array."""
-
-    target: float
-    chain: Chain
-
-    def __call__(self, z: complex) -> complex:
-        return self.chain.apply(z)
-
-    def inverse(self, w: complex) -> complex:
-        return self.chain.unapply(w)
-
-
 def _base_slit_chain() -> Chain:
     return Chain(
         (
@@ -294,14 +269,15 @@ def _base_slit_chain() -> Chain:
     )
 
 
-def build_slit_map(p: float, validate: bool = True, samples: int = 10_000, seed: int = 0) -> SlitDiscMap:
-    """Construct (and validate) the uniformization of the slit disc sending
-    0 to ``p`` in (0, 1).
+def build_slit_map(p: float) -> Chain:
+    """The uniformization of the slit disc sending 0 to ``p`` in (0, 1).
 
     The chain is: disc automorphism, Cayley transform to the half-plane,
     principal square root to the first quadrant, a Mobius map to the upper
     half-disc, rotation to the right half-disc, and the squaring map onto
-    the slit disc.  Validation failure raises :class:`SlitMapError`.
+    the slit disc.  It acts on a complex scalar or elementwise on a complex
+    array; ``unapply`` is the inverse.  A basepoint that pulls back outside
+    the disc raises :class:`SlitMapError`.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("target must lie in (0, 1)")
@@ -309,26 +285,4 @@ def build_slit_map(p: float, validate: bool = True, samples: int = 10_000, seed:
     a = base.unapply(complex(p))
     if not abs(a) < 1.0:
         raise SlitMapError(f"pulled-back basepoint {a!r} is not inside the disc")
-    chain = Chain((Mobius.disc_automorphism(a),) + base.steps)
-    slit_map = SlitDiscMap(float(p), chain)
-    if validate:
-        _validate_slit_map(slit_map, samples=samples, seed=seed)
-    return slit_map
-
-
-def _validate_slit_map(m: SlitDiscMap, samples: int, seed: int) -> None:
-    origin_image = m(0j)
-    if abs(origin_image - m.target) > 1e-10:
-        raise SlitMapError(f"normalization failure: map(0) = {origin_image!r}, wanted {m.target!r}")
-    rng = np.random.default_rng(seed)
-    # boundary-approaching radii exercise the slit and circle edges
-    radii = 1.0 - np.geomspace(1e-4, 1.0, samples)
-    angles = rng.uniform(0.0, TWO_PI, samples)
-    w = m(radii * np.exp(1j * angles))
-    inside = contains_rows(SlitDisc(), w[:, None])
-    if not inside.all():
-        raise SlitMapError(f"image point {complex(w[np.argmin(inside)])!r} escaped the slit disc")
-    r, t = np.meshgrid(np.linspace(0.1, 0.95, 18), np.linspace(0.0, TWO_PI, 18, endpoint=False))
-    images = m(r * np.exp(1j * t)).ravel().tolist()
-    if len(set(images)) < len(images):
-        raise SlitMapError("images of distinct grid points collide")
+    return Chain((Mobius.disc_automorphism(a),) + base.steps)

@@ -26,8 +26,6 @@ __all__ = [
     "halfplane_distance",
     "halfplane_distance_acosh",
     "disc_distance",
-    "cayley_disc_to_halfplane",
-    "cayley_halfplane_to_disc",
     "vertical_line_distance",
     "halfplane_metric_circle",
 ]
@@ -105,18 +103,6 @@ def disc_distance(a: complex, b: complex, mode: MetricMode = MetricMode.POINCARE
     ra, rb = abs(a), abs(b)
     s = abs(a - b) / math.sqrt((1.0 - ra) * (1.0 + ra) * (1.0 - rb) * (1.0 + rb))
     return 2.0 * mode.scale * math.asinh(s)
-
-
-def cayley_disc_to_halfplane(a: complex) -> complex:
-    """Conformal equivalence disc -> upper half-plane with 0 -> i."""
-    a = _require_disc(a)
-    return 1j * (1 + a) / (1 - a)
-
-
-def cayley_halfplane_to_disc(z: complex) -> complex:
-    """Inverse of :func:`cayley_disc_to_halfplane`."""
-    z = _require_halfplane(z)
-    return (z - 1j) / (z + 1j)
 
 
 def vertical_line_distance(z: complex, c: float, mode: MetricMode = MetricMode.POINCARE) -> float:

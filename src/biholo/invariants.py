@@ -1,9 +1,10 @@
 """Fridman invariant and squeezing function on the model domains.
 
-Exact values are hard-coded only where they are theorems: the invariant
-vanishes identically on domains biholomorphic to the ball, equals
-``2 / log((sqrt n + 1)/(sqrt n - 1))`` on the polydisc (KOBAYASHI
-normalization), and the squeezing function of the ball is identically 1.
+Exact values are hard-coded only where they are theorems: on the domains
+biholomorphic to the ball the invariant vanishes and the squeezing
+function is 1, and on the polydisc they are
+``2 / log((sqrt n + 1)/(sqrt n - 1))`` (KOBAYASHI normalization) and
+``1/sqrt n``.
 The punctured disc gets a two-sided bracket from the slit-disc embedding
 (upper bound) and the circle obstruction (lower bound): the metric ball
 whose radius is the deck translation length contains the centred circle
@@ -11,8 +12,10 @@ through the point.
 
 Everything else is an estimator: both invariants quantify over *all*
 embeddings, so a single witness embedding only ever certifies one side.
-Estimators return the certified radius together with the sampling
-metadata that makes the bound reproducible.
+Every estimator validates its witness and then bisects on the largest
+radius whose sphere sample stays inside the witness image; it returns that
+radius together with the sampling metadata that makes the bound
+reproducible.
 """
 
 from __future__ import annotations
@@ -78,9 +81,10 @@ class EmbeddingWitness:
     """Injective holomorphic map between two model domains, with basepoints.
 
     ``forward`` and ``inverse`` map rows to rows: complex arrays of shape
-    ``[m, n]``.  ``image_domain``, when set, is the exact image as a model
-    domain and is used for fast membership decisions; otherwise membership
-    in the image is decided by the inverse round-trip.
+    ``[m, n]``.  Membership in the image is decided by the inverse
+    round-trip and, when ``image_domain`` is set (the exact image as a
+    model domain, which may be stricter than the target), by membership in
+    it as well.
     """
 
     source: ModelDomain
@@ -109,31 +113,43 @@ class EmbeddingWitness:
         return inside
 
     def validate(self, samples: int = 10_000, seed: int = 0) -> None:
-        """Check image containment, injectivity on a grid, and basepoints."""
+        """Check the basepoint normalization, that the images of the
+        basepoint and of ``samples`` random points lie in the target and in
+        ``image_domain`` when one is set, and injectivity on a grid."""
         rng = np.random.default_rng(seed)
-        fb = self.forward(np.array([self.source_basepoint], dtype=complex))[0]
-        err = max(abs(u - v) for u, v in zip(fb, self.target_basepoint))
+        base = np.array([self.source_basepoint], dtype=complex)
+        fb = self.forward(base)
+        err = max(abs(u - v) for u, v in zip(fb[0], self.target_basepoint))
         if err > 1e-10:
             raise WitnessValidationError(
                 f"basepoint normalization off by {err:.3e} for {self.description}"
             )
+        self._require_images_inside(base, fb)
         stride = max(samples // 150, 1)
         grid = []
         for start in range(0, samples, VALIDATION_CHUNK):
             z = sample_rows(self.source, rng, min(VALIDATION_CHUNK, samples - start))
             w = self.forward(z)
-            inside = contains_rows(self.target, w)
-            if not inside.all():
-                k = int(np.argmin(inside))
-                raise WitnessValidationError(
-                    f"image point {tuple(w[k])!r} of {tuple(z[k])!r} escaped the target "
-                    f"for {self.description}"
-                )
+            self._require_images_inside(z, w)
             grid.append(w[-start % stride :: stride])  # sample k with k % stride == 0
         # finite rows are a positive distance apart exactly when they differ
         grid = np.concatenate(grid).tolist()
         if len(set(map(tuple, grid))) < len(grid):
             raise WitnessValidationError(f"witness {self.description} is not injective on the grid")
+
+    def _require_images_inside(self, z: np.ndarray, w: np.ndarray) -> None:
+        """Raise unless every row of ``w``, the image of ``z``, lies in the
+        target and in ``image_domain`` when one is set."""
+        for domain in (self.target, self.image_domain):
+            if domain is None:
+                continue
+            inside = contains_rows(domain, w)
+            if not inside.all():
+                k = int(np.argmin(inside))
+                raise WitnessValidationError(
+                    f"image point {tuple(w[k])!r} of {tuple(z[k])!r} escaped the "
+                    f"{domain.label} for {self.description}"
+                )
 
 
 def ball_inclusion_into_polydisc(n: int) -> EmbeddingWitness:
@@ -158,8 +174,8 @@ def slit_embedding_of_disc(p: float) -> EmbeddingWitness:
     return EmbeddingWitness(
         source=Ball(1),
         target=PuncturedDisc(),
-        forward=slit_map,
-        inverse=slit_map.inverse,
+        forward=slit_map.apply,
+        inverse=slit_map.unapply,
         source_basepoint=(0j,),
         target_basepoint=(complex(p),),
         description=f"disc onto the slit disc with 0 -> {p}",
@@ -222,8 +238,21 @@ def punctured_automorphism_witness(p: complex) -> EmbeddingWitness:
 # ---------------------------------------------------------------------------
 
 
-# the variants biholomorphic to the ball
-_BALL_LIKE = (Ball, UpperHalfPlane, HalfPlaneC, Siegel, SlitDisc)
+def _polydisc_exact(d: Polydisc) -> tuple[float, float]:
+    if d.dim == 1:
+        return 0.0, 1.0
+    s = 1.0 / math.sqrt(d.dim)
+    return 0.5 / math.atanh(s), s
+
+
+# (Fridman invariant in POINCARE normalization, squeezing function) by
+# variant, where both are theorems and constant in the point: 0 and 1 on
+# the variants biholomorphic to the ball, Deng, Guan and Zhang (2012) on
+# the polydisc
+_EXACT: dict[type, Callable[[ModelDomain], tuple[float, float]]] = {
+    **dict.fromkeys((Ball, UpperHalfPlane, HalfPlaneC, Siegel, SlitDisc), lambda d: (0.0, 1.0)),
+    Polydisc: _polydisc_exact,
+}
 
 
 def _require_inside(d: ModelDomain, p) -> None:
@@ -243,16 +272,12 @@ def fridman_exact(d: ModelDomain, p=None, mode: MetricMode = MetricMode.KOBAYASH
     the invariant, relative to POINCARE).
     """
     _require_inside(d, p)
-    if isinstance(d, _BALL_LIKE):
-        return 0.0
-    if isinstance(d, Polydisc):
-        if d.dim == 1:
-            return 0.0
-        return 1.0 / (2.0 * mode.scale * math.atanh(1.0 / math.sqrt(d.dim)))
-    raise UnsupportedDomainError(
-        f"no exact Fridman value for {d.label}; use an estimator "
-        "(fridman_bounds_punctured or fridman_upper_from_embedding)"
-    )
+    if type(d) not in _EXACT:
+        raise UnsupportedDomainError(
+            f"no exact Fridman value for {d.label}; use an estimator "
+            "(fridman_bounds_punctured or fridman_upper_from_embedding)"
+        )
+    return _EXACT[type(d)](d)[0] / mode.scale
 
 
 @dataclass(frozen=True)
@@ -340,19 +365,42 @@ class EstimateReport:
     evaluations: int
 
 
-def _bisect_largest(predicate: Callable[[float], bool], lo: float, hi: float, tol: float) -> float:
-    """Largest r in [lo, hi] with predicate true, assuming predicate(lo)."""
-    if not predicate(lo):
+def _largest_radius(
+    witness: EmbeddingWitness,
+    sphere: Callable[[float, np.random.Generator], np.ndarray],
+    cap: float,
+    tol: float,
+    seed: int,
+) -> tuple[float, bool, int]:
+    """Largest radius r in (0, cap] whose sphere sample ``sphere(r, rng)``
+    lies in the witness image, up to ``tol``.
+
+    Validates the witness, then tests the cap and, if it fails, bisects
+    from ``min(tol, cap / 2)``, with a generator seeded by ``seed`` at
+    every test.  Returns ``(r, hit_cap, tests made)``.
+    """
+    witness.validate(seed=seed)
+    evaluations = 0
+
+    def inside(r: float) -> bool:
+        nonlocal evaluations
+        evaluations += 1
+        return bool(witness.image_contains(sphere(r, np.random.default_rng(seed))).all())
+
+    if inside(cap):
+        return cap, True, evaluations
+    lo, hi = min(tol, cap / 2), cap
+    if not inside(lo):
         raise WitnessValidationError(
             "the witness image does not contain any neighbourhood of the basepoint"
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if predicate(mid):
+        if inside(mid):
             lo = mid
         else:
             hi = mid
-    return lo
+    return lo, False, evaluations
 
 
 def fridman_upper_from_embedding(
@@ -375,21 +423,8 @@ def fridman_upper_from_embedding(
     base_err = max(abs(u - v) for u, v in zip(witness.target_basepoint, p))
     if base_err > 1e-10:
         raise WitnessValidationError("witness does not send its basepoint to the given point")
-    witness.validate(seed=search.seed)
-    evaluations = 0
-
-    def inside(r: float) -> bool:
-        nonlocal evaluations
-        evaluations += 1
-        rng = np.random.default_rng(search.seed)
-        sphere = metrics.sample_metric_sphere(d, p, r, search.samples, rng, mode)
-        return bool(witness.image_contains(sphere).all())
-
-    if inside(search.r_max):
-        r_star, hit_cap = search.r_max, True
-    else:
-        r_star = _bisect_largest(inside, min(search.tol, search.r_max / 2), search.r_max, search.tol)
-        hit_cap = False
+    sphere = lambda r, rng: metrics.sample_metric_sphere(d, p, r, search.samples, rng, mode)
+    r_star, hit_cap, evaluations = _largest_radius(witness, sphere, search.r_max, search.tol, search.seed)
     return EstimateReport(
         value=1.0 / r_star,
         radius=r_star,
@@ -408,14 +443,12 @@ def squeezing_exact(d: ModelDomain, p=None) -> float:
     ``1/sqrt n`` on the polydisc (Deng, Guan and Zhang 2012); both are
     constant in the point."""
     _require_inside(d, p)
-    if isinstance(d, _BALL_LIKE):
-        return 1.0
-    if isinstance(d, Polydisc):
-        return 1.0 / math.sqrt(d.dim)
-    raise UnsupportedDomainError(
-        f"no exact squeezing value for {d.label}; "
-        "use squeezing_lower_from_embedding"
-    )
+    if type(d) not in _EXACT:
+        raise UnsupportedDomainError(
+            f"no exact squeezing value for {d.label}; "
+            "use squeezing_lower_from_embedding"
+        )
+    return _EXACT[type(d)](d)[1]
 
 
 def _euclidean_sphere(n: int, r: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -447,22 +480,10 @@ def squeezing_lower_from_embedding(
         raise WitnessValidationError("witness does not send the given point to the origin")
     if max(abs(c) for c in witness.target_basepoint) > 1e-10:
         raise WitnessValidationError("witness must normalize the basepoint to the origin")
-    witness.validate(seed=search.seed)
     n = witness.target.dim
-    evaluations = 0
-
-    def inside(r: float) -> bool:
-        nonlocal evaluations
-        evaluations += 1
-        rng = np.random.default_rng(search.seed)
-        return bool(witness.image_contains(_euclidean_sphere(n, r, search.samples, rng)).all())
-
+    sphere = lambda r, rng: _euclidean_sphere(n, r, search.samples, rng)
     cap = min(search.r_max, 1.0)
-    if inside(cap):
-        r_star, hit_cap = cap, True
-    else:
-        r_star = _bisect_largest(inside, min(search.tol, cap / 2), cap, search.tol)
-        hit_cap = False
+    r_star, hit_cap, evaluations = _largest_radius(witness, sphere, cap, search.tol, search.seed)
     return EstimateReport(
         value=r_star,
         radius=r_star,
@@ -475,9 +496,12 @@ def squeezing_lower_from_embedding(
     )
 
 
+# bisection tolerance of largest_centered_polydisc, whose cap is 1 - tol
+POLYRADIUS_TOL = 1e-7
+
+
 def largest_centered_polydisc(
     witness: EmbeddingWitness,
-    tol: float = 1e-7,
     samples: int = 512,
     seed: int = 7,
 ) -> float:
@@ -489,11 +513,6 @@ def largest_centered_polydisc(
     """
     if not isinstance(witness.source, Ball) or not isinstance(witness.target, Polydisc):
         raise WitnessValidationError("witness must map a ball into a polydisc")
-    witness.validate(seed=seed)
     n = witness.target.dim
-
-    def inside(c: float) -> bool:
-        rng = np.random.default_rng(seed)
-        return bool(witness.image_contains(metrics.polydisc_sphere_sample(n, c, samples, rng)).all())
-
-    return _bisect_largest(inside, tol, 1.0 - tol, tol)
+    sphere = lambda c, rng: metrics.polydisc_sphere_sample(n, c, samples, rng)
+    return _largest_radius(witness, sphere, 1.0 - POLYRADIUS_TOL, POLYRADIUS_TOL, seed)[0]

@@ -101,6 +101,3 @@ class Chain:
         for step in reversed(self.steps):
             w = step.unapply(w)
         return w
-
-    def __call__(self, z: complex) -> complex:
-        return self.apply(z)

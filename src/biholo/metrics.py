@@ -127,9 +127,9 @@ def siegel_equivalent(d: WeightedModel) -> bool:
     return set(got) == expected and all(abs(c - 1.0) < 1e-14 for c in got.values())
 
 
-# the uniformization of SlitDisc(), built once at import and unvalidated:
-# the tests validate build_slit_map(0.5)
-_SLIT_MAP = covering.build_slit_map(0.5, validate=False)
+# the uniformization of SlitDisc(), built once at import; any basepoint
+# serves, since the disc distance is invariant under disc automorphisms
+_SLIT_MAP = covering.build_slit_map(0.5)
 
 
 def kobayashi_distance(
@@ -143,10 +143,11 @@ def kobayashi_distance(
     q = as_point(q, d.dim)
     if not contains(d, p) or not contains(d, q):
         raise ValueError("both points must lie in the domain")
+    if isinstance(d, Polydisc) or isinstance(d, Ball) and d.dim == 1:
+        # Ball(1) is the disc: its form keeps 1 - |a|^2 as (1 - |a|)(1 + |a|)
+        return max(disc_distance(a, b, mode) for a, b in zip(p, q))
     if isinstance(d, Ball):
         return ball_distance(p, q, mode)
-    if isinstance(d, Polydisc):
-        return max(disc_distance(a, b, mode) for a, b in zip(p, q))
     if isinstance(d, UpperHalfPlane):
         return halfplane_distance(p[0], q[0], mode)
     if isinstance(d, HalfPlaneC):
@@ -154,7 +155,7 @@ def kobayashi_distance(
     if isinstance(d, PuncturedDisc):
         return covering.punctured_distance(p[0], q[0], mode)
     if isinstance(d, SlitDisc):
-        return disc_distance(_SLIT_MAP.inverse(p[0]), _SLIT_MAP.inverse(q[0]), mode)
+        return disc_distance(_SLIT_MAP.unapply(p[0]), _SLIT_MAP.unapply(q[0]), mode)
     if isinstance(d, Siegel):
         return ball_distance(siegel_to_ball(p), siegel_to_ball(q), mode)
     if isinstance(d, WeightedModel):

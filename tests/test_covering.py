@@ -1,6 +1,7 @@
 """Tests for the punctured-disc cover, its closed forms and the slit map."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from biholo.covering import (
     TWO_PI,
     DeckRangeWarning,
-    SlitMapError,
     build_slit_map,
     circle_supremum,
     deck_minimum,
@@ -25,7 +25,7 @@ from biholo.covering import (
 )
 from biholo.domains import SlitDisc, contains
 from biholo.hyperbolic import MetricMode, disc_distance
-from biholo.invariants import slit_embedding_of_disc
+from biholo.invariants import WitnessValidationError, slit_embedding_of_disc
 from biholo.maps import PrincipalSqrt, Square
 
 P_UNIT = math.exp(-math.pi)  # the modulus with -pi / log p = 1
@@ -206,6 +206,17 @@ class TestCircleSupremum:
         """The supremum closed form is exactly twice the slit distance."""
         assert abs(circle_supremum(p) - 2.0 * slit_distance(p)) <= 1e-12
 
+    def test_relative_accuracy_against_mpmath(self):
+        """Within 1e-15 relative of ``2 asinh(-pi / log p)`` at 50 digits,
+        down to subnormal moduli, where the ``log(2 x^2 + 1 + ...)`` form
+        was 2.3e-14 off."""
+        mpmath = pytest.importorskip("mpmath", reason="the 50-digit reference needs mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        for p in np.geomspace(1e-320, 0.999, 2_000).tolist() + [4.4e-323]:
+            ref = 2 * mp.asinh(-mp.pi / mp.log(mp.mpf(p)))
+            assert abs(mp.mpf(circle_supremum(p)) - ref) <= 1e-15 * ref, (p, circle_supremum(p), ref)
+
     def test_grid_supremum_oracle(self):
         for p in (P_UNIT, 0.5):
             sup, argmax = grid_circle_supremum(p, 1_000_000)
@@ -230,23 +241,25 @@ class TestCircleSupremum:
 
 class TestSlitMap:
     def test_normalization(self):
-        m = build_slit_map(0.9)
-        assert abs(m(0j) - 0.9) <= 1e-10
+        chain = build_slit_map(0.9)
+        assert abs(chain.apply(0j) - 0.9) <= 1e-10
 
     def test_round_trip(self):
-        m = build_slit_map(0.3)
+        chain = build_slit_map(0.3)
         rng = np.random.default_rng(12)
         for _ in range(500):
             z = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
-            assert abs(m.inverse(m(z)) - z) <= 1e-10
+            assert abs(chain.unapply(chain.apply(z)) - z) <= 1e-10
 
     def test_boundary_approaching_images_stay_in_slit_disc(self):
-        m = build_slit_map(0.5)
+        """The near-boundary coverage of the slit map: ``validate`` samples
+        the disc uniformly, so it rarely comes this close to the circle."""
+        chain = build_slit_map(0.5)
         rng = np.random.default_rng(13)
         slit = SlitDisc()
         radii = 1.0 - np.geomspace(1e-5, 0.5, 10_000)
         for r, t in zip(radii, rng.uniform(0.0, TWO_PI, radii.size)):
-            w = m(complex(r * math.cos(t), r * math.sin(t)))
+            w = chain.apply(complex(r * math.cos(t), r * math.sin(t)))
             assert contains(slit, w)
 
     def test_image_contains_no_centred_circle(self):
@@ -266,7 +279,7 @@ class TestSlitMap:
         two paths through the chain agree to 1e-12 relative, not bit for bit.
         Radii stay in [0.1, 0.99]: images next to the slit tip and preimages
         next to 0 lose digits to cancellation in either path."""
-        chain = build_slit_map(p).chain
+        chain = build_slit_map(p)
         rng = np.random.default_rng(14)
         r = 1.0 - np.geomspace(1e-2, 0.9, 20_000)
         z = (r * np.exp(1j * rng.uniform(0.0, TWO_PI, r.size)))[:, None]
@@ -289,12 +302,9 @@ class TestSlitMap:
             assert rows.tobytes() == scalar.tobytes()
 
     def test_validation_catches_broken_normalization(self):
-        m = build_slit_map(0.4)
-        broken = type(m)(target=0.7, chain=m.chain)
-        from biholo.covering import _validate_slit_map
-
-        with pytest.raises(SlitMapError, match="normalization"):
-            _validate_slit_map(broken, samples=100, seed=0)
+        broken = dataclasses.replace(slit_embedding_of_disc(0.4), target_basepoint=(0.7 + 0j,))
+        with pytest.raises(WitnessValidationError, match="normalization"):
+            broken.validate(samples=100)
 
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):

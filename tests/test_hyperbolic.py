@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from biholo.hyperbolic import (
     MetricMode,
-    cayley_disc_to_halfplane,
-    cayley_halfplane_to_disc,
     disc_distance,
     halfplane_distance,
     halfplane_distance_acosh,
     halfplane_metric_circle,
     vertical_line_distance,
 )
+from biholo.maps import Mobius
 
 halfplane_points = st.builds(
     complex,
@@ -195,22 +194,24 @@ class TestDiscDistance:
 class TestCayley:
     """Tests for the disc <-> half-plane equivalence."""
 
+    cayley = Mobius.cayley_disc_to_halfplane()
+
     def test_origin_goes_to_i(self):
-        assert cayley_disc_to_halfplane(0j) == 1j
+        assert self.cayley.apply(0j) == 1j
 
     def test_round_trip(self):
         z = 0.5 + 0.1j
-        assert abs(cayley_halfplane_to_disc(cayley_disc_to_halfplane(z)) - z) <= 1e-12
+        assert abs(self.cayley.unapply(self.cayley.apply(z)) - z) <= 1e-12
 
     @given(a=disc_points, b=disc_points)
     @settings(max_examples=300)
     def test_isometry_within_a_mode(self, a, b):
-        dh = halfplane_distance(cayley_disc_to_halfplane(a), cayley_disc_to_halfplane(b))
+        dh = halfplane_distance(self.cayley.apply(a), self.cayley.apply(b))
         assert dh == pytest.approx(disc_distance(a, b), abs=1e-11)
 
     def test_specific_isometry_value(self):
         assert halfplane_distance(
-            cayley_disc_to_halfplane(0j), cayley_disc_to_halfplane(0.5 + 0j)
+            self.cayley.apply(0j), self.cayley.apply(0.5 + 0j)
         ) == pytest.approx(disc_distance(0j, 0.5 + 0j), abs=1e-12)
 
 

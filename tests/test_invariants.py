@@ -290,6 +290,22 @@ class TestWitnessValidation:
         with pytest.raises(WitnessValidationError, match="escaped"):
             bad.validate(samples=500)
 
+    def test_leaving_the_declared_image_is_caught(self):
+        """Images inside the target but outside the stricter declared image
+        domain are rejected: ``z -> (z - 2)/4`` sends the basepoint onto the
+        slit, which the punctured disc contains and the slit disc does not."""
+        bad = EmbeddingWitness(
+            source=Ball(1),
+            target=PuncturedDisc(),
+            forward=lambda z: (z - 2.0) / 4.0,
+            inverse=lambda w: 4.0 * w + 2.0,
+            source_basepoint=(0j,),
+            target_basepoint=(-0.5 + 0j,),
+            description="shrunk disc across the slit",
+            image_domain=SlitDisc(),
+        )
+        with pytest.raises(WitnessValidationError, match="escaped the slit"):
+            bad.validate(samples=500)
 
     def test_non_finite_row_raises(self):
         sphere = sample_metric_sphere(Polydisc(2), (0j, 0j), 0.5, 64, np.random.default_rng(0))

@@ -116,6 +116,23 @@ class TestDispatcher:
 
         assert d == pytest.approx(deck_minimum(0.3, 1.0), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [(1 - 1e-9, -(1 - 1e-9)), (1 - 1e-12, complex(0.0, 1 - 1e-12)), (0.999999, 0.9999991j)],
+        ids=["antipodal-1e-9", "quarter-turn-1e-12", "near-the-circle"],
+    )
+    def test_unit_ball_is_the_disc(self, a, b):
+        """Ball(1) takes the disc form, bit for bit: near the circle the
+        ball form is up to 2.3e-11 relative off the 60-digit reference."""
+        d = kobayashi_distance(Ball(1), a, b)
+        assert d == disc_distance(a, b)
+        mpmath = pytest.importorskip("mpmath", reason="the 60-digit reference needs mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 60
+        za, zb = mp.mpc(a), mp.mpc(b)
+        ref = 2 * mp.atanh(abs(za - zb) / abs(1 - mp.conj(za) * zb))
+        assert abs(mp.mpf(d) - ref) <= 1e-15 * ref, (d, ref)
+
     def test_slit_disc_distance_exceeds_disc_distance(self):
         d_slit = kobayashi_distance(SlitDisc(), 0.5, 0.5j)
         assert d_slit > disc_distance(0.5, 0.5j)
