@@ -48,7 +48,7 @@ from .covering import (
     punctured_distance,
     slit_distance,
 )
-from .metrics import kobayashi_distance
+from .metrics import kobayashi_distance, kobayashi_distance_rows
 from .invariants import (
     BoundEstimate,
     EmbeddingWitness,

@@ -82,27 +82,42 @@ def halfplane_distance_acosh(z: complex, w: complex, mode: MetricMode = MetricMo
     """Independent acosh form of the half-plane distance: the oracle that
     :func:`halfplane_distance` is checked against, not a fallback for it.
 
-    Evaluates ``arccosh(1 + |z - w|^2 / (2 Im z Im w))`` through log1p.
+    Evaluates ``arccosh(1 + s)`` through log1p, with
+    ``s = (|z - w| / (sqrt(2 Im z) sqrt(Im w)))^2 = |z - w|^2 / (2 Im z Im w)``:
+    the ratio is formed before it is squared, so ``s`` neither underflows
+    nor overflows at very small or very large coordinates.
     """
     z = _require_halfplane(z)
     w = _require_halfplane(w)
-    s = abs(z - w) ** 2 / (2.0 * z.imag * w.imag)
+    s = (abs(z - w) / (math.sqrt(2.0 * z.imag) * math.sqrt(w.imag))) ** 2
     return mode.scale * math.log1p(s + math.sqrt(s * (s + 2.0)))
 
 
-def disc_distance(a: complex, b: complex, mode: MetricMode = MetricMode.POINCARE) -> float:
+def disc_distance(a: complex, b, mode: MetricMode = MetricMode.POINCARE):
     """Mobius-invariant distance on the unit disc.
 
     ``d(0, s) = artanh(s)`` in KOBAYASHI mode and twice that in POINCARE
     mode.  Evaluated as ``2 asinh(|a - b| / sqrt((1 - |a|^2)(1 - |b|^2)))``
     with ``1 - |a|^2 = (1 - |a|)(1 + |a|)``: no subtraction of nearly equal
     quantities for nearly equal points or for points near the circle.
+
+    ``b`` may be a complex array, such as a column of rows: the result is
+    then the array of the distances from ``a`` to each entry, by the same
+    formula in numpy.
     """
     a = _require_disc(a)
-    b = _require_disc(b)
-    ra, rb = abs(a), abs(b)
-    s = abs(a - b) / math.sqrt((1.0 - ra) * (1.0 + ra) * (1.0 - rb) * (1.0 + rb))
-    return 2.0 * mode.scale * math.asinh(s)
+    if isinstance(b, np.ndarray):
+        rb = np.abs(b)
+        if not (rb < 1.0).all():
+            raise ValueError("every point must lie in the open unit disc")
+        sqrt, asinh = np.sqrt, np.arcsinh
+    else:
+        b = _require_disc(b)
+        rb = abs(b)
+        sqrt, asinh = math.sqrt, math.asinh
+    ra = abs(a)
+    s = abs(a - b) / sqrt((1.0 - ra) * (1.0 + ra) * (1.0 - rb) * (1.0 + rb))
+    return 2.0 * mode.scale * asinh(s)
 
 
 def vertical_line_distance(z: complex, c: float, mode: MetricMode = MetricMode.POINCARE) -> float:

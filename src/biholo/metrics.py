@@ -5,7 +5,9 @@ disc), the polydisc (max of coordinate distances), the half-planes, the
 punctured disc through its cover, the slit disc through its
 uniformization, and the unbounded realization of the ball through a Cayley
 transform.  Weighted models other than that realization have no computable
-distance and raise :class:`UnsupportedDomainError`.
+distance and raise :class:`UnsupportedDomainError`.  The ball and the Siegel
+domain also have a row form, :func:`kobayashi_distance_rows`, for the
+scaling checks, which measure many distances from one basepoint.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from .domains import (
     WeightedModel,
     _coordinates,
     as_point,
+    as_rows,
     contains,
+    contains_rows,
     random_unit_vectors,
 )
 from .hyperbolic import (
@@ -46,13 +50,14 @@ __all__ = [
     "ball_to_siegel",
     "siegel_equivalent",
     "kobayashi_distance",
+    "kobayashi_distance_rows",
     "polydisc_sphere_sample",
     "sample_metric_sphere",
     "sample_metric_ball",
 ]
 
 
-def ball_distance(a, b, mode: MetricMode = MetricMode.POINCARE) -> float:
+def ball_distance(a, b, mode: MetricMode = MetricMode.POINCARE):
     """Kobayashi distance on the unit ball of C^n.
 
     ``d(0, z) = artanh |z|`` in KOBAYASHI mode.  With ``e = b - a``, the
@@ -60,18 +65,22 @@ def ball_distance(a, b, mode: MetricMode = MetricMode.POINCARE) -> float:
     ``sinh^2(d/2) = (|e|^2 (1 - |a|^2) + |<e, a>|^2) / ((1 - |a|^2)(1 - |b|^2))``
     in POINCARE mode: a sum of nonnegative terms, so nearly equal points
     lose no digits.
+
+    ``b`` is a point or the columns of rows; for rows the result is one
+    distance from ``a`` per row, by the same formula in numpy.
     """
     a = as_point(a)
-    b = as_point(b, len(a))
+    b = _coordinates(b, len(a))
     na = sum(abs(c) ** 2 for c in a)
     nb = sum(abs(c) ** 2 for c in b)
-    if na >= 1.0 or nb >= 1.0:
+    rows = isinstance(nb, np.ndarray)
+    if not na < 1.0 or not ((nb < 1.0).all() if rows else nb < 1.0):
         raise ValueError("both points must lie in the open unit ball")
     e = [y - x for x, y in zip(a, b)]
     ne = sum(abs(c) ** 2 for c in e)
     inner = sum(x * y.conjugate() for x, y in zip(e, a))
     s2 = (ne * (1.0 - na) + abs(inner) ** 2) / ((1.0 - na) * (1.0 - nb))
-    return 2.0 * mode.scale * math.asinh(math.sqrt(s2))
+    return 2.0 * mode.scale * (np.arcsinh(np.sqrt(s2)) if rows else math.asinh(math.sqrt(s2)))
 
 
 def ball_automorphism(a) -> "callable":
@@ -165,6 +174,32 @@ def kobayashi_distance(
             "no computable Kobayashi distance for a general weighted model"
         )
     raise UnsupportedDomainError(f"unknown domain {d!r}")
+
+
+def kobayashi_distance_rows(
+    d: ModelDomain,
+    p,
+    rows,
+    mode: MetricMode = MetricMode.POINCARE,
+) -> np.ndarray:
+    """:func:`kobayashi_distance` from the point ``p`` to every row of
+    ``rows`` (shape ``[m, dim]``): one distance per row, by the same closed
+    form in numpy.
+
+    The ball (through the disc form at n = 1) and the Siegel domain have a
+    row form; every other variant raises :class:`UnsupportedDomainError`.
+    """
+    p = as_point(p, d.dim)
+    rows = as_rows(rows, d.dim)
+    if not contains(d, p) or not contains_rows(d, rows).all():
+        raise ValueError("the center and every row must lie in the domain")
+    if isinstance(d, Ball) and d.dim == 1:
+        return disc_distance(p[0], rows[:, 0], mode)
+    if isinstance(d, Ball):
+        return ball_distance(p, rows.T, mode)
+    if isinstance(d, Siegel):
+        return ball_distance(siegel_to_ball(p), siegel_to_ball(rows.T), mode)
+    raise UnsupportedDomainError(f"no row form of the Kobayashi distance on {d!r}")
 
 
 # ---------------------------------------------------------------------------

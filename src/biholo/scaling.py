@@ -44,7 +44,7 @@ from .domains import (
 )
 from .hyperbolic import MetricMode, disc_distance
 from .metrics import (
-    kobayashi_distance,
+    kobayashi_distance_rows,
     sample_metric_ball,
     siegel_equivalent,
 )
@@ -122,11 +122,13 @@ class PlanarDefiningFunction:
     the Kobayashi distance of the domain ``f(a, b, mode)`` where one is known.
 
     ``func`` is evaluated on a complex number and on a complex array (a
-    column of rows), so its formula must serve both, as the disc's does."""
+    column of rows), so its formula must serve both, as the disc's does.
+    ``distance`` likewise takes a complex array as its second argument and
+    returns one distance per entry, as :func:`disc_distance` does."""
 
     func: Callable[[complex], float]
     dz: Callable[[complex], complex]
-    distance: Callable[[complex, complex, MetricMode], float] | None = None
+    distance: Callable[[complex, np.ndarray, MetricMode], np.ndarray] | None = None
 
     def __call__(self, z: complex) -> float:
         return float(self.func(complex(z)))
@@ -182,9 +184,11 @@ class AnisotropicDilation:
 class ScaledFamily:
     """A boundary approach together with its dilations and limit domain.
 
-    ``defining(z)`` is the defining function of the domain before scaling,
-    and ``distance(index, u, v, mode)`` the Kobayashi distance of the
-    rescaled domain ``D_j``, or None where no closed form is known.
+    ``defining(z)`` is the defining function of the domain before scaling.
+    ``distance(index, u, rows, mode)`` is the Kobayashi distance of the
+    rescaled domain ``D_j`` from the point ``u`` to every row of ``rows``
+    (shape ``[m, n]``), one distance per row, or None where no closed form
+    is known.
     """
 
     approach: BoundaryApproach
@@ -192,7 +196,7 @@ class ScaledFamily:
     limit: ModelDomain
     basepoint: Point  # normalized image of the approach points
     defining: Callable[[Point], float]
-    distance: Callable[[int, Point, Point, MetricMode], float] | None
+    distance: Callable[[int, Point, np.ndarray, MetricMode], np.ndarray] | None
 
     def __len__(self) -> int:
         return len(self.dilations)
@@ -223,9 +227,9 @@ def make_isotropic(rho: PlanarDefiningFunction, approach: BoundaryApproach) -> S
         dilations.append(IsotropicDilation(center=p[0], scale=-value))
     distance = None
     if rho.distance is not None:
-        def distance(index: int, u: Point, v: Point, mode: MetricMode) -> float:
+        def distance(index: int, u: Point, rows: np.ndarray, mode: MetricMode) -> np.ndarray:
             dil = dilations[index]
-            return rho.distance(dil.inverse(u)[0], dil.inverse(v)[0], mode)
+            return rho.distance(dil.inverse(u)[0], dil.inverse(rows.T)[0], mode)
 
     return ScaledFamily(
         approach=approach,
@@ -276,8 +280,8 @@ def make_anisotropic(
 
         if isinstance(limit, Siegel):
             # weight-one invariance makes every scaled domain the limit itself
-            def distance(index: int, u: Point, v: Point, mode: MetricMode) -> float:
-                return kobayashi_distance(limit, u, v, mode)
+            def distance(index: int, u: Point, rows: np.ndarray, mode: MetricMode) -> np.ndarray:
+                return kobayashi_distance_rows(limit, u, rows, mode)
     else:
         remainder, rate = tangential_modulus_remainder(remainder_exponents, multitype)
         if not rate > 0:
@@ -445,8 +449,9 @@ def ball_inclusion_check(
 
     Samples the limit-domain ball and verifies each sample lies in the
     scaled domain within distance R of the basepoint; reports the first
-    index ``j0`` from which every later step passes.  Membership is tested
-    on rows; distances are taken for the samples inside, in sample order.
+    index ``j0`` from which every later step passes.  Each step tests
+    membership on rows and takes the distances of the samples inside in one
+    call of ``family.distance``.
     """
     if not 0.0 <= eps < radius < math.inf:
         raise ValueError(f"need 0 <= eps < radius < inf, got eps={eps} and radius={radius}")
@@ -459,10 +464,7 @@ def ball_inclusion_check(
     rows = []
     for idx, (j, delta) in enumerate(zip(family.approach.js, family.approach.deltas)):
         inside = family.scaled_defining(idx, pts.T) < 0.0
-        worst = max(
-            (family.distance(idx, family.basepoint, q, mode) for q in pts[inside].tolist()),
-            default=0.0,
-        )
+        worst = float(family.distance(idx, family.basepoint, pts[inside], mode).max()) if inside.any() else 0.0
         rows.append(BallInclusionRow(j, delta, bool(inside.all()) and worst <= radius, worst))
     j0 = None
     for k in range(len(rows)):

@@ -54,6 +54,19 @@ class TestHalfplaneDistance:
         """The asinh form equals arccosh(1 + |z-w|^2/(2 Im z Im w))."""
         assert abs(halfplane_distance(z, w) - halfplane_distance_acosh(z, w)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "z, w, expected",
+        [(1e-170j, 2e-170j, math.log(2.0)), (1e200j, 1e200 + 1e200j, 0.9624236501192069)],
+        ids=["underflow", "overflow"],
+    )
+    def test_acosh_oracle_is_scale_invariant(self, z, w, expected):
+        """The oracle forms its ratio before squaring it, so ``Im z Im w``
+        cannot underflow to 0 nor ``|z - w|^2`` overflow: at these scales it
+        raised ZeroDivisionError and OverflowError."""
+        d = halfplane_distance(z, w)
+        assert d == pytest.approx(expected, rel=1e-15)
+        assert halfplane_distance_acosh(z, w) == pytest.approx(d, rel=1e-15)
+
     @given(z=halfplane_points, w=halfplane_points)
     @settings(max_examples=300)
     def test_mode_factor_is_exactly_two(self, z, w):
@@ -155,6 +168,11 @@ class TestDiscDistance:
     def test_rejects_outside(self):
         with pytest.raises(ValueError):
             disc_distance(1.2, 0.0)
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5j, complex("nan")], ids=["circle", "outside", "nan"])
+    def test_array_rejects_a_point_off_the_disc(self, bad):
+        with pytest.raises(ValueError, match="open unit disc"):
+            disc_distance(0j, np.array([0.5, bad, 0.1j]))
 
     @given(a=disc_points, b=disc_points)
     @settings(max_examples=300)

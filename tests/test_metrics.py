@@ -19,6 +19,7 @@ from biholo.domains import (
     WeightedModel,
     modulus_power,
     random_unit_vectors,
+    sample_rows,
 )
 from biholo.hyperbolic import MetricMode, disc_distance, halfplane_distance, halfplane_metric_circle
 from biholo.metrics import (
@@ -26,6 +27,7 @@ from biholo.metrics import (
     ball_distance,
     ball_to_siegel,
     kobayashi_distance,
+    kobayashi_distance_rows,
     sample_metric_ball,
     sample_metric_sphere,
     siegel_equivalent,
@@ -168,6 +170,48 @@ class TestDispatcher:
     def test_rejects_exterior_points(self):
         with pytest.raises(ValueError):
             kobayashi_distance(Ball(1), 0.2, 1.5)
+
+
+class TestKobayashiDistanceRows:
+    @pytest.mark.parametrize("domain", [Ball(1), Ball(2), Siegel(2)], ids=lambda d: d.label)
+    @pytest.mark.parametrize("mode", list(MetricMode))
+    def test_rows_match_points(self, domain, mode):
+        """Row by row the scalar distance to 16 ulp: numpy's ``arcsinh`` and
+        complex ``abs`` and division may differ from Python's by an ulp, and
+        the two roundings reached 6, 5 and 11 ulp on 20,000 rows of
+        ``Ball(1)``, ``Ball(2)`` and ``Siegel(2)``.  The points are drawn in
+        the ball of radius 0.9 (on the Siegel domain, its image under the
+        Cayley transform), since near the sphere the factor ``1 - |b|^2``
+        magnifies an ulp, in either form."""
+        rng = np.random.default_rng(11)
+        n = domain.dim
+        p, rows = 0.5 * sample_rows(Ball(n), rng, 1)[0], 0.9 * sample_rows(Ball(n), rng, 300)
+        if isinstance(domain, Siegel):
+            p, rows = ball_to_siegel(p), np.column_stack(ball_to_siegel(rows.T))
+        d = kobayashi_distance_rows(domain, p, rows, mode)
+        assert d.shape == (300,)
+        for x, q in zip(d.tolist(), rows.tolist()):
+            ref = kobayashi_distance(domain, p, q, mode)
+            assert abs(x - ref) <= 16 * math.ulp(ref)
+
+    @pytest.mark.parametrize(
+        "domain, p, rows",
+        [
+            (Ball(1), (0.2,), [(0.1,), (1.5,)]),
+            (Ball(2), (0j, 0.1), [(0j, 0.1), (complex("nan"), 0j)]),
+            (Siegel(2), (0j, -1.0), [(0j, -1.0), (0j, 1.0)]),
+            (Ball(2), (0.9, 0.9), [(0j, 0j), (0.1, 0.1j)]),
+        ],
+        ids=["row-outside", "nan-row", "siegel-row-outside", "center-outside"],
+    )
+    def test_points_off_the_domain_raise(self, domain, p, rows):
+        with pytest.raises(ValueError):
+            kobayashi_distance_rows(domain, p, np.array(rows, dtype=complex))
+
+    def test_variants_without_a_row_form_raise(self):
+        rows = np.array([[0.5], [0.2j]])
+        with pytest.raises(UnsupportedDomainError):
+            kobayashi_distance_rows(PuncturedDisc(), 0.3, rows)
 
 
 class TestSphereSampling:
