@@ -13,9 +13,12 @@ through the point.
 Everything else is an estimator: both invariants quantify over *all*
 embeddings, so a single witness embedding only ever certifies one side.
 Every estimator validates its witness and then bisects on the largest
-radius whose sphere sample stays inside the witness image; it returns that
-radius together with the sampling metadata that makes the bound
-reproducible.
+radius whose sphere sample stays inside the witness image.  The sample is
+drawn once per search, from the search's seed, and rescaled to each radius
+tested.  The estimator returns that radius together with the sampling
+metadata that makes the bound reproducible, and its trace: every radius
+tested with its outcome, and the sample row that escaped the image at the
+last radius that failed.
 """
 
 from __future__ import annotations
@@ -107,9 +110,11 @@ class EmbeddingWitness:
             z = self.inverse(w)
             err = np.abs(self.forward(z) - w).max(axis=1)
         inside = np.isfinite(z).all(axis=1) & (err <= tol * (1.0 + np.abs(w).max(axis=1)))
+        # w passed as_rows and the kept rows of z are finite: evaluate the
+        # defining functions directly, with no second finiteness check
         if self.image_domain is not None:
-            inside &= contains_rows(self.image_domain, w)
-        inside[inside] = contains_rows(self.source, z[inside])
+            inside &= self.image_domain.defining(w.T) < 0.0
+        inside[inside] = self.source.defining(z[inside].T) < 0.0
         return inside
 
     def validate(self, samples: int = 10_000, seed: int = 0) -> None:
@@ -349,10 +354,12 @@ class RadiusSearch:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """One-sided invariant estimate with its sampling metadata.
+    """One-sided invariant estimate with its sampling metadata and trace.
 
     ``evaluations`` counts the sphere tests made, the probe at the cap
-    included.
+    included; ``steps`` holds each test in order as ``(radius, inside)``.
+    ``escape`` is the first sample row outside the witness image at the
+    last radius that failed, or ``None`` when the cap held.
     """
 
     value: float
@@ -363,32 +370,50 @@ class EstimateReport:
     mode: str | None
     witness: str
     evaluations: int
+    steps: tuple[tuple[float, bool], ...]
+    escape: Point | None
+
+
+@dataclass(frozen=True)
+class _Search:
+    radius: float
+    hit_cap: bool
+    steps: tuple[tuple[float, bool], ...]
+    escape: Point | None
 
 
 def _largest_radius(
     witness: EmbeddingWitness,
-    sphere: Callable[[float, np.random.Generator], np.ndarray],
+    draw: Callable[[np.random.Generator], metrics.Sphere],
     cap: float,
     tol: float,
     seed: int,
-) -> tuple[float, bool, int]:
-    """Largest radius r in (0, cap] whose sphere sample ``sphere(r, rng)``
-    lies in the witness image, up to ``tol``.
+) -> _Search:
+    """Largest radius r in (0, cap] whose sphere sample lies in the witness
+    image, up to ``tol``.
 
-    Validates the witness, then tests the cap and, if it fails, bisects
-    from ``min(tol, cap / 2)``, with a generator seeded by ``seed`` at
-    every test.  Returns ``(r, hit_cap, tests made)``.
+    Validates the witness, then draws the sample once, ``sphere =
+    draw(default_rng(seed))``, and evaluates ``sphere(r)`` at every radius
+    tested: the cap and, if it fails, a bisection from ``min(tol, cap / 2)``.
+    Every radius is thus tested on the same sample, rescaled.
     """
     witness.validate(seed=seed)
-    evaluations = 0
+    sphere = draw(np.random.default_rng(seed))
+    steps = []
+    escape = None
 
     def inside(r: float) -> bool:
-        nonlocal evaluations
-        evaluations += 1
-        return bool(witness.image_contains(sphere(r, np.random.default_rng(seed))).all())
+        nonlocal escape
+        rows = sphere(r)
+        kept = witness.image_contains(rows)
+        ok = bool(kept.all())
+        steps.append((r, ok))
+        if not ok:
+            escape = tuple(rows[int(np.argmin(kept))].tolist())
+        return ok
 
     if inside(cap):
-        return cap, True, evaluations
+        return _Search(cap, True, tuple(steps), escape)
     lo, hi = min(tol, cap / 2), cap
     if not inside(lo):
         raise WitnessValidationError(
@@ -400,7 +425,24 @@ def _largest_radius(
             lo = mid
         else:
             hi = mid
-    return lo, False, evaluations
+    return _Search(lo, False, tuple(steps), escape)
+
+
+def _report(
+    found: _Search, value: float, search: RadiusSearch, mode: str | None, witness: EmbeddingWitness
+) -> EstimateReport:
+    return EstimateReport(
+        value=value,
+        radius=found.radius,
+        hit_cap=found.hit_cap,
+        samples=search.samples,
+        tol=search.tol,
+        mode=mode,
+        witness=witness.description,
+        evaluations=len(found.steps),
+        steps=found.steps,
+        escape=found.escape,
+    )
 
 
 def fridman_upper_from_embedding(
@@ -423,18 +465,9 @@ def fridman_upper_from_embedding(
     base_err = max(abs(u - v) for u, v in zip(witness.target_basepoint, p))
     if base_err > 1e-10:
         raise WitnessValidationError("witness does not send its basepoint to the given point")
-    sphere = lambda r, rng: metrics.sample_metric_sphere(d, p, r, search.samples, rng, mode)
-    r_star, hit_cap, evaluations = _largest_radius(witness, sphere, search.r_max, search.tol, search.seed)
-    return EstimateReport(
-        value=1.0 / r_star,
-        radius=r_star,
-        hit_cap=hit_cap,
-        samples=search.samples,
-        tol=search.tol,
-        mode=mode.value,
-        witness=witness.description,
-        evaluations=evaluations,
-    )
+    draw = lambda rng: metrics.metric_sphere(d, p, search.samples, rng, mode)
+    found = _largest_radius(witness, draw, search.r_max, search.tol, search.seed)
+    return _report(found, 1.0 / found.radius, search, mode.value, witness)
 
 
 def squeezing_exact(d: ModelDomain, p=None) -> float:
@@ -451,13 +484,20 @@ def squeezing_exact(d: ModelDomain, p=None) -> float:
     return _EXACT[type(d)](d)[1]
 
 
-def _euclidean_sphere(n: int, r: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Rows on the euclidean sphere of radius r: the 4n points r * phase * e_k
-    with phase in (1, i, -1, -i), then ``count`` random ones."""
+def _euclidean_spheres(n: int, count: int, rng: np.random.Generator) -> metrics.Sphere:
+    """The centred euclidean spheres of one sample, as a function from the
+    radius r to rows: the 4n points r * phase * e_k with phase in
+    (1, i, -1, -i), then ``count`` random ones, drawn from ``rng`` once."""
     axes = np.zeros((n, 4, n), dtype=complex)
     for k in range(n):
-        axes[k, :, k] = [r * phase for phase in (1.0, 1j, -1.0, -1j)]
-    return np.concatenate([axes.reshape(4 * n, n), r * random_unit_vectors(n, count, rng)])
+        axes[k, :, k] = (1.0, 1j, -1.0, -1j)
+    unit = np.concatenate([axes.reshape(4 * n, n), random_unit_vectors(n, count, rng)])
+    return lambda r: r * unit
+
+
+def _euclidean_sphere(n: int, r: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """:func:`_euclidean_spheres` at one radius, as rows."""
+    return _euclidean_spheres(n, count, rng)(r)
 
 
 def squeezing_lower_from_embedding(
@@ -481,19 +521,9 @@ def squeezing_lower_from_embedding(
     if max(abs(c) for c in witness.target_basepoint) > 1e-10:
         raise WitnessValidationError("witness must normalize the basepoint to the origin")
     n = witness.target.dim
-    sphere = lambda r, rng: _euclidean_sphere(n, r, search.samples, rng)
-    cap = min(search.r_max, 1.0)
-    r_star, hit_cap, evaluations = _largest_radius(witness, sphere, cap, search.tol, search.seed)
-    return EstimateReport(
-        value=r_star,
-        radius=r_star,
-        hit_cap=hit_cap,
-        samples=search.samples,
-        tol=search.tol,
-        mode=None,
-        witness=witness.description,
-        evaluations=evaluations,
-    )
+    draw = lambda rng: _euclidean_spheres(n, search.samples, rng)
+    found = _largest_radius(witness, draw, min(search.r_max, 1.0), search.tol, search.seed)
+    return _report(found, found.radius, search, None, witness)
 
 
 # bisection tolerance of largest_centered_polydisc, whose cap is 1 - tol
@@ -514,5 +544,5 @@ def largest_centered_polydisc(
     if not isinstance(witness.source, Ball) or not isinstance(witness.target, Polydisc):
         raise WitnessValidationError("witness must map a ball into a polydisc")
     n = witness.target.dim
-    sphere = lambda c, rng: metrics.polydisc_sphere_sample(n, c, samples, rng)
-    return _largest_radius(witness, sphere, 1.0 - POLYRADIUS_TOL, POLYRADIUS_TOL, seed)[0]
+    draw = lambda rng: metrics.polydisc_sphere(n, samples, rng)
+    return _largest_radius(witness, draw, 1.0 - POLYRADIUS_TOL, POLYRADIUS_TOL, seed).radius

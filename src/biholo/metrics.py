@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -51,7 +52,9 @@ __all__ = [
     "siegel_equivalent",
     "kobayashi_distance",
     "kobayashi_distance_rows",
+    "polydisc_sphere",
     "polydisc_sphere_sample",
+    "metric_sphere",
     "sample_metric_sphere",
     "sample_metric_ball",
 ]
@@ -206,42 +209,123 @@ def kobayashi_distance_rows(
 # sphere sampling
 # ---------------------------------------------------------------------------
 
+# the spheres of one sample around one center: radius -> rows
+Sphere = Callable[[float], np.ndarray]
 
-def polydisc_sphere_sample(n: int, modulus: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Rows on the polydisc sphere ``max_k |z_k| = modulus``: the corner
-    first, then ``count`` random points with every coordinate at the full
-    modulus with probability 1/2 and one (random) coordinate at it surely."""
+
+def polydisc_sphere(n: int, count: int, rng: np.random.Generator) -> Sphere:
+    """The polydisc spheres ``max_k |z_k| = modulus`` of one sample, as a
+    function from the modulus to rows: the corner first, then ``count``
+    random points with every coordinate at the full modulus with probability
+    1/2 and one (random) coordinate at it surely.
+
+    The random part (the mask, the fractions of the modulus and the phases)
+    is drawn from ``rng`` here, once; each call only scales it.
+    """
     # The corner (all coordinates at the maximal modulus) realizes the
     # extreme euclidean norm on the sphere, so include it deterministically.
     full = rng.uniform(size=(count, n)) < 0.5
     full[np.arange(count), rng.integers(n, size=count)] = True
-    moduli = np.where(full, modulus, rng.uniform(0.0, modulus, size=(count, n)))
-    pts = moduli * np.exp(1j * rng.uniform(0.0, covering.TWO_PI, size=(count, n)))
-    return np.concatenate([np.full((1, n), complex(modulus)), pts])
+    # uniform(0, m) is m * uniform(0, 1), bit for bit
+    fraction = rng.uniform(size=(count, n))
+    phase = np.exp(1j * rng.uniform(0.0, covering.TWO_PI, size=(count, n)))
+
+    def sphere(modulus: float) -> np.ndarray:
+        moduli = np.where(full, modulus, modulus * fraction)
+        return np.concatenate([np.full((1, n), complex(modulus)), moduli * phase])
+
+    return sphere
 
 
-def _punctured_sphere(center: complex, radius_p: float, count: int, rng: np.random.Generator) -> np.ndarray:
+def polydisc_sphere_sample(n: int, modulus: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """:func:`polydisc_sphere` at one modulus, as rows."""
+    return polydisc_sphere(n, count, rng)(modulus)
+
+
+def _punctured_sphere(center: complex, count: int, rng: np.random.Generator) -> Sphere:
+    """The spheres of POINCARE radius ``radius_p`` around ``center`` in the
+    punctured disc, as a function of ``radius_p``: the metric circle around
+    the principal lift of ``center``, projected by ``exp(i z)``."""
     z0 = covering.principal_lift(center)
-    ecenter, eradius = halfplane_metric_circle(z0, radius_p, MetricMode.POINCARE)
     angles = np.linspace(0.0, covering.TWO_PI, count, endpoint=False) + rng.uniform(0.0, 1e-3)
-    w = ecenter + eradius * np.exp(1j * angles)
-    pts = np.exp(1j * w[np.abs(w.real - z0.real) <= math.pi])
-    extreme = []
-    # Where the circle crosses the lines Re = x0 +/- pi the projection lands
-    # exactly on the antipodal ray; those are the extreme sphere points, so
-    # add them exactly (crucially, on the negative real axis when the center
-    # is real positive).
-    if eradius > math.pi:
-        h = math.sqrt(eradius * eradius - math.pi * math.pi)
-        for y in (ecenter.imag - h, ecenter.imag + h):
-            if y <= 0:
-                continue
-            r = math.exp(-y)
-            if z0.real == 0.0:
-                extreme.append(complex(-r, 0.0))
-            else:
-                extreme.append(cmath.exp(1j * complex(z0.real + math.pi, y)))
-    return np.concatenate([pts, np.array(extreme, dtype=complex)])[:, None]
+    circle = np.exp(1j * angles)
+
+    def sphere(radius_p: float) -> np.ndarray:
+        ecenter, eradius = halfplane_metric_circle(z0, radius_p, MetricMode.POINCARE)
+        w = ecenter + eradius * circle
+        pts = np.exp(1j * w[np.abs(w.real - z0.real) <= math.pi])
+        extreme = []
+        # Where the circle crosses the lines Re = x0 +/- pi the projection lands
+        # exactly on the antipodal ray; those are the extreme sphere points, so
+        # add them exactly (crucially, on the negative real axis when the center
+        # is real positive).
+        if eradius > math.pi:
+            h = math.sqrt(eradius * eradius - math.pi * math.pi)
+            for y in (ecenter.imag - h, ecenter.imag + h):
+                if y <= 0:
+                    continue
+                r = math.exp(-y)
+                if z0.real == 0.0:
+                    extreme.append(complex(-r, 0.0))
+                else:
+                    extreme.append(cmath.exp(1j * complex(z0.real + math.pi, y)))
+        return np.concatenate([pts, np.array(extreme, dtype=complex)])[:, None]
+
+    return sphere
+
+
+def metric_sphere(
+    d: ModelDomain,
+    center,
+    count: int,
+    rng: np.random.Generator,
+    mode: MetricMode = MetricMode.POINCARE,
+) -> Sphere:
+    """The Kobayashi spheres around ``center`` of one sample, as a function
+    from the radius to rows.
+
+    The random part is drawn from ``rng`` here, once: the unit directions on
+    the ball, the mask, fractions and phases on the polydisc, the jittered
+    angles on the punctured disc (the half-plane draws nothing).  Each call
+    does only the arithmetic that depends on the radius, so a radius search
+    tests every radius on the same sample.  Samples are dense in angle and
+    include the extreme points that decide ball-containment questions
+    (polydisc corners, antipodal crossings in the punctured disc).
+    """
+    center = as_point(center, d.dim)
+    kobayashi_radius = lambda radius: radius * MetricMode.KOBAYASHI.scale / mode.scale
+    if isinstance(d, Ball):
+        directions = random_unit_vectors(d.dim, count, rng)
+        phi = ball_automorphism(center)
+        at = lambda radius: np.column_stack(phi((math.tanh(kobayashi_radius(radius)) * directions).T))
+    elif isinstance(d, Polydisc):
+        polydisc = polydisc_sphere(d.dim, count, rng)
+        a = np.array(center)
+        moved = any(c != 0 for c in center)
+
+        def at(radius: float) -> np.ndarray:
+            pts = polydisc(math.tanh(kobayashi_radius(radius)))
+            return (pts + a) / (1.0 + a.conj() * pts) if moved else pts
+
+    elif isinstance(d, UpperHalfPlane):
+        circle = np.exp(1j * np.linspace(0.0, covering.TWO_PI, count, endpoint=False))
+
+        def at(radius: float) -> np.ndarray:
+            ecenter, eradius = halfplane_metric_circle(center[0], radius, mode)
+            return (ecenter + eradius * circle)[:, None]
+
+    elif isinstance(d, PuncturedDisc):
+        punctured = _punctured_sphere(center[0], count, rng)
+        at = lambda radius: punctured(radius / mode.scale)
+    else:
+        raise UnsupportedDomainError(f"no sphere sampler for domain {d!r}")
+
+    def sphere(radius: float) -> np.ndarray:
+        if radius <= 0:
+            raise ValueError("radius must be positive")
+        return at(radius)
+
+    return sphere
 
 
 def sample_metric_sphere(
@@ -252,33 +336,11 @@ def sample_metric_sphere(
     rng: np.random.Generator,
     mode: MetricMode = MetricMode.POINCARE,
 ) -> np.ndarray:
-    """Sample the Kobayashi sphere of the given radius around ``center``, as rows.
-
-    Samples are dense in angle and include the extreme points that decide
-    ball-containment questions (polydisc corners, antipodal crossings in the
-    punctured disc).
-    """
-    center = as_point(center, d.dim)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    radius_k = radius * MetricMode.KOBAYASHI.scale / mode.scale
-    if isinstance(d, Ball):
-        sphere = math.tanh(radius_k) * random_unit_vectors(d.dim, count, rng)
-        return np.column_stack(ball_automorphism(center)(sphere.T))
-    if isinstance(d, Polydisc):
-        pts = polydisc_sphere_sample(d.dim, math.tanh(radius_k), count, rng)
-        if any(c != 0 for c in center):
-            a = np.array(center)
-            pts = (pts + a) / (1.0 + a.conj() * pts)
-        return pts
-    if isinstance(d, UpperHalfPlane):
-        ecenter, eradius = halfplane_metric_circle(center[0], radius, mode)
-        angles = np.linspace(0.0, covering.TWO_PI, count, endpoint=False)
-        return (ecenter + eradius * np.exp(1j * angles))[:, None]
-    if isinstance(d, PuncturedDisc):
-        radius_p = radius / mode.scale
-        return _punctured_sphere(center[0], radius_p, count, rng)
-    raise UnsupportedDomainError(f"no sphere sampler for domain {d!r}")
+    """:func:`metric_sphere` at one radius: the Kobayashi sphere of the given
+    radius around ``center``, as rows.  A radius search draws its sample once
+    with :func:`metric_sphere` and rescales it, rather than calling this at
+    every radius."""
+    return metric_sphere(d, center, count, rng, mode)(radius)
 
 
 def sample_metric_ball(

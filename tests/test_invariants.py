@@ -19,8 +19,9 @@ from biholo.domains import (
     WeightedModel,
     modulus_power,
 )
+from biholo import metrics
 from biholo.hyperbolic import MetricMode
-from biholo.metrics import sample_metric_sphere
+from biholo.metrics import kobayashi_distance, sample_metric_sphere
 from biholo.invariants import (
     BoundEstimate,
     RadiusSearch,
@@ -173,6 +174,8 @@ class TestFridmanUpperFromEmbedding:
             )
             assert est.hit_cap
             assert est.evaluations == 1
+            assert est.steps == ((cap, True),)
+            assert est.escape is None
             values.append(est.value)
         assert values == sorted(values, reverse=True)
 
@@ -190,6 +193,97 @@ class TestFridmanUpperFromEmbedding:
                 ball_inclusion_into_polydisc(2),
                 RadiusSearch(samples=64),
             )
+
+
+class TestEstimatorTrace:
+    """Each report lists its sphere tests in order and the sample row that
+    escaped the image at the last radius that failed."""
+
+    def test_polydisc_escape_is_on_the_last_failing_sphere(self):
+        search = RadiusSearch(samples=128, seed=2)
+        witness = ball_inclusion_into_polydisc(3)
+        est = fridman_upper_from_embedding(Polydisc(3), (0j,) * 3, witness, search)
+        assert len(est.steps) == est.evaluations
+        assert est.steps[0] == (search.r_max, False)
+        last_fail = [r for r, ok in est.steps if not ok][-1]
+        assert not witness.image_contains([est.escape])[0]
+        assert kobayashi_distance(Polydisc(3), (0j,) * 3, est.escape, MetricMode.KOBAYASHI) == pytest.approx(
+            last_fail, rel=1e-9
+        )
+        # every passing radius lies below every failing one
+        passed = [r for r, ok in est.steps if ok]
+        assert max(passed) == est.radius < min(r for r, ok in est.steps if not ok)
+
+    def test_punctured_escape_is_outside_the_slit_image(self):
+        witness = slit_embedding_of_disc(0.5)
+        est = fridman_upper_from_embedding(
+            PuncturedDisc(), (0.5 + 0j,), witness, RadiusSearch(samples=128, seed=2), MetricMode.POINCARE
+        )
+        assert len(est.steps) == est.evaluations
+        assert not witness.image_contains([est.escape])[0]
+
+    def test_squeezing_escape_is_outside_the_image(self):
+        witness = scaled_polydisc_into_ball(2)
+        est = squeezing_lower_from_embedding(
+            Polydisc(2), (0j, 0j), witness, RadiusSearch(r_max=1.0, samples=128, seed=2)
+        )
+        assert len(est.steps) == est.evaluations
+        assert not witness.image_contains([est.escape])[0]
+
+
+class TestEstimatorRegression:
+    """Exact reports, pinned from the estimators that drew a new sphere at
+    every radius: drawing once and rescaling changes no bit."""
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_pinned_reports(self, seed):
+        search = RadiusSearch(samples=128, seed=seed)
+        fridman = fridman_upper_from_embedding(
+            Polydisc(3), (0j,) * 3, ball_inclusion_into_polydisc(3), search
+        )
+        punctured = fridman_upper_from_embedding(
+            PuncturedDisc(), (0.5 + 0j,), slit_embedding_of_disc(0.5), search, MetricMode.POINCARE
+        )
+        squeezing = squeezing_lower_from_embedding(
+            Polydisc(2), (0j, 0j), scaled_polydisc_into_ball(2),
+            RadiusSearch(r_max=1.0, samples=128, seed=seed),
+        )
+        got = [(r.value, r.radius, r.evaluations) for r in (fridman, punctured, squeezing)]
+        assert got == [
+            (1.5186519110539554, 0.6584787420482636, 26),
+            (0.45119373444227634, 2.2163428338297004, 26),
+            (0.7071059294910429, 0.7071059294910429, 22),
+        ]
+        c = largest_centered_polydisc(ball_inclusion_into_polydisc(3), samples=128, seed=seed)
+        assert c == 0.5773502433571578
+
+    def test_one_search_draws_its_sphere_once(self, monkeypatch):
+        """One generator for validation and one for the sphere sample, which
+        is drawn once and then evaluated at every radius tested."""
+        made, drawn, evaluated = [], [], []
+        default_rng = np.random.default_rng
+        polydisc_sphere = metrics.polydisc_sphere
+
+        def counting_rng(seed=None):
+            made.append(seed)
+            return default_rng(seed)
+
+        def counting_sphere(*args):
+            sphere = polydisc_sphere(*args)
+            drawn.append(args)
+
+            def at(modulus):
+                evaluated.append(modulus)
+                return sphere(modulus)
+
+            return at
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        monkeypatch.setattr(metrics, "polydisc_sphere", counting_sphere)
+        largest_centered_polydisc(ball_inclusion_into_polydisc(3), samples=128, seed=4)
+        assert made == [4, 4]
+        assert len(drawn) == 1
+        assert len(evaluated) > 20
 
 
 class TestSqueezing:

@@ -28,6 +28,8 @@ from biholo.metrics import (
     ball_to_siegel,
     kobayashi_distance,
     kobayashi_distance_rows,
+    metric_sphere,
+    polydisc_sphere,
     sample_metric_ball,
     sample_metric_sphere,
     siegel_equivalent,
@@ -264,6 +266,57 @@ class TestSphereSampling:
         pts = sample_metric_sphere(UpperHalfPlane(), 1j, 0.6, 32, rng)
         for (s,) in pts:
             assert halfplane_distance(1j, s) == pytest.approx(0.6, abs=1e-10)
+
+
+class TestOneSampleAtEveryRadius:
+    """``metric_sphere`` and ``polydisc_sphere`` draw once and rescale; at
+    every radius they give, bit for bit, the rows of a fresh draw from the
+    same seed at that radius, written out here as a reference."""
+
+    RADII = (0.05, 0.5, 1.0, 3.0, 12.0)
+
+    @staticmethod
+    def fresh_polydisc(n, modulus, count, rng):
+        full = rng.uniform(size=(count, n)) < 0.5
+        full[np.arange(count), rng.integers(n, size=count)] = True
+        moduli = np.where(full, modulus, rng.uniform(0.0, modulus, size=(count, n)))
+        pts = moduli * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(count, n)))
+        return np.concatenate([np.full((1, n), complex(modulus)), pts])
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_polydisc(self, n):
+        sphere = polydisc_sphere(n, 40, np.random.default_rng(4))
+        for r in self.RADII:
+            modulus = math.tanh(r)
+            expected = self.fresh_polydisc(n, modulus, 40, np.random.default_rng(4))
+            assert sphere(modulus).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mode", list(MetricMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("center", [(0j, 0j), (0.3 + 0j, 0.1j)], ids=["origin", "off-center"])
+    def test_ball(self, center, mode):
+        sphere = metric_sphere(Ball(2), center, 48, np.random.default_rng(3), mode)
+        for r in self.RADII:
+            rng = np.random.default_rng(3)
+            radius_k = r * MetricMode.KOBAYASHI.scale / mode.scale
+            rows = math.tanh(radius_k) * random_unit_vectors(2, 48, rng)
+            expected = np.column_stack(ball_automorphism(center)(rows.T))
+            assert sphere(r).tobytes() == expected.tobytes()
+
+    def test_one_shot_samplers_are_the_sampler_at_one_radius(self):
+        for d, center in ((Polydisc(3), (0.1 + 0j, 0.2j, -0.3 + 0j)), (PuncturedDisc(), 0.3), (UpperHalfPlane(), 1j)):
+            sphere = metric_sphere(d, center, 32, np.random.default_rng(5), MetricMode.KOBAYASHI)
+            for r in self.RADII:
+                once = sample_metric_sphere(d, center, r, 32, np.random.default_rng(5), MetricMode.KOBAYASHI)
+                assert sphere(r).tobytes() == once.tobytes()
+
+    def test_nonpositive_radius_raises(self):
+        sphere = metric_sphere(Ball(2), (0j, 0j), 8, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="positive"):
+            sphere(0.0)
+
+    def test_unsupported_domain(self):
+        with pytest.raises(UnsupportedDomainError):
+            metric_sphere(Siegel(2), (0j, -1.0 + 0j), 8, np.random.default_rng(0))
 
 
 class TestBallSampling:
