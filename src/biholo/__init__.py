@@ -28,8 +28,6 @@ from .domains import (
     UpperHalfPlane,
     WeightedModel,
     WeightedPolynomial,
-    check_homogeneity,
-    check_psh,
     contains,
     contains_rows,
     defining_rows,

@@ -186,7 +186,7 @@ def cmd_invariant(args) -> int:
     point = parse_point(args.point)
     record = {"command": args.kind, "domain": domain.label, "point": point}
     try:
-        point = as_point(point, None)
+        point = as_point(point, domain.dim)
         if args.kind == "fridman":
             mode = _mode(args)
             record["mode"] = args.mode

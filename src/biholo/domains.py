@@ -35,6 +35,7 @@ squares still differ for ``Ball`` and ``Siegel``.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import re
@@ -72,14 +73,9 @@ __all__ = [
     "WeightedPolynomial",
     "modulus_power",
     "poly_eval",
-    "levi_form",
     "symbolic_weight_check",
     "numeric_scaling_check",
-    "check_homogeneity",
-    "PshReport",
-    "check_psh",
     "parse_polynomial",
-    "format_polynomial",
 ]
 
 Point = tuple[complex, ...]
@@ -208,6 +204,8 @@ class Term:
             raise ValueError("alpha and beta must have the same length")
         if any(a < 0 for a in self.alpha) or any(b < 0 for b in self.beta):
             raise ValueError("multi-indices must be nonnegative")
+        if not cmath.isfinite(self.coeff):
+            raise ValueError(f"coefficient {self.coeff!r} is not finite")
 
 
 @dataclass(frozen=True)
@@ -217,8 +215,8 @@ class WeightedPolynomial:
     Terms are stored per monomial so weighted homogeneity is decidable
     exactly; real-valuedness is the conjugate-pair condition (for every
     term (alpha, beta, c) the term (beta, alpha, conj c) is present), which
-    is checked by :meth:`is_conjugate_symmetric` rather than enforced, so
-    malformed input can be detected at evaluation time.
+    is not enforced here: :func:`poly_eval` checks that each value it
+    computes is real and raises otherwise.
     """
 
     terms: tuple[Term, ...]
@@ -242,19 +240,6 @@ class WeightedPolynomial:
         if not kept:
             raise ValueError("polynomial is identically zero")
         return cls(kept, nv)
-
-    def is_conjugate_symmetric(self, tol: float = 1e-12) -> bool:
-        table = {(t.alpha, t.beta): t.coeff for t in self.terms}
-        for t in self.terms:
-            mate = table.get((t.beta, t.alpha))
-            if mate is None or abs(mate - t.coeff.conjugate()) > tol * (1 + abs(t.coeff)):
-                return False
-        return True
-
-    def has_pluriharmonic_terms(self) -> bool:
-        """True if some term has alpha = 0 or beta = 0 (a pure z or conj-z monomial)."""
-        zero = (0,) * self.nvars
-        return any(t.alpha == zero or t.beta == zero for t in self.terms)
 
     def __add__(self, other: "WeightedPolynomial") -> "WeightedPolynomial":
         if self.nvars != other.nvars:
@@ -305,32 +290,6 @@ def poly_eval(poly: WeightedPolynomial, w: Sequence[complex], tol: float = 1e-12
     return _poly_value(poly, w, tol)
 
 
-def levi_form(poly: WeightedPolynomial, w: Sequence[complex]) -> np.ndarray:
-    """Complex Hessian ``d^2 P / (dz_j d conj z_k)`` at ``w``, term by term."""
-    w = tuple(complex(c) for c in w)
-    if len(w) != poly.nvars:
-        raise ValueError(f"expected {poly.nvars} variables, got {len(w)}")
-    n = poly.nvars
-    H = np.zeros((n, n), dtype=complex)
-    for t in poly.terms:
-        for j in range(n):
-            if t.alpha[j] == 0:
-                continue
-            for k in range(n):
-                if t.beta[k] == 0:
-                    continue
-                m = t.coeff * t.alpha[j] * t.beta[k]
-                for i, c in enumerate(w):
-                    a = t.alpha[i] - (1 if i == j else 0)
-                    b = t.beta[i] - (1 if i == k else 0)
-                    if a:
-                        m *= c**a
-                    if b:
-                        m *= c.conjugate() ** b
-                H[j, k] += m
-    return H
-
-
 def symbolic_weight_check(poly: WeightedPolynomial, multitype: Multitype) -> bool:
     """Exact per-term check that every monomial has weighted degree one."""
     if poly.nvars != multitype.dim - 1:
@@ -365,56 +324,6 @@ def numeric_scaling_check(
     return True
 
 
-def check_homogeneity(
-    poly: WeightedPolynomial,
-    multitype: Multitype,
-    trials: int = 200,
-    rng: np.random.Generator | None = None,
-) -> bool:
-    """True iff the polynomial has weight one both symbolically and numerically."""
-    return symbolic_weight_check(poly, multitype) and numeric_scaling_check(
-        poly, multitype, trials=trials, rng=rng
-    )
-
-
-@dataclass(frozen=True)
-class PshReport:
-    """Minimum Levi-form eigenvalue over a sample grid."""
-
-    min_eigenvalue: float
-    witness: Point
-    samples: int
-    passed: bool
-
-
-def check_psh(
-    poly: WeightedPolynomial,
-    samples: int = 400,
-    radius: float = 1.5,
-    seed: int = 0,
-    tol: float = 1e-10,
-) -> PshReport:
-    """Sample the Levi form and report its minimal eigenvalue.
-
-    The origin is always included, where degenerate directions of weighted
-    models typically sit.  Passes iff the minimum is >= -tol.
-    """
-    rng = np.random.default_rng(seed)
-    pts: list[Point] = [(0j,) * poly.nvars]
-    for _ in range(samples):
-        raw = rng.normal(size=(poly.nvars, 2)) * radius / 2.0
-        pts.append(tuple(complex(a, b) for a, b in raw))
-    best = math.inf
-    where: Point = pts[0]
-    for p in pts:
-        H = levi_form(poly, p)
-        H = (H + H.conjugate().T) / 2.0
-        lam = float(np.linalg.eigvalsh(H)[0])
-        if lam < best:
-            best, where = lam, p
-    return PshReport(best, where, len(pts), best >= -tol)
-
-
 def parse_polynomial(text: str) -> WeightedPolynomial:
     """Parse the line-based term format ``coeff a1 a2 ... | b1 b2 ...``."""
     terms: list[Term] = []
@@ -440,15 +349,6 @@ def parse_polynomial(text: str) -> WeightedPolynomial:
     if not terms:
         raise ValueError("no polynomial terms found")
     return WeightedPolynomial.from_terms(terms, nvars)
-
-
-def format_polynomial(poly: WeightedPolynomial) -> str:
-    lines = []
-    for t in poly.terms:
-        a = " ".join(str(x) for x in t.alpha)
-        b = " ".join(str(x) for x in t.beta)
-        lines.append(f"{format_complex(t.coeff)} {a} | {b}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -93,8 +93,8 @@ class BoundaryApproach:
         deltas = tuple(float(d) for d in self.deltas)
         if not deltas:
             raise ValueError("the approach needs at least one step")
-        if any(d <= 0 for d in deltas):
-            raise ValueError("all step sizes must be positive")
+        if not all(0 < d < math.inf for d in deltas):
+            raise ValueError(f"all step sizes must be finite and positive, got {deltas}")
         if any(b <= a for a, b in zip(deltas[1:], deltas)):
             raise ValueError("step sizes must decrease strictly")
         object.__setattr__(self, "deltas", deltas)
@@ -262,6 +262,10 @@ def make_anisotropic(
     The remainder ``R = prod_k |z_k|^(e_k)`` is given by its exponents and
     must decay under the dilations: its rate from
     :func:`tangential_modulus_remainder` must be positive.
+
+    ``P`` is checked for weight-one homogeneity only, not for
+    plurisubharmonicity: a model such as ``-|z|^2`` is accepted, and its
+    family's ``distance`` is None.
     """
     n = multitype.dim
     base = as_point(approach.base_point, n)
@@ -353,6 +357,8 @@ def hausdorff_check(family: ScaledFamily, grid: Sequence, tol: float) -> Hausdor
     way (inside/outside) by the scaled and limit domains.  The grid is
     evaluated as rows: one evaluation of the limit, one per step.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"the Hausdorff tolerance must be finite and positive, got {tol}")
     grid = np.asarray(grid, dtype=complex)
     if not grid.size:
         raise ValueError("empty grid")

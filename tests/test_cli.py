@@ -112,6 +112,19 @@ class TestInvariantCommands:
         assert record["upper"] == pytest.approx(1.134593, abs=2e-4)
         assert "witness" in record["upper_witness"] or record["upper_witness"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("fridman", "punctured", "0.5,0.3"), ("fridman", "disc", "0.5,0.3"), ("squeeze", "ball2", "0.5")],
+        ids=["punctured", "disc", "ball2"],
+    )
+    def test_wrong_dimension_point_is_a_usage_error(self, tmp_path, capsys, argv):
+        out_file = tmp_path / "never.json"
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_file))
+        assert code == 2
+        assert err.startswith("error: expected a point of dimension") and err.count("\n") == 1
+        assert out == ""
+        assert not out_file.exists()
+
     def test_squeeze_ball(self, capsys):
         code, out, _ = run_cli(capsys, "squeeze", "ball2", "0,0")
         record = json.loads(out)
@@ -238,9 +251,15 @@ class TestScale:
              "checks": ["ball_inclusion"], "ball_inclusion": {"R": float("nan")}},
             {"kind": "isotropic", "base_point": "1", "normal": "1",
              "checks": ["ball_inclusion"], "ball_inclusion": {"eps": float("nan")}},
+            {"kind": "anisotropic", "multitype": [1, 4], "poly": "1.0 2 | 2\n",
+             "deltas": [float("nan"), 0.25]},
+            {"kind": "anisotropic", "multitype": [1, 4], "poly": "nan 2 | 2\n"},
+            {"kind": "isotropic", "base_point": "1", "normal": "1", "tol": float("nan")},
+            {"kind": "isotropic", "base_point": "1", "normal": "1", "tol": 0.0},
         ],
         ids=["no-multitype", "scalar-multitype", "not-weight-one", "rate-0-remainder",
-             "no-exponents", "no-distance", "zero-trials", "zero-samples", "nan-radius", "nan-eps"],
+             "no-exponents", "no-distance", "zero-trials", "zero-samples", "nan-radius", "nan-eps",
+             "nan-delta", "nan-coefficient", "nan-tol", "zero-tol"],
     )
     def test_bad_spec_is_a_usage_error(self, tmp_path, capsys, payload):
         """Exit 2 with an ``error:`` line, not a traceback, and no file."""

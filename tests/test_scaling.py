@@ -79,6 +79,20 @@ class TestBoundaryApproach:
         with pytest.raises(ValueError):
             BoundaryApproach((1.0,), (1.0,), (0.1, 0.2))
 
+    @pytest.mark.parametrize(
+        "deltas",
+        [(0.5, 0.0), (0.5, -0.25), (math.nan, 0.5), (math.inf, 0.5), (0.5, math.nan)],
+        ids=["zero", "negative", "nan", "inf", "trailing-nan"],
+    )
+    def test_steps_must_be_finite_and_positive(self, deltas):
+        with pytest.raises(ValueError, match="finite and positive"):
+            BoundaryApproach((1.0,), (1.0,), deltas)
+
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf])
+    def test_geometric_ratio_must_give_finite_steps(self, ratio):
+        with pytest.raises(ValueError, match="finite and positive"):
+            BoundaryApproach.geometric((1.0,), (1.0,), 1, 5, ratio)
+
     def test_labels_follow_the_exponents(self):
         approach = BoundaryApproach.geometric((1.0,), (1.0,), 3, 7)
         assert approach.js == (3, 4, 5, 6, 7)
@@ -160,6 +174,11 @@ class TestHausdorffCheck:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty grid"):
             hausdorff_check(disc_family(), [], tol=1e-2)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-2])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            hausdorff_check(disc_family(), complex_grid(-2, 2, -2, 2, 5), tol=tol)
 
     def test_empirical_constant_is_reported(self):
         fam = disc_family(1, 8)
