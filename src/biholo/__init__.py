@@ -46,7 +46,7 @@ from .covering import (
     punctured_distance,
     slit_distance,
 )
-from .metrics import kobayashi_distance, kobayashi_distance_rows
+from .metrics import kobayashi_distance
 from .invariants import (
     BoundEstimate,
     EmbeddingWitness,

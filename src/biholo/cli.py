@@ -212,12 +212,20 @@ def cmd_invariant(args) -> int:
     return 0
 
 
+def _object(name: str, value) -> dict:
+    """``value``, which the spec must give as a JSON object."""
+    if not isinstance(value, dict):
+        raise CliError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
 def _approach_from_spec(spec: dict, dim: int) -> scaling.BoundaryApproach:
     base = tuple(parse_complex_literal(str(c)) for c in _as_list(spec.get("base_point", "1"), dim))
     normal = tuple(parse_complex_literal(str(c)) for c in _as_list(spec.get("normal", "1"), dim))
-    deltas_spec = spec.get("deltas", {"j_start": 1, "j_end": 10})
+    deltas_spec = spec.get("deltas", {})
     if isinstance(deltas_spec, list):
         return scaling.BoundaryApproach(base, normal, tuple(float(d) for d in deltas_spec))
+    deltas_spec = _object("deltas", deltas_spec)
     j0, j1 = int(deltas_spec.get("j_start", 1)), int(deltas_spec.get("j_end", 10))
     ratio = float(deltas_spec.get("ratio", 0.5))
     return scaling.BoundaryApproach.geometric(base, normal, j0, j1, ratio)
@@ -229,10 +237,23 @@ def _as_list(value, dim: int) -> list:
     return [value] * dim if dim > 1 else [value]
 
 
+# the checks each experiment kind runs; the first is its default
+_KIND_CHECKS = {
+    "isotropic": ("hausdorff", "ball_inclusion"),
+    "anisotropic": ("hausdorff", "ball_inclusion", "invariance"),
+    "convergence": ("convergence",),
+}
+
+
 def _run_scale_spec(spec: dict, args) -> tuple[dict[str, list[dict]], bool]:
     """Execute one experiment spec; returns (files to write, all passed)."""
     kind = spec.get("kind")
-    checks = spec.get("checks", ["hausdorff"])
+    if kind not in _KIND_CHECKS:
+        raise CliError(f"unknown experiment kind {kind!r}")
+    runs = _KIND_CHECKS[kind]
+    checks = spec.get("checks", [runs[0]])
+    if not isinstance(checks, list) or not checks or not all(c in runs for c in checks):
+        raise CliError(f"checks must be a nonempty list of {', '.join(runs)}, got {checks!r}")
     outputs: dict[str, list[dict]] = {}
     passed = True
     if kind == "isotropic":
@@ -242,8 +263,8 @@ def _run_scale_spec(spec: dict, args) -> tuple[dict[str, list[dict]], bool]:
         family = scaling.make_isotropic(scaling.disc_defining(), approach)
     elif kind == "anisotropic":
         mt = Multitype(tuple(spec["multitype"]))
-        poly = parse_polynomial(spec["poly"])
-        rem_spec = spec.get("remainder")
+        poly = parse_polynomial(str(spec["poly"]))
+        rem_spec = _object("remainder", spec.get("remainder", {}))
         exponents = None
         if rem_spec:
             if rem_spec.get("type") != "abs_power":
@@ -258,28 +279,26 @@ def _run_scale_spec(spec: dict, args) -> tuple[dict[str, list[dict]], bool]:
             ok = scaling.invariance_check(poly, mt, int(spec.get("trials", 10_000)), args.seed)
             outputs["invariance"] = [{"invariant_under_dilations": ok}]
             passed &= ok
-    elif kind == "convergence":
+    else:
         approach = _approach_from_spec(spec, 1)
         report = scaling.convergence_experiment(PuncturedDisc(), approach, _mode(args))
         outputs["convergence"] = [dataclasses.asdict(r) for r in report.rows]
         return outputs, report.strictly_decreasing
-    else:
-        raise CliError(f"unknown experiment kind {kind!r}")
 
     if "hausdorff" in checks:
-        g = spec.get("grid", {"min": -2.0, "max": 2.0, "n": 15})
+        g = _object("grid", spec.get("grid", {}))
         lo, hi, n = float(g.get("min", -2)), float(g.get("max", 2)), int(g.get("n", 15))
-        planar = scaling.complex_grid(lo, hi, lo, hi, n)
+        planar = scaling.complex_grid(lo, hi, n)
         if family.limit.dim == 1:
             grid = planar
         else:
-            coarse = scaling.complex_grid(lo, hi, lo, hi, max(3, n // 3))
+            coarse = scaling.complex_grid(lo, hi, max(3, n // 3))
             grid = [(a, b) for a in coarse for b in coarse]
         report = scaling.hausdorff_check(family, grid, float(spec.get("tol", 1e-2)))
         outputs["hausdorff"] = [dataclasses.asdict(r) for r in report.rows]
         passed &= report.passed
     if "ball_inclusion" in checks:
-        bi = spec.get("ball_inclusion", {})
+        bi = _object("ball_inclusion", spec.get("ball_inclusion", {}))
         report = scaling.ball_inclusion_check(
             family,
             radius=float(bi.get("R", 1.0)),
@@ -300,7 +319,7 @@ def cmd_scale(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read experiment spec {path}: {exc}") from exc
     try:
-        outputs, passed = _run_scale_spec(spec, args)
+        outputs, passed = _run_scale_spec(_object("the experiment spec", spec), args)
     except KeyError as exc:
         raise CliError(f"experiment spec {path} lacks the key {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -315,17 +334,7 @@ def cmd_scale(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg = verify.RunConfig(
-            deck_range=args.deck_k,
-            theta_grid=args.theta_grid,
-            slit_grid=args.slit_grid,
-            samples=args.samples,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    results = verify.run_all(cfg)
+    results = verify.run_all(verify.RunConfig(seed=args.seed))
     failed = 0
     for res in results:
         status = "pass" if res.passed else "FAIL"
@@ -336,6 +345,13 @@ def cmd_verify(args) -> int:
     total = sum(r.checks for r in results)
     print(f"{len(results) - failed}/{len(results)} suites passed ({total} checks)")
     return 0 if failed == 0 else 1
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy seeds a generator only from a nonnegative integer."""
+    if not re.fullmatch(r"[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     metric.add_argument("--mode", choices=["poincare", "kobayashi"], default="poincare",
                         help="metric normalization (poincare = twice kobayashi)")
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0, help="RNG seed")
+    seeded.add_argument("--seed", type=_seed, default=0, help="RNG seed (a nonnegative integer)")
 
     p_dist = sub.add_parser("dist", parents=[metric, output], help="Kobayashi distance between two points")
     p_dist.add_argument("domain")
@@ -385,10 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scale.set_defaults(func=cmd_scale)
 
     p_verify = sub.add_parser("verify", parents=[seeded], help="closed-form vs oracle suites")
-    p_verify.add_argument("--theta-grid", type=int, default=1_000_000, help="circle oracle grid size")
-    p_verify.add_argument("--slit-grid", type=int, default=100_000, help="slit oracle grid size")
-    p_verify.add_argument("--samples", type=int, default=1024, help="sphere sampling density")
-    p_verify.add_argument("--deck-k", type=int, default=100, help="deck-enumeration oracle half-width")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

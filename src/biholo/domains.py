@@ -260,7 +260,11 @@ def _max(*values):
     return functools.reduce(np.maximum, values) if isinstance(values[0], np.ndarray) else max(values)
 
 
-def _poly_value(poly: WeightedPolynomial, w, tol: float = 1e-12):
+# largest imaginary part, relative to max(|Re P|, 1), of a real polynomial value
+_IMAG_TOL = 1e-12
+
+
+def _poly_value(poly: WeightedPolynomial, w):
     """``P`` at the point ``w`` (a tuple of complex numbers), or at every row
     whose columns ``w`` holds (``poly.nvars`` arrays), as checked real values."""
     total = 0j
@@ -272,7 +276,7 @@ def _poly_value(poly: WeightedPolynomial, w, tol: float = 1e-12):
             if b:
                 m *= c.conjugate() ** b
         total += m
-    bad = abs(total.imag) > tol * _max(abs(total.real), 1.0)
+    bad = abs(total.imag) > _IMAG_TOL * _max(abs(total.real), 1.0)
     if bad.any() if isinstance(bad, np.ndarray) else bad:
         first = complex(np.ravel(total)[np.argmax(bad)])
         raise ValueError(
@@ -282,12 +286,12 @@ def _poly_value(poly: WeightedPolynomial, w, tol: float = 1e-12):
     return total.real
 
 
-def poly_eval(poly: WeightedPolynomial, w: Sequence[complex], tol: float = 1e-12) -> float:
+def poly_eval(poly: WeightedPolynomial, w: Sequence[complex]) -> float:
     """Evaluate a polynomial, returning the (checked) real value."""
     w = tuple(complex(c) for c in w)
     if len(w) != poly.nvars:
         raise ValueError(f"expected {poly.nvars} variables, got {len(w)}")
-    return _poly_value(poly, w, tol)
+    return _poly_value(poly, w)
 
 
 def symbolic_weight_check(poly: WeightedPolynomial, multitype: Multitype) -> bool:
@@ -302,12 +306,15 @@ def symbolic_weight_check(poly: WeightedPolynomial, multitype: Multitype) -> boo
     )
 
 
+# relative tolerance of numeric_scaling_check on P(delta^w . 'z) = delta P('z)
+_SCALING_TOL = 1e-10
+
+
 def numeric_scaling_check(
     poly: WeightedPolynomial,
     multitype: Multitype,
     trials: int = 200,
     rng: np.random.Generator | None = None,
-    tol: float = 1e-10,
 ) -> bool:
     """Randomized check of ``P(delta^w . 'z) = delta P('z)`` for delta in (0, 2]."""
     if poly.nvars != multitype.dim - 1:
@@ -319,7 +326,7 @@ def numeric_scaling_check(
         z = tuple(complex(a, b) for a, b in rng.normal(size=(poly.nvars, 2)))
         scaled = tuple(c * delta**e for c, e in zip(z, exps))
         base = poly_eval(poly, z)
-        if abs(poly_eval(poly, scaled) - delta * base) > tol * (1.0 + abs(base)):
+        if abs(poly_eval(poly, scaled) - delta * base) > _SCALING_TOL * (1.0 + abs(base)):
             return False
     return True
 

@@ -77,6 +77,10 @@ class WitnessValidationError(RuntimeError):
 # Rows sampled at a time by EmbeddingWitness.validate: large enough to
 # amortize numpy's per-call cost, small enough to keep peak memory flat.
 VALIDATION_CHUNK = 2_048
+# source rows that EmbeddingWitness.validate maps through the witness
+VALIDATION_SAMPLES = 10_000
+# relative round-trip error of a row that EmbeddingWitness.image_contains keeps
+IMAGE_TOL = 1e-9
 
 
 @dataclass
@@ -99,7 +103,7 @@ class EmbeddingWitness:
     description: str
     image_domain: ModelDomain | None = None
 
-    def image_contains(self, w, tol: float = 1e-9) -> np.ndarray:
+    def image_contains(self, w) -> np.ndarray:
         """One bool per row of ``w``: does the row lie in the image?
 
         A row whose inverse is not finite (a pole of the inverse) lies
@@ -109,7 +113,7 @@ class EmbeddingWitness:
         with np.errstate(all="ignore"):
             z = self.inverse(w)
             err = np.abs(self.forward(z) - w).max(axis=1)
-        inside = np.isfinite(z).all(axis=1) & (err <= tol * (1.0 + np.abs(w).max(axis=1)))
+        inside = np.isfinite(z).all(axis=1) & (err <= IMAGE_TOL * (1.0 + np.abs(w).max(axis=1)))
         # w passed as_rows and the kept rows of z are finite: evaluate the
         # defining functions directly, with no second finiteness check
         if self.image_domain is not None:
@@ -117,9 +121,9 @@ class EmbeddingWitness:
         inside[inside] = self.source.defining(z[inside].T) < 0.0
         return inside
 
-    def validate(self, samples: int = 10_000, seed: int = 0) -> None:
-        """Check the basepoint normalization, that the images of the
-        basepoint and of ``samples`` random points lie in the target and in
+    def validate(self, seed: int = 0) -> None:
+        """Check the basepoint normalization, that the images of the basepoint
+        and of ``VALIDATION_SAMPLES`` random points lie in the target and in
         ``image_domain`` when one is set, and injectivity on a grid."""
         rng = np.random.default_rng(seed)
         base = np.array([self.source_basepoint], dtype=complex)
@@ -130,10 +134,10 @@ class EmbeddingWitness:
                 f"basepoint normalization off by {err:.3e} for {self.description}"
             )
         self._require_images_inside(base, fb)
-        stride = max(samples // 150, 1)
+        stride = VALIDATION_SAMPLES // 150
         grid = []
-        for start in range(0, samples, VALIDATION_CHUNK):
-            z = sample_rows(self.source, rng, min(VALIDATION_CHUNK, samples - start))
+        for start in range(0, VALIDATION_SAMPLES, VALIDATION_CHUNK):
+            z = sample_rows(self.source, rng, min(VALIDATION_CHUNK, VALIDATION_SAMPLES - start))
             w = self.forward(z)
             self._require_images_inside(z, w)
             grid.append(w[-start % stride :: stride])  # sample k with k % stride == 0

@@ -5,9 +5,7 @@ disc), the polydisc (max of coordinate distances), the half-planes, the
 punctured disc through its cover, the slit disc through its
 uniformization, and the unbounded realization of the ball through a Cayley
 transform.  Weighted models other than that realization have no computable
-distance and raise :class:`UnsupportedDomainError`.  The ball and the Siegel
-domain also have a row form, :func:`kobayashi_distance_rows`, for the
-scaling checks, which measure many distances from one basepoint.
+distance and raise :class:`UnsupportedDomainError`.
 """
 
 from __future__ import annotations
@@ -32,9 +30,7 @@ from .domains import (
     WeightedModel,
     _coordinates,
     as_point,
-    as_rows,
     contains,
-    contains_rows,
     random_unit_vectors,
 )
 from .hyperbolic import (
@@ -51,7 +47,6 @@ __all__ = [
     "ball_to_siegel",
     "siegel_equivalent",
     "kobayashi_distance",
-    "kobayashi_distance_rows",
     "polydisc_sphere",
     "polydisc_sphere_sample",
     "metric_sphere",
@@ -177,32 +172,6 @@ def kobayashi_distance(
             "no computable Kobayashi distance for a general weighted model"
         )
     raise UnsupportedDomainError(f"unknown domain {d!r}")
-
-
-def kobayashi_distance_rows(
-    d: ModelDomain,
-    p,
-    rows,
-    mode: MetricMode = MetricMode.POINCARE,
-) -> np.ndarray:
-    """:func:`kobayashi_distance` from the point ``p`` to every row of
-    ``rows`` (shape ``[m, dim]``): one distance per row, by the same closed
-    form in numpy.
-
-    The ball (through the disc form at n = 1) and the Siegel domain have a
-    row form; every other variant raises :class:`UnsupportedDomainError`.
-    """
-    p = as_point(p, d.dim)
-    rows = as_rows(rows, d.dim)
-    if not contains(d, p) or not contains_rows(d, rows).all():
-        raise ValueError("the center and every row must lie in the domain")
-    if isinstance(d, Ball) and d.dim == 1:
-        return disc_distance(p[0], rows[:, 0], mode)
-    if isinstance(d, Ball):
-        return ball_distance(p, rows.T, mode)
-    if isinstance(d, Siegel):
-        return ball_distance(siegel_to_ball(p), siegel_to_ball(rows.T), mode)
-    raise UnsupportedDomainError(f"no row form of the Kobayashi distance on {d!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -43,11 +43,7 @@ from .domains import (
     symbolic_weight_check,
 )
 from .hyperbolic import MetricMode, disc_distance
-from .metrics import (
-    kobayashi_distance_rows,
-    sample_metric_ball,
-    siegel_equivalent,
-)
+from .metrics import ball_distance, sample_metric_ball, siegel_equivalent, siegel_to_ball
 from . import covering
 
 __all__ = [
@@ -285,7 +281,7 @@ def make_anisotropic(
         if isinstance(limit, Siegel):
             # weight-one invariance makes every scaled domain the limit itself
             def distance(index: int, u: Point, rows: np.ndarray, mode: MetricMode) -> np.ndarray:
-                return kobayashi_distance_rows(limit, u, rows, mode)
+                return ball_distance(siegel_to_ball(u), siegel_to_ball(rows.T), mode)
     else:
         remainder, rate = tangential_modulus_remainder(remainder_exponents, multitype)
         if not rate > 0:
@@ -326,10 +322,10 @@ def tangential_modulus_remainder(
     return rem, rate
 
 
-def complex_grid(re_min: float, re_max: float, im_min: float, im_max: float, n: int) -> list[complex]:
-    res = np.linspace(re_min, re_max, n)
-    ims = np.linspace(im_min, im_max, n)
-    return [complex(a, b) for a in res for b in ims]
+def complex_grid(lo: float, hi: float, n: int) -> list[complex]:
+    """The ``n`` by ``n`` grid on the square ``[lo, hi]^2`` of the plane."""
+    axis = np.linspace(lo, hi, n)
+    return [complex(a, b) for a in axis for b in axis]
 
 
 @dataclass(frozen=True)

@@ -162,7 +162,7 @@ def test_criterion_06_planar_scaling():
     """Defining-function decay at unit slope, and stabilized ball inclusion."""
     approach = BoundaryApproach.geometric((1.0,), (1.0,), 3, 12)
     family = make_isotropic(disc_defining(), approach)
-    hausdorff = hausdorff_check(family, complex_grid(-2, 2, -2, 2, 21), tol=1e-2)
+    hausdorff = hausdorff_check(family, complex_grid(-2, 2, 21), tol=1e-2)
     inclusion = ball_inclusion_check(family, radius=1.0, eps=0.1, samples=120, seed=0)
     stabilized = inclusion.passed and all(
         row.inside for row in inclusion.rows if row.j >= inclusion.j0

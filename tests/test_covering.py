@@ -304,7 +304,7 @@ class TestSlitMap:
     def test_validation_catches_broken_normalization(self):
         broken = dataclasses.replace(slit_embedding_of_disc(0.4), target_basepoint=(0.7 + 0j,))
         with pytest.raises(WitnessValidationError, match="normalization"):
-            broken.validate(samples=100)
+            broken.validate()
 
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):

@@ -368,7 +368,7 @@ class TestWitnessValidation:
             description="constant map (not injective)",
         )
         with pytest.raises(WitnessValidationError, match="injective"):
-            bad.validate(samples=500)
+            bad.validate()
 
     def test_escaping_image_is_caught(self):
         blowup = lambda z: 2.0 * z
@@ -382,7 +382,7 @@ class TestWitnessValidation:
             description="doubling map (escapes)",
         )
         with pytest.raises(WitnessValidationError, match="escaped"):
-            bad.validate(samples=500)
+            bad.validate()
 
     def test_leaving_the_declared_image_is_caught(self):
         """Images inside the target but outside the stricter declared image
@@ -399,7 +399,7 @@ class TestWitnessValidation:
             image_domain=SlitDisc(),
         )
         with pytest.raises(WitnessValidationError, match="escaped the slit"):
-            bad.validate(samples=500)
+            bad.validate()
 
     def test_non_finite_row_raises(self):
         sphere = sample_metric_sphere(Polydisc(2), (0j, 0j), 0.5, 64, np.random.default_rng(0))

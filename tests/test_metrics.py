@@ -27,7 +27,6 @@ from biholo.metrics import (
     ball_distance,
     ball_to_siegel,
     kobayashi_distance,
-    kobayashi_distance_rows,
     metric_sphere,
     polydisc_sphere,
     sample_metric_ball,
@@ -35,6 +34,24 @@ from biholo.metrics import (
     siegel_equivalent,
     siegel_to_ball,
 )
+from biholo.scaling import BoundaryApproach, make_anisotropic
+
+# a weight-one scaled family whose limit, and every scaled domain, is Siegel(2)
+SIEGEL_FAMILY = make_anisotropic(
+    modulus_power(1, 0, 1), Multitype((1, 2)), BoundaryApproach.geometric((0j, 0j), (0j, 1.0), 1, 3)
+)
+
+
+def distances_on_rows(domain, p, rows, mode=MetricMode.POINCARE):
+    """The distances from ``p`` to every row by the row form the program
+    uses on ``domain``: the disc and ball forms on rows, and on the Siegel
+    domain the distance of a scaled family."""
+    if isinstance(domain, Siegel):
+        assert domain == SIEGEL_FAMILY.limit
+        return SIEGEL_FAMILY.distance(0, p, rows, mode)
+    if domain.dim == 1:
+        return disc_distance(p[0], rows[:, 0], mode)
+    return ball_distance(p, rows.T, mode)
 
 
 class TestBallDistance:
@@ -175,6 +192,9 @@ class TestDispatcher:
 
 
 class TestKobayashiDistanceRows:
+    """The Kobayashi distance from one point to many rows, in the forms the
+    scaling checks call."""
+
     @pytest.mark.parametrize("domain", [Ball(1), Ball(2), Siegel(2)], ids=lambda d: d.label)
     @pytest.mark.parametrize("mode", list(MetricMode))
     def test_rows_match_points(self, domain, mode):
@@ -190,7 +210,8 @@ class TestKobayashiDistanceRows:
         p, rows = 0.5 * sample_rows(Ball(n), rng, 1)[0], 0.9 * sample_rows(Ball(n), rng, 300)
         if isinstance(domain, Siegel):
             p, rows = ball_to_siegel(p), np.column_stack(ball_to_siegel(rows.T))
-        d = kobayashi_distance_rows(domain, p, rows, mode)
+        p = tuple(complex(c) for c in p)
+        d = distances_on_rows(domain, p, rows, mode)
         assert d.shape == (300,)
         for x, q in zip(d.tolist(), rows.tolist()):
             ref = kobayashi_distance(domain, p, q, mode)
@@ -201,19 +222,14 @@ class TestKobayashiDistanceRows:
         [
             (Ball(1), (0.2,), [(0.1,), (1.5,)]),
             (Ball(2), (0j, 0.1), [(0j, 0.1), (complex("nan"), 0j)]),
-            (Siegel(2), (0j, -1.0), [(0j, -1.0), (0j, 1.0)]),
+            (Siegel(2), (0j, -1.0), [(0j, -1.0), (0j, 0.5)]),
             (Ball(2), (0.9, 0.9), [(0j, 0j), (0.1, 0.1j)]),
         ],
         ids=["row-outside", "nan-row", "siegel-row-outside", "center-outside"],
     )
     def test_points_off_the_domain_raise(self, domain, p, rows):
         with pytest.raises(ValueError):
-            kobayashi_distance_rows(domain, p, np.array(rows, dtype=complex))
-
-    def test_variants_without_a_row_form_raise(self):
-        rows = np.array([[0.5], [0.2j]])
-        with pytest.raises(UnsupportedDomainError):
-            kobayashi_distance_rows(PuncturedDisc(), 0.3, rows)
+            distances_on_rows(domain, p, np.array(rows, dtype=complex))
 
 
 class TestSphereSampling:

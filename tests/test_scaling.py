@@ -150,7 +150,7 @@ class TestIsotropicFamily:
 class TestHausdorffCheck:
     def test_disc_family_passes_with_unit_slope(self):
         fam = disc_family(3, 12)
-        report = hausdorff_check(fam, complex_grid(-2, 2, -2, 2, 21), tol=1e-2)
+        report = hausdorff_check(fam, complex_grid(-2, 2, 21), tol=1e-2)
         assert report.passed
         assert report.slope == pytest.approx(1.0, abs=0.15)
         assert report.rows[-1].membership_agreement > 0.99
@@ -161,9 +161,9 @@ class TestHausdorffCheck:
         its sup error to rounding: the array kernels of ``abs`` and complex
         powers may differ from Python's by an ulp, which the division by a
         small scale magnifies."""
-        coarse = complex_grid(-2, 2, -2, 2, 7)
+        coarse = complex_grid(-2, 2, 7)
         if which == "disc":
-            fam, grid = disc_family(3, 12), complex_grid(-2, 2, -2, 2, 21)
+            fam, grid = disc_family(3, 12), complex_grid(-2, 2, 21)
         else:
             fam, grid = quartic_family(remainder_exponent=6), [(a, b) for a in coarse for b in coarse]
         report = hausdorff_check(fam, grid, tol=1e-2)
@@ -178,11 +178,11 @@ class TestHausdorffCheck:
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-2])
     def test_tolerance_must_be_finite_and_positive(self, tol):
         with pytest.raises(ValueError, match="finite and positive"):
-            hausdorff_check(disc_family(), complex_grid(-2, 2, -2, 2, 5), tol=tol)
+            hausdorff_check(disc_family(), complex_grid(-2, 2, 5), tol=tol)
 
     def test_empirical_constant_is_reported(self):
         fam = disc_family(1, 8)
-        report = hausdorff_check(fam, complex_grid(-2, 2, -2, 2, 15), tol=5e-2)
+        report = hausdorff_check(fam, complex_grid(-2, 2, 15), tol=5e-2)
         # sup |difference| = 2 delta |Re w| + (2 delta - delta^2)|w|^2 <= ~20 delta
         assert 10.0 < report.empirical_constant < 21.0
 
