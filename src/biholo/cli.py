@@ -220,8 +220,7 @@ def _object(name: str, value) -> dict:
 
 
 def _approach_from_spec(spec: dict, dim: int) -> scaling.BoundaryApproach:
-    base = tuple(parse_complex_literal(str(c)) for c in _as_list(spec.get("base_point", "1"), dim))
-    normal = tuple(parse_complex_literal(str(c)) for c in _as_list(spec.get("normal", "1"), dim))
+    base, normal = (_spec_point(spec, key, dim) for key in ("base_point", "normal"))
     deltas_spec = spec.get("deltas", {})
     if isinstance(deltas_spec, list):
         return scaling.BoundaryApproach(base, normal, tuple(float(d) for d in deltas_spec))
@@ -231,10 +230,14 @@ def _approach_from_spec(spec: dict, dim: int) -> scaling.BoundaryApproach:
     return scaling.BoundaryApproach.geometric(base, normal, j0, j1, ratio)
 
 
-def _as_list(value, dim: int) -> list:
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    return [value] * dim if dim > 1 else [value]
+def _spec_point(spec: dict, key: str, dim: int) -> tuple[complex, ...]:
+    """The spec's ``key`` as a point of the kind's dimension ``dim``; a single
+    value stands for every coordinate."""
+    value = spec.get(key, "1")
+    coords = value if isinstance(value, list) else [value] * dim
+    if len(coords) != dim:
+        raise CliError(f"{key}: expected a point of dimension {dim}, got {len(coords)}")
+    return tuple(parse_complex_literal(str(c)) for c in coords)
 
 
 # the checks each experiment kind runs; the first is its default
@@ -262,7 +265,10 @@ def _run_scale_spec(spec: dict, args) -> tuple[dict[str, list[dict]], bool]:
         approach = _approach_from_spec(spec, 1)
         family = scaling.make_isotropic(scaling.disc_defining(), approach)
     elif kind == "anisotropic":
-        mt = Multitype(tuple(spec["multitype"]))
+        entries = spec["multitype"]
+        if not isinstance(entries, list) or not all(type(m) is int for m in entries):
+            raise CliError(f"multitype must be a JSON list of integers, got {entries!r}")
+        mt = Multitype(entries)
         poly = parse_polynomial(str(spec["poly"]))
         rem_spec = _object("remainder", spec.get("remainder", {}))
         exponents = None

@@ -17,7 +17,10 @@ Each variant is a class that owns its ``dim``, ``label``, its one sampler
 module functions below only hand over to them.
 
 Points are plain tuples of complex numbers; planar domains also accept a
-bare complex scalar.  Many points at once are rows: a complex array of shape
+bare complex scalar.  ``as_point`` is the one scalar coercion: it makes the
+tuple and checks that it is nonempty, finite and of the asked dimension, so
+a caller that holds its result calls ``d.defining(pt)`` with no second
+coercion.  Many points at once are rows: a complex array of shape
 ``[m, n]``.  ``defining_rows``/``contains_rows`` run the formula of
 ``defining_value``/``contains`` on the columns of the rows.  Sampling is on
 rows only: ``sample_rows`` draws them, and ``sample_point`` is its first row
@@ -90,10 +93,10 @@ def as_point(p: Union[complex, float, Sequence[complex]], dim: int | None = None
     if isinstance(p, (int, float, complex)):
         pt: Point = (complex(p),)
     else:
-        pt = tuple(complex(c) for c in p)
+        pt = tuple(map(complex, p))
     if len(pt) < 1:
         raise ValueError("a point needs at least one coordinate")
-    if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in pt):
+    if not all(map(cmath.isfinite, pt)):
         raise ValueError(f"point {pt!r} has non-finite coordinates")
     if dim is not None and len(pt) != dim:
         raise ValueError(f"expected a point of dimension {dim}, got {len(pt)}")

@@ -43,7 +43,6 @@ from .domains import (
     UpperHalfPlane,
     as_point,
     as_rows,
-    contains,
     contains_rows,
     random_unit_vectors,
     sample_rows,
@@ -267,7 +266,7 @@ _EXACT: dict[type, Callable[[ModelDomain], tuple[float, float]]] = {
 def _require_inside(d: ModelDomain, p) -> None:
     if p is not None:
         pt = as_point(p, d.dim)
-        if not contains(d, pt):
+        if not d.defining(pt) < 0.0:
             raise ValueError(f"point {pt!r} is not in the domain")
 
 

@@ -30,7 +30,6 @@ from .domains import (
     WeightedModel,
     _coordinates,
     as_point,
-    contains,
     random_unit_vectors,
 )
 from .hyperbolic import (
@@ -145,10 +144,16 @@ def kobayashi_distance(
     q,
     mode: MetricMode = MetricMode.POINCARE,
 ) -> float:
-    """Kobayashi distance between two points of a model domain."""
+    """Kobayashi distance between two points of a model domain.
+
+    Each point is coerced and checked once, by :func:`as_point`, and its
+    membership is the defining value of the coerced tuple; a non-finite
+    point, one of the wrong dimension or one outside the open domain raises
+    ``ValueError``.
+    """
     p = as_point(p, d.dim)
     q = as_point(q, d.dim)
-    if not contains(d, p) or not contains(d, q):
+    if not (d.defining(p) < 0.0 and d.defining(q) < 0.0):
         raise ValueError("both points must lie in the domain")
     if isinstance(d, Polydisc) or isinstance(d, Ball) and d.dim == 1:
         # Ball(1) is the disc: its form keeps 1 - |a|^2 as (1 - |a|)(1 + |a|)

@@ -283,6 +283,29 @@ class TestScale:
         assert out == ""
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("multitype", ["14", 14, ["1", "4"]], ids=["string", "number", "strings"])
+    def test_multitype_must_be_a_list_of_integers(self, tmp_path, capsys, multitype):
+        """A string is not read one character at a time."""
+        spec = self.make_spec(
+            tmp_path, {"kind": "anisotropic", "multitype": multitype, "poly": "1.0 2 | 2\n"}
+        )
+        out_dir = tmp_path / "never"
+        code, out, err = run_cli(capsys, "scale", str(spec), "--out", str(out_dir))
+        assert code == 2
+        assert err.startswith("error: multitype must be a JSON list of integers") and err.count("\n") == 1
+        assert out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("key", ["base_point", "normal"])
+    def test_approach_point_of_the_wrong_dimension_is_named(self, tmp_path, capsys, key):
+        spec = self.make_spec(tmp_path, {"kind": "isotropic", key: [1, 2]})
+        out_dir = tmp_path / "never"
+        code, out, err = run_cli(capsys, "scale", str(spec), "--out", str(out_dir))
+        assert code == 2
+        assert err == f"error: {key}: expected a point of dimension 1, got 2\n"
+        assert out == ""
+        assert not out_dir.exists()
+
     def test_deterministic_output(self, tmp_path, capsys):
         payload = {
             "kind": "isotropic",

@@ -21,6 +21,7 @@ from biholo.domains import (
     UpperHalfPlane,
     WeightedModel,
     WeightedPolynomial,
+    as_point,
     contains,
     contains_rows,
     defining_rows,
@@ -95,6 +96,52 @@ class TestMembership:
                 p = sample_point(dom, rng)
                 assert defining_value(dom, p) < 0.0
                 assert contains(dom, p)
+
+
+NON_FINITE = [
+    complex(float("nan"), 0.0),
+    complex(0.5, float("nan")),
+    complex(float("inf"), 0.0),
+    complex(0.0, float("-inf")),
+    complex(float("-inf"), 1.0),
+    complex(0.0, float("inf")),
+    float("nan"),
+    float("-inf"),
+]
+
+
+class TestAsPoint:
+    """The one scalar coercion: a tuple of complex numbers, finite and of the
+    asked dimension."""
+
+    @pytest.mark.parametrize(
+        "point",
+        [0.5, 2, 0.5j, (0.5, 1j), [0.5, 1j], np.array([0.5, 1j]), np.array([1.0, 2.0])],
+        ids=["float", "int", "complex", "tuple", "list", "complex-array", "float-array"],
+    )
+    def test_coerces_to_a_tuple_of_complex(self, point):
+        pt = as_point(point)
+        assert type(pt) is tuple and all(type(c) is complex for c in pt)
+        assert pt == tuple(complex(c) for c in np.atleast_1d(point))
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+    @pytest.mark.parametrize(
+        "wrap",
+        [lambda c: c, lambda c: (0j, c), lambda c: [c, 0j], lambda c: np.array([0j, c])],
+        ids=["scalar", "tuple", "list", "array"],
+    )
+    def test_rejects_non_finite_coordinates(self, wrap, bad):
+        with pytest.raises(ValueError, match=r"^point \(.*\) has non-finite coordinates$"):
+            as_point(wrap(bad))
+
+    @pytest.mark.parametrize("empty", [(), [], np.array([], dtype=complex)], ids=["tuple", "list", "array"])
+    def test_rejects_an_empty_point(self, empty):
+        with pytest.raises(ValueError, match="^a point needs at least one coordinate$"):
+            as_point(empty)
+
+    def test_dimension_message(self):
+        with pytest.raises(ValueError, match="^expected a point of dimension 2, got 1$"):
+            as_point(0.5, 2)
 
 
 # one instance of every variant, with the dimension and the label that CLI

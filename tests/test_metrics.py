@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from biholo import domains, metrics
 from biholo.domains import (
     Ball,
     HalfPlaneC,
@@ -189,6 +190,48 @@ class TestDispatcher:
     def test_rejects_exterior_points(self):
         with pytest.raises(ValueError):
             kobayashi_distance(Ball(1), 0.2, 1.5)
+
+    @pytest.mark.parametrize(
+        "domain, inside, outside, boundary",
+        [
+            pytest.param(*case, id=case[0].label)
+            for case in [
+                (Ball(1), 0.2, 1.5, 1.0),
+                (Ball(2), (0.1, 0.1j), (1.0, 0.5), (1.0, 0j)),
+                (Polydisc(3), (0.5, 0.5, 0.5), (0.5, 2.0, 0j), (0j, 1j, 0j)),
+                (UpperHalfPlane(), 1j, -1j, 2.0),
+                (HalfPlaneC(1.0), 0j, 1.0, 0.5),
+                (PuncturedDisc(), 0.5, 1.5, 0j),
+                (SlitDisc(), 0.5, 2j, -0.5),
+                (Siegel(2), (0j, -1.0), (0j, 1.0), (0.6, -0.18)),
+            ]
+        ],
+    )
+    @pytest.mark.parametrize("where", ["outside", "boundary"])
+    def test_points_off_the_domain_raise(self, domain, inside, outside, boundary, where):
+        """Each boundary point has defining value exactly 0."""
+        off = outside if where == "outside" else boundary
+        for p, q in ((inside, off), (off, inside)):
+            with pytest.raises(ValueError, match="^both points must lie in the domain$"):
+                kobayashi_distance(domain, p, q)
+
+    def test_each_point_is_coerced_once(self, monkeypatch):
+        """The entry coerces each point once and tests membership on the
+        coerced tuple, not through ``contains``, which would coerce again."""
+        calls = {"as_point": 0, "contains": 0}
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(metrics, "as_point", counted("as_point", domains.as_point))
+        monkeypatch.setattr(metrics, "contains", counted("contains", domains.contains), raising=False)
+        monkeypatch.setattr(domains, "contains", counted("contains", domains.contains))
+        assert kobayashi_distance(Ball(1), 0.2, 0.5j) == disc_distance(0.2, 0.5j)
+        assert calls == {"as_point": 2, "contains": 0}
 
 
 class TestKobayashiDistanceRows:
