@@ -1,6 +1,7 @@
 """Fridman invariant and squeezing function on the model domains.
 
-Exact values are hard-coded only where they are theorems: on the domains
+Exact values exist only where they are theorems, and each is the ``exact``
+entry of the variant's ``metrics.Geometry`` record: on the domains
 biholomorphic to the ball the invariant vanishes and the squeezing
 function is 1, and on the polydisc they are
 ``2 / log((sqrt n + 1)/(sqrt n - 1))`` (KOBAYASHI normalization) and
@@ -32,15 +33,12 @@ import numpy as np
 from . import covering, metrics
 from .domains import (
     Ball,
-    HalfPlaneC,
     ModelDomain,
     Point,
     Polydisc,
     PuncturedDisc,
-    Siegel,
     SlitDisc,
     UnsupportedDomainError,
-    UpperHalfPlane,
     as_point,
     as_rows,
     contains_rows,
@@ -246,46 +244,26 @@ def punctured_automorphism_witness(p: complex) -> EmbeddingWitness:
 # ---------------------------------------------------------------------------
 
 
-def _polydisc_exact(d: Polydisc) -> tuple[float, float]:
-    if d.dim == 1:
-        return 0.0, 1.0
-    s = 1.0 / math.sqrt(d.dim)
-    return 0.5 / math.atanh(s), s
-
-
-# (Fridman invariant in POINCARE normalization, squeezing function) by
-# variant, where both are theorems and constant in the point: 0 and 1 on
-# the variants biholomorphic to the ball, Deng, Guan and Zhang (2012) on
-# the polydisc
-_EXACT: dict[type, Callable[[ModelDomain], tuple[float, float]]] = {
-    **dict.fromkeys((Ball, UpperHalfPlane, HalfPlaneC, Siegel, SlitDisc), lambda d: (0.0, 1.0)),
-    Polydisc: _polydisc_exact,
-}
-
-
-def _require_inside(d: ModelDomain, p) -> None:
+def _exact(d: ModelDomain, p, value: str, instead: str) -> tuple[float, float]:
+    """The ``exact`` entry of the variant's record, once the point, if given,
+    is checked to lie in the domain."""
     if p is not None:
         pt = as_point(p, d.dim)
         if not d.defining(pt) < 0.0:
             raise ValueError(f"point {pt!r} is not in the domain")
+    exact = metrics._geometry(d).exact
+    if exact is None:
+        raise UnsupportedDomainError(f"no exact {value} for {d.label}; use {instead}")
+    return exact(d)
 
 
 def fridman_exact(d: ModelDomain, p=None, mode: MetricMode = MetricMode.KOBAYASHI) -> float:
-    """Exact Fridman invariant where a closed form exists.
-
-    Ball, half-planes, the unbounded ball realization and the slit disc
-    (through the uniformization :func:`covering.build_slit_map`) are
-    biholomorphic to the ball, so the invariant is 0.  The polydisc value is
-    ``1 / artanh(1/sqrt n)`` in KOBAYASHI mode (half the metric radii, twice
-    the invariant, relative to POINCARE).
-    """
-    _require_inside(d, p)
-    if type(d) not in _EXACT:
-        raise UnsupportedDomainError(
-            f"no exact Fridman value for {d.label}; use an estimator "
-            "(fridman_bounds_punctured or fridman_upper_from_embedding)"
-        )
-    return _EXACT[type(d)](d)[0] / mode.scale
+    """Exact Fridman invariant where it is a theorem, the variant's
+    ``metrics.Geometry.exact``: 0 on the domains biholomorphic to the ball,
+    ``1 / artanh(1/sqrt n)`` on the polydisc in KOBAYASHI mode (half the
+    metric radii, twice the invariant, relative to POINCARE)."""
+    estimators = "an estimator (fridman_bounds_punctured or fridman_upper_from_embedding)"
+    return _exact(d, p, "Fridman value", estimators)[0] / mode.scale
 
 
 @dataclass(frozen=True)
@@ -474,17 +452,10 @@ def fridman_upper_from_embedding(
 
 
 def squeezing_exact(d: ModelDomain, p=None) -> float:
-    """Exact squeezing function where a closed form exists: 1 on the domains
-    biholomorphic to the ball (those where :func:`fridman_exact` is 0), and
-    ``1/sqrt n`` on the polydisc (Deng, Guan and Zhang 2012); both are
-    constant in the point."""
-    _require_inside(d, p)
-    if type(d) not in _EXACT:
-        raise UnsupportedDomainError(
-            f"no exact squeezing value for {d.label}; "
-            "use squeezing_lower_from_embedding"
-        )
-    return _EXACT[type(d)](d)[1]
+    """Exact squeezing function where it is a theorem, the variant's
+    ``metrics.Geometry.exact``: 1 where :func:`fridman_exact` is 0, and
+    ``1/sqrt n`` on the polydisc; both are constant in the point."""
+    return _exact(d, p, "squeezing value", "squeezing_lower_from_embedding")[1]
 
 
 def _euclidean_spheres(n: int, count: int, rng: np.random.Generator) -> metrics.Sphere:

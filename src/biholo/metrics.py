@@ -1,18 +1,18 @@
-"""Kobayashi distances on the model domains, and metric-sphere sampling.
+"""Kobayashi distances on the model domains, metric-sphere and metric-ball
+sampling, and the exact values of the invariants.
 
-Every variant with a classical distance is dispatched here: the ball (and
-disc), the polydisc (max of coordinate distances), the half-planes, the
-punctured disc through its cover, the slit disc through its
-uniformization, and the unbounded realization of the ball through a Cayley
-transform.  Weighted models other than that realization have no computable
-distance and raise :class:`UnsupportedDomainError`.
+What is known in closed form on a variant is one :class:`Geometry` record in
+one table keyed by its type, and every dispatch is one lookup there: a new
+variant is one class in ``domains`` plus one record here.  Every variant has
+a distance but the weighted models other than the unbounded realization of
+the ball; those raise :class:`UnsupportedDomainError`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -133,11 +133,6 @@ def siegel_equivalent(d: WeightedModel) -> bool:
     return set(got) == expected and all(abs(c - 1.0) < 1e-14 for c in got.values())
 
 
-# the uniformization of SlitDisc(), built once at import; any basepoint
-# serves, since the disc distance is invariant under disc automorphisms
-_SLIT_MAP = covering.build_slit_map(0.5)
-
-
 def kobayashi_distance(
     d: ModelDomain,
     p,
@@ -155,28 +150,10 @@ def kobayashi_distance(
     q = as_point(q, d.dim)
     if not (d.defining(p) < 0.0 and d.defining(q) < 0.0):
         raise ValueError("both points must lie in the domain")
-    if isinstance(d, Polydisc) or isinstance(d, Ball) and d.dim == 1:
-        # Ball(1) is the disc: its form keeps 1 - |a|^2 as (1 - |a|)(1 + |a|)
-        return max(disc_distance(a, b, mode) for a, b in zip(p, q))
-    if isinstance(d, Ball):
-        return ball_distance(p, q, mode)
-    if isinstance(d, UpperHalfPlane):
-        return halfplane_distance(p[0], q[0], mode)
-    if isinstance(d, HalfPlaneC):
-        return halfplane_distance(d.to_halfplane(p[0]), d.to_halfplane(q[0]), mode)
-    if isinstance(d, PuncturedDisc):
-        return covering.punctured_distance(p[0], q[0], mode)
-    if isinstance(d, SlitDisc):
-        return disc_distance(_SLIT_MAP.unapply(p[0]), _SLIT_MAP.unapply(q[0]), mode)
-    if isinstance(d, Siegel):
-        return ball_distance(siegel_to_ball(p), siegel_to_ball(q), mode)
-    if isinstance(d, WeightedModel):
-        if siegel_equivalent(d):
-            return ball_distance(siegel_to_ball(p), siegel_to_ball(q), mode)
-        raise UnsupportedDomainError(
-            "no computable Kobayashi distance for a general weighted model"
-        )
-    raise UnsupportedDomainError(f"unknown domain {d!r}")
+    distance = _geometry(d).distance
+    if distance is None:
+        raise UnsupportedDomainError(f"no computable Kobayashi distance for {d.label}")
+    return distance(d, p, q, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +193,44 @@ def polydisc_sphere_sample(n: int, modulus: float, count: int, rng: np.random.Ge
     return polydisc_sphere(n, count, rng)(modulus)
 
 
-def _punctured_sphere(center: complex, count: int, rng: np.random.Generator) -> Sphere:
-    """The spheres of POINCARE radius ``radius_p`` around ``center`` in the
-    punctured disc, as a function of ``radius_p``: the metric circle around
-    the principal lift of ``center``, projected by ``exp(i z)``."""
+def _ball_sphere(d: Ball, center, count: int, rng: np.random.Generator, mode: MetricMode) -> Sphere:
+    directions = random_unit_vectors(d.dim, count, rng)
+    phi = ball_automorphism(center)
+    modulus = lambda radius: math.tanh(radius * MetricMode.KOBAYASHI.scale / mode.scale)
+    return lambda radius: np.column_stack(phi((modulus(radius) * directions).T))
+
+
+def _polydisc_metric_sphere(d: Polydisc, center, count: int, rng: np.random.Generator, mode: MetricMode) -> Sphere:
+    polydisc = polydisc_sphere(d.dim, count, rng)
+    a = np.array(center)
+    moved = any(c != 0 for c in center)
+
+    def sphere(radius: float) -> np.ndarray:
+        pts = polydisc(math.tanh(radius * MetricMode.KOBAYASHI.scale / mode.scale))
+        return (pts + a) / (1.0 + a.conj() * pts) if moved else pts
+
+    return sphere
+
+
+def _halfplane_sphere(center: complex, count: int, mode: MetricMode) -> Sphere:
+    circle = np.exp(1j * np.linspace(0.0, covering.TWO_PI, count, endpoint=False))
+
+    def sphere(radius: float) -> np.ndarray:
+        ecenter, eradius = halfplane_metric_circle(center, radius, mode)
+        return (ecenter + eradius * circle)[:, None]
+
+    return sphere
+
+
+def _punctured_sphere(center: complex, count: int, rng: np.random.Generator, mode: MetricMode) -> Sphere:
+    """The metric circle around the principal lift of ``center``, projected
+    by ``exp(i z)``."""
     z0 = covering.principal_lift(center)
     angles = np.linspace(0.0, covering.TWO_PI, count, endpoint=False) + rng.uniform(0.0, 1e-3)
     circle = np.exp(1j * angles)
 
-    def sphere(radius_p: float) -> np.ndarray:
-        ecenter, eradius = halfplane_metric_circle(z0, radius_p, MetricMode.POINCARE)
+    def sphere(radius: float) -> np.ndarray:
+        ecenter, eradius = halfplane_metric_circle(z0, radius / mode.scale, MetricMode.POINCARE)
         w = ecenter + eradius * circle
         pts = np.exp(1j * w[np.abs(w.real - z0.real) <= math.pi])
         extreme = []
@@ -267,32 +272,10 @@ def metric_sphere(
     (polydisc corners, antipodal crossings in the punctured disc).
     """
     center = as_point(center, d.dim)
-    kobayashi_radius = lambda radius: radius * MetricMode.KOBAYASHI.scale / mode.scale
-    if isinstance(d, Ball):
-        directions = random_unit_vectors(d.dim, count, rng)
-        phi = ball_automorphism(center)
-        at = lambda radius: np.column_stack(phi((math.tanh(kobayashi_radius(radius)) * directions).T))
-    elif isinstance(d, Polydisc):
-        polydisc = polydisc_sphere(d.dim, count, rng)
-        a = np.array(center)
-        moved = any(c != 0 for c in center)
-
-        def at(radius: float) -> np.ndarray:
-            pts = polydisc(math.tanh(kobayashi_radius(radius)))
-            return (pts + a) / (1.0 + a.conj() * pts) if moved else pts
-
-    elif isinstance(d, UpperHalfPlane):
-        circle = np.exp(1j * np.linspace(0.0, covering.TWO_PI, count, endpoint=False))
-
-        def at(radius: float) -> np.ndarray:
-            ecenter, eradius = halfplane_metric_circle(center[0], radius, mode)
-            return (ecenter + eradius * circle)[:, None]
-
-    elif isinstance(d, PuncturedDisc):
-        punctured = _punctured_sphere(center[0], count, rng)
-        at = lambda radius: punctured(radius / mode.scale)
-    else:
+    draw = _geometry(d).sphere
+    if draw is None:
         raise UnsupportedDomainError(f"no sphere sampler for domain {d!r}")
+    at = draw(d, center, count, rng, mode)
 
     def sphere(radius: float) -> np.ndarray:
         if radius <= 0:
@@ -317,6 +300,24 @@ def sample_metric_sphere(
     return metric_sphere(d, center, count, rng, mode)(radius)
 
 
+def _siegel_ball(d: Siegel, center, radius: float, count: int, rng: np.random.Generator, mode: MetricMode):
+    directions = random_unit_vectors(d.dim, count, rng)
+    t = radius * np.sqrt(rng.uniform(size=count))
+    v = np.tanh(0.5 * t / mode.scale)[:, None] * directions
+    phi = ball_automorphism(siegel_to_ball(center))
+    return np.column_stack(ball_to_siegel(phi(v.T)))
+
+
+def _halfplane_ball(z0: complex, radius: float, count: int, rng: np.random.Generator, mode: MetricMode):
+    """The upper half-plane's ball around ``z0``, as a 1-d array."""
+    u = rng.uniform(size=(count, 2))
+    shell = np.linspace(0.0, covering.TWO_PI, max(count // 2, 8), endpoint=False)
+    t = np.concatenate([radius * np.sqrt(u[:, 0]), np.full(len(shell), radius)])
+    angle = np.concatenate([covering.TWO_PI * u[:, 1], shell])
+    ecenter, eradius = halfplane_metric_circle(z0, t, mode)
+    return ecenter + eradius * (np.cos(angle) + 1j * np.sin(angle))
+
+
 def sample_metric_ball(
     d: ModelDomain,
     center,
@@ -335,19 +336,83 @@ def sample_metric_ball(
     and then one ``uniform(count)`` of radii.
     """
     center = as_point(center, d.dim)
-    if isinstance(d, Siegel):
-        directions = random_unit_vectors(d.dim, count, rng)
-        t = radius * np.sqrt(rng.uniform(size=count))
-        v = np.tanh(0.5 * t / mode.scale)[:, None] * directions
-        phi = ball_automorphism(siegel_to_ball(center))
-        return np.column_stack(ball_to_siegel(phi(v.T)))
-    if not isinstance(d, (UpperHalfPlane, HalfPlaneC)):
+    draw = _geometry(d).ball
+    if draw is None:
         raise UnsupportedDomainError(f"no ball sampler for domain {d!r}")
-    z0 = d.to_halfplane(center[0]) if isinstance(d, HalfPlaneC) else center[0]
-    u = rng.uniform(size=(count, 2))
-    shell = np.linspace(0.0, covering.TWO_PI, max(count // 2, 8), endpoint=False)
-    t = np.concatenate([radius * np.sqrt(u[:, 0]), np.full(len(shell), radius)])
-    angle = np.concatenate([covering.TWO_PI * u[:, 1], shell])
-    ecenter, eradius = halfplane_metric_circle(z0, t, mode)
-    w = ecenter + eradius * (np.cos(angle) + 1j * np.sin(angle))
-    return (d.from_halfplane(w) if isinstance(d, HalfPlaneC) else w)[:, None]
+    return draw(d, center, radius, count, rng, mode)
+
+
+class Geometry(NamedTuple):
+    """The closed forms of one variant, each None where there is none:
+    ``distance(d, p, q, mode)`` of coerced points (the Siegel form also takes
+    the columns of rows as ``q``), ``sphere(d, center, count, rng, mode)``,
+    ``ball(d, center, radius, count, rng, mode)`` and ``exact(d)``, the
+    Fridman invariant in POINCARE normalization and the squeezing function
+    where both are theorems and constant in the point (0 and 1 on the
+    variants biholomorphic to the ball, Deng, Guan and Zhang (2012) on the
+    polydisc).  Each entry looks its functions up when called, so that a
+    function wrapped in place by name is the one that runs."""
+
+    distance: Callable | None = None
+    sphere: Callable[..., Sphere] | None = None
+    ball: Callable[..., np.ndarray] | None = None
+    exact: Callable[[ModelDomain], tuple[float, float]] | None = None
+
+
+def _polydisc_exact(n: int) -> tuple[float, float]:
+    s = 1.0 / math.sqrt(n)
+    return (0.5 / math.atanh(s), s) if n > 1 else (0.0, 1.0)
+
+
+# the uniformization of SlitDisc(), built once at import; any basepoint
+# serves, since the disc distance is invariant under disc automorphisms
+_SLIT_MAP = covering.build_slit_map(0.5)
+
+_GEOMETRY: dict[type, Geometry] = {
+    Ball: Geometry(
+        # Ball(1) is the disc: its form keeps 1 - |a|^2 as (1 - |a|)(1 + |a|)
+        distance=lambda d, p, q, mode: disc_distance(p[0], q[0], mode) if d.dim == 1 else ball_distance(p, q, mode),
+        sphere=lambda d, center, count, rng, mode: _ball_sphere(d, center, count, rng, mode),
+        exact=lambda d: (0.0, 1.0),
+    ),
+    Polydisc: Geometry(
+        distance=lambda d, p, q, mode: max(disc_distance(a, b, mode) for a, b in zip(p, q)),
+        sphere=lambda d, center, count, rng, mode: _polydisc_metric_sphere(d, center, count, rng, mode),
+        exact=lambda d: _polydisc_exact(d.dim),
+    ),
+    UpperHalfPlane: Geometry(
+        distance=lambda d, p, q, mode: halfplane_distance(p[0], q[0], mode),
+        sphere=lambda d, center, count, rng, mode: _halfplane_sphere(center[0], count, mode),
+        ball=lambda d, center, radius, count, rng, mode: _halfplane_ball(center[0], radius, count, rng, mode)[:, None],
+        exact=lambda d: (0.0, 1.0),
+    ),
+    HalfPlaneC: Geometry(
+        distance=lambda d, p, q, mode: halfplane_distance(d.to_halfplane(p[0]), d.to_halfplane(q[0]), mode),
+        ball=lambda d, center, radius, count, rng, mode: d.from_halfplane(
+            _halfplane_ball(d.to_halfplane(center[0]), radius, count, rng, mode))[:, None],
+        exact=lambda d: (0.0, 1.0),
+    ),
+    PuncturedDisc: Geometry(
+        distance=lambda d, p, q, mode: covering.punctured_distance(p[0], q[0], mode),
+        sphere=lambda d, center, count, rng, mode: _punctured_sphere(center[0], count, rng, mode),
+    ),
+    SlitDisc: Geometry(
+        distance=lambda d, p, q, mode: disc_distance(_SLIT_MAP.unapply(p[0]), _SLIT_MAP.unapply(q[0]), mode),
+        exact=lambda d: (0.0, 1.0),
+    ),
+    Siegel: Geometry(
+        distance=lambda d, p, q, mode: ball_distance(siegel_to_ball(p), siegel_to_ball(q), mode),
+        ball=lambda d, center, radius, count, rng, mode: _siegel_ball(d, center, radius, count, rng, mode),
+        exact=lambda d: (0.0, 1.0),
+    ),
+    WeightedModel: Geometry(),  # any but the unbounded ball realization
+}
+
+
+def _geometry(d: ModelDomain) -> Geometry:
+    """The record of ``d``'s variant; a weighted model that is literally the
+    unbounded ball realization (:func:`siegel_equivalent`) gets Siegel's."""
+    kind = Siegel if type(d) is WeightedModel and siegel_equivalent(d) else type(d)
+    if kind not in _GEOMETRY:
+        raise UnsupportedDomainError(f"unknown domain {d!r}")
+    return _GEOMETRY[kind]

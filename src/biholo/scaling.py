@@ -43,7 +43,7 @@ from .domains import (
     symbolic_weight_check,
 )
 from .hyperbolic import MetricMode, disc_distance
-from .metrics import ball_distance, sample_metric_ball, siegel_equivalent, siegel_to_ball
+from .metrics import _geometry, sample_metric_ball, siegel_equivalent
 from . import covering
 
 __all__ = [
@@ -278,10 +278,11 @@ def make_anisotropic(
         def defining(z):
             return 2.0 * z[-1].real + _poly_value(poly, z[:-1])
 
-        if isinstance(limit, Siegel):
+        limit_distance = _geometry(limit).distance
+        if limit_distance is not None:
             # weight-one invariance makes every scaled domain the limit itself
             def distance(index: int, u: Point, rows: np.ndarray, mode: MetricMode) -> np.ndarray:
-                return ball_distance(siegel_to_ball(u), siegel_to_ball(rows.T), mode)
+                return limit_distance(limit, u, rows.T, mode)
     else:
         remainder, rate = tangential_modulus_remainder(remainder_exponents, multitype)
         if not rate > 0:

@@ -48,6 +48,18 @@ EXACT_TABLE = [
     Ball(1), Ball(3), Polydisc(2), Polydisc(3), Polydisc(7),
     UpperHalfPlane(), HalfPlaneC(1.0 + 0.5j), Siegel(2), SlitDisc(),
 ]
+# fridman_exact (KOBAYASHI) and squeezing_exact on EXACT_TABLE, as float.hex
+EXACT_PINS = [
+    ("0x0.0p+0", "0x1.0000000000000p+0"),
+    ("0x0.0p+0", "0x1.0000000000000p+0"),
+    ("0x1.2274aa148de08p+0", "0x1.6a09e667f3bccp-1"),
+    ("0x1.84c6572759a9bp+0", "0x1.279a74590331dp-1"),
+    ("0x1.41dd57939e83ap+1", "0x1.83091e6a7f7e6p-2"),
+    ("0x0.0p+0", "0x1.0000000000000p+0"),
+    ("0x0.0p+0", "0x1.0000000000000p+0"),
+    ("0x0.0p+0", "0x1.0000000000000p+0"),
+    ("0x0.0p+0", "0x1.0000000000000p+0"),
+]
 
 
 class TestFridmanExact:
@@ -76,6 +88,12 @@ class TestFridmanExact:
         assert fridman_exact(Polydisc(2), (0.5 + 0.1j, -0.3j)) == fridman_exact(
             Polydisc(2), (0j, 0j)
         )
+
+    @pytest.mark.parametrize(
+        "dom, pins", [pytest.param(dom, pins, id=repr(dom)) for dom, pins in zip(EXACT_TABLE, EXACT_PINS)]
+    )
+    def test_exact_values_are_pinned_bit_for_bit(self, dom, pins):
+        assert (fridman_exact(dom).hex(), squeezing_exact(dom).hex()) == pins
 
     def test_poincare_mode_halves(self):
         k = fridman_exact(Polydisc(3), mode=MetricMode.KOBAYASHI)

@@ -23,6 +23,7 @@ from biholo.domains import (
     sample_rows,
 )
 from biholo.hyperbolic import MetricMode, disc_distance, halfplane_distance, halfplane_metric_circle
+from biholo.invariants import fridman_exact, squeezing_exact
 from biholo.metrics import (
     ball_automorphism,
     ball_distance,
@@ -232,6 +233,43 @@ class TestDispatcher:
         monkeypatch.setattr(domains, "contains", counted("contains", domains.contains))
         assert kobayashi_distance(Ball(1), 0.2, 0.5j) == disc_distance(0.2, 0.5j)
         assert calls == {"as_point": 2, "contains": 0}
+
+    def test_siegel_equivalent_model_has_the_siegel_record(self):
+        """A weighted model that is literally the unbounded ball realization
+        gets every closed form of Siegel(2); any other weighted model none."""
+        model = WeightedModel(Multitype((1, 2)), modulus_power(1, 0, 1))
+        p, q = (0.3 - 0.2j, -1.4 + 0.5j), (0.1j, -1.0)
+        assert kobayashi_distance(model, p, q) == kobayashi_distance(Siegel(2), p, q)
+        assert fridman_exact(model, p) == 0.0
+        assert squeezing_exact(model, p) == 1.0
+        rows = sample_metric_ball(model, p, 1.3, 64, np.random.default_rng(9))
+        assert rows.tobytes() == sample_metric_ball(Siegel(2), p, 1.3, 64, np.random.default_rng(9)).tobytes()
+        other = WeightedModel(Multitype((1, 4)), modulus_power(1, 0, 2))
+        with pytest.raises(UnsupportedDomainError, match="ball sampler"):
+            sample_metric_ball(other, (0j, -1.0), 1.0, 8, np.random.default_rng(0))
+
+
+# One pair per variant with a distance, and its distance in POINCARE and in
+# KOBAYASHI mode as float.hex, so that any change to a formula's arithmetic
+# shows.
+PINNED_DISTANCES = [
+    (Ball(1), (0.3 - 0.4j,), (-0.5 + 0.1j,), "0x1.0ec924f311bb8p+1", "0x1.0ec924f311bb8p+0"),
+    (Ball(2), (0.3, -0.2j), (-0.1 + 0.4j, 0.5), "0x1.e4c03d47f820cp+0", "0x1.e4c03d47f820cp-1"),
+    (Polydisc(3), (0.1, 0.2j, -0.3), (0.5j, -0.4, 0.6 + 0.1j), "0x1.036d11301c830p+1", "0x1.036d11301c830p+0"),
+    (UpperHalfPlane(), (0.3 + 2j,), (-1.0 + 0.5j,), "0x1.c08857e175da5p+0", "0x1.c08857e175da5p-1"),
+    (HalfPlaneC(1.0 + 0.5j), (-0.4j,), (-0.6 + 0.3j,), "0x1.87998aced936ap+0", "0x1.87998aced936ap-1"),
+    (PuncturedDisc(), (0.5,), (-0.3 + 0.2j,), "0x1.36337567275f6p+1", "0x1.36337567275f6p+0"),
+    (SlitDisc(), (0.5,), (-0.3 + 0.1j,), "0x1.e05bede33a2fcp+1", "0x1.e05bede33a2fcp+0"),
+    (Siegel(2), (0.3 - 0.2j, -1.4 + 0.5j), (0.1j, -1.0), "0x1.7b8c06e83fac9p-1", "0x1.7b8c06e83fac9p-2"),
+]
+
+
+@pytest.mark.parametrize(
+    "domain, p, q, poincare, kobayashi", [pytest.param(*case, id=case[0].label) for case in PINNED_DISTANCES]
+)
+def test_distances_are_pinned_bit_for_bit(domain, p, q, poincare, kobayashi):
+    assert kobayashi_distance(domain, p, q, MetricMode.POINCARE) == float.fromhex(poincare)
+    assert kobayashi_distance(domain, p, q, MetricMode.KOBAYASHI) == float.fromhex(kobayashi)
 
 
 class TestKobayashiDistanceRows:

@@ -37,3 +37,27 @@ def test_traced_names_exist_and_uninstall_cleanly(monkeypatch):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_distance_records_reach_the_wrapped_layers(monkeypatch):
+    """The distance entries look their layers up when called, so the tracer
+    counts the calls under them; an entry that stored a function object at
+    import would call the unwrapped original, and the counts would read 0."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    from tracer import Tracer
+
+    from biholo import Ball, PuncturedDisc, UpperHalfPlane, metrics
+
+    tracer = Tracer()
+    try:
+        layers.install(tracer)
+        metrics.kobayashi_distance(PuncturedDisc(), 0.5, -0.3 + 0.2j)
+        metrics.kobayashi_distance(UpperHalfPlane(), 1j, 2.0 + 1j)
+        metrics.kobayashi_distance(Ball(1), 0.3, -0.5j)
+    finally:
+        tracer.uninstall()
+    # three deck translates under the punctured query, one half-plane query
+    assert tracer.calls("covering.punctured_distance") == 1
+    assert tracer.calls("hyperbolic.halfplane_distance") == 4
+    assert tracer.calls("hyperbolic.disc_distance") == 1
