@@ -188,18 +188,19 @@ def cmd_invariant(args) -> int:
     try:
         point = as_point(point, domain.dim)
         if args.kind == "fridman":
-            mode = _mode(args)
+            # a Fridman value is a reciprocal radius: divided by the factor
+            factor = _mode(args).factor
             record["mode"] = args.mode
             if isinstance(domain, PuncturedDisc):
-                est = invariants.fridman_bounds_punctured(point[0], mode)
+                est = invariants.fridman_bounds_punctured(point[0])
                 record.update(
-                    lower=est.lower,
-                    upper=est.upper,
+                    lower=est.lower / factor,
+                    upper=est.upper / factor,
                     lower_witness=est.lower_witness,
                     upper_witness=est.upper_witness,
                 )
             else:
-                record["value"] = invariants.fridman_exact(domain, point, mode)
+                record["value"] = invariants.fridman_exact(domain, point) / factor
         else:
             record["mode"] = "euclidean"  # squeezing is a ratio of euclidean radii
             record["value"] = invariants.squeezing_exact(domain, point)
@@ -287,8 +288,11 @@ def _run_scale_spec(spec: dict, args) -> tuple[dict[str, list[dict]], bool]:
             passed &= ok
     else:
         approach = _approach_from_spec(spec, 1)
-        report = scaling.convergence_experiment(PuncturedDisc(), approach, _mode(args))
-        outputs["convergence"] = [dataclasses.asdict(r) for r in report.rows]
+        report = scaling.convergence_experiment(PuncturedDisc(), approach)
+        factor = _mode(args).factor
+        outputs["convergence"] = [
+            dict(dataclasses.asdict(r), upper_bound=r.upper_bound / factor) for r in report.rows
+        ]
         return outputs, report.strictly_decreasing
 
     if "hausdorff" in checks:
@@ -305,15 +309,18 @@ def _run_scale_spec(spec: dict, args) -> tuple[dict[str, list[dict]], bool]:
         passed &= report.passed
     if "ball_inclusion" in checks:
         bi = _object("ball_inclusion", spec.get("ball_inclusion", {}))
+        # R and eps are in the units of --mode; R/f - eps/f == (R - eps)/f exactly
+        factor = _mode(args).factor
         report = scaling.ball_inclusion_check(
             family,
-            radius=float(bi.get("R", 1.0)),
-            eps=float(bi.get("eps", 0.1)),
+            radius=float(bi.get("R", 1.0)) / factor,
+            eps=float(bi.get("eps", 0.1)) / factor,
             samples=int(bi.get("samples", 200)),
-            mode=_mode(args),
             seed=args.seed,
         )
-        outputs["ball_inclusion"] = [dataclasses.asdict(r) for r in report.rows]
+        outputs["ball_inclusion"] = [
+            dict(dataclasses.asdict(r), max_distance=r.max_distance * factor) for r in report.rows
+        ]
         passed &= report.passed
     return outputs, passed
 

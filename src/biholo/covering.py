@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hyperbolic import MetricMode, halfplane_distance
+from .hyperbolic import halfplane_distance
 from .maps import Chain, Mobius, PrincipalSqrt, Square
 
 __all__ = [
@@ -65,7 +65,7 @@ def principal_lift(q: complex) -> complex:
     return complex(x, -math.log(m))
 
 
-def punctured_distance(p: complex, q: complex, mode: MetricMode = MetricMode.POINCARE) -> float:
+def punctured_distance(p: complex, q: complex) -> float:
     """Punctured-disc distance: the minimum over deck translates of the lifts.
 
     Both principal lifts have real part in ``[0, 2 pi)``, so their
@@ -76,17 +76,17 @@ def punctured_distance(p: complex, q: complex, mode: MetricMode = MetricMode.POI
     """
     zp = principal_lift(p)
     zq = principal_lift(q)
-    return min(halfplane_distance(zp, zq + TWO_PI * k, mode) for k in (-1, 0, 1))
+    return min(halfplane_distance(zp, zq + TWO_PI * k) for k in (-1, 0, 1))
 
 
-def deck_minimum(p: float, theta: float, mode: MetricMode = MetricMode.POINCARE) -> float:
+def deck_minimum(p: float, theta: float) -> float:
     """Closed form of the lifted distance at horizontal offset ``theta``:
 
         log((theta^2 + 2 (log p)^2 + theta sqrt(theta^2 + 4 (log p)^2))
-            / (2 (log p)^2))
+            / (2 (log p)^2)) / 2
 
     The argument of the log equals ``(u + sqrt(u^2 + 1))^2`` with
-    ``u = theta / (2 |log p|)``, so the value is ``2 asinh(u)``; that form
+    ``u = theta / (2 |log p|)``, so the value is ``asinh(u)``; that form
     keeps full relative precision at tiny ``theta``, where the log of an
     argument near 1 loses it to cancellation.
 
@@ -101,34 +101,34 @@ def deck_minimum(p: float, theta: float, mode: MetricMode = MetricMode.POINCARE)
         raise ValueError("modulus must lie in (0, 1)")
     if not 0.0 <= theta <= TWO_PI:
         raise ValueError("angular offset must lie in [0, 2*pi]")
-    return mode.scale * 2.0 * math.asinh(theta / (-2.0 * math.log(p)))
+    return math.asinh(theta / (-2.0 * math.log(p)))
 
 
-def slit_distance(p: float, mode: MetricMode = MetricMode.POINCARE) -> float:
+def slit_distance(p: float) -> float:
     """Distance from ``p`` in (0, 1) to the slit ``(-1, 0]``:
 
-        log(x + sqrt(x^2 + 1)),  x = -pi / log p.
+        log(x + sqrt(x^2 + 1)) / 2,  x = -pi / log p.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("base point must lie in (0, 1)")
     x = -math.pi / math.log(p)
-    return mode.scale * math.asinh(x)
+    return 0.5 * math.asinh(x)
 
 
-def circle_supremum(p: float, mode: MetricMode = MetricMode.POINCARE) -> float:
+def circle_supremum(p: float) -> float:
     """Translation length of the deck generator at ``p`` in (0, 1), the
     half-plane distance ``d(z_p, z_p + 2 pi) = deck_minimum(p, 2 pi)``.
-    That is ``2 asinh(x)`` with ``x = -pi / log p``: twice
+    That is ``asinh(x)`` with ``x = -pi / log p``: twice
     :func:`slit_distance`, computed as such, so it keeps that form's
     relative precision (doubling is exact).
 
     Despite the name this is not the supremum over the circle ``|q| = p``
     of the distance from ``p``: that supremum is reached at the antipode
-    and equals ``deck_minimum(p, pi)`` (3.113 against 4.433 at p = 0.5).
+    and equals ``deck_minimum(p, pi)`` (1.557 against 2.217 at p = 0.5).
     It is an upper bound for it, so the metric ball of this radius around
     ``p`` contains the circle.
     """
-    return 2.0 * slit_distance(p, mode)
+    return 2.0 * slit_distance(p)
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +154,7 @@ class DeckDistance:
     widened: bool
 
 
-def punctured_distance_detail(
-    p: complex,
-    q: complex,
-    mode: MetricMode = MetricMode.POINCARE,
-    deck_range: int = 100,
-) -> DeckDistance:
+def punctured_distance_detail(p: complex, q: complex, deck_range: int = 100) -> DeckDistance:
     """Oracle for :func:`punctured_distance`: enumeration of deck translates.
 
     Enumerates ``k`` in ``[-K, K]``; if the argmin lands on the boundary the
@@ -175,7 +170,7 @@ def punctured_distance_detail(
         best = math.inf
         best_k = 0
         for k in range(-k_range, k_range + 1):
-            d = halfplane_distance(zp, zq + TWO_PI * k, mode)
+            d = halfplane_distance(zp, zq + TWO_PI * k)
             if d < best:
                 best, best_k = d, k
         if abs(best_k) < k_range or k_range >= _DECK_RANGE_CAP:
@@ -189,34 +184,26 @@ def punctured_distance_detail(
         widened = True
 
 
-def deck_minimum_enumerated(
-    p: float,
-    theta: float,
-    deck_range: int = 100,
-    mode: MetricMode = MetricMode.POINCARE,
-) -> float:
+def deck_minimum_enumerated(p: float, theta: float, deck_range: int = 100) -> float:
     """Oracle for :func:`deck_minimum`: direct enumeration of deck translates."""
     if not 0.0 < p < 1.0:
         raise ValueError("modulus must lie in (0, 1)")
     y = -math.log(p)
     z = complex(0.0, y)
     return min(
-        halfplane_distance(z, complex(theta + TWO_PI * k, y), mode)
+        halfplane_distance(z, complex(theta + TWO_PI * k, y))
         for k in range(-deck_range, deck_range + 1)
     )
 
 
 def _acosh_rows(dx: np.ndarray, y1: float, y2: np.ndarray | float) -> np.ndarray:
+    """Half-plane distances ``arccosh(1 + s) / 2`` at horizontal offsets
+    ``dx`` and heights ``y1`` and ``y2``."""
     s = (dx * dx + (y1 - y2) ** 2) / (2.0 * y1 * y2)
-    return np.log1p(s + np.sqrt(s * (s + 2.0)))
+    return 0.5 * np.log1p(s + np.sqrt(s * (s + 2.0)))
 
 
-def grid_slit_distance(
-    p: float,
-    grid: int = 100_000,
-    deck_range: int = 5,
-    mode: MetricMode = MetricMode.POINCARE,
-) -> float:
+def grid_slit_distance(p: float, grid: int = 100_000, deck_range: int = 5) -> float:
     """Oracle for :func:`slit_distance`: minimize the punctured-disc distance
     from ``p`` over a grid of points of the slit ``(-1, 0)``."""
     if not 0.0 < p < 1.0:
@@ -228,14 +215,10 @@ def grid_slit_distance(
     for k in range(-deck_range, deck_range + 1):
         dx = math.pi + TWO_PI * k
         np.minimum(best, _acosh_rows(np.full(moduli.shape, dx), yp, yq), out=best)
-    return mode.scale * float(best.min())
+    return float(best.min())
 
 
-def grid_circle_supremum(
-    p: float,
-    grid: int = 1_000_000,
-    mode: MetricMode = MetricMode.POINCARE,
-) -> tuple[float, float]:
+def grid_circle_supremum(p: float, grid: int = 1_000_000) -> tuple[float, float]:
     """Oracle for :func:`circle_supremum`: maximize the half-plane distance
     between the lifts ``i y`` and ``theta + i y`` (``y = -log p``) over an
     angular grid of ``[0, 2 pi)``, evaluated by the ``acosh`` form of the
@@ -249,7 +232,7 @@ def grid_circle_supremum(
     y = -math.log(p)
     vals = _acosh_rows(theta, y, y)
     idx = int(vals.argmax())
-    return mode.scale * float(vals[idx]), float(theta[idx])
+    return float(vals[idx]), float(theta[idx])
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,15 @@
 """Hyperbolic geometry of the unit disc and the upper half-plane.
 
-Two normalizations of the same metric are used side by side in this
-package, so every distance function takes a :class:`MetricMode`:
+Every distance here is the Kobayashi distance, the normalization in which
+the Fridman invariant and the squeezing function are stated: on the disc
+``d(0, s) = artanh(s)``, so the metric ball of radius r around 0 has
+euclidean radius tanh(r), and on the half-plane
+``d(z, w) = asinh(|z - w| / (2 sqrt(Im z Im w)))``.  That is half the
+curvature -1 (Poincare) distance, density ``|dz| / Im z``, whose circles
+:func:`halfplane_metric_circle` describes.
 
-* ``MetricMode.POINCARE`` -- the curvature -1 metric, density
-  ``|dz| / Im z`` on the half-plane.  Its distance has the closed form
-  ``2 asinh(|z - w| / (2 sqrt(Im z Im w)))`` and on the disc
-  ``d(0, s) = 2 artanh(s)``.
-* ``MetricMode.KOBAYASHI`` -- the Kobayashi convention, exactly half of
-  the above, with ``d(0, s) = artanh(s)`` on the disc, so the metric ball
-  of radius r around 0 has euclidean radius tanh(r).
-
-Conversion between the modes is multiplication by exactly 2.
+:class:`MetricMode` is an output choice only: ``mode.factor`` takes a
+Kobayashi distance to the Poincare one and back, exactly.
 """
 
 from __future__ import annotations
@@ -32,21 +30,19 @@ __all__ = [
 
 
 class MetricMode(Enum):
-    """Normalization of the hyperbolic metric; POINCARE = 2 * KOBAYASHI.
+    """Output normalization of the hyperbolic metric; POINCARE = 2 * KOBAYASHI.
 
-    ``mode.scale`` is the factor taking a POINCARE distance to ``mode``,
-    1.0 or 0.5, and the only place that factor is written.  Both values are
-    powers of two, so converting by it is exact and the two modes differ by
-    exactly 2 bit for bit.
+    ``mode.factor`` is the factor taking a KOBAYASHI distance to ``mode``,
+    1.0 or 2.0, and the only place that factor is written: a distance is
+    multiplied by it, a Fridman value (a reciprocal radius) divided by it.
+    Both values are powers of two, so converting by it is exact.
     """
 
     POINCARE = "poincare"
     KOBAYASHI = "kobayashi"
 
     def __init__(self, value: str) -> None:
-        # a member attribute rather than a property: every distance call
-        # reads it, and an attribute lookup costs a sixth of a property call
-        self.scale = 1.0 if value == "poincare" else 0.5
+        self.factor = 2.0 if value == "poincare" else 1.0
 
 
 def _require_halfplane(z: complex) -> complex:
@@ -63,26 +59,25 @@ def _require_disc(a: complex) -> complex:
     return a
 
 
-def halfplane_distance(z: complex, w: complex, mode: MetricMode = MetricMode.POINCARE) -> float:
+def halfplane_distance(z: complex, w: complex) -> float:
     """Distance between two points of the upper half-plane.
 
-    In POINCARE mode this is ``2 asinh(|z - w| / (2 sqrt(Im z) sqrt(Im w)))``,
-    one form without cancellation for every pair, nearly equal or nearly
-    ideal.  Taking the square roots separately keeps the ratio
-    scale-invariant and symmetric in ``z`` and ``w``: no overflow or
-    underflow for very large or very small coordinates, and a finite value
-    for distances up to about 1,400.
+    ``asinh(|z - w| / (2 sqrt(Im z) sqrt(Im w)))``, one form without
+    cancellation for every pair, nearly equal or nearly ideal.  Taking the
+    square roots separately keeps the ratio scale-invariant and symmetric in
+    ``z`` and ``w``: no overflow or underflow for very large or very small
+    coordinates, and a finite value for distances up to about 700.
     """
     z = _require_halfplane(z)
     w = _require_halfplane(w)
-    return mode.scale * 2.0 * math.asinh(abs(z - w) / (2.0 * (math.sqrt(z.imag) * math.sqrt(w.imag))))
+    return math.asinh(abs(z - w) / (2.0 * (math.sqrt(z.imag) * math.sqrt(w.imag))))
 
 
-def halfplane_distance_acosh(z: complex, w: complex, mode: MetricMode = MetricMode.POINCARE) -> float:
+def halfplane_distance_acosh(z: complex, w: complex) -> float:
     """Independent acosh form of the half-plane distance: the oracle that
     :func:`halfplane_distance` is checked against, not a fallback for it.
 
-    Evaluates ``arccosh(1 + s)`` through log1p, with
+    Evaluates ``arccosh(1 + s) / 2`` through log1p, with
     ``s = (|z - w| / (sqrt(2 Im z) sqrt(Im w)))^2 = |z - w|^2 / (2 Im z Im w)``:
     the ratio is formed before it is squared, so ``s`` neither underflows
     nor overflows at very small or very large coordinates.
@@ -90,15 +85,15 @@ def halfplane_distance_acosh(z: complex, w: complex, mode: MetricMode = MetricMo
     z = _require_halfplane(z)
     w = _require_halfplane(w)
     s = (abs(z - w) / (math.sqrt(2.0 * z.imag) * math.sqrt(w.imag))) ** 2
-    return mode.scale * math.log1p(s + math.sqrt(s * (s + 2.0)))
+    return 0.5 * math.log1p(s + math.sqrt(s * (s + 2.0)))
 
 
-def disc_distance(a: complex, b, mode: MetricMode = MetricMode.POINCARE):
+def disc_distance(a: complex, b):
     """Mobius-invariant distance on the unit disc.
 
-    ``d(0, s) = artanh(s)`` in KOBAYASHI mode and twice that in POINCARE
-    mode.  Evaluated as ``2 asinh(|a - b| / sqrt((1 - |a|^2)(1 - |b|^2)))``
-    with ``1 - |a|^2 = (1 - |a|)(1 + |a|)``: no subtraction of nearly equal
+    ``d(0, s) = artanh(s)``.  Evaluated as
+    ``asinh(|a - b| / sqrt((1 - |a|^2)(1 - |b|^2)))`` with
+    ``1 - |a|^2 = (1 - |a|)(1 + |a|)``: no subtraction of nearly equal
     quantities for nearly equal points or for points near the circle.
 
     ``b`` may be a complex array, such as a column of rows: the result is
@@ -117,10 +112,10 @@ def disc_distance(a: complex, b, mode: MetricMode = MetricMode.POINCARE):
         sqrt, asinh = math.sqrt, math.asinh
     ra = abs(a)
     s = abs(a - b) / sqrt((1.0 - ra) * (1.0 + ra) * (1.0 - rb) * (1.0 + rb))
-    return 2.0 * mode.scale * asinh(s)
+    return asinh(s)
 
 
-def vertical_line_distance(z: complex, c: float, mode: MetricMode = MetricMode.POINCARE) -> float:
+def vertical_line_distance(z: complex, c: float) -> float:
     """Distance from ``z`` to the vertical geodesic ``{Re w = c}``.
 
     The unique geodesic through ``z`` orthogonal to the line is the
@@ -129,19 +124,19 @@ def vertical_line_distance(z: complex, c: float, mode: MetricMode = MetricMode.P
     """
     z = _require_halfplane(z)
     foot = complex(c, abs(z - c))
-    return halfplane_distance(z, foot, mode)
+    return halfplane_distance(z, foot)
 
 
-def halfplane_metric_circle(center: complex, radius, mode: MetricMode = MetricMode.POINCARE):
+def halfplane_metric_circle(center: complex, radius):
     """Euclidean (center, radius) of a metric circle in the half-plane, or
     arrays of them for an array of radii.
 
-    A hyperbolic circle around ``x0 + i y0`` of curvature -1 radius t is the
-    euclidean circle with center ``x0 + i y0 cosh t`` and radius
-    ``y0 sinh t``.
+    The Kobayashi circle of radius r around ``x0 + i y0`` is the curvature -1
+    circle of radius ``t = 2 r``: the euclidean circle with center
+    ``x0 + i y0 cosh t`` and radius ``y0 sinh t``.
     """
     center = _require_halfplane(center)
-    t = radius / mode.scale
+    t = 2.0 * radius
     if not np.all(t >= 0):
         raise ValueError("radius must be nonnegative")
     lib = np if isinstance(t, np.ndarray) else math

@@ -1,11 +1,14 @@
 """Fridman invariant and squeezing function on the model domains.
 
+Every Fridman value here is in KOBAYASHI normalization, the reciprocal of
+a Kobayashi radius, except that :func:`fridman_upper_from_embedding`
+reports in the output normalization it is given (KOBAYASHI by default).
+
 Exact values exist only where they are theorems, and each is the ``exact``
 entry of the variant's ``metrics.Geometry`` record: on the domains
 biholomorphic to the ball the invariant vanishes and the squeezing
 function is 1, and on the polydisc they are
-``2 / log((sqrt n + 1)/(sqrt n - 1))`` (KOBAYASHI normalization) and
-``1/sqrt n``.
+``2 / log((sqrt n + 1)/(sqrt n - 1))`` and ``1/sqrt n``.
 The punctured disc gets a two-sided bracket from the slit-disc embedding
 (upper bound) and the circle obstruction (lower bound): the metric ball
 whose radius is the deck translation length contains the centred circle
@@ -257,13 +260,12 @@ def _exact(d: ModelDomain, p, value: str, instead: str) -> tuple[float, float]:
     return exact(d)
 
 
-def fridman_exact(d: ModelDomain, p=None, mode: MetricMode = MetricMode.KOBAYASHI) -> float:
+def fridman_exact(d: ModelDomain, p=None) -> float:
     """Exact Fridman invariant where it is a theorem, the variant's
     ``metrics.Geometry.exact``: 0 on the domains biholomorphic to the ball,
-    ``1 / artanh(1/sqrt n)`` on the polydisc in KOBAYASHI mode (half the
-    metric radii, twice the invariant, relative to POINCARE)."""
+    ``1 / artanh(1/sqrt n)`` on the polydisc."""
     estimators = "an estimator (fridman_bounds_punctured or fridman_upper_from_embedding)"
-    return _exact(d, p, "Fridman value", estimators)[0] / mode.scale
+    return _exact(d, p, "Fridman value", estimators)[0]
 
 
 @dataclass(frozen=True)
@@ -274,14 +276,13 @@ class BoundEstimate:
     upper: float
     lower_witness: str
     upper_witness: str
-    mode: MetricMode
 
     def __post_init__(self) -> None:
         if not self.lower <= self.upper:
             raise ValueError(f"inconsistent bracket [{self.lower}, {self.upper}]")
 
 
-def fridman_bounds_punctured(p: complex, mode: MetricMode = MetricMode.POINCARE) -> BoundEstimate:
+def fridman_bounds_punctured(p: complex) -> BoundEstimate:
     """Two-sided bracket for the Fridman invariant of the punctured disc.
 
     Rotations are automorphisms, so only ``|p|`` matters.  The upper bound
@@ -295,15 +296,14 @@ def fridman_bounds_punctured(p: complex, mode: MetricMode = MetricMode.POINCARE)
     m = abs(complex(p))
     if not 0.0 < m < 1.0:
         raise ValueError("basepoint must lie in the punctured disc")
-    upper = 1.0 / covering.slit_distance(m, mode)
-    lower = 1.0 / covering.circle_supremum(m, mode)
+    upper = 1.0 / covering.slit_distance(m)
+    lower = 1.0 / covering.circle_supremum(m)
     return BoundEstimate(
         lower=lower,
         upper=upper,
         lower_witness="the metric ball whose radius is the deck translation length "
         f"contains the circle of radius {m} around the puncture; a simply connected image cannot",
         upper_witness=f"disc embedded onto the slit disc with 0 -> {m}",
-        mode=mode,
     )
 
 
@@ -438,6 +438,10 @@ def fridman_upper_from_embedding(
     ``r*`` is the largest radius (bisection up to ``search.tol``) such that a
     dense sample of the Kobayashi sphere of radius r around ``p`` lies in
     the witness image; membership goes through the validated inverse.
+
+    The search runs in the units of ``mode``: ``search.r_max``,
+    ``search.tol`` and the reported radii are in them, and each radius is
+    converted to a Kobayashi radius only where its sphere is drawn.
     """
     search = search or RadiusSearch()
     p = as_point(p, d.dim)
@@ -446,7 +450,11 @@ def fridman_upper_from_embedding(
     base_err = max(abs(u - v) for u, v in zip(witness.target_basepoint, p))
     if base_err > 1e-10:
         raise WitnessValidationError("witness does not send its basepoint to the given point")
-    draw = lambda rng: metrics.metric_sphere(d, p, search.samples, rng, mode)
+
+    def draw(rng: np.random.Generator) -> metrics.Sphere:
+        sphere = metrics.metric_sphere(d, p, search.samples, rng)
+        return lambda r: sphere(r / mode.factor)
+
     found = _largest_radius(witness, draw, search.r_max, search.tol, search.seed)
     return _report(found, 1.0 / found.radius, search, mode.value, witness)
 

@@ -54,14 +54,13 @@ __all__ = [
 ]
 
 
-def ball_distance(a, b, mode: MetricMode = MetricMode.POINCARE):
+def ball_distance(a, b):
     """Kobayashi distance on the unit ball of C^n.
 
-    ``d(0, z) = artanh |z|`` in KOBAYASHI mode.  With ``e = b - a``, the
-    general pair is ``2 asinh`` of the root of
-    ``sinh^2(d/2) = (|e|^2 (1 - |a|^2) + |<e, a>|^2) / ((1 - |a|^2)(1 - |b|^2))``
-    in POINCARE mode: a sum of nonnegative terms, so nearly equal points
-    lose no digits.
+    ``d(0, z) = artanh |z|``.  With ``e = b - a``, the general pair is the
+    ``asinh`` of the root of
+    ``sinh^2(d) = (|e|^2 (1 - |a|^2) + |<e, a>|^2) / ((1 - |a|^2)(1 - |b|^2))``:
+    a sum of nonnegative terms, so nearly equal points lose no digits.
 
     ``b`` is a point or the columns of rows; for rows the result is one
     distance from ``a`` per row, by the same formula in numpy.
@@ -77,7 +76,7 @@ def ball_distance(a, b, mode: MetricMode = MetricMode.POINCARE):
     ne = sum(abs(c) ** 2 for c in e)
     inner = sum(x * y.conjugate() for x, y in zip(e, a))
     s2 = (ne * (1.0 - na) + abs(inner) ** 2) / ((1.0 - na) * (1.0 - nb))
-    return 2.0 * mode.scale * (np.arcsinh(np.sqrt(s2)) if rows else math.asinh(math.sqrt(s2)))
+    return np.arcsinh(np.sqrt(s2)) if rows else math.asinh(math.sqrt(s2))
 
 
 def ball_automorphism(a) -> "callable":
@@ -133,13 +132,9 @@ def siegel_equivalent(d: WeightedModel) -> bool:
     return set(got) == expected and all(abs(c - 1.0) < 1e-14 for c in got.values())
 
 
-def kobayashi_distance(
-    d: ModelDomain,
-    p,
-    q,
-    mode: MetricMode = MetricMode.POINCARE,
-) -> float:
-    """Kobayashi distance between two points of a model domain.
+def kobayashi_distance(d: ModelDomain, p, q, mode: MetricMode = MetricMode.KOBAYASHI) -> float:
+    """Kobayashi distance between two points of a model domain, converted
+    to the output normalization ``mode`` (POINCARE doubles it).
 
     Each point is coerced and checked once, by :func:`as_point`, and its
     membership is the defining value of the coerced tuple; a non-finite
@@ -153,7 +148,7 @@ def kobayashi_distance(
     distance = _geometry(d).distance
     if distance is None:
         raise UnsupportedDomainError(f"no computable Kobayashi distance for {d.label}")
-    return distance(d, p, q, mode)
+    return mode.factor * distance(d, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -193,36 +188,35 @@ def polydisc_sphere_sample(n: int, modulus: float, count: int, rng: np.random.Ge
     return polydisc_sphere(n, count, rng)(modulus)
 
 
-def _ball_sphere(d: Ball, center, count: int, rng: np.random.Generator, mode: MetricMode) -> Sphere:
+def _ball_sphere(d: Ball, center, count: int, rng: np.random.Generator) -> Sphere:
     directions = random_unit_vectors(d.dim, count, rng)
     phi = ball_automorphism(center)
-    modulus = lambda radius: math.tanh(radius * MetricMode.KOBAYASHI.scale / mode.scale)
-    return lambda radius: np.column_stack(phi((modulus(radius) * directions).T))
+    return lambda radius: np.column_stack(phi((math.tanh(radius) * directions).T))
 
 
-def _polydisc_metric_sphere(d: Polydisc, center, count: int, rng: np.random.Generator, mode: MetricMode) -> Sphere:
+def _polydisc_metric_sphere(d: Polydisc, center, count: int, rng: np.random.Generator) -> Sphere:
     polydisc = polydisc_sphere(d.dim, count, rng)
     a = np.array(center)
     moved = any(c != 0 for c in center)
 
     def sphere(radius: float) -> np.ndarray:
-        pts = polydisc(math.tanh(radius * MetricMode.KOBAYASHI.scale / mode.scale))
+        pts = polydisc(math.tanh(radius))
         return (pts + a) / (1.0 + a.conj() * pts) if moved else pts
 
     return sphere
 
 
-def _halfplane_sphere(center: complex, count: int, mode: MetricMode) -> Sphere:
+def _halfplane_sphere(center: complex, count: int) -> Sphere:
     circle = np.exp(1j * np.linspace(0.0, covering.TWO_PI, count, endpoint=False))
 
     def sphere(radius: float) -> np.ndarray:
-        ecenter, eradius = halfplane_metric_circle(center, radius, mode)
+        ecenter, eradius = halfplane_metric_circle(center, radius)
         return (ecenter + eradius * circle)[:, None]
 
     return sphere
 
 
-def _punctured_sphere(center: complex, count: int, rng: np.random.Generator, mode: MetricMode) -> Sphere:
+def _punctured_sphere(center: complex, count: int, rng: np.random.Generator) -> Sphere:
     """The metric circle around the principal lift of ``center``, projected
     by ``exp(i z)``."""
     z0 = covering.principal_lift(center)
@@ -230,7 +224,7 @@ def _punctured_sphere(center: complex, count: int, rng: np.random.Generator, mod
     circle = np.exp(1j * angles)
 
     def sphere(radius: float) -> np.ndarray:
-        ecenter, eradius = halfplane_metric_circle(z0, radius / mode.scale, MetricMode.POINCARE)
+        ecenter, eradius = halfplane_metric_circle(z0, radius)
         w = ecenter + eradius * circle
         pts = np.exp(1j * w[np.abs(w.real - z0.real) <= math.pi])
         extreme = []
@@ -253,13 +247,7 @@ def _punctured_sphere(center: complex, count: int, rng: np.random.Generator, mod
     return sphere
 
 
-def metric_sphere(
-    d: ModelDomain,
-    center,
-    count: int,
-    rng: np.random.Generator,
-    mode: MetricMode = MetricMode.POINCARE,
-) -> Sphere:
+def metric_sphere(d: ModelDomain, center, count: int, rng: np.random.Generator) -> Sphere:
     """The Kobayashi spheres around ``center`` of one sample, as a function
     from the radius to rows.
 
@@ -275,7 +263,7 @@ def metric_sphere(
     draw = _geometry(d).sphere
     if draw is None:
         raise UnsupportedDomainError(f"no sphere sampler for domain {d!r}")
-    at = draw(d, center, count, rng, mode)
+    at = draw(d, center, count, rng)
 
     def sphere(radius: float) -> np.ndarray:
         if radius <= 0:
@@ -286,45 +274,35 @@ def metric_sphere(
 
 
 def sample_metric_sphere(
-    d: ModelDomain,
-    center,
-    radius: float,
-    count: int,
-    rng: np.random.Generator,
-    mode: MetricMode = MetricMode.POINCARE,
+    d: ModelDomain, center, radius: float, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """:func:`metric_sphere` at one radius: the Kobayashi sphere of the given
     radius around ``center``, as rows.  A radius search draws its sample once
     with :func:`metric_sphere` and rescales it, rather than calling this at
     every radius."""
-    return metric_sphere(d, center, count, rng, mode)(radius)
+    return metric_sphere(d, center, count, rng)(radius)
 
 
-def _siegel_ball(d: Siegel, center, radius: float, count: int, rng: np.random.Generator, mode: MetricMode):
+def _siegel_ball(d: Siegel, center, radius: float, count: int, rng: np.random.Generator):
     directions = random_unit_vectors(d.dim, count, rng)
     t = radius * np.sqrt(rng.uniform(size=count))
-    v = np.tanh(0.5 * t / mode.scale)[:, None] * directions
+    v = np.tanh(t)[:, None] * directions
     phi = ball_automorphism(siegel_to_ball(center))
     return np.column_stack(ball_to_siegel(phi(v.T)))
 
 
-def _halfplane_ball(z0: complex, radius: float, count: int, rng: np.random.Generator, mode: MetricMode):
+def _halfplane_ball(z0: complex, radius: float, count: int, rng: np.random.Generator):
     """The upper half-plane's ball around ``z0``, as a 1-d array."""
     u = rng.uniform(size=(count, 2))
     shell = np.linspace(0.0, covering.TWO_PI, max(count // 2, 8), endpoint=False)
     t = np.concatenate([radius * np.sqrt(u[:, 0]), np.full(len(shell), radius)])
     angle = np.concatenate([covering.TWO_PI * u[:, 1], shell])
-    ecenter, eradius = halfplane_metric_circle(z0, t, mode)
+    ecenter, eradius = halfplane_metric_circle(z0, t)
     return ecenter + eradius * (np.cos(angle) + 1j * np.sin(angle))
 
 
 def sample_metric_ball(
-    d: ModelDomain,
-    center,
-    radius: float,
-    count: int,
-    rng: np.random.Generator,
-    mode: MetricMode = MetricMode.POINCARE,
+    d: ModelDomain, center, radius: float, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Sample the closed Kobayashi ball, as rows: on the half-planes with the
     outer shells weighted, on the Siegel domain through the Cayley transform.
@@ -339,18 +317,18 @@ def sample_metric_ball(
     draw = _geometry(d).ball
     if draw is None:
         raise UnsupportedDomainError(f"no ball sampler for domain {d!r}")
-    return draw(d, center, radius, count, rng, mode)
+    return draw(d, center, radius, count, rng)
 
 
 class Geometry(NamedTuple):
     """The closed forms of one variant, each None where there is none:
-    ``distance(d, p, q, mode)`` of coerced points (the Siegel form also takes
-    the columns of rows as ``q``), ``sphere(d, center, count, rng, mode)``,
-    ``ball(d, center, radius, count, rng, mode)`` and ``exact(d)``, the
-    Fridman invariant in POINCARE normalization and the squeezing function
-    where both are theorems and constant in the point (0 and 1 on the
-    variants biholomorphic to the ball, Deng, Guan and Zhang (2012) on the
-    polydisc).  Each entry looks its functions up when called, so that a
+    ``distance(d, p, q)`` of coerced points (the Siegel form also takes the
+    columns of rows as ``q``), ``sphere(d, center, count, rng)``,
+    ``ball(d, center, radius, count, rng)`` and ``exact(d)``, the Fridman
+    invariant and the squeezing function where both are theorems and
+    constant in the point (0 and 1 on the variants biholomorphic to the
+    ball, Deng, Guan and Zhang (2012) on the polydisc).  Distances and radii
+    are Kobayashi.  Each entry looks its functions up when called, so that a
     function wrapped in place by name is the one that runs."""
 
     distance: Callable | None = None
@@ -361,7 +339,7 @@ class Geometry(NamedTuple):
 
 def _polydisc_exact(n: int) -> tuple[float, float]:
     s = 1.0 / math.sqrt(n)
-    return (0.5 / math.atanh(s), s) if n > 1 else (0.0, 1.0)
+    return (1.0 / math.atanh(s), s) if n > 1 else (0.0, 1.0)
 
 
 # the uniformization of SlitDisc(), built once at import; any basepoint
@@ -371,38 +349,38 @@ _SLIT_MAP = covering.build_slit_map(0.5)
 _GEOMETRY: dict[type, Geometry] = {
     Ball: Geometry(
         # Ball(1) is the disc: its form keeps 1 - |a|^2 as (1 - |a|)(1 + |a|)
-        distance=lambda d, p, q, mode: disc_distance(p[0], q[0], mode) if d.dim == 1 else ball_distance(p, q, mode),
-        sphere=lambda d, center, count, rng, mode: _ball_sphere(d, center, count, rng, mode),
+        distance=lambda d, p, q: disc_distance(p[0], q[0]) if d.dim == 1 else ball_distance(p, q),
+        sphere=lambda d, center, count, rng: _ball_sphere(d, center, count, rng),
         exact=lambda d: (0.0, 1.0),
     ),
     Polydisc: Geometry(
-        distance=lambda d, p, q, mode: max(disc_distance(a, b, mode) for a, b in zip(p, q)),
-        sphere=lambda d, center, count, rng, mode: _polydisc_metric_sphere(d, center, count, rng, mode),
+        distance=lambda d, p, q: max(disc_distance(a, b) for a, b in zip(p, q)),
+        sphere=lambda d, center, count, rng: _polydisc_metric_sphere(d, center, count, rng),
         exact=lambda d: _polydisc_exact(d.dim),
     ),
     UpperHalfPlane: Geometry(
-        distance=lambda d, p, q, mode: halfplane_distance(p[0], q[0], mode),
-        sphere=lambda d, center, count, rng, mode: _halfplane_sphere(center[0], count, mode),
-        ball=lambda d, center, radius, count, rng, mode: _halfplane_ball(center[0], radius, count, rng, mode)[:, None],
+        distance=lambda d, p, q: halfplane_distance(p[0], q[0]),
+        sphere=lambda d, center, count, rng: _halfplane_sphere(center[0], count),
+        ball=lambda d, center, radius, count, rng: _halfplane_ball(center[0], radius, count, rng)[:, None],
         exact=lambda d: (0.0, 1.0),
     ),
     HalfPlaneC: Geometry(
-        distance=lambda d, p, q, mode: halfplane_distance(d.to_halfplane(p[0]), d.to_halfplane(q[0]), mode),
-        ball=lambda d, center, radius, count, rng, mode: d.from_halfplane(
-            _halfplane_ball(d.to_halfplane(center[0]), radius, count, rng, mode))[:, None],
+        distance=lambda d, p, q: halfplane_distance(d.to_halfplane(p[0]), d.to_halfplane(q[0])),
+        ball=lambda d, center, radius, count, rng: d.from_halfplane(
+            _halfplane_ball(d.to_halfplane(center[0]), radius, count, rng))[:, None],
         exact=lambda d: (0.0, 1.0),
     ),
     PuncturedDisc: Geometry(
-        distance=lambda d, p, q, mode: covering.punctured_distance(p[0], q[0], mode),
-        sphere=lambda d, center, count, rng, mode: _punctured_sphere(center[0], count, rng, mode),
+        distance=lambda d, p, q: covering.punctured_distance(p[0], q[0]),
+        sphere=lambda d, center, count, rng: _punctured_sphere(center[0], count, rng),
     ),
     SlitDisc: Geometry(
-        distance=lambda d, p, q, mode: disc_distance(_SLIT_MAP.unapply(p[0]), _SLIT_MAP.unapply(q[0]), mode),
+        distance=lambda d, p, q: disc_distance(_SLIT_MAP.unapply(p[0]), _SLIT_MAP.unapply(q[0])),
         exact=lambda d: (0.0, 1.0),
     ),
     Siegel: Geometry(
-        distance=lambda d, p, q, mode: ball_distance(siegel_to_ball(p), siegel_to_ball(q), mode),
-        ball=lambda d, center, radius, count, rng, mode: _siegel_ball(d, center, radius, count, rng, mode),
+        distance=lambda d, p, q: ball_distance(siegel_to_ball(p), siegel_to_ball(q)),
+        ball=lambda d, center, radius, count, rng: _siegel_ball(d, center, radius, count, rng),
         exact=lambda d: (0.0, 1.0),
     ),
     WeightedModel: Geometry(),  # any but the unbounded ball realization

@@ -42,7 +42,7 @@ from .domains import (
     defining_rows,
     symbolic_weight_check,
 )
-from .hyperbolic import MetricMode, disc_distance
+from .hyperbolic import disc_distance
 from .metrics import _geometry, sample_metric_ball, siegel_equivalent
 from . import covering
 
@@ -115,7 +115,7 @@ class BoundaryApproach:
 @dataclass(frozen=True)
 class PlanarDefiningFunction:
     """C^2 defining function of a planar domain with its z-derivative, and
-    the Kobayashi distance of the domain ``f(a, b, mode)`` where one is known.
+    the Kobayashi distance of the domain ``f(a, b)`` where one is known.
 
     ``func`` is evaluated on a complex number and on a complex array (a
     column of rows), so its formula must serve both, as the disc's does.
@@ -124,7 +124,7 @@ class PlanarDefiningFunction:
 
     func: Callable[[complex], float]
     dz: Callable[[complex], complex]
-    distance: Callable[[complex, np.ndarray, MetricMode], np.ndarray] | None = None
+    distance: Callable[[complex, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, z: complex) -> float:
         return float(self.func(complex(z)))
@@ -181,7 +181,7 @@ class ScaledFamily:
     """A boundary approach together with its dilations and limit domain.
 
     ``defining(z)`` is the defining function of the domain before scaling.
-    ``distance(index, u, rows, mode)`` is the Kobayashi distance of the
+    ``distance(index, u, rows)`` is the Kobayashi distance of the
     rescaled domain ``D_j`` from the point ``u`` to every row of ``rows``
     (shape ``[m, n]``), one distance per row, or None where no closed form
     is known.
@@ -192,7 +192,7 @@ class ScaledFamily:
     limit: ModelDomain
     basepoint: Point  # normalized image of the approach points
     defining: Callable[[Point], float]
-    distance: Callable[[int, Point, np.ndarray, MetricMode], np.ndarray] | None
+    distance: Callable[[int, Point, np.ndarray], np.ndarray] | None
 
     def __len__(self) -> int:
         return len(self.dilations)
@@ -223,9 +223,9 @@ def make_isotropic(rho: PlanarDefiningFunction, approach: BoundaryApproach) -> S
         dilations.append(IsotropicDilation(center=p[0], scale=-value))
     distance = None
     if rho.distance is not None:
-        def distance(index: int, u: Point, rows: np.ndarray, mode: MetricMode) -> np.ndarray:
+        def distance(index: int, u: Point, rows: np.ndarray) -> np.ndarray:
             dil = dilations[index]
-            return rho.distance(dil.inverse(u)[0], dil.inverse(rows.T)[0], mode)
+            return rho.distance(dil.inverse(u)[0], dil.inverse(rows.T)[0])
 
     return ScaledFamily(
         approach=approach,
@@ -281,8 +281,8 @@ def make_anisotropic(
         limit_distance = _geometry(limit).distance
         if limit_distance is not None:
             # weight-one invariance makes every scaled domain the limit itself
-            def distance(index: int, u: Point, rows: np.ndarray, mode: MetricMode) -> np.ndarray:
-                return limit_distance(limit, u, rows.T, mode)
+            def distance(index: int, u: Point, rows: np.ndarray) -> np.ndarray:
+                return limit_distance(limit, u, rows.T)
     else:
         remainder, rate = tangential_modulus_remainder(remainder_exponents, multitype)
         if not rate > 0:
@@ -441,14 +441,10 @@ class BallInclusionReport:
 
 
 def ball_inclusion_check(
-    family: ScaledFamily,
-    radius: float,
-    eps: float,
-    samples: int = 200,
-    mode: MetricMode = MetricMode.POINCARE,
-    seed: int = 0,
+    family: ScaledFamily, radius: float, eps: float, samples: int = 200, seed: int = 0
 ) -> BallInclusionReport:
-    """Check ``B_limit(basepoint, R - eps)  subset  B_scaled(basepoint, R)``.
+    """Check ``B_limit(basepoint, R - eps)  subset  B_scaled(basepoint, R)``
+    for Kobayashi balls, ``R = radius``.
 
     Samples the limit-domain ball and verifies each sample lies in the
     scaled domain within distance R of the basepoint; reports the first
@@ -457,17 +453,17 @@ def ball_inclusion_check(
     call of ``family.distance``.
     """
     if not 0.0 <= eps < radius < math.inf:
-        raise ValueError(f"need 0 <= eps < radius < inf, got eps={eps} and radius={radius}")
+        raise ValueError(f"need 0 <= eps < radius < inf (Kobayashi), got eps={eps} and radius={radius}")
     if samples < 1:
         raise ValueError(f"the ball-inclusion check needs at least one sample, got {samples}")
     if family.distance is None:
         raise ValueError("no computable Kobayashi distance for this scaled family")
     rng = np.random.default_rng(seed)
-    pts = sample_metric_ball(family.limit, family.basepoint, radius - eps, samples, rng, mode)
+    pts = sample_metric_ball(family.limit, family.basepoint, radius - eps, samples, rng)
     rows = []
     for idx, (j, delta) in enumerate(zip(family.approach.js, family.approach.deltas)):
         inside = family.scaled_defining(idx, pts.T) < 0.0
-        worst = float(family.distance(idx, family.basepoint, pts[inside], mode).max()) if inside.any() else 0.0
+        worst = float(family.distance(idx, family.basepoint, pts[inside]).max()) if inside.any() else 0.0
         rows.append(BallInclusionRow(j, delta, bool(inside.all()) and worst <= radius, worst))
     j0 = None
     for k in range(len(rows)):
@@ -486,16 +482,11 @@ class ConvergenceRow:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    mode: MetricMode
     rows: tuple[ConvergenceRow, ...]
     strictly_decreasing: bool
 
 
-def convergence_experiment(
-    domain: ModelDomain,
-    approach: BoundaryApproach,
-    mode: MetricMode = MetricMode.POINCARE,
-) -> ConvergenceReport:
+def convergence_experiment(domain: ModelDomain, approach: BoundaryApproach) -> ConvergenceReport:
     """Upper Fridman bound along a boundary approach in the punctured disc.
 
     Tabulates ``U = 1 / slit_distance(|p_j|)`` and checks it decreases
@@ -508,6 +499,6 @@ def convergence_experiment(
         if not contains(domain, p):
             raise ValueError(f"approach point {p!r} left the punctured disc")
         m = abs(p[0])
-        rows.append(ConvergenceRow(j, m, 1.0 / covering.slit_distance(m, mode)))
+        rows.append(ConvergenceRow(j, m, 1.0 / covering.slit_distance(m)))
     decreasing = all(b.upper_bound < a.upper_bound for a, b in zip(rows, rows[1:]))
-    return ConvergenceReport(mode, tuple(rows), decreasing)
+    return ConvergenceReport(tuple(rows), decreasing)

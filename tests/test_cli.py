@@ -76,6 +76,38 @@ class TestDist:
         assert code == 2
 
 
+# dist and fridman records in both modes, as float.hex: the library computes
+# Kobayashi values and the CLI converts them by the exact factor, so every
+# POINCARE record is the KOBAYASHI one times 2 (distances) or over 2
+# (Fridman values), bit for bit
+PINNED_RECORDS = [
+    (("dist", "disc", "0", "0.5"), {"distance": "0x1.193ea7aad030bp-1"}),
+    (("dist", "polydisc3", "0,0,0", "0.5,0.2,-0.7i"), {"distance": "0x1.bc0ed0947fbe9p-1"}),
+    (("dist", "punctured", "0.5", "-0.3+0.2i"), {"distance": "0x1.36337567275f6p+0"}),
+    (("fridman", "polydisc2", "0,0"), {"value": "0x1.2274aa148de08p+0"}),
+    (("fridman", "polydisc3", "0.1,0,0"), {"value": "0x1.84c6572759a9bp+0"}),
+    (("fridman", "punctured", "0.5"), {"lower": "0x1.ce05afa2cfd97p-2", "upper": "0x1.ce05afa2cfd97p-1"}),
+    (("fridman", "ball2", "0,0"), {"value": "0x0.0p+0"}),
+]
+
+
+@pytest.mark.parametrize("mode", ["poincare", "kobayashi"])
+@pytest.mark.parametrize(
+    "argv, kobayashi", PINNED_RECORDS, ids=["-".join(argv[:2]) for argv, _ in PINNED_RECORDS]
+)
+def test_records_are_pinned_bit_for_bit(capsys, argv, kobayashi, mode):
+    code, out, _ = run_cli(capsys, *argv, "--mode", mode)
+    assert code == 0
+    record = json.loads(out)
+    assert record["mode"] == mode
+    scale = 2.0 if mode == "poincare" else 1.0
+    if argv[0] == "fridman":
+        scale = 1.0 / scale
+    assert {key: record[key] for key in kobayashi} == {
+        key: float.fromhex(value) * scale for key, value in kobayashi.items()
+    }
+
+
 @pytest.mark.parametrize("literal", ["-0.2+0.1i", "-i", "-2i"])
 class TestPointStartingWithMinus:
     """A point that starts with ``-`` and is not a plain number is a value,

@@ -24,7 +24,7 @@ from biholo.covering import (
     slit_distance,
 )
 from biholo.domains import SlitDisc, contains
-from biholo.hyperbolic import MetricMode, disc_distance
+from biholo.hyperbolic import disc_distance
 from biholo.invariants import WitnessValidationError, slit_embedding_of_disc
 from biholo.maps import PrincipalSqrt, Square
 
@@ -67,10 +67,10 @@ class TestPuncturedDistance:
         assert punctured_distance(0.3, 0.3) == 0.0
 
     def test_antipodal_known_value(self):
-        """d(p, -p) at -pi/log p = 1 is log((3 + sqrt 5)/2)."""
-        expected = math.log((3.0 + math.sqrt(5.0)) / 2.0)
-        assert punctured_distance(P_UNIT, -P_UNIT) == pytest.approx(expected, abs=1e-12)
-        assert expected == pytest.approx(0.9624236501192069, abs=1e-15)
+        """d(p, -p) at -pi/log p = 1 is log((3 + sqrt 5)/2) / 2."""
+        expected = 0.5 * math.log((3.0 + math.sqrt(5.0)) / 2.0)
+        assert punctured_distance(P_UNIT, -P_UNIT) == pytest.approx(expected, abs=5e-13)
+        assert expected == pytest.approx(0.9624236501192069 / 2, abs=5e-16)
 
     def test_closed_form_matches_enumeration_oracle(self):
         """The three-candidate deck selection equals the enumeration oracle
@@ -87,8 +87,7 @@ class TestPuncturedDistance:
             phase = rng.uniform(0.0, TWO_PI)
             p = m1 * cmath.exp(1j * phase)
             q = m2 * cmath.exp(1j * (phase + offset))
-            for mode in MetricMode:
-                assert punctured_distance(p, q, mode) == punctured_distance_detail(p, q, mode).value
+            assert punctured_distance(p, q) == punctured_distance_detail(p, q).value
 
     def test_metric_dominates_disc_distance(self):
         rng = np.random.default_rng(5)
@@ -97,7 +96,7 @@ class TestPuncturedDistance:
             q = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
             if min(abs(p), abs(q)) < 1e-3:
                 continue
-            assert punctured_distance(p, q) >= disc_distance(p, q) - 1e-12
+            assert punctured_distance(p, q) >= disc_distance(p, q) - 5e-13
 
     def test_symmetry_and_triangle(self):
         rng = np.random.default_rng(6)
@@ -108,9 +107,9 @@ class TestPuncturedDistance:
                 if 1e-3 < abs(z) < 0.95:
                     pts.append(z)
             p, q, u = pts
-            assert punctured_distance(p, q) == pytest.approx(punctured_distance(q, p), abs=1e-12)
+            assert punctured_distance(p, q) == pytest.approx(punctured_distance(q, p), abs=5e-13)
             slack = punctured_distance(p, q) + punctured_distance(q, u) - punctured_distance(p, u)
-            assert slack >= -1e-10
+            assert slack >= -5e-11
 
     def test_widening_warning_for_tiny_range(self):
         """With K=1 the argmin for a wrap-around offset sits on the boundary."""
@@ -120,7 +119,7 @@ class TestPuncturedDistance:
             detail = punctured_distance_detail(p, q, deck_range=1)
         assert detail.widened
         assert detail.deck_range > 1
-        assert detail.value == pytest.approx(deck_minimum(p, TWO_PI - 6.0), abs=1e-12)
+        assert detail.value == pytest.approx(deck_minimum(p, TWO_PI - 6.0), abs=5e-13)
 
     def test_argmin_is_reported(self):
         detail = punctured_distance_detail(0.5, 0.5 * cmath.exp(1j * 3.0))
@@ -133,13 +132,13 @@ class TestDeckMinimum:
         assert deck_minimum(0.3, 0.0) == 0.0
 
     def test_relative_precision_at_tiny_offsets(self):
-        """Values of 2 asinh(theta / (2 |log p|)) from a 50-digit reference."""
-        assert deck_minimum(0.5, 1e-12) == pytest.approx(1.4426950408889635e-12, rel=1e-14)
-        assert deck_minimum(0.9, 1e-9) == pytest.approx(9.491221581029906e-09, rel=1e-14)
+        """Values of asinh(theta / (2 |log p|)) from a 50-digit reference."""
+        assert deck_minimum(0.5, 1e-12) == pytest.approx(1.4426950408889635e-12 / 2, rel=1e-14)
+        assert deck_minimum(0.9, 1e-9) == pytest.approx(9.491221581029906e-09 / 2, rel=1e-14)
 
     def test_full_turn_value(self):
-        """At -pi/log p = 1 the offset-2pi value is log(3 + 2 sqrt 2)."""
-        assert deck_minimum(P_UNIT, TWO_PI) == pytest.approx(1.762747174039086, abs=1e-12)
+        """At -pi/log p = 1 the offset-2pi value is log(3 + 2 sqrt 2) / 2."""
+        assert deck_minimum(P_UNIT, TWO_PI) == pytest.approx(1.762747174039086 / 2, abs=5e-13)
 
     def test_enumeration_oracle_on_the_valid_range(self):
         """Closed form = enumerated deck infimum for offsets up to pi."""
@@ -148,7 +147,7 @@ class TestDeckMinimum:
             p = float(rng.uniform(0.01, 0.99))
             theta = float(rng.uniform(0.0, math.pi))
             assert deck_minimum(p, theta) == pytest.approx(
-                deck_minimum_enumerated(p, theta, 100), abs=1e-12
+                deck_minimum_enumerated(p, theta, 100), abs=5e-13
             )
 
     def test_enumeration_wraps_past_pi(self):
@@ -158,12 +157,12 @@ class TestDeckMinimum:
             p = float(rng.uniform(0.05, 0.95))
             theta = float(rng.uniform(math.pi, TWO_PI))
             assert deck_minimum_enumerated(p, theta, 100) == pytest.approx(
-                deck_minimum(p, min(theta, TWO_PI - theta)), abs=1e-12
+                deck_minimum(p, min(theta, TWO_PI - theta)), abs=5e-13
             )
 
     def test_specific_enumeration_match(self):
         assert deck_minimum(math.exp(-1.0), math.pi) == pytest.approx(
-            deck_minimum_enumerated(math.exp(-1.0), math.pi, 200), abs=1e-12
+            deck_minimum_enumerated(math.exp(-1.0), math.pi, 200), abs=5e-13
         )
 
     def test_rejects_out_of_range(self):
@@ -175,59 +174,61 @@ class TestDeckMinimum:
 
 class TestSlitDistance:
     def test_unit_ratio_value(self):
-        """r(p) = log(1 + sqrt 2) when -pi/log p = 1."""
-        assert slit_distance(P_UNIT) == pytest.approx(0.8813735870195429, abs=1e-12)
+        """r(p) = log(1 + sqrt 2) / 2 when -pi/log p = 1."""
+        assert slit_distance(P_UNIT) == pytest.approx(0.8813735870195429 / 2, abs=5e-13)
 
     def test_value_near_boundary(self):
         # frozen from the closed form; cross-checked against the grid oracle
-        assert slit_distance(0.9) == pytest.approx(4.088525462714188, abs=1e-12)
+        assert slit_distance(0.9) == pytest.approx(4.088525462714188 / 2, abs=5e-13)
 
     def test_grid_minimization_oracle(self):
         for p in (P_UNIT, 0.9, 0.4):
-            assert grid_slit_distance(p, 100_000) == pytest.approx(slit_distance(p), abs=1e-4)
+            assert grid_slit_distance(p, 100_000) == pytest.approx(slit_distance(p), abs=5e-5)
 
     def test_vanishes_toward_the_puncture(self):
-        """r decays like pi / log(1/p), monotonically, as p -> 0."""
+        """r decays like pi / (2 log(1/p)), monotonically, as p -> 0."""
         values = [slit_distance(10.0**-k) for k in range(1, 8)]
         assert all(b < a for a, b in zip(values, values[1:]))
-        assert slit_distance(1e-300) < 5e-3
+        assert slit_distance(1e-300) < 2.5e-3
 
     def test_kobayashi_mode_halves(self):
-        assert slit_distance(0.5, MetricMode.KOBAYASHI) == 0.5 * slit_distance(0.5)
+        """The Kobayashi slit distance is half the curvature -1 one,
+        ``asinh(-pi / log p)``, bit for bit."""
+        assert 2.0 * slit_distance(0.5) == math.asinh(-math.pi / math.log(0.5))
 
 
 class TestCircleSupremum:
     def test_unit_ratio_value(self):
-        assert circle_supremum(P_UNIT) == pytest.approx(1.762747174039086, abs=1e-12)
+        assert circle_supremum(P_UNIT) == pytest.approx(1.762747174039086 / 2, abs=5e-13)
 
     @given(p=moduli)
     @settings(max_examples=500)
     def test_twice_the_slit_distance(self, p):
         """The supremum closed form is exactly twice the slit distance."""
-        assert abs(circle_supremum(p) - 2.0 * slit_distance(p)) <= 1e-12
+        assert abs(circle_supremum(p) - 2.0 * slit_distance(p)) <= 5e-13
 
     def test_relative_accuracy_against_mpmath(self):
-        """Within 1e-15 relative of ``2 asinh(-pi / log p)`` at 50 digits,
+        """Within 1e-15 relative of ``asinh(-pi / log p)`` at 50 digits,
         down to subnormal moduli, where the ``log(2 x^2 + 1 + ...)`` form
         was 2.3e-14 off."""
         mpmath = pytest.importorskip("mpmath", reason="the 50-digit reference needs mpmath")
         mp = mpmath.mp.clone()
         mp.dps = 50
         for p in np.geomspace(1e-320, 0.999, 2_000).tolist() + [4.4e-323]:
-            ref = 2 * mp.asinh(-mp.pi / mp.log(mp.mpf(p)))
+            ref = mp.asinh(-mp.pi / mp.log(mp.mpf(p)))
             assert abs(mp.mpf(circle_supremum(p)) - ref) <= 1e-15 * ref, (p, circle_supremum(p), ref)
 
     def test_grid_supremum_oracle(self):
         for p in (P_UNIT, 0.5):
             sup, argmax = grid_circle_supremum(p, 1_000_000)
-            assert sup == pytest.approx(circle_supremum(p), abs=1e-4)
+            assert sup == pytest.approx(circle_supremum(p), abs=5e-5)
             assert argmax > TWO_PI - 1e-3
 
     def test_matches_full_turn_deck_value(self):
         """The statement's sign typo is resolved toward the positive form,
         pinned here against the offset-2pi limit of the deck closed form."""
         for p in (0.1, 0.3, 0.7, 0.9):
-            assert circle_supremum(p) == pytest.approx(deck_minimum(p, TWO_PI), abs=1e-12)
+            assert circle_supremum(p) == pytest.approx(deck_minimum(p, TWO_PI), abs=5e-13)
 
     def test_true_metric_supremum_is_antipodal(self):
         """The metric supremum over the circle sits at the antipode and is
@@ -235,8 +236,8 @@ class TestCircleSupremum:
         p = 0.3
         thetas = np.linspace(0.0, TWO_PI, 720, endpoint=False)
         dists = [punctured_distance(p, p * cmath.exp(1j * t)) for t in thetas[1:]]
-        assert max(dists) == pytest.approx(deck_minimum(p, math.pi), abs=1e-10)
-        assert max(dists) <= circle_supremum(p) + 1e-12
+        assert max(dists) == pytest.approx(deck_minimum(p, math.pi), abs=5e-11)
+        assert max(dists) <= circle_supremum(p) + 5e-13
 
 
 class TestSlitMap:

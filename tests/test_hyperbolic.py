@@ -1,4 +1,5 @@
-"""Tests for the half-plane/disc geometry and its two normalizations."""
+"""Tests for the half-plane/disc geometry, in Kobayashi normalization, and
+the exact factor that converts it to the Poincare one."""
 
 import cmath
 import math
@@ -16,7 +17,9 @@ from biholo.hyperbolic import (
     halfplane_metric_circle,
     vertical_line_distance,
 )
+from biholo.domains import Ball, UpperHalfPlane
 from biholo.maps import Mobius
+from biholo.metrics import kobayashi_distance
 
 halfplane_points = st.builds(
     complex,
@@ -33,14 +36,14 @@ class TestHalfplaneDistance:
         assert halfplane_distance(1j, 1j) == 0.0
 
     def test_vertical_pair(self):
-        """d(i, 2i) = log 2."""
-        assert halfplane_distance(1j, 2j) == pytest.approx(0.6931471805599453, abs=1e-15)
+        """d(i, 2i) = log(2) / 2."""
+        assert halfplane_distance(1j, 2j) == pytest.approx(0.6931471805599453 / 2, abs=5e-16)
 
     def test_diagonal_pair(self):
-        """d(i, 1+i) = log((sqrt5 + 1)/(sqrt5 - 1))."""
-        expected = math.log((math.sqrt(5) + 1) / (math.sqrt(5) - 1))
-        assert halfplane_distance(1j, 1 + 1j) == pytest.approx(expected, abs=1e-15)
-        assert expected == pytest.approx(0.9624236501192069, abs=1e-15)
+        """d(i, 1+i) = log((sqrt5 + 1)/(sqrt5 - 1)) / 2."""
+        expected = 0.5 * math.log((math.sqrt(5) + 1) / (math.sqrt(5) - 1))
+        assert halfplane_distance(1j, 1 + 1j) == pytest.approx(expected, abs=5e-16)
+        assert expected == pytest.approx(0.9624236501192069 / 2, abs=5e-16)
 
     def test_rejects_lower_halfplane(self):
         with pytest.raises(ValueError):
@@ -51,12 +54,12 @@ class TestHalfplaneDistance:
     @given(z=halfplane_points, w=halfplane_points)
     @settings(max_examples=300)
     def test_agrees_with_acosh_oracle(self, z, w):
-        """The asinh form equals arccosh(1 + |z-w|^2/(2 Im z Im w))."""
-        assert abs(halfplane_distance(z, w) - halfplane_distance_acosh(z, w)) <= 1e-12
+        """The asinh form equals arccosh(1 + |z-w|^2/(2 Im z Im w)) / 2."""
+        assert abs(halfplane_distance(z, w) - halfplane_distance_acosh(z, w)) <= 5e-13
 
     @pytest.mark.parametrize(
         "z, w, expected",
-        [(1e-170j, 2e-170j, math.log(2.0)), (1e200j, 1e200 + 1e200j, 0.9624236501192069)],
+        [(1e-170j, 2e-170j, 0.5 * math.log(2.0)), (1e200j, 1e200 + 1e200j, 0.9624236501192069 / 2)],
         ids=["underflow", "overflow"],
     )
     def test_acosh_oracle_is_scale_invariant(self, z, w, expected):
@@ -70,13 +73,16 @@ class TestHalfplaneDistance:
     @given(z=halfplane_points, w=halfplane_points)
     @settings(max_examples=300)
     def test_mode_factor_is_exactly_two(self, z, w):
-        assert halfplane_distance(z, w) == 2.0 * halfplane_distance(z, w, MetricMode.KOBAYASHI)
+        """The POINCARE output is twice the Kobayashi distance, bit for bit."""
+        d = halfplane_distance(z, w)
+        assert kobayashi_distance(UpperHalfPlane(), z, w, MetricMode.POINCARE) == 2.0 * d
+        assert kobayashi_distance(UpperHalfPlane(), z, w) == d
 
     @given(z=halfplane_points, w=halfplane_points, u=halfplane_points)
     @settings(max_examples=300)
     def test_triangle_inequality(self, z, w, u):
         slack = halfplane_distance(z, w) + halfplane_distance(w, u) - halfplane_distance(z, u)
-        assert slack >= -1e-10
+        assert slack >= -5e-11
 
     def test_nearly_ideal_pair_is_stable(self):
         """The single form stays finite and accurate near the boundary."""
@@ -84,7 +90,7 @@ class TestHalfplaneDistance:
         w = complex(50.0, 1e-9)
         d = halfplane_distance(z, w)
         assert math.isfinite(d)
-        assert d == pytest.approx(halfplane_distance_acosh(z, w), abs=1e-12)
+        assert d == pytest.approx(halfplane_distance_acosh(z, w), abs=5e-13)
 
     @pytest.mark.parametrize(
         "z, w",
@@ -92,19 +98,19 @@ class TestHalfplaneDistance:
         ids=["750", "1381"],
     )
     def test_far_pair_is_finite_and_accurate(self, z, w):
-        """Distances past about 709, where exp overflows, stay finite and
-        within 1e-14 relative of a 50-digit reference."""
+        """Poincare distances past about 709 (the ids), where exp overflows,
+        stay finite and within 1e-14 relative of a 50-digit reference."""
         mpmath = pytest.importorskip("mpmath", reason="the 50-digit reference needs mpmath")
         mp = mpmath.mp.clone()
         mp.dps = 50
-        ref = 2 * mp.asinh(abs(mp.mpc(z) - mp.mpc(w)) / (2 * mp.sqrt(mp.mpf(z.imag) * mp.mpf(w.imag))))
+        ref = mp.asinh(abs(mp.mpc(z) - mp.mpc(w)) / (2 * mp.sqrt(mp.mpf(z.imag) * mp.mpf(w.imag))))
         d = halfplane_distance(z, w)
         assert math.isfinite(d)
         assert abs(mp.mpf(d) - ref) <= 1e-14 * ref, (d, ref)
 
     def test_relative_accuracy_against_mpmath(self):
         """Relative error at most 1e-13 for separations from 1e-13 to 1e4 and
-        heights from 1e-3 to 1e3, against ``2 asinh(|z - w| / (2 sqrt(Im z Im w)))``
+        heights from 1e-3 to 1e3, against ``asinh(|z - w| / (2 sqrt(Im z Im w)))``
         at 50 digits.  (The acosh(1 + s) reference loses its own digits once
         s is below about 1e-33.)"""
         mpmath = pytest.importorskip("mpmath", reason="the 50-digit reference needs mpmath")
@@ -114,7 +120,7 @@ class TestHalfplaneDistance:
         def reference(z: complex, w: complex):
             dx = mp.mpf(z.real) - mp.mpf(w.real)
             dy = mp.mpf(z.imag) - mp.mpf(w.imag)
-            return 2 * mp.asinh(mp.sqrt(dx * dx + dy * dy) / (2 * mp.sqrt(mp.mpf(z.imag) * mp.mpf(w.imag))))
+            return mp.asinh(mp.sqrt(dx * dx + dy * dy) / (2 * mp.sqrt(mp.mpf(z.imag) * mp.mpf(w.imag))))
 
         rng = np.random.default_rng(29)
         # the log-ratio form gave 0.0 here, against 1.16e-16
@@ -143,7 +149,7 @@ class TestHalfplaneDistance:
             mz = (a * z + b) / (c * z + d)
             mw = (a * w + b) / (c * w + d)
             assert halfplane_distance(z, w) == pytest.approx(
-                halfplane_distance(mz, mw), abs=1e-10
+                halfplane_distance(mz, mw), abs=5e-11
             )
 
 
@@ -155,15 +161,11 @@ class TestDiscDistance:
 
     def test_tanh_radius(self):
         """d(0, tanh 1) = 1 in the Kobayashi normalization."""
-        assert disc_distance(0.0, math.tanh(1.0), MetricMode.KOBAYASHI) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        assert disc_distance(0.0, math.tanh(1.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_pair(self):
         """d(0.3, -0.3) = artanh(0.6/1.09)."""
-        assert disc_distance(0.3, -0.3, MetricMode.KOBAYASHI) == pytest.approx(
-            0.6190392084062233, abs=1e-15
-        )
+        assert disc_distance(0.3, -0.3) == pytest.approx(0.6190392084062233, abs=1e-15)
 
     def test_rejects_outside(self):
         with pytest.raises(ValueError):
@@ -179,12 +181,15 @@ class TestDiscDistance:
     def test_mobius_invariance_under_automorphisms(self, a, b):
         """Distances survive the disc automorphism moving a to 0."""
         target = (a - b) / (1 - a.conjugate() * b)
-        assert disc_distance(a, b) == pytest.approx(disc_distance(0j, target), abs=1e-10)
+        assert disc_distance(a, b) == pytest.approx(disc_distance(0j, target), abs=5e-11)
 
     @given(a=disc_points, b=disc_points)
     @settings(max_examples=300)
     def test_mode_factor_is_exactly_two(self, a, b):
-        assert disc_distance(a, b) == 2.0 * disc_distance(a, b, MetricMode.KOBAYASHI)
+        """The POINCARE output is twice the Kobayashi distance, bit for bit."""
+        d = disc_distance(a, b)
+        assert kobayashi_distance(Ball(1), a, b, MetricMode.POINCARE) == 2.0 * d
+        assert kobayashi_distance(Ball(1), a, b) == d
 
     @pytest.mark.parametrize(
         "a, b",
@@ -199,12 +204,12 @@ class TestDiscDistance:
     def test_relative_accuracy_against_mpmath(self, a, b):
         """Pairs near the circle, where the atanh form raised a math domain
         error or was 2% off, and a nearly equal pair: within 1e-12 relative
-        of ``2 artanh(|a - b| / |1 - conj(a) b|)`` at 60 digits."""
+        of ``artanh(|a - b| / |1 - conj(a) b|)`` at 60 digits."""
         mpmath = pytest.importorskip("mpmath", reason="the 60-digit reference needs mpmath")
         mp = mpmath.mp.clone()
         mp.dps = 60
         za, zb = mp.mpc(a), mp.mpc(b)
-        ref = 2 * mp.atanh(abs(za - zb) / abs(1 - mp.conj(za) * zb))
+        ref = mp.atanh(abs(za - zb) / abs(1 - mp.conj(za) * zb))
         d = disc_distance(a, b)
         assert abs(mp.mpf(d) - ref) <= 1e-12 * ref, (d, ref)
 
@@ -225,66 +230,66 @@ class TestCayley:
     @settings(max_examples=300)
     def test_isometry_within_a_mode(self, a, b):
         dh = halfplane_distance(self.cayley.apply(a), self.cayley.apply(b))
-        assert dh == pytest.approx(disc_distance(a, b), abs=1e-11)
+        assert dh == pytest.approx(disc_distance(a, b), abs=5e-12)
 
     def test_specific_isometry_value(self):
         assert halfplane_distance(
             self.cayley.apply(0j), self.cayley.apply(0.5 + 0j)
-        ) == pytest.approx(disc_distance(0j, 0.5 + 0j), abs=1e-12)
+        ) == pytest.approx(disc_distance(0j, 0.5 + 0j), abs=5e-13)
 
 
 class TestVerticalLineDistance:
     """Tests for the distance to a vertical geodesic."""
 
     def test_known_value_at_unit_ratio(self):
-        """d(i pi, {Re = pi}) = log(1 + sqrt 2)."""
+        """d(i pi, {Re = pi}) = log(1 + sqrt 2) / 2."""
         assert vertical_line_distance(math.pi * 1j, math.pi) == pytest.approx(
-            0.8813735870195429, abs=1e-12
+            0.8813735870195429 / 2, abs=5e-13
         )
 
     def test_point_on_line(self):
         assert vertical_line_distance(1j, 0.0) == 0.0
 
     def test_matches_asinh_form(self):
-        """The foot construction reduces to asinh(|Re z - c| / Im z)."""
+        """The foot construction reduces to asinh(|Re z - c| / Im z) / 2."""
         rng = np.random.default_rng(7)
         for _ in range(100):
             z = complex(rng.uniform(-4, 4), rng.uniform(0.1, 4))
             c = rng.uniform(-4, 4)
             assert vertical_line_distance(z, c) == pytest.approx(
-                math.asinh(abs(z.real - c) / z.imag), abs=1e-12
+                0.5 * math.asinh(abs(z.real - c) / z.imag), abs=5e-13
             )
 
     def test_grid_minimization_oracle(self):
-        """d(2i, {Re = 2}) = log(1 + sqrt 2), against 1e6 sampled line points."""
+        """d(2i, {Re = 2}) = log(1 + sqrt 2) / 2, against 1e6 sampled line points."""
         z, c = 2j, 2.0
         ts = np.geomspace(1e-4, 100.0, 1_000_000)
         s = ((z.real - c) ** 2 + (z.imag - ts) ** 2) / (2.0 * z.imag * ts)
-        grid_min = float(np.log1p(s + np.sqrt(s * (s + 2.0))).min())
+        grid_min = 0.5 * float(np.log1p(s + np.sqrt(s * (s + 2.0))).min())
         d = vertical_line_distance(z, c)
-        assert d == pytest.approx(0.8813735870195429, abs=1e-12)
-        assert d <= grid_min + 1e-12
-        assert d == pytest.approx(grid_min, abs=1e-5)
+        assert d == pytest.approx(0.8813735870195429 / 2, abs=5e-13)
+        assert d <= grid_min + 5e-13
+        assert d == pytest.approx(grid_min, abs=5e-6)
 
     def test_foot_is_the_minimizer(self):
         z, c = complex(1.0, 0.7), -0.5
         d = vertical_line_distance(z, c)
         foot = complex(c, abs(z - c))
-        assert halfplane_distance(z, foot) == pytest.approx(d, abs=1e-6)
+        assert halfplane_distance(z, foot) == pytest.approx(d, abs=5e-7)
         for t in np.linspace(0.01, 30.0, 500):
-            assert d <= halfplane_distance(z, complex(c, t)) + 1e-12
+            assert d <= halfplane_distance(z, complex(c, t)) + 5e-13
 
 
 class TestMetricCircle:
     def test_circle_points_are_equidistant(self):
         center = complex(0.3, 1.2)
-        ecenter, eradius = halfplane_metric_circle(center, 0.8)
+        ecenter, eradius = halfplane_metric_circle(center, 0.4)
         for t in np.linspace(0, 2 * math.pi, 48, endpoint=False):
             w = ecenter + eradius * cmath.exp(1j * t)
-            assert halfplane_distance(center, w) == pytest.approx(0.8, abs=1e-10)
+            assert halfplane_distance(center, w) == pytest.approx(0.4, abs=5e-11)
 
     def test_kobayashi_radius_doubles(self):
-        center = 1j
-        ec_p, er_p = halfplane_metric_circle(center, 1.0, MetricMode.POINCARE)
-        ec_k, er_k = halfplane_metric_circle(center, 0.5, MetricMode.KOBAYASHI)
-        assert ec_p == ec_k and er_p == er_k
+        """The Kobayashi circle of radius 0.5 is the curvature -1 circle of
+        radius 1: center ``i cosh 1``, radius ``sinh 1``."""
+        ecenter, eradius = halfplane_metric_circle(1j, 0.5)
+        assert ecenter == 1j * math.cosh(1.0) and eradius == math.sinh(1.0)

@@ -96,9 +96,11 @@ class TestFridmanExact:
         assert (fridman_exact(dom).hex(), squeezing_exact(dom).hex()) == pins
 
     def test_poincare_mode_halves(self):
-        k = fridman_exact(Polydisc(3), mode=MetricMode.KOBAYASHI)
-        p = fridman_exact(Polydisc(3), mode=MetricMode.POINCARE)
-        assert p == 0.5 * k
+        """The value is KOBAYASHI; its POINCARE output, divided by the factor,
+        is ``1 / (2 artanh(1/sqrt 3))`` bit for bit."""
+        h = fridman_exact(Polydisc(3))
+        assert h / MetricMode.POINCARE.factor == 0.5 / math.atanh(1.0 / math.sqrt(3.0))
+        assert h / MetricMode.KOBAYASHI.factor == h
 
     def test_unsupported_variants_point_to_estimators(self):
         for dom, p in ((PuncturedDisc(), 0.5), (GENERAL_MODEL, (0j, -1.0 + 0j))):
@@ -112,15 +114,16 @@ class TestFridmanExact:
 
 class TestPuncturedBracket:
     def test_unit_ratio_values(self):
+        """U = 2 / asinh(1) and L = U / 2 where -pi/log p = 1."""
         est = fridman_bounds_punctured(P_UNIT)
-        assert est.upper == pytest.approx(1.1345926571065112, abs=1e-9)
-        assert est.lower == pytest.approx(0.5672963285532556, abs=1e-9)
+        assert est.upper == pytest.approx(2 * 1.1345926571065112, abs=2e-9)
+        assert est.lower == pytest.approx(2 * 0.5672963285532556, abs=2e-9)
 
     def test_lower_is_half_the_upper(self):
         rng = np.random.default_rng(21)
         for _ in range(500):
             est = fridman_bounds_punctured(float(rng.uniform(0.001, 0.999)))
-            assert est.lower == pytest.approx(est.upper / 2.0, abs=1e-12)
+            assert est.lower == pytest.approx(est.upper / 2.0, abs=2e-12)
 
     def test_blows_up_monotonically_toward_the_puncture(self):
         uppers, lowers = [], []
@@ -151,7 +154,7 @@ class TestPuncturedBracket:
 
     def test_bracket_order_enforced(self):
         with pytest.raises(ValueError):
-            BoundEstimate(2.0, 1.0, "a", "b", MetricMode.POINCARE)
+            BoundEstimate(2.0, 1.0, "a", "b")
 
 
 class TestFridmanUpperFromEmbedding:
@@ -329,7 +332,7 @@ class TestSqueezing:
         """s <= tanh(1/h) with h in KOBAYASHI normalization (h = 0 gives 1),
         with equality on the ball and the polydisc to an ulp."""
         s = squeezing_exact(dom)
-        h = fridman_exact(dom, mode=MetricMode.KOBAYASHI)
+        h = fridman_exact(dom)
         bound = math.tanh(1.0 / h) if h else 1.0
         assert s <= bound + math.ulp(bound)
         if isinstance(dom, (Ball, Polydisc)):

@@ -44,45 +44,64 @@ SIEGEL_FAMILY = make_anisotropic(
 )
 
 
-def distances_on_rows(domain, p, rows, mode=MetricMode.POINCARE):
+def distances_on_rows(domain, p, rows):
     """The distances from ``p`` to every row by the row form the program
     uses on ``domain``: the disc and ball forms on rows, and on the Siegel
     domain the distance of a scaled family."""
     if isinstance(domain, Siegel):
         assert domain == SIEGEL_FAMILY.limit
-        return SIEGEL_FAMILY.distance(0, p, rows, mode)
+        return SIEGEL_FAMILY.distance(0, p, rows)
     if domain.dim == 1:
-        return disc_distance(p[0], rows[:, 0], mode)
-    return ball_distance(p, rows.T, mode)
+        return disc_distance(p[0], rows[:, 0])
+    return ball_distance(p, rows.T)
+
+
+class TestKobayashiNormalization:
+    """Distances, sphere radii and ball radii are Kobayashi, whatever the
+    entry; POINCARE is an output choice only."""
+
+    def test_default_distance_is_kobayashi(self):
+        """d(0, 1/2) = artanh(1/2) = 0.5493 on the disc, not 2 artanh(1/2)."""
+        expected = math.atanh(0.5)
+        assert abs(kobayashi_distance(Ball(1), 0, 0.5) - expected) <= math.ulp(expected)
+        assert kobayashi_distance(Ball(1), 0, 0.5, MetricMode.POINCARE) == 2.0 * kobayashi_distance(Ball(1), 0, 0.5)
+
+    def test_sphere_and_ball_take_kobayashi_radii(self):
+        """The disc's sphere of radius r around 0 is the circle |z| = tanh r,
+        and the half-plane's ball of radius r around i, whose sample holds
+        its boundary circle, reaches up to i e^(2r)."""
+        r = 0.75
+        sphere = metric_sphere(Ball(1), 0.0, 32, np.random.default_rng(1))(r)
+        assert np.abs(sphere[:, 0]).tolist() == pytest.approx([math.tanh(r)] * 32, rel=1e-15)
+        ball = sample_metric_ball(UpperHalfPlane(), 1j, r, 64, np.random.default_rng(1))
+        assert ball.imag.max() == pytest.approx(math.exp(2.0 * r), rel=1e-12)
 
 
 class TestBallDistance:
     def test_radial_value(self):
-        assert ball_distance((0.5, 0.0), (0j, 0j), MetricMode.KOBAYASHI) == pytest.approx(
-            math.atanh(0.5), abs=1e-12
-        )
+        assert ball_distance((0.5, 0.0), (0j, 0j)) == pytest.approx(math.atanh(0.5), abs=1e-12)
 
     def test_matches_disc_in_dimension_one(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
             a = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
             b = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
-            assert ball_distance((a,), (b,)) == pytest.approx(disc_distance(a, b), abs=1e-12)
+            assert ball_distance((a,), (b,)) == pytest.approx(disc_distance(a, b), abs=5e-13)
 
     def test_unitary_invariance(self):
         a, b = (0.3 + 0.1j, 0.2j), (0.1 - 0.2j, 0.4 + 0j)
         phase = complex(math.cos(1.1), math.sin(1.1))
         rotated = tuple(phase * c for c in a), tuple(phase * c for c in b)
-        assert ball_distance(a, b) == pytest.approx(ball_distance(*rotated), abs=1e-12)
+        assert ball_distance(a, b) == pytest.approx(ball_distance(*rotated), abs=5e-13)
 
     @staticmethod
     def reference(mp, a, b):
-        """``2 artanh`` of the invariant ``1 - (1-|a|^2)(1-|b|^2)/|1-<a,b>|^2``,
+        """``artanh`` of the root of ``1 - (1-|a|^2)(1-|b|^2)/|1-<a,b>|^2``,
         evaluated at 60 digits, where its cancellation costs nothing."""
         a, b = [mp.mpc(c) for c in a], [mp.mpc(c) for c in b]
         na, nb = sum(abs(c) ** 2 for c in a), sum(abs(c) ** 2 for c in b)
         inner = sum(x * mp.conj(y) for x, y in zip(a, b))
-        return 2 * mp.atanh(mp.sqrt(1 - (1 - na) * (1 - nb) / abs(1 - inner) ** 2))
+        return mp.atanh(mp.sqrt(1 - (1 - na) * (1 - nb) / abs(1 - inner) ** 2))
 
     def test_relative_accuracy_against_mpmath(self):
         """Within 1e-12 relative for Ball(2) pairs with both points at least
@@ -124,20 +143,20 @@ class TestDispatcher:
     def test_polydisc_is_max_metric(self):
         p, q = (0.5 + 0j, 0j), (0j, 0.2 + 0j)
         expected = max(disc_distance(0.5, 0.0), disc_distance(0.0, 0.2))
-        assert kobayashi_distance(Polydisc(2), p, q) == pytest.approx(expected, abs=1e-12)
+        assert kobayashi_distance(Polydisc(2), p, q) == pytest.approx(expected, abs=5e-13)
 
     def test_halfplane_variants_agree_through_the_affine_map(self):
         """HalfPlaneC(1) = {Re z < 1/2} matches the standard half-plane."""
         hp = HalfPlaneC(1.0)
         d = kobayashi_distance(hp, 0j, (0.4 + 0j,))
         expected = halfplane_distance(0.5j, 1j * (0.5 - 0.4))
-        assert d == pytest.approx(expected, abs=1e-12)
+        assert d == pytest.approx(expected, abs=5e-13)
 
     def test_punctured_routes_through_the_cover(self):
         d = kobayashi_distance(PuncturedDisc(), 0.3, 0.3 * complex(math.cos(1.0), math.sin(1.0)))
         from biholo.covering import deck_minimum
 
-        assert d == pytest.approx(deck_minimum(0.3, 1.0), abs=1e-12)
+        assert d == pytest.approx(deck_minimum(0.3, 1.0), abs=5e-13)
 
     @pytest.mark.parametrize(
         "a, b",
@@ -153,7 +172,7 @@ class TestDispatcher:
         mp = mpmath.mp.clone()
         mp.dps = 60
         za, zb = mp.mpc(a), mp.mpc(b)
-        ref = 2 * mp.atanh(abs(za - zb) / abs(1 - mp.conj(za) * zb))
+        ref = mp.atanh(abs(za - zb) / abs(1 - mp.conj(za) * zb))
         assert abs(mp.mpf(d) - ref) <= 1e-15 * ref, (d, ref)
 
     def test_slit_disc_distance_exceeds_disc_distance(self):
@@ -165,7 +184,7 @@ class TestDispatcher:
         p = (0j, -1.0 + 0j)
         q = (0.3 + 0.1j, -2.0 + 0.5j)
         assert kobayashi_distance(dom, p, q) == pytest.approx(
-            ball_distance(siegel_to_ball(p), siegel_to_ball(q)), abs=1e-12
+            ball_distance(siegel_to_ball(p), siegel_to_ball(q)), abs=5e-13
         )
 
     def test_siegel_cayley_round_trip(self):
@@ -242,8 +261,8 @@ class TestDispatcher:
         assert kobayashi_distance(model, p, q) == kobayashi_distance(Siegel(2), p, q)
         assert fridman_exact(model, p) == 0.0
         assert squeezing_exact(model, p) == 1.0
-        rows = sample_metric_ball(model, p, 1.3, 64, np.random.default_rng(9))
-        assert rows.tobytes() == sample_metric_ball(Siegel(2), p, 1.3, 64, np.random.default_rng(9)).tobytes()
+        rows = sample_metric_ball(model, p, 0.65, 64, np.random.default_rng(9))
+        assert rows.tobytes() == sample_metric_ball(Siegel(2), p, 0.65, 64, np.random.default_rng(9)).tobytes()
         other = WeightedModel(Multitype((1, 4)), modulus_power(1, 0, 2))
         with pytest.raises(UnsupportedDomainError, match="ball sampler"):
             sample_metric_ball(other, (0j, -1.0), 1.0, 8, np.random.default_rng(0))
@@ -292,7 +311,7 @@ class TestKobayashiDistanceRows:
         if isinstance(domain, Siegel):
             p, rows = ball_to_siegel(p), np.column_stack(ball_to_siegel(rows.T))
         p = tuple(complex(c) for c in p)
-        d = distances_on_rows(domain, p, rows, mode)
+        d = mode.factor * distances_on_rows(domain, p, rows)
         assert d.shape == (300,)
         for x, q in zip(d.tolist(), rows.tolist()):
             ref = kobayashi_distance(domain, p, q, mode)
@@ -316,21 +335,21 @@ class TestKobayashiDistanceRows:
 class TestSphereSampling:
     def test_ball_sphere_is_equidistant(self):
         rng = np.random.default_rng(10)
-        pts = sample_metric_sphere(Ball(2), (0j, 0j), 0.7, 64, rng, MetricMode.KOBAYASHI)
+        pts = sample_metric_sphere(Ball(2), (0j, 0j), 0.7, 64, rng)
         for s in pts:
-            assert ball_distance((0j, 0j), s, MetricMode.KOBAYASHI) == pytest.approx(0.7, abs=1e-10)
+            assert ball_distance((0j, 0j), s) == pytest.approx(0.7, abs=1e-10)
 
     def test_ball_sphere_off_center(self):
         rng = np.random.default_rng(10)
         center = (0.3 + 0j, 0.1j)
-        pts = sample_metric_sphere(Ball(2), center, 0.5, 64, rng)
+        pts = sample_metric_sphere(Ball(2), center, 0.25, 64, rng)
         for s in pts:
-            assert ball_distance(center, s) == pytest.approx(0.5, abs=1e-9)
+            assert ball_distance(center, s) == pytest.approx(0.25, abs=5e-10)
 
     def test_polydisc_sphere_includes_the_corner(self):
         rng = np.random.default_rng(10)
         r = 0.9
-        pts = sample_metric_sphere(Polydisc(2), (0j, 0j), r, 32, rng, MetricMode.KOBAYASHI)
+        pts = sample_metric_sphere(Polydisc(2), (0j, 0j), r, 32, rng)
         rho = math.tanh(r)
         assert pts.shape == (33, 2)
         assert tuple(pts[0]) == (complex(rho), complex(rho))
@@ -340,12 +359,12 @@ class TestSphereSampling:
     def test_punctured_sphere_distances(self):
         rng = np.random.default_rng(10)
         p = 0.3
-        radius = 1.2
+        radius = 0.6
         pts = sample_metric_sphere(PuncturedDisc(), p, radius, 128, rng)
         from biholo.covering import punctured_distance
 
         for (s,) in pts:
-            assert punctured_distance(p, s) <= radius + 1e-9
+            assert punctured_distance(p, s) <= radius + 5e-10
 
     def test_punctured_sphere_hits_the_negative_axis_when_wide(self):
         """Past the slit distance the sphere contains exact slit points."""
@@ -353,16 +372,16 @@ class TestSphereSampling:
         from biholo.covering import slit_distance
 
         p = 0.3
-        radius = slit_distance(p) + 0.05
+        radius = slit_distance(p) + 0.025
         pts = sample_metric_sphere(PuncturedDisc(), p, radius, 64, rng)
         crossings = [s for (s,) in pts if s.imag == 0.0 and s.real < 0.0]
         assert crossings
 
     def test_halfplane_sphere(self):
         rng = np.random.default_rng(10)
-        pts = sample_metric_sphere(UpperHalfPlane(), 1j, 0.6, 32, rng)
+        pts = sample_metric_sphere(UpperHalfPlane(), 1j, 0.3, 32, rng)
         for (s,) in pts:
-            assert halfplane_distance(1j, s) == pytest.approx(0.6, abs=1e-10)
+            assert halfplane_distance(1j, s) == pytest.approx(0.3, abs=5e-11)
 
 
 class TestOneSampleAtEveryRadius:
@@ -391,19 +410,21 @@ class TestOneSampleAtEveryRadius:
     @pytest.mark.parametrize("mode", list(MetricMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("center", [(0j, 0j), (0.3 + 0j, 0.1j)], ids=["origin", "off-center"])
     def test_ball(self, center, mode):
-        sphere = metric_sphere(Ball(2), center, 48, np.random.default_rng(3), mode)
+        """Radii ``r`` in the units of ``mode``, converted where the sphere
+        is drawn, as the Fridman estimator does."""
+        sphere = metric_sphere(Ball(2), center, 48, np.random.default_rng(3))
         for r in self.RADII:
             rng = np.random.default_rng(3)
-            radius_k = r * MetricMode.KOBAYASHI.scale / mode.scale
+            radius_k = r / mode.factor
             rows = math.tanh(radius_k) * random_unit_vectors(2, 48, rng)
             expected = np.column_stack(ball_automorphism(center)(rows.T))
-            assert sphere(r).tobytes() == expected.tobytes()
+            assert sphere(r / mode.factor).tobytes() == expected.tobytes()
 
     def test_one_shot_samplers_are_the_sampler_at_one_radius(self):
         for d, center in ((Polydisc(3), (0.1 + 0j, 0.2j, -0.3 + 0j)), (PuncturedDisc(), 0.3), (UpperHalfPlane(), 1j)):
-            sphere = metric_sphere(d, center, 32, np.random.default_rng(5), MetricMode.KOBAYASHI)
+            sphere = metric_sphere(d, center, 32, np.random.default_rng(5))
             for r in self.RADII:
-                once = sample_metric_sphere(d, center, r, 32, np.random.default_rng(5), MetricMode.KOBAYASHI)
+                once = sample_metric_sphere(d, center, r, 32, np.random.default_rng(5))
                 assert sphere(r).tobytes() == once.tobytes()
 
     def test_nonpositive_radius_raises(self):
@@ -420,10 +441,11 @@ class TestBallSampling:
     @pytest.mark.parametrize("mode", list(MetricMode), ids=lambda m: m.value)
     def test_siegel_ball_off_the_basepoint(self, mode):
         """Samples of the Siegel ball around a point other than the basepoint
-        ``(0, -1)`` lie within the radius of that point, and fill it out."""
+        ``(0, -1)`` lie within the radius of that point, and fill it out;
+        the radius is in the units of ``mode``."""
         d = Siegel(2)
         center = (0.3 - 0.2j, -1.4 + 0.5j)
-        pts = sample_metric_ball(d, center, 1.5, 400, np.random.default_rng(3), mode)
+        pts = sample_metric_ball(d, center, 1.5 / mode.factor, 400, np.random.default_rng(3))
         dists = [kobayashi_distance(d, center, q, mode) for q in pts]
         assert len(pts) == 400
         assert max(dists) <= 1.5 + 1e-12
@@ -442,23 +464,23 @@ class TestBallSampling:
         """The rows against the loop they replaced, on the same random
         stream: the same points to rounding (numpy's cosh, sinh and tanh may
         differ from the math module's in the last place)."""
-        radius, count, mode = 1.3, 64, MetricMode.KOBAYASHI
-        rows = sample_metric_ball(d, center, radius, count, np.random.default_rng(9), mode)
+        radius, count = 1.3, 64
+        rows = sample_metric_ball(d, center, radius, count, np.random.default_rng(9))
         rng = np.random.default_rng(9)
         if isinstance(d, Siegel):
             phi = ball_automorphism(siegel_to_ball(center))
             expected = []
             for v in random_unit_vectors(d.dim, count, rng).tolist():
-                rho = math.tanh(0.5 * radius * math.sqrt(rng.uniform()) / mode.scale)
+                rho = math.tanh(radius * math.sqrt(rng.uniform()))
                 expected.append(ball_to_siegel(phi(tuple(rho * c for c in v))))
         else:
             z0 = d.to_halfplane(center[0]) if isinstance(d, HalfPlaneC) else center[0]
             ws = []
             for _ in range(count):
                 t = radius * math.sqrt(rng.uniform())
-                ecenter, eradius = halfplane_metric_circle(z0, t, mode)
+                ecenter, eradius = halfplane_metric_circle(z0, t)
                 ws.append(ecenter + eradius * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
-            ecenter, eradius = halfplane_metric_circle(z0, radius, mode)
+            ecenter, eradius = halfplane_metric_circle(z0, radius)
             shell = np.linspace(0.0, 2.0 * math.pi, count // 2, endpoint=False)
             ws += [ecenter + eradius * cmath.exp(1j * a) for a in shell]
             expected = [(d.from_halfplane(w) if isinstance(d, HalfPlaneC) else w,) for w in ws]
