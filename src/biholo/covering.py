@@ -184,55 +184,62 @@ def punctured_distance_detail(p: complex, q: complex, deck_range: int = 100) -> 
         widened = True
 
 
+def _s_rows(dx, y1: float, y2):
+    """The ``s`` of the acosh form ``arccosh(1 + s) / 2`` of the half-plane
+    distance, at horizontal offsets ``dx`` and heights ``y1`` and ``y2``.
+    The distance is increasing in ``s``, so a grid's extremum of the
+    distance is the acosh form at the grid's extremum of ``s``."""
+    return (dx * dx + (y1 - y2) ** 2) / (2.0 * y1 * y2)
+
+
+def _acosh_form(s: float) -> float:
+    """``arccosh(1 + s) / 2``, through log1p."""
+    return 0.5 * math.log1p(s + math.sqrt(s * (s + 2.0)))
+
+
 def deck_minimum_enumerated(p: float, theta: float, deck_range: int = 100) -> float:
-    """Oracle for :func:`deck_minimum`: direct enumeration of deck translates."""
+    """Oracle for :func:`deck_minimum`: direct enumeration of deck translates.
+
+    The lifts ``i y`` and ``theta + 2 pi k + i y`` (``y = -log p``) for
+    ``k`` in ``[-K, K]``, all in one array; the distance is the acosh form
+    at the smallest ``s``, not the asinh form of :func:`halfplane_distance`.
+    """
     if not 0.0 < p < 1.0:
         raise ValueError("modulus must lie in (0, 1)")
     y = -math.log(p)
-    z = complex(0.0, y)
-    return min(
-        halfplane_distance(z, complex(theta + TWO_PI * k, y))
-        for k in range(-deck_range, deck_range + 1)
-    )
-
-
-def _acosh_rows(dx: np.ndarray, y1: float, y2: np.ndarray | float) -> np.ndarray:
-    """Half-plane distances ``arccosh(1 + s) / 2`` at horizontal offsets
-    ``dx`` and heights ``y1`` and ``y2``."""
-    s = (dx * dx + (y1 - y2) ** 2) / (2.0 * y1 * y2)
-    return 0.5 * np.log1p(s + np.sqrt(s * (s + 2.0)))
+    dx = theta + TWO_PI * np.arange(-deck_range, deck_range + 1)
+    return _acosh_form(float(_s_rows(dx, y, y).min()))
 
 
 def grid_slit_distance(p: float, grid: int = 100_000, deck_range: int = 5) -> float:
     """Oracle for :func:`slit_distance`: minimize the punctured-disc distance
-    from ``p`` over a grid of points of the slit ``(-1, 0)``."""
+    from ``p`` over a grid of points of the slit ``(-1, 0)`` and the deck
+    translates ``k`` in ``[-K, K]`` of their lifts.  The acosh form is
+    applied once, to the smallest ``s`` over the grid and the translates."""
     if not 0.0 < p < 1.0:
         raise ValueError("base point must lie in (0, 1)")
     yp = -math.log(p)
     moduli = np.linspace(0.0, 1.0, grid + 2)[1:-1]
     yq = -np.log(moduli)
-    best = np.full(moduli.shape, np.inf)
-    for k in range(-deck_range, deck_range + 1):
-        dx = math.pi + TWO_PI * k
-        np.minimum(best, _acosh_rows(np.full(moduli.shape, dx), yp, yq), out=best)
-    return float(best.min())
+    s = min(float(_s_rows(math.pi + TWO_PI * k, yp, yq).min()) for k in range(-deck_range, deck_range + 1))
+    return _acosh_form(s)
 
 
 def grid_circle_supremum(p: float, grid: int = 1_000_000) -> tuple[float, float]:
     """Oracle for :func:`circle_supremum`: maximize the half-plane distance
     between the lifts ``i y`` and ``theta + i y`` (``y = -log p``) over an
-    angular grid of ``[0, 2 pi)``, evaluated by the ``acosh`` form of the
-    distance, not by the closed form of :func:`deck_minimum`.  There is no
-    wrap-around at ``theta > pi``, so this is the distance between lifts, not
-    between points of the punctured disc.  Returns ``(maximum, argmax
-    angle)``; the argmax is the far end of the grid."""
+    angular grid of ``[0, 2 pi)``.  The distance is the acosh form at the
+    largest ``s`` of the grid, not the closed form of :func:`deck_minimum`.
+    There is no wrap-around at ``theta > pi``, so this is the distance
+    between lifts, not between points of the punctured disc.  Returns
+    ``(maximum, argmax angle)``; the argmax is the far end of the grid."""
     if not 0.0 < p < 1.0:
         raise ValueError("base point must lie in (0, 1)")
     theta = np.linspace(0.0, TWO_PI, grid, endpoint=False)
     y = -math.log(p)
-    vals = _acosh_rows(theta, y, y)
-    idx = int(vals.argmax())
-    return float(vals[idx]), float(theta[idx])
+    s = _s_rows(theta, y, y)
+    idx = int(s.argmax())
+    return _acosh_form(float(s[idx])), float(theta[idx])
 
 
 # ---------------------------------------------------------------------------

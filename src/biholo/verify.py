@@ -6,6 +6,13 @@ Distances are Kobayashi, as the library returns them, so an absolute
 tolerance on a distance is half the one a Poincare distance would take.
 `run_all` drives every suite with one configuration; the CLI `verify`
 subcommand prints one line per suite.
+
+A suite draws its random inputs as rows, in one generator call whose C
+order is the order of one scalar draw after another, so the inputs are
+those of a scalar loop, bit for bit.  Where a suite compares the scalar
+path of the library, it calls it point by point; the oracles run as array
+kernels.  `SuiteResult.expect_rows` then makes one check per row and
+formats a message only for the rows that fail.
 """
 
 from __future__ import annotations
@@ -74,24 +81,25 @@ class SuiteResult:
         if not ok:
             self.failures.append(message)
 
-
-def _halfplane_pairs(rng: np.random.Generator, count: int):
-    for _ in range(count):
-        yield (
-            complex(rng.uniform(-5, 5), rng.uniform(0.05, 5)),
-            complex(rng.uniform(-5, 5), rng.uniform(0.05, 5)),
-        )
+    def expect_rows(self, ok: np.ndarray, message) -> None:
+        """One check per entry of the boolean array ``ok``; ``message(k)``
+        formats the failure of entry ``k`` and is called only for the
+        entries that fail."""
+        ok = np.asarray(ok, dtype=bool)
+        self.checks += ok.size
+        self.failures.extend(message(k) for k in np.flatnonzero(~ok).tolist())
 
 
 def suite_halfplane_forms(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("halfplane-closed-form-vs-acosh")
     rng = np.random.default_rng(cfg.seed)
-    for z, w in _halfplane_pairs(rng, 10_000):
-        d1 = halfplane_distance(z, w)
-        d2 = halfplane_distance_acosh(z, w)
-        res.expect(abs(d1 - d2) <= 5e-13, f"closed form deviates from acosh by {abs(d1 - d2):.3e} at {(z, w)}")
+    pairs = rng.uniform([-5, 0.05], 5, size=(10_000, 2, 2)).view(np.complex128)[..., 0].tolist()
+    d1 = np.array([halfplane_distance(z, w) for z, w in pairs])
+    gap = np.abs(d1 - [halfplane_distance_acosh(z, w) for z, w in pairs])
+    res.expect_rows(gap <= 5e-13, lambda k: f"closed form deviates from acosh by {gap[k]:.3e} at {tuple(pairs[k])}")
+    (z, w), last = pairs[-1], float(d1[-1])
     edge = kobayashi_distance(UpperHalfPlane(), z, w, MetricMode.POINCARE)
-    res.expect(edge == 2.0 * d1, f"POINCARE distance {edge!r} is not exactly twice the Kobayashi {d1!r}")
+    res.expect(edge == 2.0 * last, f"POINCARE distance {edge!r} is not exactly twice the Kobayashi {last!r}")
     # the disc form against the half-plane form through the Cayley map
     cayley = lambda a: 1j * (1.0 + a) / (1.0 - a)
     for a, b in (((0.2 + 0.1j), (-0.5 + 0.4j)), ((0.0j), (0.3 - 0.2j))):
@@ -103,16 +111,16 @@ def suite_halfplane_forms(cfg: RunConfig) -> SuiteResult:
 def suite_metric_axioms(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("metric-axioms")
     rng = np.random.default_rng(cfg.seed + 1)
-    for _ in range(1_000):
-        z = complex(rng.uniform(-3, 3), rng.uniform(0.1, 3))
-        w = complex(rng.uniform(-3, 3), rng.uniform(0.1, 3))
-        u = complex(rng.uniform(-3, 3), rng.uniform(0.1, 3))
-        res.expect(
-            abs(halfplane_distance(z, w) - halfplane_distance(w, z)) <= 5e-13,
-            f"asymmetric at {(z, w)}",
-        )
-        slack = halfplane_distance(z, w) + halfplane_distance(w, u) - halfplane_distance(z, u)
-        res.expect(slack >= -5e-11, f"triangle violated by {slack:.3e} at {(z, w, u)}")
+    points = rng.uniform([-3, 0.1], 3, size=(1_000, 3, 2)).view(np.complex128)[..., 0].tolist()
+    d = np.array(
+        [
+            (halfplane_distance(z, w), halfplane_distance(w, z), halfplane_distance(w, u), halfplane_distance(z, u))
+            for z, w, u in points
+        ]
+    )
+    res.expect_rows(np.abs(d[:, 0] - d[:, 1]) <= 5e-13, lambda k: f"asymmetric at {tuple(points[k][:2])}")
+    slack = d[:, 0] + d[:, 2] - d[:, 3]
+    res.expect_rows(slack >= -5e-11, lambda k: f"triangle violated by {slack[k]:.3e} at {tuple(points[k])}")
     res.expect(halfplane_distance(1j, 1j) == 0.0, "nonzero self-distance")
     return res
 
@@ -120,18 +128,18 @@ def suite_metric_axioms(cfg: RunConfig) -> SuiteResult:
 def suite_mobius_invariance(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("mobius-invariance")
     rng = np.random.default_rng(cfg.seed + 2)
-    for _ in range(1_000):
-        z = complex(rng.uniform(-3, 3), rng.uniform(0.1, 3))
-        w = complex(rng.uniform(-3, 3), rng.uniform(0.1, 3))
-        a = rng.uniform(0.5, 2.0) * (1 if rng.uniform() < 0.5 else -1)
-        b, c = rng.uniform(-2, 2), rng.uniform(-2, 2)
+    # z, w, |a|, the sign of a, b and c of each map, in one draw
+    draws = rng.uniform([-3, 0.1, -3, 0.1, 0.5, 0, -2, -2], [3, 3, 3, 3, 2, 1, 2, 2], size=(1_000, 8)).tolist()
+    maps, gaps = [], []
+    for zr, zi, wr, wi, size, sign, b, c in draws:
+        z, w = complex(zr, zi), complex(wr, wi)
+        a = size if sign < 0.5 else -size
         d = (1.0 + b * c) / a
         mz = (a * z + b) / (c * z + d)
         mw = (a * w + b) / (c * w + d)
-        res.expect(
-            abs(halfplane_distance(z, w) - halfplane_distance(mz, mw)) <= 5e-11,
-            f"not invariant under {(a, b, c, d)}",
-        )
+        maps.append((a, b, c, d))
+        gaps.append(abs(halfplane_distance(z, w) - halfplane_distance(mz, mw)))
+    res.expect_rows(np.array(gaps) <= 5e-11, lambda k: f"not invariant under {maps[k]}")
     return res
 
 
@@ -139,55 +147,37 @@ def suite_vertical_line(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("vertical-line-foot")
     rng = np.random.default_rng(cfg.seed + 3)
     ts = np.geomspace(1e-3, 100.0, 1_000_000)
-    for _ in range(12):
-        z = complex(rng.uniform(-4, 4), rng.uniform(0.2, 4))
-        c = rng.uniform(-4, 4)
-        d_foot = vertical_line_distance(z, c)
-        s = ((z.real - c) ** 2 + (z.imag - ts) ** 2) / (2.0 * z.imag * ts)
-        grid_min = 0.5 * float(np.log1p(s + np.sqrt(s * (s + 2.0))).min())
-        res.expect(
-            d_foot <= grid_min + 5e-13,
-            f"foot distance {d_foot} above a sampled line point {grid_min}",
-        )
-        res.expect(abs(d_foot - grid_min) <= 5e-6, f"grid min off by {abs(d_foot - grid_min):.2e}")
-        foot = complex(c, abs(z - c))
-        res.expect(
-            abs(halfplane_distance(z, foot) - d_foot) <= 5e-7,
-            "distance not attained at the orthogonal foot",
-        )
+    found = []
+    for x, y, c in rng.uniform([-4, 0.2, -4], 4, size=(12, 3)).tolist():
+        z = complex(x, y)
+        # the acosh form is increasing in s: apply it once, at the grid's smallest s
+        s = float((((x - c) ** 2 + (y - ts) ** 2) / (2.0 * y * ts)).min())
+        grid_min = 0.5 * math.log1p(s + math.sqrt(s * (s + 2.0)))
+        found.append((vertical_line_distance(z, c), grid_min, halfplane_distance(z, complex(c, abs(z - c)))))
+    d_foot, grid_min, at_foot = np.array(found).T
+    res.expect_rows(
+        d_foot <= grid_min + 5e-13,
+        lambda k: f"foot distance {d_foot[k]} above a sampled line point {grid_min[k]}",
+    )
+    res.expect_rows(np.abs(d_foot - grid_min) <= 5e-6, lambda k: f"grid min off by {abs(d_foot[k] - grid_min[k]):.2e}")
+    res.expect_rows(np.abs(at_foot - d_foot) <= 5e-7, lambda k: "distance not attained at the orthogonal foot")
     return res
 
 
 def suite_deck_oracle(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("deck-closed-form-vs-enumeration")
     rng = np.random.default_rng(cfg.seed + 4)
-    for _ in range(1_000):
-        p = float(rng.uniform(0.01, 0.99))
-        # the closed form is the deck infimum on offsets up to pi; past
-        # that the infimum wraps around the puncture (checked below)
-        theta = float(rng.uniform(0.0, math.pi))
-        closed = covering.deck_minimum(p, theta)
-        brute = covering.deck_minimum_enumerated(p, theta)
-        res.expect(abs(closed - brute) <= 5e-13, f"deck mismatch at p={p}, theta={theta}")
-        q = p * complex(math.cos(theta), math.sin(theta))
-        res.expect(
-            abs(covering.punctured_distance(p, q) - closed) <= 5e-13,
-            f"punctured distance disagrees with deck minimum at p={p}, theta={theta}",
-        )
-    for _ in range(200):
-        p = float(rng.uniform(0.01, 0.99))
-        theta = float(rng.uniform(math.pi, covering.TWO_PI))
-        wrapped = covering.deck_minimum(p, covering.TWO_PI - theta)
-        brute = covering.deck_minimum_enumerated(p, theta)
-        res.expect(
-            abs(wrapped - brute) <= 5e-13,
-            f"wrap-around infimum wrong at p={p}, theta={theta}",
-        )
-        q = p * complex(math.cos(theta), math.sin(theta))
-        res.expect(
-            abs(covering.punctured_distance(p, q) - wrapped) <= 5e-13,
-            f"wrap-around distance wrong at p={p}, theta={theta}",
-        )
+    two_pi = covering.TWO_PI
+    # the closed form is the deck infimum on offsets up to pi; past that the
+    # infimum wraps around the puncture, to the closed form at 2 pi - theta
+    for count, low, high, wraps in ((1_000, 0.0, math.pi, False), (200, math.pi, two_pi, True)):
+        rows = rng.uniform([0.01, low], [0.99, high], size=(count, 2)).tolist()
+        closed = np.array([covering.deck_minimum(p, two_pi - t if wraps else t) for p, t in rows])
+        brute = [covering.deck_minimum_enumerated(p, t) for p, t in rows]
+        metric = [covering.punctured_distance(p, p * complex(math.cos(t), math.sin(t))) for p, t in rows]
+        at = lambda k: "at p={}, theta={}".format(*rows[k])
+        res.expect_rows(np.abs(closed - brute) <= 5e-13, lambda k: f"deck enumeration differs {at(k)}")
+        res.expect_rows(np.abs(metric - closed) <= 5e-13, lambda k: f"punctured distance differs {at(k)}")
     res.expect(covering.deck_minimum(0.3, 0.0) == 0.0, "zero offset must give zero")
     return res
 
@@ -195,58 +185,62 @@ def suite_deck_oracle(cfg: RunConfig) -> SuiteResult:
 def suite_slit_circle_oracles(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("slit-and-circle-oracles")
     rng = np.random.default_rng(cfg.seed + 5)
-    for p in (math.exp(-math.pi), 0.2, 0.5, 0.9):
-        r = covering.slit_distance(p)
-        r_grid = covering.grid_slit_distance(p)
-        res.expect(abs(r - r_grid) <= 5e-5, f"slit distance off by {abs(r - r_grid):.2e} at p={p}")
-        s = covering.circle_supremum(p)
-        s_grid, arg = covering.grid_circle_supremum(p)
-        res.expect(abs(s - s_grid) <= 5e-5, f"deck translation length off by {abs(s - s_grid):.2e} at p={p}")
-        res.expect(arg > covering.TWO_PI - 1e-3, f"deck translation length grid maximum at theta={arg}, not at the far end")
-    for _ in range(1_000):
-        p = float(rng.uniform(0.01, 0.99))
-        res.expect(
-            abs(covering.circle_supremum(p) - 2.0 * covering.slit_distance(p)) <= 5e-13,
-            f"deck translation length is not twice the slit distance at p={p}",
-        )
+    ps = (math.exp(-math.pi), 0.2, 0.5, 0.9)
+    slit_gap = np.array([abs(covering.slit_distance(p) - covering.grid_slit_distance(p)) for p in ps])
+    sups = [covering.grid_circle_supremum(p) for p in ps]
+    sup_gap = np.array([abs(covering.circle_supremum(p) - s) for p, (s, _) in zip(ps, sups)])
+    res.expect_rows(slit_gap <= 5e-5, lambda k: f"slit distance off by {slit_gap[k]:.2e} at p={ps[k]}")
+    res.expect_rows(sup_gap <= 5e-5, lambda k: f"deck translation length off by {sup_gap[k]:.2e} at p={ps[k]}")
+    res.expect_rows(
+        np.array([arg for _, arg in sups]) > covering.TWO_PI - 1e-3,
+        lambda k: f"deck translation length grid maximum at theta={sups[k][1]}, not at the far end",
+    )
+    drawn = rng.uniform(0.01, 0.99, size=1_000).tolist()
+    gap = np.array([abs(covering.circle_supremum(p) - 2.0 * covering.slit_distance(p)) for p in drawn])
+    res.expect_rows(gap <= 5e-13, lambda k: f"deck translation length is not twice the slit distance at p={drawn[k]}")
     return res
 
 
 def suite_punctured_metric(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("punctured-disc-metric")
     rng = np.random.default_rng(cfg.seed + 6)
-    pd = PuncturedDisc()
-    for p, q, u in sample_rows(pd, rng, 600).reshape(200, 3).tolist():
-        dpq = covering.punctured_distance(p, q)
-        res.expect(abs(dpq - covering.punctured_distance(q, p)) <= 5e-13, "asymmetric")
-        slack = dpq + covering.punctured_distance(q, u) - covering.punctured_distance(p, u)
-        res.expect(slack >= -5e-11, f"triangle violated by {slack:.2e}")
-        res.expect(
-            dpq >= disc_distance(p, q) - 5e-13,
-            "inclusion into the disc must not increase distances",
-        )
+    dist = covering.punctured_distance
+    d = np.array(
+        [
+            (dist(p, q), dist(q, p), dist(q, u), dist(p, u), disc_distance(p, q))
+            for p, q, u in sample_rows(PuncturedDisc(), rng, 600).reshape(200, 3).tolist()
+        ]
+    )
+    res.expect_rows(np.abs(d[:, 0] - d[:, 1]) <= 5e-13, lambda k: "asymmetric")
+    slack = d[:, 0] + d[:, 2] - d[:, 3]
+    res.expect_rows(slack >= -5e-11, lambda k: f"triangle violated by {slack[k]:.2e}")
+    res.expect_rows(d[:, 0] >= d[:, 4] - 5e-13, lambda k: "inclusion into the disc must not increase distances")
     return res
 
 
-def _independent_membership(domain, point) -> bool:
+def _independent_membership(domain, rows: np.ndarray) -> np.ndarray:
+    """Membership of every row (shape ``[m, dim]``) by numpy formulas of the
+    domain's own, not through its ``defining`` function."""
+    first, last = rows[:, 0], rows[:, -1]
     if isinstance(domain, Ball):
-        return sum(abs(c) ** 2 for c in point) < 1.0
+        return (np.abs(rows) ** 2).sum(axis=1) < 1.0
     if isinstance(domain, Polydisc):
-        return all(abs(c) < 1.0 for c in point)
+        return (np.abs(rows) < 1.0).all(axis=1)
     if isinstance(domain, UpperHalfPlane):
-        return point[0].imag > 0
+        return first.imag > 0
     if isinstance(domain, HalfPlaneC):
-        return (domain.linear_coeff * point[0]).real < 0.5
+        return (domain.linear_coeff * first).real < 0.5
     if isinstance(domain, PuncturedDisc):
-        return 0.0 < abs(point[0]) < 1.0
+        return (0.0 < np.abs(first)) & (np.abs(first) < 1.0)
     if isinstance(domain, SlitDisc):
-        z = point[0]
-        on_slit = z.imag == 0.0 and -1.0 < z.real <= 0.0
-        return abs(z) < 1.0 and not on_slit
+        on_slit = (first.imag == 0.0) & (-1.0 < first.real) & (first.real <= 0.0)
+        return (np.abs(first) < 1.0) & ~on_slit
     if isinstance(domain, Siegel):
-        return 2.0 * point[-1].real + sum(abs(c) ** 2 for c in point[:-1]) < 0.0
+        return 2.0 * last.real + (np.abs(rows[:, :-1]) ** 2).sum(axis=1) < 0.0
     if isinstance(domain, WeightedModel):
-        return 2.0 * point[-1].real + poly_eval(domain.poly, point[:-1]) < 0.0
+        w = rows[:, :-1]
+        value = sum(t.coeff * np.prod(w**t.alpha * w.conj() ** t.beta, axis=1) for t in domain.poly.terms)
+        return 2.0 * last.real + value.real < 0.0
     raise ValueError(domain)
 
 
@@ -264,6 +258,7 @@ def suite_domains(cfg: RunConfig) -> SuiteResult:
         Siegel(2),
         model,
     ]
+    bad = []
     for dom in variants:
         # sampled points alternate with points of the box [-1.6, 1.6]^(2n)
         rows = np.empty((10_000, dom.dim), dtype=complex)
@@ -271,24 +266,22 @@ def suite_domains(cfg: RunConfig) -> SuiteResult:
         rows[1::2] = rng.uniform(-1.6, 1.6, size=(5_000, dom.dim, 2)).view(np.complex128)[..., 0]
         if isinstance(dom, SlitDisc):
             slit_samples = rows[0::2, 0]
-        scalar, bad = [], 0
-        for row in rows:
-            pt = tuple(row.tolist())
-            inside = contains(dom, pt)
-            bad += inside != _independent_membership(dom, pt)
-            scalar.append(inside)
-        # the batch path against the scalar one, on the same points
-        bad += int((contains_rows(dom, rows) != scalar).sum())
-        res.expect(bad == 0, f"{bad} membership mismatches for {dom!r}")
+        # the scalar path, point by point, against the independent formulas
+        # and against the batch path, on the same points
+        scalar = np.array([contains(dom, tuple(pt)) for pt in rows.tolist()])
+        bad.append(np.count_nonzero(scalar != _independent_membership(dom, rows)))
+        bad[-1] += np.count_nonzero(contains_rows(dom, rows) != scalar)
+    res.expect_rows(np.array(bad) == 0, lambda k: f"{bad[k]} membership mismatches for {variants[k]!r}")
     # the slit disc is the punctured disc minus the interval (-1, 0]
-    axis = np.linspace(-0.999, 0.999, 1001)
-    grid = [complex(a, b) for a in axis for b in (-0.5, -1e-9, 0.0, 1e-9, 0.5)]
-    for z in grid:
-        expected = contains(PuncturedDisc(), z) and not (z.imag == 0.0 and -1.0 < z.real <= 0.0)
-        res.expect(
-            contains(SlitDisc(), z) == expected,
-            f"slit-disc membership wrong at {z!r}",
-        )
+    grid = np.empty((1001, 5), dtype=complex)
+    grid.real = np.linspace(-0.999, 0.999, 1001)[:, None]
+    grid.imag = (-0.5, -1e-9, 0.0, 1e-9, 0.5)
+    grid = grid.ravel()
+    points = grid.tolist()
+    on_slit = (grid.imag == 0.0) & (-1.0 < grid.real) & (grid.real <= 0.0)
+    expected = np.array([contains(PuncturedDisc(), z) for z in points]) & ~on_slit
+    slit = np.array([contains(SlitDisc(), z) for z in points])
+    res.expect_rows(slit == expected, lambda k: f"slit-disc membership wrong at {points[k]!r}")
     # the slit-disc sampler draws from the punctured disc off the slit
     off_slit = (slit_samples.imag != 0.0) | (slit_samples.real > 0.0)
     modulus = np.abs(slit_samples)
@@ -308,51 +301,52 @@ def suite_polynomials(cfg: RunConfig) -> SuiteResult:
             [Term((2,), (1,), 0.5), Term((1,), (2,), 0.5)], 1
         ),
     ]
+    errors = []
     for poly in polys:
-        error = None
+        errors.append(None)
         try:
-            for _ in range(2_500):
-                w = tuple(complex(a, b) for a, b in rng.normal(size=(poly.nvars, 2)))
+            for w in rng.normal(size=(2_500, poly.nvars, 2)).view(np.complex128)[..., 0].tolist():
                 poly_eval(poly, w)  # raises if the imaginary part exceeds tolerance
         except ValueError as exc:
-            error = exc
-        res.expect(error is None, f"{poly!r} does not evaluate to real values: {error}")
+            errors[-1] = exc
+    res.expect_rows(
+        np.array([e is None for e in errors]),
+        lambda k: f"{polys[k]!r} does not evaluate to real values: {errors[k]}",
+    )
     # randomized homogeneity: symbolic and numeric verdicts must agree
+    ms, accepted, rejected = [], [], []
     for _ in range(50):
         m = int(rng.integers(2, 6))
         mt = Multitype((1, 2 * m))
         good = modulus_power(1, 0, m)
-        res.expect(
-            symbolic_weight_check(good, mt) and numeric_scaling_check(good, mt, 50, rng),
-            f"homogeneous |z|^{2*m} rejected for multitype (1, {2*m})",
-        )
         bad = good + modulus_power(1, 0, max(1, m - 1))
-        res.expect(
-            (not symbolic_weight_check(bad, mt)) and (not numeric_scaling_check(bad, mt, 200, rng)),
-            f"inhomogeneous perturbation accepted for multitype (1, {2*m})",
-        )
+        ms.append(m)
+        accepted.append(symbolic_weight_check(good, mt) and numeric_scaling_check(good, mt, 50, rng))
+        rejected.append((not symbolic_weight_check(bad, mt)) and (not numeric_scaling_check(bad, mt, 200, rng)))
+    res.expect_rows(accepted, lambda k: f"homogeneous |z|^{2 * ms[k]} rejected for multitype (1, {2 * ms[k]})")
+    res.expect_rows(rejected, lambda k: f"inhomogeneous perturbation accepted for multitype (1, {2 * ms[k]})")
     return res
 
 
 def suite_punctured_bounds(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("punctured-disc-bracket")
     rng = np.random.default_rng(cfg.seed + 9)
-    for _ in range(1_000):
-        p = float(rng.uniform(0.001, 0.999))
+    rows = rng.uniform([0.001, 0.0], [0.999, covering.TWO_PI], size=(1_000, 2)).tolist()
+    bounds = []
+    for p, phase in rows:
         est = invariants.fridman_bounds_punctured(p)
-        res.expect(abs(est.lower - est.upper / 2.0) <= 2e-12, f"bracket ratio broken at p={p}")
         # quarter-turn rotations keep the modulus bit-exact
         exact = invariants.fridman_bounds_punctured(complex(0.0, p))
-        res.expect(
-            exact.lower == est.lower and exact.upper == est.upper,
-            f"bracket not exactly invariant under a quarter turn at p={p}",
-        )
-        phase = float(rng.uniform(0.0, covering.TWO_PI))
         rotated = invariants.fridman_bounds_punctured(p * complex(math.cos(phase), math.sin(phase)))
-        res.expect(
-            abs(rotated.upper - est.upper) <= 1e-12 * est.upper,
-            f"bracket not rotation invariant at p={p}",
-        )
+        bounds.append((est.lower, est.upper, exact.lower, exact.upper, rotated.upper))
+    lower, upper, exact_lower, exact_upper, rotated = np.array(bounds).T
+    at = lambda k: f"at p={rows[k][0]}"
+    res.expect_rows(np.abs(lower - upper / 2.0) <= 2e-12, lambda k: f"bracket ratio broken {at(k)}")
+    res.expect_rows(
+        (exact_lower == lower) & (exact_upper == upper),
+        lambda k: f"bracket not exactly invariant under a quarter turn {at(k)}",
+    )
+    res.expect_rows(np.abs(rotated - upper) <= 1e-12 * upper, lambda k: f"bracket not rotation invariant {at(k)}")
     grid = np.linspace(0.05, 0.99, 60)
     uppers = [invariants.fridman_bounds_punctured(float(p)).upper for p in grid]
     res.expect(
@@ -433,12 +427,10 @@ def suite_scaling(cfg: RunConfig) -> SuiteResult:
     # 10,000 round trips of each kind, drawn as rows: one check per row
     z = rng.uniform(-2, 2, size=(10_000, 1)) + 1j * rng.uniform(-2, 2, size=(10_000, 1))
     err = _round_trip_errors(fam, z, rng.integers(len(fam), size=len(z)))
-    for ok in (err <= 1e-12 * (1 + np.abs(z[:, 0]))).tolist():
-        res.expect(ok, "isotropic round trip broken")
+    res.expect_rows(err <= 1e-12 * (1 + np.abs(z[:, 0])), lambda k: f"isotropic round trip off by {err[k]:.2e}")
     zz = rng.uniform(-2, 2, size=(10_000, 2)) + 1j * rng.uniform(-2, 2, size=(10_000, 2))
     err = _round_trip_errors(aniso, zz, rng.integers(len(aniso), size=len(zz)))
-    for ok in (err <= 1e-12 * 3).tolist():
-        res.expect(ok, "anisotropic round trip broken")
+    res.expect_rows(err <= 1e-12 * 3, lambda k: f"anisotropic round trip off by {err[k]:.2e}")
     # Hausdorff decay on the planar disc family
     grid = scaling.complex_grid(-2, 2, 21)
     report = scaling.hausdorff_check(fam, grid, tol=1e-2)

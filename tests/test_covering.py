@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biholo import covering, hyperbolic
 from biholo.covering import (
     TWO_PI,
     DeckRangeWarning,
@@ -238,6 +239,26 @@ class TestCircleSupremum:
         dists = [punctured_distance(p, p * cmath.exp(1j * t)) for t in thetas[1:]]
         assert max(dists) == pytest.approx(deck_minimum(p, math.pi), abs=5e-11)
         assert max(dists) <= circle_supremum(p) + 5e-13
+
+
+class TestOracleIndependence:
+    def test_oracles_do_not_call_the_distance_they_check(self, monkeypatch):
+        """The enumeration and grid oracles evaluate the acosh form of the
+        half-plane distance themselves: with the asinh form unavailable they
+        still return, and agree with the closed forms."""
+
+        def unavailable(z, w):
+            raise AssertionError("an oracle called the production half-plane distance")
+
+        monkeypatch.setattr(covering, "halfplane_distance", unavailable)
+        monkeypatch.setattr(hyperbolic, "halfplane_distance", unavailable)
+        for p, theta in ((0.2, 0.3), (0.5, math.pi), (0.9, 1e-6)):
+            assert deck_minimum_enumerated(p, theta) == pytest.approx(deck_minimum(p, theta), abs=5e-13)
+        for p in (P_UNIT, 0.5, 0.9):
+            assert grid_slit_distance(p) == pytest.approx(slit_distance(p), abs=5e-5)
+            sup, argmax = grid_circle_supremum(p)
+            assert sup == pytest.approx(circle_supremum(p), abs=5e-5)
+            assert argmax > TWO_PI - 1e-3
 
 
 class TestSlitMap:
