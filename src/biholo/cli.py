@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -367,7 +368,10 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process: every call
+    returns the same parser."""
     parser = _Parser(
         prog="biholo",
         description="hyperbolic metrics and biholomorphic invariants on model domains",
@@ -419,8 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

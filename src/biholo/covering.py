@@ -157,8 +157,11 @@ class DeckDistance:
 def punctured_distance_detail(p: complex, q: complex, deck_range: int = 100) -> DeckDistance:
     """Oracle for :func:`punctured_distance`: enumeration of deck translates.
 
-    Enumerates ``k`` in ``[-K, K]``; if the argmin lands on the boundary the
-    range is doubled (with a :class:`DeckRangeWarning`) until it is interior.
+    The translates ``z_q + 2 pi k`` of the lift of ``q``, ``k`` in
+    ``[-K, K]``, go in one array; the distance is the acosh form at the
+    smallest ``s``, not the asinh form of :func:`halfplane_distance`.  If
+    the argmin lands on the boundary the range is doubled (with a
+    :class:`DeckRangeWarning`) until it is interior.
     """
     if deck_range < 1:
         raise ValueError("deck_range must be >= 1")
@@ -167,14 +170,12 @@ def punctured_distance_detail(p: complex, q: complex, deck_range: int = 100) -> 
     k_range = deck_range
     widened = False
     while True:
-        best = math.inf
-        best_k = 0
-        for k in range(-k_range, k_range + 1):
-            d = halfplane_distance(zp, zq + TWO_PI * k)
-            if d < best:
-                best, best_k = d, k
+        ks = np.arange(-k_range, k_range + 1)
+        s = _s_rows(zp.real - (zq.real + TWO_PI * ks), zp.imag, zq.imag)
+        i = int(s.argmin())
+        best_k = int(ks[i])
         if abs(best_k) < k_range or k_range >= _DECK_RANGE_CAP:
-            return DeckDistance(best, best_k, k_range, widened)
+            return DeckDistance(_acosh_form(float(s[i])), best_k, k_range, widened)
         warnings.warn(
             f"deck argmin k={best_k} hit the enumeration boundary K={k_range}; widening",
             DeckRangeWarning,

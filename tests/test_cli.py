@@ -61,6 +61,16 @@ class TestDist:
         assert record["distance"] == pytest.approx(1.0, abs=1e-5)
         assert record["mode"] == "kobayashi"
 
+    def test_one_parser_serves_every_call(self, capsys):
+        """The parser is built once per process; a flag given to one call
+        does not carry over to the next."""
+        assert build_parser() is build_parser()
+        _, first, _ = run_cli(capsys, "dist", "disc", "0", "0.5", "--mode", "kobayashi")
+        _, second, _ = run_cli(capsys, "dist", "disc", "0", "0.5")
+        first, second = json.loads(first), json.loads(second)
+        assert (first["mode"], second["mode"]) == ("kobayashi", "poincare")
+        assert second["distance"] == 2.0 * first["distance"]
+
     def test_punctured_antipodal(self, capsys):
         code, out, _ = run_cli(capsys, "dist", "punctured", "0.04321", "-0.04321")
         record = json.loads(out)

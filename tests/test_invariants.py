@@ -1,6 +1,8 @@
 """Tests for the Fridman invariant and squeezing function machinery."""
 
 import cmath
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -18,8 +20,9 @@ from biholo.domains import (
     UpperHalfPlane,
     WeightedModel,
     modulus_power,
+    random_unit_vectors,
 )
-from biholo import metrics
+from biholo import invariants, metrics
 from biholo.hyperbolic import MetricMode
 from biholo.metrics import kobayashi_distance, sample_metric_sphere
 from biholo.invariants import (
@@ -438,8 +441,312 @@ class TestWitnessValidation:
 
     def test_image_contains_gives_one_bool_per_row(self):
         witness = ball_inclusion_into_polydisc(3)
-        rows = np.array([[0.5, 0.5, 0.5], [0.6, 0.6, 0.6], [0.9, 0, 0], [1.0, 0, 0]], dtype=complex)
-        assert witness.image_contains(rows).tolist() == [True, False, True, False]
+        rows = np.array(
+            [[0.5, 0.5, 0.5], [0.6, 0.6, 0.6], [0.9, 0, 0], [1.0, 0, 0], [0.5, 0.5j, -0.5 + 0.5j]],
+            dtype=complex,
+        )
+        # the last row lies exactly on the unit sphere: 1/4 + 1/4 + 1/2
+        assert witness.image_contains(rows).tolist() == [True, False, True, False, False]
+
+
+class TestBasepointCoercion:
+    def test_short_basepoint_is_rejected_where_the_witness_is_made(self):
+        """A basepoint with too few coordinates used to pass ``validate`` and
+        the estimators' basepoint checks, whose ``zip`` stopped at the
+        shorter point: with ``(0j,)`` for ``(0, 0)`` the polydisc estimate at
+        ``(0, 0.3i)`` came out as 1.3603 instead of raising."""
+        inclusion = ball_inclusion_into_polydisc(2)
+        with pytest.raises(ValueError, match="dimension 2, got 1"):
+            dataclasses.replace(inclusion, target_basepoint=(0j,))
+        with pytest.raises(ValueError, match="dimension 2, got 1"):
+            dataclasses.replace(scaled_polydisc_into_ball(2), source_basepoint=(0j,))
+        with pytest.raises(ValueError, match="dimension 2, got 3"):
+            dataclasses.replace(inclusion, source_basepoint=(0j, 0j, 0j))
+        with pytest.raises(WitnessValidationError, match="does not send its basepoint"):
+            fridman_upper_from_embedding(Polydisc(2), (0j, 0.3j), inclusion, RadiusSearch(samples=64))
+
+    def test_basepoints_are_point_tuples(self):
+        witness = EmbeddingWitness(
+            source=Ball(1),
+            target=Ball(1),
+            forward=lambda z: z,
+            inverse=lambda w: w,
+            source_basepoint=0,
+            target_basepoint=[0.0],
+            description="identity given plain numbers",
+        )
+        assert witness.source_basepoint == witness.target_basepoint == (0j,)
+        with pytest.raises(ValueError, match="non-finite"):
+            dataclasses.replace(witness, target_basepoint=(complex(math.nan, 0.0),))
+
+
+class TestInclusionMembership:
+    """An inclusion decides image membership with the source's defining
+    function; a copy of the witness whose maps are caller lambdas takes the
+    general path (inverse, forward, round-trip error), and the two agree
+    row for row."""
+
+    @staticmethod
+    def _rows(n: int) -> np.ndarray:
+        rng = np.random.default_rng(5)
+        unit = random_unit_vectors(n, 200, rng)
+        # euclidean radii within a few ulps of the unit sphere, on both sides
+        straddle = np.concatenate([(1.0 + k * 2.0**-52) * unit for k in range(-4, 5)])
+        # rows exactly on the unit sphere, and near the polydisc corner on it
+        exact = {2: [0.5 + 0.5j, -0.5 + 0.5j], 3: [0.5, 0.5j, -0.5 + 0.5j]}[n]
+        sphere = np.array([np.eye(n)[0], -1j * np.eye(n)[1], exact])
+        corners = np.full((1, n), 1.0 / math.sqrt(n)) * np.array([[1.0], [1.0 - 1e-12], [1.0 + 1e-12]])
+        return np.concatenate([straddle, sphere, corners]).astype(complex)
+
+    @staticmethod
+    def _general(witness: EmbeddingWitness) -> EmbeddingWitness:
+        return dataclasses.replace(witness, forward=lambda z: z, inverse=lambda w: w)
+
+    @pytest.mark.parametrize("make", [ball_inclusion_into_polydisc, identity_ball_witness])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("image", ["source", None, "polydisc"])
+    def test_inclusion_path_equals_the_general_path(self, make, n, image):
+        witness = make(n)
+        if image != "source":
+            witness = dataclasses.replace(witness, image_domain=image and Polydisc(n))
+        rows = self._rows(n)
+        kept = witness.image_contains(rows)
+        assert kept.tolist() == self._general(witness).image_contains(rows).tolist()
+        assert 0 < kept.sum() < len(rows)
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+    def test_non_finite_rows_raise_on_both_paths(self, bad):
+        rows = np.zeros((4, 2), dtype=complex)
+        rows[2, 1] = bad
+        witness = ball_inclusion_into_polydisc(2)
+        for w in (witness, self._general(witness)):
+            with pytest.raises(ValueError, match="row 2 .* non-finite"):
+                w.image_contains(rows)
+
+
+def _hex_point(z) -> tuple | None:
+    return None if z is None else tuple(f"{c.real.hex()} {c.imag.hex()}" for c in z)
+
+
+def _steps_digest(steps) -> str:
+    """The first 16 hex digits of the SHA-256 of the steps as ``radius:ok``,
+    each radius as ``float.hex``."""
+    listing = ",".join(f"{r.hex()}:{int(ok)}" for r, ok in steps)
+    return hashlib.sha256(listing.encode()).hexdigest()[:16]
+
+
+def _estimate_workload_ops() -> list[tuple[str, str, float, int]]:
+    """The ops of the benchmark's ``estimate`` workload, in its order."""
+    ops = []
+    for s in (256, 1024):
+        ops += [("fridman", "polydisc", n, s) for n in range(2, 6)]
+        ops += [("fridman", "punctured", p, s) for p in (0.2, 0.5, 0.8)]
+        ops += [("squeezing", "polydisc", n, s) for n in (2, 3)]
+        ops += [("centered", "polydisc", n, s) for n in range(2, 5)]
+    return ops
+
+
+def _estimate_record(op, monkeypatch, seed: int = 1) -> tuple:
+    """``(value, radius, len(steps), steps digest, escape)`` of one op at the
+    workload's seed 1, in ``float.hex``.  ``largest_centered_polydisc``
+    returns only its radius, so its search is read off ``_largest_radius``."""
+    kind, domain, arg, samples = op
+    if kind == "centered":
+        found = []
+        largest_radius = invariants._largest_radius
+        monkeypatch.setattr(invariants, "_largest_radius", lambda *a: found.append(largest_radius(*a)) or found[-1])
+        value = largest_centered_polydisc(ball_inclusion_into_polydisc(arg), samples=samples, seed=seed)
+        report = found[0]
+    elif kind == "squeezing":
+        search = RadiusSearch(r_max=1.0, samples=samples, seed=seed)
+        report = squeezing_lower_from_embedding(
+            Polydisc(arg), (0j,) * arg, scaled_polydisc_into_ball(arg), search
+        )
+        value = report.value
+    elif domain == "polydisc":
+        search = RadiusSearch(samples=samples, seed=seed)
+        report = fridman_upper_from_embedding(
+            Polydisc(arg), (0j,) * arg, ball_inclusion_into_polydisc(arg), search
+        )
+        value = report.value
+    else:
+        search = RadiusSearch(samples=samples, seed=seed)
+        report = fridman_upper_from_embedding(
+            PuncturedDisc(), (complex(arg),), slit_embedding_of_disc(arg), search, MetricMode.POINCARE
+        )
+        value = report.value
+    return (
+        value.hex(),
+        report.radius.hex(),
+        len(report.steps),
+        _steps_digest(report.steps),
+        _hex_point(report.escape),
+    )
+
+
+# _estimate_record of each op, keyed by the workload's op label
+ESTIMATE_WORKLOAD_PINS = {
+    "fridman.polydisc2.s256": (
+        "0x1.2274ae30d5992p+0", "0x1.c3435fb4c0594p-1", 26, "108e0aa32d8ca8fb",
+        (
+            "0x1.6a09f33684c36p-1 0x0.0p+0", "0x1.6a09f33684c36p-1 0x0.0p+0",
+        ),
+    ),
+    "fridman.polydisc3.s256": (
+        "0x1.84c65f23fc115p+0", "0x1.5124202c6ac22p-1", 26, "2284125dd81abc8d",
+        (
+            "0x1.279a851049a19p-1 0x0.0p+0", "0x1.279a851049a19p-1 0x0.0p+0",
+            "0x1.279a851049a19p-1 0x0.0p+0",
+        ),
+    ),
+    "fridman.polydisc4.s256": (
+        "0x1.d20aec4597dbdp+0", "0x1.193ea067075b4p-1", 26, "70ba753293b2cf83",
+        (
+            "0x1.0000128d28d40p-1 0x0.0p+0", "0x1.0000128d28d40p-1 0x0.0p+0",
+            "0x1.0000128d28d40p-1 0x0.0p+0", "0x1.0000128d28d40p-1 0x0.0p+0",
+        ),
+    ),
+    "fridman.polydisc5.s256": (
+        "0x1.09fec5e13e892p+1", "0x1.ecc2c1172c518p-2", 26, "a445a95901c1afe2",
+        (
+            "0x1.c9f287b179955p-2 0x0.0p+0", "0x1.c9f287b179955p-2 0x0.0p+0",
+            "0x1.c9f287b179955p-2 0x0.0p+0", "0x1.c9f287b179955p-2 0x0.0p+0",
+            "0x1.c9f287b179955p-2 0x0.0p+0",
+        ),
+    ),
+    "fridman.punctured0.2.s256": (
+        "0x1.6811801c6e0c7p-1", "0x1.6c050f4943e0fp+0", 26, "819ff7ed9761d180",
+        ("-0x1.e2550349d99c1p-6 0x0.0p+0",),
+    ),
+    "fridman.punctured0.5.s256": (
+        "0x1.ce05baf65bd69p-2", "0x1.1bb11f3a02e22p+1", 26, "8151db919c74bb0b",
+        ("-0x1.48c4605c29556p-5 0x0.0p+0",),
+    ),
+    "fridman.punctured0.8.s256": (
+        "0x1.32abf307a9aa0p-2", "0x1.ab66d6a352114p+1", 26, "963235ead80061a8",
+        ("-0x1.60b0fe75d13c8p-5 0x0.0p+0",),
+    ),
+    "squeezing.polydisc2.s256": (
+        "0x1.6a09c9d3f1842p-1", "0x1.6a09c9d3f1842p-1", 22, "72f2dc244977c2a2",
+        (
+            "0x1.6a09e9d3ef6b4p-1 0x0.0p+0", "0x0.0p+0 0x0.0p+0",
+        ),
+    ),
+    "squeezing.polydisc3.s256": (
+        "0x1.279a6e2e89ebcp-1", "0x1.279a6e2e89ebcp-1", 22, "1106e8cb8a2f48e1",
+        (
+            "0x1.279a8e2e87d2ep-1 0x0.0p+0", "0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0",
+        ),
+    ),
+    "centered.polydisc2.s256": (
+        "0x1.6a09e49c317aep-1", "0x1.6a09e49c317aep-1", 26, "90602ce6e5793727",
+        (
+            "0x1.6a09e69c31742p-1 0x0.0p+0", "0x1.6a09e69c31742p-1 0x0.0p+0",
+        ),
+    ),
+    "centered.polydisc3.s256": (
+        "0x1.279a737b1cff2p-1", "0x1.279a737b1cff2p-1", 26, "2af669dbe4d011ff",
+        (
+            "0x1.279a757b1cf87p-1 0x0.0p+0", "0x1.279a757b1cf87p-1 0x0.0p+0",
+            "0x1.279a757b1cf87p-1 0x0.0p+0",
+        ),
+    ),
+    "centered.polydisc4.s256": (
+        "0x1.fffffc00000d7p-2", "0x1.fffffc00000d7p-2", 26, "52333e37a700f757",
+        (
+            "0x1.0000000000000p-1 0x0.0p+0", "0x1.0000000000000p-1 0x0.0p+0",
+            "0x1.0000000000000p-1 0x0.0p+0", "0x1.0000000000000p-1 0x0.0p+0",
+        ),
+    ),
+    "fridman.polydisc2.s1024": (
+        "0x1.2274ae30d5992p+0", "0x1.c3435fb4c0594p-1", 26, "108e0aa32d8ca8fb",
+        (
+            "0x1.6a09f33684c36p-1 0x0.0p+0", "0x1.6a09f33684c36p-1 0x0.0p+0",
+        ),
+    ),
+    "fridman.polydisc3.s1024": (
+        "0x1.84c65f23fc115p+0", "0x1.5124202c6ac22p-1", 26, "2284125dd81abc8d",
+        (
+            "0x1.279a851049a19p-1 0x0.0p+0", "0x1.279a851049a19p-1 0x0.0p+0",
+            "0x1.279a851049a19p-1 0x0.0p+0",
+        ),
+    ),
+    "fridman.polydisc4.s1024": (
+        "0x1.d20aec4597dbdp+0", "0x1.193ea067075b4p-1", 26, "70ba753293b2cf83",
+        (
+            "0x1.0000128d28d40p-1 0x0.0p+0", "0x1.0000128d28d40p-1 0x0.0p+0",
+            "0x1.0000128d28d40p-1 0x0.0p+0", "0x1.0000128d28d40p-1 0x0.0p+0",
+        ),
+    ),
+    "fridman.polydisc5.s1024": (
+        "0x1.09fec5e13e892p+1", "0x1.ecc2c1172c518p-2", 26, "a445a95901c1afe2",
+        (
+            "0x1.c9f287b179955p-2 0x0.0p+0", "0x1.c9f287b179955p-2 0x0.0p+0",
+            "0x1.c9f287b179955p-2 0x0.0p+0", "0x1.c9f287b179955p-2 0x0.0p+0",
+            "0x1.c9f287b179955p-2 0x0.0p+0",
+        ),
+    ),
+    "fridman.punctured0.2.s1024": (
+        "0x1.6811801c6e0c7p-1", "0x1.6c050f4943e0fp+0", 26, "819ff7ed9761d180",
+        ("-0x1.e2550349d99c1p-6 0x0.0p+0",),
+    ),
+    "fridman.punctured0.5.s1024": (
+        "0x1.ce05baf65bd69p-2", "0x1.1bb11f3a02e22p+1", 26, "8151db919c74bb0b",
+        ("-0x1.48c4605c29556p-5 0x0.0p+0",),
+    ),
+    "fridman.punctured0.8.s1024": (
+        "0x1.32abf307a9aa0p-2", "0x1.ab66d6a352114p+1", 26, "963235ead80061a8",
+        ("-0x1.60b0fe75d13c8p-5 0x0.0p+0",),
+    ),
+    "squeezing.polydisc2.s1024": (
+        "0x1.6a09c9d3f1842p-1", "0x1.6a09c9d3f1842p-1", 22, "72f2dc244977c2a2",
+        (
+            "0x1.6a09e9d3ef6b4p-1 0x0.0p+0", "0x0.0p+0 0x0.0p+0",
+        ),
+    ),
+    "squeezing.polydisc3.s1024": (
+        "0x1.279a6e2e89ebcp-1", "0x1.279a6e2e89ebcp-1", 22, "1106e8cb8a2f48e1",
+        (
+            "0x1.279a8e2e87d2ep-1 0x0.0p+0", "0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0",
+        ),
+    ),
+    "centered.polydisc2.s1024": (
+        "0x1.6a09e49c317aep-1", "0x1.6a09e49c317aep-1", 26, "90602ce6e5793727",
+        (
+            "0x1.6a09e69c31742p-1 0x0.0p+0", "0x1.6a09e69c31742p-1 0x0.0p+0",
+        ),
+    ),
+    "centered.polydisc3.s1024": (
+        "0x1.279a737b1cff2p-1", "0x1.279a737b1cff2p-1", 26, "2af669dbe4d011ff",
+        (
+            "0x1.279a757b1cf87p-1 0x0.0p+0", "0x1.279a757b1cf87p-1 0x0.0p+0",
+            "0x1.279a757b1cf87p-1 0x0.0p+0",
+        ),
+    ),
+    "centered.polydisc4.s1024": (
+        "0x1.fffffc00000d7p-2", "0x1.fffffc00000d7p-2", 26, "52333e37a700f757",
+        (
+            "0x1.0000000000000p-1 0x0.0p+0", "0x1.0000000000000p-1 0x0.0p+0",
+            "0x1.0000000000000p-1 0x0.0p+0", "0x1.0000000000000p-1 0x0.0p+0",
+        ),
+    ),
+}
+
+
+class TestEstimateWorkloadPins:
+    """The reports of the benchmark's ``estimate`` ops, pinned bit for bit
+    from the estimators that sent inclusion rows through the identity's
+    round trip: deciding an inclusion's membership with one defining
+    evaluation changes no bit."""
+
+    @pytest.mark.parametrize(
+        "op", _estimate_workload_ops(), ids=lambda op: f"{op[0]}.{op[1]}{op[2]}.s{op[3]}"
+    )
+    def test_report_is_pinned(self, op, monkeypatch):
+        label = f"{op[0]}.{op[1]}{op[2]}.s{op[3]}"
+        assert _estimate_record(op, monkeypatch) == ESTIMATE_WORKLOAD_PINS[label]
 
 
 class TestRadiusSearch:
