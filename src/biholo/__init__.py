@@ -37,10 +37,8 @@ from .domains import (
     poly_eval,
 )
 from .covering import (
-    DeckRangeWarning,
     SlitMapError,
     build_slit_map,
-    circle_supremum,
     deck_minimum,
     principal_lift,
     punctured_distance,

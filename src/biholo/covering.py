@@ -4,7 +4,7 @@ The cover is the upper half-plane with projection ``z -> exp(i z)``; deck
 transformations are the horizontal translations ``z -> z + 2 pi k``.
 Distances on the punctured disc descend as an infimum over deck
 translates.  The distance to the slit ``(-1, 0]`` and the translation
-length of the deck generator at a point (the ``circle_supremum``, which
+length of the deck generator at a point (``deck_minimum(|p|, 2 pi)``, which
 bounds the distance over the centred circle through that point) both
 reduce to elementary closed forms, and a composed chain of elementary maps
 realizes the uniformization of the slit disc by the disc.  The chain is
@@ -15,7 +15,6 @@ where it is used as a witness.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +29,6 @@ __all__ = [
     "punctured_distance",
     "deck_minimum",
     "slit_distance",
-    "circle_supremum",
-    "DeckRangeWarning",
     "DeckDistance",
     "punctured_distance_detail",
     "deck_minimum_enumerated",
@@ -95,7 +92,8 @@ def deck_minimum(p: float, theta: float) -> float:
     angular offset.  For larger offsets the infimum wraps around the
     puncture (deck index -1), so the metric distance is the closed form at
     ``2 pi - theta``; the form itself keeps increasing and its value at
-    ``theta = 2 pi`` is the deck translation length :func:`circle_supremum`.
+    ``theta = 2 pi`` is the deck translation length at ``p``, which bounds
+    the distance from ``p`` over the circle ``|q| = p`` (its value at pi).
     """
     if not 0.0 < p < 1.0:
         raise ValueError("modulus must lie in (0, 1)")
@@ -115,33 +113,15 @@ def slit_distance(p: float) -> float:
     return 0.5 * math.asinh(x)
 
 
-def circle_supremum(p: float) -> float:
-    """Translation length of the deck generator at ``p`` in (0, 1), the
-    half-plane distance ``d(z_p, z_p + 2 pi) = deck_minimum(p, 2 pi)``.
-    That is ``asinh(x)`` with ``x = -pi / log p``: twice
-    :func:`slit_distance`, computed as such, so it keeps that form's
-    relative precision (doubling is exact).
-
-    Despite the name this is not the supremum over the circle ``|q| = p``
-    of the distance from ``p``: that supremum is reached at the antipode
-    and equals ``deck_minimum(p, pi)`` (1.557 against 2.217 at p = 0.5).
-    It is an upper bound for it, so the metric ball of this radius around
-    ``p`` contains the circle.
-    """
-    return 2.0 * slit_distance(p)
-
-
 # ---------------------------------------------------------------------------
 # brute-force oracles
 # ---------------------------------------------------------------------------
 
 
-# Hard ceiling for automatic widening of the deck enumeration.
-_DECK_RANGE_CAP = 1 << 16
-
-
-class DeckRangeWarning(UserWarning):
-    """The deck-transform argmin hit the enumeration boundary; range widened."""
+DECK_RANGE = 100
+SLIT_GRID = 100_000
+SLIT_DECK_RANGE = 5
+CIRCLE_GRID = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -151,38 +131,26 @@ class DeckDistance:
     value: float
     deck_index: int
     deck_range: int
-    widened: bool
 
 
-def punctured_distance_detail(p: complex, q: complex, deck_range: int = 100) -> DeckDistance:
+def punctured_distance_detail(p: complex, q: complex) -> DeckDistance:
     """Oracle for :func:`punctured_distance`: enumeration of deck translates.
 
-    The translates ``z_q + 2 pi k`` of the lift of ``q``, ``k`` in
-    ``[-K, K]``, go in one array; the distance is the acosh form at the
-    smallest ``s``, not the asinh form of :func:`halfplane_distance`.  If
-    the argmin lands on the boundary the range is doubled (with a
-    :class:`DeckRangeWarning`) until it is interior.
+    The translates ``z_q + 2 pi k``, ``|k| <= DECK_RANGE``, of the lift of
+    ``q`` go in one array; the distance is the acosh form at the smallest
+    ``s``, not the asinh form of :func:`halfplane_distance`.  ``s`` is
+    convex in ``k``, so an argmin inside the range is the minimum over all
+    translates; an argmin on the range's edge raises ``RuntimeError``.
     """
-    if deck_range < 1:
-        raise ValueError("deck_range must be >= 1")
     zp = principal_lift(p)
     zq = principal_lift(q)
-    k_range = deck_range
-    widened = False
-    while True:
-        ks = np.arange(-k_range, k_range + 1)
-        s = _s_rows(zp.real - (zq.real + TWO_PI * ks), zp.imag, zq.imag)
-        i = int(s.argmin())
-        best_k = int(ks[i])
-        if abs(best_k) < k_range or k_range >= _DECK_RANGE_CAP:
-            return DeckDistance(_acosh_form(float(s[i])), best_k, k_range, widened)
-        warnings.warn(
-            f"deck argmin k={best_k} hit the enumeration boundary K={k_range}; widening",
-            DeckRangeWarning,
-            stacklevel=2,
-        )
-        k_range *= 2
-        widened = True
+    ks = np.arange(-DECK_RANGE, DECK_RANGE + 1)
+    s = _s_rows(zp.real - (zq.real + TWO_PI * ks), zp.imag, zq.imag)
+    i = int(s.argmin())
+    best_k = int(ks[i])
+    if abs(best_k) == DECK_RANGE:
+        raise RuntimeError(f"deck argmin k={best_k} is on the enumeration boundary K={DECK_RANGE}")
+    return DeckDistance(_acosh_form(float(s[i])), best_k, DECK_RANGE)
 
 
 def _s_rows(dx, y1: float, y2):
@@ -198,45 +166,47 @@ def _acosh_form(s: float) -> float:
     return 0.5 * math.log1p(s + math.sqrt(s * (s + 2.0)))
 
 
-def deck_minimum_enumerated(p: float, theta: float, deck_range: int = 100) -> float:
+def deck_minimum_enumerated(p: float, theta: float) -> float:
     """Oracle for :func:`deck_minimum`: direct enumeration of deck translates.
 
     The lifts ``i y`` and ``theta + 2 pi k + i y`` (``y = -log p``) for
-    ``k`` in ``[-K, K]``, all in one array; the distance is the acosh form
+    ``|k| <= DECK_RANGE``, all in one array; the distance is the acosh form
     at the smallest ``s``, not the asinh form of :func:`halfplane_distance`.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("modulus must lie in (0, 1)")
     y = -math.log(p)
-    dx = theta + TWO_PI * np.arange(-deck_range, deck_range + 1)
+    dx = theta + TWO_PI * np.arange(-DECK_RANGE, DECK_RANGE + 1)
     return _acosh_form(float(_s_rows(dx, y, y).min()))
 
 
-def grid_slit_distance(p: float, grid: int = 100_000, deck_range: int = 5) -> float:
+def grid_slit_distance(p: float) -> float:
     """Oracle for :func:`slit_distance`: minimize the punctured-disc distance
-    from ``p`` over a grid of points of the slit ``(-1, 0)`` and the deck
-    translates ``k`` in ``[-K, K]`` of their lifts.  The acosh form is
-    applied once, to the smallest ``s`` over the grid and the translates."""
+    from ``p`` over a grid of ``SLIT_GRID`` points of the slit ``(-1, 0)``
+    and the translates ``|k| <= SLIT_DECK_RANGE`` of their lifts.  The acosh
+    form is applied once, to the smallest ``s`` over grid and translates."""
     if not 0.0 < p < 1.0:
         raise ValueError("base point must lie in (0, 1)")
     yp = -math.log(p)
-    moduli = np.linspace(0.0, 1.0, grid + 2)[1:-1]
+    moduli = np.linspace(0.0, 1.0, SLIT_GRID + 2)[1:-1]
     yq = -np.log(moduli)
-    s = min(float(_s_rows(math.pi + TWO_PI * k, yp, yq).min()) for k in range(-deck_range, deck_range + 1))
+    ks = range(-SLIT_DECK_RANGE, SLIT_DECK_RANGE + 1)
+    s = min(float(_s_rows(math.pi + TWO_PI * k, yp, yq).min()) for k in ks)
     return _acosh_form(s)
 
 
-def grid_circle_supremum(p: float, grid: int = 1_000_000) -> tuple[float, float]:
-    """Oracle for :func:`circle_supremum`: maximize the half-plane distance
-    between the lifts ``i y`` and ``theta + i y`` (``y = -log p``) over an
-    angular grid of ``[0, 2 pi)``.  The distance is the acosh form at the
-    largest ``s`` of the grid, not the closed form of :func:`deck_minimum`.
-    There is no wrap-around at ``theta > pi``, so this is the distance
-    between lifts, not between points of the punctured disc.  Returns
-    ``(maximum, argmax angle)``; the argmax is the far end of the grid."""
+def grid_circle_supremum(p: float) -> tuple[float, float]:
+    """Oracle for the deck translation length ``deck_minimum(p, 2 pi)``:
+    maximize the half-plane distance between the lifts ``i y`` and
+    ``theta + i y`` (``y = -log p``) over a grid of ``CIRCLE_GRID`` angles
+    of ``[0, 2 pi)``.  The distance is the acosh form at the largest ``s``
+    of the grid, not the closed form of :func:`deck_minimum`.  There is no
+    wrap-around at ``theta > pi``, so this is the distance between lifts,
+    not between points of the punctured disc.  Returns ``(maximum, argmax
+    angle)``; the argmax is the far end of the grid."""
     if not 0.0 < p < 1.0:
         raise ValueError("base point must lie in (0, 1)")
-    theta = np.linspace(0.0, TWO_PI, grid, endpoint=False)
+    theta = np.linspace(0.0, TWO_PI, CIRCLE_GRID, endpoint=False)
     y = -math.log(p)
     s = _s_rows(theta, y, y)
     idx = int(s.argmax())

@@ -28,6 +28,7 @@ last radius that failed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -304,16 +305,16 @@ def fridman_bounds_punctured(p: complex) -> BoundEstimate:
     Rotations are automorphisms, so only ``|p|`` matters.  The upper bound
     is the reciprocal distance to the slit (certified by the slit-disc
     embedding).  The lower bound is the reciprocal of the deck translation
-    length ``circle_supremum(|p|)``: the metric ball of that radius contains
-    the circle ``|q| = |p|``, because the distance from ``p`` over the
-    circle peaks at ``deck_minimum(|p|, pi)``, which is smaller, and no
+    length ``deck_minimum(|p|, 2 pi)``: the metric ball of that radius
+    contains the circle ``|q| = |p|``, because the distance from ``p`` over
+    the circle peaks at ``deck_minimum(|p|, pi)``, which is smaller, and no
     simply connected image can contain a circle around the puncture.
     """
     m = abs(complex(p))
     if not 0.0 < m < 1.0:
         raise ValueError("basepoint must lie in the punctured disc")
     upper = 1.0 / covering.slit_distance(m)
-    lower = 1.0 / covering.circle_supremum(m)
+    lower = 1.0 / covering.deck_minimum(m, covering.TWO_PI)
     return BoundEstimate(
         lower=lower,
         upper=upper,
@@ -345,8 +346,14 @@ class RadiusSearch:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.r_max) and math.isfinite(self.tol)):
             raise ValueError("r_max and tol must be finite")
-        if self.r_max <= 0 or self.tol <= 0 or self.samples < 8:
+        if self.r_max <= 0 or self.tol <= 0:
             raise ValueError("invalid search parameters")
+        _check_samples(self.samples, 8)
+
+
+def _check_samples(samples, least: int) -> None:
+    if not isinstance(samples, numbers.Integral) or samples < least:
+        raise ValueError(f"samples must be an integer >= {least}, not {samples!r}")
 
 
 @dataclass(frozen=True)
@@ -537,10 +544,11 @@ def largest_centered_polydisc(
 
     The witness must map a ball into a polydisc fixing 0.  The polydisc
     sphere sample always contains the corner point, which decides the
-    containment exactly.
+    containment exactly, so ``samples`` may be any integer >= 0.
     """
     if not isinstance(witness.source, Ball) or not isinstance(witness.target, Polydisc):
         raise WitnessValidationError("witness must map a ball into a polydisc")
+    _check_samples(samples, 0)
     n = witness.target.dim
     draw = lambda rng: metrics.polydisc_sphere(n, samples, rng)
     return _largest_radius(witness, draw, 1.0 - POLYRADIUS_TOL, POLYRADIUS_TOL, seed).radius

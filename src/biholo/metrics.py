@@ -21,6 +21,7 @@ from .domains import (
     Ball,
     HalfPlaneC,
     ModelDomain,
+    Point,
     Polydisc,
     PuncturedDisc,
     Siegel,
@@ -159,6 +160,21 @@ def kobayashi_distance(d: ModelDomain, p, q, mode: MetricMode = MetricMode.KOBAY
 Sphere = Callable[[float], np.ndarray]
 
 
+def _inner_point(d: ModelDomain, center) -> Point:
+    """``center`` coerced by :func:`as_point`; ``ValueError`` unless it lies
+    in the open domain, by its defining value as in :func:`kobayashi_distance`."""
+    center = as_point(center, d.dim)
+    if not d.defining(center) < 0.0:
+        raise ValueError("the center must lie in the domain")
+    return center
+
+
+def _radius(radius: float) -> float:
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and positive, not {radius!r}")
+    return radius
+
+
 def polydisc_sphere(n: int, count: int, rng: np.random.Generator) -> Sphere:
     """The polydisc spheres ``max_k |z_k| = modulus`` of one sample, as a
     function from the modulus to rows: the corner first, then ``count``
@@ -258,17 +274,18 @@ def metric_sphere(d: ModelDomain, center, count: int, rng: np.random.Generator) 
     tests every radius on the same sample.  Samples are dense in angle and
     include the extreme points that decide ball-containment questions
     (polydisc corners, antipodal crossings in the punctured disc).
+
+    A center outside the domain, or a radius that is not finite and
+    positive, raises ``ValueError``.
     """
-    center = as_point(center, d.dim)
+    center = _inner_point(d, center)
     draw = _geometry(d).sphere
     if draw is None:
         raise UnsupportedDomainError(f"no sphere sampler for domain {d!r}")
     at = draw(d, center, count, rng)
 
     def sphere(radius: float) -> np.ndarray:
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        return at(radius)
+        return at(_radius(radius))
 
     return sphere
 
@@ -312,12 +329,15 @@ def sample_metric_ball(
     its angle, and the fixed boundary circle of ``max(count // 2, 8)``
     points after the samples; on the Siegel domain ``random_unit_vectors``
     and then one ``uniform(count)`` of radii.
+
+    A center outside the domain, or a radius that is not finite and
+    positive, raises ``ValueError``.
     """
-    center = as_point(center, d.dim)
+    center = _inner_point(d, center)
     draw = _geometry(d).ball
     if draw is None:
         raise UnsupportedDomainError(f"no ball sampler for domain {d!r}")
-    return draw(d, center, radius, count, rng)
+    return draw(d, center, _radius(radius), count, rng)
 
 
 class Geometry(NamedTuple):

@@ -185,18 +185,19 @@ def suite_deck_oracle(cfg: RunConfig) -> SuiteResult:
 def suite_slit_circle_oracles(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("slit-and-circle-oracles")
     rng = np.random.default_rng(cfg.seed + 5)
+    two_pi = covering.TWO_PI
     ps = (math.exp(-math.pi), 0.2, 0.5, 0.9)
     slit_gap = np.array([abs(covering.slit_distance(p) - covering.grid_slit_distance(p)) for p in ps])
     sups = [covering.grid_circle_supremum(p) for p in ps]
-    sup_gap = np.array([abs(covering.circle_supremum(p) - s) for p, (s, _) in zip(ps, sups)])
+    sup_gap = np.array([abs(covering.deck_minimum(p, two_pi) - s) for p, (s, _) in zip(ps, sups)])
     res.expect_rows(slit_gap <= 5e-5, lambda k: f"slit distance off by {slit_gap[k]:.2e} at p={ps[k]}")
     res.expect_rows(sup_gap <= 5e-5, lambda k: f"deck translation length off by {sup_gap[k]:.2e} at p={ps[k]}")
     res.expect_rows(
-        np.array([arg for _, arg in sups]) > covering.TWO_PI - 1e-3,
+        np.array([arg for _, arg in sups]) > two_pi - 1e-3,
         lambda k: f"deck translation length grid maximum at theta={sups[k][1]}, not at the far end",
     )
     drawn = rng.uniform(0.01, 0.99, size=1_000).tolist()
-    gap = np.array([abs(covering.circle_supremum(p) - 2.0 * covering.slit_distance(p)) for p in drawn])
+    gap = np.array([abs(covering.deck_minimum(p, two_pi) - 2.0 * covering.slit_distance(p)) for p in drawn])
     res.expect_rows(gap <= 5e-13, lambda k: f"deck translation length is not twice the slit distance at p={drawn[k]}")
     return res
 

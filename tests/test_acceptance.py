@@ -10,7 +10,6 @@ import numpy as np
 
 from biholo.covering import (
     TWO_PI,
-    circle_supremum,
     deck_minimum,
     deck_minimum_enumerated,
     grid_circle_supremum,
@@ -103,14 +102,14 @@ def test_criterion_03_deck_oracle():
     for _ in range(1000):
         p = float(rng.uniform(0.01, 0.99))
         theta = float(rng.uniform(0.0, math.pi))
-        worst = max(worst, abs(deck_minimum(p, theta) - deck_minimum_enumerated(p, theta, 100)))
+        worst = max(worst, abs(deck_minimum(p, theta) - deck_minimum_enumerated(p, theta)))
     worst_wrap = 0.0
     for _ in range(200):
         p = float(rng.uniform(0.01, 0.99))
         theta = float(rng.uniform(math.pi, TWO_PI))
         worst_wrap = max(
             worst_wrap,
-            abs(deck_minimum(p, TWO_PI - theta) - deck_minimum_enumerated(p, theta, 100)),
+            abs(deck_minimum(p, TWO_PI - theta) - deck_minimum_enumerated(p, theta)),
         )
     zero = deck_minimum(0.5, 0.0)
     ok = worst <= 5e-13 and worst_wrap <= 5e-13 and zero == 0.0
@@ -125,15 +124,15 @@ def test_criterion_03_deck_oracle():
 def test_criterion_04_slit_and_circle_oracles():
     """Grid minimization/supremum oracles and the s = 2r identity."""
     worst_slit = max(
-        abs(slit_distance(p) - grid_slit_distance(p, 100_000)) for p in (P_UNIT, 0.4, 0.9)
+        abs(slit_distance(p) - grid_slit_distance(p)) for p in (P_UNIT, 0.4, 0.9)
     )
     worst_sup = 0.0
     for p in (P_UNIT, 0.5):
-        sup, _ = grid_circle_supremum(p, 1_000_000)
-        worst_sup = max(worst_sup, abs(sup - circle_supremum(p)))
+        sup, _ = grid_circle_supremum(p)
+        worst_sup = max(worst_sup, abs(sup - deck_minimum(p, TWO_PI)))
     rng = np.random.default_rng(2)
     worst_ratio = max(
-        abs(circle_supremum(p) - 2.0 * slit_distance(p))
+        abs(deck_minimum(p, TWO_PI) - 2.0 * slit_distance(p))
         for p in rng.uniform(0.01, 0.99, 1000)
     )
     ok = worst_slit <= 5e-5 and worst_sup <= 5e-5 and worst_ratio <= 5e-13

@@ -147,6 +147,21 @@ class TestInvariantCommands:
         record = json.loads(out)
         assert record["value"] == pytest.approx(1.134593, abs=1e-6)
 
+    @pytest.mark.parametrize("mode, lower, upper", [
+        ("poincare", "0.2255967828332188", "0.4511935656664376"),
+        ("kobayashi", "0.4511935656664376", "0.9023871313328752"),
+    ])
+    def test_fridman_punctured_record_bytes(self, capsys, mode, lower, upper):
+        code, out, _ = run_cli(capsys, "fridman", "punctured", "0.5", "--mode", mode)
+        assert code == 0
+        assert out == (
+            f'{{"command": "fridman", "domain": "punctured", "lower": {lower}, "lower_witness": '
+            '"the metric ball whose radius is the deck translation length contains the circle of '
+            'radius 0.5 around the puncture; a simply connected image cannot", '
+            f'"mode": "{mode}", "point": ["0.5"], "upper": {upper}, '
+            '"upper_witness": "disc embedded onto the slit disc with 0 -> 0.5"}\n'
+        )
+
     def test_fridman_punctured_bracket(self, capsys):
         code, out, _ = run_cli(capsys, "fridman", "punctured", "0.04321")
         record = json.loads(out)

@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from biholo import covering, hyperbolic
 from biholo.covering import (
     TWO_PI,
-    DeckRangeWarning,
     build_slit_map,
-    circle_supremum,
     deck_minimum,
     deck_minimum_enumerated,
     grid_circle_supremum,
@@ -114,20 +112,18 @@ class TestPuncturedDistance:
             slack = punctured_distance(p, q) + punctured_distance(q, u) - punctured_distance(p, u)
             assert slack >= -5e-11
 
-    def test_widening_warning_for_tiny_range(self):
-        """With K=1 the argmin for a wrap-around offset sits on the boundary."""
-        p = 0.9
-        q = p * cmath.exp(1j * 6.0)
-        with pytest.warns(DeckRangeWarning):
-            detail = punctured_distance_detail(p, q, deck_range=1)
-        assert detail.widened
-        assert detail.deck_range > 1
-        assert detail.value == pytest.approx(deck_minimum(p, TWO_PI - 6.0), abs=5e-13)
+    def test_boundary_argmin_raises(self, monkeypatch):
+        """With K=1 the argmin for a wrap-around offset sits on the boundary,
+        where it need not be the minimum over all translates: the oracle
+        raises rather than answer."""
+        monkeypatch.setattr(covering, "DECK_RANGE", 1)
+        with pytest.raises(RuntimeError, match="boundary K=1"):
+            punctured_distance_detail(0.9, 0.9 * cmath.exp(1j * 6.0))
 
     def test_argmin_is_reported(self):
         detail = punctured_distance_detail(0.5, 0.5 * cmath.exp(1j * 3.0))
         assert detail.deck_index in (-1, 0)
-        assert not detail.widened
+        assert detail.deck_range == covering.DECK_RANGE
 
 
 class TestDeckMinimum:
@@ -149,9 +145,7 @@ class TestDeckMinimum:
         for _ in range(300):
             p = float(rng.uniform(0.01, 0.99))
             theta = float(rng.uniform(0.0, math.pi))
-            assert deck_minimum(p, theta) == pytest.approx(
-                deck_minimum_enumerated(p, theta, 100), abs=5e-13
-            )
+            assert deck_minimum(p, theta) == pytest.approx(deck_minimum_enumerated(p, theta), abs=5e-13)
 
     def test_enumeration_wraps_past_pi(self):
         """Beyond pi the infimum uses the deck translate; offsets wrap."""
@@ -159,13 +153,13 @@ class TestDeckMinimum:
         for _ in range(100):
             p = float(rng.uniform(0.05, 0.95))
             theta = float(rng.uniform(math.pi, TWO_PI))
-            assert deck_minimum_enumerated(p, theta, 100) == pytest.approx(
+            assert deck_minimum_enumerated(p, theta) == pytest.approx(
                 deck_minimum(p, min(theta, TWO_PI - theta)), abs=5e-13
             )
 
     def test_specific_enumeration_match(self):
         assert deck_minimum(math.exp(-1.0), math.pi) == pytest.approx(
-            deck_minimum_enumerated(math.exp(-1.0), math.pi, 200), abs=5e-13
+            deck_minimum_enumerated(math.exp(-1.0), math.pi), abs=5e-13
         )
 
     def test_rejects_out_of_range(self):
@@ -186,7 +180,7 @@ class TestSlitDistance:
 
     def test_grid_minimization_oracle(self):
         for p in (P_UNIT, 0.9, 0.4):
-            assert grid_slit_distance(p, 100_000) == pytest.approx(slit_distance(p), abs=5e-5)
+            assert grid_slit_distance(p) == pytest.approx(slit_distance(p), abs=5e-5)
 
     def test_vanishes_toward_the_puncture(self):
         """r decays like pi / (2 log(1/p)), monotonically, as p -> 0."""
@@ -201,14 +195,17 @@ class TestSlitDistance:
 
 
 class TestCircleSupremum:
+    """The deck translation length ``deck_minimum(p, 2 pi)``, which bounds
+    the distance from ``p`` over the circle ``|q| = p``."""
+
     def test_unit_ratio_value(self):
-        assert circle_supremum(P_UNIT) == pytest.approx(1.762747174039086 / 2, abs=5e-13)
+        assert deck_minimum(P_UNIT, TWO_PI) == pytest.approx(1.762747174039086 / 2, abs=5e-13)
 
     @given(p=moduli)
     @settings(max_examples=500)
     def test_twice_the_slit_distance(self, p):
-        """The supremum closed form is exactly twice the slit distance."""
-        assert abs(circle_supremum(p) - 2.0 * slit_distance(p)) <= 5e-13
+        """The translation length is twice the slit distance."""
+        assert abs(deck_minimum(p, TWO_PI) - 2.0 * slit_distance(p)) <= 5e-13
 
     def test_relative_accuracy_against_mpmath(self):
         """Within 1e-15 relative of ``asinh(-pi / log p)`` at 50 digits,
@@ -219,19 +216,22 @@ class TestCircleSupremum:
         mp.dps = 50
         for p in np.geomspace(1e-320, 0.999, 2_000).tolist() + [4.4e-323]:
             ref = mp.asinh(-mp.pi / mp.log(mp.mpf(p)))
-            assert abs(mp.mpf(circle_supremum(p)) - ref) <= 1e-15 * ref, (p, circle_supremum(p), ref)
+            length = deck_minimum(p, TWO_PI)
+            assert abs(mp.mpf(length) - ref) <= 1e-15 * ref, (p, length, ref)
 
     def test_grid_supremum_oracle(self):
         for p in (P_UNIT, 0.5):
-            sup, argmax = grid_circle_supremum(p, 1_000_000)
-            assert sup == pytest.approx(circle_supremum(p), abs=5e-5)
+            sup, argmax = grid_circle_supremum(p)
+            assert sup == pytest.approx(deck_minimum(p, TWO_PI), abs=5e-5)
             assert argmax > TWO_PI - 1e-3
 
     def test_matches_full_turn_deck_value(self):
         """The statement's sign typo is resolved toward the positive form,
-        pinned here against the offset-2pi limit of the deck closed form."""
+        the log form of the deck closed form at offset 2 pi."""
         for p in (0.1, 0.3, 0.7, 0.9):
-            assert circle_supremum(p) == pytest.approx(deck_minimum(p, TWO_PI), abs=5e-13)
+            a = math.log(p) ** 2
+            log_form = math.log((TWO_PI**2 + 2 * a + TWO_PI * math.sqrt(TWO_PI**2 + 4 * a)) / (2 * a)) / 2
+            assert deck_minimum(p, TWO_PI) == pytest.approx(log_form, abs=5e-13)
 
     def test_true_metric_supremum_is_antipodal(self):
         """The metric supremum over the circle sits at the antipode and is
@@ -240,7 +240,7 @@ class TestCircleSupremum:
         thetas = np.linspace(0.0, TWO_PI, 720, endpoint=False)
         dists = [punctured_distance(p, p * cmath.exp(1j * t)) for t in thetas[1:]]
         assert max(dists) == pytest.approx(deck_minimum(p, math.pi), abs=5e-11)
-        assert max(dists) <= circle_supremum(p) + 5e-13
+        assert max(dists) <= deck_minimum(p, TWO_PI) + 5e-13
 
 
 class TestOracleIndependence:
@@ -262,7 +262,7 @@ class TestOracleIndependence:
         for p in (P_UNIT, 0.5, 0.9):
             assert grid_slit_distance(p) == pytest.approx(slit_distance(p), abs=5e-5)
             sup, argmax = grid_circle_supremum(p)
-            assert sup == pytest.approx(circle_supremum(p), abs=5e-5)
+            assert sup == pytest.approx(deck_minimum(p, TWO_PI), abs=5e-5)
             assert argmax > TWO_PI - 1e-3
         for (p, q), d in zip(pairs, closed):
             assert punctured_distance_detail(p, q).value == pytest.approx(d, rel=1e-15)

@@ -151,6 +151,22 @@ class TestPuncturedBracket:
         uppers = [fridman_bounds_punctured(float(p)).upper for p in grid]
         assert all(b < a for a, b in zip(uppers, uppers[1:]))
 
+    @pytest.mark.parametrize(
+        "p, lower, upper",
+        [
+            (0.05, "0x1.17a9cc008a428p+0", "0x1.17a9cc008a428p+1"),
+            (0.2, "0x1.68117efca6fcfp-1", "0x1.68117efca6fcfp+0"),
+            (0.5, "0x1.ce05afa2cfd97p-2", "0x1.ce05afa2cfd97p-1"),
+            (0.9, "0x1.f4ea019dc8b64p-3", "0x1.f4ea019dc8b64p-2"),
+            (0.99, "0x1.3e1c1b22c6ed2p-3", "0x1.3e1c1b22c6ed2p-2"),
+        ],
+    )
+    def test_bracket_is_pinned_bit_for_bit(self, p, lower, upper):
+        """The lower end is the reciprocal of ``deck_minimum(p, 2 pi)``, the
+        upper that of ``slit_distance(p)``; both as ``float.hex``."""
+        est = fridman_bounds_punctured(p)
+        assert (est.lower.hex(), est.upper.hex()) == (lower, upper)
+
     def test_puncture_rejected(self):
         with pytest.raises(ValueError):
             fridman_bounds_punctured(0j)
@@ -757,6 +773,11 @@ class TestRadiusSearch:
         with pytest.raises(ValueError, match="finite"):
             RadiusSearch(r_max=r_max, tol=tol)
 
+    @pytest.mark.parametrize("samples", [9.5, 16.0, "16", 7])
+    def test_samples_must_be_an_integer_of_at_least_8(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            RadiusSearch(samples=samples)
+
 
 class TestCenteredPolydisc:
     def test_ball_image_caps_the_polyradius(self):
@@ -765,3 +786,12 @@ class TestCenteredPolydisc:
             c = largest_centered_polydisc(ball_inclusion_into_polydisc(n), samples=128)
             assert c <= 1.0 / math.sqrt(n) + 1e-6
             assert c == pytest.approx(1.0 / math.sqrt(n), abs=1e-5)
+
+    @pytest.mark.parametrize("samples", [-5, 2.5])
+    def test_bad_samples_rejected_before_validation(self, monkeypatch, samples):
+        def unreachable(self, **kwargs):
+            raise AssertionError("validated before checking samples")
+
+        monkeypatch.setattr(EmbeddingWitness, "validate", unreachable)
+        with pytest.raises(ValueError, match="samples"):
+            largest_centered_polydisc(ball_inclusion_into_polydisc(2), samples=samples)

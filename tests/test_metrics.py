@@ -437,6 +437,31 @@ class TestOneSampleAtEveryRadius:
             metric_sphere(Siegel(2), (0j, -1.0 + 0j), 8, np.random.default_rng(0))
 
 
+class TestSamplerArguments:
+    """``metric_sphere`` and ``sample_metric_ball`` check their center by its
+    defining value and want a finite positive radius."""
+
+    def test_sphere_center_outside_the_domain(self):
+        with pytest.raises(ValueError, match="center"):
+            metric_sphere(Polydisc(2), (2, 0), 8, np.random.default_rng(0))
+
+    def test_ball_center_on_the_boundary(self):
+        with pytest.raises(ValueError, match="center"):
+            sample_metric_ball(Siegel(2), (0, 1), 0.5, 8, np.random.default_rng(0))
+
+    def test_ball_negative_radius(self):
+        with pytest.raises(ValueError, match="radius"):
+            sample_metric_ball(Siegel(2), (0, -1), -1.0, 5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_non_finite_radius(self, radius):
+        sphere = metric_sphere(Ball(2), (0j, 0j), 8, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="radius"):
+            sphere(radius)
+        with pytest.raises(ValueError, match="radius"):
+            sample_metric_ball(Siegel(2), (0, -1), radius, 8, np.random.default_rng(0))
+
+
 class TestBallSampling:
     @pytest.mark.parametrize("mode", list(MetricMode), ids=lambda m: m.value)
     def test_siegel_ball_off_the_basepoint(self, mode):

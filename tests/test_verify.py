@@ -65,6 +65,22 @@ def test_deck_suite_reports_the_failing_row(monkeypatch):
     assert all(msg.endswith(f"at p={p}, theta={theta}") for msg in res.failures)
 
 
+def test_slit_distance_is_checked_against_an_independent_length(monkeypatch):
+    """The deck translation length is ``deck_minimum(p, 2 pi)``, not twice
+    the slit distance, so a slit distance 1e-9 off in relative terms fails
+    the "twice the slit distance" rows of one suite and the "bracket ratio"
+    rows of the other, 1,000 each; the grid oracle's 5e-5 does not see it."""
+    slit_distance = covering.slit_distance
+    monkeypatch.setattr(covering, "slit_distance", lambda p: (1 + 1e-9) * slit_distance(p))
+    oracles = verify.suite_slit_circle_oracles(RunConfig())
+    bracket = verify.suite_punctured_bounds(RunConfig())
+    assert (oracles.checks, bracket.checks) == (1_012, 3_001)
+    assert len(oracles.failures) == 1_000
+    assert all(msg.startswith("deck translation length is not twice the slit distance") for msg in oracles.failures)
+    assert len(bracket.failures) == 1_000
+    assert all(msg.startswith("bracket ratio broken") for msg in bracket.failures)
+
+
 def test_polynomial_suite_reports_an_evaluation_error(monkeypatch):
     """A ``ValueError`` from ``poly_eval`` is one failed check per
     polynomial, not a traceback out of ``run_all``; the count stays 104."""
