@@ -3,13 +3,15 @@
 The cover is the upper half-plane with projection ``z -> exp(i z)``; deck
 transformations are the horizontal translations ``z -> z + 2 pi k``.
 Distances on the punctured disc descend as an infimum over deck
-translates.  The distance to the slit ``(-1, 0]`` and the translation
-length of the deck generator at a point (``deck_minimum(|p|, 2 pi)``, which
-bounds the distance over the centred circle through that point) both
-reduce to elementary closed forms, and a composed chain of elementary maps
-realizes the uniformization of the slit disc by the disc.  The chain is
-returned bare: :class:`biholo.invariants.EmbeddingWitness` validates it
-where it is used as a witness.
+translates, attained at the translate nearest in real part: one half-plane
+distance per pair, of points or of rows.  The distance to the slit
+``(-1, 0]`` and the translation length of the deck generator at a point
+(``deck_minimum(|p|, 2 pi)``, which bounds the distance over the centred
+circle through that point) reduce to elementary closed forms, and a
+composed chain of elementary maps realizes the uniformization of the slit
+disc by the disc.  The chain is returned bare:
+:class:`biholo.invariants.EmbeddingWitness` validates it where it is used
+as a witness.
 """
 
 from __future__ import annotations
@@ -44,36 +46,39 @@ class SlitMapError(RuntimeError):
     """The slit-disc uniformization pulled its basepoint back outside the disc."""
 
 
-def principal_lift(q: complex) -> complex:
+def principal_lift(q):
     """Principal preimage of ``q`` under ``z -> exp(i z)``.
 
     The result has real part in ``[0, 2 pi)`` and imaginary part
-    ``-log |q| > 0``.
+    ``-log |q| > 0``; of a complex array ``q``, the array of the lifts.
     """
-    q = complex(q)
+    rows = isinstance(q, np.ndarray)
+    q = q if rows else complex(q)
     m = abs(q)
-    if m == 0.0:
-        raise ValueError("the puncture has no preimage")
-    if m >= 1.0:
-        raise ValueError(f"point {q!r} is not in the punctured unit disc")
-    x = math.atan2(q.imag, q.real) % TWO_PI
-    if x >= TWO_PI:  # a tiny negative phase can round up to the period
-        x = 0.0
-    return complex(x, -math.log(m))
+    if not (((0.0 < m) & (m < 1.0)).all() if rows else 0.0 < m < 1.0):
+        raise ValueError("every point must lie in the unit disc, off the puncture")
+    atan2, log = (np.arctan2, np.log) if rows else (math.atan2, math.log)
+    x = atan2(q.imag, q.real) % TWO_PI
+    x = x * (x < TWO_PI)  # a tiny negative phase can round up to the period
+    return x - 1j * log(m)
 
 
-def punctured_distance(p: complex, q: complex) -> float:
-    """Punctured-disc distance: the minimum over deck translates of the lifts.
+def punctured_distance(p: complex, q):
+    """Punctured-disc distance: the half-plane distance from the lift of
+    ``p`` to the nearest deck translate of the lift of ``q``, a point or a
+    complex array (a column of rows, one distance per entry).
 
     Both principal lifts have real part in ``[0, 2 pi)``, so their
-    horizontal offset lies in ``(-2 pi, 2 pi)``; at fixed heights the
+    horizontal offset ``dx`` lies in ``(-2 pi, 2 pi)``; at fixed heights the
     half-plane distance grows with the absolute horizontal offset, so the
-    translate nearest in real part is one of ``k = -1, 0, 1`` and the
-    minimum over those three is the minimum over all deck translates.
+    infimum over deck translates is at the translate by ``2 pi k``, with
+    ``k = 1`` if ``dx > pi``, ``-1`` if ``dx < -pi`` and 0 otherwise.
     """
     zp = principal_lift(p)
     zq = principal_lift(q)
-    return min(halfplane_distance(zp, zq + TWO_PI * k) for k in (-1, 0, 1))
+    dx = zp.real - zq.real
+    k = 1 * (dx > math.pi) - 1 * (dx < -math.pi)
+    return halfplane_distance(zp, zq + TWO_PI * k)
 
 
 def deck_minimum(p: float, theta: float) -> float:

@@ -59,18 +59,25 @@ def _require_disc(a: complex) -> complex:
     return a
 
 
-def halfplane_distance(z: complex, w: complex) -> float:
+def halfplane_distance(z: complex, w):
     """Distance between two points of the upper half-plane.
 
     ``asinh(|z - w| / (2 sqrt(Im z) sqrt(Im w)))``, one form without
     cancellation for every pair, nearly equal or nearly ideal.  Taking the
     square roots separately keeps the ratio scale-invariant and symmetric in
     ``z`` and ``w``: no overflow or underflow for very large or very small
-    coordinates, and a finite value for distances up to about 700.
+    coordinates, and a finite value for distances up to about 700.  ``w``
+    may be a complex array, a column of rows: then one distance per entry.
     """
     z = _require_halfplane(z)
-    w = _require_halfplane(w)
-    return math.asinh(abs(z - w) / (2.0 * (math.sqrt(z.imag) * math.sqrt(w.imag))))
+    if isinstance(w, np.ndarray):
+        if not (w.imag > 0).all():
+            raise ValueError("every point must lie in the open upper half-plane")
+        sqrt, asinh = np.sqrt, np.arcsinh
+    else:
+        w = _require_halfplane(w)
+        sqrt, asinh = math.sqrt, math.asinh
+    return asinh(abs(z - w) / (2.0 * (sqrt(z.imag) * sqrt(w.imag))))
 
 
 def halfplane_distance_acosh(z: complex, w: complex) -> float:

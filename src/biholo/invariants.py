@@ -268,9 +268,7 @@ def _exact(d: ModelDomain, p, value: str, instead: str) -> tuple[float, float]:
     """The ``exact`` entry of the variant's record, once the point, if given,
     is checked to lie in the domain."""
     if p is not None:
-        pt = as_point(p, d.dim)
-        if not d.defining(pt) < 0.0:
-            raise ValueError(f"point {pt!r} is not in the domain")
+        metrics._inner_point(d, p)
     exact = metrics._geometry(d).exact
     if exact is None:
         raise UnsupportedDomainError(f"no exact {value} for {d.label}; use {instead}")
@@ -542,12 +540,14 @@ def largest_centered_polydisc(
 ) -> float:
     """Largest polyradius c with the centred polydisc inside the witness image.
 
-    The witness must map a ball into a polydisc fixing 0.  The polydisc
-    sphere sample always contains the corner point, which decides the
+    The witness must map a ball into a polydisc fixing 0 (to 1e-10).  The
+    polydisc sphere sample always contains the corner point, which decides the
     containment exactly, so ``samples`` may be any integer >= 0.
     """
     if not isinstance(witness.source, Ball) or not isinstance(witness.target, Polydisc):
         raise WitnessValidationError("witness must map a ball into a polydisc")
+    if max(abs(c) for c in witness.source_basepoint + witness.target_basepoint) > 1e-10:
+        raise WitnessValidationError("witness must fix the origin")
     _check_samples(samples, 0)
     n = witness.target.dim
     draw = lambda rng: metrics.polydisc_sphere(n, samples, rng)

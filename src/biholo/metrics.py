@@ -4,8 +4,8 @@ sampling, and the exact values of the invariants.
 What is known in closed form on a variant is one :class:`Geometry` record in
 one table keyed by its type, and every dispatch is one lookup there: a new
 variant is one class in ``domains`` plus one record here.  Every variant has
-a distance but the weighted models other than the unbounded realization of
-the ball; those raise :class:`UnsupportedDomainError`.
+a distance on points or rows and a sphere but the weighted models other
+than the unbounded ball; those raise :class:`UnsupportedDomainError`.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .domains import (
     UpperHalfPlane,
     WeightedModel,
     _coordinates,
+    _max,
     as_point,
     random_unit_vectors,
 )
@@ -137,15 +138,12 @@ def kobayashi_distance(d: ModelDomain, p, q, mode: MetricMode = MetricMode.KOBAY
     """Kobayashi distance between two points of a model domain, converted
     to the output normalization ``mode`` (POINCARE doubles it).
 
-    Each point is coerced and checked once, by :func:`as_point`, and its
-    membership is the defining value of the coerced tuple; a non-finite
-    point, one of the wrong dimension or one outside the open domain raises
-    ``ValueError``.
+    Each point is coerced and checked once, by :func:`_inner_point`; a
+    non-finite point, one of the wrong dimension or one outside the open
+    domain raises ``ValueError``.
     """
-    p = as_point(p, d.dim)
-    q = as_point(q, d.dim)
-    if not (d.defining(p) < 0.0 and d.defining(q) < 0.0):
-        raise ValueError("both points must lie in the domain")
+    p = _inner_point(d, p)
+    q = _inner_point(d, q)
     distance = _geometry(d).distance
     if distance is None:
         raise UnsupportedDomainError(f"no computable Kobayashi distance for {d.label}")
@@ -160,13 +158,14 @@ def kobayashi_distance(d: ModelDomain, p, q, mode: MetricMode = MetricMode.KOBAY
 Sphere = Callable[[float], np.ndarray]
 
 
-def _inner_point(d: ModelDomain, center) -> Point:
-    """``center`` coerced by :func:`as_point`; ``ValueError`` unless it lies
-    in the open domain, by its defining value as in :func:`kobayashi_distance`."""
-    center = as_point(center, d.dim)
-    if not d.defining(center) < 0.0:
-        raise ValueError("the center must lie in the domain")
-    return center
+def _inner_point(d: ModelDomain, p) -> Point:
+    """``p`` coerced by :func:`as_point`; ``ValueError`` unless its defining
+    value is negative.  The one membership check of a point given to a
+    distance, a sampler or an exact value."""
+    pt = as_point(p, d.dim)
+    if not d.defining(pt) < 0.0:
+        raise ValueError(f"point {pt!r} is not in the domain {d.label}")
+    return pt
 
 
 def _radius(radius: float) -> float:
@@ -204,10 +203,15 @@ def polydisc_sphere_sample(n: int, modulus: float, count: int, rng: np.random.Ge
     return polydisc_sphere(n, count, rng)(modulus)
 
 
-def _ball_sphere(d: Ball, center, count: int, rng: np.random.Generator) -> Sphere:
-    directions = random_unit_vectors(d.dim, count, rng)
+def _ball_sphere(center: Point, count: int, rng: np.random.Generator) -> Sphere:
+    directions = random_unit_vectors(len(center), count, rng)
     phi = ball_automorphism(center)
     return lambda radius: np.column_stack(phi((math.tanh(radius) * directions).T))
+
+
+def _image(f: Callable[[np.ndarray], np.ndarray], sphere: Sphere) -> Sphere:
+    """The spheres of ``sphere`` mapped by the isometry ``f`` of rows."""
+    return lambda radius: f(sphere(radius))
 
 
 def _polydisc_metric_sphere(d: Polydisc, center, count: int, rng: np.random.Generator) -> Sphere:
@@ -269,11 +273,14 @@ def metric_sphere(d: ModelDomain, center, count: int, rng: np.random.Generator) 
 
     The random part is drawn from ``rng`` here, once: the unit directions on
     the ball, the mask, fractions and phases on the polydisc, the jittered
-    angles on the punctured disc (the half-plane draws nothing).  Each call
-    does only the arithmetic that depends on the radius, so a radius search
-    tests every radius on the same sample.  Samples are dense in angle and
-    include the extreme points that decide ball-containment questions
-    (polydisc corners, antipodal crossings in the punctured disc).
+    angles on the punctured disc (the half-planes draw nothing).  The
+    spheres of ``HalfPlaneC``, the slit disc and the Siegel domain are those
+    of the half-plane, the disc and the ball, mapped as their distances map
+    points.  Each call does only the arithmetic that depends on the
+    radius, so a radius search tests every radius on the same sample.
+    Samples are dense in angle and include the extreme points that decide
+    ball-containment questions (polydisc corners, antipodal crossings in the
+    punctured disc).
 
     A center outside the domain, or a radius that is not finite and
     positive, raises ``ValueError``.
@@ -342,8 +349,8 @@ def sample_metric_ball(
 
 class Geometry(NamedTuple):
     """The closed forms of one variant, each None where there is none:
-    ``distance(d, p, q)`` of coerced points (the Siegel form also takes the
-    columns of rows as ``q``), ``sphere(d, center, count, rng)``,
+    ``distance(d, p, q)`` of a coerced point and, as ``q``, a coerced point
+    or the columns of rows, ``sphere(d, center, count, rng)``,
     ``ball(d, center, radius, count, rng)`` and ``exact(d)``, the Fridman
     invariant and the squeezing function where both are theorems and
     constant in the point (0 and 1 on the variants biholomorphic to the
@@ -370,11 +377,11 @@ _GEOMETRY: dict[type, Geometry] = {
     Ball: Geometry(
         # Ball(1) is the disc: its form keeps 1 - |a|^2 as (1 - |a|)(1 + |a|)
         distance=lambda d, p, q: disc_distance(p[0], q[0]) if d.dim == 1 else ball_distance(p, q),
-        sphere=lambda d, center, count, rng: _ball_sphere(d, center, count, rng),
+        sphere=lambda d, center, count, rng: _ball_sphere(center, count, rng),
         exact=lambda d: (0.0, 1.0),
     ),
     Polydisc: Geometry(
-        distance=lambda d, p, q: max(disc_distance(a, b) for a, b in zip(p, q)),
+        distance=lambda d, p, q: _max(*map(disc_distance, p, q)),
         sphere=lambda d, center, count, rng: _polydisc_metric_sphere(d, center, count, rng),
         exact=lambda d: _polydisc_exact(d.dim),
     ),
@@ -386,6 +393,8 @@ _GEOMETRY: dict[type, Geometry] = {
     ),
     HalfPlaneC: Geometry(
         distance=lambda d, p, q: halfplane_distance(d.to_halfplane(p[0]), d.to_halfplane(q[0])),
+        sphere=lambda d, center, count, rng: _image(
+            d.from_halfplane, _halfplane_sphere(d.to_halfplane(center[0]), count)),
         ball=lambda d, center, radius, count, rng: d.from_halfplane(
             _halfplane_ball(d.to_halfplane(center[0]), radius, count, rng))[:, None],
         exact=lambda d: (0.0, 1.0),
@@ -396,10 +405,14 @@ _GEOMETRY: dict[type, Geometry] = {
     ),
     SlitDisc: Geometry(
         distance=lambda d, p, q: disc_distance(_SLIT_MAP.unapply(p[0]), _SLIT_MAP.unapply(q[0])),
+        sphere=lambda d, center, count, rng: _image(
+            _SLIT_MAP.apply, _ball_sphere((_SLIT_MAP.unapply(center[0]),), count, rng)),
         exact=lambda d: (0.0, 1.0),
     ),
     Siegel: Geometry(
         distance=lambda d, p, q: ball_distance(siegel_to_ball(p), siegel_to_ball(q)),
+        sphere=lambda d, center, count, rng: _image(
+            lambda rows: np.column_stack(ball_to_siegel(rows.T)), _ball_sphere(siegel_to_ball(center), count, rng)),
         ball=lambda d, center, radius, count, rng: _siegel_ball(d, center, radius, count, rng),
         exact=lambda d: (0.0, 1.0),
     ),

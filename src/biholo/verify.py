@@ -151,8 +151,7 @@ def suite_vertical_line(cfg: RunConfig) -> SuiteResult:
     for x, y, c in rng.uniform([-4, 0.2, -4], 4, size=(12, 3)).tolist():
         z = complex(x, y)
         # the acosh form is increasing in s: apply it once, at the grid's smallest s
-        s = float((((x - c) ** 2 + (y - ts) ** 2) / (2.0 * y * ts)).min())
-        grid_min = 0.5 * math.log1p(s + math.sqrt(s * (s + 2.0)))
+        grid_min = covering._acosh_form(float(covering._s_rows(x - c, y, ts).min()))
         found.append((vertical_line_distance(z, c), grid_min, halfplane_distance(z, complex(c, abs(z - c)))))
     d_foot, grid_min, at_foot = np.array(found).T
     res.expect_rows(

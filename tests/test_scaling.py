@@ -19,6 +19,7 @@ from biholo.domains import (
     defining_value,
     modulus_power,
 )
+from biholo.covering import punctured_distance
 from biholo.hyperbolic import disc_distance
 from biholo.metrics import sample_metric_ball
 from biholo.scaling import (
@@ -360,6 +361,20 @@ class TestBallInclusion:
         for row in report.rows:
             if row.j >= report.j0:
                 assert row.inside
+
+    def test_punctured_disc_family_stabilizes(self):
+        """The punctured disc rescaled at 1 has the disc's half-plane limit
+        and its own distance on rows; that distance is at least the disc's,
+        since the punctured disc lies in the disc, and the worst distance
+        comes down to R - eps = 0.9 as the scaled domains fill the limit."""
+        approach = BoundaryApproach.geometric((1,), (1,), 3, 12)
+        punctured = PlanarDefiningFunction(lambda z: abs(z) ** 2 - 1.0, lambda z: z.conjugate(), punctured_distance)
+        report = ball_inclusion_check(make_isotropic(punctured, approach), radius=1.0, eps=0.1, samples=120, seed=0)
+        disc = ball_inclusion_check(make_isotropic(disc_defining(), approach), radius=1.0, eps=0.1, samples=120, seed=0)
+        assert report.passed and report.j0 == 4
+        assert [row.inside for row in report.rows] == [row.inside for row in disc.rows]
+        assert all(a.max_distance >= b.max_distance for a, b in zip(report.rows, disc.rows))
+        assert 0.9 < report.rows[-1].max_distance < 0.901
 
     def test_rows_agree_with_points(self):
         """Membership on rows gives the rows of a loop over points exactly.

@@ -57,7 +57,7 @@ def test_distance_records_reach_the_wrapped_layers(monkeypatch):
         metrics.kobayashi_distance(Ball(1), 0.3, -0.5j)
     finally:
         tracer.uninstall()
-    # three deck translates under the punctured query, one half-plane query
+    # the nearest deck translate under the punctured query, one half-plane query
     assert tracer.calls("covering.punctured_distance") == 1
-    assert tracer.calls("hyperbolic.halfplane_distance") == 4
+    assert tracer.calls("hyperbolic.halfplane_distance") == 2
     assert tracer.calls("hyperbolic.disc_distance") == 1
