@@ -221,6 +221,14 @@ def _object(name: str, value) -> dict:
     return value
 
 
+def _integers(spec: dict, key: str) -> list[int]:
+    """The spec's ``key``, which must be a JSON list of integers."""
+    value = spec[key]
+    if not isinstance(value, list) or not all(type(m) is int for m in value):
+        raise CliError(f"{key} must be a JSON list of integers, got {value!r}")
+    return value
+
+
 def _approach_from_spec(spec: dict, dim: int) -> scaling.BoundaryApproach:
     base, normal = (_spec_point(spec, key, dim) for key in ("base_point", "normal"))
     deltas_spec = spec.get("deltas", {})
@@ -267,17 +275,14 @@ def _run_scale_spec(spec: dict, args) -> tuple[dict[str, list[dict]], bool]:
         approach = _approach_from_spec(spec, 1)
         family = scaling.make_isotropic(scaling.disc_defining(), approach)
     elif kind == "anisotropic":
-        entries = spec["multitype"]
-        if not isinstance(entries, list) or not all(type(m) is int for m in entries):
-            raise CliError(f"multitype must be a JSON list of integers, got {entries!r}")
-        mt = Multitype(entries)
+        mt = Multitype(_integers(spec, "multitype"))
         poly = parse_polynomial(str(spec["poly"]))
         rem_spec = _object("remainder", spec.get("remainder", {}))
         exponents = None
         if rem_spec:
             if rem_spec.get("type") != "abs_power":
                 raise CliError("remainder type must be 'abs_power'")
-            exponents = rem_spec["exponents"]
+            exponents = _integers(rem_spec, "exponents")
         approach = _approach_from_spec(
             {"base_point": ["0"] * mt.dim, "normal": ["0"] * (mt.dim - 1) + ["1"], **spec},
             mt.dim,

@@ -238,21 +238,23 @@ def _halfplane_sphere(center: complex, count: int) -> Sphere:
 
 def _punctured_sphere(center: complex, count: int, rng: np.random.Generator) -> Sphere:
     """The metric circle around the principal lift of ``center``, projected
-    by ``exp(i z)``."""
+    by ``exp(i z)``.  Past euclidean radius pi only the arcs with
+    ``|Re w - x0| <= pi`` project into the fundamental domain, so the angles
+    are spread over those arcs, and every radius keeps all ``count``."""
     z0 = covering.principal_lift(center)
     angles = np.linspace(0.0, covering.TWO_PI, count, endpoint=False) + rng.uniform(0.0, 1e-3)
     circle = np.exp(1j * angles)
 
     def sphere(radius: float) -> np.ndarray:
         ecenter, eradius = halfplane_metric_circle(z0, radius)
-        w = ecenter + eradius * circle
-        pts = np.exp(1j * w[np.abs(w.real - z0.real) <= math.pi])
-        extreme = []
-        # Where the circle crosses the lines Re = x0 +/- pi the projection lands
-        # exactly on the antipodal ray; those are the extreme sphere points, so
-        # add them exactly (crucially, on the negative real axis when the center
-        # is real positive).
-        if eradius > math.pi:
+        arc, extreme = circle, []
+        if eradius > math.pi:  # the arcs (a, pi - a) and (pi + a, 2 pi - a)
+            a = math.acos(math.pi / eradius)
+            arc = np.exp(1j * (a + angles * (1.0 - 2.0 * a / math.pi) + 2.0 * a * (angles >= math.pi)))
+            # Where the circle crosses the lines Re = x0 +/- pi the projection
+            # lands exactly on the antipodal ray; those are the extreme sphere
+            # points, so add them exactly (crucially, on the negative real axis
+            # when the center is real positive).
             h = math.sqrt(eradius * eradius - math.pi * math.pi)
             for y in (ecenter.imag - h, ecenter.imag + h):
                 if y <= 0:
@@ -262,7 +264,9 @@ def _punctured_sphere(center: complex, count: int, rng: np.random.Generator) -> 
                     extreme.append(complex(-r, 0.0))
                 else:
                     extreme.append(cmath.exp(1j * complex(z0.real + math.pi, y)))
-        return np.concatenate([pts, np.array(extreme, dtype=complex)])[:, None]
+        w = ecenter + eradius * arc
+        pts = np.concatenate([np.exp(1j * w[np.abs(w.real - z0.real) <= math.pi]), np.array(extreme, dtype=complex)])
+        return pts[pts != 0][:, None]  # far out, exp(i w) underflows to the puncture
 
     return sphere
 
@@ -280,7 +284,9 @@ def metric_sphere(d: ModelDomain, center, count: int, rng: np.random.Generator) 
     radius, so a radius search tests every radius on the same sample.
     Samples are dense in angle and include the extreme points that decide
     ball-containment questions (polydisc corners, antipodal crossings in the
-    punctured disc).
+    punctured disc).  The punctured disc keeps all its angles at every
+    radius, on the arcs that project into its fundamental domain, less the
+    rows that underflow to the puncture.
 
     A center outside the domain, or a radius that is not finite and
     positive, raises ``ValueError``.

@@ -4,10 +4,12 @@ Given a boundary point and a sequence of interior points approaching it
 along the normal, the domain is rescaled by dilations normalizing the
 approach points: isotropically in the plane (translation by the point,
 division by the defining-function value), anisotropically in C^n with the
-multitype weights.  The rescaled defining functions converge locally
-uniformly to the defining function of a model domain; the checks here
-quantify that convergence, the dilation invariance of weight-one models,
-and the resulting inclusions of metric balls.
+multitype weights of the limit model, by the one constructor
+:func:`rescale` of a domain given by its own defining function and
+distance.  The rescaled defining functions converge locally uniformly to
+the defining function of a model domain; the checks here quantify that
+convergence, the dilation invariance of weight-one models, and the
+resulting inclusions of metric balls.
 
 The checks run on rows, complex arrays of shape ``[m, n]``, as the
 estimators do.  The dilations, the defining functions of the families and
@@ -34,7 +36,6 @@ from .domains import (
     WeightedModel,
     WeightedPolynomial,
     _coordinates,
-    _poly_value,
     as_point,
     as_rows,
     contains,
@@ -54,6 +55,7 @@ __all__ = [
     "AnisotropicDilation",
     "ScaledFamily",
     "make_isotropic",
+    "rescale",
     "make_anisotropic",
     "tangential_modulus_remainder",
     "complex_grid",
@@ -184,7 +186,8 @@ class ScaledFamily:
     ``distance(index, u, rows)`` is the Kobayashi distance of the
     rescaled domain ``D_j`` from the point ``u`` to every row of ``rows``
     (shape ``[m, n]``), one distance per row, or None where no closed form
-    is known.
+    is known: the domain's own distance at ``T_j^-1 u`` and ``T_j^-1
+    rows``, or the limit's for a constant family.
     """
 
     approach: BoundaryApproach
@@ -204,6 +207,12 @@ class ScaledFamily:
         return self.defining(dil.inverse(w)) / dil.scale
 
 
+def _pulled_back(distance: Callable, dilations: Sequence) -> Callable[[int, Point, np.ndarray], np.ndarray]:
+    """The unscaled domain's ``distance(p, columns)`` as the family's:
+    ``distance(T_j^-1 u, T_j^-1 rows)``."""
+    return lambda index, u, rows: distance(dilations[index].inverse(u), dilations[index].inverse(rows.T))
+
+
 def make_isotropic(rho: PlanarDefiningFunction, approach: BoundaryApproach) -> ScaledFamily:
     """Isotropic rescaling of a planar domain along a boundary approach.
 
@@ -221,12 +230,7 @@ def make_isotropic(rho: PlanarDefiningFunction, approach: BoundaryApproach) -> S
         if not value < 0:
             raise ValueError(f"approach point {p[0]!r} is not inside the domain")
         dilations.append(IsotropicDilation(center=p[0], scale=-value))
-    distance = None
-    if rho.distance is not None:
-        def distance(index: int, u: Point, rows: np.ndarray) -> np.ndarray:
-            dil = dilations[index]
-            return rho.distance(dil.inverse(u)[0], dil.inverse(rows.T)[0])
-
+    distance = rho.distance and _pulled_back(lambda p, q: rho.distance(p[0], q[0]), dilations)
     return ScaledFamily(
         approach=approach,
         dilations=tuple(dilations),
@@ -237,11 +241,42 @@ def make_isotropic(rho: PlanarDefiningFunction, approach: BoundaryApproach) -> S
     )
 
 
-def _canonical_limit(multitype: Multitype, poly: WeightedPolynomial) -> ModelDomain:
-    model = WeightedModel(multitype, poly)
-    if siegel_equivalent(model):
-        return Siegel(multitype.dim)
-    return model
+def rescale(
+    model: WeightedModel, approach: BoundaryApproach, defining: Callable | None = None, distance: Callable | None = None
+) -> ScaledFamily:
+    """Anisotropic rescaling of a domain ``D`` given in normalized
+    coordinates: the approach must run along the inner normal ``-e_n`` from
+    the origin, so ``T_j('0, -delta_j) = ('0, -1)``.
+
+    ``model`` is the weight-one limit ``{2 Re z_n + P('z) < 0}``.  Its
+    multitype gives the dilations, and the limit is ``Siegel(n)`` where
+    :func:`siegel_equivalent` holds.  ``P`` is checked for weight-one
+    homogeneity only, not for plurisubharmonicity.  ``defining`` is D's
+    defining function on a point or on the columns of rows, and
+    ``distance(p, columns)`` is D's Kobayashi distance, pulled back through
+    the dilations.  Without ``defining``, D is the model, whose family is
+    constant by weight-one invariance: its distance is the limit's at the
+    normalized points, where the limit has one.
+    """
+    n = model.dim
+    base, normal = as_point(approach.base_point, n), as_point(approach.normal, n)
+    if any(c != 0 for c in base):
+        raise ValueError("anisotropic scaling expects normalized coordinates (base point 0)")
+    if any(c != 0 for c in normal[:-1]) or normal[-1] != 1:
+        raise ValueError("anisotropic scaling expects the approach along -e_n")
+    if not symbolic_weight_check(model.poly, model.multitype):
+        raise ValueError("the model polynomial is not weight-one homogeneous for the multitype")
+    if defining is None and distance is not None:
+        raise ValueError("a distance needs the defining function of its domain")
+    limit = Siegel(n) if siegel_equivalent(model) else model
+    dilations = tuple(AnisotropicDilation(model.multitype, d) for d in approach.deltas)
+    if defining is None:  # every scaled domain is the limit
+        defining, record = model.defining, _geometry(limit).distance
+        distance = record and (lambda index, u, rows: record(limit, u, rows.T))
+    else:
+        distance = distance and _pulled_back(distance, dilations)
+    basepoint = (0j,) * (n - 1) + (complex(-1.0),)
+    return ScaledFamily(approach, dilations, limit, basepoint, defining, distance)
 
 
 def make_anisotropic(
@@ -250,55 +285,19 @@ def make_anisotropic(
     approach: BoundaryApproach,
     remainder_exponents: Sequence[int] | None = None,
 ) -> ScaledFamily:
-    """Anisotropic rescaling of ``{2 Re z_n + P('z) + R(z) < 0}``.
-
-    Coordinates are assumed already normalized: the approach must run along
-    the inner normal ``-e_n`` from the origin, so ``T_j('0, -delta_j) =
-    ('0, -1)``.  ``P`` must be weight-one homogeneous for the multitype.
-    The remainder ``R = prod_k |z_k|^(e_k)`` is given by its exponents and
-    must decay under the dilations: its rate from
-    :func:`tangential_modulus_remainder` must be positive.
-
-    ``P`` is checked for weight-one homogeneity only, not for
-    plurisubharmonicity: a model such as ``-|z|^2`` is accepted, and its
-    family's ``distance`` is None.
+    """:func:`rescale` of ``{2 Re z_n + P('z) + R(z) < 0}`` to its model
+    ``P``.  The remainder ``R = prod_k |z_k|^(e_k)`` is given by its integer
+    exponents and must decay under the dilations: its rate from
+    :func:`tangential_modulus_remainder` must be positive.  Only the
+    constant family, without a remainder, has a ``distance``.
     """
-    n = multitype.dim
-    base = as_point(approach.base_point, n)
-    normal = as_point(approach.normal, n)
-    if any(c != 0 for c in base):
-        raise ValueError("anisotropic scaling expects normalized coordinates (base point 0)")
-    if any(c != 0 for c in normal[:-1]) or normal[-1] != 1:
-        raise ValueError("anisotropic scaling expects the approach along -e_n")
-    if not symbolic_weight_check(poly, multitype):
-        raise ValueError("the model polynomial is not weight-one homogeneous for the multitype")
-    limit = _canonical_limit(multitype, poly)
-    distance = None
+    model = WeightedModel(multitype, poly)
     if remainder_exponents is None:
-        def defining(z):
-            return 2.0 * z[-1].real + _poly_value(poly, z[:-1])
-
-        limit_distance = _geometry(limit).distance
-        if limit_distance is not None:
-            # weight-one invariance makes every scaled domain the limit itself
-            def distance(index: int, u: Point, rows: np.ndarray) -> np.ndarray:
-                return limit_distance(limit, u, rows.T)
-    else:
-        remainder, rate = tangential_modulus_remainder(remainder_exponents, multitype)
-        if not rate > 0:
-            raise ValueError(f"the remainder does not decay under the dilations: its rate is {rate}, not > 0")
-
-        def defining(z):
-            return 2.0 * z[-1].real + _poly_value(poly, z[:-1]) + remainder(z)
-
-    return ScaledFamily(
-        approach=approach,
-        dilations=tuple(AnisotropicDilation(multitype, d) for d in approach.deltas),
-        limit=limit,
-        basepoint=(0j,) * (n - 1) + (complex(-1.0),),
-        defining=defining,
-        distance=distance,
-    )
+        return rescale(model, approach)
+    remainder, rate = tangential_modulus_remainder(remainder_exponents, multitype)
+    if not rate > 0:
+        raise ValueError(f"the remainder does not decay under the dilations: its rate is {rate}, not > 0")
+    return rescale(model, approach, lambda z: model.defining(z) + remainder(z))
 
 
 def tangential_modulus_remainder(
@@ -307,7 +306,9 @@ def tangential_modulus_remainder(
     """Remainder ``R(z) = prod_k |z_k|^(e_k)`` over the tangential variables
     of a point or of the columns of rows, together with its weight-calculus
     decay exponent ``sum_k e_k w_k - 1`` under the dilations, computed
-    exactly."""
+    exactly.  An exponent that is not an integer raises ``ValueError``."""
+    if not all(isinstance(e, (int, np.integer)) for e in exponents):
+        raise ValueError(f"remainder exponents must be integers, got {tuple(exponents)!r}")
     exps = tuple(int(e) for e in exponents)
     if len(exps) != multitype.dim - 1:
         raise ValueError("one exponent per tangential variable is required")

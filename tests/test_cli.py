@@ -353,6 +353,20 @@ class TestScale:
         assert out == ""
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("exponents", [[6.5], ["6"], 6], ids=["fraction", "string", "number"])
+    def test_exponents_must_be_a_list_of_integers(self, tmp_path, capsys, exponents):
+        """``[6.5]`` is not run as the remainder ``|z1|^6``."""
+        spec = self.make_spec(tmp_path, {
+            "kind": "anisotropic", "multitype": [1, 4], "poly": "1.0 2 | 2\n",
+            "remainder": {"type": "abs_power", "exponents": exponents},
+        })
+        out_dir = tmp_path / "never"
+        code, out, err = run_cli(capsys, "scale", str(spec), "--out", str(out_dir))
+        assert code == 2
+        assert err.startswith("error: exponents must be a JSON list of integers") and err.count("\n") == 1
+        assert out == ""
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("key", ["base_point", "normal"])
     def test_approach_point_of_the_wrong_dimension_is_named(self, tmp_path, capsys, key):
         spec = self.make_spec(tmp_path, {"kind": "isotropic", key: [1, 2]})

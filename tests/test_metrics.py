@@ -418,6 +418,16 @@ class TestSphereSampling:
         crossings = [s for (s,) in pts if s.imag == 0.0 and s.real < 0.0]
         assert crossings
 
+    def test_punctured_sphere_stays_dense_past_the_slit_distance(self):
+        """The angles go on the arcs of the lifted circle that project into
+        the fundamental domain, so a wide sphere keeps its 256 points (it had
+        80, 28 and 4 at r = 1.5, 2 and 3); far out, the rows that underflow
+        to the puncture are dropped."""
+        sphere = metric_sphere(PuncturedDisc(), 0.5, 256, np.random.default_rng(0))
+        for r in (1.5, 2.0, 3.0):
+            assert len(sphere(r)) >= 256
+        assert contains_rows(PuncturedDisc(), sphere(8.0)).all()
+
     def test_halfplane_sphere(self):
         rng = np.random.default_rng(10)
         pts = sample_metric_sphere(UpperHalfPlane(), 1j, 0.3, 32, rng)

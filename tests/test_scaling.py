@@ -19,9 +19,10 @@ from biholo.domains import (
     defining_value,
     modulus_power,
 )
+from biholo import metrics
 from biholo.covering import punctured_distance
 from biholo.hyperbolic import disc_distance
-from biholo.metrics import sample_metric_ball
+from biholo.metrics import ball_distance, sample_metric_ball
 from biholo.scaling import (
     AnisotropicDilation,
     BoundaryApproach,
@@ -37,6 +38,7 @@ from biholo.scaling import (
     loglog_slope,
     make_anisotropic,
     make_isotropic,
+    rescale,
     tangential_modulus_remainder,
 )
 
@@ -254,6 +256,12 @@ class TestAnisotropicDilations:
         with pytest.raises(ValueError, match="one exponent"):
             make_anisotropic(modulus_power(1, 0, 2), mt, approach, (6, 6))
 
+    @pytest.mark.parametrize("exponent", [6.5, 6.0, "6"], ids=["fraction", "float", "string"])
+    def test_remainder_exponents_must_be_integers(self, exponent):
+        """6.5 would otherwise run as ``|z1|^6``, with rate 0.5 for 0.625."""
+        with pytest.raises(ValueError, match="must be integers"):
+            tangential_modulus_remainder((exponent,), Multitype((1, 4)))
+
     def test_float_weights_are_computed_once(self):
         mt = Multitype((1, 4, 2))
         assert mt.tangential_exponents() == (0.5, 0.25)
@@ -409,6 +417,40 @@ class TestBallInclusion:
         report = ball_inclusion_check(replace(fam, distance=counting), radius=0.5, eps=0.05, samples=200, seed=0)
         assert calls == list(range(len(fam)))
         assert report == ball_inclusion_check(fam, radius=0.5, eps=0.05, samples=200, seed=0)
+
+    def test_ball_at_its_sphere_stabilizes_at_the_rate_of_delta(self):
+        """The ball rescaled at (0, 1), in ``w = z2 - 1``: ``{2 Re w + |z1|^2 +
+        |w|^2 < 0}``, whose scaled domains add ``delta |w|^2`` to the Siegel
+        limit, so none is the limit.  Each lies in Siegel, so its distance is
+        at least the Siegel record's, which goes through the Cayley map; the
+        worst distance comes down to R - eps with the gap halving per step."""
+        approach = BoundaryApproach.geometric((0j, 0j), (0j, 1.0), 1, 10)
+        fam = rescale(
+            WeightedModel(Multitype((1, 2)), modulus_power(1, 0, 1)),
+            approach,
+            lambda z: 2.0 * z[1].real + abs(z[0]) ** 2 + abs(z[1]) ** 2,
+            lambda p, q: ball_distance((p[0], p[1] + 1.0), (q[0], q[1] + 1.0)),
+        )
+        assert fam.limit == Siegel(2)
+        report = ball_inclusion_check(fam, radius=0.5, eps=0.05, samples=2000, seed=0)
+        assert report.j0 == 3
+        assert [round(r.max_distance, 4) for r in report.rows[:3]] == [0.7611, 0.5582, 0.4955]
+        slope = loglog_slope([(r.delta, r.max_distance - 0.45) for r in report.rows[2:]])
+        assert slope == pytest.approx(1.036, abs=1e-3)
+        grid = complex_grid(-2, 2, 5)
+        hausdorff = hausdorff_check(fam, [(a, b) for a in grid for b in grid], tol=1e-2)
+        assert hausdorff.passed and hausdorff.slope == pytest.approx(1.0, abs=1e-9)
+        pts = sample_metric_ball(fam.limit, fam.basepoint, 0.45, 500, np.random.default_rng(0))
+        siegel = metrics._geometry(fam.limit).distance(fam.limit, fam.basepoint, pts.T)
+        gaps = [fam.distance(idx, fam.basepoint, pts) - siegel for idx in range(len(fam))]
+        assert all(gap.min() > 0.0 for gap in gaps)
+        assert 0.3 < gaps[0].max() < 0.35 and 3e-4 < gaps[-1].max() < 4e-4
+        assert all(0.4 < b.max() / a.max() < 0.6 for a, b in zip(gaps[1:], gaps[2:]))
+
+    def test_distance_needs_a_defining_function(self):
+        approach = BoundaryApproach.geometric((0j, 0j), (0j, 1.0), 1, 4)
+        with pytest.raises(ValueError, match="defining function"):
+            rescale(WeightedModel(Multitype((1, 2)), modulus_power(1, 0, 1)), approach, distance=ball_distance)
 
     def test_small_radius_passes_early(self):
         fam = disc_family(1, 8)
