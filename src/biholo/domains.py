@@ -120,10 +120,9 @@ def as_rows(rows, dim: int) -> np.ndarray:
     z = np.asarray(rows, dtype=complex)
     if z.ndim != 2 or z.shape[1] != dim:
         raise ValueError(f"expected rows of dimension {dim}, got an array of shape {z.shape}")
-    finite = np.isfinite(z).all(axis=1)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise ValueError(f"row {k} {tuple(z[k])!r} has non-finite coordinates")
+    if not np.isfinite(z).all():  # the per-row reduction costs 4x more, so only on failure
+        k = int(np.argmin(np.isfinite(z).all(axis=1)))
+        raise ValueError(f"row {k} {tuple(z[k].tolist())} has non-finite coordinates")
     return z
 
 

@@ -16,10 +16,11 @@ through the point.
 
 Everything else is an estimator: both invariants quantify over *all*
 embeddings, so a single witness embedding only ever certifies one side.
-Every estimator validates its witness and then bisects on the largest
-radius whose sphere sample stays inside the witness image.  The sample is
-drawn once per search, from the search's seed, and rescaled to each radius
-tested.  The estimator returns that radius together with the sampling
+Every estimator checks its basepoints to ``BASEPOINT_TOL``, validates its
+witness and then bisects on the largest radius whose sphere sample stays
+inside the witness image.  The sample is drawn once per search, from the
+search's seed, and rescaled to each radius tested.  The search builds the
+one report of every estimator: that radius together with the sampling
 metadata that makes the bound reproducible, and its trace: every radius
 tested with its outcome, and the sample row that escaped the image at the
 last radius that failed.
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -82,6 +83,16 @@ VALIDATION_CHUNK = 2_048
 VALIDATION_SAMPLES = 10_000
 # relative round-trip error of a row that EmbeddingWitness.image_contains keeps
 IMAGE_TOL = 1e-9
+# largest coordinate offset of a basepoint from where a witness must put it
+BASEPOINT_TOL = 1e-10
+
+
+def _require_at(point, expected, message: str) -> None:
+    """Raise ``WitnessValidationError(message)`` unless every coordinate of
+    ``point`` lies within ``BASEPOINT_TOL`` of ``expected``'s (a NaN never does)."""
+    err = np.abs(np.subtract(point, expected)).max()
+    if not err <= BASEPOINT_TOL:
+        raise WitnessValidationError(f"{message} (off by {err:.3e})")
 
 
 @dataclass
@@ -141,11 +152,7 @@ class EmbeddingWitness:
         rng = np.random.default_rng(seed)
         base = np.array([self.source_basepoint], dtype=complex)
         fb = self.forward(base)
-        err = max(abs(u - v) for u, v in zip(fb[0], self.target_basepoint))
-        if err > 1e-10:
-            raise WitnessValidationError(
-                f"basepoint normalization off by {err:.3e} for {self.description}"
-            )
+        _require_at(fb[0], self.target_basepoint, f"basepoint normalization of {self.description}")
         self._require_images_inside(base, fb)
         stride = VALIDATION_SAMPLES // 150
         grid = []
@@ -160,16 +167,17 @@ class EmbeddingWitness:
             raise WitnessValidationError(f"witness {self.description} is not injective on the grid")
 
     def _require_images_inside(self, z: np.ndarray, w: np.ndarray) -> None:
-        """Raise unless every row of ``w``, the image of ``z``, lies in the
-        target and in ``image_domain`` when one is set."""
+        """Raise unless every row of ``w``, the image of ``z``, is finite and
+        lies in the target and in ``image_domain`` when one is set."""
+        finite = np.isfinite(w).all()
         for domain in (self.target, self.image_domain):
             if domain is None:
                 continue
-            inside = contains_rows(domain, w)
+            inside = contains_rows(domain, w) if finite else np.isfinite(w).all(axis=1)
             if not inside.all():
                 k = int(np.argmin(inside))
                 raise WitnessValidationError(
-                    f"image point {tuple(w[k])!r} of {tuple(z[k])!r} escaped the "
+                    f"image point {tuple(w[k].tolist())} of {tuple(z[k].tolist())} escaped the "
                     f"{domain.label} for {self.description}"
                 )
 
@@ -356,7 +364,8 @@ def _check_samples(samples, least: int) -> None:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """One-sided invariant estimate with its sampling metadata and trace.
+    """One-sided invariant estimate with its sampling metadata and trace, built
+    only by :func:`_largest_radius`; the Fridman estimator replaces its value and mode.
 
     ``evaluations`` counts the sphere tests made, the probe at the cap
     included; ``steps`` holds each test in order as ``(radius, inside)``.
@@ -376,27 +385,20 @@ class EstimateReport:
     escape: Point | None
 
 
-@dataclass(frozen=True)
-class _Search:
-    radius: float
-    hit_cap: bool
-    steps: tuple[tuple[float, bool], ...]
-    escape: Point | None
-
-
 def _largest_radius(
     witness: EmbeddingWitness,
     draw: Callable[[np.random.Generator], metrics.Sphere],
     cap: float,
     tol: float,
     seed: int,
-) -> _Search:
-    """Largest radius r in (0, cap] whose sphere sample lies in the witness
-    image, up to ``tol``.
+    samples: int,
+) -> EstimateReport:
+    """Report of the largest radius r in (0, cap] whose sphere sample lies in
+    the witness image, up to ``tol``, as its ``value`` and ``radius`` (``mode = None``).
 
-    Validates the witness, then draws the sample once, ``sphere =
-    draw(default_rng(seed))``, and evaluates ``sphere(r)`` at every radius
-    tested: the cap and, if it fails, a bisection from ``min(tol, cap / 2)``.
+    Validates the witness, then draws the sample of size ``samples`` once,
+    ``sphere = draw(default_rng(seed))``, and evaluates ``sphere(r)`` at every
+    radius tested: the cap and, if it fails, a bisection from ``min(tol, cap / 2)``.
     Every radius is thus tested on the same sample, rescaled.
     """
     witness.validate(seed=seed)
@@ -414,36 +416,19 @@ def _largest_radius(
             escape = tuple(rows[int(np.argmin(kept))].tolist())
         return ok
 
-    if inside(cap):
-        return _Search(cap, True, tuple(steps), escape)
-    lo, hi = min(tol, cap / 2), cap
-    if not inside(lo):
-        raise WitnessValidationError(
-            "the witness image does not contain any neighbourhood of the basepoint"
-        )
+    hit_cap = inside(cap)
+    lo, hi = (cap if hit_cap else min(tol, cap / 2)), cap
+    if not (hit_cap or inside(lo)):
+        raise WitnessValidationError("the witness image does not contain any neighbourhood of the basepoint")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if inside(mid):
             lo = mid
         else:
             hi = mid
-    return _Search(lo, False, tuple(steps), escape)
-
-
-def _report(
-    found: _Search, value: float, search: RadiusSearch, mode: str | None, witness: EmbeddingWitness
-) -> EstimateReport:
     return EstimateReport(
-        value=value,
-        radius=found.radius,
-        hit_cap=found.hit_cap,
-        samples=search.samples,
-        tol=search.tol,
-        mode=mode,
-        witness=witness.description,
-        evaluations=len(found.steps),
-        steps=found.steps,
-        escape=found.escape,
+        value=lo, radius=lo, hit_cap=hit_cap, samples=samples, tol=tol, mode=None,
+        witness=witness.description, evaluations=len(steps), steps=tuple(steps), escape=escape,
     )
 
 
@@ -468,16 +453,14 @@ def fridman_upper_from_embedding(
     p = as_point(p, d.dim)
     if witness.target != d:
         raise WitnessValidationError("witness target does not match the domain")
-    base_err = max(abs(u - v) for u, v in zip(witness.target_basepoint, p))
-    if base_err > 1e-10:
-        raise WitnessValidationError("witness does not send its basepoint to the given point")
+    _require_at(witness.target_basepoint, p, "witness does not send its basepoint to the given point")
 
     def draw(rng: np.random.Generator) -> metrics.Sphere:
         sphere = metrics.metric_sphere(d, p, search.samples, rng)
         return lambda r: sphere(r / mode.factor)
 
-    found = _largest_radius(witness, draw, search.r_max, search.tol, search.seed)
-    return _report(found, 1.0 / found.radius, search, mode.value, witness)
+    found = _largest_radius(witness, draw, search.r_max, search.tol, search.seed, search.samples)
+    return replace(found, value=1.0 / found.radius, mode=mode.value)
 
 
 def squeezing_exact(d: ModelDomain, p=None) -> float:
@@ -518,15 +501,11 @@ def squeezing_lower_from_embedding(
     p = as_point(p, d.dim)
     if witness.source != d or not isinstance(witness.target, Ball):
         raise WitnessValidationError("witness must embed the domain into a ball")
-    base_err = max(abs(u - v) for u, v in zip(witness.source_basepoint, p))
-    if base_err > 1e-10:
-        raise WitnessValidationError("witness does not send the given point to the origin")
-    if max(abs(c) for c in witness.target_basepoint) > 1e-10:
-        raise WitnessValidationError("witness must normalize the basepoint to the origin")
     n = witness.target.dim
+    _require_at(witness.source_basepoint, p, "witness does not send the given point to the origin")
+    _require_at(witness.target_basepoint, (0j,) * n, "witness must normalize the basepoint to the origin")
     draw = lambda rng: _euclidean_spheres(n, search.samples, rng)
-    found = _largest_radius(witness, draw, min(search.r_max, 1.0), search.tol, search.seed)
-    return _report(found, found.radius, search, None, witness)
+    return _largest_radius(witness, draw, min(search.r_max, 1.0), search.tol, search.seed, search.samples)
 
 
 # bisection tolerance of largest_centered_polydisc, whose cap is 1 - tol
@@ -540,15 +519,15 @@ def largest_centered_polydisc(
 ) -> float:
     """Largest polyradius c with the centred polydisc inside the witness image.
 
-    The witness must map a ball into a polydisc fixing 0 (to 1e-10).  The
-    polydisc sphere sample always contains the corner point, which decides the
-    containment exactly, so ``samples`` may be any integer >= 0.
+    The witness must map a ball into a polydisc fixing 0 (to ``BASEPOINT_TOL``).
+    The polydisc sphere sample always contains the corner point, which decides
+    the containment exactly, so ``samples`` may be any integer >= 0.
     """
     if not isinstance(witness.source, Ball) or not isinstance(witness.target, Polydisc):
         raise WitnessValidationError("witness must map a ball into a polydisc")
-    if max(abs(c) for c in witness.source_basepoint + witness.target_basepoint) > 1e-10:
-        raise WitnessValidationError("witness must fix the origin")
+    origin = witness.source_basepoint + witness.target_basepoint
+    _require_at(origin, (0j,) * len(origin), "witness must fix the origin")
     _check_samples(samples, 0)
     n = witness.target.dim
     draw = lambda rng: metrics.polydisc_sphere(n, samples, rng)
-    return _largest_radius(witness, draw, 1.0 - POLYRADIUS_TOL, POLYRADIUS_TOL, seed).radius
+    return _largest_radius(witness, draw, 1.0 - POLYRADIUS_TOL, POLYRADIUS_TOL, seed, samples).radius

@@ -226,14 +226,27 @@ def _polydisc_metric_sphere(d: Polydisc, center, count: int, rng: np.random.Gene
     return sphere
 
 
+def _halfplane_circles(center: complex, angles: np.ndarray) -> Callable[[float], np.ndarray]:
+    """The points at ``angles`` of the metric circles :func:`halfplane_metric_circle`
+    gives, as a function from the radius, with ``t = 2 radius`` and
+    ``Im = y0 (e^-t + 2 sinh t sin^2(angle/2 + pi/4))``, a sum of nonnegative
+    terms: ``y0 cosh t + y0 sinh t sin(angle)`` cancels on the lower arc."""
+    cos = np.cos(angles)
+    lift = np.sin(0.5 * angles + 0.25 * math.pi) ** 2
+
+    def circle(radius: float) -> np.ndarray:
+        t = 2.0 * radius
+        s = center.imag * math.sinh(t)
+        w = np.empty(len(angles), dtype=complex)
+        w.real, w.imag = center.real + s * cos, center.imag * math.exp(-t) + 2.0 * s * lift
+        return w
+
+    return circle
+
+
 def _halfplane_sphere(center: complex, count: int) -> Sphere:
-    circle = np.exp(1j * np.linspace(0.0, covering.TWO_PI, count, endpoint=False))
-
-    def sphere(radius: float) -> np.ndarray:
-        ecenter, eradius = halfplane_metric_circle(center, radius)
-        return (ecenter + eradius * circle)[:, None]
-
-    return sphere
+    circle = _halfplane_circles(center, np.linspace(0.0, covering.TWO_PI, count, endpoint=False))
+    return lambda radius: circle(radius)[:, None]
 
 
 def _punctured_sphere(center: complex, count: int, rng: np.random.Generator) -> Sphere:
@@ -243,28 +256,27 @@ def _punctured_sphere(center: complex, count: int, rng: np.random.Generator) -> 
     are spread over those arcs, and every radius keeps all ``count``."""
     z0 = covering.principal_lift(center)
     angles = np.linspace(0.0, covering.TWO_PI, count, endpoint=False) + rng.uniform(0.0, 1e-3)
-    circle = np.exp(1j * angles)
+    circle = _halfplane_circles(z0, angles)
 
     def sphere(radius: float) -> np.ndarray:
         ecenter, eradius = halfplane_metric_circle(z0, radius)
         arc, extreme = circle, []
         if eradius > math.pi:  # the arcs (a, pi - a) and (pi + a, 2 pi - a)
             a = math.acos(math.pi / eradius)
-            arc = np.exp(1j * (a + angles * (1.0 - 2.0 * a / math.pi) + 2.0 * a * (angles >= math.pi)))
+            arc = _halfplane_circles(z0, a + angles * (1.0 - 2.0 * a / math.pi) + 2.0 * a * (angles >= math.pi))
             # Where the circle crosses the lines Re = x0 +/- pi the projection
             # lands exactly on the antipodal ray; those are the extreme sphere
             # points, so add them exactly (crucially, on the negative real axis
-            # when the center is real positive).
+            # when the center is real positive).  The lower crossing
+            # y0 cosh t - h is (y0^2 + pi^2) / (y0 cosh t + h), which does not cancel.
             h = math.sqrt(eradius * eradius - math.pi * math.pi)
-            for y in (ecenter.imag - h, ecenter.imag + h):
-                if y <= 0:
-                    continue
+            for y in ((z0.imag**2 + math.pi**2) / (ecenter.imag + h), ecenter.imag + h):
                 r = math.exp(-y)
                 if z0.real == 0.0:
                     extreme.append(complex(-r, 0.0))
                 else:
                     extreme.append(cmath.exp(1j * complex(z0.real + math.pi, y)))
-        w = ecenter + eradius * arc
+        w = arc(radius)
         pts = np.concatenate([np.exp(1j * w[np.abs(w.real - z0.real) <= math.pi]), np.array(extreme, dtype=complex)])
         return pts[pts != 0][:, None]  # far out, exp(i w) underflows to the puncture
 
@@ -286,7 +298,9 @@ def metric_sphere(d: ModelDomain, center, count: int, rng: np.random.Generator) 
     ball-containment questions (polydisc corners, antipodal crossings in the
     punctured disc).  The punctured disc keeps all its angles at every
     radius, on the arcs that project into its fundamental domain, less the
-    rows that underflow to the puncture.
+    rows that underflow to the puncture.  The half-plane circles, lifted or
+    not, are sums of nonnegative terms (:func:`_halfplane_circles`), so their
+    rows keep their distance to relative precision at large radii.
 
     A center outside the domain, or a radius that is not finite and
     positive, raises ``ValueError``.

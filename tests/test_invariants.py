@@ -441,6 +441,24 @@ class TestWitnessValidation:
         with pytest.raises(WitnessValidationError, match="escaped the slit"):
             bad.validate()
 
+    def test_non_finite_image_fails_validation(self):
+        """An image row that is not finite is outside the target: it raised
+        ``ValueError`` from the row coercion, naming neither the witness nor
+        the source row, and printed numpy scalar reprs."""
+        witness = EmbeddingWitness(
+            source=Ball(1),
+            target=Ball(1),
+            forward=lambda z: np.where(abs(z) > 0.99, np.inf, z / 2),
+            inverse=lambda w: 2 * w,
+            source_basepoint=(0j,),
+            target_basepoint=(0j,),
+            description="half the disc, with poles near the circle",
+        )
+        with pytest.raises(WitnessValidationError, match=r"^image point \(\(inf\+0j\),\) of \(\(") as info:
+            witness.validate()
+        assert "escaped the ball1 for half the disc, with poles near the circle" in str(info.value)
+        assert "np." not in str(info.value)
+
     def test_non_finite_row_raises(self):
         sphere = sample_metric_sphere(Polydisc(2), (0j, 0j), 0.5, 64, np.random.default_rng(0))
         sphere[7, 1] = complex(np.nan, 0.0)
@@ -465,7 +483,32 @@ class TestWitnessValidation:
         assert witness.image_contains(rows).tolist() == [True, False, True, False, False]
 
 
+# each basepoint check, run with its point off by a given offset
+BASEPOINT_CHECKS = {
+    "validate-normalization": lambda e: dataclasses.replace(
+        identity_ball_witness(2), target_basepoint=(e, 0j)).validate(),
+    "fridman-target": lambda e: fridman_upper_from_embedding(
+        Polydisc(2), (e, 0j), ball_inclusion_into_polydisc(2), RadiusSearch(tol=1e-2, samples=8)),
+    "squeezing-source": lambda e: squeezing_lower_from_embedding(
+        Polydisc(2), (e, 0j), scaled_polydisc_into_ball(2), RadiusSearch(r_max=1.0, tol=1e-2, samples=8)),
+    "squeezing-origin": lambda e: squeezing_lower_from_embedding(
+        Polydisc(2), (0j, 0j), dataclasses.replace(scaled_polydisc_into_ball(2), target_basepoint=(e, 0j)),
+        RadiusSearch(r_max=1.0, tol=1e-2, samples=8)),
+    "centered-polydisc": lambda e: largest_centered_polydisc(
+        dataclasses.replace(ball_inclusion_into_polydisc(2), target_basepoint=(e, 0j)), samples=8),
+}
+
+
 class TestBasepointCoercion:
+    @pytest.mark.parametrize("check", BASEPOINT_CHECKS)
+    def test_one_basepoint_tolerance(self, check):
+        """Every basepoint check accepts an offset inside ``BASEPOINT_TOL`` and
+        rejects one outside it, saying by how much it is off."""
+        assert invariants.BASEPOINT_TOL == 1e-10
+        BASEPOINT_CHECKS[check](5e-11)
+        with pytest.raises(WitnessValidationError, match=r"\(off by 2\.000e-10\)"):
+            BASEPOINT_CHECKS[check](2e-10)
+
     def test_short_basepoint_is_rejected_where_the_witness_is_made(self):
         """A basepoint with too few coordinates used to pass ``validate`` and
         the estimators' basepoint checks, whose ``zip`` stopped at the
@@ -632,15 +675,15 @@ ESTIMATE_WORKLOAD_PINS = {
     ),
     "fridman.punctured0.2.s256": (
         "0x1.6811801c6e0c7p-1", "0x1.6c050f4943e0fp+0", 26, "819ff7ed9761d180",
-        ("-0x1.e2550349d99c1p-6 0x0.0p+0",),
+        ("-0x1.e2550349d99c4p-6 0x0.0p+0",),
     ),
     "fridman.punctured0.5.s256": (
         "0x1.ce05baf65bd69p-2", "0x1.1bb11f3a02e22p+1", 26, "8151db919c74bb0b",
-        ("-0x1.48c4605c29556p-5 0x0.0p+0",),
+        ("-0x1.48c4605c29559p-5 0x0.0p+0",),
     ),
     "fridman.punctured0.8.s256": (
         "0x1.32abf307a9aa0p-2", "0x1.ab66d6a352114p+1", 26, "963235ead80061a8",
-        ("-0x1.60b0fe75d13c8p-5 0x0.0p+0",),
+        ("-0x1.60b0fe75d13c3p-5 0x0.0p+0",),
     ),
     "squeezing.polydisc2.s256": (
         "0x1.6a09c9d3f1842p-1", "0x1.6a09c9d3f1842p-1", 22, "72f2dc244977c2a2",
@@ -705,15 +748,15 @@ ESTIMATE_WORKLOAD_PINS = {
     ),
     "fridman.punctured0.2.s1024": (
         "0x1.6811801c6e0c7p-1", "0x1.6c050f4943e0fp+0", 26, "819ff7ed9761d180",
-        ("-0x1.e2550349d99c1p-6 0x0.0p+0",),
+        ("-0x1.e2550349d99c4p-6 0x0.0p+0",),
     ),
     "fridman.punctured0.5.s1024": (
         "0x1.ce05baf65bd69p-2", "0x1.1bb11f3a02e22p+1", 26, "8151db919c74bb0b",
-        ("-0x1.48c4605c29556p-5 0x0.0p+0",),
+        ("-0x1.48c4605c29559p-5 0x0.0p+0",),
     ),
     "fridman.punctured0.8.s1024": (
         "0x1.32abf307a9aa0p-2", "0x1.ab66d6a352114p+1", 26, "963235ead80061a8",
-        ("-0x1.60b0fe75d13c8p-5 0x0.0p+0",),
+        ("-0x1.60b0fe75d13c3p-5 0x0.0p+0",),
     ),
     "squeezing.polydisc2.s1024": (
         "0x1.6a09c9d3f1842p-1", "0x1.6a09c9d3f1842p-1", 22, "72f2dc244977c2a2",

@@ -428,6 +428,26 @@ class TestSphereSampling:
             assert len(sphere(r)) >= 256
         assert contains_rows(PuncturedDisc(), sphere(8.0)).all()
 
+    @pytest.mark.parametrize(
+        "d,center,radius,rel",
+        [
+            (UpperHalfPlane(), 0.3 + 0.7j, 6.0, 1e-14),
+            (UpperHalfPlane(), 0.3 + 0.7j, 10.0, 1e-14),
+            # the rest of its error is from_halfplane's rounding (ROADMAP item 1)
+            (HalfPlaneC(1.0 + 0.5j), 0.3 + 0.7j, 10.0, 1e-8),
+            (PuncturedDisc(), 0.5, 4.0, 1e-12),
+        ],
+        ids=["halfplane-6", "halfplane-10", "halfplane-linear-10", "punctured-4"],
+    )
+    def test_wide_sphere_keeps_relative_precision(self, d, center, radius, rel):
+        """Every row lies at the radius to relative precision.  The lower arc
+        of the lifted circle had Im = y0 cosh t - y0 sinh t |sin|, which
+        cancels: the half-plane rows missed r = 6 by 3e-7 and left the domain
+        at r = 10, and the punctured rows missed r = 4 by 9e-11."""
+        rows = metric_sphere(d, center, 256, np.random.default_rng(0))(radius)
+        assert contains_rows(d, rows).all()
+        assert max(abs(kobayashi_distance(d, center, row) - radius) for row in rows) <= rel * radius
+
     def test_halfplane_sphere(self):
         rng = np.random.default_rng(10)
         pts = sample_metric_sphere(UpperHalfPlane(), 1j, 0.3, 32, rng)
