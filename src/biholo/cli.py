@@ -293,6 +293,8 @@ def _run_scale_spec(spec: dict, args) -> tuple[dict[str, list[dict]], bool]:
             outputs["invariance"] = [{"invariant_under_dilations": ok}]
             passed &= ok
     else:
+        if spec.get("domain", "punctured") != "punctured":
+            raise CliError("only the punctured disc is built in; domain must be 'punctured'")
         approach = _approach_from_spec(spec, 1)
         report = scaling.convergence_experiment(PuncturedDisc(), approach)
         factor = _mode(args).factor

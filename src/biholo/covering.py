@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hyperbolic import halfplane_distance
+from .hyperbolic import _acosh_form, _s_rows, halfplane_distance
 from .maps import Chain, Mobius, PrincipalSqrt, Square
 
 __all__ = [
@@ -156,19 +156,6 @@ def punctured_distance_detail(p: complex, q: complex) -> DeckDistance:
     if abs(best_k) == DECK_RANGE:
         raise RuntimeError(f"deck argmin k={best_k} is on the enumeration boundary K={DECK_RANGE}")
     return DeckDistance(_acosh_form(float(s[i])), best_k, DECK_RANGE)
-
-
-def _s_rows(dx, y1: float, y2):
-    """The ``s`` of the acosh form ``arccosh(1 + s) / 2`` of the half-plane
-    distance, at horizontal offsets ``dx`` and heights ``y1`` and ``y2``.
-    The distance is increasing in ``s``, so a grid's extremum of the
-    distance is the acosh form at the grid's extremum of ``s``."""
-    return (dx * dx + (y1 - y2) ** 2) / (2.0 * y1 * y2)
-
-
-def _acosh_form(s: float) -> float:
-    """``arccosh(1 + s) / 2``, through log1p."""
-    return 0.5 * math.log1p(s + math.sqrt(s * (s + 2.0)))
 
 
 def deck_minimum_enumerated(p: float, theta: float) -> float:

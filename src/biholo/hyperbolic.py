@@ -6,7 +6,8 @@ the Fridman invariant and the squeezing function are stated: on the disc
 euclidean radius tanh(r), and on the half-plane
 ``d(z, w) = asinh(|z - w| / (2 sqrt(Im z Im w)))``.  That is half the
 curvature -1 (Poincare) distance, density ``|dz| / Im z``, whose circles
-:func:`halfplane_metric_circle` describes.
+:func:`halfplane_metric_circle` gives point by point, in one form that does
+not cancel; the metric spheres and balls of the half-planes are its points.
 
 :class:`MetricMode` is an output choice only: ``mode.factor`` takes a
 Kobayashi distance to the Poincare one and back, exactly.
@@ -80,19 +81,31 @@ def halfplane_distance(z: complex, w):
     return asinh(abs(z - w) / (2.0 * (sqrt(z.imag) * sqrt(w.imag))))
 
 
+def _s_rows(dx, y1: float, y2):
+    """The ``s`` of the acosh form ``arccosh(1 + s) / 2`` of the half-plane
+    distance, at horizontal offsets ``dx`` and heights ``y1`` and ``y2``.
+    The distance is increasing in ``s``, so a grid's extremum of the
+    distance is the acosh form at the grid's extremum of ``s``."""
+    return (dx * dx + (y1 - y2) ** 2) / (2.0 * y1 * y2)
+
+
+def _acosh_form(s: float) -> float:
+    """``arccosh(1 + s) / 2``, through log1p: the oracles' half-plane distance."""
+    return 0.5 * math.log1p(s + math.sqrt(s * (s + 2.0)))
+
+
 def halfplane_distance_acosh(z: complex, w: complex) -> float:
     """Independent acosh form of the half-plane distance: the oracle that
     :func:`halfplane_distance` is checked against, not a fallback for it.
 
-    Evaluates ``arccosh(1 + s) / 2`` through log1p, with
+    Evaluates :func:`_acosh_form`, ``arccosh(1 + s) / 2`` through log1p, at
     ``s = (|z - w| / (sqrt(2 Im z) sqrt(Im w)))^2 = |z - w|^2 / (2 Im z Im w)``:
     the ratio is formed before it is squared, so ``s`` neither underflows
     nor overflows at very small or very large coordinates.
     """
     z = _require_halfplane(z)
     w = _require_halfplane(w)
-    s = (abs(z - w) / (math.sqrt(2.0 * z.imag) * math.sqrt(w.imag))) ** 2
-    return 0.5 * math.log1p(s + math.sqrt(s * (s + 2.0)))
+    return _acosh_form((abs(z - w) / (math.sqrt(2.0 * z.imag) * math.sqrt(w.imag))) ** 2)
 
 
 def disc_distance(a: complex, b):
@@ -134,17 +147,25 @@ def vertical_line_distance(z: complex, c: float) -> float:
     return halfplane_distance(z, foot)
 
 
-def halfplane_metric_circle(center: complex, radius):
-    """Euclidean (center, radius) of a metric circle in the half-plane, or
-    arrays of them for an array of radii.
+def halfplane_metric_circle(center: complex, angles: np.ndarray):
+    """The points at ``angles`` of the metric circles around ``x0 + i y0``, as
+    a function from the radius: a float or one per angle, checked by the caller.
 
-    The Kobayashi circle of radius r around ``x0 + i y0`` is the curvature -1
-    circle of radius ``t = 2 r``: the euclidean circle with center
-    ``x0 + i y0 cosh t`` and radius ``y0 sinh t``.
+    The Kobayashi circle of radius r is the euclidean circle with center
+    ``x0 + i y0 cosh t`` and radius ``y0 sinh t``, ``t = 2 r``.  Its heights
+    are ``y0 (e^-t + 2 sinh t sin^2(angle/2 + pi/4))``, a sum of nonnegative
+    terms: ``y0 cosh t + y0 sinh t sin(angle)`` cancels on the lower arc.
     """
     center = _require_halfplane(center)
-    t = 2.0 * radius
-    if not np.all(t >= 0):
-        raise ValueError("radius must be nonnegative")
-    lib = np if isinstance(t, np.ndarray) else math
-    return center.real + 1j * (center.imag * lib.cosh(t)), center.imag * lib.sinh(t)
+    cos = np.cos(angles)
+    lift = np.sin(0.5 * angles + 0.25 * math.pi) ** 2
+
+    def circle(radius) -> np.ndarray:
+        t = 2.0 * radius
+        lib = np if isinstance(t, np.ndarray) else math
+        s = center.imag * lib.sinh(t)
+        w = np.empty(len(cos), dtype=complex)
+        w.real, w.imag = center.real + s * cos, center.imag * lib.exp(-t) + 2.0 * s * lift
+        return w
+
+    return circle

@@ -204,14 +204,20 @@ def polydisc_sphere_sample(n: int, modulus: float, count: int, rng: np.random.Ge
 
 
 def _ball_sphere(center: Point, count: int, rng: np.random.Generator) -> Sphere:
-    directions = random_unit_vectors(len(center), count, rng)
+    """The ball's spheres at ``count`` directions; a radius is a float, or one per direction."""
+    directions = random_unit_vectors(len(center), count, rng).T
     phi = ball_automorphism(center)
-    return lambda radius: np.column_stack(phi((math.tanh(radius) * directions).T))
+    return lambda radius: np.column_stack(
+        phi((np if isinstance(radius, np.ndarray) else math).tanh(radius) * directions))
 
 
 def _image(f: Callable[[np.ndarray], np.ndarray], sphere: Sphere) -> Sphere:
     """The spheres of ``sphere`` mapped by the isometry ``f`` of rows."""
     return lambda radius: f(sphere(radius))
+
+
+def _siegel_sphere(center: Point, count: int, rng: np.random.Generator) -> Sphere:
+    return _image(lambda rows: np.column_stack(ball_to_siegel(rows.T)), _ball_sphere(siegel_to_ball(center), count, rng))
 
 
 def _polydisc_metric_sphere(d: Polydisc, center, count: int, rng: np.random.Generator) -> Sphere:
@@ -226,26 +232,8 @@ def _polydisc_metric_sphere(d: Polydisc, center, count: int, rng: np.random.Gene
     return sphere
 
 
-def _halfplane_circles(center: complex, angles: np.ndarray) -> Callable[[float], np.ndarray]:
-    """The points at ``angles`` of the metric circles :func:`halfplane_metric_circle`
-    gives, as a function from the radius, with ``t = 2 radius`` and
-    ``Im = y0 (e^-t + 2 sinh t sin^2(angle/2 + pi/4))``, a sum of nonnegative
-    terms: ``y0 cosh t + y0 sinh t sin(angle)`` cancels on the lower arc."""
-    cos = np.cos(angles)
-    lift = np.sin(0.5 * angles + 0.25 * math.pi) ** 2
-
-    def circle(radius: float) -> np.ndarray:
-        t = 2.0 * radius
-        s = center.imag * math.sinh(t)
-        w = np.empty(len(angles), dtype=complex)
-        w.real, w.imag = center.real + s * cos, center.imag * math.exp(-t) + 2.0 * s * lift
-        return w
-
-    return circle
-
-
 def _halfplane_sphere(center: complex, count: int) -> Sphere:
-    circle = _halfplane_circles(center, np.linspace(0.0, covering.TWO_PI, count, endpoint=False))
+    circle = halfplane_metric_circle(center, np.linspace(0.0, covering.TWO_PI, count, endpoint=False))
     return lambda radius: circle(radius)[:, None]
 
 
@@ -256,21 +244,22 @@ def _punctured_sphere(center: complex, count: int, rng: np.random.Generator) -> 
     are spread over those arcs, and every radius keeps all ``count``."""
     z0 = covering.principal_lift(center)
     angles = np.linspace(0.0, covering.TWO_PI, count, endpoint=False) + rng.uniform(0.0, 1e-3)
-    circle = _halfplane_circles(z0, angles)
+    circle = halfplane_metric_circle(z0, angles)
 
     def sphere(radius: float) -> np.ndarray:
-        ecenter, eradius = halfplane_metric_circle(z0, radius)
+        eradius = z0.imag * math.sinh(2.0 * radius)  # center x0 + i y0 cosh 2r, radius y0 sinh 2r
         arc, extreme = circle, []
         if eradius > math.pi:  # the arcs (a, pi - a) and (pi + a, 2 pi - a)
             a = math.acos(math.pi / eradius)
-            arc = _halfplane_circles(z0, a + angles * (1.0 - 2.0 * a / math.pi) + 2.0 * a * (angles >= math.pi))
+            arc = halfplane_metric_circle(z0, a + angles * (1.0 - 2.0 * a / math.pi) + 2.0 * a * (angles >= math.pi))
             # Where the circle crosses the lines Re = x0 +/- pi the projection
             # lands exactly on the antipodal ray; those are the extreme sphere
             # points, so add them exactly (crucially, on the negative real axis
             # when the center is real positive).  The lower crossing
-            # y0 cosh t - h is (y0^2 + pi^2) / (y0 cosh t + h), which does not cancel.
+            # y0 cosh 2r - h is (y0^2 + pi^2) / (y0 cosh 2r + h), which does not cancel.
             h = math.sqrt(eradius * eradius - math.pi * math.pi)
-            for y in ((z0.imag**2 + math.pi**2) / (ecenter.imag + h), ecenter.imag + h):
+            top = z0.imag * math.cosh(2.0 * radius) + h
+            for y in ((z0.imag**2 + math.pi**2) / top, top):
                 r = math.exp(-y)
                 if z0.real == 0.0:
                     extreme.append(complex(-r, 0.0))
@@ -299,8 +288,8 @@ def metric_sphere(d: ModelDomain, center, count: int, rng: np.random.Generator) 
     punctured disc).  The punctured disc keeps all its angles at every
     radius, on the arcs that project into its fundamental domain, less the
     rows that underflow to the puncture.  The half-plane circles, lifted or
-    not, are sums of nonnegative terms (:func:`_halfplane_circles`), so their
-    rows keep their distance to relative precision at large radii.
+    not, are :func:`halfplane_metric_circle`'s, sums of nonnegative terms, so
+    their rows keep their distance to relative precision at large radii.
 
     A center outside the domain, or a radius that is not finite and
     positive, raises ``ValueError``.
@@ -327,35 +316,26 @@ def sample_metric_sphere(
     return metric_sphere(d, center, count, rng)(radius)
 
 
-def _siegel_ball(d: Siegel, center, radius: float, count: int, rng: np.random.Generator):
-    directions = random_unit_vectors(d.dim, count, rng)
-    t = radius * np.sqrt(rng.uniform(size=count))
-    v = np.tanh(t)[:, None] * directions
-    phi = ball_automorphism(siegel_to_ball(center))
-    return np.column_stack(ball_to_siegel(phi(v.T)))
-
-
 def _halfplane_ball(z0: complex, radius: float, count: int, rng: np.random.Generator):
     """The upper half-plane's ball around ``z0``, as a 1-d array."""
     u = rng.uniform(size=(count, 2))
     shell = np.linspace(0.0, covering.TWO_PI, max(count // 2, 8), endpoint=False)
     t = np.concatenate([radius * np.sqrt(u[:, 0]), np.full(len(shell), radius)])
-    angle = np.concatenate([covering.TWO_PI * u[:, 1], shell])
-    ecenter, eradius = halfplane_metric_circle(z0, t)
-    return ecenter + eradius * (np.cos(angle) + 1j * np.sin(angle))
+    angles = np.concatenate([covering.TWO_PI * u[:, 1], shell])
+    return halfplane_metric_circle(z0, angles)(t)
 
 
 def sample_metric_ball(
     d: ModelDomain, center, radius: float, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Sample the closed Kobayashi ball, as rows: on the half-planes with the
-    outer shells weighted, on the Siegel domain through the Cayley transform.
+    """Sample the closed Kobayashi ball, as rows: the sphere formulas at one
+    radius per row, :func:`halfplane_metric_circle` on the half-planes (outer
+    shell weighted), the ball's sphere on the Siegel domain (Cayley transform).
 
     The random stream is that of drawing one sample at a time: on the
     half-planes one ``uniform((count, 2))``, each sample's radius and then
-    its angle, and the fixed boundary circle of ``max(count // 2, 8)``
-    points after the samples; on the Siegel domain ``random_unit_vectors``
-    and then one ``uniform(count)`` of radii.
+    its angle, then the fixed boundary circle of ``max(count // 2, 8)``
+    points; on the Siegel domain the directions, then ``uniform(count)``.
 
     A center outside the domain, or a radius that is not finite and
     positive, raises ``ValueError``.
@@ -431,9 +411,9 @@ _GEOMETRY: dict[type, Geometry] = {
     ),
     Siegel: Geometry(
         distance=lambda d, p, q: ball_distance(siegel_to_ball(p), siegel_to_ball(q)),
-        sphere=lambda d, center, count, rng: _image(
-            lambda rows: np.column_stack(ball_to_siegel(rows.T)), _ball_sphere(siegel_to_ball(center), count, rng)),
-        ball=lambda d, center, radius, count, rng: _siegel_ball(d, center, radius, count, rng),
+        sphere=lambda d, center, count, rng: _siegel_sphere(center, count, rng),
+        ball=lambda d, center, radius, count, rng: _siegel_sphere(center, count, rng)(
+            radius * np.sqrt(rng.uniform(size=count))),
         exact=lambda d: (0.0, 1.0),
     ),
     WeightedModel: Geometry(),  # any but the unbounded ball realization

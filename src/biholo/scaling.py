@@ -72,6 +72,8 @@ __all__ = [
     "loglog_slope",
 ]
 
+BOUNDARY_TOL = 1e-12  # the most |defining value| at a base point, the least |gradient| there
+
 
 @dataclass(frozen=True)
 class BoundaryApproach:
@@ -218,11 +220,14 @@ def make_isotropic(rho: PlanarDefiningFunction, approach: BoundaryApproach) -> S
 
     The dilations are ``T_j(z) = (z - p_j) / (-rho(p_j))``; the limit is the
     half-plane ``{2 Re(a z) - 1 < 0}`` with ``a`` the z-derivative of the
-    defining function at the boundary point.
+    defining function at the boundary point.  A base point off the boundary,
+    or one where the gradient vanishes, raises ``ValueError``.
     """
     base = as_point(approach.base_point, 1)[0]
+    if not abs(rho(base)) <= BOUNDARY_TOL:
+        raise ValueError(f"base point {base!r} off the boundary: the defining function is {rho(base)!r} there")
     grad = complex(rho.dz(base))
-    if abs(grad) < 1e-12:
+    if abs(grad) < BOUNDARY_TOL:
         raise ValueError("the defining function has vanishing gradient at the base point")
     dilations = []
     for p in approach.points():
@@ -252,11 +257,12 @@ def rescale(
     multitype gives the dilations, and the limit is ``Siegel(n)`` where
     :func:`siegel_equivalent` holds.  ``P`` is checked for weight-one
     homogeneity only, not for plurisubharmonicity.  ``defining`` is D's
-    defining function on a point or on the columns of rows, and
-    ``distance(p, columns)`` is D's Kobayashi distance, pulled back through
-    the dilations.  Without ``defining``, D is the model, whose family is
-    constant by weight-one invariance: its distance is the limit's at the
-    normalized points, where the limit has one.
+    defining function on a point or on the columns of rows; one that does not
+    vanish at the origin raises ``ValueError``.  ``distance(p, columns)`` is
+    D's Kobayashi distance, pulled back through the dilations.  Without
+    ``defining``, D is the model, whose family is constant by weight-one
+    invariance: its distance is the limit's at the normalized points, where
+    the limit has one.
     """
     n = model.dim
     base, normal = as_point(approach.base_point, n), as_point(approach.normal, n)
@@ -264,6 +270,8 @@ def rescale(
         raise ValueError("anisotropic scaling expects normalized coordinates (base point 0)")
     if any(c != 0 for c in normal[:-1]) or normal[-1] != 1:
         raise ValueError("anisotropic scaling expects the approach along -e_n")
+    if defining is not None and not abs(defining(base)) <= BOUNDARY_TOL:
+        raise ValueError(f"base point {base!r} off the boundary: the defining function is {defining(base)!r} there")
     if not symbolic_weight_check(model.poly, model.multitype):
         raise ValueError("the model polynomial is not weight-one homogeneous for the multitype")
     if defining is None and distance is not None:

@@ -45,6 +45,8 @@ from .domains import (
 )
 from .hyperbolic import (
     MetricMode,
+    _acosh_form,
+    _s_rows,
     disc_distance,
     halfplane_distance,
     halfplane_distance_acosh,
@@ -151,7 +153,7 @@ def suite_vertical_line(cfg: RunConfig) -> SuiteResult:
     for x, y, c in rng.uniform([-4, 0.2, -4], 4, size=(12, 3)).tolist():
         z = complex(x, y)
         # the acosh form is increasing in s: apply it once, at the grid's smallest s
-        grid_min = covering._acosh_form(float(covering._s_rows(x - c, y, ts).min()))
+        grid_min = _acosh_form(float(_s_rows(x - c, y, ts).min()))
         found.append((vertical_line_distance(z, c), grid_min, halfplane_distance(z, complex(c, abs(z - c)))))
     d_foot, grid_min, at_foot = np.array(found).T
     res.expect_rows(

@@ -323,12 +323,15 @@ class TestScale:
             {"kind": "isotropic", "base_point": "1", "normal": "1", "checks": ["nope"]},
             {"kind": "isotropic", "base_point": "1", "normal": "1", "checks": "hausdorff"},
             {"kind": "isotropic", "base_point": "1", "normal": "1", "checks": ["invariance"]},
+            {"kind": "isotropic", "base_point": "0.5", "normal": "1", "deltas": {"j_start": 3, "j_end": 8}},
+            {"kind": "convergence", "domain": "disc", "base_point": "1", "normal": "1"},
         ],
         ids=["no-multitype", "scalar-multitype", "not-weight-one", "rate-0-remainder",
              "no-exponents", "no-distance", "zero-trials", "zero-samples", "nan-radius", "nan-eps",
              "nan-delta", "nan-coefficient", "nan-tol", "zero-tol", "list-spec", "number-poly",
              "number-grid", "number-deltas", "number-ball-inclusion", "string-remainder",
-             "unknown-check", "string-checks", "isotropic-invariance"],
+             "unknown-check", "string-checks", "isotropic-invariance", "base-off-the-boundary",
+             "convergence-disc"],
     )
     def test_bad_spec_is_a_usage_error(self, tmp_path, capsys, payload):
         """Exit 2 with an ``error:`` line, not a traceback, and no file."""

@@ -25,7 +25,7 @@ from biholo.domains import (
     random_unit_vectors,
     sample_rows,
 )
-from biholo.hyperbolic import MetricMode, disc_distance, halfplane_distance, halfplane_metric_circle
+from biholo.hyperbolic import MetricMode, disc_distance, halfplane_distance
 from biholo.invariants import fridman_exact, squeezing_exact
 from biholo.maps import Mobius
 from biholo.metrics import (
@@ -572,17 +572,33 @@ class TestBallSampling:
                 expected.append(ball_to_siegel(phi(tuple(rho * c for c in v))))
         else:
             z0 = d.to_halfplane(center[0]) if isinstance(d, HalfPlaneC) else center[0]
-            ws = []
-            for _ in range(count):
-                t = radius * math.sqrt(rng.uniform())
-                ecenter, eradius = halfplane_metric_circle(z0, t)
-                ws.append(ecenter + eradius * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
-            ecenter, eradius = halfplane_metric_circle(z0, radius)
+
+            def circle(r, angle):  # x0 + i y0 cosh t + y0 sinh t e^(i angle), t = 2 r
+                t = 2.0 * r
+                return complex(z0.real, z0.imag * math.cosh(t)) + z0.imag * math.sinh(t) * cmath.exp(1j * angle)
+
+            ws = [circle(radius * math.sqrt(rng.uniform()), rng.uniform(0.0, 2.0 * math.pi)) for _ in range(count)]
             shell = np.linspace(0.0, 2.0 * math.pi, count // 2, endpoint=False)
-            ws += [ecenter + eradius * cmath.exp(1j * a) for a in shell]
+            ws += [circle(radius, a) for a in shell]
             expected = [(d.from_halfplane(w) if isinstance(d, HalfPlaneC) else w,) for w in ws]
         assert rows.shape == (len(expected), d.dim)
         assert rows.tolist() == [pytest.approx(list(p), rel=1e-13) for p in expected]
+
+    @pytest.mark.parametrize("radius", [8.0, 10.0, 12.0])
+    @pytest.mark.parametrize(
+        "d,center",
+        [(UpperHalfPlane(), 0.3 + 0.7j), (HalfPlaneC(1.0 + 0.5j), -0.5 + 0.2j)],
+        ids=["halfplane", "halfplane-linear"],
+    )
+    def test_wide_ball_stays_in_the_domain(self, d, center, radius):
+        """Far out, every row of the ball lies in the domain; on the
+        half-plane its distance stays within 1e-12 relative of the radius.
+        ``HalfPlaneC``'s rows go through ``from_halfplane``, whose rounding
+        is not bounded here."""
+        rows = sample_metric_ball(d, (center,), radius, 64, np.random.default_rng(0))
+        assert (d.defining(rows.T) < 0.0).all()
+        if isinstance(d, UpperHalfPlane):
+            assert max(kobayashi_distance(d, (center,), q) for q in rows) <= radius * (1.0 + 1e-12)
 
     def test_unsupported_domain(self):
         with pytest.raises(UnsupportedDomainError, match="ball sampler"):

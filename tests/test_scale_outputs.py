@@ -42,8 +42,8 @@ SHA256 = {
         "anisotropic_invariance.json": "646dedd3aa1412fbfc0859d1fed280ab7fabae2e4d38c3c02dd1da9397c0e5d5",
         "convergence_convergence.csv": "50eaa7965685b52d6bdc466a5b4aa5a9bf38ba1dc0b1289da5ec24f82b78444e",
         "convergence_convergence.json": "e1260900f21b142a41cc047fd2d85ec6e3c2ab4b43e4abf40d4f7deebf840126",
-        "isotropic_ball_inclusion.csv": "3a9ea203fb6328aa0db027d1ceeb63529ecb8c42e325f7d42264d4dc3cbc5968",
-        "isotropic_ball_inclusion.json": "de0e9fe6140986c09117685de3dbaefa0088e6084f1bc6b9c523ddc8d60ff13a",
+        "isotropic_ball_inclusion.csv": "08a64adfbf72aedcfe4627899f5d0c927f4f15b9085361cc04a6f50146ca5075",
+        "isotropic_ball_inclusion.json": "9ca1d14b75de1c29cbf9895842388de1e6b5d8f0410689dde16e8384b1383a38",
         "isotropic_hausdorff.csv": "51061fd1e73d6f13f9050d42c56014b12f923709ee9f3ecfd93d07247b05c411",
         "isotropic_hausdorff.json": "0ed5501fa2a91f0b560711749e924e1b8afac692a7279c61abee7fc660f183b8",
         "siegel_ball_inclusion.csv": "065597f4abaefa7bce16f647fec36af6db980ae276b3bb7a0d3ce2dd6d31fb68",

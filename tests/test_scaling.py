@@ -137,6 +137,19 @@ class TestIsotropicFamily:
         with pytest.raises(ValueError, match="gradient"):
             make_isotropic(flat, approach)
 
+    @pytest.mark.parametrize("base,off", [(0.5, True), (1.0 + 1e-12, True), (1.0 + 2e-13, False)])
+    def test_base_point_off_the_boundary_rejected(self, base, off):
+        """The base point lies on the boundary to ``BOUNDARY_TOL``, the
+        tolerance of the gradient check: ``|rho|`` is 0.75 at 0.5, 2e-12 at
+        ``1 + 1e-12`` and 4e-13 at ``1 + 2e-13``.  Off it, the rescaled
+        domains would not converge to the limit built from the gradient."""
+        approach = BoundaryApproach.geometric((base,), (1.0,), 3, 8)
+        if off:
+            with pytest.raises(ValueError, match="off the boundary"):
+                make_isotropic(disc_defining(), approach)
+        else:
+            assert make_isotropic(disc_defining(), approach).limit == HalfPlaneC(base)
+
     def test_exterior_approach_rejected(self):
         approach = BoundaryApproach((1.0,), (-1.0,), (0.5, 0.25))  # marches outward
         with pytest.raises(ValueError, match="inside"):
@@ -446,6 +459,23 @@ class TestBallInclusion:
         assert all(gap.min() > 0.0 for gap in gaps)
         assert 0.3 < gaps[0].max() < 0.35 and 3e-4 < gaps[-1].max() < 4e-4
         assert all(0.4 < b.max() / a.max() < 0.6 for a, b in zip(gaps[1:], gaps[2:]))
+
+    @pytest.mark.parametrize("offset,off", [(-1.0, True), (2e-12, True), (5e-13, False)])
+    def test_defining_off_the_base_point_rejected(self, offset, off):
+        """A given defining function vanishes at the base point 0 to
+        ``BOUNDARY_TOL``: the ball at its sphere, ``{2 Re w + |z1|^2 + |w|^2
+        < 0}``, shifted by ``offset``."""
+        approach = BoundaryApproach.geometric((0j, 0j), (0j, 1.0), 1, 4)
+        model = WeightedModel(Multitype((1, 2)), modulus_power(1, 0, 1))
+
+        def defining(z):
+            return 2.0 * z[1].real + abs(z[0]) ** 2 + abs(z[1]) ** 2 + offset
+
+        if off:
+            with pytest.raises(ValueError, match="off the boundary"):
+                rescale(model, approach, defining)
+        else:
+            assert rescale(model, approach, defining).limit == Siegel(2)
 
     def test_distance_needs_a_defining_function(self):
         approach = BoundaryApproach.geometric((0j, 0j), (0j, 1.0), 1, 4)
