@@ -68,11 +68,7 @@ def parse_domain(spec: str) -> ModelDomain:
     if m:
         kind, dim = m.group(1), int(m.group(2))
         try:
-            if kind == "ball":
-                return Ball(dim)
-            if kind == "polydisc":
-                return Polydisc(dim)
-            return Siegel(dim)
+            return {"ball": Ball, "polydisc": Polydisc, "siegel": Siegel}[kind](dim)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
     raise CliError(
@@ -433,7 +429,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, OSError) as exc:  # an OSError here is an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -321,6 +321,8 @@ def numeric_scaling_check(
     """Randomized check of ``P(delta^w . 'z) = delta P('z)`` for delta in (0, 2]."""
     if poly.nvars != multitype.dim - 1:
         raise ValueError("polynomial and multitype dimensions do not match")
+    if trials < 1:
+        raise ValueError(f"the scaling check needs at least one trial, got {trials}")
     rng = rng if rng is not None else np.random.default_rng(0)
     exps = multitype.tangential_exponents()
     for _ in range(trials):
@@ -378,6 +380,14 @@ def _segment_distance(z):
     return math.hypot(x - min(max(x, -1.0), 0.0), y)
 
 
+def _check_dimension(dim, least: int, message: str) -> None:
+    """``ValueError`` unless ``dim`` is an integer (numpy's too, not a bool) of at least ``least``."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+        raise ValueError(f"dimension must be an integer, not {dim!r}")
+    if dim < least:
+        raise ValueError(message)
+
+
 def _disc_rows(rng: np.random.Generator, shape) -> np.ndarray:
     """Points drawn uniformly from the unit disc, in an array of ``shape``."""
     r = np.sqrt(rng.uniform(size=shape))
@@ -433,8 +443,7 @@ class Ball:
     dim: int = 1
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
+        _check_dimension(self.dim, 1, "dimension must be >= 1")
 
     @property
     def label(self) -> str:
@@ -453,8 +462,7 @@ class Polydisc:
     dim: int
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
+        _check_dimension(self.dim, 1, "dimension must be >= 1")
 
     @property
     def label(self) -> str:
@@ -488,8 +496,8 @@ class HalfPlaneC:
     dim = 1
 
     def __post_init__(self) -> None:
-        if self.linear_coeff == 0:
-            raise ValueError("the linear coefficient must be nonzero")
+        if not (self.linear_coeff != 0 and cmath.isfinite(self.linear_coeff)):
+            raise ValueError(f"the linear coefficient must be finite and nonzero, not {self.linear_coeff!r}")
 
     @property
     def label(self) -> str:
@@ -541,8 +549,7 @@ class Siegel:
     dim: int
 
     def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise ValueError("the Siegel domain needs dimension >= 2")
+        _check_dimension(self.dim, 2, "the Siegel domain needs dimension >= 2")
 
     @property
     def label(self) -> str:

@@ -3,7 +3,8 @@ sampling, and the exact values of the invariants.
 
 What is known in closed form on a variant is one :class:`Geometry` record in
 one table keyed by its type, and every dispatch is one lookup there: a new
-variant is one class in ``domains`` plus one record here.  Every variant has
+variant is one class in ``domains`` plus one record, or one :func:`_carried`
+call if a biholomorphism maps it onto a variant with one.  Every variant has
 a distance on points or rows and a sphere but the weighted models other
 than the unbounded ball; those raise :class:`UnsupportedDomainError`.
 """
@@ -216,10 +217,6 @@ def _image(f: Callable[[np.ndarray], np.ndarray], sphere: Sphere) -> Sphere:
     return lambda radius: f(sphere(radius))
 
 
-def _siegel_sphere(center: Point, count: int, rng: np.random.Generator) -> Sphere:
-    return _image(lambda rows: np.column_stack(ball_to_siegel(rows.T)), _ball_sphere(siegel_to_ball(center), count, rng))
-
-
 def _polydisc_metric_sphere(d: Polydisc, center, count: int, rng: np.random.Generator) -> Sphere:
     polydisc = polydisc_sphere(d.dim, count, rng)
     a = np.array(center)
@@ -278,11 +275,10 @@ def metric_sphere(d: ModelDomain, center, count: int, rng: np.random.Generator) 
 
     The random part is drawn from ``rng`` here, once: the unit directions on
     the ball, the mask, fractions and phases on the polydisc, the jittered
-    angles on the punctured disc (the half-planes draw nothing).  The
-    spheres of ``HalfPlaneC``, the slit disc and the Siegel domain are those
-    of the half-plane, the disc and the ball, mapped as their distances map
-    points.  Each call does only the arithmetic that depends on the
-    radius, so a radius search tests every radius on the same sample.
+    angles on the punctured disc (the half-plane draws nothing), and on a
+    carried variant its model's, mapped back.  Each call does only the
+    arithmetic that depends on the radius, so a radius search tests every
+    radius on the same sample.
     Samples are dense in angle and include the extreme points that decide
     ball-containment questions (polydisc corners, antipodal crossings in the
     punctured disc).  The punctured disc keeps all its angles at every
@@ -329,13 +325,13 @@ def sample_metric_ball(
     d: ModelDomain, center, radius: float, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Sample the closed Kobayashi ball, as rows: the sphere formulas at one
-    radius per row, :func:`halfplane_metric_circle` on the half-planes (outer
-    shell weighted), the ball's sphere on the Siegel domain (Cayley transform).
+    radius per row, :func:`halfplane_metric_circle` on the half-plane (outer
+    shell weighted), the ball's sphere on the ball, its model's on a carried variant.
 
     The random stream is that of drawing one sample at a time: on the
-    half-planes one ``uniform((count, 2))``, each sample's radius and then
+    half-plane one ``uniform((count, 2))``, each sample's radius and then
     its angle, then the fixed boundary circle of ``max(count // 2, 8)``
-    points; on the Siegel domain the directions, then ``uniform(count)``.
+    points; on the ball the directions, then ``uniform(count)``.
 
     A center outside the domain, or a radius that is not finite and
     positive, raises ``ValueError``.
@@ -353,10 +349,10 @@ class Geometry(NamedTuple):
     or the columns of rows, ``sphere(d, center, count, rng)``,
     ``ball(d, center, radius, count, rng)`` and ``exact(d)``, the Fridman
     invariant and the squeezing function where both are theorems and
-    constant in the point (0 and 1 on the variants biholomorphic to the
-    ball, Deng, Guan and Zhang (2012) on the polydisc).  Distances and radii
-    are Kobayashi.  Each entry looks its functions up when called, so that a
-    function wrapped in place by name is the one that runs."""
+    constant in the point (0 and 1 on the ball and on what maps onto it,
+    Deng, Guan and Zhang (2012) on the polydisc).  Distances and radii are
+    Kobayashi; a carried record's entries are its model's.  Each entry looks
+    its functions up when called, so a function wrapped by name is what runs."""
 
     distance: Callable | None = None
     sphere: Callable[..., Sphere] | None = None
@@ -369,6 +365,22 @@ def _polydisc_exact(n: int) -> tuple[float, float]:
     return (1.0 / math.atanh(s), s) if n > 1 else (0.0, 1.0)
 
 
+def _carried(model: type, to_model: Callable, from_model: Callable) -> Geometry:
+    """The record of a variant mapped onto the variant ``model`` by the
+    biholomorphism ``to_model(d, z)``, of inverse ``from_model(d, w)``, both
+    of a point or the columns of rows to a tuple: the model's distance at the
+    images, its spheres and balls around the image of the center mapped back,
+    its exact values.  The model's entries get ``d``, whose ``dim`` the map keeps."""
+    return Geometry(
+        distance=lambda d, p, q: _GEOMETRY[model].distance(d, to_model(d, p), to_model(d, q)),
+        sphere=lambda d, center, count, rng: _image(lambda rows: np.column_stack(from_model(d, rows.T)),
+                                                    _GEOMETRY[model].sphere(d, to_model(d, center), count, rng)),
+        ball=lambda d, center, radius, count, rng: np.column_stack(from_model(
+            d, _GEOMETRY[model].ball(d, to_model(d, center), radius, count, rng).T)),
+        exact=lambda d: _GEOMETRY[model].exact(d),
+    )
+
+
 # the uniformization of SlitDisc(), built once at import; any basepoint
 # serves, since the disc distance is invariant under disc automorphisms
 _SLIT_MAP = covering.build_slit_map(0.5)
@@ -378,6 +390,8 @@ _GEOMETRY: dict[type, Geometry] = {
         # Ball(1) is the disc: its form keeps 1 - |a|^2 as (1 - |a|)(1 + |a|)
         distance=lambda d, p, q: disc_distance(p[0], q[0]) if d.dim == 1 else ball_distance(p, q),
         sphere=lambda d, center, count, rng: _ball_sphere(center, count, rng),
+        ball=lambda d, center, radius, count, rng: _ball_sphere(center, count, rng)(
+            radius * np.sqrt(rng.uniform(size=count))),
         exact=lambda d: (0.0, 1.0),
     ),
     Polydisc: Geometry(
@@ -391,31 +405,13 @@ _GEOMETRY: dict[type, Geometry] = {
         ball=lambda d, center, radius, count, rng: _halfplane_ball(center[0], radius, count, rng)[:, None],
         exact=lambda d: (0.0, 1.0),
     ),
-    HalfPlaneC: Geometry(
-        distance=lambda d, p, q: halfplane_distance(d.to_halfplane(p[0]), d.to_halfplane(q[0])),
-        sphere=lambda d, center, count, rng: _image(
-            d.from_halfplane, _halfplane_sphere(d.to_halfplane(center[0]), count)),
-        ball=lambda d, center, radius, count, rng: d.from_halfplane(
-            _halfplane_ball(d.to_halfplane(center[0]), radius, count, rng))[:, None],
-        exact=lambda d: (0.0, 1.0),
-    ),
+    HalfPlaneC: _carried(UpperHalfPlane, lambda d, z: (d.to_halfplane(z[0]),), lambda d, w: (d.from_halfplane(w[0]),)),
     PuncturedDisc: Geometry(
         distance=lambda d, p, q: covering.punctured_distance(p[0], q[0]),
         sphere=lambda d, center, count, rng: _punctured_sphere(center[0], count, rng),
     ),
-    SlitDisc: Geometry(
-        distance=lambda d, p, q: disc_distance(_SLIT_MAP.unapply(p[0]), _SLIT_MAP.unapply(q[0])),
-        sphere=lambda d, center, count, rng: _image(
-            _SLIT_MAP.apply, _ball_sphere((_SLIT_MAP.unapply(center[0]),), count, rng)),
-        exact=lambda d: (0.0, 1.0),
-    ),
-    Siegel: Geometry(
-        distance=lambda d, p, q: ball_distance(siegel_to_ball(p), siegel_to_ball(q)),
-        sphere=lambda d, center, count, rng: _siegel_sphere(center, count, rng),
-        ball=lambda d, center, radius, count, rng: _siegel_sphere(center, count, rng)(
-            radius * np.sqrt(rng.uniform(size=count))),
-        exact=lambda d: (0.0, 1.0),
-    ),
+    SlitDisc: _carried(Ball, lambda d, z: (_SLIT_MAP.unapply(z[0]),), lambda d, w: (_SLIT_MAP.apply(w[0]),)),
+    Siegel: _carried(Ball, lambda d, z: siegel_to_ball(z), lambda d, w: ball_to_siegel(w)),
     WeightedModel: Geometry(),  # any but the unbounded ball realization
 }
 

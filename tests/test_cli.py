@@ -85,6 +85,12 @@ class TestDist:
         code, _, err = run_cli(capsys, "dist", "disc", "0", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("target", [".", "missing/out.json"], ids=["directory", "missing-parent"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, target):
+        code, out, err = run_cli(capsys, "dist", "disc", "0", "0.5", "--out", str(tmp_path / target))
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and str(tmp_path) in err
+
 
 # dist and fridman records in both modes, as float.hex: the library computes
 # Kobayashi values and the CLI converts them by the exact factor, so every
@@ -280,6 +286,18 @@ class TestScale:
         assert code == 0
         inv = json.loads((out_dir / "exp_invariance.json").read_text())
         assert inv[0]["invariant_under_dilations"] is True
+
+    def test_out_that_is_a_file_is_a_usage_error(self, tmp_path, capsys):
+        spec = self.make_spec(tmp_path, {
+            "kind": "convergence", "domain": "punctured", "base_point": "1", "normal": "1",
+            "deltas": {"j_start": 1, "j_end": 2},
+        })
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, out, err = run_cli(capsys, "scale", str(spec), "--out", str(taken))
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and str(taken) in err
+        assert taken.read_text() == ""
 
     def test_malformed_spec_writes_nothing(self, tmp_path, capsys):
         spec = self.make_spec(tmp_path, {"kind": "isotropic", "rho": "mystery"})

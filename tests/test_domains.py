@@ -224,6 +224,26 @@ class TestVariantContract:
         with pytest.raises(ValueError, match=f"^{message}$"):
             make()
 
+    @pytest.mark.parametrize(
+        "make", [lambda: Ball(2.5), lambda: Ball(True), lambda: Polydisc(2.0), lambda: Siegel(2.5)],
+        ids=["Ball(2.5)", "Ball(True)", "Polydisc(2.0)", "Siegel(2.5)"],
+    )
+    def test_constructor_rejects_a_dimension_that_is_not_an_integer(self, make):
+        """A float or bool dimension would build a label such as ``ball2.5``
+        on which every distance fails."""
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            make()
+
+    def test_constructor_takes_a_numpy_integer_dimension(self):
+        assert Ball(np.int64(2)) == Ball(2) and Siegel(np.int32(3)).label == "siegel3"
+
+    @pytest.mark.parametrize("coeff", [0, float("nan"), float("inf"), complex(1.0, -float("inf"))])
+    def test_halfplane_needs_a_finite_nonzero_coefficient(self, coeff):
+        """``HalfPlaneC(nan)`` would contain no point, ``HalfPlaneC(inf)``
+        -5 but not 0."""
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            HalfPlaneC(coeff)
+
 
 ROW_VARIANTS = [
     Ball(2),
@@ -418,6 +438,13 @@ class TestHomogeneity:
             bad = good + modulus_power(1, 0, max(1, m - 1), 0.5)
             assert symbolic_weight_check(good, mt) == numeric_scaling_check(good, mt, 50, rng)
             assert symbolic_weight_check(bad, mt) == numeric_scaling_check(bad, mt, 200, rng)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_numeric_check_needs_a_trial(self, trials):
+        """With no trial the check would pass an inhomogeneous polynomial."""
+        inhomogeneous = modulus_power(1, 0, 1) + modulus_power(1, 0, 2)
+        with pytest.raises(ValueError, match="at least one trial"):
+            numeric_scaling_check(inhomogeneous, Multitype((1, 2)), trials=trials)
 
     def test_two_variable_sum(self):
         p = modulus_power(2, 0, 1) + modulus_power(2, 1, 1)

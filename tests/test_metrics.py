@@ -600,6 +600,19 @@ class TestBallSampling:
         if isinstance(d, UpperHalfPlane):
             assert max(kobayashi_distance(d, (center,), q) for q in rows) <= radius * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("radius", [0.5, 3.0, 8.0])
+    @pytest.mark.parametrize(
+        "d,center", [(Ball(2), (0.3 + 0j, 0.1j)), (SlitDisc(), (0.5,))], ids=["ball2", "slit"]
+    )
+    def test_ball_sampler_stays_within_the_radius(self, d, center, radius):
+        """The ball's sampler, and the slit disc's carried from it by the
+        slit map: every row lies in the domain, within the radius of the
+        center to 1e-12 relative."""
+        rows = sample_metric_ball(d, center, radius, 64, np.random.default_rng(0))
+        assert rows.shape == (64, d.dim)
+        assert contains_rows(d, rows).all()
+        assert max(kobayashi_distance(d, center, q) for q in rows) <= radius * (1.0 + 1e-12)
+
     def test_unsupported_domain(self):
         with pytest.raises(UnsupportedDomainError, match="ball sampler"):
-            sample_metric_ball(Ball(2), (0j, 0j), 1.0, 8, np.random.default_rng(0))
+            sample_metric_ball(Polydisc(2), (0j, 0j), 1.0, 8, np.random.default_rng(0))

@@ -137,6 +137,12 @@ class TestIsotropicFamily:
         with pytest.raises(ValueError, match="gradient"):
             make_isotropic(flat, approach)
 
+    def test_nan_gradient_rejected(self):
+        """A gradient that is not a number builds no limit half-plane."""
+        broken = PlanarDefiningFunction(func=disc_defining().func, dz=lambda z: complex(math.nan, 0.0))
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            make_isotropic(broken, BoundaryApproach((1.0,), (1.0,), (0.5, 0.25)))
+
     @pytest.mark.parametrize("base,off", [(0.5, True), (1.0 + 1e-12, True), (1.0 + 2e-13, False)])
     def test_base_point_off_the_boundary_rejected(self, base, off):
         """The base point lies on the boundary to ``BOUNDARY_TOL``, the
