@@ -215,8 +215,8 @@ def _base_slit_chain() -> Chain:
         (
             Mobius.cayley_disc_to_halfplane(),  # disc -> upper half-plane
             PrincipalSqrt(),  # half-plane -> first quadrant
-            Mobius.quadrant_to_upper_half_disc(),  # quadrant -> upper half-disc
-            Mobius.rotation(-1j),  # -> right half-disc
+            Mobius(1, -1, 1, 1),  # u -> (u - 1) / (u + 1): quadrant -> upper half-disc
+            Mobius(-1j, 0, 0, 1),  # rotation by -i -> right half-disc
             Square(),  # right half-disc -> disc minus (-1, 0]
         )
     )
@@ -238,4 +238,4 @@ def build_slit_map(p: float) -> Chain:
     a = base.unapply(complex(p))
     if not abs(a) < 1.0:
         raise SlitMapError(f"pulled-back basepoint {a!r} is not inside the disc")
-    return Chain((Mobius.disc_automorphism(a),) + base.steps)
+    return Chain((Mobius(1, a, a.conjugate(), 1),) + base.steps)  # disc automorphism 0 -> a

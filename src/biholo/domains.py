@@ -89,11 +89,16 @@ class UnsupportedDomainError(ValueError):
 
 
 def as_point(p: Union[complex, float, Sequence[complex]], dim: int | None = None) -> Point:
-    """Coerce scalars or sequences to a point tuple, checking the dimension."""
+    """Coerce numbers (numpy's too) or sequences to a point tuple, checking the dimension."""
     if isinstance(p, (int, float, complex)):
         pt: Point = (complex(p),)
     else:
-        pt = tuple(map(complex, p))
+        try:
+            pt = tuple(map(complex, p))
+        except TypeError:  # not iterable: tested here, off the sequence path
+            if not isinstance(p, np.number):
+                raise
+            pt = (complex(p),)
     if len(pt) < 1:
         raise ValueError("a point needs at least one coordinate")
     if not all(map(cmath.isfinite, pt)):

@@ -101,11 +101,12 @@ class EmbeddingWitness:
 
     ``forward`` and ``inverse`` map rows to rows: complex arrays of shape
     ``[m, n]``.  Membership in the image is decided by the inverse
-    round-trip and, when ``image_domain`` is set (the exact image as a
-    model domain, which may be stricter than the target), by membership in
-    it as well.  For an inclusion (both maps ``_identity``) the round trip
-    is exact, so only the defining functions are evaluated.  Both
-    basepoints are coerced with :func:`as_point` to their domain's dimension.
+    round-trip and, when ``image_domain`` is set, by membership in it as
+    well.  ``image_domain`` is the exact image as a model domain, declared
+    only where it is stricter than what ``forward`` and ``inverse`` show.
+    For an inclusion (both maps ``_identity``) the round trip is exact and
+    the image is the source, so only the defining functions are evaluated.
+    Both basepoints are coerced with :func:`as_point` to their domain's dimension.
     """
 
     source: ModelDomain
@@ -128,21 +129,19 @@ class EmbeddingWitness:
         outside; a row of ``w`` that is not finite raises ``ValueError``.
         """
         w = as_rows(w, self.target.dim)
+        # w passed as_rows and the kept rows of z are finite: evaluate the
+        # defining functions directly, with no second finiteness check
         if self.forward is _identity and self.inverse is _identity:
             # on finite rows the round trip is exact and z = w is finite
             inside = self.source.defining(w.T) < 0.0
-            if self.image_domain is not None and self.image_domain != self.source:
-                inside &= self.image_domain.defining(w.T) < 0.0
-            return inside
-        with np.errstate(all="ignore"):
-            z = self.inverse(w)
-            err = np.abs(self.forward(z) - w).max(axis=1)
-        inside = np.isfinite(z).all(axis=1) & (err <= IMAGE_TOL * (1.0 + np.abs(w).max(axis=1)))
-        # w passed as_rows and the kept rows of z are finite: evaluate the
-        # defining functions directly, with no second finiteness check
+        else:
+            with np.errstate(all="ignore"):
+                z = self.inverse(w)
+                err = np.abs(self.forward(z) - w).max(axis=1)
+            inside = np.isfinite(z).all(axis=1) & (err <= IMAGE_TOL * (1.0 + np.abs(w).max(axis=1)))
+            inside[inside] = self.source.defining(z[inside].T) < 0.0
         if self.image_domain is not None:
             inside &= self.image_domain.defining(w.T) < 0.0
-        inside[inside] = self.source.defining(z[inside].T) < 0.0
         return inside
 
     def validate(self, seed: int = 0) -> None:
@@ -188,18 +187,15 @@ def _identity(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _inclusion(target: ModelDomain, description: str) -> EmbeddingWitness:
+    """The inclusion of ``Ball(target.dim)`` into ``target``, fixing 0; its image is its source."""
+    origin = (0j,) * target.dim
+    return EmbeddingWitness(Ball(target.dim), target, _identity, _identity, origin, origin, description)
+
+
 def ball_inclusion_into_polydisc(n: int) -> EmbeddingWitness:
     """The inclusion of the unit ball into the unit polydisc, fixing 0."""
-    return EmbeddingWitness(
-        source=Ball(n),
-        target=Polydisc(n),
-        forward=_identity,
-        inverse=_identity,
-        source_basepoint=(0j,) * n,
-        target_basepoint=(0j,) * n,
-        description=f"inclusion of the unit ball into the polydisc (n={n})",
-        image_domain=Ball(n),
-    )
+    return _inclusion(Polydisc(n), f"inclusion of the unit ball into the polydisc (n={n})")
 
 
 def slit_embedding_of_disc(p: float) -> EmbeddingWitness:
@@ -219,16 +215,7 @@ def slit_embedding_of_disc(p: float) -> EmbeddingWitness:
 
 
 def identity_ball_witness(n: int) -> EmbeddingWitness:
-    return EmbeddingWitness(
-        source=Ball(n),
-        target=Ball(n),
-        forward=_identity,
-        inverse=_identity,
-        source_basepoint=(0j,) * n,
-        target_basepoint=(0j,) * n,
-        description=f"identity of the unit ball (n={n})",
-        image_domain=Ball(n),
-    )
+    return _inclusion(Ball(n), f"identity of the unit ball (n={n})")
 
 
 def scaled_polydisc_into_ball(n: int) -> EmbeddingWitness:

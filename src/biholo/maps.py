@@ -46,23 +46,6 @@ class Mobius:
         # z -> i (1 + z) / (1 - z); sends 0 to i.
         return Mobius(1j, 1j, -1, 1)
 
-    @staticmethod
-    def quadrant_to_upper_half_disc() -> "Mobius":
-        # u -> (u - 1) / (u + 1), first quadrant onto the upper half-disc.
-        return Mobius(1, -1, 1, 1)
-
-    @staticmethod
-    def rotation(phase: complex) -> "Mobius":
-        return Mobius(phase, 0, 0, 1)
-
-    @staticmethod
-    def disc_automorphism(a: complex) -> "Mobius":
-        """Automorphism of the unit disc sending 0 to ``a``."""
-        a = complex(a)
-        if not abs(a) < 1:
-            raise ValueError("automorphism parameter must lie in the unit disc")
-        return Mobius(1, a, a.conjugate(), 1)
-
 
 @dataclass(frozen=True)
 class PrincipalSqrt:

@@ -6,16 +6,19 @@ import math
 
 import pytest
 
+from biholo import verify
 from biholo.cli import build_parser, main, parse_domain, parse_point
 from biholo.domains import (
     Ball,
     Polydisc,
     PuncturedDisc,
     Siegel,
+    SlitDisc,
     UpperHalfPlane,
     format_complex,
     parse_complex_literal,
 )
+from biholo.metrics import kobayashi_distance
 
 
 class TestParsing:
@@ -84,6 +87,23 @@ class TestDist:
     def test_exterior_point_exits_nonzero(self, capsys):
         code, _, err = run_cli(capsys, "dist", "disc", "0", "2")
         assert code == 2
+
+    def test_slit(self, capsys):
+        """The CLI's slit disc is the library's, at twice the Kobayashi value."""
+        code, out, _ = run_cli(capsys, "dist", "slit", "0.5", "0.3i", "--mode", "poincare")
+        assert code == 0
+        record = json.loads(out)
+        assert record["domain"] == "slit"
+        assert record["distance"] == 2.0 * kobayashi_distance(SlitDisc(), 0.5, 0.3j) == 1.8421135644461544
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [("siegel1", "the Siegel domain needs dimension >= 2"), ("ball0", "dimension must be >= 1")],
+    )
+    def test_dimension_out_of_range_is_a_usage_error(self, capsys, spec, message):
+        code, out, err = run_cli(capsys, "dist", spec, "0", "0")
+        assert code == 2
+        assert out == "" and err == f"error: {message}\n"
 
     @pytest.mark.parametrize("target", [".", "missing/out.json"], ids=["directory", "missing-parent"])
     def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, target):
@@ -361,6 +381,28 @@ class TestScale:
         assert out == ""
         assert not out_dir.exists()
 
+    def test_missing_spec_file_is_a_usage_error(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "scale", str(tmp_path / "missing.json"))
+        assert code == 2
+        assert out == "" and err.startswith("error: cannot read experiment spec ")
+
+    def test_unknown_kind_is_a_usage_error(self, tmp_path, capsys):
+        spec = self.make_spec(tmp_path, {"kind": "foo"})
+        code, out, err = run_cli(capsys, "scale", str(spec), "--out", str(tmp_path / "never"))
+        assert code == 2
+        assert out == "" and err == "error: unknown experiment kind 'foo'\n"
+        assert not (tmp_path / "never").exists()
+
+    def test_remainder_type_must_be_abs_power(self, tmp_path, capsys):
+        spec = self.make_spec(tmp_path, {
+            "kind": "anisotropic", "multitype": [1, 4], "poly": "1.0 2 | 2\n",
+            "remainder": {"type": "power", "exponents": [6]},
+        })
+        code, out, err = run_cli(capsys, "scale", str(spec), "--out", str(tmp_path / "never"))
+        assert code == 2
+        assert out == "" and err == "error: remainder type must be 'abs_power'\n"
+        assert not (tmp_path / "never").exists()
+
     @pytest.mark.parametrize("multitype", ["14", 14, ["1", "4"]], ids=["string", "number", "strings"])
     def test_multitype_must_be_a_list_of_integers(self, tmp_path, capsys, multitype):
         """A string is not read one character at a time."""
@@ -432,6 +474,23 @@ class TestVerify:
         assert code == 0
         assert out.endswith("\n13/13 suites passed (45212 checks)\n")
         assert "FAIL" not in out
+
+    def test_a_failing_suite_fails_the_run(self, capsys, monkeypatch):
+        """A failed suite prints FAIL and its first five messages, indented,
+        and the run exits 1."""
+
+        def broken(cfg):
+            result = verify.SuiteResult("broken")
+            for k in range(7):
+                result.expect(k == 0, f"message {k}")
+            return result
+
+        monkeypatch.setattr(verify, "ALL_SUITES", [broken, *verify.ALL_SUITES[1:]])
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        assert "FAIL  broken: 7 checks\n" + "".join(f"      message {k}\n" for k in range(1, 6)) + "pass  " in out
+        assert "message 6" not in out
+        assert out.splitlines()[-1].startswith("12/13 suites passed (")
 
 
 class TestFlags:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from biholo import covering, hyperbolic
 from biholo.covering import (
     TWO_PI,
+    SlitMapError,
     build_slit_map,
     deck_minimum,
     deck_minimum_enumerated,
@@ -279,6 +280,12 @@ class TestSlitMap:
         for _ in range(500):
             z = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
             assert abs(chain.unapply(chain.apply(z)) - z) <= 1e-10
+
+    def test_basepoint_that_pulls_back_onto_the_circle_raises(self):
+        """At p = 1e-300 the pulled-back basepoint rounds to -i, on the
+        circle; the chain's disc automorphism would not be one."""
+        with pytest.raises(SlitMapError, match=r"^pulled-back basepoint -1j is not inside the disc$"):
+            build_slit_map(1e-300)
 
     def test_boundary_approaching_images_stay_in_slit_disc(self):
         """The near-boundary coverage of the slit map: ``validate`` samples

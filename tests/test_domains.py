@@ -124,6 +124,21 @@ class TestAsPoint:
         assert type(pt) is tuple and all(type(c) is complex for c in pt)
         assert pt == tuple(complex(c) for c in np.atleast_1d(point))
 
+    @pytest.mark.parametrize(
+        "scalar",
+        [np.float32(0.3), np.int64(0), np.complex64(0.3 + 0.1j), np.float64(0.5), np.uint8(1)],
+        ids=["float32", "int64", "complex64", "float64", "uint8"],
+    )
+    def test_coerces_a_numpy_scalar(self, scalar):
+        """A numpy scalar is a number, not a sequence: all but float64 (a
+        float) raised TypeError (not iterable)."""
+        assert as_point(scalar) == (complex(scalar),)
+        assert contains(PuncturedDisc(), scalar) == contains(PuncturedDisc(), complex(scalar))
+
+    def test_a_non_number_that_is_not_a_sequence_still_raises(self):
+        with pytest.raises(TypeError, match="not iterable"):
+            as_point(None)
+
     @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
     @pytest.mark.parametrize(
         "wrap",

@@ -234,6 +234,15 @@ class TestFridmanUpperFromEmbedding:
                 RadiusSearch(samples=64),
             )
 
+    def test_image_without_a_neighbourhood_of_the_basepoint_is_rejected(self):
+        """The inverse ``w -> 2 w`` breaks the round trip of every row but the
+        origin, so the witness passes ``validate`` (which checks only the
+        forward images) and the search fails at its smallest radius."""
+        witness = EmbeddingWitness(Ball(1), Ball(1), lambda z: z, lambda w: 2 * w, (0j,), (0j,), "bad inverse")
+        witness.validate()
+        with pytest.raises(WitnessValidationError, match="^the witness image does not contain any neighbourhood"):
+            fridman_upper_from_embedding(Ball(1), 0, witness, RadiusSearch(samples=8))
+
 
 class TestEstimatorTrace:
     """Each report lists its sphere tests in order and the sample row that
@@ -410,6 +419,11 @@ class TestWitnessValidation:
         with pytest.raises(WitnessValidationError, match="injective"):
             bad.validate()
 
+    @pytest.mark.parametrize("p", [0, 1, 1.5j], ids=["puncture", "circle", "outside"])
+    def test_automorphism_basepoint_must_lie_in_the_punctured_disc(self, p):
+        with pytest.raises(ValueError, match="^basepoint must lie in the punctured disc$"):
+            punctured_automorphism_witness(p)
+
     def test_escaping_image_is_caught(self):
         blowup = lambda z: 2.0 * z
         bad = EmbeddingWitness(
@@ -581,6 +595,12 @@ class TestInclusionMembership:
         for w in (witness, self._general(witness)):
             with pytest.raises(ValueError, match="row 2 .* non-finite"):
                 w.image_contains(rows)
+
+    @pytest.mark.parametrize("make", [ball_inclusion_into_polydisc, identity_ball_witness])
+    def test_an_inclusion_declares_no_image_domain(self, make):
+        """Its image is its source, which ``image_contains`` already tests."""
+        witness = make(2)
+        assert witness.source == Ball(2) and witness.image_domain is None
 
 
 def _hex_point(z) -> tuple | None:
@@ -822,6 +842,12 @@ class TestRadiusSearch:
             RadiusSearch(samples=samples)
 
 
+    @pytest.mark.parametrize("r_max,tol", [(-1.0, 1e-6), (0.0, 1e-6), (1.0, 0.0), (1.0, -1e-6)])
+    def test_nonpositive_parameters_rejected(self, r_max, tol):
+        with pytest.raises(ValueError, match="^invalid search parameters$"):
+            RadiusSearch(r_max=r_max, tol=tol)
+
+
 class TestCenteredPolydisc:
     @pytest.mark.parametrize("basepoints", [((0j, 0j), (0.4, 0j)), ((-0.8, 0j), (0j, 0j))], ids=["target", "source"])
     def test_witness_must_fix_the_origin(self, basepoints):
@@ -840,6 +866,10 @@ class TestCenteredPolydisc:
         )
         with pytest.raises(WitnessValidationError, match="fix the origin"):
             largest_centered_polydisc(witness, samples=64)
+
+    def test_witness_must_map_a_ball_into_a_polydisc(self):
+        with pytest.raises(WitnessValidationError, match="^witness must map a ball into a polydisc$"):
+            largest_centered_polydisc(scaled_polydisc_into_ball(2))
 
     def test_ball_image_caps_the_polyradius(self):
         """No centred polydisc of polyradius above 1/sqrt(n) fits in the ball."""

@@ -305,6 +305,14 @@ _CAYLEY = Mobius.cayley_disc_to_halfplane().apply
 _HALFPLANE_C = HalfPlaneC(1.0 + 0.5j)
 
 
+@pytest.mark.parametrize(
+    "scalar", [np.float32(0.3), np.int64(0), np.complex64(0.3 + 0.1j)], ids=["float32", "int64", "complex64"]
+)
+def test_a_numpy_scalar_point_is_a_number(scalar):
+    """It raised TypeError (not iterable); only float64, a float, worked."""
+    assert kobayashi_distance(Ball(1), scalar, 0.5) == kobayashi_distance(Ball(1), complex(scalar), 0.5)
+
+
 class TestKobayashiDistanceRows:
     """The distance of every record from one point to many rows, the form
     the scaling checks call, against the scalar distance."""
@@ -447,6 +455,18 @@ class TestSphereSampling:
         rows = metric_sphere(d, center, 256, np.random.default_rng(0))(radius)
         assert contains_rows(d, rows).all()
         assert max(abs(kobayashi_distance(d, center, row) - radius) for row in rows) <= rel * radius
+
+    @pytest.mark.parametrize("center", [0.5j, -0.3 + 0.4j, 0.5 * cmath.exp(2j)], ids=["i", "second-quadrant", "e2i"])
+    @pytest.mark.parametrize("radius", [2.0, 3.0])
+    def test_punctured_crossings_lie_on_the_ray_opposite_a_center_off_the_real_axis(self, center, radius):
+        """Past euclidean radius pi the sphere ends with the two points where
+        the lifted circle crosses Re = x0 +/- pi: they project onto the ray
+        opposite the center (measured within 3e-16 in argument), and every
+        row lies at the radius (measured within 1.4e-14 relative)."""
+        rows = metric_sphere(PuncturedDisc(), center, 256, np.random.default_rng(0))(radius)
+        assert contains_rows(PuncturedDisc(), rows).all()
+        assert max(abs(cmath.phase(w / -center)) for w in rows[-2:, 0]) <= 1e-13
+        assert max(abs(kobayashi_distance(PuncturedDisc(), center, row) - radius) for row in rows) <= 1e-12 * radius
 
     def test_halfplane_sphere(self):
         rng = np.random.default_rng(10)
