@@ -177,8 +177,6 @@ class Multitype:
         if any(m < 2 for m in ent[1:]):
             raise ValueError("multitype entries after the first must be >= 2")
         object.__setattr__(self, "entries", ent)
-        # the dilations read the float weights on every call: convert once
-        object.__setattr__(self, "_exponents", tuple(float(w) for w in self.tangential_weights()))
 
     @property
     def dim(self) -> int:
@@ -190,7 +188,7 @@ class Multitype:
         return tuple(Fraction(1) / self.entries[n - 1 - k] for k in range(n - 1))
 
     def tangential_exponents(self) -> tuple[float, ...]:
-        return self._exponents
+        return tuple(float(w) for w in self.tangential_weights())
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +207,8 @@ class Term:
     def __post_init__(self) -> None:
         if len(self.alpha) != len(self.beta):
             raise ValueError("alpha and beta must have the same length")
-        if any(a < 0 for a in self.alpha) or any(b < 0 for b in self.beta):
-            raise ValueError("multi-indices must be nonnegative")
+        if any(isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0 for k in (*self.alpha, *self.beta)):
+            raise ValueError(f"multi-indices must be nonnegative integers, got {self.alpha!r} and {self.beta!r}")
         if not cmath.isfinite(self.coeff):
             raise ValueError(f"coefficient {self.coeff!r} is not finite")
 

@@ -341,12 +341,13 @@ class RadiusSearch:
             raise ValueError("r_max and tol must be finite")
         if self.r_max <= 0 or self.tol <= 0:
             raise ValueError("invalid search parameters")
-        _check_samples(self.samples, 8)
+        _check_integer("samples", self.samples, 8)
+        _check_integer("seed", self.seed, 0)
 
 
-def _check_samples(samples, least: int) -> None:
-    if not isinstance(samples, numbers.Integral) or samples < least:
-        raise ValueError(f"samples must be an integer >= {least}, not {samples!r}")
+def _check_integer(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -514,7 +515,8 @@ def largest_centered_polydisc(
         raise WitnessValidationError("witness must map a ball into a polydisc")
     origin = witness.source_basepoint + witness.target_basepoint
     _require_at(origin, (0j,) * len(origin), "witness must fix the origin")
-    _check_samples(samples, 0)
+    _check_integer("samples", samples, 0)
+    _check_integer("seed", seed, 0)
     n = witness.target.dim
     draw = lambda rng: metrics.polydisc_sphere(n, samples, rng)
     return _largest_radius(witness, draw, 1.0 - POLYRADIUS_TOL, POLYRADIUS_TOL, seed, samples).radius

@@ -2,14 +2,14 @@
 
 Given a boundary point and a sequence of interior points approaching it
 along the normal, the domain is rescaled by dilations normalizing the
-approach points: isotropically in the plane (translation by the point,
-division by the defining-function value), anisotropically in C^n with the
-multitype weights of the limit model, by the one constructor
-:func:`rescale` of a domain given by its own defining function and
-distance.  The rescaled defining functions converge locally uniformly to
-the defining function of a model domain; the checks here quantify that
-convergence, the dilation invariance of weight-one models, and the
-resulting inclusions of metric balls.
+approach points.  One :class:`Dilation` serves both kinds: isotropic in the
+plane (translation by the point, division by the defining-function value,
+exponent 1), anisotropic in C^n with the multitype weights of the limit
+model as exponents, by the one constructor :func:`rescale` of a domain
+given by its own defining function and distance.  The rescaled defining
+functions converge locally uniformly to the defining function of a model
+domain; the checks here quantify that convergence, the dilation invariance
+of weight-one models, and the resulting inclusions of metric balls.
 
 The checks run on rows, complex arrays of shape ``[m, n]``, as the
 estimators do.  The dilations, the defining functions of the families and
@@ -51,8 +51,7 @@ __all__ = [
     "BoundaryApproach",
     "PlanarDefiningFunction",
     "disc_defining",
-    "IsotropicDilation",
-    "AnisotropicDilation",
+    "Dilation",
     "ScaledFamily",
     "make_isotropic",
     "rescale",
@@ -144,40 +143,22 @@ def disc_defining() -> PlanarDefiningFunction:
 
 
 @dataclass(frozen=True)
-class IsotropicDilation:
-    """Planar dilation ``z -> (z - center) / scale`` with positive scale,
-    of a point or of the columns of rows."""
+class Dilation:
+    """Dilation ``z_k -> (z_k - center_k) / scale^(e_k)`` with positive scale
+    and exponents ``e_k``, of a point or of the columns of rows.  On rows
+    ``scale`` may be an array with one scale per row."""
 
-    center: complex
-    scale: float
-
-    def forward(self, z) -> tuple:
-        z = _coordinates(z, 1)[0]
-        return ((z - self.center) / self.scale,)
-
-    def inverse(self, w) -> tuple:
-        w = _coordinates(w, 1)[0]
-        return (self.center + self.scale * w,)
-
-
-@dataclass(frozen=True)
-class AnisotropicDilation:
-    """Weighted dilation: tangential ``z_k`` by ``scale^(-w_k)``, the
-    distinguished coordinate by ``scale^(-1)``, of a point or of the columns
-    of rows.  On rows ``scale`` may be an array with one scale per row."""
-
-    multitype: Multitype
+    center: Point
     scale: float | np.ndarray
+    exponents: tuple[float, ...]
 
     def forward(self, z) -> tuple:
-        z = _coordinates(z, self.multitype.dim)
-        exps = self.multitype.tangential_exponents() + (1.0,)
-        return tuple(c * self.scale ** (-e) for c, e in zip(z, exps))
+        z = _coordinates(z, len(self.exponents))
+        return tuple((c - a) / self.scale**e for c, a, e in zip(z, self.center, self.exponents, strict=True))
 
     def inverse(self, w) -> tuple:
-        w = _coordinates(w, self.multitype.dim)
-        exps = self.multitype.tangential_exponents() + (1.0,)
-        return tuple(c * self.scale**e for c, e in zip(w, exps))
+        w = _coordinates(w, len(self.exponents))
+        return tuple(a + self.scale**e * c for c, a, e in zip(w, self.center, self.exponents, strict=True))
 
 
 @dataclass(frozen=True)
@@ -193,7 +174,7 @@ class ScaledFamily:
     """
 
     approach: BoundaryApproach
-    dilations: tuple
+    dilations: tuple[Dilation, ...]
     limit: ModelDomain
     basepoint: Point  # normalized image of the approach points
     defining: Callable[[Point], float]
@@ -218,7 +199,8 @@ def _pulled_back(distance: Callable, dilations: Sequence) -> Callable[[int, Poin
 def make_isotropic(rho: PlanarDefiningFunction, approach: BoundaryApproach) -> ScaledFamily:
     """Isotropic rescaling of a planar domain along a boundary approach.
 
-    The dilations are ``T_j(z) = (z - p_j) / (-rho(p_j))``; the limit is the
+    The dilations are ``T_j(z) = (z - p_j) / (-rho(p_j))``, each a
+    :class:`Dilation` with center ``p_j`` and exponent 1; the limit is the
     half-plane ``{2 Re(a z) - 1 < 0}`` with ``a`` the z-derivative of the
     defining function at the boundary point.  A base point off the boundary,
     or one where the gradient vanishes, raises ``ValueError``.
@@ -234,7 +216,7 @@ def make_isotropic(rho: PlanarDefiningFunction, approach: BoundaryApproach) -> S
         value = rho(p[0])
         if not value < 0:
             raise ValueError(f"approach point {p[0]!r} is not inside the domain")
-        dilations.append(IsotropicDilation(center=p[0], scale=-value))
+        dilations.append(Dilation(p, -value, (1.0,)))
     distance = rho.distance and _pulled_back(lambda p, q: rho.distance(p[0], q[0]), dilations)
     return ScaledFamily(
         approach=approach,
@@ -253,8 +235,9 @@ def rescale(
     coordinates: the approach must run along the inner normal ``-e_n`` from
     the origin, so ``T_j('0, -delta_j) = ('0, -1)``.
 
-    ``model`` is the weight-one limit ``{2 Re z_n + P('z) < 0}``.  Its
-    multitype gives the dilations, and the limit is ``Siegel(n)`` where
+    ``model`` is the weight-one limit ``{2 Re z_n + P('z) < 0}``.  Each
+    dilation is a :class:`Dilation` about the origin with scale ``delta_j``
+    and the multitype weights as exponents.  The limit is ``Siegel(n)`` where
     :func:`siegel_equivalent` holds.  ``P`` is checked for weight-one
     homogeneity only, not for plurisubharmonicity.  ``defining`` is D's
     defining function on a point or on the columns of rows; one that does not
@@ -277,7 +260,8 @@ def rescale(
     if defining is None and distance is not None:
         raise ValueError("a distance needs the defining function of its domain")
     limit = Siegel(n) if siegel_equivalent(model) else model
-    dilations = tuple(AnisotropicDilation(model.multitype, d) for d in approach.deltas)
+    exponents = model.multitype.tangential_exponents() + (1.0,)
+    dilations = tuple(Dilation(base, d, exponents) for d in approach.deltas)
     if defining is None:  # every scaled domain is the limit
         defining, record = model.defining, _geometry(limit).distance
         distance = record and (lambda index, u, rows: record(limit, u, rows.T))
@@ -417,13 +401,14 @@ def invariance_check(
     if trials < 1:
         raise ValueError(f"the invariance check needs at least one trial, got {trials}")
     model = WeightedModel(multitype, poly)
+    exponents = multitype.tangential_exponents() + (1.0,)
     rng = np.random.default_rng(seed)
     for start in range(0, trials, _INVARIANCE_BLOCK):
         m = min(_INVARIANCE_BLOCK, trials - start)
         z = model.sample_rows(rng, m).T
         delta = rng.uniform(0.0, 2.0, size=m)
         delta[delta == 0.0] = 1.0
-        dil = AnisotropicDilation(multitype, delta)
+        dil = Dilation((0j,) * multitype.dim, delta, exponents)
         if not (
             contains_rows(model, np.column_stack(dil.forward(z))).all()
             and contains_rows(model, np.column_stack(dil.inverse(z))).all()

@@ -420,12 +420,10 @@ def suite_scaling(cfg: RunConfig) -> SuiteResult:
     aniso_approach = scaling.BoundaryApproach.geometric((0j, 0j), (0j, 1.0), 1, 10)
     _, rate = scaling.tangential_modulus_remainder((6,), mt)
     aniso = scaling.make_anisotropic(modulus_power(1, 0, 2), mt, aniso_approach, (6,))
-    for idx, p in enumerate(approach.points()):
-        image = fam.dilations[idx].forward(p)
-        res.expect(max(abs(u - v) for u, v in zip(image, fam.basepoint)) <= 1e-12, "isotropic normalization broken")
-    for idx, p in enumerate(aniso_approach.points()):
-        image = aniso.dilations[idx].forward(p)
-        res.expect(max(abs(u - v) for u, v in zip(image, aniso.basepoint)) <= 1e-12, "anisotropic normalization broken")
+    for family, kind in ((fam, "isotropic"), (aniso, "anisotropic")):
+        for dil, p in zip(family.dilations, family.approach.points()):
+            gap = max(abs(u - v) for u, v in zip(dil.forward(p), family.basepoint))
+            res.expect(gap <= 1e-12, f"{kind} normalization broken")
     # 10,000 round trips of each kind, drawn as rows: one check per row
     z = rng.uniform(-2, 2, size=(10_000, 1)) + 1j * rng.uniform(-2, 2, size=(10_000, 1))
     err = _round_trip_errors(fam, z, rng.integers(len(fam), size=len(z)))

@@ -77,7 +77,8 @@ class TestDist:
     def test_punctured_antipodal(self, capsys):
         code, out, _ = run_cli(capsys, "dist", "punctured", "0.04321", "-0.04321")
         record = json.loads(out)
-        assert record["distance"] == pytest.approx(0.962424, abs=2e-4)
+        # antipodal points of modulus r are 2 asinh(pi / (-2 log r)) apart (Poincare)
+        assert record["distance"] == pytest.approx(2.0 * math.asinh(math.pi / (-2.0 * math.log(0.04321))), rel=1e-12)
 
     def test_parse_error_exits_nonzero(self, capsys):
         code, _, err = run_cli(capsys, "dist", "halfplane", "spam", "2i")
@@ -363,13 +364,23 @@ class TestScale:
             {"kind": "isotropic", "base_point": "1", "normal": "1", "checks": ["invariance"]},
             {"kind": "isotropic", "base_point": "0.5", "normal": "1", "deltas": {"j_start": 3, "j_end": 8}},
             {"kind": "convergence", "domain": "disc", "base_point": "1", "normal": "1"},
+            {"kind": "isotropic", "base_point": "1", "normal": "1", "deltas": []},
+            {"kind": "anisotropic", "multitype": [1, 4], "poly": "1.0 2 | 2\n", "normal": ["1", "0"]},
+            {"kind": "convergence", "domain": "punctured", "base_point": "1", "normal": "1", "deltas": [2.0]},
+            {"kind": "anisotropic", "multitype": [1], "poly": "1.0 2 | 2\n"},
+            {"kind": "anisotropic", "multitype": [1, 4], "poly": "| 2\n"},
+            {"kind": "anisotropic", "multitype": [1, 4], "poly": "1.0 2 | 2 2\n"},
+            {"kind": "anisotropic", "multitype": [1, 4], "poly": "# none\n\n"},
+            {"kind": "anisotropic", "multitype": [1, 2], "poly": "1.0 1 | 1\n-1.0 1 | 1\n"},
+            {"kind": "anisotropic", "multitype": [1, 4, 4], "poly": "1.0 2 | 2\n"},
         ],
         ids=["no-multitype", "scalar-multitype", "not-weight-one", "rate-0-remainder",
              "no-exponents", "no-distance", "zero-trials", "zero-samples", "nan-radius", "nan-eps",
              "nan-delta", "nan-coefficient", "nan-tol", "zero-tol", "list-spec", "number-poly",
              "number-grid", "number-deltas", "number-ball-inclusion", "string-remainder",
              "unknown-check", "string-checks", "isotropic-invariance", "base-off-the-boundary",
-             "convergence-disc"],
+             "convergence-disc", "empty-deltas", "off-normal", "convergence-outside", "one-entry-multitype",
+             "missing-coefficient", "index-lengths-differ", "no-terms", "zero-polynomial", "poly-dimension"],
     )
     def test_bad_spec_is_a_usage_error(self, tmp_path, capsys, payload):
         """Exit 2 with an ``error:`` line, not a traceback, and no file."""

@@ -410,6 +410,20 @@ class TestPolyEval:
         with pytest.raises(ValueError, match="not finite"):
             Term((2,), (2,), coeff)
 
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [((1.5,), (0.5,)), ((True,), (True,)), ((-1,), (3,)), ((2,), ("2",)), ((np.float64(2.0),), (2,))],
+        ids=["half-integers", "bools", "negative", "string", "numpy-float"],
+    )
+    def test_multi_indices_must_be_nonnegative_integers(self, alpha, beta):
+        """Half-integer indices would pass the weight check under (1, 2):
+        ``|z| Re z`` as a weight-one "polynomial"."""
+        with pytest.raises(ValueError, match="^multi-indices must be nonnegative integers"):
+            Term(alpha, beta, 0.5)
+
+    def test_numpy_integer_indices_accepted(self):
+        assert Term((np.int64(2),), (np.int32(2),), 1.0).alpha == (2,)
+
     def test_nan_coefficient_is_not_parsed(self):
         with pytest.raises(ValueError, match="not finite"):
             parse_polynomial("nan 2 | 2\n")

@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -842,6 +843,16 @@ class TestRadiusSearch:
             RadiusSearch(samples=samples)
 
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        """numpy seeds only from nonnegative integers; -1 and 1.5 used to fail
+        inside ``validate``, with numpy's own error."""
+        with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, not {re.escape(repr(seed))}$"):
+            RadiusSearch(seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert RadiusSearch(seed=np.int64(3)).seed == 3
+
     @pytest.mark.parametrize("r_max,tol", [(-1.0, 1e-6), (0.0, 1e-6), (1.0, 0.0), (1.0, -1e-6)])
     def test_nonpositive_parameters_rejected(self, r_max, tol):
         with pytest.raises(ValueError, match="^invalid search parameters$"):
@@ -886,3 +897,13 @@ class TestCenteredPolydisc:
         monkeypatch.setattr(EmbeddingWitness, "validate", unreachable)
         with pytest.raises(ValueError, match="samples"):
             largest_centered_polydisc(ball_inclusion_into_polydisc(2), samples=samples)
+
+    @pytest.mark.parametrize("name,value", [("seed", -1), ("seed", 1.5), ("samples", True)])
+    def test_bad_seed_or_boolean_samples_rejected_before_validation(self, monkeypatch, name, value):
+        """A bool is no sample count, though ``True >= 0``."""
+        def unreachable(self, **kwargs):
+            raise AssertionError("validated before checking the arguments")
+
+        monkeypatch.setattr(EmbeddingWitness, "validate", unreachable)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0, not {value!r}$"):
+            largest_centered_polydisc(ball_inclusion_into_polydisc(2), **{name: value})
