@@ -28,6 +28,7 @@ last radius that failed.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -76,11 +77,13 @@ class WitnessValidationError(RuntimeError):
     """An embedding witness failed one of its validation checks."""
 
 
-# Rows sampled at a time by EmbeddingWitness.validate: large enough to
-# amortize numpy's per-call cost, small enough to keep peak memory flat.
+# Rows drawn and mapped at a time by EmbeddingWitness.validate: large enough
+# to amortize numpy's per-call cost, small enough to bound each image array.
 VALIDATION_CHUNK = 2_048
 # source rows that EmbeddingWitness.validate maps through the witness
 VALIDATION_SAMPLES = 10_000
+# (source, seed) samples that _validation_rows keeps, 160 KB per dimension each
+VALIDATION_CACHE = 8
 # relative round-trip error of a row that EmbeddingWitness.image_contains keeps
 IMAGE_TOL = 1e-9
 # largest coordinate offset of a basepoint from where a witness must put it
@@ -147,19 +150,23 @@ class EmbeddingWitness:
     def validate(self, seed: int = 0) -> None:
         """Check the basepoint normalization, that the images of the basepoint
         and of ``VALIDATION_SAMPLES`` random points lie in the target and in
-        ``image_domain`` when one is set, and injectivity on a grid."""
-        rng = np.random.default_rng(seed)
+        ``image_domain`` when one is set, and injectivity on a grid.
+
+        The random points are :func:`_validation_rows` of the source and the
+        seed, an integer >= 0: drawn once per process, mapped on every call.
+        """
+        _check_integer("seed", seed, 0)
         base = np.array([self.source_basepoint], dtype=complex)
         fb = self.forward(base)
         _require_at(fb[0], self.target_basepoint, f"basepoint normalization of {self.description}")
         self._require_images_inside(base, fb)
         stride = VALIDATION_SAMPLES // 150
-        grid = []
-        for start in range(0, VALIDATION_SAMPLES, VALIDATION_CHUNK):
-            z = sample_rows(self.source, rng, min(VALIDATION_CHUNK, VALIDATION_SAMPLES - start))
+        grid, start = [], 0
+        for z in _validation_rows(self.source, seed):
             w = self.forward(z)
             self._require_images_inside(z, w)
             grid.append(w[-start % stride :: stride])  # sample k with k % stride == 0
+            start += len(z)
         # finite rows are a positive distance apart exactly when they differ
         grid = np.concatenate(grid).tolist()
         if len(set(map(tuple, grid))) < len(grid):
@@ -179,6 +186,21 @@ class EmbeddingWitness:
                     f"image point {tuple(w[k].tolist())} of {tuple(z[k].tolist())} escaped the "
                     f"{domain.label} for {self.description}"
                 )
+
+
+@functools.lru_cache(maxsize=VALIDATION_CACHE)
+def _validation_rows(source: ModelDomain, seed: int) -> tuple[np.ndarray, ...]:
+    """The ``VALIDATION_SAMPLES`` rows of :meth:`EmbeddingWitness.validate`,
+    drawn from ``default_rng(seed)`` by ``sample_rows(source, ...)`` in
+    read-only chunks of ``VALIDATION_CHUNK`` rows.  The ``VALIDATION_CACHE``
+    samples used last are kept, so one in steady use is drawn once per process."""
+    rng = np.random.default_rng(seed)
+    chunks = []
+    for start in range(0, VALIDATION_SAMPLES, VALIDATION_CHUNK):
+        z = sample_rows(source, rng, min(VALIDATION_CHUNK, VALIDATION_SAMPLES - start))
+        z.flags.writeable = False
+        chunks.append(z)
+    return tuple(chunks)
 
 
 def _identity(z: np.ndarray) -> np.ndarray:

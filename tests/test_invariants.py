@@ -22,6 +22,8 @@ from biholo.domains import (
     WeightedModel,
     modulus_power,
     random_unit_vectors,
+    sample_point,
+    sample_rows,
 )
 from biholo import invariants, metrics
 from biholo.hyperbolic import MetricMode
@@ -330,10 +332,15 @@ class TestEstimatorRegression:
 
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
         monkeypatch.setattr(metrics, "polydisc_sphere", counting_sphere)
+        invariants._validation_rows.cache_clear()
         largest_centered_polydisc(ball_inclusion_into_polydisc(3), samples=128, seed=4)
         assert made == [4, 4]
         assert len(drawn) == 1
         assert len(evaluated) > 20
+        # a second search validates on the kept rows and draws only its sphere
+        largest_centered_polydisc(ball_inclusion_into_polydisc(3), samples=128, seed=4)
+        assert made == [4, 4, 4]
+        assert len(drawn) == 2
 
 
 class TestSqueezing:
@@ -405,6 +412,26 @@ class TestSqueezing:
             )
 
 
+def _doubling_witness() -> EmbeddingWitness:
+    """``z -> 2 z`` on the disc, whose images escape it."""
+    return EmbeddingWitness(
+        source=Ball(1),
+        target=Ball(1),
+        forward=lambda z: 2.0 * z,
+        inverse=lambda w: w / 2.0,
+        source_basepoint=(0j,),
+        target_basepoint=(0j,),
+        description="doubling map (escapes)",
+    )
+
+
+def _self_witness(d, forward=invariants._identity, p=None) -> EmbeddingWitness:
+    """``forward`` as a map of ``d`` into itself fixing ``p``, by default a
+    sampled point."""
+    p = sample_point(d, np.random.default_rng(0)) if p is None else p
+    return EmbeddingWitness(d, d, forward, invariants._identity, p, p, f"{d.label} into itself")
+
+
 class TestWitnessValidation:
     def test_broken_injectivity_is_caught(self):
         collapse = lambda z: np.full_like(z, 0.5)
@@ -426,18 +453,8 @@ class TestWitnessValidation:
             punctured_automorphism_witness(p)
 
     def test_escaping_image_is_caught(self):
-        blowup = lambda z: 2.0 * z
-        bad = EmbeddingWitness(
-            source=Ball(1),
-            target=Ball(1),
-            forward=blowup,
-            inverse=lambda w: w / 2.0,
-            source_basepoint=(0j,),
-            target_basepoint=(0j,),
-            description="doubling map (escapes)",
-        )
         with pytest.raises(WitnessValidationError, match="escaped"):
-            bad.validate()
+            _doubling_witness().validate()
 
     def test_leaving_the_declared_image_is_caught(self):
         """Images inside the target but outside the stricter declared image
@@ -496,6 +513,99 @@ class TestWitnessValidation:
         )
         # the last row lies exactly on the unit sphere: 1/4 + 1/4 + 1/2
         assert witness.image_contains(rows).tolist() == [True, False, True, False, False]
+
+
+class TestValidationRows:
+    """``validate`` maps rows drawn once per (source, seed) and kept, and
+    runs every check on every call."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize(
+        "dom", [Ball(1), Ball(2), Ball(3), Ball(4), Ball(5), Polydisc(2), Polydisc(3), PuncturedDisc()],
+        ids=lambda d: d.label,
+    )
+    def test_kept_rows_are_the_draw_of_one_generator(self, dom, seed):
+        """The chunks are, bit for bit, what ``validate`` drew on every call
+        before the rows were kept."""
+        rng = np.random.default_rng(seed)
+        drawn = [
+            sample_rows(dom, rng, min(invariants.VALIDATION_CHUNK, invariants.VALIDATION_SAMPLES - start))
+            for start in range(0, invariants.VALIDATION_SAMPLES, invariants.VALIDATION_CHUNK)
+        ]
+        invariants._validation_rows.cache_clear()
+        for kept in (invariants._validation_rows(dom, seed), invariants._validation_rows(dom, seed)):
+            assert len(kept) == len(drawn)
+            for got, want in zip(kept, drawn):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+                assert not got.flags.writeable
+
+    def test_a_forward_that_writes_into_its_rows_raises(self):
+        def double_in_place(z):
+            z *= 2
+            return z
+
+        key = (Ball(2), 5)
+        with pytest.raises(ValueError, match="read-only"):
+            _self_witness(Ball(2), double_in_place, (0j, 0j)).validate(5)
+        rows = invariants._validation_rows(*key)
+        _self_witness(Ball(2), lambda z: z / 2, (0j, 0j)).validate(5)
+        assert invariants._validation_rows(*key) is rows
+        fresh = invariants._validation_rows.__wrapped__(*key)
+        assert all(np.array_equal(a, b) for a, b in zip(rows, fresh))
+
+    def test_an_escape_reads_the_same_on_a_cold_and_a_warm_cache(self):
+        invariants._validation_rows.cache_clear()
+        messages = []
+        for _ in range(2):
+            with pytest.raises(WitnessValidationError, match="escaped") as info:
+                _doubling_witness().validate()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert invariants._validation_rows.cache_info().hits == 1
+
+    def test_a_warm_validate_maps_every_row(self):
+        """The basepoint, then every chunk of the kept sample."""
+        calls = []
+
+        def halve(z):
+            calls.append(len(z))
+            return z / 2
+
+        witness = _self_witness(Ball(1), halve, (0j,))
+        witness.validate(3)
+        hits = invariants._validation_rows.cache_info().hits
+        calls.clear()
+        witness.validate(3)
+        assert invariants._validation_rows.cache_info().hits == hits + 1
+        assert calls == [1, 2_048, 2_048, 2_048, 2_048, 1_808]
+        assert sum(calls) == 1 + invariants.VALIDATION_SAMPLES
+
+    def test_at_most_validation_cache_samples_are_kept(self):
+        sources = [Ball(1), Polydisc(1), PuncturedDisc(), SlitDisc(), UpperHalfPlane()]
+        sources += [HalfPlaneC(complex(k)) for k in range(1, 16)]
+        for d in sources:
+            _self_witness(d).validate()
+        info = invariants._validation_rows.cache_info()
+        assert info.currsize <= invariants.VALIDATION_CACHE == info.maxsize
+
+    @pytest.mark.parametrize(
+        "seed", [True, -1, 1.5, np.random.default_rng(0)], ids=["bool", "negative", "float", "generator"]
+    )
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        """Checked before the kept rows are looked up: a generator would be a
+        key whose rows are stale on its second use."""
+        info = invariants._validation_rows.cache_info()
+        with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, not {re.escape(repr(seed))}$"):
+            identity_ball_witness(1).validate(seed)
+        assert invariants._validation_rows.cache_info() == info
+
+    def test_numpy_integer_seed_finds_the_same_rows(self):
+        identity_ball_witness(1).validate(3)
+        info = invariants._validation_rows.cache_info()
+        identity_ball_witness(1).validate(np.int64(3))
+        after = invariants._validation_rows.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (info.hits + 1, info.misses, info.currsize)
 
 
 # each basepoint check, run with its point off by a given offset
