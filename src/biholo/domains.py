@@ -89,9 +89,16 @@ class UnsupportedDomainError(ValueError):
 
 
 def as_point(p: Union[complex, float, Sequence[complex]], dim: int | None = None) -> Point:
-    """Coerce numbers (numpy's too) or sequences to a point tuple, checking the dimension."""
-    if isinstance(p, (int, float, complex)):
-        pt: Point = (complex(p),)
+    """Coerce a number (numpy's too) or a sequence of numbers to a point
+    tuple, checking in this order that it is nonempty, finite and of the
+    dimension ``dim``.  A string, bytes or bytearray raises ``TypeError``
+    rather than giving one coordinate per character."""
+    if isinstance(p, tuple):  # the common case, ahead of the costlier tests below
+        pt: Point = tuple(map(complex, p))
+    elif isinstance(p, (int, float, complex)):
+        pt = (complex(p),)
+    elif isinstance(p, (str, bytes, bytearray)):
+        raise TypeError(f"a point is a number or a sequence of numbers, not {type(p).__name__}")
     else:
         try:
             pt = tuple(map(complex, p))
@@ -99,10 +106,11 @@ def as_point(p: Union[complex, float, Sequence[complex]], dim: int | None = None
             if not isinstance(p, np.number):
                 raise
             pt = (complex(p),)
-    if len(pt) < 1:
+    if not pt:
         raise ValueError("a point needs at least one coordinate")
-    if not all(map(cmath.isfinite, pt)):
-        raise ValueError(f"point {pt!r} has non-finite coordinates")
+    for c in pt:
+        if not cmath.isfinite(c):
+            raise ValueError(f"point {pt!r} has non-finite coordinates")
     if dim is not None and len(pt) != dim:
         raise ValueError(f"expected a point of dimension {dim}, got {len(pt)}")
     return pt
@@ -293,7 +301,7 @@ def _poly_value(poly: WeightedPolynomial, w):
 
 def poly_eval(poly: WeightedPolynomial, w: Sequence[complex]) -> float:
     """Evaluate a polynomial, returning the (checked) real value."""
-    w = tuple(complex(c) for c in w)
+    w = tuple(map(complex, w))
     if len(w) != poly.nvars:
         raise ValueError(f"expected {poly.nvars} variables, got {len(w)}")
     return _poly_value(poly, w)

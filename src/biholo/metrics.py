@@ -69,7 +69,12 @@ def ball_distance(a, b):
     distance from ``a`` per row, by the same formula in numpy.
     """
     a = as_point(a)
-    b = _coordinates(b, len(a))
+    return _ball_distance(a, _coordinates(b, len(a)))
+
+
+def _ball_distance(a: Point, b):
+    """:func:`ball_distance` of a coerced point ``a`` and a coerced point or
+    the columns of rows ``b``; it tests membership, not coercion."""
     na = sum(abs(c) ** 2 for c in a)
     nb = sum(abs(c) ** 2 for c in b)
     rows = isinstance(nb, np.ndarray)
@@ -107,7 +112,11 @@ def ball_automorphism(a) -> "callable":
 def siegel_to_ball(z):
     """Cayley transform of ``{2 Re z_n + |'z|^2 < 0}`` onto the unit ball,
     sending ``('0, -1)`` to the origin; of a point or of the columns of rows."""
-    z = _coordinates(z)
+    return _siegel_to_ball(_coordinates(z))
+
+
+def _siegel_to_ball(z):
+    """:func:`siegel_to_ball` of a coerced point or the columns of rows."""
     zn = z[-1]
     wn = (1.0 + zn) / (1.0 - zn)
     return tuple(c * math.sqrt(2.0) / (1.0 - zn) for c in z[:-1]) + (wn,)
@@ -351,8 +360,11 @@ class Geometry(NamedTuple):
     invariant and the squeezing function where both are theorems and
     constant in the point (0 and 1 on the ball and on what maps onto it,
     Deng, Guan and Zhang (2012) on the polydisc).  Distances and radii are
-    Kobayashi; a carried record's entries are its model's.  Each entry looks
-    its functions up when called, so a function wrapped by name is what runs."""
+    Kobayashi; a carried record's entries are its model's.  The entries pass
+    these coerced points to formulas that do not coerce them again
+    (``_ball_distance``, ``_siegel_to_ball``), each keeping its membership
+    check.  Each entry looks its functions up when called, so a function
+    wrapped by name is what runs."""
 
     distance: Callable | None = None
     sphere: Callable[..., Sphere] | None = None
@@ -388,7 +400,7 @@ _SLIT_MAP = covering.build_slit_map(0.5)
 _GEOMETRY: dict[type, Geometry] = {
     Ball: Geometry(
         # Ball(1) is the disc: its form keeps 1 - |a|^2 as (1 - |a|)(1 + |a|)
-        distance=lambda d, p, q: disc_distance(p[0], q[0]) if d.dim == 1 else ball_distance(p, q),
+        distance=lambda d, p, q: disc_distance(p[0], q[0]) if d.dim == 1 else _ball_distance(p, q),
         sphere=lambda d, center, count, rng: _ball_sphere(center, count, rng),
         ball=lambda d, center, radius, count, rng: _ball_sphere(center, count, rng)(
             radius * np.sqrt(rng.uniform(size=count))),
@@ -411,7 +423,7 @@ _GEOMETRY: dict[type, Geometry] = {
         sphere=lambda d, center, count, rng: _punctured_sphere(center[0], count, rng),
     ),
     SlitDisc: _carried(Ball, lambda d, z: (_SLIT_MAP.unapply(z[0]),), lambda d, w: (_SLIT_MAP.apply(w[0]),)),
-    Siegel: _carried(Ball, lambda d, z: siegel_to_ball(z), lambda d, w: ball_to_siegel(w)),
+    Siegel: _carried(Ball, lambda d, z: _siegel_to_ball(z), lambda d, w: ball_to_siegel(w)),
     WeightedModel: Geometry(),  # any but the unbounded ball realization
 }
 

@@ -158,6 +158,40 @@ class TestAsPoint:
         with pytest.raises(ValueError, match="^expected a point of dimension 2, got 1$"):
             as_point(0.5, 2)
 
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+    @pytest.mark.parametrize(
+        "wrap, dim",
+        [(lambda c: c, 2), (lambda c: (0j, c), 3), (lambda c: [c, 0j, 0j], 1)],
+        ids=["scalar", "tuple", "list"],
+    )
+    def test_non_finite_is_named_before_the_dimension(self, wrap, dim, bad):
+        """A point both non-finite and of the wrong dimension raises the
+        non-finite message: the checks run empty, non-finite, dimension."""
+        with pytest.raises(ValueError, match=r"^point \(.*\) has non-finite coordinates$"):
+            as_point(wrap(bad), dim)
+
+    @pytest.mark.parametrize("empty", [(), [], np.array([], dtype=complex)], ids=["tuple", "list", "array"])
+    def test_empty_is_named_before_the_dimension(self, empty):
+        with pytest.raises(ValueError, match="^a point needs at least one coordinate$"):
+            as_point(empty, 2)
+
+    @pytest.mark.parametrize(
+        "text", ["12", b"12", bytearray(b"12"), np.str_("12"), "", "0.5"], ids=repr
+    )
+    @pytest.mark.parametrize("dim", [None, 1, 2])
+    def test_rejects_text(self, text, dim):
+        """A string is not a sequence of coordinates: ``"12"`` gave
+        ``(1, 2)`` and ``b"12"`` the character codes ``(49, 50)``."""
+        name = type(text).__name__
+        with pytest.raises(TypeError, match=f"^a point is a number or a sequence of numbers, not {name}$"):
+            as_point(text, dim)
+
+    def test_a_namedtuple_is_a_sequence(self):
+        """A tuple subclass takes the tuple path and gives a plain tuple."""
+        pair = typing.NamedTuple("Pair", [("x", complex), ("y", complex)])(0.5, 1j)
+        pt = as_point(pair, 2)
+        assert type(pt) is tuple and pt == (0.5 + 0j, 1j)
+
 
 # one instance of every variant, with the dimension and the label that CLI
 # records print

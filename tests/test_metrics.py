@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from biholo import domains, metrics
+from biholo import cli, domains, invariants, metrics, scaling
 from biholo.domains import (
     Ball,
     HalfPlaneC,
@@ -229,7 +229,9 @@ class TestDispatcher:
 
     def test_each_point_is_coerced_once(self, monkeypatch):
         """The entry coerces each point once and tests membership on the
-        coerced tuple, not through ``contains``, which would coerce again."""
+        coerced tuple, not through ``contains``, which would coerce again;
+        the record's formulas take the coerced tuples as they are.  Every
+        namespace that binds ``as_point`` is counted, ``_coordinates``'s too."""
         calls = {"as_point": 0, "contains": 0}
 
         def counted(name, f):
@@ -239,11 +241,41 @@ class TestDispatcher:
 
             return wrapper
 
-        monkeypatch.setattr(metrics, "as_point", counted("as_point", domains.as_point))
+        as_point_counted = counted("as_point", domains.as_point)
+        for module in (domains, metrics, invariants, scaling, cli):
+            monkeypatch.setattr(module, "as_point", as_point_counted)
         monkeypatch.setattr(metrics, "contains", counted("contains", domains.contains), raising=False)
         monkeypatch.setattr(domains, "contains", counted("contains", domains.contains))
         assert kobayashi_distance(Ball(1), 0.2, 0.5j) == disc_distance(0.2, 0.5j)
         assert calls == {"as_point": 2, "contains": 0}
+        for domain, p, q in COERCED_ONCE:
+            calls.update(as_point=0, contains=0)
+            kobayashi_distance(domain, p, q)
+            assert calls == {"as_point": 2, "contains": 0}, domain.label
+
+    def test_a_string_point_raises(self):
+        """``"0"`` is not the point 0: it gave d(0, 1/2) = 0.5493."""
+        with pytest.raises(TypeError, match="^a point is a number or a sequence of numbers, not str$"):
+            kobayashi_distance(Ball(1), "0", 0.5)
+
+    def test_the_public_ball_formulas_still_coerce(self):
+        """``ball_distance`` and ``siegel_to_ball`` coerce what they are
+        given, where the records hand their private formulas coerced points:
+        a planar scalar is a point, and a point of the wrong dimension or
+        with a non-finite coordinate raises."""
+        assert ball_distance(0.2, 0.5j) == ball_distance((0.2,), (0.5j,))
+        assert siegel_to_ball(-0.5) == siegel_to_ball((-0.5 + 0j,))
+        dimension = "^expected a point of dimension 2, got 1$"
+        with pytest.raises(ValueError, match=dimension):
+            ball_distance((0.1, 0.2j), 0.5)
+        with pytest.raises(ValueError, match=dimension):
+            ball_distance(siegel_to_ball((0.1, -1.0)), siegel_to_ball(-0.5))
+        nan = complex(float("nan"), 0.0)
+        non_finite = r"^point \(.*\) has non-finite coordinates$"
+        for call in (lambda: ball_distance((0.1, nan), (0j, 0j)), lambda: ball_distance((0j, 0j), (nan, 0j)),
+                     lambda: ball_distance(nan, 0.5), lambda: siegel_to_ball((0j, nan)), lambda: siegel_to_ball(nan)):
+            with pytest.raises(ValueError, match=non_finite):
+                call()
 
     def test_siegel_equivalent_model_has_the_siegel_record(self):
         """A weighted model that is literally the unbounded ball realization
@@ -258,6 +290,22 @@ class TestDispatcher:
         other = WeightedModel(Multitype((1, 4)), modulus_power(1, 0, 2))
         with pytest.raises(UnsupportedDomainError, match="ball sampler"):
             sample_metric_ball(other, (0j, -1.0), 1.0, 8, np.random.default_rng(0))
+
+
+# One pair of points inside each of the eight variants of the distance
+# workload, and in Ball(3) and Siegel(3)
+COERCED_ONCE = [
+    (UpperHalfPlane(), (0.3 + 2j,), (-1.0 + 0.5j,)),
+    (Ball(1), (0.3 - 0.4j,), (-0.5 + 0.1j,)),
+    (Ball(2), (0.3, -0.2j), (-0.1 + 0.4j, 0.5)),
+    (Polydisc(3), (0.1, 0.2j, -0.3), (0.5j, -0.4, 0.6 + 0.1j)),
+    (PuncturedDisc(), (0.5,), (-0.3 + 0.2j,)),
+    (SlitDisc(), (0.5j,), (-0.5 - 0.1j,)),
+    (Siegel(2), (0.3 - 0.2j, -1.4 + 0.5j), (0.1j, -1.0)),
+    (HalfPlaneC(1.0 + 0.5j), (0j,), (-1.0 + 0.3j,)),
+    (Ball(3), (0.3, -0.2j, 0.1), (-0.1 + 0.4j, 0.5, 0.2j)),
+    (Siegel(3), (0.3, -0.2j, -1.4 + 0.5j), (0.1j, 0.5, -1.0)),
+]
 
 
 # One pair per variant with a distance, and its distance in POINCARE and in
