@@ -16,14 +16,18 @@ through the point.
 
 Everything else is an estimator: both invariants quantify over *all*
 embeddings, so a single witness embedding only ever certifies one side.
-Every estimator checks its basepoints to ``BASEPOINT_TOL``, validates its
-witness and then bisects on the largest radius whose sphere sample stays
-inside the witness image.  The sample is drawn once per search, from the
-search's seed, and rescaled to each radius tested.  The search builds the
-one report of every estimator: that radius together with the sampling
-metadata that makes the bound reproducible, and its trace: every radius
-tested with its outcome, and the sample row that escaped the image at the
-last radius that failed.
+Every estimator checks its basepoints to ``BASEPOINT_TOL`` and validates
+its witness ``f``.  Its radius is then the distance from the basepoint to
+the complement of the image, the least distance to the image of a boundary
+point of the source (Fridman: Kobayashi, over the images inside the
+target; squeezing: euclidean, at most 1; the centred polydisc: the
+polydisc norm).  The boundary sample is drawn per call: the source's known
+extreme points (the puncture of the punctured disc among them), the rows a
+witness's written argument seeds, and random rows from the search's seed,
+refined around the best one.  The minimum over that sample builds the one
+report of every estimator, with the boundary point that decided it and its
+image.  A report is certified when the witness carries the written
+argument that the minimum is attained at a seeded row.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -103,12 +107,14 @@ class EmbeddingWitness:
     """Injective holomorphic map between two model domains, with basepoints.
 
     ``forward`` and ``inverse`` map rows to rows: complex arrays of shape
-    ``[m, n]``.  Membership in the image is decided by the inverse
-    round-trip and, when ``image_domain`` is set, by membership in it as
-    well.  ``image_domain`` is the exact image as a model domain, declared
-    only where it is stricter than what ``forward`` and ``inverse`` show.
-    For an inclusion (both maps ``_identity``) the round trip is exact and
-    the image is the source, so only the defining functions are evaluated.
+    ``[m, n]``.  The estimators map only the source's boundary forward.
+    :meth:`image_contains`, an oracle the tests check them with, decides
+    membership in the image by the inverse round-trip and, when
+    ``image_domain`` is set, by membership in it as well.  ``image_domain``
+    is the exact image as a model domain, declared only where it is
+    stricter than what ``forward`` and ``inverse`` show.  For an inclusion
+    (both maps ``_identity``) the round trip is exact and the image is the
+    source, so only the defining functions are evaluated.
     Both basepoints are coerced with :func:`as_point` to their domain's dimension.
     """
 
@@ -120,6 +126,11 @@ class EmbeddingWitness:
     target_basepoint: Point
     description: str
     image_domain: ModelDomain | None = None
+    # The written argument that the images of the source's boundary come
+    # nearest the basepoint at a row the estimators' sample always holds, and
+    # the boundary rows it adds to the source's own seeds.  Only this module's
+    # constructors set it, so a witness built or copied by a caller has none.
+    _certificate: tuple[str, tuple[Point, ...]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.source_basepoint = as_point(self.source_basepoint, self.source.dim)
@@ -203,6 +214,12 @@ def _validation_rows(source: ModelDomain, seed: int) -> tuple[np.ndarray, ...]:
     return tuple(chunks)
 
 
+def _certified(witness: EmbeddingWitness, reason: str, *extremal: Point) -> EmbeddingWitness:
+    """``witness`` with its certificate: the argument and the rows it seeds."""
+    witness._certificate = (reason, extremal)
+    return witness
+
+
 def _identity(z: np.ndarray) -> np.ndarray:
     """The map of the inclusion witnesses, which
     :meth:`EmbeddingWitness.image_contains` recognises by identity."""
@@ -216,15 +233,33 @@ def _inclusion(target: ModelDomain, description: str) -> EmbeddingWitness:
 
 
 def ball_inclusion_into_polydisc(n: int) -> EmbeddingWitness:
-    """The inclusion of the unit ball into the unit polydisc, fixing 0."""
-    return _inclusion(Polydisc(n), f"inclusion of the unit ball into the polydisc (n={n})")
+    """The inclusion of the unit ball into the unit polydisc, fixing 0.
+
+    Certified: on the sphere ``max_k |z_k| >= 1/sqrt n``, with equality at
+    the seeded row ``(1, ..., 1)/sqrt n``, and both the polydisc's distance
+    from 0, ``artanh(max_k |w_k|)``, and the centred polyradius grow with
+    ``max_k |w_k|``."""
+    return _certified(
+        _inclusion(Polydisc(n), f"inclusion of the unit ball into the polydisc (n={n})"),
+        f"max_k |z_k| on the sphere is least, 1/sqrt({n}), at the seeded row (1, ..., 1)/sqrt({n})",
+    )
 
 
 def slit_embedding_of_disc(p: float) -> EmbeddingWitness:
     """The uniformization of the slit disc, as a disc embedding into the
-    punctured disc sending 0 to ``p``."""
+    punctured disc sending 0 to ``p``.
+
+    Certified: the circle maps onto the unit circle and the slit ``(-1, 0]``,
+    and the slit point nearest ``p`` is ``-exp(-sqrt(t^2 + pi^2))`` with
+    ``t = -log p``.  In the cover ``z -> exp(i z)``, ``p`` lifts to ``i t``
+    and the slit to the line ``Re z = pi``; the geodesic from ``i t``
+    perpendicular to that line is the circle of centre ``pi`` through
+    ``i t``, which meets it at ``pi + i sqrt(t^2 + pi^2)``.  The preimage of
+    that point on the circle is seeded.
+    """
     slit_map = covering.build_slit_map(p)
-    return EmbeddingWitness(
+    nearest = slit_map.unapply(complex(-math.exp(-math.hypot(math.log(p), math.pi))))
+    witness = EmbeddingWitness(
         source=Ball(1),
         target=PuncturedDisc(),
         forward=slit_map.apply,
@@ -234,6 +269,8 @@ def slit_embedding_of_disc(p: float) -> EmbeddingWitness:
         description=f"disc onto the slit disc with 0 -> {p}",
         image_domain=SlitDisc(),
     )
+    reason = "the slit point nearest p is -exp(-sqrt(t^2 + pi^2)), t = -log p, whose preimage is seeded"
+    return _certified(witness, reason, (nearest / abs(nearest),))
 
 
 def identity_ball_witness(n: int) -> EmbeddingWitness:
@@ -241,9 +278,12 @@ def identity_ball_witness(n: int) -> EmbeddingWitness:
 
 
 def scaled_polydisc_into_ball(n: int) -> EmbeddingWitness:
-    """The squeezing witness ``z -> z / sqrt(n)`` of the polydisc into the ball."""
+    """The squeezing witness ``z -> z / sqrt(n)`` of the polydisc into the ball.
+
+    Certified: on the faces ``|z_k| = 1`` the image norm ``|z| / sqrt n`` is
+    at least ``1/sqrt n``, with equality at the seeded axes ``e_k``."""
     s = math.sqrt(n)
-    return EmbeddingWitness(
+    witness = EmbeddingWitness(
         source=Polydisc(n),
         target=Ball(n),
         forward=lambda z: z / s,
@@ -252,11 +292,15 @@ def scaled_polydisc_into_ball(n: int) -> EmbeddingWitness:
         target_basepoint=(0j,) * n,
         description=f"scaling z -> z/sqrt({n}) of the polydisc into the ball",
     )
+    return _certified(witness, f"|z|/sqrt({n}) on the faces is least, 1/sqrt({n}), at the seeded axes e_k")
 
 
 def punctured_automorphism_witness(p: complex) -> EmbeddingWitness:
     """Disc automorphism swapping ``p`` and 0, restricted to the punctured
-    disc; the image omits the single point ``p``."""
+    disc; the image omits the single point ``p``.
+
+    Certified: the circle maps onto the circle and the puncture, a seeded
+    boundary row, onto ``p``, so the image's boundary nearest 0 is ``p``."""
     p = complex(p)
     if not 0 < abs(p) < 1:
         raise ValueError("basepoint must lie in the punctured disc")
@@ -264,7 +308,7 @@ def punctured_automorphism_witness(p: complex) -> EmbeddingWitness:
     def phi(z: np.ndarray) -> np.ndarray:
         return (p - z) / (1.0 - p.conjugate() * z)
 
-    return EmbeddingWitness(
+    witness = EmbeddingWitness(
         source=PuncturedDisc(),
         target=Ball(1),
         forward=phi,
@@ -274,6 +318,7 @@ def punctured_automorphism_witness(p: complex) -> EmbeddingWitness:
         description=f"disc automorphism moving {p} to 0 on the punctured disc "
         "(image omits one point)",
     )
+    return _certified(witness, "the circle maps onto the circle and the seeded puncture onto p")
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +391,13 @@ def fridman_bounds_punctured(p: complex) -> BoundEstimate:
 
 @dataclass(frozen=True)
 class RadiusSearch:
-    """Bisection parameters for the radius searches.
+    """Parameters of the radius estimators: the cap ``r_max`` on the radius,
+    the width ``tol`` at which the refinement around the nearest boundary
+    image stops, and the ``samples`` random boundary rows drawn from ``seed``.
 
-    Caps beyond ~18 are not resolvable for ball and polydisc spheres in
-    double precision: tanh(r) rounds to 1 and the sphere degenerates onto
-    the boundary.
+    Caps beyond ~18 are not resolvable on the ball and the polydisc in double
+    precision: a boundary image that rounds to just inside the domain lies at
+    Kobayashi distance about ``artanh(1 - 2^-53)``, 18.7, from the centre.
     """
 
     r_max: float = 16.0
@@ -374,13 +421,15 @@ def _check_integer(name: str, value, least: int) -> None:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """One-sided invariant estimate with its sampling metadata and trace, built
-    only by :func:`_largest_radius`; the Fridman estimator replaces its value and mode.
+    """One-sided invariant estimate with its sampling metadata, built only by
+    :func:`_nearest_boundary_image`; the Fridman estimator replaces its value and mode.
 
-    ``evaluations`` counts the sphere tests made, the probe at the cap
-    included; ``steps`` holds each test in order as ``(radius, inside)``.
-    ``escape`` is the first sample row outside the witness image at the
-    last radius that failed, or ``None`` when the cap held.
+    ``boundary_point`` is the boundary row of the witness's source whose
+    image decided the radius, and ``boundary_image`` that image; both are
+    ``None`` when no image of the boundary counted.  ``certified`` is true
+    when the witness carries a written argument that the minimum is attained
+    at a row the sample always holds; ``reason`` is that argument, or says
+    there is none.
     """
 
     value: float
@@ -390,55 +439,95 @@ class EstimateReport:
     tol: float
     mode: str | None
     witness: str
-    evaluations: int
-    steps: tuple[tuple[float, bool], ...]
-    escape: Point | None
+    certified: bool
+    reason: str
+    boundary_point: Point | None
+    boundary_image: Point | None
 
 
-def _largest_radius(
+# Rows of a refinement round in C^n; in C a round is an angle grid of
+# 2 REFINE_SHRINK + 1 rows.  A round that finds a better row halves the width
+# of the next; one that does not divides it by REFINE_SHRINK (in C, to one
+# spacing of its grid).
+REFINE_ROWS = 64
+REFINE_SHRINK = 8
+UNCERTIFIED = "no written argument that the boundary sample holds the row attaining the minimum"
+
+
+def _boundary_rows(source: ModelDomain, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The known extreme points of the boundary of ``source``, then ``count``
+    random boundary rows drawn from ``rng``: the sphere of ``Ball(n)``, seeded
+    with ``(1, ..., 1)/sqrt n``; the faces ``|z_k| = 1`` of ``Polydisc(n)``
+    (:func:`metrics.polydisc_sphere` at modulus 1), seeded with the axes
+    ``e_k``; the circle of ``PuncturedDisc`` and its puncture 0."""
+    n = source.dim
+    if isinstance(source, Ball):
+        seeds, drawn = np.full((1, n), 1.0 / math.sqrt(n)), random_unit_vectors(n, count, rng)
+    elif isinstance(source, Polydisc):
+        seeds, drawn = np.eye(n), metrics.polydisc_sphere(n, count, rng)(1.0)
+    elif isinstance(source, PuncturedDisc):
+        seeds, drawn = np.array([[1.0], [0.0]]), random_unit_vectors(1, count, rng)
+    else:
+        raise UnsupportedDomainError(f"no boundary sampler for the source {source.label}")
+    return np.concatenate([seeds.astype(complex), drawn])
+
+
+def _nearest_boundary_image(
     witness: EmbeddingWitness,
-    draw: Callable[[np.random.Generator], metrics.Sphere],
+    score: Callable[[np.ndarray], np.ndarray],
     cap: float,
     tol: float,
     seed: int,
     samples: int,
 ) -> EstimateReport:
-    """Report of the largest radius r in (0, cap] whose sphere sample lies in
-    the witness image, up to ``tol``, as its ``value`` and ``radius`` (``mode = None``).
+    """Report of ``r = min(cap, min over the source's boundary of score(f(z)))``
+    as its ``value`` and ``radius`` (``mode = None``); ``score`` maps finite
+    image rows to one value each, ``inf`` for a row that does not count.
 
-    Validates the witness, then draws the sample of size ``samples`` once,
-    ``sphere = draw(default_rng(seed))``, and evaluates ``sphere(r)`` at every
-    radius tested: the cap and, if it fails, a bisection from ``min(tol, cap / 2)``.
-    Every radius is thus tested on the same sample, rescaled.
+    Validates the witness, then scores the boundary rows: the rows its
+    certificate seeds, then :func:`_boundary_rows` with ``samples`` rows from
+    ``default_rng(seed)``.  Rows whose image is not finite are dropped.
+    Rounds around the best row follow, from four sample spacings (in C) or
+    the sphere's radius (in C^n) down to ``tol``: an angle grid in C, random
+    perturbations projected radially back onto the boundary in C^n, drawn
+    from the same generator.
     """
     witness.validate(seed=seed)
-    sphere = draw(np.random.default_rng(seed))
-    steps = []
-    escape = None
+    rng = np.random.default_rng(seed)
+    source, n = witness.source, witness.source.dim
+    reason, extremal = witness._certificate or (UNCERTIFIED, ())
 
-    def inside(r: float) -> bool:
-        nonlocal escape
-        rows = sphere(r)
-        kept = witness.image_contains(rows)
-        ok = bool(kept.all())
-        steps.append((r, ok))
-        if not ok:
-            escape = tuple(rows[int(np.argmin(kept))].tolist())
-        return ok
+    def best_of(z: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        with np.errstate(all="ignore"):
+            w = witness.forward(z)
+        values = np.full(len(z), np.inf)
+        finite = np.isfinite(w).all(axis=1)
+        values[finite] = score(w[finite])
+        k = int(np.argmin(values))
+        return values[k], z[k], w[k]
 
-    hit_cap = inside(cap)
-    lo, hi = (cap if hit_cap else min(tol, cap / 2)), cap
-    if not (hit_cap or inside(lo)):
-        raise WitnessValidationError("the witness image does not contain any neighbourhood of the basepoint")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if inside(mid):
-            lo = mid
+    z = np.concatenate([np.array(extremal, dtype=complex).reshape(-1, n), _boundary_rows(source, samples, rng)])
+    best = best_of(z)
+    width = 8.0 * math.pi / len(z) if n == 1 else 1.0
+    while width >= tol:
+        if n == 1:
+            z = best[1] * np.exp(1j * width / REFINE_SHRINK * np.arange(-REFINE_SHRINK, REFINE_SHRINK + 1))[:, None]
         else:
-            hi = mid
+            z = best[1] + width * random_unit_vectors(n, REFINE_ROWS, rng)
+            z /= (np.abs(z).max(axis=1) if isinstance(source, Polydisc) else np.linalg.norm(z, axis=1))[:, None]
+        found = best_of(z)
+        width /= 2.0 if found[0] < best[0] else REFINE_SHRINK
+        best = min(best, found, key=lambda b: b[0])
+    nearest, point, image = best
+    radius = min(cap, float(nearest))
+    if not radius > 0.0:
+        raise WitnessValidationError("the witness image does not contain any neighbourhood of the basepoint")
+    decided = math.isfinite(nearest)
     return EstimateReport(
-        value=lo, radius=lo, hit_cap=hit_cap, samples=samples, tol=tol, mode=None,
-        witness=witness.description, evaluations=len(steps), steps=tuple(steps), escape=escape,
+        value=radius, radius=radius, hit_cap=radius == cap, samples=samples, tol=tol, mode=None,
+        witness=witness.description, certified=witness._certificate is not None, reason=reason,
+        boundary_point=tuple(point.tolist()) if decided else None,
+        boundary_image=tuple(image.tolist()) if decided else None,
     )
 
 
@@ -451,25 +540,33 @@ def fridman_upper_from_embedding(
 ) -> EstimateReport:
     """Upper bound ``1/r*`` for the Fridman invariant from one embedding.
 
-    ``r*`` is the largest radius (bisection up to ``search.tol``) such that a
-    dense sample of the Kobayashi sphere of radius r around ``p`` lies in
-    the witness image; membership goes through the validated inverse.
+    ``r*`` is the radius of the largest Kobayashi ball around ``p`` inside
+    the witness image, the distance from ``p`` to the complement of the
+    image: the least distance from ``p`` to an image of a boundary point of
+    the source that lies in ``d``, capped at ``search.r_max``.  Membership is
+    ``d``'s defining function on rows and the distance is the variant's row
+    distance, so the two round alike.
 
-    The search runs in the units of ``mode``: ``search.r_max``,
-    ``search.tol`` and the reported radii are in them, and each radius is
-    converted to a Kobayashi radius only where its sphere is drawn.
+    The radius is in the units of ``mode``: ``search.r_max`` and the
+    reported radius are in them.  ``search.tol`` is a width on the source's
+    boundary, where the refinement stops.
     """
     search = search or RadiusSearch()
-    p = as_point(p, d.dim)
+    p = metrics._inner_point(d, p)
     if witness.target != d:
         raise WitnessValidationError("witness target does not match the domain")
     _require_at(witness.target_basepoint, p, "witness does not send its basepoint to the given point")
+    distance = metrics._geometry(d).distance
+    if distance is None:
+        raise UnsupportedDomainError(f"no computable Kobayashi distance for {d.label}")
 
-    def draw(rng: np.random.Generator) -> metrics.Sphere:
-        sphere = metrics.metric_sphere(d, p, search.samples, rng)
-        return lambda r: sphere(r / mode.factor)
+    def score(w: np.ndarray) -> np.ndarray:
+        values = np.full(len(w), np.inf)
+        inside = d.defining(w.T) < 0.0
+        values[inside] = mode.factor * distance(d, p, w[inside].T)
+        return values
 
-    found = _largest_radius(witness, draw, search.r_max, search.tol, search.seed, search.samples)
+    found = _nearest_boundary_image(witness, score, search.r_max, search.tol, search.seed, search.samples)
     return replace(found, value=1.0 / found.radius, mode=mode.value)
 
 
@@ -480,20 +577,14 @@ def squeezing_exact(d: ModelDomain, p=None) -> float:
     return _exact(d, p, "squeezing value", "squeezing_lower_from_embedding")[1]
 
 
-def _euclidean_spheres(n: int, count: int, rng: np.random.Generator) -> metrics.Sphere:
-    """The centred euclidean spheres of one sample, as a function from the
-    radius r to rows: the 4n points r * phase * e_k with phase in
-    (1, i, -1, -i), then ``count`` random ones, drawn from ``rng`` once."""
+def _euclidean_sphere(n: int, r: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The centred euclidean sphere of radius ``r`` in C^n, as rows: the 4n
+    points ``r * phase * e_k`` with phase in (1, i, -1, -i), then ``count``
+    random ones drawn from ``rng``."""
     axes = np.zeros((n, 4, n), dtype=complex)
     for k in range(n):
         axes[k, :, k] = (1.0, 1j, -1.0, -1j)
-    unit = np.concatenate([axes.reshape(4 * n, n), random_unit_vectors(n, count, rng)])
-    return lambda r: r * unit
-
-
-def _euclidean_sphere(n: int, r: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """:func:`_euclidean_spheres` at one radius, as rows."""
-    return _euclidean_spheres(n, count, rng)(r)
+    return r * np.concatenate([axes.reshape(4 * n, n), random_unit_vectors(n, count, rng)])
 
 
 def squeezing_lower_from_embedding(
@@ -504,8 +595,10 @@ def squeezing_lower_from_embedding(
 ) -> EstimateReport:
     """Lower bound for the squeezing function from one embedding into the ball.
 
-    Returns the largest euclidean radius r (bisection) such that a dense
-    sample of the sphere of radius r lies in the witness image.
+    The largest centred euclidean ball inside the witness image has radius
+    ``min(1, min |f(z)|)`` over the boundary points ``z`` of the source (the
+    puncture included on ``PuncturedDisc``), reported capped at
+    ``search.r_max``.
     """
     search = search or RadiusSearch(r_max=1.0)
     p = as_point(p, d.dim)
@@ -514,11 +607,11 @@ def squeezing_lower_from_embedding(
     n = witness.target.dim
     _require_at(witness.source_basepoint, p, "witness does not send the given point to the origin")
     _require_at(witness.target_basepoint, (0j,) * n, "witness must normalize the basepoint to the origin")
-    draw = lambda rng: _euclidean_spheres(n, search.samples, rng)
-    return _largest_radius(witness, draw, min(search.r_max, 1.0), search.tol, search.seed, search.samples)
+    norm = lambda w: np.linalg.norm(w, axis=1)
+    return _nearest_boundary_image(witness, norm, min(search.r_max, 1.0), search.tol, search.seed, search.samples)
 
 
-# bisection tolerance of largest_centered_polydisc, whose cap is 1 - tol
+# refinement width of largest_centered_polydisc
 POLYRADIUS_TOL = 1e-7
 
 
@@ -527,11 +620,12 @@ def largest_centered_polydisc(
     samples: int = 512,
     seed: int = 7,
 ) -> float:
-    """Largest polyradius c with the centred polydisc inside the witness image.
+    """Largest polyradius c, at most 1, with the centred polydisc inside the
+    witness image: ``min max_k |f(z)_k|`` over the sphere of the source.
 
     The witness must map a ball into a polydisc fixing 0 (to ``BASEPOINT_TOL``).
-    The polydisc sphere sample always contains the corner point, which decides
-    the containment exactly, so ``samples`` may be any integer >= 0.
+    The boundary rows always include ``(1, ..., 1)/sqrt n``, so ``samples``
+    may be any integer >= 0.
     """
     if not isinstance(witness.source, Ball) or not isinstance(witness.target, Polydisc):
         raise WitnessValidationError("witness must map a ball into a polydisc")
@@ -539,6 +633,5 @@ def largest_centered_polydisc(
     _require_at(origin, (0j,) * len(origin), "witness must fix the origin")
     _check_integer("samples", samples, 0)
     _check_integer("seed", seed, 0)
-    n = witness.target.dim
-    draw = lambda rng: metrics.polydisc_sphere(n, samples, rng)
-    return _largest_radius(witness, draw, 1.0 - POLYRADIUS_TOL, POLYRADIUS_TOL, seed, samples).radius
+    polynorm = lambda w: np.abs(w).max(axis=1)
+    return _nearest_boundary_image(witness, polynorm, 1.0, POLYRADIUS_TOL, seed, samples).radius

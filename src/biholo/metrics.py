@@ -90,7 +90,12 @@ def _ball_distance(a: Point, b):
 def ball_automorphism(a) -> "callable":
     """Involutive automorphism of the ball swapping ``a`` and the origin, of
     a point or of the columns of rows."""
-    a = as_point(a)
+    return _ball_automorphism(as_point(a))
+
+
+def _ball_automorphism(a: Point) -> "callable":
+    """:func:`ball_automorphism` of a coerced point ``a``; it tests
+    membership, not coercion."""
     na2 = sum(abs(c) ** 2 for c in a)
     if na2 >= 1.0:
         raise ValueError("parameter must lie in the open unit ball")
@@ -216,7 +221,7 @@ def polydisc_sphere_sample(n: int, modulus: float, count: int, rng: np.random.Ge
 def _ball_sphere(center: Point, count: int, rng: np.random.Generator) -> Sphere:
     """The ball's spheres at ``count`` directions; a radius is a float, or one per direction."""
     directions = random_unit_vectors(len(center), count, rng).T
-    phi = ball_automorphism(center)
+    phi = _ball_automorphism(center)
     return lambda radius: np.column_stack(
         phi((np if isinstance(radius, np.ndarray) else math).tanh(radius) * directions))
 
@@ -362,9 +367,9 @@ class Geometry(NamedTuple):
     Deng, Guan and Zhang (2012) on the polydisc).  Distances and radii are
     Kobayashi; a carried record's entries are its model's.  The entries pass
     these coerced points to formulas that do not coerce them again
-    (``_ball_distance``, ``_siegel_to_ball``), each keeping its membership
-    check.  Each entry looks its functions up when called, so a function
-    wrapped by name is what runs."""
+    (``_ball_distance``, ``_siegel_to_ball``, ``_ball_automorphism``), each
+    keeping its membership check.  Each entry looks its functions up when
+    called, so a function wrapped by name is what runs."""
 
     distance: Callable | None = None
     sphere: Callable[..., Sphere] | None = None

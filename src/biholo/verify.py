@@ -367,16 +367,16 @@ def suite_fridman_estimators(cfg: RunConfig) -> SuiteResult:
             Polydisc(n), (0j,) * n, invariants.ball_inclusion_into_polydisc(n), search
         )
         res.expect(
-            abs(est.value - exact) <= 1e-4,
-            f"polydisc estimator off by {abs(est.value - exact):.2e} at n={n}",
+            abs(est.value - exact) <= 1e-12 * exact,
+            f"polydisc estimator off by {abs(est.value - exact) / exact:.2e} relative at n={n}",
         )
     sq = invariants.squeezing_lower_from_embedding(
         Polydisc(2), (0j, 0j), invariants.scaled_polydisc_into_ball(2),
         invariants.RadiusSearch(r_max=1.0, tol=1e-7, samples=ESTIMATOR_SAMPLES, seed=cfg.seed),
     )
     res.expect(
-        abs(sq.value - 1.0 / math.sqrt(2.0)) <= 1e-4,
-        f"polydisc squeezing witness off by {abs(sq.value - 1/math.sqrt(2)):.2e}",
+        abs(sq.value * math.sqrt(2.0) - 1.0) <= 1e-12,
+        f"polydisc squeezing witness off by {abs(sq.value * math.sqrt(2.0) - 1.0):.2e} relative",
     )
     return res
 
@@ -388,12 +388,12 @@ def suite_alexander(cfg: RunConfig) -> SuiteResult:
             invariants.ball_inclusion_into_polydisc(n), samples=ESTIMATOR_SAMPLES
         )
         res.expect(
-            c <= 1.0 / math.sqrt(n) + 1e-6,
-            f"polyradius {c} exceeds 1/sqrt({n}) + 1e-6",
+            c * math.sqrt(n) <= 1.0 + 1e-12,
+            f"polyradius {c} exceeds 1/sqrt({n}) by more than 1e-12 relative",
         )
         res.expect(
-            c >= 1.0 / math.sqrt(n) - 1e-5,
-            f"polyradius {c} implausibly small against 1/sqrt({n})",
+            c * math.sqrt(n) >= 1.0 - 1e-12,
+            f"polyradius {c} falls short of 1/sqrt({n}) by more than 1e-12 relative",
         )
     return res
 

@@ -2,7 +2,6 @@
 
 import cmath
 import dataclasses
-import hashlib
 import math
 import re
 
@@ -25,7 +24,7 @@ from biholo.domains import (
     sample_point,
     sample_rows,
 )
-from biholo import invariants, metrics
+from biholo import covering, invariants, metrics
 from biholo.hyperbolic import MetricMode
 from biholo.metrics import kobayashi_distance, sample_metric_sphere
 from biholo.invariants import (
@@ -181,16 +180,18 @@ class TestPuncturedBracket:
 
 class TestFridmanUpperFromEmbedding:
     def test_polydisc_witness_reproduces_the_closed_form(self):
+        """The minimum over the sphere is attained at the seeded row
+        ``(1, ..., 1)/sqrt n``, so the estimate is the closed form."""
         search = RadiusSearch(tol=1e-7, samples=256, seed=0)
         for n in (2, 3):
             est = fridman_upper_from_embedding(
                 Polydisc(n), (0j,) * n, ball_inclusion_into_polydisc(n), search
             )
-            assert est.value == pytest.approx(fridman_exact(Polydisc(n)), abs=1e-4)
+            assert est.value == pytest.approx(fridman_exact(Polydisc(n)), rel=1e-12)
             assert not est.hit_cap
             assert est.mode == "kobayashi"
-            # the cap, the lower end, and 28 halvings of 16 - 1e-7 down to 1e-7
-            assert est.evaluations == 30
+            assert est.certified
+            assert est.boundary_point == (complex(1.0 / math.sqrt(n)),) * n
 
     def test_slit_witness_near_the_outer_boundary(self):
         """The embedded slit disc certifies h <= 1/r(0.9) ~ 0.2446."""
@@ -216,9 +217,8 @@ class TestFridmanUpperFromEmbedding:
                 RadiusSearch(r_max=cap, tol=1e-6, samples=64, seed=0),
             )
             assert est.hit_cap
-            assert est.evaluations == 1
-            assert est.steps == ((cap, True),)
-            assert est.escape is None
+            assert est.radius == cap
+            assert not est.certified
             values.append(est.value)
         assert values == sorted(values, reverse=True)
 
@@ -237,110 +237,126 @@ class TestFridmanUpperFromEmbedding:
                 RadiusSearch(samples=64),
             )
 
-    def test_image_without_a_neighbourhood_of_the_basepoint_is_rejected(self):
-        """The inverse ``w -> 2 w`` breaks the round trip of every row but the
-        origin, so the witness passes ``validate`` (which checks only the
-        forward images) and the search fails at its smallest radius."""
-        witness = EmbeddingWitness(Ball(1), Ball(1), lambda z: z, lambda w: 2 * w, (0j,), (0j,), "bad inverse")
+    def test_boundary_image_at_the_basepoint_is_rejected(self):
+        """``z -> z (1 - |z|^2)`` maps the disc into itself fixing 0 and
+        passes ``validate``, but sends the circle to 0, the basepoint: no
+        neighbourhood of it lies in the image, for either estimator."""
+        witness = EmbeddingWitness(
+            Ball(1), Ball(1), lambda z: z * (1.0 - abs(z) ** 2), lambda w: w, (0j,), (0j,), "circle to 0"
+        )
         witness.validate()
-        with pytest.raises(WitnessValidationError, match="^the witness image does not contain any neighbourhood"):
+        message = "^the witness image does not contain any neighbourhood"
+        with pytest.raises(WitnessValidationError, match=message):
             fridman_upper_from_embedding(Ball(1), 0, witness, RadiusSearch(samples=8))
+        with pytest.raises(WitnessValidationError, match=message):
+            squeezing_lower_from_embedding(Ball(1), 0, witness, RadiusSearch(r_max=1.0, samples=8))
+
+    def test_the_inverse_is_not_consulted(self):
+        """The radius is read off the forward images of the boundary: an
+        inverse that breaks the round trip changes nothing."""
+        bad = EmbeddingWitness(Ball(1), Ball(1), lambda z: z / 2, lambda w: 4 * w, (0j,), (0j,), "half disc")
+        good = dataclasses.replace(bad, inverse=lambda w: 2 * w)
+        search = RadiusSearch(samples=16)
+        assert fridman_upper_from_embedding(Ball(1), 0, bad, search) == fridman_upper_from_embedding(
+            Ball(1), 0, good, search
+        )
+
+    def test_refinement_reaches_a_minimum_off_the_seeds(self):
+        """The inclusion turned by a unitary map has its minima at
+        ``U (1, 1)/sqrt 2`` times phases, which no seed holds: the sample
+        and its refinement reach the closed form to 1e-6 relative."""
+        turn = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+        witness = EmbeddingWitness(
+            Ball(2), Polydisc(2), lambda z: z @ turn.T, lambda w: w @ turn.conj(), (0j, 0j), (0j, 0j), "turned"
+        )
+        est = fridman_upper_from_embedding(Polydisc(2), (0j, 0j), witness, RadiusSearch(samples=256, seed=1))
+        assert est.value == pytest.approx(fridman_exact(Polydisc(2)), rel=1e-6)
+        assert est.value <= fridman_exact(Polydisc(2)) * (1 + 1e-15)
+        assert not est.certified
+
+    def test_unsupported_source_is_rejected(self):
+        witness = _self_witness(UpperHalfPlane(), p=(1j,))
+        with pytest.raises(UnsupportedDomainError, match="^no boundary sampler for the source halfplane$"):
+            fridman_upper_from_embedding(UpperHalfPlane(), 1j, witness, RadiusSearch(samples=8))
 
 
-class TestEstimatorTrace:
-    """Each report lists its sphere tests in order and the sample row that
-    escaped the image at the last radius that failed."""
+class TestEstimatorBoundaryPoint:
+    """Each report names the boundary point of the source whose image
+    decided its radius, and that image."""
 
-    def test_polydisc_escape_is_on_the_last_failing_sphere(self):
-        search = RadiusSearch(samples=128, seed=2)
+    def test_polydisc_radius_is_the_distance_to_the_boundary_image(self):
         witness = ball_inclusion_into_polydisc(3)
-        est = fridman_upper_from_embedding(Polydisc(3), (0j,) * 3, witness, search)
-        assert len(est.steps) == est.evaluations
-        assert est.steps[0] == (search.r_max, False)
-        last_fail = [r for r, ok in est.steps if not ok][-1]
-        assert not witness.image_contains([est.escape])[0]
-        assert kobayashi_distance(Polydisc(3), (0j,) * 3, est.escape, MetricMode.KOBAYASHI) == pytest.approx(
-            last_fail, rel=1e-9
-        )
-        # every passing radius lies below every failing one
-        passed = [r for r, ok in est.steps if ok]
-        assert max(passed) == est.radius < min(r for r, ok in est.steps if not ok)
+        est = fridman_upper_from_embedding(Polydisc(3), (0j,) * 3, witness, RadiusSearch(samples=128, seed=2))
+        assert est.boundary_image == tuple(witness.forward(np.array([est.boundary_point]))[0].tolist())
+        assert kobayashi_distance(Polydisc(3), (0j,) * 3, est.boundary_image) == pytest.approx(est.radius, rel=1e-15)
 
-    def test_punctured_escape_is_outside_the_slit_image(self):
-        witness = slit_embedding_of_disc(0.5)
+    def test_punctured_boundary_image_is_the_nearest_slit_point(self):
+        """``-exp(-sqrt(t^2 + pi^2))`` with ``t = -log p``, to rounding, and
+        its POINCARE distance from ``p`` is the radius."""
+        p = 0.5
+        witness = slit_embedding_of_disc(p)
         est = fridman_upper_from_embedding(
-            PuncturedDisc(), (0.5 + 0j,), witness, RadiusSearch(samples=128, seed=2), MetricMode.POINCARE
+            PuncturedDisc(), (p + 0j,), witness, RadiusSearch(samples=128, seed=2), MetricMode.POINCARE
         )
-        assert len(est.steps) == est.evaluations
-        assert not witness.image_contains([est.escape])[0]
+        (w,) = est.boundary_image
+        assert w.real == pytest.approx(-math.exp(-math.hypot(math.log(p), math.pi)), rel=1e-12)
+        assert abs(w.imag) <= 1e-15
+        assert abs(est.boundary_point[0]) == pytest.approx(1.0, abs=1e-15)
+        distance = kobayashi_distance(PuncturedDisc(), p, w, MetricMode.POINCARE)
+        assert distance == pytest.approx(est.radius, rel=1e-14)
 
-    def test_squeezing_escape_is_outside_the_image(self):
+    def test_squeezing_boundary_point_is_an_axis(self):
         witness = scaled_polydisc_into_ball(2)
         est = squeezing_lower_from_embedding(
             Polydisc(2), (0j, 0j), witness, RadiusSearch(r_max=1.0, samples=128, seed=2)
         )
-        assert len(est.steps) == est.evaluations
-        assert not witness.image_contains([est.escape])[0]
+        assert est.boundary_point == (1 + 0j, 0j)
+        assert math.hypot(*map(abs, est.boundary_image)) == est.radius
 
 
-class TestEstimatorRegression:
-    """Exact reports, pinned from the estimators that drew a new sphere at
-    every radius: drawing once and rescaling changes no bit."""
-
-    @pytest.mark.parametrize("seed", [3, 11])
-    def test_pinned_reports(self, seed):
-        search = RadiusSearch(samples=128, seed=seed)
-        fridman = fridman_upper_from_embedding(
-            Polydisc(3), (0j,) * 3, ball_inclusion_into_polydisc(3), search
-        )
-        punctured = fridman_upper_from_embedding(
-            PuncturedDisc(), (0.5 + 0j,), slit_embedding_of_disc(0.5), search, MetricMode.POINCARE
-        )
-        squeezing = squeezing_lower_from_embedding(
-            Polydisc(2), (0j, 0j), scaled_polydisc_into_ball(2),
-            RadiusSearch(r_max=1.0, samples=128, seed=seed),
-        )
-        got = [(r.value, r.radius, r.evaluations) for r in (fridman, punctured, squeezing)]
-        assert got == [
-            (1.5186519110539554, 0.6584787420482636, 26),
-            (0.45119373444227634, 2.2163428338297004, 26),
-            (0.7071059294910429, 0.7071059294910429, 22),
-        ]
-        c = largest_centered_polydisc(ball_inclusion_into_polydisc(3), samples=128, seed=seed)
-        assert c == 0.5773502433571578
-
-    def test_one_search_draws_its_sphere_once(self, monkeypatch):
-        """One generator for validation and one for the sphere sample, which
-        is drawn once and then evaluated at every radius tested."""
-        made, drawn, evaluated = [], [], []
+class TestEstimatorDraws:
+    def test_one_estimate_draws_its_boundary_once(self, monkeypatch):
+        """One generator for validation and one for the boundary rows, which
+        are drawn once; the refinement draws from the same generator."""
+        made, drawn = [], []
         default_rng = np.random.default_rng
-        polydisc_sphere = metrics.polydisc_sphere
+        boundary_rows = invariants._boundary_rows
 
         def counting_rng(seed=None):
             made.append(seed)
             return default_rng(seed)
 
-        def counting_sphere(*args):
-            sphere = polydisc_sphere(*args)
-            drawn.append(args)
-
-            def at(modulus):
-                evaluated.append(modulus)
-                return sphere(modulus)
-
-            return at
+        def counting_rows(*args):
+            drawn.append(args[1])
+            return boundary_rows(*args)
 
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
-        monkeypatch.setattr(metrics, "polydisc_sphere", counting_sphere)
+        monkeypatch.setattr(invariants, "_boundary_rows", counting_rows)
         invariants._validation_rows.cache_clear()
         largest_centered_polydisc(ball_inclusion_into_polydisc(3), samples=128, seed=4)
         assert made == [4, 4]
-        assert len(drawn) == 1
-        assert len(evaluated) > 20
-        # a second search validates on the kept rows and draws only its sphere
+        assert drawn == [128]
+        # a second estimate validates on the kept rows and draws only its boundary
         largest_centered_polydisc(ball_inclusion_into_polydisc(3), samples=128, seed=4)
         assert made == [4, 4, 4]
-        assert len(drawn) == 2
+        assert drawn == [128, 128]
+
+    @pytest.mark.parametrize("source", [Ball(1), Ball(3), Polydisc(1), Polydisc(3), PuncturedDisc()], ids=repr)
+    def test_boundary_rows_lie_on_the_boundary_and_start_with_the_seeds(self, source):
+        rows = invariants._boundary_rows(source, 50, np.random.default_rng(0))
+        n = source.dim
+        if isinstance(source, Ball):
+            seeds = [(1.0 / math.sqrt(n),) * n]
+            norm = np.linalg.norm(rows, axis=1)
+        elif isinstance(source, Polydisc):
+            seeds = np.eye(n).tolist()
+            norm = np.abs(rows).max(axis=1)
+        else:
+            seeds = [(1.0,), (0.0,)]
+            norm = np.abs(np.delete(rows[:, 0], 1))
+        assert rows[: len(seeds)].tolist() == np.array(seeds, dtype=complex).tolist()
+        assert np.allclose(norm, 1.0, rtol=0.0, atol=1e-15)
+        assert len(rows) >= len(seeds) + 50
 
 
 class TestSqueezing:
@@ -392,16 +408,16 @@ class TestSqueezing:
         )
         assert est.value == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-4)
 
-    def test_punctured_witness_approaches_one(self):
-        """The automorphism image omits a single point; the sampled bound
-        still converges to 1 and the caveat rides along in the witness."""
-        est = squeezing_lower_from_embedding(
-            PuncturedDisc(),
-            (0.5 + 0j,),
-            punctured_automorphism_witness(0.5),
-            RadiusSearch(r_max=1.0, tol=1e-6, samples=256, seed=0),
-        )
-        assert est.value >= 1.0 - 1e-4
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.9])
+    def test_punctured_witness_gives_the_modulus(self, p):
+        """The image omits the single point ``p``, the image of the puncture,
+        which is a boundary point of the source: the estimate is ``|p|``, the
+        squeezing function of the punctured disc, where sampling spheres in
+        the image gave 0.99999905."""
+        est = squeezing_lower_from_embedding(PuncturedDisc(), p, punctured_automorphism_witness(p))
+        assert est.value == pytest.approx(p, rel=1e-12)
+        assert est.boundary_point == (0j,)
+        assert est.certified
         assert "omits one point" in est.witness
 
     def test_wrong_direction_rejected(self):
@@ -718,13 +734,6 @@ def _hex_point(z) -> tuple | None:
     return None if z is None else tuple(f"{c.real.hex()} {c.imag.hex()}" for c in z)
 
 
-def _steps_digest(steps) -> str:
-    """The first 16 hex digits of the SHA-256 of the steps as ``radius:ok``,
-    each radius as ``float.hex``."""
-    listing = ",".join(f"{r.hex()}:{int(ok)}" for r, ok in steps)
-    return hashlib.sha256(listing.encode()).hexdigest()[:16]
-
-
 def _estimate_workload_ops() -> list[tuple[str, str, float, int]]:
     """The ops of the benchmark's ``estimate`` workload, in its order."""
     ops = []
@@ -736,207 +745,206 @@ def _estimate_workload_ops() -> list[tuple[str, str, float, int]]:
     return ops
 
 
-def _estimate_record(op, monkeypatch, seed: int = 1) -> tuple:
-    """``(value, radius, len(steps), steps digest, escape)`` of one op at the
-    workload's seed 1, in ``float.hex``.  ``largest_centered_polydisc``
-    returns only its radius, so its search is read off ``_largest_radius``."""
+def _estimate_report(op, monkeypatch, seed: int = 1) -> tuple[float, invariants.EstimateReport]:
+    """The value and the report of one op at the workload's seed 1.
+    ``largest_centered_polydisc`` returns only its radius, so its report is
+    read off ``_nearest_boundary_image``."""
     kind, domain, arg, samples = op
     if kind == "centered":
         found = []
-        largest_radius = invariants._largest_radius
-        monkeypatch.setattr(invariants, "_largest_radius", lambda *a: found.append(largest_radius(*a)) or found[-1])
-        value = largest_centered_polydisc(ball_inclusion_into_polydisc(arg), samples=samples, seed=seed)
-        report = found[0]
-    elif kind == "squeezing":
+        nearest = invariants._nearest_boundary_image
+        monkeypatch.setattr(invariants, "_nearest_boundary_image", lambda *a: found.append(nearest(*a)) or found[-1])
+        return largest_centered_polydisc(ball_inclusion_into_polydisc(arg), samples=samples, seed=seed), found[0]
+    if kind == "squeezing":
         search = RadiusSearch(r_max=1.0, samples=samples, seed=seed)
-        report = squeezing_lower_from_embedding(
-            Polydisc(arg), (0j,) * arg, scaled_polydisc_into_ball(arg), search
-        )
-        value = report.value
+        report = squeezing_lower_from_embedding(Polydisc(arg), (0j,) * arg, scaled_polydisc_into_ball(arg), search)
     elif domain == "polydisc":
         search = RadiusSearch(samples=samples, seed=seed)
-        report = fridman_upper_from_embedding(
-            Polydisc(arg), (0j,) * arg, ball_inclusion_into_polydisc(arg), search
-        )
-        value = report.value
+        report = fridman_upper_from_embedding(Polydisc(arg), (0j,) * arg, ball_inclusion_into_polydisc(arg), search)
     else:
         search = RadiusSearch(samples=samples, seed=seed)
         report = fridman_upper_from_embedding(
             PuncturedDisc(), (complex(arg),), slit_embedding_of_disc(arg), search, MetricMode.POINCARE
         )
-        value = report.value
-    return (
-        value.hex(),
-        report.radius.hex(),
-        len(report.steps),
-        _steps_digest(report.steps),
-        _hex_point(report.escape),
-    )
+    return report.value, report
 
 
-# _estimate_record of each op, keyed by the workload's op label
+def _closed_form(kind: str, domain: str, arg) -> float:
+    """The value each op estimates, written out as the workload's check does."""
+    if kind == "fridman" and domain == "polydisc":
+        return 1.0 / math.atanh(1.0 / math.sqrt(arg))
+    if kind == "fridman":
+        return 1.0 / math.asinh(-math.pi / math.log(arg))  # POINCARE, 1/(2 slit_distance)
+    return 1.0 / math.sqrt(arg)
+
+
+# (value, radius, hit_cap, certified, boundary point) of each op as float.hex,
+# by the op's label less its sample count: every op is decided at a seeded
+# boundary row, so 256 and 1024 samples give the same report
 ESTIMATE_WORKLOAD_PINS = {
-    "fridman.polydisc2.s256": (
-        "0x1.2274ae30d5992p+0", "0x1.c3435fb4c0594p-1", 26, "108e0aa32d8ca8fb",
-        (
-            "0x1.6a09f33684c36p-1 0x0.0p+0", "0x1.6a09f33684c36p-1 0x0.0p+0",
-        ),
+    "fridman.polydisc2": (
+        "0x1.2274aa148de08p+0", "0x1.c34366179d426p-1", False, True,
+        ("0x1.6a09e667f3bccp-1 0x0.0p+0",) * 2,
     ),
-    "fridman.polydisc3.s256": (
-        "0x1.84c65f23fc115p+0", "0x1.5124202c6ac22p-1", 26, "2284125dd81abc8d",
-        (
-            "0x1.279a851049a19p-1 0x0.0p+0", "0x1.279a851049a19p-1 0x0.0p+0",
-            "0x1.279a851049a19p-1 0x0.0p+0",
-        ),
+    "fridman.polydisc3": (
+        "0x1.84c6572759a9bp+0", "0x1.5124271980436p-1", False, True,
+        ("0x1.279a74590331dp-1 0x0.0p+0",) * 3,
     ),
-    "fridman.polydisc4.s256": (
-        "0x1.d20aec4597dbdp+0", "0x1.193ea067075b4p-1", 26, "70ba753293b2cf83",
-        (
-            "0x1.0000128d28d40p-1 0x0.0p+0", "0x1.0000128d28d40p-1 0x0.0p+0",
-            "0x1.0000128d28d40p-1 0x0.0p+0", "0x1.0000128d28d40p-1 0x0.0p+0",
-        ),
+    "fridman.polydisc4": (
+        "0x1.d20ae03bcc152p+0", "0x1.193ea7aad030bp-1", False, True,
+        ("0x1.0000000000000p-1 0x0.0p+0",) * 4,
     ),
-    "fridman.polydisc5.s256": (
-        "0x1.09fec5e13e892p+1", "0x1.ecc2c1172c518p-2", 26, "a445a95901c1afe2",
-        (
-            "0x1.c9f287b179955p-2 0x0.0p+0", "0x1.c9f287b179955p-2 0x0.0p+0",
-            "0x1.c9f287b179955p-2 0x0.0p+0", "0x1.c9f287b179955p-2 0x0.0p+0",
-            "0x1.c9f287b179955p-2 0x0.0p+0",
-        ),
+    "fridman.polydisc5": (
+        "0x1.09fec09279921p+1", "0x1.ecc2caec5160ap-2", False, True,
+        ("0x1.c9f25c5bfedd9p-2 0x0.0p+0",) * 5,
     ),
-    "fridman.punctured0.2.s256": (
-        "0x1.6811801c6e0c7p-1", "0x1.6c050f4943e0fp+0", 26, "819ff7ed9761d180",
-        ("-0x1.e2550349d99c4p-6 0x0.0p+0",),
+    "fridman.punctured0.2": (
+        "0x1.68117efca6fcfp-1", "0x1.6c05106c33696p+0", False, True,
+        ("-0x1.17e4a767b3431p-1 -0x1.acb934e6d5173p-1",),
     ),
-    "fridman.punctured0.5.s256": (
-        "0x1.ce05baf65bd69p-2", "0x1.1bb11f3a02e22p+1", 26, "8151db919c74bb0b",
-        ("-0x1.48c4605c29559p-5 0x0.0p+0",),
+    "fridman.punctured0.5": (
+        "0x1.ce05afa2cfd99p-2", "0x1.1bb1262e65b63p+1", False, True,
+        ("-0x1.11a52223d6d2bp-2 -0x1.ed613888c2c37p-1",),
     ),
-    "fridman.punctured0.8.s256": (
-        "0x1.32abf307a9aa0p-2", "0x1.ab66d6a352114p+1", 26, "963235ead80061a8",
-        ("-0x1.60b0fe75d13c3p-5 0x0.0p+0",),
+    "fridman.punctured0.8": (
+        "0x1.32abf2a167278p-2", "0x1.ab66d731d67e4p+1", False, True,
+        ("-0x1.6afa9a0f37cd5p-4 -0x1.fdfc529e387e3p-1",),
     ),
-    "squeezing.polydisc2.s256": (
-        "0x1.6a09c9d3f1842p-1", "0x1.6a09c9d3f1842p-1", 22, "72f2dc244977c2a2",
-        (
-            "0x1.6a09e9d3ef6b4p-1 0x0.0p+0", "0x0.0p+0 0x0.0p+0",
-        ),
+    "squeezing.polydisc2": (
+        "0x1.6a09e667f3bccp-1", "0x1.6a09e667f3bccp-1", False, True,
+        ("0x1.0000000000000p+0 0x0.0p+0", "0x0.0p+0 0x0.0p+0"),
     ),
-    "squeezing.polydisc3.s256": (
-        "0x1.279a6e2e89ebcp-1", "0x1.279a6e2e89ebcp-1", 22, "1106e8cb8a2f48e1",
-        (
-            "0x1.279a8e2e87d2ep-1 0x0.0p+0", "0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0",
-        ),
+    "squeezing.polydisc3": (
+        "0x1.279a74590331dp-1", "0x1.279a74590331dp-1", False, True,
+        ("0x1.0000000000000p+0 0x0.0p+0", "0x0.0p+0 0x0.0p+0", "0x0.0p+0 0x0.0p+0"),
     ),
-    "centered.polydisc2.s256": (
-        "0x1.6a09e49c317aep-1", "0x1.6a09e49c317aep-1", 26, "90602ce6e5793727",
-        (
-            "0x1.6a09e69c31742p-1 0x0.0p+0", "0x1.6a09e69c31742p-1 0x0.0p+0",
-        ),
+    "centered.polydisc2": (
+        "0x1.6a09e667f3bccp-1", "0x1.6a09e667f3bccp-1", False, True,
+        ("0x1.6a09e667f3bccp-1 0x0.0p+0",) * 2,
     ),
-    "centered.polydisc3.s256": (
-        "0x1.279a737b1cff2p-1", "0x1.279a737b1cff2p-1", 26, "2af669dbe4d011ff",
-        (
-            "0x1.279a757b1cf87p-1 0x0.0p+0", "0x1.279a757b1cf87p-1 0x0.0p+0",
-            "0x1.279a757b1cf87p-1 0x0.0p+0",
-        ),
+    "centered.polydisc3": (
+        "0x1.279a74590331dp-1", "0x1.279a74590331dp-1", False, True,
+        ("0x1.279a74590331dp-1 0x0.0p+0",) * 3,
     ),
-    "centered.polydisc4.s256": (
-        "0x1.fffffc00000d7p-2", "0x1.fffffc00000d7p-2", 26, "52333e37a700f757",
-        (
-            "0x1.0000000000000p-1 0x0.0p+0", "0x1.0000000000000p-1 0x0.0p+0",
-            "0x1.0000000000000p-1 0x0.0p+0", "0x1.0000000000000p-1 0x0.0p+0",
-        ),
-    ),
-    "fridman.polydisc2.s1024": (
-        "0x1.2274ae30d5992p+0", "0x1.c3435fb4c0594p-1", 26, "108e0aa32d8ca8fb",
-        (
-            "0x1.6a09f33684c36p-1 0x0.0p+0", "0x1.6a09f33684c36p-1 0x0.0p+0",
-        ),
-    ),
-    "fridman.polydisc3.s1024": (
-        "0x1.84c65f23fc115p+0", "0x1.5124202c6ac22p-1", 26, "2284125dd81abc8d",
-        (
-            "0x1.279a851049a19p-1 0x0.0p+0", "0x1.279a851049a19p-1 0x0.0p+0",
-            "0x1.279a851049a19p-1 0x0.0p+0",
-        ),
-    ),
-    "fridman.polydisc4.s1024": (
-        "0x1.d20aec4597dbdp+0", "0x1.193ea067075b4p-1", 26, "70ba753293b2cf83",
-        (
-            "0x1.0000128d28d40p-1 0x0.0p+0", "0x1.0000128d28d40p-1 0x0.0p+0",
-            "0x1.0000128d28d40p-1 0x0.0p+0", "0x1.0000128d28d40p-1 0x0.0p+0",
-        ),
-    ),
-    "fridman.polydisc5.s1024": (
-        "0x1.09fec5e13e892p+1", "0x1.ecc2c1172c518p-2", 26, "a445a95901c1afe2",
-        (
-            "0x1.c9f287b179955p-2 0x0.0p+0", "0x1.c9f287b179955p-2 0x0.0p+0",
-            "0x1.c9f287b179955p-2 0x0.0p+0", "0x1.c9f287b179955p-2 0x0.0p+0",
-            "0x1.c9f287b179955p-2 0x0.0p+0",
-        ),
-    ),
-    "fridman.punctured0.2.s1024": (
-        "0x1.6811801c6e0c7p-1", "0x1.6c050f4943e0fp+0", 26, "819ff7ed9761d180",
-        ("-0x1.e2550349d99c4p-6 0x0.0p+0",),
-    ),
-    "fridman.punctured0.5.s1024": (
-        "0x1.ce05baf65bd69p-2", "0x1.1bb11f3a02e22p+1", 26, "8151db919c74bb0b",
-        ("-0x1.48c4605c29559p-5 0x0.0p+0",),
-    ),
-    "fridman.punctured0.8.s1024": (
-        "0x1.32abf307a9aa0p-2", "0x1.ab66d6a352114p+1", 26, "963235ead80061a8",
-        ("-0x1.60b0fe75d13c3p-5 0x0.0p+0",),
-    ),
-    "squeezing.polydisc2.s1024": (
-        "0x1.6a09c9d3f1842p-1", "0x1.6a09c9d3f1842p-1", 22, "72f2dc244977c2a2",
-        (
-            "0x1.6a09e9d3ef6b4p-1 0x0.0p+0", "0x0.0p+0 0x0.0p+0",
-        ),
-    ),
-    "squeezing.polydisc3.s1024": (
-        "0x1.279a6e2e89ebcp-1", "0x1.279a6e2e89ebcp-1", 22, "1106e8cb8a2f48e1",
-        (
-            "0x1.279a8e2e87d2ep-1 0x0.0p+0", "0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0",
-        ),
-    ),
-    "centered.polydisc2.s1024": (
-        "0x1.6a09e49c317aep-1", "0x1.6a09e49c317aep-1", 26, "90602ce6e5793727",
-        (
-            "0x1.6a09e69c31742p-1 0x0.0p+0", "0x1.6a09e69c31742p-1 0x0.0p+0",
-        ),
-    ),
-    "centered.polydisc3.s1024": (
-        "0x1.279a737b1cff2p-1", "0x1.279a737b1cff2p-1", 26, "2af669dbe4d011ff",
-        (
-            "0x1.279a757b1cf87p-1 0x0.0p+0", "0x1.279a757b1cf87p-1 0x0.0p+0",
-            "0x1.279a757b1cf87p-1 0x0.0p+0",
-        ),
-    ),
-    "centered.polydisc4.s1024": (
-        "0x1.fffffc00000d7p-2", "0x1.fffffc00000d7p-2", 26, "52333e37a700f757",
-        (
-            "0x1.0000000000000p-1 0x0.0p+0", "0x1.0000000000000p-1 0x0.0p+0",
-            "0x1.0000000000000p-1 0x0.0p+0", "0x1.0000000000000p-1 0x0.0p+0",
-        ),
+    "centered.polydisc4": (
+        "0x1.0000000000000p-1", "0x1.0000000000000p-1", False, True,
+        ("0x1.0000000000000p-1 0x0.0p+0",) * 4,
     ),
 }
 
 
 class TestEstimateWorkloadPins:
-    """The reports of the benchmark's ``estimate`` ops, pinned bit for bit
-    from the estimators that sent inclusion rows through the identity's
-    round trip: deciding an inclusion's membership with one defining
-    evaluation changes no bit."""
+    """The reports of the benchmark's ``estimate`` ops, pinned bit for bit,
+    and their values against the closed forms the workload checks, to 1e-12
+    relative (the bisection they replace missed by 2e-8 to 1.2e-6)."""
 
     @pytest.mark.parametrize(
         "op", _estimate_workload_ops(), ids=lambda op: f"{op[0]}.{op[1]}{op[2]}.s{op[3]}"
     )
     def test_report_is_pinned(self, op, monkeypatch):
-        label = f"{op[0]}.{op[1]}{op[2]}.s{op[3]}"
-        assert _estimate_record(op, monkeypatch) == ESTIMATE_WORKLOAD_PINS[label]
+        kind, domain, arg, _ = op
+        value, report = _estimate_report(op, monkeypatch)
+        got = (
+            value.hex(), report.radius.hex(), report.hit_cap, report.certified, _hex_point(report.boundary_point)
+        )
+        assert got == ESTIMATE_WORKLOAD_PINS[f"{kind}.{domain}{arg}"]
+        assert value == pytest.approx(_closed_form(kind, domain, arg), rel=1e-12)
+
+
+class TestCertification:
+    """A report is certified only when its witness comes from a library
+    constructor with a written argument for the row that decides it."""
+
+    @pytest.mark.parametrize("p", [0.05, 0.2, 0.5, 0.9])
+    def test_slit_estimate_is_the_slit_distance(self, p):
+        est = fridman_upper_from_embedding(
+            PuncturedDisc(), p, slit_embedding_of_disc(p), RadiusSearch(samples=64, seed=3)
+        )
+        assert est.value == pytest.approx(1.0 / covering.slit_distance(p), rel=1e-12)
+        assert est.certified and "slit point nearest p" in est.reason
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_polydisc_estimates_are_the_closed_forms(self, n):
+        search = RadiusSearch(samples=64, seed=3)
+        fridman = fridman_upper_from_embedding(Polydisc(n), (0j,) * n, ball_inclusion_into_polydisc(n), search)
+        squeezing = squeezing_lower_from_embedding(Polydisc(n), (0j,) * n, scaled_polydisc_into_ball(n), search)
+        assert fridman.value == pytest.approx(1.0 / math.atanh(1.0 / math.sqrt(n)), abs=1e-9)
+        assert squeezing.value == pytest.approx(1.0 / math.sqrt(n), abs=1e-9)
+        assert fridman.certified and squeezing.certified
+
+    def test_a_witness_built_or_copied_by_a_caller_is_not_certified(self):
+        """The same maps, built with ``EmbeddingWitness`` or copied with
+        ``dataclasses.replace``, give the same radius but no certificate:
+        nothing says their sample reaches the minimizer (the slit, where the
+        image leaves the target on a null set, is such a case)."""
+        search = RadiusSearch(samples=64, seed=3)
+        library = slit_embedding_of_disc(0.5)
+        copied = dataclasses.replace(library)
+        built = EmbeddingWitness(**{f.name: getattr(library, f.name) for f in dataclasses.fields(library) if f.init})
+        reports = [fridman_upper_from_embedding(PuncturedDisc(), 0.5, w, search) for w in (library, copied, built)]
+        assert [r.certified for r in reports] == [True, False, False]
+        assert reports[1].reason == reports[2].reason == invariants.UNCERTIFIED
+        assert reports[1].value == pytest.approx(reports[0].value, rel=1e-12)
+        assert identity_ball_witness(2)._certificate is None
+
+
+def _inclusion_case(n: int):
+    witness = ball_inclusion_into_polydisc(n)
+    r = fridman_upper_from_embedding(Polydisc(n), (0j,) * n, witness, RadiusSearch(samples=64)).radius
+    return witness, r, lambda t: metrics.metric_sphere(Polydisc(n), (0j,) * n, 512, np.random.default_rng(5))(t)
+
+
+def _centered_case(n: int):
+    witness = ball_inclusion_into_polydisc(n)
+    c = largest_centered_polydisc(witness, samples=64)
+    return witness, c, lambda t: metrics.polydisc_sphere_sample(n, t, 512, np.random.default_rng(5))
+
+
+def _scaled_case(n: int):
+    witness = scaled_polydisc_into_ball(n)
+    s = squeezing_lower_from_embedding(Polydisc(n), (0j,) * n, witness, RadiusSearch(samples=64)).radius
+    return witness, s, lambda t: invariants._euclidean_sphere(n, t, 512, np.random.default_rng(5))
+
+
+def _slit_case(p: float):
+    witness = slit_embedding_of_disc(p)
+    r = fridman_upper_from_embedding(PuncturedDisc(), p, witness, RadiusSearch(samples=64)).radius
+    return witness, r, lambda t: metrics.metric_sphere(PuncturedDisc(), p, 512, np.random.default_rng(5))(t)
+
+
+def _automorphism_case(p: float):
+    witness = punctured_automorphism_witness(p)
+    s = squeezing_lower_from_embedding(PuncturedDisc(), p, witness).radius
+    return witness, s, lambda t: invariants._euclidean_sphere(1, t, 512, np.random.default_rng(5))
+
+
+# every library witness with each estimator it serves: (witness, radius,
+# the target's sphere as a function of its radius, Kobayashi or euclidean)
+LIBRARY_CASES = [
+    *(pytest.param(case, arg, id=f"{case.__name__[1:-5]}{arg}")
+      for case in (_inclusion_case, _centered_case, _scaled_case) for arg in (2, 3, 5)),
+    *(pytest.param(case, arg, id=f"{case.__name__[1:-5]}{arg}")
+      for case in (_slit_case, _automorphism_case) for arg in (0.2, 0.5, 0.8)),
+]
+
+
+class TestAgainstSphereSamples:
+    """An independent check of every library estimate with the sphere
+    samplers and ``image_contains``, the membership test the estimators
+    used before: the sphere just inside the radius lies in the image, and
+    the one just outside leaves it wherever the sample reaches the minimizer."""
+
+    @pytest.mark.parametrize("case, arg", LIBRARY_CASES)
+    def test_the_radius_is_where_the_sphere_leaves_the_image(self, case, arg):
+        witness, radius, sphere = case(arg)
+        assert witness.image_contains(sphere(radius * (1.0 - 1e-9))).all()
+        outside = witness.image_contains(sphere(radius * (1.0 + 1e-6)))
+        if case is _automorphism_case:
+            # the image omits only p, which no sampled sphere hits: sampling
+            # spheres is how the squeezing estimate read 0.99999905 for |p|
+            assert outside.all()
+        else:
+            assert not outside.all()
 
 
 class TestRadiusSearch:

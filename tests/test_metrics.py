@@ -230,8 +230,9 @@ class TestDispatcher:
     def test_each_point_is_coerced_once(self, monkeypatch):
         """The entry coerces each point once and tests membership on the
         coerced tuple, not through ``contains``, which would coerce again;
-        the record's formulas take the coerced tuples as they are.  Every
-        namespace that binds ``as_point`` is counted, ``_coordinates``'s too."""
+        the record's formulas take the coerced tuples as they are, and so do
+        the ball's samplers.  Every namespace that binds ``as_point`` is
+        counted, ``_coordinates``'s too."""
         calls = {"as_point": 0, "contains": 0}
 
         def counted(name, f):
@@ -252,6 +253,15 @@ class TestDispatcher:
             calls.update(as_point=0, contains=0)
             kobayashi_distance(domain, p, q)
             assert calls == {"as_point": 2, "contains": 0}, domain.label
+        # the ball's samplers, and Siegel's carried onto them, move the
+        # coerced center with the private automorphism: one call per center
+        for sample in (
+            lambda: metric_sphere(Ball(2), (0.3, -0.2j), 16, np.random.default_rng(0)),
+            lambda: sample_metric_ball(Siegel(2), (0.3 - 0.2j, -1.4 + 0.5j), 0.5, 16, np.random.default_rng(0)),
+        ):
+            calls.update(as_point=0, contains=0)
+            sample()
+            assert calls == {"as_point": 1, "contains": 0}
 
     def test_a_string_point_raises(self):
         """``"0"`` is not the point 0: it gave d(0, 1/2) = 0.5493."""
