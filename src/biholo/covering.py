@@ -9,9 +9,10 @@ distance per pair, of points or of rows.  The distance to the slit
 (``deck_minimum(|p|, 2 pi)``, which bounds the distance over the centred
 circle through that point) reduce to elementary closed forms, and a
 composed chain of elementary maps realizes the uniformization of the slit
-disc by the disc.  The chain is returned bare:
-:class:`biholo.invariants.EmbeddingWitness` validates it where it is used
-as a witness.
+disc by the disc.  The chain is returned bare: as the certified witness
+``slit_embedding_of_disc`` it is not validated where it is used, and
+:meth:`biholo.invariants.EmbeddingWitness.validate` checks it as an oracle
+in the tier-1 tests.
 """
 
 from __future__ import annotations

@@ -16,23 +16,26 @@ through the point.
 
 Everything else is an estimator: both invariants quantify over *all*
 embeddings, so a single witness embedding only ever certifies one side.
-Every estimator checks its basepoints to ``BASEPOINT_TOL`` and validates
-its witness ``f``.  Its radius is then the distance from the basepoint to
-the complement of the image, the least distance to the image of a boundary
-point of the source (Fridman: Kobayashi, over the images inside the
-target; squeezing: euclidean, at most 1; the centred polydisc: the
-polydisc norm).  The boundary sample is drawn per call: the source's known
-extreme points (the puncture of the punctured disc among them), the rows a
-witness's written argument seeds, and random rows from the search's seed,
-refined around the best one.  The minimum over that sample builds the one
-report of every estimator, with the boundary point that decided it and its
-image.  A report is certified when the witness carries the written
-argument that the minimum is attained at a seeded row.
+Every estimator checks its basepoints to ``BASEPOINT_TOL``, and runs the
+sampled check :meth:`EmbeddingWitness.validate` only on a witness ``f``
+without a written certificate; for the library's certified witnesses that
+check is an oracle, run by the tier-1 tests.  Its radius is then the
+distance from the basepoint to the complement of the image, the least
+distance to the image of a boundary point of the source (Fridman:
+Kobayashi, over the images inside the target; squeezing: euclidean, at
+most 1; the centred polydisc: the polydisc norm).  The boundary sample is
+drawn per call: the source's known extreme points (the puncture of the
+punctured disc among them), the rows a witness's written argument seeds,
+and random rows from the search's seed, refined around the best one.  The
+minimum over that sample builds the one report of every estimator, with
+the boundary point that decided it and its image.  A report is certified
+when the witness carries the written argument that the minimum is attained
+at a seeded row, and its value is a bound only then: an uncertified sample
+may miss the minimum.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -81,13 +84,8 @@ class WitnessValidationError(RuntimeError):
     """An embedding witness failed one of its validation checks."""
 
 
-# Rows drawn and mapped at a time by EmbeddingWitness.validate: large enough
-# to amortize numpy's per-call cost, small enough to bound each image array.
-VALIDATION_CHUNK = 2_048
 # source rows that EmbeddingWitness.validate maps through the witness
 VALIDATION_SAMPLES = 10_000
-# (source, seed) samples that _validation_rows keeps, 160 KB per dimension each
-VALIDATION_CACHE = 8
 # relative round-trip error of a row that EmbeddingWitness.image_contains keeps
 IMAGE_TOL = 1e-9
 # largest coordinate offset of a basepoint from where a witness must put it
@@ -102,7 +100,7 @@ def _require_at(point, expected, message: str) -> None:
         raise WitnessValidationError(f"{message} (off by {err:.3e})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingWitness:
     """Injective holomorphic map between two model domains, with basepoints.
 
@@ -116,6 +114,7 @@ class EmbeddingWitness:
     (both maps ``_identity``) the round trip is exact and the image is the
     source, so only the defining functions are evaluated.
     Both basepoints are coerced with :func:`as_point` to their domain's dimension.
+    The witness is frozen, so its certificate cannot outlive a change to its maps.
     """
 
     source: ModelDomain
@@ -133,8 +132,8 @@ class EmbeddingWitness:
     _certificate: tuple[str, tuple[Point, ...]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.source_basepoint = as_point(self.source_basepoint, self.source.dim)
-        self.target_basepoint = as_point(self.target_basepoint, self.target.dim)
+        object.__setattr__(self, "source_basepoint", as_point(self.source_basepoint, self.source.dim))
+        object.__setattr__(self, "target_basepoint", as_point(self.target_basepoint, self.target.dim))
 
     def image_contains(self, w) -> np.ndarray:
         """One bool per row of ``w``: does the row lie in the image?
@@ -163,23 +162,21 @@ class EmbeddingWitness:
         and of ``VALIDATION_SAMPLES`` random points lie in the target and in
         ``image_domain`` when one is set, and injectivity on a grid.
 
-        The random points are :func:`_validation_rows` of the source and the
-        seed, an integer >= 0: drawn once per process, mapped on every call.
+        The random points are ``sample_rows(source, default_rng(seed), ...)``
+        for an integer seed >= 0.  The estimators run this sampled check only
+        on a witness without a written certificate; on the library's
+        certified witnesses it is an oracle, run by the tests.
         """
         _check_integer("seed", seed, 0)
         base = np.array([self.source_basepoint], dtype=complex)
         fb = self.forward(base)
         _require_at(fb[0], self.target_basepoint, f"basepoint normalization of {self.description}")
         self._require_images_inside(base, fb)
-        stride = VALIDATION_SAMPLES // 150
-        grid, start = [], 0
-        for z in _validation_rows(self.source, seed):
-            w = self.forward(z)
-            self._require_images_inside(z, w)
-            grid.append(w[-start % stride :: stride])  # sample k with k % stride == 0
-            start += len(z)
+        z = sample_rows(self.source, np.random.default_rng(seed), VALIDATION_SAMPLES)
+        w = self.forward(z)
+        self._require_images_inside(z, w)
         # finite rows are a positive distance apart exactly when they differ
-        grid = np.concatenate(grid).tolist()
+        grid = w[:: VALIDATION_SAMPLES // 150].tolist()
         if len(set(map(tuple, grid))) < len(grid):
             raise WitnessValidationError(f"witness {self.description} is not injective on the grid")
 
@@ -199,24 +196,9 @@ class EmbeddingWitness:
                 )
 
 
-@functools.lru_cache(maxsize=VALIDATION_CACHE)
-def _validation_rows(source: ModelDomain, seed: int) -> tuple[np.ndarray, ...]:
-    """The ``VALIDATION_SAMPLES`` rows of :meth:`EmbeddingWitness.validate`,
-    drawn from ``default_rng(seed)`` by ``sample_rows(source, ...)`` in
-    read-only chunks of ``VALIDATION_CHUNK`` rows.  The ``VALIDATION_CACHE``
-    samples used last are kept, so one in steady use is drawn once per process."""
-    rng = np.random.default_rng(seed)
-    chunks = []
-    for start in range(0, VALIDATION_SAMPLES, VALIDATION_CHUNK):
-        z = sample_rows(source, rng, min(VALIDATION_CHUNK, VALIDATION_SAMPLES - start))
-        z.flags.writeable = False
-        chunks.append(z)
-    return tuple(chunks)
-
-
 def _certified(witness: EmbeddingWitness, reason: str, *extremal: Point) -> EmbeddingWitness:
     """``witness`` with its certificate: the argument and the rows it seeds."""
-    witness._certificate = (reason, extremal)
+    object.__setattr__(witness, "_certificate", (reason, extremal))
     return witness
 
 
@@ -484,15 +466,16 @@ def _nearest_boundary_image(
     as its ``value`` and ``radius`` (``mode = None``); ``score`` maps finite
     image rows to one value each, ``inf`` for a row that does not count.
 
-    Validates the witness, then scores the boundary rows: the rows its
-    certificate seeds, then :func:`_boundary_rows` with ``samples`` rows from
-    ``default_rng(seed)``.  Rows whose image is not finite are dropped.
-    Rounds around the best row follow, from four sample spacings (in C) or
+    Validates a witness without a certificate, then scores the boundary
+    rows: the rows its certificate seeds, then :func:`_boundary_rows` with
+    ``samples`` rows from ``default_rng(seed)``.  Rows whose image is not
+    finite are dropped.  Rounds around the best row follow, from four sample spacings (in C) or
     the sphere's radius (in C^n) down to ``tol``: an angle grid in C, random
     perturbations projected radially back onto the boundary in C^n, drawn
     from the same generator.
     """
-    witness.validate(seed=seed)
+    if witness._certificate is None:
+        witness.validate(seed=seed)
     rng = np.random.default_rng(seed)
     source, n = witness.source, witness.source.dim
     reason, extremal = witness._certificate or (UNCERTIFIED, ())
@@ -538,7 +521,8 @@ def fridman_upper_from_embedding(
     search: RadiusSearch | None = None,
     mode: MetricMode = MetricMode.KOBAYASHI,
 ) -> EstimateReport:
-    """Upper bound ``1/r*`` for the Fridman invariant from one embedding.
+    """Estimate ``1/r*`` of the Fridman invariant from one embedding, an
+    upper bound when ``report.certified`` is true.
 
     ``r*`` is the radius of the largest Kobayashi ball around ``p`` inside
     the witness image, the distance from ``p`` to the complement of the
@@ -549,7 +533,10 @@ def fridman_upper_from_embedding(
 
     The radius is in the units of ``mode``: ``search.r_max`` and the
     reported radius are in them.  ``search.tol`` is a width on the source's
-    boundary, where the refinement stops.
+    boundary, where the refinement stops.  Uncertified, the value is no
+    bound: in C^n the random refinement can stop above the true radius, by
+    4.5e-3 relative at n = 4 on a unitarily turned inclusion, whose value
+    then falls below the invariant.
     """
     search = search or RadiusSearch()
     p = metrics._inner_point(d, p)
@@ -593,12 +580,14 @@ def squeezing_lower_from_embedding(
     witness: EmbeddingWitness,
     search: RadiusSearch | None = None,
 ) -> EstimateReport:
-    """Lower bound for the squeezing function from one embedding into the ball.
+    """Estimate of the squeezing function from one embedding into the ball,
+    a lower bound when ``report.certified`` is true.
 
     The largest centred euclidean ball inside the witness image has radius
     ``min(1, min |f(z)|)`` over the boundary points ``z`` of the source (the
     puncture included on ``PuncturedDisc``), reported capped at
-    ``search.r_max``.
+    ``search.r_max``.  Uncertified, the value is no bound: a sample that
+    misses the minimum reports a radius above it.
     """
     search = search or RadiusSearch(r_max=1.0)
     p = as_point(p, d.dim)

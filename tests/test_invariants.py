@@ -22,7 +22,6 @@ from biholo.domains import (
     modulus_power,
     random_unit_vectors,
     sample_point,
-    sample_rows,
 )
 from biholo import covering, invariants, metrics
 from biholo.hyperbolic import MetricMode
@@ -316,8 +315,8 @@ class TestEstimatorBoundaryPoint:
 
 class TestEstimatorDraws:
     def test_one_estimate_draws_its_boundary_once(self, monkeypatch):
-        """One generator for validation and one for the boundary rows, which
-        are drawn once; the refinement draws from the same generator."""
+        """A certified estimate makes one generator, for the boundary rows,
+        which are drawn once; the refinement draws from the same generator."""
         made, drawn = [], []
         default_rng = np.random.default_rng
         boundary_rows = invariants._boundary_rows
@@ -332,13 +331,11 @@ class TestEstimatorDraws:
 
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
         monkeypatch.setattr(invariants, "_boundary_rows", counting_rows)
-        invariants._validation_rows.cache_clear()
+        largest_centered_polydisc(ball_inclusion_into_polydisc(3), samples=128, seed=4)
+        assert made == [4]
+        assert drawn == [128]
         largest_centered_polydisc(ball_inclusion_into_polydisc(3), samples=128, seed=4)
         assert made == [4, 4]
-        assert drawn == [128]
-        # a second estimate validates on the kept rows and draws only its boundary
-        largest_centered_polydisc(ball_inclusion_into_polydisc(3), samples=128, seed=4)
-        assert made == [4, 4, 4]
         assert drawn == [128, 128]
 
     @pytest.mark.parametrize("source", [Ball(1), Ball(3), Polydisc(1), Polydisc(3), PuncturedDisc()], ids=repr)
@@ -532,56 +529,26 @@ class TestWitnessValidation:
 
 
 class TestValidationRows:
-    """``validate`` maps rows drawn once per (source, seed) and kept, and
+    """``validate`` maps ``VALIDATION_SAMPLES`` rows drawn from its seed and
     runs every check on every call."""
 
-    @pytest.mark.parametrize("seed", [0, 7])
-    @pytest.mark.parametrize(
-        "dom", [Ball(1), Ball(2), Ball(3), Ball(4), Ball(5), Polydisc(2), Polydisc(3), PuncturedDisc()],
-        ids=lambda d: d.label,
-    )
-    def test_kept_rows_are_the_draw_of_one_generator(self, dom, seed):
-        """The chunks are, bit for bit, what ``validate`` drew on every call
-        before the rows were kept."""
-        rng = np.random.default_rng(seed)
-        drawn = [
-            sample_rows(dom, rng, min(invariants.VALIDATION_CHUNK, invariants.VALIDATION_SAMPLES - start))
-            for start in range(0, invariants.VALIDATION_SAMPLES, invariants.VALIDATION_CHUNK)
-        ]
-        invariants._validation_rows.cache_clear()
-        for kept in (invariants._validation_rows(dom, seed), invariants._validation_rows(dom, seed)):
-            assert len(kept) == len(drawn)
-            for got, want in zip(kept, drawn):
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert np.array_equal(got, want)
-                assert not got.flags.writeable
-
-    def test_a_forward_that_writes_into_its_rows_raises(self):
-        def double_in_place(z):
-            z *= 2
+    def test_a_forward_that_writes_into_its_rows_validates(self):
+        def halve_in_place(z):
+            z *= 0.5
             return z
 
-        key = (Ball(2), 5)
-        with pytest.raises(ValueError, match="read-only"):
-            _self_witness(Ball(2), double_in_place, (0j, 0j)).validate(5)
-        rows = invariants._validation_rows(*key)
-        _self_witness(Ball(2), lambda z: z / 2, (0j, 0j)).validate(5)
-        assert invariants._validation_rows(*key) is rows
-        fresh = invariants._validation_rows.__wrapped__(*key)
-        assert all(np.array_equal(a, b) for a, b in zip(rows, fresh))
+        _self_witness(Ball(2), halve_in_place, (0j, 0j)).validate(5)
 
-    def test_an_escape_reads_the_same_on_a_cold_and_a_warm_cache(self):
-        invariants._validation_rows.cache_clear()
+    def test_an_escape_reads_the_same_on_every_call(self):
         messages = []
         for _ in range(2):
             with pytest.raises(WitnessValidationError, match="escaped") as info:
                 _doubling_witness().validate()
             messages.append(str(info.value))
         assert messages[0] == messages[1]
-        assert invariants._validation_rows.cache_info().hits == 1
 
     def test_a_warm_validate_maps_every_row(self):
-        """The basepoint, then every chunk of the kept sample."""
+        """The basepoint, then the whole sample in one call."""
         calls = []
 
         def halve(z):
@@ -590,38 +557,83 @@ class TestValidationRows:
 
         witness = _self_witness(Ball(1), halve, (0j,))
         witness.validate(3)
-        hits = invariants._validation_rows.cache_info().hits
         calls.clear()
         witness.validate(3)
-        assert invariants._validation_rows.cache_info().hits == hits + 1
-        assert calls == [1, 2_048, 2_048, 2_048, 2_048, 1_808]
-        assert sum(calls) == 1 + invariants.VALIDATION_SAMPLES
-
-    def test_at_most_validation_cache_samples_are_kept(self):
-        sources = [Ball(1), Polydisc(1), PuncturedDisc(), SlitDisc(), UpperHalfPlane()]
-        sources += [HalfPlaneC(complex(k)) for k in range(1, 16)]
-        for d in sources:
-            _self_witness(d).validate()
-        info = invariants._validation_rows.cache_info()
-        assert info.currsize <= invariants.VALIDATION_CACHE == info.maxsize
+        assert calls == [1, invariants.VALIDATION_SAMPLES] == [1, 10_000]
 
     @pytest.mark.parametrize(
         "seed", [True, -1, 1.5, np.random.default_rng(0)], ids=["bool", "negative", "float", "generator"]
     )
     def test_seed_must_be_a_nonnegative_integer(self, seed):
-        """Checked before the kept rows are looked up: a generator would be a
-        key whose rows are stale on its second use."""
-        info = invariants._validation_rows.cache_info()
+        """Checked before any row is mapped."""
+        calls = []
+        witness = _self_witness(Ball(1), lambda z: calls.append(z) or z, (0j,))
         with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, not {re.escape(repr(seed))}$"):
-            identity_ball_witness(1).validate(seed)
-        assert invariants._validation_rows.cache_info() == info
+            witness.validate(seed)
+        assert calls == []
 
     def test_numpy_integer_seed_finds_the_same_rows(self):
-        identity_ball_witness(1).validate(3)
-        info = invariants._validation_rows.cache_info()
-        identity_ball_witness(1).validate(np.int64(3))
-        after = invariants._validation_rows.cache_info()
-        assert (after.hits, after.misses, after.currsize) == (info.hits + 1, info.misses, info.currsize)
+        mapped = []
+        witness = _self_witness(Ball(1), lambda z: mapped.append(z.copy()) or z, (0j,))
+        witness.validate(3)
+        witness.validate(np.int64(3))
+        assert len(mapped) == 4
+        assert np.array_equal(mapped[1], mapped[3])
+
+
+# every certified library witness across the range of its parameter
+CERTIFIED_WITNESSES = [
+    *(pytest.param(make, n, id=f"{make.__name__}-{n}")
+      for make in (ball_inclusion_into_polydisc, scaled_polydisc_into_ball) for n in range(1, 7)),
+    *(pytest.param(slit_embedding_of_disc, p, id=f"slit-{p}") for p in (0.01, 0.05, 0.2, 0.5, 0.8, 0.99)),
+    *(pytest.param(punctured_automorphism_witness, m * cmath.exp(1j * t), id=f"automorphism-{m}")
+      for m, t in ((1e-3, 0.7), (0.5, -2.1), (0.999, 3.0))),
+]
+
+
+class TestSampledCheckOutsideTheEstimators:
+    """The estimators run ``validate`` only on witnesses without a written
+    certificate; on the certified library witnesses it is an oracle, run here."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("make, arg", CERTIFIED_WITNESSES)
+    def test_certified_witnesses_pass_validation(self, make, arg, seed):
+        witness = make(arg)
+        assert witness._certificate is not None
+        witness.validate(seed)
+
+    def test_only_uncertified_estimates_validate(self, monkeypatch):
+        calls = []
+        validate = EmbeddingWitness.validate
+
+        def counting(self, seed=0):
+            calls.append(self.description)
+            return validate(self, seed)
+
+        monkeypatch.setattr(EmbeddingWitness, "validate", counting)
+        search = RadiusSearch(samples=16, seed=2)
+        certified = [
+            lambda: fridman_upper_from_embedding(Polydisc(2), (0j, 0j), ball_inclusion_into_polydisc(2), search),
+            lambda: fridman_upper_from_embedding(PuncturedDisc(), 0.5, slit_embedding_of_disc(0.5), search),
+            lambda: squeezing_lower_from_embedding(Polydisc(2), (0j, 0j), scaled_polydisc_into_ball(2), search),
+            lambda: squeezing_lower_from_embedding(PuncturedDisc(), 0.5, punctured_automorphism_witness(0.5)),
+            lambda: largest_centered_polydisc(ball_inclusion_into_polydisc(2), samples=16),
+        ]
+        for estimate in certified:
+            estimate()
+        assert calls == []
+        fridman_upper_from_embedding(Ball(2), (0j, 0j), identity_ball_witness(2), search)
+        assert len(calls) == 1
+        copied = dataclasses.replace(ball_inclusion_into_polydisc(2))
+        assert not fridman_upper_from_embedding(Polydisc(2), (0j, 0j), copied, search).certified
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(EmbeddingWitness)])
+    def test_fields_cannot_be_assigned(self, name):
+        """A certificate would outlive an in-place change of the maps."""
+        witness = ball_inclusion_into_polydisc(2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(witness, name, getattr(witness, name))
 
 
 # each basepoint check, run with its point off by a given offset
