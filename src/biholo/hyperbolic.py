@@ -147,9 +147,9 @@ def vertical_line_distance(z: complex, c: float) -> float:
     return halfplane_distance(z, foot)
 
 
-def halfplane_metric_circle(center: complex, angles: np.ndarray):
-    """The points at ``angles`` of the metric circles around ``x0 + i y0``, as
-    a function from the radius: a float or one per angle, checked by the caller.
+def halfplane_metric_circle(center: complex, angles: np.ndarray, radius) -> np.ndarray:
+    """The points at ``angles`` of the metric circle of ``radius`` around
+    ``x0 + i y0``; the radius is a float or one per angle, checked by the caller.
 
     The Kobayashi circle of radius r is the euclidean circle with center
     ``x0 + i y0 cosh t`` and radius ``y0 sinh t``, ``t = 2 r``.  Its heights
@@ -157,15 +157,10 @@ def halfplane_metric_circle(center: complex, angles: np.ndarray):
     terms: ``y0 cosh t + y0 sinh t sin(angle)`` cancels on the lower arc.
     """
     center = _require_halfplane(center)
-    cos = np.cos(angles)
-    lift = np.sin(0.5 * angles + 0.25 * math.pi) ** 2
-
-    def circle(radius) -> np.ndarray:
-        t = 2.0 * radius
-        lib = np if isinstance(t, np.ndarray) else math
-        s = center.imag * lib.sinh(t)
-        w = np.empty(len(cos), dtype=complex)
-        w.real, w.imag = center.real + s * cos, center.imag * lib.exp(-t) + 2.0 * s * lift
-        return w
-
-    return circle
+    t = 2.0 * radius
+    lib = np if isinstance(t, np.ndarray) else math
+    s = center.imag * lib.sinh(t)
+    w = np.empty(len(angles), dtype=complex)
+    w.real = center.real + s * np.cos(angles)
+    w.imag = center.imag * lib.exp(-t) + 2.0 * s * np.sin(0.5 * angles + 0.25 * math.pi) ** 2
+    return w

@@ -110,9 +110,7 @@ class EmbeddingWitness:
     membership in the image by the inverse round-trip and, when
     ``image_domain`` is set, by membership in it as well.  ``image_domain``
     is the exact image as a model domain, declared only where it is
-    stricter than what ``forward`` and ``inverse`` show.  For an inclusion
-    (both maps ``_identity``) the round trip is exact and the image is the
-    source, so only the defining functions are evaluated.
+    stricter than what ``forward`` and ``inverse`` show.
     Both basepoints are coerced with :func:`as_point` to their domain's dimension.
     The witness is frozen, so its certificate cannot outlive a change to its maps.
     """
@@ -142,17 +140,13 @@ class EmbeddingWitness:
         outside; a row of ``w`` that is not finite raises ``ValueError``.
         """
         w = as_rows(w, self.target.dim)
+        with np.errstate(all="ignore"):
+            z = self.inverse(w)
+            err = np.abs(self.forward(z) - w).max(axis=1)
         # w passed as_rows and the kept rows of z are finite: evaluate the
         # defining functions directly, with no second finiteness check
-        if self.forward is _identity and self.inverse is _identity:
-            # on finite rows the round trip is exact and z = w is finite
-            inside = self.source.defining(w.T) < 0.0
-        else:
-            with np.errstate(all="ignore"):
-                z = self.inverse(w)
-                err = np.abs(self.forward(z) - w).max(axis=1)
-            inside = np.isfinite(z).all(axis=1) & (err <= IMAGE_TOL * (1.0 + np.abs(w).max(axis=1)))
-            inside[inside] = self.source.defining(z[inside].T) < 0.0
+        inside = np.isfinite(z).all(axis=1) & (err <= IMAGE_TOL * (1.0 + np.abs(w).max(axis=1)))
+        inside[inside] = self.source.defining(z[inside].T) < 0.0
         if self.image_domain is not None:
             inside &= self.image_domain.defining(w.T) < 0.0
         return inside
@@ -203,8 +197,7 @@ def _certified(witness: EmbeddingWitness, reason: str, *extremal: Point) -> Embe
 
 
 def _identity(z: np.ndarray) -> np.ndarray:
-    """The map of the inclusion witnesses, which
-    :meth:`EmbeddingWitness.image_contains` recognises by identity."""
+    """The map of the inclusion witnesses, both ways."""
     return z
 
 
@@ -440,13 +433,14 @@ def _boundary_rows(source: ModelDomain, count: int, rng: np.random.Generator) ->
     """The known extreme points of the boundary of ``source``, then ``count``
     random boundary rows drawn from ``rng``: the sphere of ``Ball(n)``, seeded
     with ``(1, ..., 1)/sqrt n``; the faces ``|z_k| = 1`` of ``Polydisc(n)``
-    (:func:`metrics.polydisc_sphere` at modulus 1), seeded with the axes
-    ``e_k``; the circle of ``PuncturedDisc`` and its puncture 0."""
+    (:func:`metrics.polydisc_sphere_sample` at modulus 1, its corner
+    included), seeded with the axes ``e_k``; the circle of ``PuncturedDisc``
+    and its puncture 0."""
     n = source.dim
     if isinstance(source, Ball):
         seeds, drawn = np.full((1, n), 1.0 / math.sqrt(n)), random_unit_vectors(n, count, rng)
     elif isinstance(source, Polydisc):
-        seeds, drawn = np.eye(n), metrics.polydisc_sphere(n, count, rng)(1.0)
+        seeds, drawn = np.eye(n), metrics.polydisc_sphere_sample(n, 1.0, count, rng)
     elif isinstance(source, PuncturedDisc):
         seeds, drawn = np.array([[1.0], [0.0]]), random_unit_vectors(1, count, rng)
     else:

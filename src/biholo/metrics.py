@@ -49,9 +49,7 @@ __all__ = [
     "ball_to_siegel",
     "siegel_equivalent",
     "kobayashi_distance",
-    "polydisc_sphere",
     "polydisc_sphere_sample",
-    "metric_sphere",
     "sample_metric_sphere",
     "sample_metric_ball",
 ]
@@ -169,9 +167,6 @@ def kobayashi_distance(d: ModelDomain, p, q, mode: MetricMode = MetricMode.KOBAY
 # sphere sampling
 # ---------------------------------------------------------------------------
 
-# the spheres of one sample around one center: radius -> rows
-Sphere = Callable[[float], np.ndarray]
-
 
 def _inner_point(d: ModelDomain, p) -> Point:
     """``p`` coerced by :func:`as_point`; ``ValueError`` unless its defining
@@ -189,110 +184,74 @@ def _radius(radius: float) -> float:
     return radius
 
 
-def polydisc_sphere(n: int, count: int, rng: np.random.Generator) -> Sphere:
-    """The polydisc spheres ``max_k |z_k| = modulus`` of one sample, as a
-    function from the modulus to rows: the corner first, then ``count``
-    random points with every coordinate at the full modulus with probability
-    1/2 and one (random) coordinate at it surely.
-
-    The random part (the mask, the fractions of the modulus and the phases)
-    is drawn from ``rng`` here, once; each call only scales it.
-    """
+def polydisc_sphere_sample(n: int, modulus: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The polydisc sphere ``max_k |z_k| = modulus``, as rows: the corner
+    first, then ``count`` random points with every coordinate at the full
+    modulus with probability 1/2 and one (random) coordinate at it surely."""
     # The corner (all coordinates at the maximal modulus) realizes the
     # extreme euclidean norm on the sphere, so include it deterministically.
     full = rng.uniform(size=(count, n)) < 0.5
     full[np.arange(count), rng.integers(n, size=count)] = True
     # uniform(0, m) is m * uniform(0, 1), bit for bit
-    fraction = rng.uniform(size=(count, n))
+    moduli = np.where(full, modulus, modulus * rng.uniform(size=(count, n)))
     phase = np.exp(1j * rng.uniform(0.0, covering.TWO_PI, size=(count, n)))
-
-    def sphere(modulus: float) -> np.ndarray:
-        moduli = np.where(full, modulus, modulus * fraction)
-        return np.concatenate([np.full((1, n), complex(modulus)), moduli * phase])
-
-    return sphere
+    return np.concatenate([np.full((1, n), complex(modulus)), moduli * phase])
 
 
-def polydisc_sphere_sample(n: int, modulus: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """:func:`polydisc_sphere` at one modulus, as rows."""
-    return polydisc_sphere(n, count, rng)(modulus)
-
-
-def _ball_sphere(center: Point, count: int, rng: np.random.Generator) -> Sphere:
-    """The ball's spheres at ``count`` directions; a radius is a float, or one per direction."""
-    directions = random_unit_vectors(len(center), count, rng).T
+def _ball_rows(center: Point, directions: np.ndarray, radius) -> np.ndarray:
+    """The ball's points at the unit ``directions`` (rows) and Kobayashi
+    ``radius`` around ``center``; a radius is a float, or one per direction."""
     phi = _ball_automorphism(center)
-    return lambda radius: np.column_stack(
-        phi((np if isinstance(radius, np.ndarray) else math).tanh(radius) * directions))
+    return np.column_stack(phi((np if isinstance(radius, np.ndarray) else math).tanh(radius) * directions.T))
 
 
-def _image(f: Callable[[np.ndarray], np.ndarray], sphere: Sphere) -> Sphere:
-    """The spheres of ``sphere`` mapped by the isometry ``f`` of rows."""
-    return lambda radius: f(sphere(radius))
-
-
-def _polydisc_metric_sphere(d: Polydisc, center, count: int, rng: np.random.Generator) -> Sphere:
-    polydisc = polydisc_sphere(d.dim, count, rng)
+def _polydisc_metric_sphere(d: Polydisc, center, radius: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    pts = polydisc_sphere_sample(d.dim, math.tanh(radius), count, rng)
+    if not any(c != 0 for c in center):
+        return pts
     a = np.array(center)
-    moved = any(c != 0 for c in center)
-
-    def sphere(radius: float) -> np.ndarray:
-        pts = polydisc(math.tanh(radius))
-        return (pts + a) / (1.0 + a.conj() * pts) if moved else pts
-
-    return sphere
+    return (pts + a) / (1.0 + a.conj() * pts)
 
 
-def _halfplane_sphere(center: complex, count: int) -> Sphere:
-    circle = halfplane_metric_circle(center, np.linspace(0.0, covering.TWO_PI, count, endpoint=False))
-    return lambda radius: circle(radius)[:, None]
-
-
-def _punctured_sphere(center: complex, count: int, rng: np.random.Generator) -> Sphere:
+def _punctured_sphere(center: complex, radius: float, count: int, rng: np.random.Generator) -> np.ndarray:
     """The metric circle around the principal lift of ``center``, projected
     by ``exp(i z)``.  Past euclidean radius pi only the arcs with
     ``|Re w - x0| <= pi`` project into the fundamental domain, so the angles
     are spread over those arcs, and every radius keeps all ``count``."""
     z0 = covering.principal_lift(center)
     angles = np.linspace(0.0, covering.TWO_PI, count, endpoint=False) + rng.uniform(0.0, 1e-3)
-    circle = halfplane_metric_circle(z0, angles)
-
-    def sphere(radius: float) -> np.ndarray:
-        eradius = z0.imag * math.sinh(2.0 * radius)  # center x0 + i y0 cosh 2r, radius y0 sinh 2r
-        arc, extreme = circle, []
-        if eradius > math.pi:  # the arcs (a, pi - a) and (pi + a, 2 pi - a)
-            a = math.acos(math.pi / eradius)
-            arc = halfplane_metric_circle(z0, a + angles * (1.0 - 2.0 * a / math.pi) + 2.0 * a * (angles >= math.pi))
-            # Where the circle crosses the lines Re = x0 +/- pi the projection
-            # lands exactly on the antipodal ray; those are the extreme sphere
-            # points, so add them exactly (crucially, on the negative real axis
-            # when the center is real positive).  The lower crossing
-            # y0 cosh 2r - h is (y0^2 + pi^2) / (y0 cosh 2r + h), which does not cancel.
-            h = math.sqrt(eradius * eradius - math.pi * math.pi)
-            top = z0.imag * math.cosh(2.0 * radius) + h
-            for y in ((z0.imag**2 + math.pi**2) / top, top):
-                r = math.exp(-y)
-                if z0.real == 0.0:
-                    extreme.append(complex(-r, 0.0))
-                else:
-                    extreme.append(cmath.exp(1j * complex(z0.real + math.pi, y)))
-        w = arc(radius)
-        pts = np.concatenate([np.exp(1j * w[np.abs(w.real - z0.real) <= math.pi]), np.array(extreme, dtype=complex)])
-        return pts[pts != 0][:, None]  # far out, exp(i w) underflows to the puncture
-
-    return sphere
+    eradius = z0.imag * math.sinh(2.0 * radius)  # center x0 + i y0 cosh 2r, radius y0 sinh 2r
+    extreme = []
+    if eradius > math.pi:  # the arcs (a, pi - a) and (pi + a, 2 pi - a)
+        a = math.acos(math.pi / eradius)
+        angles = a + angles * (1.0 - 2.0 * a / math.pi) + 2.0 * a * (angles >= math.pi)
+        # Where the circle crosses the lines Re = x0 +/- pi the projection
+        # lands exactly on the antipodal ray; those are the extreme sphere
+        # points, so add them exactly (crucially, on the negative real axis
+        # when the center is real positive).  The lower crossing
+        # y0 cosh 2r - h is (y0^2 + pi^2) / (y0 cosh 2r + h), which does not cancel.
+        h = math.sqrt(eradius * eradius - math.pi * math.pi)
+        top = z0.imag * math.cosh(2.0 * radius) + h
+        for y in ((z0.imag**2 + math.pi**2) / top, top):
+            r = math.exp(-y)
+            if z0.real == 0.0:
+                extreme.append(complex(-r, 0.0))
+            else:
+                extreme.append(cmath.exp(1j * complex(z0.real + math.pi, y)))
+    w = halfplane_metric_circle(z0, angles, radius)
+    pts = np.concatenate([np.exp(1j * w[np.abs(w.real - z0.real) <= math.pi]), np.array(extreme, dtype=complex)])
+    return pts[pts != 0][:, None]  # far out, exp(i w) underflows to the puncture
 
 
-def metric_sphere(d: ModelDomain, center, count: int, rng: np.random.Generator) -> Sphere:
-    """The Kobayashi spheres around ``center`` of one sample, as a function
-    from the radius to rows.
+def sample_metric_sphere(
+    d: ModelDomain, center, radius: float, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The Kobayashi sphere of the given radius around ``center``, as rows.
 
-    The random part is drawn from ``rng`` here, once: the unit directions on
-    the ball, the mask, fractions and phases on the polydisc, the jittered
-    angles on the punctured disc (the half-plane draws nothing), and on a
-    carried variant its model's, mapped back.  Each call does only the
-    arithmetic that depends on the radius, so a radius search tests every
-    radius on the same sample.
+    The random part is drawn from ``rng``: the unit directions on the ball,
+    the mask, fractions and phases on the polydisc, the jittered angles on
+    the punctured disc (the half-plane draws nothing), and on a carried
+    variant its model's, mapped back.
     Samples are dense in angle and include the extreme points that decide
     ball-containment questions (polydisc corners, antipodal crossings in the
     punctured disc).  The punctured disc keeps all its angles at every
@@ -308,22 +267,7 @@ def metric_sphere(d: ModelDomain, center, count: int, rng: np.random.Generator) 
     draw = _geometry(d).sphere
     if draw is None:
         raise UnsupportedDomainError(f"no sphere sampler for domain {d!r}")
-    at = draw(d, center, count, rng)
-
-    def sphere(radius: float) -> np.ndarray:
-        return at(_radius(radius))
-
-    return sphere
-
-
-def sample_metric_sphere(
-    d: ModelDomain, center, radius: float, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """:func:`metric_sphere` at one radius: the Kobayashi sphere of the given
-    radius around ``center``, as rows.  A radius search draws its sample once
-    with :func:`metric_sphere` and rescales it, rather than calling this at
-    every radius."""
-    return metric_sphere(d, center, count, rng)(radius)
+    return draw(d, center, _radius(radius), count, rng)
 
 
 def _halfplane_ball(z0: complex, radius: float, count: int, rng: np.random.Generator):
@@ -332,7 +276,7 @@ def _halfplane_ball(z0: complex, radius: float, count: int, rng: np.random.Gener
     shell = np.linspace(0.0, covering.TWO_PI, max(count // 2, 8), endpoint=False)
     t = np.concatenate([radius * np.sqrt(u[:, 0]), np.full(len(shell), radius)])
     angles = np.concatenate([covering.TWO_PI * u[:, 1], shell])
-    return halfplane_metric_circle(z0, angles)(t)
+    return halfplane_metric_circle(z0, angles, t)
 
 
 def sample_metric_ball(
@@ -360,9 +304,9 @@ def sample_metric_ball(
 class Geometry(NamedTuple):
     """The closed forms of one variant, each None where there is none:
     ``distance(d, p, q)`` of a coerced point and, as ``q``, a coerced point
-    or the columns of rows, ``sphere(d, center, count, rng)``,
-    ``ball(d, center, radius, count, rng)`` and ``exact(d)``, the Fridman
-    invariant and the squeezing function where both are theorems and
+    or the columns of rows, ``sphere(d, center, radius, count, rng)`` and
+    ``ball(d, center, radius, count, rng)``, both rows, and ``exact(d)``,
+    the Fridman invariant and the squeezing function where both are theorems and
     constant in the point (0 and 1 on the ball and on what maps onto it,
     Deng, Guan and Zhang (2012) on the polydisc).  Distances and radii are
     Kobayashi; a carried record's entries are its model's.  The entries pass
@@ -372,7 +316,7 @@ class Geometry(NamedTuple):
     called, so a function wrapped by name is what runs."""
 
     distance: Callable | None = None
-    sphere: Callable[..., Sphere] | None = None
+    sphere: Callable[..., np.ndarray] | None = None
     ball: Callable[..., np.ndarray] | None = None
     exact: Callable[[ModelDomain], tuple[float, float]] | None = None
 
@@ -388,12 +332,15 @@ def _carried(model: type, to_model: Callable, from_model: Callable) -> Geometry:
     of a point or the columns of rows to a tuple: the model's distance at the
     images, its spheres and balls around the image of the center mapped back,
     its exact values.  The model's entries get ``d``, whose ``dim`` the map keeps."""
+
+    def mapped_back(entry: str) -> Callable[..., np.ndarray]:
+        return lambda d, center, radius, count, rng: np.column_stack(from_model(
+            d, getattr(_GEOMETRY[model], entry)(d, to_model(d, center), radius, count, rng).T))
+
     return Geometry(
         distance=lambda d, p, q: _GEOMETRY[model].distance(d, to_model(d, p), to_model(d, q)),
-        sphere=lambda d, center, count, rng: _image(lambda rows: np.column_stack(from_model(d, rows.T)),
-                                                    _GEOMETRY[model].sphere(d, to_model(d, center), count, rng)),
-        ball=lambda d, center, radius, count, rng: np.column_stack(from_model(
-            d, _GEOMETRY[model].ball(d, to_model(d, center), radius, count, rng).T)),
+        sphere=mapped_back("sphere"),
+        ball=mapped_back("ball"),
         exact=lambda d: _GEOMETRY[model].exact(d),
     )
 
@@ -406,26 +353,29 @@ _GEOMETRY: dict[type, Geometry] = {
     Ball: Geometry(
         # Ball(1) is the disc: its form keeps 1 - |a|^2 as (1 - |a|)(1 + |a|)
         distance=lambda d, p, q: disc_distance(p[0], q[0]) if d.dim == 1 else _ball_distance(p, q),
-        sphere=lambda d, center, count, rng: _ball_sphere(center, count, rng),
-        ball=lambda d, center, radius, count, rng: _ball_sphere(center, count, rng)(
-            radius * np.sqrt(rng.uniform(size=count))),
+        sphere=lambda d, center, radius, count, rng: _ball_rows(
+            center, random_unit_vectors(d.dim, count, rng), radius),
+        # the directions are drawn before the radii
+        ball=lambda d, center, radius, count, rng: _ball_rows(
+            center, random_unit_vectors(d.dim, count, rng), radius * np.sqrt(rng.uniform(size=count))),
         exact=lambda d: (0.0, 1.0),
     ),
     Polydisc: Geometry(
         distance=lambda d, p, q: _max(*map(disc_distance, p, q)),
-        sphere=lambda d, center, count, rng: _polydisc_metric_sphere(d, center, count, rng),
+        sphere=lambda d, center, radius, count, rng: _polydisc_metric_sphere(d, center, radius, count, rng),
         exact=lambda d: _polydisc_exact(d.dim),
     ),
     UpperHalfPlane: Geometry(
         distance=lambda d, p, q: halfplane_distance(p[0], q[0]),
-        sphere=lambda d, center, count, rng: _halfplane_sphere(center[0], count),
+        sphere=lambda d, center, radius, count, rng: halfplane_metric_circle(
+            center[0], np.linspace(0.0, covering.TWO_PI, count, endpoint=False), radius)[:, None],
         ball=lambda d, center, radius, count, rng: _halfplane_ball(center[0], radius, count, rng)[:, None],
         exact=lambda d: (0.0, 1.0),
     ),
     HalfPlaneC: _carried(UpperHalfPlane, lambda d, z: (d.to_halfplane(z[0]),), lambda d, w: (d.from_halfplane(w[0]),)),
     PuncturedDisc: Geometry(
         distance=lambda d, p, q: covering.punctured_distance(p[0], q[0]),
-        sphere=lambda d, center, count, rng: _punctured_sphere(center[0], count, rng),
+        sphere=lambda d, center, radius, count, rng: _punctured_sphere(center[0], radius, count, rng),
     ),
     SlitDisc: _carried(Ball, lambda d, z: (_SLIT_MAP.unapply(z[0]),), lambda d, w: (_SLIT_MAP.apply(w[0]),)),
     Siegel: _carried(Ball, lambda d, z: _siegel_to_ball(z), lambda d, w: ball_to_siegel(w)),

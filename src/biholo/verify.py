@@ -64,7 +64,7 @@ class RunConfig:
     seed: int = 0
 
 
-# sphere samples per radius search of the estimator suites
+# random boundary rows per estimate of the estimator suites
 ESTIMATOR_SAMPLES = 256
 
 

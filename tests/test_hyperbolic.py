@@ -283,13 +283,12 @@ class TestVerticalLineDistance:
 class TestMetricCircle:
     def test_circle_points_are_equidistant(self):
         center = complex(0.3, 1.2)
-        circle = halfplane_metric_circle(center, np.linspace(0, 2 * math.pi, 48, endpoint=False))
-        for w in circle(0.4):
+        for w in halfplane_metric_circle(center, np.linspace(0, 2 * math.pi, 48, endpoint=False), 0.4):
             assert halfplane_distance(center, w) == pytest.approx(0.4, abs=5e-11)
 
     def test_kobayashi_radius_doubles(self):
         """The Kobayashi circle of radius 0.5 around i is the curvature -1
         circle of radius 1: its top is ``i e`` and its bottom ``i / e``."""
-        top, bottom = halfplane_metric_circle(1j, np.array([0.5, 1.5]) * math.pi)(0.5)
+        top, bottom = halfplane_metric_circle(1j, np.array([0.5, 1.5]) * math.pi, 0.5)
         assert top == pytest.approx(1j * math.e, rel=1e-15)
         assert bottom == pytest.approx(1j / math.e, rel=1e-15)

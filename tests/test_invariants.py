@@ -693,10 +693,9 @@ class TestBasepointCoercion:
 
 
 class TestInclusionMembership:
-    """An inclusion decides image membership with the source's defining
-    function; a copy of the witness whose maps are caller lambdas takes the
-    general path (inverse, forward, round-trip error), and the two agree
-    row for row."""
+    """An inclusion's ``_identity`` maps round-trip finite rows exactly, so
+    its image membership is the source's defining function; a copy of the
+    witness whose maps are caller lambdas agrees with it row for row."""
 
     @staticmethod
     def _rows(n: int) -> np.ndarray:
@@ -903,7 +902,7 @@ class TestCertification:
 def _inclusion_case(n: int):
     witness = ball_inclusion_into_polydisc(n)
     r = fridman_upper_from_embedding(Polydisc(n), (0j,) * n, witness, RadiusSearch(samples=64)).radius
-    return witness, r, lambda t: metrics.metric_sphere(Polydisc(n), (0j,) * n, 512, np.random.default_rng(5))(t)
+    return witness, r, lambda t: sample_metric_sphere(Polydisc(n), (0j,) * n, t, 512, np.random.default_rng(5))
 
 
 def _centered_case(n: int):
@@ -921,7 +920,7 @@ def _scaled_case(n: int):
 def _slit_case(p: float):
     witness = slit_embedding_of_disc(p)
     r = fridman_upper_from_embedding(PuncturedDisc(), p, witness, RadiusSearch(samples=64)).radius
-    return witness, r, lambda t: metrics.metric_sphere(PuncturedDisc(), p, 512, np.random.default_rng(5))(t)
+    return witness, r, lambda t: sample_metric_sphere(PuncturedDisc(), p, t, 512, np.random.default_rng(5))
 
 
 def _automorphism_case(p: float):

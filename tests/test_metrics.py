@@ -33,8 +33,7 @@ from biholo.metrics import (
     ball_distance,
     ball_to_siegel,
     kobayashi_distance,
-    metric_sphere,
-    polydisc_sphere,
+    polydisc_sphere_sample,
     sample_metric_ball,
     sample_metric_sphere,
     siegel_equivalent,
@@ -63,7 +62,7 @@ class TestKobayashiNormalization:
         and the half-plane's ball of radius r around i, whose sample holds
         its boundary circle, reaches up to i e^(2r)."""
         r = 0.75
-        sphere = metric_sphere(Ball(1), 0.0, 32, np.random.default_rng(1))(r)
+        sphere = sample_metric_sphere(Ball(1), 0.0, r, 32, np.random.default_rng(1))
         assert np.abs(sphere[:, 0]).tolist() == pytest.approx([math.tanh(r)] * 32, rel=1e-15)
         ball = sample_metric_ball(UpperHalfPlane(), 1j, r, 64, np.random.default_rng(1))
         assert ball.imag.max() == pytest.approx(math.exp(2.0 * r), rel=1e-12)
@@ -256,7 +255,7 @@ class TestDispatcher:
         # the ball's samplers, and Siegel's carried onto them, move the
         # coerced center with the private automorphism: one call per center
         for sample in (
-            lambda: metric_sphere(Ball(2), (0.3, -0.2j), 16, np.random.default_rng(0)),
+            lambda: sample_metric_sphere(Ball(2), (0.3, -0.2j), 0.5, 16, np.random.default_rng(0)),
             lambda: sample_metric_ball(Siegel(2), (0.3 - 0.2j, -1.4 + 0.5j), 0.5, 16, np.random.default_rng(0)),
         ):
             calls.update(as_point=0, contains=0)
@@ -352,9 +351,8 @@ def test_every_sphere_lies_at_its_radius(domain, center):
     distance r from the center, to 1e-11 relative: the largest error
     measured, on 256-point spheres at these radii, was 5.6e-12 at r = 3 on
     the punctured disc."""
-    sphere = metric_sphere(domain, center, 64, np.random.default_rng(2))
     for r in (0.1, 1.0, 3.0):
-        rows = sphere(r)
+        rows = sample_metric_sphere(domain, center, r, 64, np.random.default_rng(2))
         assert contains_rows(domain, rows).all()
         assert record_distance(domain, as_point(center), rows).tolist() == pytest.approx([r] * len(rows), rel=1e-11)
 
@@ -489,7 +487,9 @@ class TestSphereSampling:
         the fundamental domain, so a wide sphere keeps its 256 points (it had
         80, 28 and 4 at r = 1.5, 2 and 3); far out, the rows that underflow
         to the puncture are dropped."""
-        sphere = metric_sphere(PuncturedDisc(), 0.5, 256, np.random.default_rng(0))
+        def sphere(r):
+            return sample_metric_sphere(PuncturedDisc(), 0.5, r, 256, np.random.default_rng(0))
+
         for r in (1.5, 2.0, 3.0):
             assert len(sphere(r)) >= 256
         assert contains_rows(PuncturedDisc(), sphere(8.0)).all()
@@ -510,7 +510,7 @@ class TestSphereSampling:
         of the lifted circle had Im = y0 cosh t - y0 sinh t |sin|, which
         cancels: the half-plane rows missed r = 6 by 3e-7 and left the domain
         at r = 10, and the punctured rows missed r = 4 by 9e-11."""
-        rows = metric_sphere(d, center, 256, np.random.default_rng(0))(radius)
+        rows = sample_metric_sphere(d, center, radius, 256, np.random.default_rng(0))
         assert contains_rows(d, rows).all()
         assert max(abs(kobayashi_distance(d, center, row) - radius) for row in rows) <= rel * radius
 
@@ -521,7 +521,7 @@ class TestSphereSampling:
         the lifted circle crosses Re = x0 +/- pi: they project onto the ray
         opposite the center (measured within 3e-16 in argument), and every
         row lies at the radius (measured within 1.4e-14 relative)."""
-        rows = metric_sphere(PuncturedDisc(), center, 256, np.random.default_rng(0))(radius)
+        rows = sample_metric_sphere(PuncturedDisc(), center, radius, 256, np.random.default_rng(0))
         assert contains_rows(PuncturedDisc(), rows).all()
         assert max(abs(cmath.phase(w / -center)) for w in rows[-2:, 0]) <= 1e-13
         assert max(abs(kobayashi_distance(PuncturedDisc(), center, row) - radius) for row in rows) <= 1e-12 * radius
@@ -534,9 +534,9 @@ class TestSphereSampling:
 
 
 class TestOneSampleAtEveryRadius:
-    """``metric_sphere`` and ``polydisc_sphere`` draw once and rescale; at
-    every radius they give, bit for bit, the rows of a fresh draw from the
-    same seed at that radius, written out here as a reference."""
+    """``sample_metric_sphere`` and ``polydisc_sphere_sample`` give, at every
+    radius, bit for bit, the rows of a draw from the same seed at that
+    radius, written out here as a reference."""
 
     RADII = (0.05, 0.5, 1.0, 3.0, 12.0)
 
@@ -550,50 +550,40 @@ class TestOneSampleAtEveryRadius:
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_polydisc(self, n):
-        sphere = polydisc_sphere(n, 40, np.random.default_rng(4))
         for r in self.RADII:
             modulus = math.tanh(r)
             expected = self.fresh_polydisc(n, modulus, 40, np.random.default_rng(4))
-            assert sphere(modulus).tobytes() == expected.tobytes()
+            assert polydisc_sphere_sample(n, modulus, 40, np.random.default_rng(4)).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("mode", list(MetricMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("center", [(0j, 0j), (0.3 + 0j, 0.1j)], ids=["origin", "off-center"])
     def test_ball(self, center, mode):
         """Radii ``r`` in the units of ``mode``, converted where the sphere
         is drawn, as the Fridman estimator does."""
-        sphere = metric_sphere(Ball(2), center, 48, np.random.default_rng(3))
         for r in self.RADII:
-            rng = np.random.default_rng(3)
             radius_k = r / mode.factor
-            rows = math.tanh(radius_k) * random_unit_vectors(2, 48, rng)
+            rows = math.tanh(radius_k) * random_unit_vectors(2, 48, np.random.default_rng(3))
             expected = np.column_stack(ball_automorphism(center)(rows.T))
-            assert sphere(r / mode.factor).tobytes() == expected.tobytes()
-
-    def test_one_shot_samplers_are_the_sampler_at_one_radius(self):
-        for d, center in ((Polydisc(3), (0.1 + 0j, 0.2j, -0.3 + 0j)), (PuncturedDisc(), 0.3), (UpperHalfPlane(), 1j)):
-            sphere = metric_sphere(d, center, 32, np.random.default_rng(5))
-            for r in self.RADII:
-                once = sample_metric_sphere(d, center, r, 32, np.random.default_rng(5))
-                assert sphere(r).tobytes() == once.tobytes()
+            sphere = sample_metric_sphere(Ball(2), center, radius_k, 48, np.random.default_rng(3))
+            assert sphere.tobytes() == expected.tobytes()
 
     def test_nonpositive_radius_raises(self):
-        sphere = metric_sphere(Ball(2), (0j, 0j), 8, np.random.default_rng(0))
         with pytest.raises(ValueError, match="positive"):
-            sphere(0.0)
+            sample_metric_sphere(Ball(2), (0j, 0j), 0.0, 8, np.random.default_rng(0))
 
     def test_unsupported_domain(self):
         other = WeightedModel(Multitype((1, 4)), modulus_power(1, 0, 2))
         with pytest.raises(UnsupportedDomainError, match="sphere sampler"):
-            metric_sphere(other, (0j, -1.0 + 0j), 8, np.random.default_rng(0))
+            sample_metric_sphere(other, (0j, -1.0 + 0j), 1.0, 8, np.random.default_rng(0))
 
 
 class TestSamplerArguments:
-    """``metric_sphere`` and ``sample_metric_ball`` check their center by its
+    """``sample_metric_sphere`` and ``sample_metric_ball`` check their center by its
     defining value and want a finite positive radius."""
 
     def test_sphere_center_outside_the_domain(self):
         with pytest.raises(ValueError, match="not in the domain"):
-            metric_sphere(Polydisc(2), (2, 0), 8, np.random.default_rng(0))
+            sample_metric_sphere(Polydisc(2), (2, 0), 0.5, 8, np.random.default_rng(0))
 
     def test_ball_center_on_the_boundary(self):
         with pytest.raises(ValueError, match="not in the domain"):
@@ -605,9 +595,8 @@ class TestSamplerArguments:
 
     @pytest.mark.parametrize("radius", [math.nan, math.inf])
     def test_non_finite_radius(self, radius):
-        sphere = metric_sphere(Ball(2), (0j, 0j), 8, np.random.default_rng(0))
         with pytest.raises(ValueError, match="radius"):
-            sphere(radius)
+            sample_metric_sphere(Ball(2), (0j, 0j), radius, 8, np.random.default_rng(0))
         with pytest.raises(ValueError, match="radius"):
             sample_metric_ball(Siegel(2), (0, -1), radius, 8, np.random.default_rng(0))
 
