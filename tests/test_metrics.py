@@ -25,7 +25,8 @@ from biholo.domains import (
     random_unit_vectors,
     sample_rows,
 )
-from biholo.hyperbolic import MetricMode, disc_distance, halfplane_distance
+from biholo.covering import principal_lift
+from biholo.hyperbolic import MetricMode, disc_distance, halfplane_distance, halfplane_metric_circle
 from biholo.invariants import fridman_exact, squeezing_exact
 from biholo.maps import Mobius
 from biholo.metrics import (
@@ -566,6 +567,29 @@ class TestOneSampleAtEveryRadius:
             expected = np.column_stack(ball_automorphism(center)(rows.T))
             sphere = sample_metric_sphere(Ball(2), center, radius_k, 48, np.random.default_rng(3))
             assert sphere.tobytes() == expected.tobytes()
+
+    def test_one_shot_samplers_are_the_sampler_at_one_radius(self):
+        """``sample_metric_sphere`` at one radius is, bit for bit, the model
+        sampler at that radius carried to the center: the polydisc's draw
+        moved by a Mobius map in each coordinate, the half-plane's metric
+        circle, and on the punctured disc, while the lifted circle is
+        narrower than 2 pi, the projection of the jittered circle."""
+        a = np.array((0.1 + 0j, 0.2j, -0.3 + 0j))
+        for r in self.RADII:
+            pts = self.fresh_polydisc(3, math.tanh(r), 32, np.random.default_rng(5))
+            polydisc = sample_metric_sphere(Polydisc(3), tuple(a), r, 32, np.random.default_rng(5))
+            assert polydisc.tobytes() == ((pts + a) / (1.0 + a.conj() * pts)).tobytes()
+            circle = halfplane_metric_circle(1j, np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False), r)
+            halfplane = sample_metric_sphere(UpperHalfPlane(), 1j, r, 32, np.random.default_rng(5))
+            assert halfplane.tobytes() == circle[:, None].tobytes()
+        z0 = principal_lift(0.3)
+        for r in self.RADII[:2]:
+            assert z0.imag * math.sinh(2.0 * r) <= math.pi  # the whole circle projects
+            rng = np.random.default_rng(5)
+            angles = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False) + rng.uniform(0.0, 1e-3)
+            expected = np.exp(1j * halfplane_metric_circle(z0, angles, r))[:, None]
+            punctured = sample_metric_sphere(PuncturedDisc(), 0.3, r, 32, np.random.default_rng(5))
+            assert punctured.tobytes() == expected.tobytes()
 
     def test_nonpositive_radius_raises(self):
         with pytest.raises(ValueError, match="positive"):
