@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hyperbolic import _acosh_form, _s_rows, halfplane_distance
+from .hyperbolic import _acosh_form, _linspace_blocks, _s_rows, halfplane_distance
 from .maps import Chain, Mobius, PrincipalSqrt, Square
 
 __all__ = [
@@ -177,14 +177,17 @@ def grid_slit_distance(p: float) -> float:
     """Oracle for :func:`slit_distance`: minimize the punctured-disc distance
     from ``p`` over a grid of ``SLIT_GRID`` points of the slit ``(-1, 0)``
     and the translates ``|k| <= SLIT_DECK_RANGE`` of their lifts.  The acosh
-    form is applied once, to the smallest ``s`` over grid and translates."""
+    form is applied once, to the smallest ``s`` over grid and translates.
+    The grid is swept in blocks, like the circle's."""
     if not 0.0 < p < 1.0:
         raise ValueError("base point must lie in (0, 1)")
     yp = -math.log(p)
-    moduli = np.linspace(0.0, 1.0, SLIT_GRID + 2)[1:-1]
-    yq = -np.log(moduli)
     ks = range(-SLIT_DECK_RANGE, SLIT_DECK_RANGE + 1)
-    s = min(float(_s_rows(math.pi + TWO_PI * k, yp, yq).min()) for k in ks)
+    s = math.inf
+    for moduli in _linspace_blocks(0.0, 1.0, SLIT_GRID + 2):
+        # the grid's ends, the puncture and the unit circle, are off the slit
+        yq = -np.log(moduli[(0.0 < moduli) & (moduli < 1.0)])
+        s = min(s, min(float(_s_rows(math.pi + TWO_PI * k, yp, yq).min()) for k in ks))
     return _acosh_form(s)
 
 
@@ -196,14 +199,20 @@ def grid_circle_supremum(p: float) -> tuple[float, float]:
     of the grid, not the closed form of :func:`deck_minimum`.  There is no
     wrap-around at ``theta > pi``, so this is the distance between lifts,
     not between points of the punctured disc.  Returns ``(maximum, argmax
-    angle)``; the argmax is the far end of the grid."""
+    angle)``; the argmax is the far end of the grid.  The grid is swept in
+    blocks, never built whole; a later block replaces the maximum only when
+    strictly larger, so the argmax is the first, as one ``argmax`` over the
+    grid would give."""
     if not 0.0 < p < 1.0:
         raise ValueError("base point must lie in (0, 1)")
-    theta = np.linspace(0.0, TWO_PI, CIRCLE_GRID, endpoint=False)
     y = -math.log(p)
-    s = _s_rows(theta, y, y)
-    idx = int(s.argmax())
-    return _acosh_form(float(s[idx])), float(theta[idx])
+    best, arg = -math.inf, math.nan
+    for theta in _linspace_blocks(0.0, TWO_PI, CIRCLE_GRID, endpoint=False):
+        s = _s_rows(theta, y, y)
+        idx = int(s.argmax())
+        if s[idx] > best:
+            best, arg = float(s[idx]), float(theta[idx])
+    return _acosh_form(best), arg
 
 
 # ---------------------------------------------------------------------------

@@ -338,7 +338,7 @@ def numeric_scaling_check(
     exps = multitype.tangential_exponents()
     for _ in range(trials):
         delta = float(rng.uniform(0.0, 2.0)) or 1.0
-        z = tuple(complex(a, b) for a, b in rng.normal(size=(poly.nvars, 2)))
+        z = tuple(complex(a, b) for a, b in rng.normal(size=(poly.nvars, 2)).tolist())
         scaled = tuple(c * delta**e for c, e in zip(z, exps))
         base = poly_eval(poly, z)
         if abs(poly_eval(poly, scaled) - delta * base) > _SCALING_TOL * (1.0 + abs(base)):

@@ -11,8 +11,12 @@ A suite draws its random inputs as rows, in one generator call whose C
 order is the order of one scalar draw after another, so the inputs are
 those of a scalar loop, bit for bit.  Where a suite compares the scalar
 path of the library, it calls it point by point; the oracles run as array
-kernels.  `SuiteResult.expect_rows` then makes one check per row and
-formats a message only for the rows that fail.
+kernels.  The grid searches (the heights of the vertical-line suite, the
+grids of `covering.grid_slit_distance` and `covering.grid_circle_supremum`)
+are swept block by block, never built whole, and give the extremum of the
+one grid bit for bit.
+`SuiteResult.expect_rows` then makes one check per row and formats a
+message only for the rows that fail.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .domains import (
 from .hyperbolic import (
     MetricMode,
     _acosh_form,
+    _geomspace_blocks,
     _s_rows,
     disc_distance,
     halfplane_distance,
@@ -148,13 +153,17 @@ def suite_mobius_invariance(cfg: RunConfig) -> SuiteResult:
 def suite_vertical_line(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("vertical-line-foot")
     rng = np.random.default_rng(cfg.seed + 3)
-    ts = np.geomspace(1e-3, 100.0, 1_000_000)
+    queries = rng.uniform([-4, 0.2, -4], 4, size=(12, 3)).tolist()
+    # the smallest s of each query over the line's heights, one block of
+    # heights at a time; the acosh form is increasing in s, so it is applied
+    # once, at that smallest s
+    s_min = np.full(len(queries), math.inf)
+    for ts in _geomspace_blocks(1e-3, 100.0, 1_000_000):
+        s_min = np.minimum(s_min, [_s_rows(x - c, y, ts).min() for x, y, c in queries])
     found = []
-    for x, y, c in rng.uniform([-4, 0.2, -4], 4, size=(12, 3)).tolist():
+    for (x, y, c), s in zip(queries, s_min.tolist()):
         z = complex(x, y)
-        # the acosh form is increasing in s: apply it once, at the grid's smallest s
-        grid_min = _acosh_form(float(_s_rows(x - c, y, ts).min()))
-        found.append((vertical_line_distance(z, c), grid_min, halfplane_distance(z, complex(c, abs(z - c)))))
+        found.append((vertical_line_distance(z, c), _acosh_form(s), halfplane_distance(z, complex(c, abs(z - c)))))
     d_foot, grid_min, at_foot = np.array(found).T
     res.expect_rows(
         d_foot <= grid_min + 5e-13,
@@ -250,13 +259,14 @@ def suite_domains(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("domain-membership")
     rng = np.random.default_rng(cfg.seed + 7)
     model = WeightedModel(Multitype((1, 4)), modulus_power(1, 0, 2))
+    punctured, slit_disc = PuncturedDisc(), SlitDisc()
     variants = [
         Ball(2),
         Polydisc(2),
         UpperHalfPlane(),
         HalfPlaneC(1.0 + 0.5j),
-        PuncturedDisc(),
-        SlitDisc(),
+        punctured,
+        slit_disc,
         Siegel(2),
         model,
     ]
@@ -281,8 +291,8 @@ def suite_domains(cfg: RunConfig) -> SuiteResult:
     grid = grid.ravel()
     points = grid.tolist()
     on_slit = (grid.imag == 0.0) & (-1.0 < grid.real) & (grid.real <= 0.0)
-    expected = np.array([contains(PuncturedDisc(), z) for z in points]) & ~on_slit
-    slit = np.array([contains(SlitDisc(), z) for z in points])
+    expected = np.array([contains(punctured, z) for z in points]) & ~on_slit
+    slit = np.array([contains(slit_disc, z) for z in points])
     res.expect_rows(slit == expected, lambda k: f"slit-disc membership wrong at {points[k]!r}")
     # the slit-disc sampler draws from the punctured disc off the slit
     off_slit = (slit_samples.imag != 0.0) | (slit_samples.real > 0.0)

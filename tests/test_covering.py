@@ -183,6 +183,16 @@ class TestSlitDistance:
         for p in (P_UNIT, 0.9, 0.4):
             assert grid_slit_distance(p) == pytest.approx(slit_distance(p), abs=5e-5)
 
+    @pytest.mark.parametrize("p", [P_UNIT, 0.2, 0.5, 0.9])
+    def test_blocked_sweep_is_the_one_array_minimum(self, p):
+        """The oracle, which sweeps its grid in blocks, returns bit for bit
+        the minimum over the whole grid and the translates in one array."""
+        yq = -np.log(np.linspace(0.0, 1.0, covering.SLIT_GRID + 2)[1:-1])
+        yp = -math.log(p)
+        dx = math.pi + TWO_PI * np.arange(-covering.SLIT_DECK_RANGE, covering.SLIT_DECK_RANGE + 1)[:, None]
+        low = float(((dx * dx + (yp - yq) ** 2) / (2.0 * yp * yq)).min())
+        assert grid_slit_distance(p) == 0.5 * math.log1p(low + math.sqrt(low * (low + 2.0)))
+
     def test_vanishes_toward_the_puncture(self):
         """r decays like pi / (2 log(1/p)), monotonically, as p -> 0."""
         values = [slit_distance(10.0**-k) for k in range(1, 8)]
@@ -225,6 +235,17 @@ class TestCircleSupremum:
             sup, argmax = grid_circle_supremum(p)
             assert sup == pytest.approx(deck_minimum(p, TWO_PI), abs=5e-5)
             assert argmax > TWO_PI - 1e-3
+
+    @pytest.mark.parametrize("p", [P_UNIT, 0.2, 0.5, 0.9])
+    def test_blocked_sweep_is_the_one_array_maximum(self, p):
+        """The oracle, which sweeps its grid in blocks, returns bit for bit
+        the maximum and first argmax of the whole grid in one array."""
+        theta = np.linspace(0.0, TWO_PI, covering.CIRCLE_GRID, endpoint=False)
+        y = -math.log(p)
+        s = (theta * theta + (y - y) ** 2) / (2.0 * y * y)
+        idx = int(s.argmax())
+        top = float(s[idx])
+        assert grid_circle_supremum(p) == (0.5 * math.log1p(top + math.sqrt(top * (top + 2.0))), float(theta[idx]))
 
     def test_matches_full_turn_deck_value(self):
         """The statement's sign typo is resolved toward the positive form,

@@ -9,8 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biholo.covering import CIRCLE_GRID, TWO_PI
 from biholo.hyperbolic import (
+    GRID_BLOCK,
     MetricMode,
+    _geomspace_blocks,
+    _linspace_blocks,
     disc_distance,
     halfplane_distance,
     halfplane_distance_acosh,
@@ -292,3 +296,31 @@ class TestMetricCircle:
         top, bottom = halfplane_metric_circle(1j, np.array([0.5, 1.5]) * math.pi, 0.5)
         assert top == pytest.approx(1j * math.e, rel=1e-15)
         assert bottom == pytest.approx(1j / math.e, rel=1e-15)
+
+
+class TestGridBlocks:
+    """The oracles' grids, swept block by block, are numpy's grids bit for
+    bit; a numpy whose ``linspace`` or ``geomspace`` rounds differently
+    fails here, not in a suite's tolerance."""
+
+    @staticmethod
+    def _joined(blocks) -> np.ndarray:
+        blocks = list(blocks)
+        assert all(0 < len(b) <= GRID_BLOCK for b in blocks)
+        return np.concatenate(blocks)
+
+    @pytest.mark.parametrize(
+        "num, endpoint",
+        [(CIRCLE_GRID, False), (CIRCLE_GRID, True), (2 * GRID_BLOCK, True), (GRID_BLOCK + 1, True), (2, True)],
+    )
+    def test_linspace(self, num, endpoint):
+        expected = np.linspace(0.0, TWO_PI, num, endpoint=endpoint)
+        assert self._joined(_linspace_blocks(0.0, TWO_PI, num, endpoint)).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "start, stop, num",
+        [(1e-3, 100.0, 1_000_000), (1e-4, 100.0, 2 * GRID_BLOCK), (1e-4, 100.0, GRID_BLOCK + 1), (0.5, 3.0, 2)],
+    )
+    def test_geomspace(self, start, stop, num):
+        expected = np.geomspace(start, stop, num)
+        assert self._joined(_geomspace_blocks(start, stop, num)).tobytes() == expected.tobytes()

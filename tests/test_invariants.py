@@ -710,27 +710,32 @@ class TestInclusionMembership:
         return np.concatenate([straddle, sphere, corners]).astype(complex)
 
     @staticmethod
-    def _general(witness: EmbeddingWitness) -> EmbeddingWitness:
+    def _lambda_copy(witness: EmbeddingWitness) -> EmbeddingWitness:
         return dataclasses.replace(witness, forward=lambda z: z, inverse=lambda w: w)
 
     @pytest.mark.parametrize("make", [ball_inclusion_into_polydisc, identity_ball_witness])
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("image", ["source", None, "polydisc"])
-    def test_inclusion_path_equals_the_general_path(self, make, n, image):
+    def test_identity_maps_agree_with_caller_lambdas(self, make, n, image):
+        """The inclusion (``_identity`` maps) and its copy with ``lambda z: z``
+        maps keep the same rows, with or without an image domain, and the
+        rows straddle the boundary, so both answers occur."""
         witness = make(n)
         if image != "source":
             witness = dataclasses.replace(witness, image_domain=image and Polydisc(n))
         rows = self._rows(n)
         kept = witness.image_contains(rows)
-        assert kept.tolist() == self._general(witness).image_contains(rows).tolist()
+        assert kept.tolist() == self._lambda_copy(witness).image_contains(rows).tolist()
         assert 0 < kept.sum() < len(rows)
 
     @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf)])
-    def test_non_finite_rows_raise_on_both_paths(self, bad):
+    def test_non_finite_rows_raise_with_identity_and_caller_lambdas(self, bad):
+        """A non-finite row raises, naming the row, for the inclusion and for
+        its copy with ``lambda z: z`` maps alike."""
         rows = np.zeros((4, 2), dtype=complex)
         rows[2, 1] = bad
         witness = ball_inclusion_into_polydisc(2)
-        for w in (witness, self._general(witness)):
+        for w in (witness, self._lambda_copy(witness)):
             with pytest.raises(ValueError, match="row 2 .* non-finite"):
                 w.image_contains(rows)
 
