@@ -24,14 +24,14 @@ distance from the basepoint to the complement of the image, the least
 distance to the image of a boundary point of the source (Fridman:
 Kobayashi, over the images inside the target; squeezing: euclidean, at
 most 1; the centred polydisc: the polydisc norm).  The boundary sample is
-drawn per call: the source's known extreme points (the puncture of the
-punctured disc among them), the rows a witness's written argument seeds,
-and random rows from the search's seed, refined around the best one.  The
-minimum over that sample builds the one report of every estimator, with
-the boundary point that decided it and its image.  A report is certified
-when the witness carries the written argument that the minimum is attained
-at a seeded row, and its value is a bound only then: an uncertified sample
-may miss the minimum.
+drawn per call: the rows a witness's written argument seeds, then the
+source's ``boundary`` entry in ``metrics`` (its known extreme points, the
+puncture among them, and random rows from the search's seed), refined
+around the best one.  The minimum over that sample builds the one report
+of every estimator, with the boundary point that decided it and its image.
+A report is certified when the witness carries the written argument that
+the minimum is attained at a seeded row, and its value is a bound only
+then: an uncertified sample may miss the minimum.
 """
 
 from __future__ import annotations
@@ -51,8 +51,6 @@ from .domains import (
     Polydisc,
     PuncturedDisc,
     SlitDisc,
-    UnsupportedDomainError,
-    as_point,
     as_rows,
     contains_rows,
     random_unit_vectors,
@@ -111,7 +109,7 @@ class EmbeddingWitness:
     ``image_domain`` is set, by membership in it as well.  ``image_domain``
     is the exact image as a model domain, declared only where it is
     stricter than what ``forward`` and ``inverse`` show.
-    Both basepoints are coerced with :func:`as_point` to their domain's dimension.
+    Each basepoint is coerced to its domain's dimension and must lie in the domain.
     The witness is frozen, so its certificate cannot outlive a change to its maps.
     """
 
@@ -130,8 +128,8 @@ class EmbeddingWitness:
     _certificate: tuple[str, tuple[Point, ...]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "source_basepoint", as_point(self.source_basepoint, self.source.dim))
-        object.__setattr__(self, "target_basepoint", as_point(self.target_basepoint, self.target.dim))
+        object.__setattr__(self, "source_basepoint", metrics._inner_point(self.source, self.source_basepoint))
+        object.__setattr__(self, "target_basepoint", metrics._inner_point(self.target, self.target_basepoint))
 
     def image_contains(self, w) -> np.ndarray:
         """One bool per row of ``w``: does the row lie in the image?
@@ -301,23 +299,19 @@ def punctured_automorphism_witness(p: complex) -> EmbeddingWitness:
 # ---------------------------------------------------------------------------
 
 
-def _exact(d: ModelDomain, p, value: str, instead: str) -> tuple[float, float]:
+def _exact(d: ModelDomain, p) -> tuple[float, float]:
     """The ``exact`` entry of the variant's record, once the point, if given,
     is checked to lie in the domain."""
     if p is not None:
         metrics._inner_point(d, p)
-    exact = metrics._geometry(d).exact
-    if exact is None:
-        raise UnsupportedDomainError(f"no exact {value} for {d.label}; use {instead}")
-    return exact(d)
+    return metrics._entry(d, "exact")(d)
 
 
 def fridman_exact(d: ModelDomain, p=None) -> float:
     """Exact Fridman invariant where it is a theorem, the variant's
     ``metrics.Geometry.exact``: 0 on the domains biholomorphic to the ball,
     ``1 / artanh(1/sqrt n)`` on the polydisc."""
-    estimators = "an estimator (fridman_bounds_punctured or fridman_upper_from_embedding)"
-    return _exact(d, p, "Fridman value", estimators)[0]
+    return _exact(d, p)[0]
 
 
 @dataclass(frozen=True)
@@ -429,25 +423,6 @@ REFINE_SHRINK = 8
 UNCERTIFIED = "no written argument that the boundary sample holds the row attaining the minimum"
 
 
-def _boundary_rows(source: ModelDomain, count: int, rng: np.random.Generator) -> np.ndarray:
-    """The known extreme points of the boundary of ``source``, then ``count``
-    random boundary rows drawn from ``rng``: the sphere of ``Ball(n)``, seeded
-    with ``(1, ..., 1)/sqrt n``; the faces ``|z_k| = 1`` of ``Polydisc(n)``
-    (:func:`metrics.polydisc_sphere_sample` at modulus 1, its corner
-    included), seeded with the axes ``e_k``; the circle of ``PuncturedDisc``
-    and its puncture 0."""
-    n = source.dim
-    if isinstance(source, Ball):
-        seeds, drawn = np.full((1, n), 1.0 / math.sqrt(n)), random_unit_vectors(n, count, rng)
-    elif isinstance(source, Polydisc):
-        seeds, drawn = np.eye(n), metrics.polydisc_sphere_sample(n, 1.0, count, rng)
-    elif isinstance(source, PuncturedDisc):
-        seeds, drawn = np.array([[1.0], [0.0]]), random_unit_vectors(1, count, rng)
-    else:
-        raise UnsupportedDomainError(f"no boundary sampler for the source {source.label}")
-    return np.concatenate([seeds.astype(complex), drawn])
-
-
 def _nearest_boundary_image(
     witness: EmbeddingWitness,
     score: Callable[[np.ndarray], np.ndarray],
@@ -461,17 +436,18 @@ def _nearest_boundary_image(
     image rows to one value each, ``inf`` for a row that does not count.
 
     Validates a witness without a certificate, then scores the boundary
-    rows: the rows its certificate seeds, then :func:`_boundary_rows` with
-    ``samples`` rows from ``default_rng(seed)``.  Rows whose image is not
-    finite are dropped.  Rounds around the best row follow, from four sample spacings (in C) or
-    the sphere's radius (in C^n) down to ``tol``: an angle grid in C, random
-    perturbations projected radially back onto the boundary in C^n, drawn
-    from the same generator.
+    rows: the rows its certificate seeds, then the source's ``boundary``
+    entry of ``metrics.Geometry`` with ``samples`` rows from ``default_rng(seed)``.
+    Rows whose image is not finite are dropped.  Rounds around the best row
+    follow, from four sample spacings (in C) or the sphere's radius (in C^n)
+    down to ``tol``: an angle grid in C, random perturbations retracted onto
+    the boundary by the entry in C^n, drawn from the same generator.
     """
+    source, n = witness.source, witness.source.dim
+    boundary_rows, retract = metrics._entry(source, "boundary")
     if witness._certificate is None:
         witness.validate(seed=seed)
     rng = np.random.default_rng(seed)
-    source, n = witness.source, witness.source.dim
     reason, extremal = witness._certificate or (UNCERTIFIED, ())
 
     def best_of(z: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -483,15 +459,14 @@ def _nearest_boundary_image(
         k = int(np.argmin(values))
         return values[k], z[k], w[k]
 
-    z = np.concatenate([np.array(extremal, dtype=complex).reshape(-1, n), _boundary_rows(source, samples, rng)])
+    z = np.concatenate([np.array(extremal, dtype=complex).reshape(-1, n), boundary_rows(source, samples, rng)])
     best = best_of(z)
     width = 8.0 * math.pi / len(z) if n == 1 else 1.0
     while width >= tol:
         if n == 1:
             z = best[1] * np.exp(1j * width / REFINE_SHRINK * np.arange(-REFINE_SHRINK, REFINE_SHRINK + 1))[:, None]
         else:
-            z = best[1] + width * random_unit_vectors(n, REFINE_ROWS, rng)
-            z /= (np.abs(z).max(axis=1) if isinstance(source, Polydisc) else np.linalg.norm(z, axis=1))[:, None]
+            z = retract(best[1] + width * random_unit_vectors(n, REFINE_ROWS, rng))
         found = best_of(z)
         width /= 2.0 if found[0] < best[0] else REFINE_SHRINK
         best = min(best, found, key=lambda b: b[0])
@@ -537,9 +512,7 @@ def fridman_upper_from_embedding(
     if witness.target != d:
         raise WitnessValidationError("witness target does not match the domain")
     _require_at(witness.target_basepoint, p, "witness does not send its basepoint to the given point")
-    distance = metrics._geometry(d).distance
-    if distance is None:
-        raise UnsupportedDomainError(f"no computable Kobayashi distance for {d.label}")
+    distance = metrics._entry(d, "distance")
 
     def score(w: np.ndarray) -> np.ndarray:
         values = np.full(len(w), np.inf)
@@ -555,7 +528,7 @@ def squeezing_exact(d: ModelDomain, p=None) -> float:
     """Exact squeezing function where it is a theorem, the variant's
     ``metrics.Geometry.exact``: 1 where :func:`fridman_exact` is 0, and
     ``1/sqrt n`` on the polydisc; both are constant in the point."""
-    return _exact(d, p, "squeezing value", "squeezing_lower_from_embedding")[1]
+    return _exact(d, p)[1]
 
 
 def _euclidean_sphere(n: int, r: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -584,7 +557,7 @@ def squeezing_lower_from_embedding(
     misses the minimum reports a radius above it.
     """
     search = search or RadiusSearch(r_max=1.0)
-    p = as_point(p, d.dim)
+    p = metrics._inner_point(d, p)
     if witness.source != d or not isinstance(witness.target, Ball):
         raise WitnessValidationError("witness must embed the domain into a ball")
     n = witness.target.dim

@@ -1,12 +1,12 @@
 """Kobayashi distances on the model domains, metric-sphere and metric-ball
-sampling, and the exact values of the invariants.
+sampling, the exact values of the invariants, and the boundaries the
+estimators of ``invariants`` sample on their witnesses' sources.
 
 What is known in closed form on a variant is one :class:`Geometry` record in
-one table keyed by its type, and every dispatch is one lookup there: a new
-variant is one class in ``domains`` plus one record, or one :func:`_carried`
-call if a biholomorphism maps it onto a variant with one.  Every variant has
-a distance on points or rows and a sphere but the weighted models other
-than the unbounded ball; those raise :class:`UnsupportedDomainError`.
+one table keyed by its type, and every dispatch is one :func:`_entry` lookup
+there, which raises :class:`UnsupportedDomainError` where the entry is None:
+a new variant is one class in ``domains`` plus one record, or one
+:func:`_carried` call if a biholomorphism maps it onto a variant with one.
 """
 
 from __future__ import annotations
@@ -157,10 +157,7 @@ def kobayashi_distance(d: ModelDomain, p, q, mode: MetricMode = MetricMode.KOBAY
     """
     p = _inner_point(d, p)
     q = _inner_point(d, q)
-    distance = _geometry(d).distance
-    if distance is None:
-        raise UnsupportedDomainError(f"no computable Kobayashi distance for {d.label}")
-    return mode.factor * distance(d, p, q)
+    return mode.factor * _entry(d, "distance")(d, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +260,7 @@ def sample_metric_sphere(
     A center outside the domain, or a radius that is not finite and
     positive, raises ``ValueError``.
     """
-    center = _inner_point(d, center)
-    draw = _geometry(d).sphere
-    if draw is None:
-        raise UnsupportedDomainError(f"no sphere sampler for domain {d!r}")
-    return draw(d, center, _radius(radius), count, rng)
+    return _entry(d, "sphere")(d, _inner_point(d, center), _radius(radius), count, rng)
 
 
 def _halfplane_ball(z0: complex, radius: float, count: int, rng: np.random.Generator):
@@ -294,31 +287,33 @@ def sample_metric_ball(
     A center outside the domain, or a radius that is not finite and
     positive, raises ``ValueError``.
     """
-    center = _inner_point(d, center)
-    draw = _geometry(d).ball
-    if draw is None:
-        raise UnsupportedDomainError(f"no ball sampler for domain {d!r}")
-    return draw(d, center, _radius(radius), count, rng)
+    return _entry(d, "ball")(d, _inner_point(d, center), _radius(radius), count, rng)
 
 
 class Geometry(NamedTuple):
     """The closed forms of one variant, each None where there is none:
     ``distance(d, p, q)`` of a coerced point and, as ``q``, a coerced point
     or the columns of rows, ``sphere(d, center, radius, count, rng)`` and
-    ``ball(d, center, radius, count, rng)``, both rows, and ``exact(d)``,
+    ``ball(d, center, radius, count, rng)``, both rows, ``exact(d)``,
     the Fridman invariant and the squeezing function where both are theorems and
     constant in the point (0 and 1 on the ball and on what maps onto it,
-    Deng, Guan and Zhang (2012) on the polydisc).  Distances and radii are
-    Kobayashi; a carried record's entries are its model's.  The entries pass
+    Deng, Guan and Zhang (2012) on the polydisc), and ``boundary``, an
+    estimator source's ``(rows(d, count, rng), retract(z))``: its known
+    extreme points then ``count`` random boundary rows, and the map of rows
+    in C^n back onto it along rays from 0 (None where C's angle grid serves).
+    Distances and radii are Kobayashi; a carried record's entries but
+    ``boundary`` are its model's.  The entries pass
     these coerced points to formulas that do not coerce them again
     (``_ball_distance``, ``_siegel_to_ball``, ``_ball_automorphism``), each
     keeping its membership check.  Each entry looks its functions up when
-    called, so a function wrapped by name is what runs."""
+    called, so a function wrapped by name is what runs; :func:`_entry` looks
+    an entry up and raises where it is None."""
 
     distance: Callable | None = None
     sphere: Callable[..., np.ndarray] | None = None
     ball: Callable[..., np.ndarray] | None = None
     exact: Callable[[ModelDomain], tuple[float, float]] | None = None
+    boundary: tuple[Callable[..., np.ndarray], Callable[[np.ndarray], np.ndarray] | None] | None = None
 
 
 def _polydisc_exact(n: int) -> tuple[float, float]:
@@ -359,11 +354,21 @@ _GEOMETRY: dict[type, Geometry] = {
         ball=lambda d, center, radius, count, rng: _ball_rows(
             center, random_unit_vectors(d.dim, count, rng), radius * np.sqrt(rng.uniform(size=count))),
         exact=lambda d: (0.0, 1.0),
+        boundary=(
+            lambda d, count, rng: np.concatenate(
+                [np.full((1, d.dim), 1.0 / math.sqrt(d.dim)), random_unit_vectors(d.dim, count, rng)]),
+            lambda z: z / np.linalg.norm(z, axis=1)[:, None],
+        ),
     ),
     Polydisc: Geometry(
         distance=lambda d, p, q: _max(*map(disc_distance, p, q)),
         sphere=lambda d, center, radius, count, rng: _polydisc_metric_sphere(d, center, radius, count, rng),
         exact=lambda d: _polydisc_exact(d.dim),
+        # the axes e_k, then the faces |z_k| = 1, the corner first
+        boundary=(
+            lambda d, count, rng: np.concatenate([np.eye(d.dim), polydisc_sphere_sample(d.dim, 1.0, count, rng)]),
+            lambda z: z / np.abs(z).max(axis=1)[:, None],
+        ),
     ),
     UpperHalfPlane: Geometry(
         distance=lambda d, p, q: halfplane_distance(p[0], q[0]),
@@ -376,6 +381,7 @@ _GEOMETRY: dict[type, Geometry] = {
     PuncturedDisc: Geometry(
         distance=lambda d, p, q: covering.punctured_distance(p[0], q[0]),
         sphere=lambda d, center, radius, count, rng: _punctured_sphere(center[0], radius, count, rng),
+        boundary=(lambda d, count, rng: np.concatenate([[[1.0], [0.0]], random_unit_vectors(1, count, rng)]), None),
     ),
     SlitDisc: _carried(Ball, lambda d, z: (_SLIT_MAP.unapply(z[0]),), lambda d, w: (_SLIT_MAP.apply(w[0]),)),
     Siegel: _carried(Ball, lambda d, z: _siegel_to_ball(z), lambda d, w: ball_to_siegel(w)),
@@ -384,9 +390,29 @@ _GEOMETRY: dict[type, Geometry] = {
 
 
 def _geometry(d: ModelDomain) -> Geometry:
-    """The record of ``d``'s variant; a weighted model that is literally the
-    unbounded ball realization (:func:`siegel_equivalent`) gets Siegel's."""
+    """The record of ``d``'s variant, for a caller that handles a None entry
+    itself; a weighted model that is literally the unbounded ball
+    realization (:func:`siegel_equivalent`) gets Siegel's."""
+    return _GEOMETRY[Siegel if type(d) is WeightedModel and siegel_equivalent(d) else type(d)]
+
+
+# what UnsupportedDomainError says where a variant has no such entry, of its label
+_MISSING = {
+    "distance": "no computable Kobayashi distance for {}",
+    "sphere": "no sphere sampler for {}",
+    "ball": "no ball sampler for {}",
+    "exact": "no exact Fridman or squeezing value for {}; use an estimator (fridman_bounds_punctured, "
+    "fridman_upper_from_embedding or squeezing_lower_from_embedding)",
+    "boundary": "no boundary sampler for the source {}",
+}
+
+
+def _entry(d: ModelDomain, name: str) -> Callable | tuple:
+    """The ``name`` entry of ``d``'s record; ``UnsupportedDomainError`` where
+    the variant has none.  It finds the record as :func:`_geometry` does, not
+    by calling it, since ``kobayashi_distance`` calls it per query."""
     kind = Siegel if type(d) is WeightedModel and siegel_equivalent(d) else type(d)
-    if kind not in _GEOMETRY:
-        raise UnsupportedDomainError(f"unknown domain {d!r}")
-    return _GEOMETRY[kind]
+    entry = getattr(_GEOMETRY[kind], name) if kind in _GEOMETRY else None
+    if entry is None:
+        raise UnsupportedDomainError(_MISSING[name].format(d.label))
+    return entry

@@ -315,22 +315,24 @@ class TestEstimatorBoundaryPoint:
 
 class TestEstimatorDraws:
     def test_one_estimate_draws_its_boundary_once(self, monkeypatch):
-        """A certified estimate makes one generator, for the boundary rows,
-        which are drawn once; the refinement draws from the same generator."""
+        """A certified estimate makes one generator, for the boundary rows
+        of its source's record, which are drawn once; the refinement draws
+        from the same generator."""
         made, drawn = [], []
         default_rng = np.random.default_rng
-        boundary_rows = invariants._boundary_rows
+        record = metrics._GEOMETRY[Ball]
+        boundary_rows, retract = record.boundary
 
         def counting_rng(seed=None):
             made.append(seed)
             return default_rng(seed)
 
-        def counting_rows(*args):
-            drawn.append(args[1])
-            return boundary_rows(*args)
+        def counting_rows(d, count, rng):
+            drawn.append(count)
+            return boundary_rows(d, count, rng)
 
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
-        monkeypatch.setattr(invariants, "_boundary_rows", counting_rows)
+        monkeypatch.setitem(metrics._GEOMETRY, Ball, record._replace(boundary=(counting_rows, retract)))
         largest_centered_polydisc(ball_inclusion_into_polydisc(3), samples=128, seed=4)
         assert made == [4]
         assert drawn == [128]
@@ -340,7 +342,8 @@ class TestEstimatorDraws:
 
     @pytest.mark.parametrize("source", [Ball(1), Ball(3), Polydisc(1), Polydisc(3), PuncturedDisc()], ids=repr)
     def test_boundary_rows_lie_on_the_boundary_and_start_with_the_seeds(self, source):
-        rows = invariants._boundary_rows(source, 50, np.random.default_rng(0))
+        boundary_rows, _ = metrics._entry(source, "boundary")
+        rows = boundary_rows(source, 50, np.random.default_rng(0))
         n = source.dim
         if isinstance(source, Ball):
             seeds = [(1.0 / math.sqrt(n),) * n]
@@ -354,6 +357,19 @@ class TestEstimatorDraws:
         assert rows[: len(seeds)].tolist() == np.array(seeds, dtype=complex).tolist()
         assert np.allclose(norm, 1.0, rtol=0.0, atol=1e-15)
         assert len(rows) >= len(seeds) + 50
+
+    @pytest.mark.parametrize("source", [*map(Ball, range(2, 6)), *map(Polydisc, range(2, 6))], ids=repr)
+    def test_retraction_maps_perturbed_rows_onto_the_boundary(self, source):
+        """Boundary rows moved by up to 1/2 in random directions come back
+        to norm 1, Euclidean on the ball and the max norm on the polydisc."""
+        n = source.dim
+        boundary_rows, retract = metrics._entry(source, "boundary")
+        rng = np.random.default_rng(n)
+        rows = boundary_rows(source, 200, rng)
+        moved = rows + 0.5 * rng.uniform(size=(len(rows), 1)) * random_unit_vectors(n, len(rows), rng)
+        back = retract(moved)
+        norm = np.linalg.norm(back, axis=1) if isinstance(source, Ball) else np.abs(back).max(axis=1)
+        assert np.abs(norm - 1.0).max() <= 1e-15
 
 
 class TestSqueezing:
@@ -690,6 +706,30 @@ class TestBasepointCoercion:
         assert witness.source_basepoint == witness.target_basepoint == (0j,)
         with pytest.raises(ValueError, match="non-finite"):
             dataclasses.replace(witness, target_basepoint=(complex(math.nan, 0.0),))
+
+    def test_basepoint_outside_its_domain_is_rejected_where_the_witness_is_made(self):
+        """The shrinking map with source basepoint 1.5 used to pass
+        ``validate``, and the Fridman estimate at 0 reported radius 0.1682
+        although its image, the disc of centre -0.5 and radius 1/3, misses 0."""
+        with pytest.raises(ValueError, match=r"^point \(\(1\.5\+0j\),\) is not in the domain ball1$"):
+            EmbeddingWitness(Ball(1), Ball(1), lambda z: (z - 1.5) / 3, lambda w: 3 * w + 1.5, (1.5,), (0j,), "shrink")
+        with pytest.raises(ValueError, match=r"^point \(0j, 0j\) is not in the domain siegel2$"):
+            dataclasses.replace(identity_ball_witness(2), target=Siegel(2))
+
+    def test_squeezing_point_outside_the_domain_is_rejected(self):
+        """The basepoint 1 - 1e-11 lies within ``BASEPOINT_TOL`` of 1, on the
+        circle, where the squeezing estimate used to return a value; it
+        checks its point as the Fridman estimate does."""
+        a = 1.0 - 1e-11
+        flip = lambda z: (a - z) / (1.0 - a * z)
+        witness = EmbeddingWitness(Ball(1), Ball(1), flip, flip, (a,), (0j,), "automorphism moving 1 - 1e-11 to 0")
+        inverse = dataclasses.replace(witness, source_basepoint=(0j,), target_basepoint=(a,))
+        for estimate in (
+            lambda p: squeezing_lower_from_embedding(Ball(1), p, witness, RadiusSearch(r_max=1.0, samples=8)),
+            lambda p: fridman_upper_from_embedding(Ball(1), p, inverse, RadiusSearch(samples=8)),
+        ):
+            with pytest.raises(ValueError, match=r"^point \(\(1\+0j\),\) is not in the domain ball1$"):
+                estimate(1.0)
 
 
 class TestInclusionMembership:

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from biholo import cli, domains, invariants, metrics, scaling
+from biholo import cli, domains, metrics, scaling
 from biholo.domains import (
     Ball,
     HalfPlaneC,
@@ -131,6 +131,116 @@ class TestBallDistance:
         assert abs(mp.mpf(d) - ref) <= 1e-10 * ref, (d, ref)
 
 
+def _planar(a: complex, b: complex) -> float:
+    """Kobayashi distance of the unit disc, ``asinh(|a - b| / sqrt((1 - |a|^2)(1 - |b|^2)))``
+    with ``1 - |a|^2`` taken as ``(1 - |a|)(1 + |a|)``; no formula of the library."""
+    ra, rb = abs(a), abs(b)
+    return math.asinh(abs(a - b) / math.sqrt((1.0 - ra) * (1.0 + ra) * (1.0 - rb) * (1.0 + rb)))
+
+
+def _disc_points(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` points of the disc of radius 0.95, uniform in modulus and angle."""
+    return 0.95 * rng.uniform(size=count) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=count))
+
+
+def _relative_gap(values, references) -> float:
+    values, references = np.asarray(values), np.asarray(references)
+    return float((np.abs(values - references) / references).max())
+
+
+def _axis_and_diagonal_gap(n: int, rng: np.random.Generator) -> float:
+    """Worst relative gap of ``k_B(a e_k, b e_k) = k_P(a e_k, b e_k)`` on each
+    axis and ``k_B(a 1/sqrt n, b 1/sqrt n) = k_P(a 1, b 1)`` on the diagonal:
+    the axes are retracts of ``Ball(n)`` and ``Polydisc(n)``, which meet
+    each in the unit disc, and the diagonal one of ``Polydisc(n)`` and of
+    ``sqrt n Ball(n)``, which meet it in the same disc."""
+    values, references = [], []
+    for a, b in zip(_disc_points(rng, 60), _disc_points(rng, 60)):
+        for k in range(n):
+            pa, pb = tuple(a if i == k else 0j for i in range(n)), tuple(b if i == k else 0j for i in range(n))
+            values.append(kobayashi_distance(Ball(n), pa, pb))
+            references.append(kobayashi_distance(Polydisc(n), pa, pb))
+        s = 1.0 / math.sqrt(n)
+        values.append(kobayashi_distance(Ball(n), (a * s,) * n, (b * s,) * n))
+        references.append(kobayashi_distance(Polydisc(n), (a,) * n, (b,) * n))
+    return _relative_gap(values, references)
+
+
+def _line_section_gap(d, points, section) -> float:
+    """Worst relative gap between ``k_d(p, q)`` and the planar distance of
+    0 and ``|q - p|`` in the disc ``|zeta - c| < R`` that the complex line
+    ``p + zeta v``, ``v = (q - p)/|q - p|``, cuts from ``d``: a complex
+    geodesic of the ball, and of the Siegel domain, its Cayley image.
+    ``section(p, v)`` is ``(c, R^2)``; the pairs are consecutive points."""
+    values, references = [], []
+    for p, q in zip(points[::2], points[1::2]):
+        t = np.linalg.norm(q - p)
+        c, r2 = section(p, (q - p) / t)
+        r = math.sqrt(r2)
+        values.append(kobayashi_distance(d, tuple(p), tuple(q)))
+        references.append(_planar(-c / r, (t - c) / r))
+    return _relative_gap(values, references)
+
+
+def _ball_section(p: np.ndarray, v: np.ndarray) -> tuple[complex, float]:
+    """``c = -<p, v>`` and ``R^2 = 1 - |p|^2 + |c|^2``."""
+    c = -np.vdot(v, p)
+    return c, 1.0 - np.vdot(p, p).real + abs(c) ** 2
+
+
+def _ball_section_gap(n: int, rng: np.random.Generator) -> float:
+    points = 0.95 * rng.uniform(size=(120, 1)) ** (1.0 / (2 * n)) * random_unit_vectors(n, 120, rng)
+    return _line_section_gap(Ball(n), points, _ball_section)
+
+
+def _siegel_section(p: np.ndarray, v: np.ndarray) -> tuple[complex, float]:
+    """The line meets ``{2 Re z_n + |z'|^2 < 0}`` in
+    ``A |zeta|^2 + 2 Re(conj(zeta) B) + C < 0`` with ``A = |v'|^2``,
+    ``B = <p', v'> + conj(v_n)`` and ``C = 2 Re p_n + |p'|^2``."""
+    a = np.vdot(v[:-1], v[:-1]).real
+    b = np.vdot(v[:-1], p[:-1]) + v[-1].conjugate()
+    c = -b / a
+    return c, abs(c) ** 2 - (2.0 * p[-1].real + np.vdot(p[:-1], p[:-1]).real) / a
+
+
+def _siegel_section_gap(n: int, rng: np.random.Generator) -> float:
+    tangential = rng.normal(size=(120, n - 1)) + 1j * rng.normal(size=(120, n - 1))
+    depth = rng.uniform(0.1, 2.0, size=120) + (np.abs(tangential) ** 2).sum(axis=1)
+    points = np.column_stack([tangential, -depth / 2.0 + 1j * rng.normal(size=120)])
+    return _line_section_gap(Siegel(n), points, _siegel_section)
+
+
+# each equality on a holomorphic retract: its worst gap, the dimensions and the tolerance
+RETRACT_EQUALITIES = {
+    "axis-and-diagonal": (_axis_and_diagonal_gap, (2, 3, 5), 1e-12),
+    "ball-line-sections": (_ball_section_gap, (2, 3, 5), 1e-12),
+    # the section's centre -B/A loses digits where |v'| is small; n = 5 is left out for that
+    "siegel-line-sections": (_siegel_section_gap, (2, 3), 1e-11),
+}
+
+
+class TestHolomorphicRetracts:
+    """A holomorphic map never increases the Kobayashi distance, so on a
+    holomorphic retract (a complex geodesic) of a domain its distance is the
+    retract's.  These compare the ball's and the Siegel domain's records with
+    the polydisc's and with a planar distance on discs they never compute."""
+
+    @pytest.mark.parametrize(
+        "family, n", [(family, n) for family, (_, dims, _) in RETRACT_EQUALITIES.items() for n in dims]
+    )
+    def test_distance_on_the_retract_is_the_planar_one(self, family, n):
+        gap, _, tol = RETRACT_EQUALITIES[family]
+        assert gap(n, np.random.default_rng(n)) <= tol
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-9, 1.0 - 1e-9])
+    def test_a_ball_distance_off_by_1e_9_fails_every_equality(self, monkeypatch, scale):
+        ball = metrics._ball_distance
+        monkeypatch.setattr(metrics, "_ball_distance", lambda a, b: scale * ball(a, b))
+        for gap, dims, tol in RETRACT_EQUALITIES.values():
+            for n in dims:
+                assert gap(n, np.random.default_rng(n)) >= 0.9e-9 > tol
+
+
 class TestDispatcher:
     def test_polydisc_is_max_metric(self):
         p, q = (0.5 + 0j, 0j), (0j, 0.2 + 0j)
@@ -243,7 +353,7 @@ class TestDispatcher:
             return wrapper
 
         as_point_counted = counted("as_point", domains.as_point)
-        for module in (domains, metrics, invariants, scaling, cli):
+        for module in (domains, metrics, scaling, cli):
             monkeypatch.setattr(module, "as_point", as_point_counted)
         monkeypatch.setattr(metrics, "contains", counted("contains", domains.contains), raising=False)
         monkeypatch.setattr(domains, "contains", counted("contains", domains.contains))

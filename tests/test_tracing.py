@@ -61,3 +61,24 @@ def test_distance_records_reach_the_wrapped_layers(monkeypatch):
     assert tracer.calls("covering.punctured_distance") == 1
     assert tracer.calls("hyperbolic.halfplane_distance") == 2
     assert tracer.calls("hyperbolic.disc_distance") == 1
+
+
+def test_boundary_entry_reaches_the_wrapped_sampler(monkeypatch):
+    """The polydisc's ``boundary`` entry looks ``polydisc_sphere_sample`` up
+    when called, so one squeezing estimate on ``Polydisc(2)`` counts its one
+    boundary draw; ``invariants.predicate_evals_per_op`` is read from it."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    from tracer import Tracer
+
+    from biholo import Polydisc, invariants
+
+    tracer = Tracer()
+    try:
+        layers.install(tracer)
+        invariants.squeezing_lower_from_embedding(
+            Polydisc(2), (0j, 0j), invariants.scaled_polydisc_into_ball(2), invariants.RadiusSearch(r_max=1.0)
+        )
+    finally:
+        tracer.uninstall()
+    assert tracer.calls("metrics.polydisc_sphere_sample") == 1
