@@ -592,6 +592,21 @@ class WeightedModel:
     def label(self) -> str:
         return f"weighted-model(dim={self.dim})"
 
+    @functools.cached_property
+    def siegel_equivalent(self) -> bool:
+        """True iff the model is literally the unbounded ball realization (all
+        type entries 2 and P = |z_1|^2 + ... + |z_{n-1}|^2); decided once per
+        model, since the metrics dispatch reads it on every query."""
+        if any(m != 2 for m in self.multitype.entries[1:]):
+            return False
+        n = self.poly.nvars
+        expected = set()
+        for k in range(n):
+            idx = tuple(1 if i == k else 0 for i in range(n))
+            expected.add((idx, idx))
+        got = {(t.alpha, t.beta): t.coeff for t in self.poly.terms}
+        return set(got) == expected and all(abs(c - 1.0) < 1e-14 for c in got.values())
+
     def defining(self, z):
         return 2.0 * z[-1].real + _poly_value(self.poly, z[:-1])
 

@@ -23,15 +23,19 @@ check is an oracle, run by the tier-1 tests.  Its radius is then the
 distance from the basepoint to the complement of the image, the least
 distance to the image of a boundary point of the source (Fridman:
 Kobayashi, over the images inside the target; squeezing: euclidean, at
-most 1; the centred polydisc: the polydisc norm).  The boundary sample is
-drawn per call: the rows a witness's written argument seeds, then the
-source's ``boundary`` entry in ``metrics`` (its known extreme points, the
-puncture among them, and random rows from the search's seed), refined
-around the best one.  The minimum over that sample builds the one report
-of every estimator, with the boundary point that decided it and its image.
-A report is certified when the witness carries the written argument that
-the minimum is attained at a seeded row, and its value is a bound only
-then: an uncertified sample may miss the minimum.
+most 1; the centred polydisc: the polydisc norm).  The boundary rows are
+the seeded ones: those a witness's written argument adds, then the seeds
+of the source's ``boundary`` entry in ``metrics`` (its known extreme
+points, the puncture among them).  A certified witness carries the written
+argument that the minimum is attained at a seeded row, so it is scored on
+those rows alone, with no search; the search is an oracle for it, run by
+the tier-1 tests.  Only a witness without a certificate is searched: random
+boundary rows drawn per call from the search's ``seed``, ``samples`` of
+them, follow the seeds and are refined around the best one down to
+``tol``, so ``samples``, ``seed`` and ``tol`` apply to it alone.  The
+minimum builds the one report of every estimator, with the boundary point
+that decided it and its image.  A report's value is a bound only when it
+is certified: an uncertified sample may miss the minimum.
 """
 
 from __future__ import annotations
@@ -122,7 +126,7 @@ class EmbeddingWitness:
     description: str
     image_domain: ModelDomain | None = None
     # The written argument that the images of the source's boundary come
-    # nearest the basepoint at a row the estimators' sample always holds, and
+    # nearest the basepoint at a seeded row, which the estimators score, and
     # the boundary rows it adds to the source's own seeds.  Only this module's
     # constructors set it, so a witness built or copied by a caller has none.
     _certificate: tuple[str, tuple[Point, ...]] | None = field(default=None, init=False, repr=False, compare=False)
@@ -363,6 +367,8 @@ class RadiusSearch:
     """Parameters of the radius estimators: the cap ``r_max`` on the radius,
     the width ``tol`` at which the refinement around the nearest boundary
     image stops, and the ``samples`` random boundary rows drawn from ``seed``.
+    ``tol``, ``samples`` and ``seed`` apply only to a witness without a
+    certificate; a certified one is scored on its seeded rows alone.
 
     Caps beyond ~18 are not resolvable on the ball and the polydisc in double
     precision: a boundary image that rounds to just inside the domain lies at
@@ -397,8 +403,9 @@ class EstimateReport:
     image decided the radius, and ``boundary_image`` that image; both are
     ``None`` when no image of the boundary counted.  ``certified`` is true
     when the witness carries a written argument that the minimum is attained
-    at a row the sample always holds; ``reason`` is that argument, or says
-    there is none.
+    at a seeded row; ``reason`` is that argument, or says there is none.
+    ``samples`` is the number of random boundary rows scored: 0 on a
+    certified report, which scores its seeded rows alone.
     """
 
     value: float
@@ -435,19 +442,20 @@ def _nearest_boundary_image(
     as its ``value`` and ``radius`` (``mode = None``); ``score`` maps finite
     image rows to one value each, ``inf`` for a row that does not count.
 
-    Validates a witness without a certificate, then scores the boundary
-    rows: the rows its certificate seeds, then the source's ``boundary``
-    entry of ``metrics.Geometry`` with ``samples`` rows from ``default_rng(seed)``.
-    Rows whose image is not finite are dropped.  Rounds around the best row
+    The boundary rows are those the witness's certificate seeds, then the
+    seeds of the source's ``boundary`` entry of ``metrics.Geometry``; rows
+    whose image is not finite are dropped.  A certified witness is scored on
+    these rows alone, since its written argument puts the minimum at one of
+    them: no generator is made, and the report's ``samples`` is 0.  Only a
+    witness without a certificate uses ``seed``, ``samples`` and ``tol``: it
+    is validated, ``samples`` random rows of the entry from
+    ``default_rng(seed)`` follow the seeds, and rounds around the best row
     follow, from four sample spacings (in C) or the sphere's radius (in C^n)
     down to ``tol``: an angle grid in C, random perturbations retracted onto
     the boundary by the entry in C^n, drawn from the same generator.
     """
     source, n = witness.source, witness.source.dim
-    boundary_rows, retract = metrics._entry(source, "boundary")
-    if witness._certificate is None:
-        witness.validate(seed=seed)
-    rng = np.random.default_rng(seed)
+    seeds, rows, retract = metrics._entry(source, "boundary")
     reason, extremal = witness._certificate or (UNCERTIFIED, ())
 
     def best_of(z: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -459,17 +467,23 @@ def _nearest_boundary_image(
         k = int(np.argmin(values))
         return values[k], z[k], w[k]
 
-    z = np.concatenate([np.array(extremal, dtype=complex).reshape(-1, n), boundary_rows(source, samples, rng)])
-    best = best_of(z)
-    width = 8.0 * math.pi / len(z) if n == 1 else 1.0
-    while width >= tol:
-        if n == 1:
-            z = best[1] * np.exp(1j * width / REFINE_SHRINK * np.arange(-REFINE_SHRINK, REFINE_SHRINK + 1))[:, None]
-        else:
-            z = retract(best[1] + width * random_unit_vectors(n, REFINE_ROWS, rng))
-        found = best_of(z)
-        width /= 2.0 if found[0] < best[0] else REFINE_SHRINK
-        best = min(best, found, key=lambda b: b[0])
+    seeded = np.concatenate([np.array(extremal, dtype=complex).reshape(-1, n), seeds(source)])
+    if witness._certificate is not None:
+        best, samples = best_of(seeded), 0
+    else:
+        witness.validate(seed=seed)
+        rng = np.random.default_rng(seed)
+        z = np.concatenate([seeded, rows(source, samples, rng)])
+        best = best_of(z)
+        width = 8.0 * math.pi / len(z) if n == 1 else 1.0
+        while width >= tol:
+            if n == 1:
+                z = best[1] * np.exp(1j * width / REFINE_SHRINK * np.arange(-REFINE_SHRINK, REFINE_SHRINK + 1))[:, None]
+            else:
+                z = retract(best[1] + width * random_unit_vectors(n, REFINE_ROWS, rng))
+            found = best_of(z)
+            width /= 2.0 if found[0] < best[0] else REFINE_SHRINK
+            best = min(best, found, key=lambda b: b[0])
     nearest, point, image = best
     radius = min(cap, float(nearest))
     if not radius > 0.0:
@@ -580,8 +594,10 @@ def largest_centered_polydisc(
     witness image: ``min max_k |f(z)_k|`` over the sphere of the source.
 
     The witness must map a ball into a polydisc fixing 0 (to ``BASEPOINT_TOL``).
-    The boundary rows always include ``(1, ..., 1)/sqrt n``, so ``samples``
-    may be any integer >= 0.
+    The boundary rows always include the seed ``(1, ..., 1)/sqrt n``, so
+    ``samples`` may be any integer >= 0.  ``samples`` and ``seed`` apply only
+    to a witness without a certificate; a certified one is scored on its
+    seeded rows alone.
     """
     if not isinstance(witness.source, Ball) or not isinstance(witness.target, Polydisc):
         raise WitnessValidationError("witness must map a ball into a polydisc")

@@ -1,10 +1,12 @@
 """Kobayashi distances on the model domains, metric-sphere and metric-ball
 sampling, the exact values of the invariants, and the boundaries the
-estimators of ``invariants`` sample on their witnesses' sources.
+estimators of ``invariants`` score on their witnesses' sources: the seeds,
+then random rows for a witness without a certificate.
 
 What is known in closed form on a variant is one :class:`Geometry` record in
-one table keyed by its type, and every dispatch is one :func:`_entry` lookup
-there, which raises :class:`UnsupportedDomainError` where the entry is None:
+one table keyed by its type, found by the one resolver :func:`_geometry`,
+and every dispatch is one :func:`_entry` lookup there, which raises
+:class:`UnsupportedDomainError` where the entry is None:
 a new variant is one class in ``domains`` plus one record, or one
 :func:`_carried` call if a biholomorphism maps it onto a variant with one.
 """
@@ -135,16 +137,9 @@ def ball_to_siegel(w):
 
 def siegel_equivalent(d: WeightedModel) -> bool:
     """True iff the weighted model is literally the unbounded ball realization
-    (all type entries 2 and P = |z_1|^2 + ... + |z_{n-1}|^2)."""
-    if any(m != 2 for m in d.multitype.entries[1:]):
-        return False
-    n = d.poly.nvars
-    expected = set()
-    for k in range(n):
-        idx = tuple(1 if i == k else 0 for i in range(n))
-        expected.add((idx, idx))
-    got = {(t.alpha, t.beta): t.coeff for t in d.poly.terms}
-    return set(got) == expected and all(abs(c - 1.0) < 1e-14 for c in got.values())
+    (all type entries 2 and P = |z_1|^2 + ... + |z_{n-1}|^2): the model's
+    :attr:`~biholo.domains.WeightedModel.siegel_equivalent`, decided once per model."""
+    return d.siegel_equivalent
 
 
 def kobayashi_distance(d: ModelDomain, p, q, mode: MetricMode = MetricMode.KOBAYASHI) -> float:
@@ -298,9 +293,11 @@ class Geometry(NamedTuple):
     the Fridman invariant and the squeezing function where both are theorems and
     constant in the point (0 and 1 on the ball and on what maps onto it,
     Deng, Guan and Zhang (2012) on the polydisc), and ``boundary``, an
-    estimator source's ``(rows(d, count, rng), retract(z))``: its known
-    extreme points then ``count`` random boundary rows, and the map of rows
-    in C^n back onto it along rays from 0 (None where C's angle grid serves).
+    estimator source's ``(seeds(d), rows(d, count, rng), retract(z))``: its
+    known extreme points, drawn from no generator, ``count`` random boundary
+    rows, and the map of rows in C^n back onto it along rays from 0 (None
+    where C's angle grid serves).  A certified estimate scores the seeds
+    alone; an uncertified one the seeds, then the rows, then refines.
     Distances and radii are Kobayashi; a carried record's entries but
     ``boundary`` are its model's.  The entries pass
     these coerced points to formulas that do not coerce them again
@@ -313,7 +310,7 @@ class Geometry(NamedTuple):
     sphere: Callable[..., np.ndarray] | None = None
     ball: Callable[..., np.ndarray] | None = None
     exact: Callable[[ModelDomain], tuple[float, float]] | None = None
-    boundary: tuple[Callable[..., np.ndarray], Callable[[np.ndarray], np.ndarray] | None] | None = None
+    boundary: tuple[Callable[..., np.ndarray], Callable[..., np.ndarray], Callable | None] | None = None
 
 
 def _polydisc_exact(n: int) -> tuple[float, float]:
@@ -355,8 +352,8 @@ _GEOMETRY: dict[type, Geometry] = {
             center, random_unit_vectors(d.dim, count, rng), radius * np.sqrt(rng.uniform(size=count))),
         exact=lambda d: (0.0, 1.0),
         boundary=(
-            lambda d, count, rng: np.concatenate(
-                [np.full((1, d.dim), 1.0 / math.sqrt(d.dim)), random_unit_vectors(d.dim, count, rng)]),
+            lambda d: np.full((1, d.dim), 1.0 / math.sqrt(d.dim)),
+            lambda d, count, rng: random_unit_vectors(d.dim, count, rng),
             lambda z: z / np.linalg.norm(z, axis=1)[:, None],
         ),
     ),
@@ -364,9 +361,11 @@ _GEOMETRY: dict[type, Geometry] = {
         distance=lambda d, p, q: _max(*map(disc_distance, p, q)),
         sphere=lambda d, center, radius, count, rng: _polydisc_metric_sphere(d, center, radius, count, rng),
         exact=lambda d: _polydisc_exact(d.dim),
-        # the axes e_k, then the faces |z_k| = 1, the corner first
+        # the axes e_k and the corner, then the faces |z_k| = 1 less the
+        # sampler's first row, which is the corner
         boundary=(
-            lambda d, count, rng: np.concatenate([np.eye(d.dim), polydisc_sphere_sample(d.dim, 1.0, count, rng)]),
+            lambda d: np.concatenate([np.eye(d.dim), np.ones((1, d.dim))]),
+            lambda d, count, rng: polydisc_sphere_sample(d.dim, 1.0, count, rng)[1:],
             lambda z: z / np.abs(z).max(axis=1)[:, None],
         ),
     ),
@@ -381,19 +380,23 @@ _GEOMETRY: dict[type, Geometry] = {
     PuncturedDisc: Geometry(
         distance=lambda d, p, q: covering.punctured_distance(p[0], q[0]),
         sphere=lambda d, center, radius, count, rng: _punctured_sphere(center[0], radius, count, rng),
-        boundary=(lambda d, count, rng: np.concatenate([[[1.0], [0.0]], random_unit_vectors(1, count, rng)]), None),
+        # the circle's point 1, then the puncture
+        boundary=(lambda d: np.array([[1.0], [0.0]]), lambda d, count, rng: random_unit_vectors(1, count, rng), None),
     ),
     SlitDisc: _carried(Ball, lambda d, z: (_SLIT_MAP.unapply(z[0]),), lambda d, w: (_SLIT_MAP.apply(w[0]),)),
     Siegel: _carried(Ball, lambda d, z: _siegel_to_ball(z), lambda d, w: ball_to_siegel(w)),
-    WeightedModel: Geometry(),  # any but the unbounded ball realization
 }
+# the record of a variant with no closed form: any weighted model but the
+# unbounded ball realization
+_NONE = Geometry()
 
 
 def _geometry(d: ModelDomain) -> Geometry:
-    """The record of ``d``'s variant, for a caller that handles a None entry
-    itself; a weighted model that is literally the unbounded ball
-    realization (:func:`siegel_equivalent`) gets Siegel's."""
-    return _GEOMETRY[Siegel if type(d) is WeightedModel and siegel_equivalent(d) else type(d)]
+    """The record of ``d``'s variant, the one resolver of every lookup; a
+    weighted model that is literally the unbounded ball realization
+    (:func:`siegel_equivalent`) gets Siegel's, a variant with none the empty one."""
+    kind = type(d)
+    return _GEOMETRY.get(Siegel if kind is WeightedModel and d.siegel_equivalent else kind, _NONE)
 
 
 # what UnsupportedDomainError says where a variant has no such entry, of its label
@@ -409,10 +412,8 @@ _MISSING = {
 
 def _entry(d: ModelDomain, name: str) -> Callable | tuple:
     """The ``name`` entry of ``d``'s record; ``UnsupportedDomainError`` where
-    the variant has none.  It finds the record as :func:`_geometry` does, not
-    by calling it, since ``kobayashi_distance`` calls it per query."""
-    kind = Siegel if type(d) is WeightedModel and siegel_equivalent(d) else type(d)
-    entry = getattr(_GEOMETRY[kind], name) if kind in _GEOMETRY else None
+    the variant has none."""
+    entry = getattr(_geometry(d), name)
     if entry is None:
         raise UnsupportedDomainError(_MISSING[name].format(d.label))
     return entry

@@ -313,60 +313,93 @@ class TestEstimatorBoundaryPoint:
         assert math.hypot(*map(abs, est.boundary_image)) == est.radius
 
 
+def _count_draws(monkeypatch, kind: type) -> tuple[list, list]:
+    """The seeds of the generators made and the counts of the random rows
+    drawn from the ``boundary`` entry of ``kind``'s record, from here on."""
+    made, drawn = [], []
+    default_rng = np.random.default_rng
+    record = metrics._GEOMETRY[kind]
+    seeds, rows, retract = record.boundary
+
+    def counting_rng(seed=None):
+        made.append(seed)
+        return default_rng(seed)
+
+    def counting_rows(d, count, rng):
+        drawn.append(count)
+        return rows(d, count, rng)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setitem(metrics._GEOMETRY, kind, record._replace(boundary=(seeds, counting_rows, retract)))
+    return made, drawn
+
+
 class TestEstimatorDraws:
-    def test_one_estimate_draws_its_boundary_once(self, monkeypatch):
-        """A certified estimate makes one generator, for the boundary rows
-        of its source's record, which are drawn once; the refinement draws
-        from the same generator."""
-        made, drawn = [], []
-        default_rng = np.random.default_rng
-        record = metrics._GEOMETRY[Ball]
-        boundary_rows, retract = record.boundary
+    def test_a_certified_estimate_draws_nothing(self, monkeypatch):
+        """A certified estimate scores its seeded rows alone: it makes no
+        generator, draws no random boundary rows and reports 0 samples."""
+        made, drawn = _count_draws(monkeypatch, Ball)
+        witness = ball_inclusion_into_polydisc(3)
+        report = fridman_upper_from_embedding(Polydisc(3), (0j,) * 3, witness, RadiusSearch(samples=128, seed=4))
+        largest_centered_polydisc(witness, samples=128, seed=4)
+        assert report.certified and report.samples == 0
+        assert made == []
+        assert drawn == []
 
-        def counting_rng(seed=None):
-            made.append(seed)
-            return default_rng(seed)
+    def test_an_uncertified_estimate_draws_its_boundary_once(self, monkeypatch):
+        """A copy of a certified witness has no certificate: besides the
+        generator of ``validate``'s sample, its estimate makes one generator
+        from its seed, draws ``samples`` boundary rows from it once, and
+        refines with the same generator."""
+        validated = []
+        validate = EmbeddingWitness.validate
 
-        def counting_rows(d, count, rng):
-            drawn.append(count)
-            return boundary_rows(d, count, rng)
+        def counting(self, seed=0):
+            validated.append(seed)
+            return validate(self, seed)
 
-        monkeypatch.setattr(np.random, "default_rng", counting_rng)
-        monkeypatch.setitem(metrics._GEOMETRY, Ball, record._replace(boundary=(counting_rows, retract)))
-        largest_centered_polydisc(ball_inclusion_into_polydisc(3), samples=128, seed=4)
-        assert made == [4]
-        assert drawn == [128]
-        largest_centered_polydisc(ball_inclusion_into_polydisc(3), samples=128, seed=4)
+        monkeypatch.setattr(EmbeddingWitness, "validate", counting)
+        made, drawn = _count_draws(monkeypatch, Ball)
+        copy = dataclasses.replace(ball_inclusion_into_polydisc(3))
+        report = fridman_upper_from_embedding(Polydisc(3), (0j,) * 3, copy, RadiusSearch(samples=128, seed=4))
+        assert not report.certified and report.samples == 128
+        assert validated == [4]
         assert made == [4, 4]
+        assert drawn == [128]
+        largest_centered_polydisc(copy, samples=128, seed=4)
+        assert validated == [4, 4]
+        assert made == [4, 4, 4, 4]
         assert drawn == [128, 128]
 
     @pytest.mark.parametrize("source", [Ball(1), Ball(3), Polydisc(1), Polydisc(3), PuncturedDisc()], ids=repr)
-    def test_boundary_rows_lie_on_the_boundary_and_start_with_the_seeds(self, source):
-        boundary_rows, _ = metrics._entry(source, "boundary")
-        rows = boundary_rows(source, 50, np.random.default_rng(0))
+    def test_seeds_and_rows_lie_on_the_boundary(self, source):
+        """The seeds are the known extreme points, drawn from no generator;
+        the rows are ``count`` random points of the boundary."""
+        seeds, rows, _ = metrics._entry(source, "boundary")
         n = source.dim
+        drawn = rows(source, 50, np.random.default_rng(0))
         if isinstance(source, Ball):
-            seeds = [(1.0 / math.sqrt(n),) * n]
-            norm = np.linalg.norm(rows, axis=1)
+            expected = [(1.0 / math.sqrt(n),) * n]
+            norm = np.linalg.norm(drawn, axis=1)
         elif isinstance(source, Polydisc):
-            seeds = np.eye(n).tolist()
-            norm = np.abs(rows).max(axis=1)
+            expected = [*np.eye(n).tolist(), (1.0,) * n]
+            norm = np.abs(drawn).max(axis=1)
         else:
-            seeds = [(1.0,), (0.0,)]
-            norm = np.abs(np.delete(rows[:, 0], 1))
-        assert rows[: len(seeds)].tolist() == np.array(seeds, dtype=complex).tolist()
+            expected = [(1.0,), (0.0,)]
+            norm = np.abs(drawn[:, 0])
+        assert np.array(seeds(source), dtype=complex).tolist() == np.array(expected, dtype=complex).tolist()
         assert np.allclose(norm, 1.0, rtol=0.0, atol=1e-15)
-        assert len(rows) >= len(seeds) + 50
+        assert drawn.shape == (50, n)
 
     @pytest.mark.parametrize("source", [*map(Ball, range(2, 6)), *map(Polydisc, range(2, 6))], ids=repr)
     def test_retraction_maps_perturbed_rows_onto_the_boundary(self, source):
         """Boundary rows moved by up to 1/2 in random directions come back
         to norm 1, Euclidean on the ball and the max norm on the polydisc."""
         n = source.dim
-        boundary_rows, retract = metrics._entry(source, "boundary")
+        seeds, rows, retract = metrics._entry(source, "boundary")
         rng = np.random.default_rng(n)
-        rows = boundary_rows(source, 200, rng)
-        moved = rows + 0.5 * rng.uniform(size=(len(rows), 1)) * random_unit_vectors(n, len(rows), rng)
+        z = np.concatenate([seeds(source), rows(source, 200, rng)])
+        moved = z + 0.5 * rng.uniform(size=(len(z), 1)) * random_unit_vectors(n, len(z), rng)
         back = retract(moved)
         norm = np.linalg.norm(back, axis=1) if isinstance(source, Ball) else np.abs(back).max(axis=1)
         assert np.abs(norm - 1.0).max() <= 1e-15
@@ -650,6 +683,51 @@ class TestSampledCheckOutsideTheEstimators:
         witness = ball_inclusion_into_polydisc(2)
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(witness, name, getattr(witness, name))
+
+
+def _polydisc_fridman(witness: EmbeddingWitness, seed: int) -> float:
+    n = witness.source.dim
+    return fridman_upper_from_embedding(Polydisc(n), (0j,) * n, witness, RadiusSearch(seed=seed)).radius
+
+
+def _centered_polyradius(witness: EmbeddingWitness, seed: int) -> float:
+    return largest_centered_polydisc(witness, seed=seed)
+
+
+def _squeezing(witness: EmbeddingWitness, seed: int) -> float:
+    search = RadiusSearch(r_max=1.0, seed=seed)
+    return squeezing_lower_from_embedding(witness.source, witness.source_basepoint, witness, search).radius
+
+
+def _punctured_fridman(witness: EmbeddingWitness, seed: int) -> float:
+    search = RadiusSearch(seed=seed)
+    return fridman_upper_from_embedding(PuncturedDisc(), witness.target_basepoint, witness, search).radius
+
+
+# every certified library witness with each estimator it serves, as the
+# estimate's radius of the witness and the search's seed
+SEARCHED_ESTIMATES = [
+    *(pytest.param(make, estimate, n, id=f"{estimate.__name__[1:]}-{n}")
+      for make, estimate in ((ball_inclusion_into_polydisc, _polydisc_fridman),
+                             (ball_inclusion_into_polydisc, _centered_polyradius),
+                             (scaled_polydisc_into_ball, _squeezing))
+      for n in range(2, 7)),
+    *(pytest.param(make, estimate, p, id=f"{estimate.__name__[1:]}-{p}")
+      for make, estimate in ((slit_embedding_of_disc, _punctured_fridman), (punctured_automorphism_witness, _squeezing))
+      for p in (0.05, 0.2, 0.5, 0.8, 0.9)),
+]
+
+
+class TestSearchOutsideTheEstimators:
+    """A certified estimate scores only its seeded rows; the sampled search
+    it skips is an oracle, run here on a copy of the witness, which has no
+    certificate: the search finds no boundary image nearer than the seeded one."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("make, estimate, arg", SEARCHED_ESTIMATES)
+    def test_the_search_never_goes_below_the_seeded_radius(self, make, estimate, arg, seed):
+        witness = make(arg)
+        assert estimate(dataclasses.replace(witness), seed) >= estimate(witness, seed)
 
 
 # each basepoint check, run with its point off by a given offset

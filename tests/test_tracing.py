@@ -3,6 +3,7 @@ functions and methods by name, so renaming or deleting one breaks every
 ``bench/run.py --trace 1`` run.  This installs the wrappers and removes them
 again; it reads ``bench/`` and changes nothing there."""
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -64,21 +65,25 @@ def test_distance_records_reach_the_wrapped_layers(monkeypatch):
 
 
 def test_boundary_entry_reaches_the_wrapped_sampler(monkeypatch):
-    """The polydisc's ``boundary`` entry looks ``polydisc_sphere_sample`` up
-    when called, so one squeezing estimate on ``Polydisc(2)`` counts its one
-    boundary draw; ``invariants.predicate_evals_per_op`` is read from it."""
+    """The polydisc's ``boundary`` rows look ``polydisc_sphere_sample`` up
+    when called, so a squeezing estimate on ``Polydisc(2)`` from an
+    uncertified copy of the witness counts its one boundary draw, and the
+    certified witness, scored on its seeds alone, counts none;
+    ``invariants.predicate_evals_per_op`` is read from it."""
     monkeypatch.syspath_prepend(str(BENCH))
     import layers
     from tracer import Tracer
 
     from biholo import Polydisc, invariants
 
-    tracer = Tracer()
-    try:
-        layers.install(tracer)
-        invariants.squeezing_lower_from_embedding(
-            Polydisc(2), (0j, 0j), invariants.scaled_polydisc_into_ball(2), invariants.RadiusSearch(r_max=1.0)
-        )
-    finally:
-        tracer.uninstall()
-    assert tracer.calls("metrics.polydisc_sphere_sample") == 1
+    witness = invariants.scaled_polydisc_into_ball(2)
+    counts = []
+    for w in (witness, dataclasses.replace(witness)):
+        tracer = Tracer()
+        try:
+            layers.install(tracer)
+            invariants.squeezing_lower_from_embedding(Polydisc(2), (0j, 0j), w, invariants.RadiusSearch(r_max=1.0))
+        finally:
+            tracer.uninstall()
+        counts.append(tracer.calls("metrics.polydisc_sphere_sample"))
+    assert counts == [0, 1]
