@@ -45,6 +45,21 @@ from biholo.invariants import (
 )
 
 P_UNIT = math.exp(-math.pi)
+# unitary maps of C^2: the turn sends the seed (1, 1)/sqrt 2 to a row whose
+# coordinates both have modulus 1/sqrt 2, a minimum of the inclusion; the
+# rotation by 0.3 sends no seed there
+TURNS = {
+    "turned2": np.array([[0.6, 0.8j], [0.8j, 0.6]]),
+    "rotated2": np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]]),
+}
+
+
+def _turned_inclusion(turn: np.ndarray) -> EmbeddingWitness:
+    """The inclusion of the ball into the bidisc followed by ``turn``, built
+    by hand, so it carries no certificate."""
+    return EmbeddingWitness(
+        Ball(2), Polydisc(2), lambda z: z @ turn.T, lambda w: w @ turn.conj(), (0j, 0j), (0j, 0j), "turned"
+    )
 # a weighted model that is not the Siegel domain: no exact value is known
 GENERAL_MODEL = WeightedModel(Multitype((1, 4)), modulus_power(1, 0, 2))
 # the variants with exact values of both invariants
@@ -261,14 +276,12 @@ class TestFridmanUpperFromEmbedding:
         )
 
     def test_refinement_reaches_a_minimum_off_the_seeds(self):
-        """The inclusion turned by a unitary map has its minima at
-        ``U (1, 1)/sqrt 2`` times phases, which no seed holds: the sample
-        and its refinement reach the closed form to 1e-6 relative."""
-        turn = np.array([[0.6, 0.8j], [0.8j, 0.6]])
-        witness = EmbeddingWitness(
-            Ball(2), Polydisc(2), lambda z: z @ turn.T, lambda w: w @ turn.conj(), (0j, 0j), (0j, 0j), "turned"
+        """The inclusion rotated by 0.3 has its minima where both
+        image coordinates have modulus ``1/sqrt 2``, which no seed holds: the
+        sample and its refinement reach the closed form to 1e-6 relative."""
+        est = fridman_upper_from_embedding(
+            Polydisc(2), (0j, 0j), _turned_inclusion(TURNS["rotated2"]), RadiusSearch(samples=256, seed=1)
         )
-        est = fridman_upper_from_embedding(Polydisc(2), (0j, 0j), witness, RadiusSearch(samples=256, seed=1))
         assert est.value == pytest.approx(fridman_exact(Polydisc(2)), rel=1e-6)
         assert est.value <= fridman_exact(Polydisc(2)) * (1 + 1e-15)
         assert not est.certified
@@ -879,16 +892,22 @@ def _estimate_workload_ops() -> list[tuple[str, str, float, int]]:
     return ops
 
 
+def _centered_report(witness, samples: int, seed: int, monkeypatch) -> tuple[float, invariants.EstimateReport]:
+    """The value of ``largest_centered_polydisc`` and its report, which it
+    does not return and is read off ``_nearest_boundary_image``."""
+    found = []
+    nearest = invariants._nearest_boundary_image
+    monkeypatch.setattr(invariants, "_nearest_boundary_image", lambda *a: found.append(nearest(*a)) or found[-1])
+    value = largest_centered_polydisc(witness, samples=samples, seed=seed)
+    monkeypatch.setattr(invariants, "_nearest_boundary_image", nearest)
+    return value, found[0]
+
+
 def _estimate_report(op, monkeypatch, seed: int = 1) -> tuple[float, invariants.EstimateReport]:
-    """The value and the report of one op at the workload's seed 1.
-    ``largest_centered_polydisc`` returns only its radius, so its report is
-    read off ``_nearest_boundary_image``."""
+    """The value and the report of one op at the workload's seed 1."""
     kind, domain, arg, samples = op
     if kind == "centered":
-        found = []
-        nearest = invariants._nearest_boundary_image
-        monkeypatch.setattr(invariants, "_nearest_boundary_image", lambda *a: found.append(nearest(*a)) or found[-1])
-        return largest_centered_polydisc(ball_inclusion_into_polydisc(arg), samples=samples, seed=seed), found[0]
+        return _centered_report(ball_inclusion_into_polydisc(arg), samples, seed, monkeypatch)
     if kind == "squeezing":
         search = RadiusSearch(r_max=1.0, samples=samples, seed=seed)
         report = squeezing_lower_from_embedding(Polydisc(arg), (0j,) * arg, scaled_polydisc_into_ball(arg), search)
@@ -983,6 +1002,88 @@ class TestEstimateWorkloadPins:
         )
         assert got == ESTIMATE_WORKLOAD_PINS[f"{kind}.{domain}{arg}"]
         assert value == pytest.approx(_closed_form(kind, domain, arg), rel=1e-12)
+
+
+def _uncertified_report(case: str, seed: int, monkeypatch) -> invariants.EstimateReport:
+    """The report of one uncertified estimate at 256 samples: a witness
+    built by hand, or a copy of a library one, which carries no certificate."""
+    search = RadiusSearch(samples=256, seed=seed)
+    squeeze = RadiusSearch(r_max=1.0, samples=256, seed=seed)
+    kind, _, name = case.partition(".")
+    if kind == "centered":
+        return _centered_report(_turned_inclusion(TURNS[name]), 256, seed, monkeypatch)[1]
+    if kind == "fridman" and name in TURNS:
+        return fridman_upper_from_embedding(Polydisc(2), (0j, 0j), _turned_inclusion(TURNS[name]), search)
+    if case == "fridman.slit0.5":
+        copy = dataclasses.replace(slit_embedding_of_disc(0.5))
+        return fridman_upper_from_embedding(PuncturedDisc(), (0.5 + 0j,), copy, search, MetricMode.POINCARE)
+    if case == "squeezing.punctured0.5":
+        copy = dataclasses.replace(punctured_automorphism_witness(0.5))
+        return squeezing_lower_from_embedding(PuncturedDisc(), (0.5 + 0j,), copy, squeeze)
+    copy = dataclasses.replace(scaled_polydisc_into_ball(2))
+    return squeezing_lower_from_embedding(Polydisc(2), (0j, 0j), copy, squeeze)
+
+
+# (value, radius, samples, boundary point) of each uncertified report as
+# float.hex, by case and seed.  The turned inclusion and the three copies
+# are decided at a seeded row, ahead of the random ones; the rotated
+# inclusion and the slit copy by the refinement.
+UNCERTIFIED_PINS = {
+    ("fridman.turned2", 0): (
+        "0x1.2274aa148de08p+0", "0x1.c34366179d426p-1", 256, ("0x1.6a09e667f3bccp-1 0x0.0p+0",) * 2,
+    ),
+    ("fridman.turned2", 1): (
+        "0x1.2274aa148de08p+0", "0x1.c34366179d426p-1", 256, ("0x1.6a09e667f3bccp-1 0x0.0p+0",) * 2,
+    ),
+    ("centered.turned2", 0): (
+        "0x1.6a09e667f3bccp-1", "0x1.6a09e667f3bccp-1", 256, ("0x1.6a09e667f3bccp-1 0x0.0p+0",) * 2,
+    ),
+    ("centered.turned2", 1): (
+        "0x1.6a09e667f3bccp-1", "0x1.6a09e667f3bccp-1", 256, ("0x1.6a09e667f3bccp-1 0x0.0p+0",) * 2,
+    ),
+    ("fridman.rotated2", 0): (
+        "0x1.2274a9ffec8f1p+0", "0x1.c3436637aa853p-1", 256,
+        ("0x1.bc8a650c18218p-2 0x1.fa8d17cc307dap-2", "-0x1.4e2b2141009e7p-1 0x1.804e678eaf8a2p-2"),
+    ),
+    ("fridman.rotated2", 1): (
+        "0x1.2274a9f6d52d6p+0", "0x1.c3436645ca6e3p-1", 256,
+        ("-0x1.ab8af906dc092p-3 -0x1.70656af2a8ad7p-1", "-0x1.51663c10d9ef7p-1 0x1.111a221a5ac8bp-4"),
+    ),
+    ("centered.rotated2", 0): (
+        "0x1.6a09e66cd0e4bp-1", "0x1.6a09e66cd0e4bp-1", 256,
+        ("0x1.bc8a6152275c3p-2 0x1.fa8d1abc1b8efp-2", "-0x1.4e2b22cdffa94p-1 0x1.804e629a3b98ep-2"),
+    ),
+    ("centered.rotated2", 1): (
+        "0x1.6a09e66bf3560p-1", "0x1.6a09e66bf3560p-1", 256,
+        ("-0x1.ab8aee46726f0p-3 -0x1.70656c81fe2fep-1", "-0x1.51663bc144095p-1 0x1.1119f7577ccbep-4"),
+    ),
+    ("fridman.slit0.5", 0): (
+        "0x1.ce05afa2cfa9cp-2", "0x1.1bb1262e65d39p+1", 256, ("0x1.11a511c042e70p-2 -0x1.ed613ace83424p-1",),
+    ),
+    ("fridman.slit0.5", 1): (
+        "0x1.ce05afa2cfd8fp-2", "0x1.1bb1262e65b69p+1", 256, ("-0x1.11a523e1c7869p-2 -0x1.ed61384aed6b4p-1",),
+    ),
+    ("squeezing.punctured0.5", 0): ("0x1.0000000000000p-1", "0x1.0000000000000p-1", 256, ("0x0.0p+0 0x0.0p+0",)),
+    ("squeezing.punctured0.5", 1): ("0x1.0000000000000p-1", "0x1.0000000000000p-1", 256, ("0x0.0p+0 0x0.0p+0",)),
+    ("squeezing.polydisc2", 0): (
+        "0x1.6a09e667f3bccp-1", "0x1.6a09e667f3bccp-1", 256, ("0x1.0000000000000p+0 0x0.0p+0", "0x0.0p+0 0x0.0p+0"),
+    ),
+    ("squeezing.polydisc2", 1): (
+        "0x1.6a09e667f3bccp-1", "0x1.6a09e667f3bccp-1", 256, ("0x1.0000000000000p+0 0x0.0p+0", "0x0.0p+0 0x0.0p+0"),
+    ),
+}
+
+
+class TestUncertifiedSearchPins:
+    """The sampled search of uncertified witnesses, pinned bit for bit: its
+    row order, random draws and refinement."""
+
+    @pytest.mark.parametrize("case, seed", list(UNCERTIFIED_PINS), ids=lambda x: str(x))
+    def test_report_is_pinned(self, case, seed, monkeypatch):
+        report = _uncertified_report(case, seed, monkeypatch)
+        got = (report.value.hex(), report.radius.hex(), report.samples, _hex_point(report.boundary_point))
+        assert not report.certified
+        assert got == UNCERTIFIED_PINS[case, seed]
 
 
 class TestCertification:
