@@ -28,13 +28,10 @@ the seeded ones: those a witness's written argument adds, then the seeds
 of the source's ``boundary`` entry in ``metrics`` (its known extreme
 points, the puncture among them).  A certified witness carries the written
 argument that the minimum is attained at a seeded row, so it is scored on
-those rows alone, with no search; the search is an oracle for it, run by
-the tier-1 tests.  Only a witness without a certificate is searched: random
-boundary rows drawn per call from the search's ``seed``, ``samples`` of
-them, follow the seeds and are refined around the best one down to
-``tol``, so ``samples``, ``seed`` and ``tol`` apply to it alone.  The
-minimum builds the one report of every estimator, with the boundary point
-that decided it and its image.  A report's value is a bound only when it
+those rows alone; only a witness without a certificate is searched, by a
+:class:`RadiusSearch`, which is an oracle for the certified ones, run by
+the tier-1 tests.  The minimum builds the one report of every estimator,
+with the boundary point that decided it and its image.  A report's value is a bound only when it
 is certified: an uncertified sample may miss the minimum.
 """
 
@@ -365,10 +362,12 @@ def fridman_bounds_punctured(p: complex) -> BoundEstimate:
 @dataclass(frozen=True)
 class RadiusSearch:
     """Parameters of the radius estimators: the cap ``r_max`` on the radius,
-    the width ``tol`` at which the refinement around the nearest boundary
-    image stops, and the ``samples`` random boundary rows drawn from ``seed``.
-    ``tol``, ``samples`` and ``seed`` apply only to a witness without a
-    certificate; a certified one is scored on its seeded rows alone.
+    and the search of a witness without a certificate.  A certified witness
+    is scored on its seeded rows alone and reads only ``r_max``.  An
+    uncertified one is searched: ``samples`` random boundary rows, drawn per
+    call from ``default_rng(seed)``, follow the seeded ones, and rounds of
+    refinement around the best row follow until their width, on the
+    source's boundary, falls below ``tol``.  ``samples`` may be 0, since the seeded rows are always scored.
 
     Caps beyond ~18 are not resolvable on the ball and the polydisc in double
     precision: a boundary image that rounds to just inside the domain lies at
@@ -385,7 +384,7 @@ class RadiusSearch:
             raise ValueError("r_max and tol must be finite")
         if self.r_max <= 0 or self.tol <= 0:
             raise ValueError("invalid search parameters")
-        _check_integer("samples", self.samples, 8)
+        _check_integer("samples", self.samples, 0)
         _check_integer("seed", self.seed, 0)
 
 
@@ -405,14 +404,13 @@ class EstimateReport:
     when the witness carries a written argument that the minimum is attained
     at a seeded row; ``reason`` is that argument, or says there is none.
     ``samples`` is the number of random boundary rows scored: 0 on a
-    certified report, which scores its seeded rows alone.
+    certified report.
     """
 
     value: float
     radius: float
     hit_cap: bool
     samples: int
-    tol: float
     mode: str | None
     witness: str
     certified: bool
@@ -433,26 +431,22 @@ UNCERTIFIED = "no written argument that the boundary sample holds the row attain
 def _nearest_boundary_image(
     witness: EmbeddingWitness,
     score: Callable[[np.ndarray], np.ndarray],
-    cap: float,
-    tol: float,
-    seed: int,
-    samples: int,
+    search: RadiusSearch,
 ) -> EstimateReport:
-    """Report of ``r = min(cap, min over the source's boundary of score(f(z)))``
-    as its ``value`` and ``radius`` (``mode = None``); ``score`` maps finite
-    image rows to one value each, ``inf`` for a row that does not count.
+    """Report of ``r = min(search.r_max, min over the source's boundary of
+    score(f(z)))`` as its ``value`` and ``radius`` (``mode = None``);
+    ``score`` maps finite image rows to one value each, ``inf`` for a row
+    that does not count.
 
-    The boundary rows are those the witness's certificate seeds, then the
+    The seeded rows are those the witness's certificate adds, then the
     seeds of the source's ``boundary`` entry of ``metrics.Geometry``; rows
     whose image is not finite are dropped.  A certified witness is scored on
-    these rows alone, since its written argument puts the minimum at one of
-    them: no generator is made, and the report's ``samples`` is 0.  Only a
-    witness without a certificate uses ``seed``, ``samples`` and ``tol``: it
-    is validated, ``samples`` random rows of the entry from
-    ``default_rng(seed)`` follow the seeds, and rounds around the best row
-    follow, from four sample spacings (in C) or the sphere's radius (in C^n)
-    down to ``tol``: an angle grid in C, random perturbations retracted onto
-    the boundary by the entry in C^n, drawn from the same generator.
+    these rows alone: no generator is made, and the report's ``samples`` is
+    0.  A witness without a certificate is validated, then searched: the
+    refinement starts from four sample spacings (in C) or the sphere's
+    radius (in C^n), as an angle grid in C and as random perturbations
+    retracted onto the boundary by the entry in C^n, drawn from the
+    generator of the random rows.
     """
     source, n = witness.source, witness.source.dim
     seeds, rows, retract = metrics._entry(source, "boundary")
@@ -471,12 +465,13 @@ def _nearest_boundary_image(
     if witness._certificate is not None:
         best, samples = best_of(seeded), 0
     else:
-        witness.validate(seed=seed)
-        rng = np.random.default_rng(seed)
+        samples = search.samples
+        witness.validate(seed=search.seed)
+        rng = np.random.default_rng(search.seed)
         z = np.concatenate([seeded, rows(source, samples, rng)])
         best = best_of(z)
         width = 8.0 * math.pi / len(z) if n == 1 else 1.0
-        while width >= tol:
+        while width >= search.tol:
             if n == 1:
                 z = best[1] * np.exp(1j * width / REFINE_SHRINK * np.arange(-REFINE_SHRINK, REFINE_SHRINK + 1))[:, None]
             else:
@@ -485,12 +480,12 @@ def _nearest_boundary_image(
             width /= 2.0 if found[0] < best[0] else REFINE_SHRINK
             best = min(best, found, key=lambda b: b[0])
     nearest, point, image = best
-    radius = min(cap, float(nearest))
+    radius = min(search.r_max, float(nearest))
     if not radius > 0.0:
         raise WitnessValidationError("the witness image does not contain any neighbourhood of the basepoint")
     decided = math.isfinite(nearest)
     return EstimateReport(
-        value=radius, radius=radius, hit_cap=radius == cap, samples=samples, tol=tol, mode=None,
+        value=radius, radius=radius, hit_cap=radius == search.r_max, samples=samples, mode=None,
         witness=witness.description, certified=witness._certificate is not None, reason=reason,
         boundary_point=tuple(point.tolist()) if decided else None,
         boundary_image=tuple(image.tolist()) if decided else None,
@@ -515,8 +510,7 @@ def fridman_upper_from_embedding(
     distance, so the two round alike.
 
     The radius is in the units of ``mode``: ``search.r_max`` and the
-    reported radius are in them.  ``search.tol`` is a width on the source's
-    boundary, where the refinement stops.  Uncertified, the value is no
+    reported radius are in them.  Uncertified, the value is no
     bound: in C^n the random refinement can stop above the true radius, by
     4.5e-3 relative at n = 4 on a unitarily turned inclusion, whose value
     then falls below the invariant.
@@ -534,7 +528,7 @@ def fridman_upper_from_embedding(
         values[inside] = mode.factor * distance(d, p, w[inside].T)
         return values
 
-    found = _nearest_boundary_image(witness, score, search.r_max, search.tol, search.seed, search.samples)
+    found = _nearest_boundary_image(witness, score, search)
     return replace(found, value=1.0 / found.radius, mode=mode.value)
 
 
@@ -577,8 +571,9 @@ def squeezing_lower_from_embedding(
     n = witness.target.dim
     _require_at(witness.source_basepoint, p, "witness does not send the given point to the origin")
     _require_at(witness.target_basepoint, (0j,) * n, "witness must normalize the basepoint to the origin")
-    norm = lambda w: np.linalg.norm(w, axis=1)
-    return _nearest_boundary_image(witness, norm, min(search.r_max, 1.0), search.tol, search.seed, search.samples)
+    if search.r_max > 1.0:
+        search = replace(search, r_max=1.0)
+    return _nearest_boundary_image(witness, lambda w: np.linalg.norm(w, axis=1), search)
 
 
 # refinement width of largest_centered_polydisc
@@ -594,16 +589,11 @@ def largest_centered_polydisc(
     witness image: ``min max_k |f(z)_k|`` over the sphere of the source.
 
     The witness must map a ball into a polydisc fixing 0 (to ``BASEPOINT_TOL``).
-    The boundary rows always include the seed ``(1, ..., 1)/sqrt n``, so
-    ``samples`` may be any integer >= 0.  ``samples`` and ``seed`` apply only
-    to a witness without a certificate; a certified one is scored on its
-    seeded rows alone.
+    ``samples`` and ``seed`` are those of its :class:`RadiusSearch`.
     """
     if not isinstance(witness.source, Ball) or not isinstance(witness.target, Polydisc):
         raise WitnessValidationError("witness must map a ball into a polydisc")
     origin = witness.source_basepoint + witness.target_basepoint
     _require_at(origin, (0j,) * len(origin), "witness must fix the origin")
-    _check_integer("samples", samples, 0)
-    _check_integer("seed", seed, 0)
-    polynorm = lambda w: np.abs(w).max(axis=1)
-    return _nearest_boundary_image(witness, polynorm, 1.0, POLYRADIUS_TOL, seed, samples).radius
+    search = RadiusSearch(r_max=1.0, tol=POLYRADIUS_TOL, samples=samples, seed=seed)
+    return _nearest_boundary_image(witness, lambda w: np.abs(w).max(axis=1), search).radius

@@ -69,9 +69,6 @@ class RunConfig:
     seed: int = 0
 
 
-# random boundary rows per estimate of the estimator suites
-ESTIMATOR_SAMPLES = 256
-
 
 @dataclass
 class SuiteResult:
@@ -370,20 +367,15 @@ def suite_punctured_bounds(cfg: RunConfig) -> SuiteResult:
 
 def suite_fridman_estimators(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("embedding-estimators")
-    search = invariants.RadiusSearch(tol=1e-7, samples=ESTIMATOR_SAMPLES, seed=cfg.seed)
     for n in range(2, 6):
         exact = invariants.fridman_exact(Polydisc(n), (0j,) * n)
-        est = invariants.fridman_upper_from_embedding(
-            Polydisc(n), (0j,) * n, invariants.ball_inclusion_into_polydisc(n), search
-        )
+        witness = invariants.ball_inclusion_into_polydisc(n)
+        est = invariants.fridman_upper_from_embedding(Polydisc(n), (0j,) * n, witness)
         res.expect(
             abs(est.value - exact) <= 1e-12 * exact,
             f"polydisc estimator off by {abs(est.value - exact) / exact:.2e} relative at n={n}",
         )
-    sq = invariants.squeezing_lower_from_embedding(
-        Polydisc(2), (0j, 0j), invariants.scaled_polydisc_into_ball(2),
-        invariants.RadiusSearch(r_max=1.0, tol=1e-7, samples=ESTIMATOR_SAMPLES, seed=cfg.seed),
-    )
+    sq = invariants.squeezing_lower_from_embedding(Polydisc(2), (0j, 0j), invariants.scaled_polydisc_into_ball(2))
     res.expect(
         abs(sq.value * math.sqrt(2.0) - 1.0) <= 1e-12,
         f"polydisc squeezing witness off by {abs(sq.value * math.sqrt(2.0) - 1.0):.2e} relative",
@@ -394,9 +386,7 @@ def suite_fridman_estimators(cfg: RunConfig) -> SuiteResult:
 def suite_alexander(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("centered-polydisc-in-ball-image")
     for n in (2, 3, 4):
-        c = invariants.largest_centered_polydisc(
-            invariants.ball_inclusion_into_polydisc(n), samples=ESTIMATOR_SAMPLES
-        )
+        c = invariants.largest_centered_polydisc(invariants.ball_inclusion_into_polydisc(n))
         res.expect(
             c * math.sqrt(n) <= 1.0 + 1e-12,
             f"polyradius {c} exceeds 1/sqrt({n}) by more than 1e-12 relative",

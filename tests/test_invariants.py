@@ -1190,11 +1190,20 @@ class TestRadiusSearch:
         with pytest.raises(ValueError, match="finite"):
             RadiusSearch(r_max=r_max, tol=tol)
 
-    @pytest.mark.parametrize("samples", [9.5, 16.0, "16", 7])
-    def test_samples_must_be_an_integer_of_at_least_8(self, samples):
-        with pytest.raises(ValueError, match="samples"):
+    @pytest.mark.parametrize("samples", [9.5, 16.0, "16", -1, True])
+    def test_samples_must_be_a_nonnegative_integer(self, samples):
+        with pytest.raises(ValueError, match=f"^samples must be an integer >= 0, not {re.escape(repr(samples))}$"):
             RadiusSearch(samples=samples)
 
+    def test_zero_samples_score_the_seeded_rows(self, monkeypatch):
+        """Every source's ``boundary`` entry seeds its extreme points, so a
+        search with no random rows still scores rows: an uncertified copy
+        of the inclusion reports the polyradius at its seed (1, 1, 1)/sqrt 3."""
+        assert RadiusSearch(samples=0).samples == 0
+        copy = dataclasses.replace(ball_inclusion_into_polydisc(3))
+        value, report = _centered_report(copy, 0, 7, monkeypatch)
+        assert not report.certified and report.samples == 0
+        assert value == report.radius == 0.5773502691896258
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
