@@ -49,7 +49,6 @@ __all__ = [
     "ball_automorphism",
     "siegel_to_ball",
     "ball_to_siegel",
-    "siegel_equivalent",
     "kobayashi_distance",
     "polydisc_sphere_sample",
     "sample_metric_sphere",
@@ -133,13 +132,6 @@ def ball_to_siegel(w):
     wn = w[-1]
     zn = (wn - 1.0) / (wn + 1.0)
     return tuple(c * math.sqrt(2.0) / (1.0 + wn) for c in w[:-1]) + (zn,)
-
-
-def siegel_equivalent(d: WeightedModel) -> bool:
-    """True iff the weighted model is literally the unbounded ball realization
-    (all type entries 2 and P = |z_1|^2 + ... + |z_{n-1}|^2): the model's
-    :attr:`~biholo.domains.WeightedModel.siegel_equivalent`, decided once per model."""
-    return d.siegel_equivalent
 
 
 def kobayashi_distance(d: ModelDomain, p, q, mode: MetricMode = MetricMode.KOBAYASHI) -> float:
@@ -394,7 +386,7 @@ _NONE = Geometry()
 def _geometry(d: ModelDomain) -> Geometry:
     """The record of ``d``'s variant, the one resolver of every lookup; a
     weighted model that is literally the unbounded ball realization
-    (:func:`siegel_equivalent`) gets Siegel's, a variant with none the empty one."""
+    (its ``siegel_equivalent``) gets Siegel's, a variant with none the empty one."""
     kind = type(d)
     return _GEOMETRY.get(Siegel if kind is WeightedModel and d.siegel_equivalent else kind, _NONE)
 

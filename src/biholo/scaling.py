@@ -33,6 +33,7 @@ from .domains import (
     Point,
     PuncturedDisc,
     Siegel,
+    UnsupportedDomainError,
     WeightedModel,
     WeightedPolynomial,
     _coordinates,
@@ -44,7 +45,7 @@ from .domains import (
     symbolic_weight_check,
 )
 from .hyperbolic import disc_distance
-from .metrics import _geometry, sample_metric_ball, siegel_equivalent
+from .metrics import _geometry, sample_metric_ball
 from . import covering
 
 __all__ = [
@@ -238,7 +239,7 @@ def rescale(
     ``model`` is the weight-one limit ``{2 Re z_n + P('z) < 0}``.  Each
     dilation is a :class:`Dilation` about the origin with scale ``delta_j``
     and the multitype weights as exponents.  The limit is ``Siegel(n)`` where
-    :func:`siegel_equivalent` holds.  ``P`` is checked for weight-one
+    the model's ``siegel_equivalent`` holds.  ``P`` is checked for weight-one
     homogeneity only, not for plurisubharmonicity.  ``defining`` is D's
     defining function on a point or on the columns of rows; one that does not
     vanish at the origin raises ``ValueError``.  ``distance(p, columns)`` is
@@ -259,7 +260,7 @@ def rescale(
         raise ValueError("the model polynomial is not weight-one homogeneous for the multitype")
     if defining is None and distance is not None:
         raise ValueError("a distance needs the defining function of its domain")
-    limit = Siegel(n) if siegel_equivalent(model) else model
+    limit = Siegel(n) if model.siegel_equivalent else model
     exponents = model.multitype.tangential_exponents() + (1.0,)
     dilations = tuple(Dilation(base, d, exponents) for d in approach.deltas)
     if defining is None:  # every scaled domain is the limit
@@ -451,7 +452,7 @@ def ball_inclusion_check(
     if samples < 1:
         raise ValueError(f"the ball-inclusion check needs at least one sample, got {samples}")
     if family.distance is None:
-        raise ValueError("no computable Kobayashi distance for this scaled family")
+        raise UnsupportedDomainError("no computable Kobayashi distance for this scaled family")
     rng = np.random.default_rng(seed)
     pts = sample_metric_ball(family.limit, family.basepoint, radius - eps, samples, rng)
     rows = []

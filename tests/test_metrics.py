@@ -37,7 +37,6 @@ from biholo.metrics import (
     polydisc_sphere_sample,
     sample_metric_ball,
     sample_metric_sphere,
-    siegel_equivalent,
     siegel_to_ball,
 )
 
@@ -303,7 +302,7 @@ class TestDispatcher:
 
     def test_weighted_model_is_unsupported_unless_siegel(self):
         ok = WeightedModel(Multitype((1, 2, 2)), modulus_power(2, 0, 1) + modulus_power(2, 1, 1))
-        assert siegel_equivalent(ok)
+        assert ok.siegel_equivalent
         kobayashi_distance(ok, (0j, 0j, -1.0 + 0j), (0j, 0j, -2.0 + 0j))
         other = WeightedModel(Multitype((1, 4)), modulus_power(1, 0, 2))
         with pytest.raises(UnsupportedDomainError):

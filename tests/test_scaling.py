@@ -13,6 +13,7 @@ from biholo.domains import (
     Multitype,
     PuncturedDisc,
     Siegel,
+    UnsupportedDomainError,
     WeightedModel,
     as_point,
     contains,
@@ -515,7 +516,7 @@ class TestBallInclusion:
 
     def test_unsupported_family_raises(self):
         fam = quartic_family()  # quartic model: no computable distance
-        with pytest.raises(ValueError, match="distance"):
+        with pytest.raises(UnsupportedDomainError, match="^no computable Kobayashi distance for this scaled family$"):
             ball_inclusion_check(fam, radius=0.5, eps=0.05, samples=40, seed=0)
 
 
