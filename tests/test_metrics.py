@@ -188,7 +188,7 @@ def _ball_section(p: np.ndarray, v: np.ndarray) -> tuple[complex, float]:
 
 
 def _ball_section_gap(n: int, rng: np.random.Generator) -> float:
-    points = 0.95 * rng.uniform(size=(120, 1)) ** (1.0 / (2 * n)) * random_unit_vectors(n, 120, rng)
+    points = _ball_points(n, rng, 120)
     return _line_section_gap(Ball(n), points, _ball_section)
 
 
@@ -207,6 +207,17 @@ def _siegel_section_gap(n: int, rng: np.random.Generator) -> float:
     depth = rng.uniform(0.1, 2.0, size=120) + (np.abs(tangential) ** 2).sum(axis=1)
     points = np.column_stack([tangential, -depth / 2.0 + 1j * rng.normal(size=120)])
     return _line_section_gap(Siegel(n), points, _siegel_section)
+
+
+def _least_excess(small, big, pairs) -> float:
+    """Least ``big(p, q) / small(p, q) - 1`` over the pairs: positive where
+    ``big`` is the distance of a subdomain, which is no nearer."""
+    return min(big(p, q) / small(p, q) for p, q in pairs) - 1.0
+
+
+def _ball_points(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` rows of the ball of radius 0.95 in C^n, uniform in volume."""
+    return 0.95 * rng.uniform(size=(count, 1)) ** (1.0 / (2 * n)) * random_unit_vectors(n, count, rng)
 
 
 # each equality on a holomorphic retract: its worst gap, the dimensions and the tolerance
@@ -238,6 +249,50 @@ class TestHolomorphicRetracts:
         for gap, dims, tol in RETRACT_EQUALITIES.values():
             for n in dims:
                 assert gap(n, np.random.default_rng(n)) >= 0.9e-9 > tol
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-9, 1.0 - 1e-9])
+    def test_a_disc_distance_off_by_1e_9_fails_the_axis_and_diagonal(self, monkeypatch, scale):
+        """The polydisc's record takes ``disc_distance`` on each coordinate,
+        which the axes and the diagonal compare with ``_ball_distance``."""
+        disc = metrics.disc_distance
+        monkeypatch.setattr(metrics, "disc_distance", lambda a, b: scale * disc(a, b))
+        gap, dims, tol = RETRACT_EQUALITIES["axis-and-diagonal"]
+        for n in dims:
+            assert gap(n, np.random.default_rng(n)) >= 0.9e-9 > tol
+
+    def test_a_cayley_map_off_by_1e_9_fails_the_siegel_line_sections(self, monkeypatch):
+        """Siegel's record carries the ball's through ``_siegel_to_ball``;
+        with its ``z'`` images scaled by 1 + 1e-9 the line sections read
+        gaps of 9.1e-9 (n = 2) and 2.1e-8 (n = 3), against 4.8e-15 and
+        3.0e-15 unmutated."""
+        cayley = metrics._siegel_to_ball
+
+        def scaled(z):
+            w = cayley(z)
+            return tuple(c * (1.0 + 1e-9) for c in w[:-1]) + w[-1:]
+
+        monkeypatch.setattr(metrics, "_siegel_to_ball", scaled)
+        gap, dims, tol = RETRACT_EQUALITIES["siegel-line-sections"]
+        for n in dims:
+            assert gap(n, np.random.default_rng(n)) >= 1e-9 > tol
+
+    @pytest.mark.parametrize("domain", [PuncturedDisc(), SlitDisc()], ids=lambda d: d.label)
+    def test_a_domain_inside_the_disc_is_no_nearer(self, domain):
+        """The punctured and the slit disc lie in the disc, so the inclusion
+        gives ``k_D <= k_domain``, with ``k_D`` the planar form here.  The
+        least excess on these pairs is 1.8e-3 (punctured) and 7.1e-3 (slit)."""
+        rng = np.random.default_rng(11)
+        pairs = zip(_disc_points(rng, 2_000), _disc_points(rng, 2_000))
+        assert _least_excess(_planar, lambda a, b: kobayashi_distance(domain, a, b), pairs) > 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_the_ball_is_no_nearer_than_the_polydisc(self, n):
+        """``Ball(n)`` lies in ``Polydisc(n)``, so ``k_P <= k_B``.  The least
+        excess on these pairs is 1.3e-2, 4.6e-2 and 0.26 at n = 2, 3 and 5."""
+        points = _ball_points(n, np.random.default_rng(n), 4_000)
+        pairs = zip(map(tuple, points[::2]), map(tuple, points[1::2]))
+        polydisc = lambda p, q: kobayashi_distance(Polydisc(n), p, q)
+        assert _least_excess(polydisc, lambda p, q: kobayashi_distance(Ball(n), p, q), pairs) > 0.0
 
 
 class TestDispatcher:
