@@ -31,8 +31,9 @@ argument that the minimum is attained at a seeded row, so it is scored on
 those rows alone; only a witness without a certificate is searched, by a
 :class:`RadiusSearch`, which is an oracle for the certified ones, run by
 the tier-1 tests.  The minimum builds the one report of every estimator,
-with the boundary point that decided it and its image.  A report's value is a bound only when it
-is certified: an uncertified sample may miss the minimum.
+with the boundary point that decided it and its image.  A report's value
+is a bound only when it is certified: an uncertified sample may miss the
+minimum.
 """
 
 from __future__ import annotations
@@ -367,7 +368,8 @@ class RadiusSearch:
     uncertified one is searched: ``samples`` random boundary rows, drawn per
     call from ``default_rng(seed)``, follow the seeded ones, and rounds of
     refinement around the best row follow until their width, on the
-    source's boundary, falls below ``tol``.  ``samples`` may be 0, since the seeded rows are always scored.
+    source's boundary, falls below ``tol``.  ``samples`` may be 0, since
+    the seeded rows are always scored.
 
     Caps beyond ~18 are not resolvable on the ball and the polydisc in double
     precision: a boundary image that rounds to just inside the domain lies at

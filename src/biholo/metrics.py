@@ -288,11 +288,9 @@ class Geometry(NamedTuple):
     estimator source's ``(seeds(d), rows(d, count, rng), retract(z))``: its
     known extreme points, drawn from no generator, ``count`` random boundary
     rows, and the map of rows in C^n back onto it along rays from 0 (None
-    where C's angle grid serves).  A certified estimate scores the seeds
-    alone; an uncertified one the seeds, then the rows, then refines.
-    Distances and radii are Kobayashi; a carried record's entries but
-    ``boundary`` are its model's.  The entries pass
-    these coerced points to formulas that do not coerce them again
+    where C's angle grid serves).  Distances and radii are Kobayashi; a
+    carried record's entries but ``boundary`` are its model's.  The entries
+    pass these coerced points to formulas that do not coerce them again
     (``_ball_distance``, ``_siegel_to_ball``, ``_ball_automorphism``), each
     keeping its membership check.  Each entry looks its functions up when
     called, so a function wrapped by name is what runs; :func:`_entry` looks

@@ -69,7 +69,6 @@ class RunConfig:
     seed: int = 0
 
 
-
 @dataclass
 class SuiteResult:
     name: str
