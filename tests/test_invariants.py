@@ -45,21 +45,6 @@ from biholo.invariants import (
 )
 
 P_UNIT = math.exp(-math.pi)
-# unitary maps of C^2: the turn sends the seed (1, 1)/sqrt 2 to a row whose
-# coordinates both have modulus 1/sqrt 2, a minimum of the inclusion; the
-# rotation by 0.3 sends no seed there
-TURNS = {
-    "turned2": np.array([[0.6, 0.8j], [0.8j, 0.6]]),
-    "rotated2": np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]]),
-}
-
-
-def _turned_inclusion(turn: np.ndarray) -> EmbeddingWitness:
-    """The inclusion of the ball into the bidisc followed by ``turn``, built
-    by hand, so it carries no certificate."""
-    return EmbeddingWitness(
-        Ball(2), Polydisc(2), lambda z: z @ turn.T, lambda w: w @ turn.conj(), (0j, 0j), (0j, 0j), "turned"
-    )
 # a weighted model that is not the Siegel domain: no exact value is known
 GENERAL_MODEL = WeightedModel(Multitype((1, 4)), modulus_power(1, 0, 2))
 # the variants with exact values of both invariants
@@ -79,6 +64,21 @@ EXACT_PINS = [
     ("0x0.0p+0", "0x1.0000000000000p+0"),
     ("0x0.0p+0", "0x1.0000000000000p+0"),
 ]
+# unitary maps of C^2: the turn sends the seed (1, 1)/sqrt 2 to a row whose
+# coordinates both have modulus 1/sqrt 2, a minimum of the inclusion; the
+# rotation by 0.3 sends no seed there
+TURNS = {
+    "turned2": np.array([[0.6, 0.8j], [0.8j, 0.6]]),
+    "rotated2": np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]]),
+}
+
+
+def _turned_inclusion(turn: np.ndarray) -> EmbeddingWitness:
+    """The inclusion of the ball into the bidisc followed by ``turn``, built
+    by hand, so it carries no certificate."""
+    return EmbeddingWitness(
+        Ball(2), Polydisc(2), lambda z: z @ turn.T, lambda w: w @ turn.conj(), (0j, 0j), (0j, 0j), "turned"
+    )
 
 
 class TestFridmanExact:
@@ -898,9 +898,7 @@ def _centered_report(witness, samples: int, seed: int, monkeypatch) -> tuple[flo
     found = []
     nearest = invariants._nearest_boundary_image
     monkeypatch.setattr(invariants, "_nearest_boundary_image", lambda *a: found.append(nearest(*a)) or found[-1])
-    value = largest_centered_polydisc(witness, samples=samples, seed=seed)
-    monkeypatch.setattr(invariants, "_nearest_boundary_image", nearest)
-    return value, found[0]
+    return largest_centered_polydisc(witness, samples=samples, seed=seed), found[0]
 
 
 def _estimate_report(op, monkeypatch, seed: int = 1) -> tuple[float, invariants.EstimateReport]:
@@ -1025,9 +1023,9 @@ def _uncertified_report(case: str, seed: int, monkeypatch) -> invariants.Estimat
 
 
 # (value, radius, samples, boundary point) of each uncertified report as
-# float.hex, by case and seed.  The turned inclusion and the three copies
-# are decided at a seeded row, ahead of the random ones; the rotated
-# inclusion and the slit copy by the refinement.
+# float.hex, by case and seed.  The turned inclusion and the two squeezing
+# copies are decided at a seeded row, ahead of the random ones; the rotated
+# inclusion and the slit copy by the random rows and their refinement.
 UNCERTIFIED_PINS = {
     ("fridman.turned2", 0): (
         "0x1.2274aa148de08p+0", "0x1.c34366179d426p-1", 256, ("0x1.6a09e667f3bccp-1 0x0.0p+0",) * 2,
