@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hyperbolic import _acosh_form, _linspace_blocks, _s_rows, halfplane_distance
+from .hyperbolic import GRID_BLOCK, _acosh_form, _linspace_blocks, _s_rows, halfplane_distance
 from .maps import Chain, Mobius, PrincipalSqrt, Square
 
 __all__ = [
@@ -159,18 +159,30 @@ def punctured_distance_detail(p: complex, q: complex) -> DeckDistance:
     return DeckDistance(_acosh_form(float(s[i])), best_k, DECK_RANGE)
 
 
-def deck_minimum_enumerated(p: float, theta: float) -> float:
+def deck_minimum_enumerated(p, theta):
     """Oracle for :func:`deck_minimum`: direct enumeration of deck translates.
 
     The lifts ``i y`` and ``theta + 2 pi k + i y`` (``y = -log p``) for
     ``|k| <= DECK_RANGE``, all in one array; the distance is the acosh form
     at the smallest ``s``, not the asinh form of :func:`halfplane_distance`.
+    ``p`` and ``theta`` may be 1-d arrays of one length: then one distance
+    per entry, the rows of translates swept in blocks of at most
+    ``GRID_BLOCK`` entries, never one array of them all.
     """
-    if not 0.0 < p < 1.0:
+    rows = isinstance(p, np.ndarray)
+    if not (((0.0 < p) & (p < 1.0)).all() if rows else 0.0 < p < 1.0):
         raise ValueError("modulus must lie in (0, 1)")
-    y = -math.log(p)
-    dx = theta + TWO_PI * np.arange(-DECK_RANGE, DECK_RANGE + 1)
-    return _acosh_form(float(_s_rows(dx, y, y).min()))
+    shifts = TWO_PI * np.arange(-DECK_RANGE, DECK_RANGE + 1)
+    if not rows:
+        y = -math.log(p)
+        return _acosh_form(float(_s_rows(theta + shifts, y, y).min()))
+    y = -np.log(p)[:, None]
+    s = np.empty(len(p))
+    step = GRID_BLOCK // len(shifts)
+    for i in range(0, len(p), step):
+        b = slice(i, i + step)
+        s[b] = _s_rows(theta[b, None] + shifts, y[b], y[b]).min(axis=1)
+    return _acosh_form(s)
 
 
 def grid_slit_distance(p: float) -> float:

@@ -299,12 +299,15 @@ def _poly_value(poly: WeightedPolynomial, w):
     return total.real
 
 
-def poly_eval(poly: WeightedPolynomial, w: Sequence[complex]) -> float:
-    """Evaluate a polynomial, returning the (checked) real value."""
-    w = tuple(map(complex, w))
-    if len(w) != poly.nvars:
-        raise ValueError(f"expected {poly.nvars} variables, got {len(w)}")
-    return _poly_value(poly, w)
+def poly_eval(poly: WeightedPolynomial, w):
+    """Evaluate a polynomial, returning the (checked) real value.
+
+    ``w`` is a point, which ``as_point`` checks (a non-finite coordinate
+    raises ``ValueError``), or the ``poly.nvars`` columns of rows (an array
+    of shape ``[nvars, m]``): then one value per row, and a non-real value
+    at any row raises the point's ``ValueError``.
+    """
+    return _poly_value(poly, _coordinates(w, poly.nvars))
 
 
 def symbolic_weight_check(poly: WeightedPolynomial, multitype: Multitype) -> bool:
@@ -329,21 +332,24 @@ def numeric_scaling_check(
     trials: int = 200,
     rng: np.random.Generator | None = None,
 ) -> bool:
-    """Randomized check of ``P(delta^w . 'z) = delta P('z)`` for delta in (0, 2]."""
+    """Randomized check of ``P(delta^w . 'z) = delta P('z)`` for delta in (0, 2].
+
+    The trials are rows: one ``uniform(0, 2, size=trials)`` draw of the
+    deltas (a zero becomes 1), then one ``normal(size=(trials, nvars, 2))``
+    draw of the points, each row's real and imaginary parts in turn; the
+    identity is checked on every row in one :func:`poly_eval` call each side.
+    """
     if poly.nvars != multitype.dim - 1:
         raise ValueError("polynomial and multitype dimensions do not match")
     if trials < 1:
         raise ValueError(f"the scaling check needs at least one trial, got {trials}")
     rng = rng if rng is not None else np.random.default_rng(0)
-    exps = multitype.tangential_exponents()
-    for _ in range(trials):
-        delta = float(rng.uniform(0.0, 2.0)) or 1.0
-        z = tuple(complex(a, b) for a, b in rng.normal(size=(poly.nvars, 2)).tolist())
-        scaled = tuple(c * delta**e for c, e in zip(z, exps))
-        base = poly_eval(poly, z)
-        if abs(poly_eval(poly, scaled) - delta * base) > _SCALING_TOL * (1.0 + abs(base)):
-            return False
-    return True
+    delta = rng.uniform(0.0, 2.0, size=trials)
+    delta[delta == 0.0] = 1.0
+    z = rng.normal(size=(trials, poly.nvars, 2)).view(np.complex128)[..., 0].T
+    scaled = tuple(c * delta**e for c, e in zip(z, multitype.tangential_exponents()))
+    base = poly_eval(poly, z)
+    return not (abs(poly_eval(poly, scaled) - delta * base) > _SCALING_TOL * (1.0 + abs(base))).any()
 
 
 def parse_polynomial(text: str) -> WeightedPolynomial:

@@ -128,23 +128,34 @@ def _geomspace_blocks(start: float, stop: float, num: int):
         yield block
 
 
-def _acosh_form(s: float) -> float:
-    """``arccosh(1 + s) / 2``, through log1p: the oracles' half-plane distance."""
-    return 0.5 * math.log1p(s + math.sqrt(s * (s + 2.0)))
+def _acosh_form(s):
+    """``arccosh(1 + s) / 2``, through log1p: the oracles' half-plane
+    distance.  ``s`` may be an array: numpy's log1p then, which can differ
+    from ``math.log1p`` by an ulp."""
+    lib = np if isinstance(s, np.ndarray) else math
+    return 0.5 * lib.log1p(s + lib.sqrt(s * (s + 2.0)))
 
 
-def halfplane_distance_acosh(z: complex, w: complex) -> float:
+def halfplane_distance_acosh(z, w):
     """Independent acosh form of the half-plane distance: the oracle that
     :func:`halfplane_distance` is checked against, not a fallback for it.
 
     Evaluates :func:`_acosh_form`, ``arccosh(1 + s) / 2`` through log1p, at
     ``s = (|z - w| / (sqrt(2 Im z) sqrt(Im w)))^2 = |z - w|^2 / (2 Im z Im w)``:
     the ratio is formed before it is squared, so ``s`` neither underflows
-    nor overflows at very small or very large coordinates.
+    nor overflows at very small or very large coordinates.  ``z`` and ``w``
+    may be complex arrays of one shape: then one distance per entry, by the
+    same formula in numpy.
     """
-    z = _require_halfplane(z)
-    w = _require_halfplane(w)
-    return _acosh_form((abs(z - w) / (math.sqrt(2.0 * z.imag) * math.sqrt(w.imag))) ** 2)
+    if isinstance(z, np.ndarray):
+        if not ((z.imag > 0).all() and (w.imag > 0).all()):
+            raise ValueError("every point must lie in the open upper half-plane")
+        sqrt = np.sqrt
+    else:
+        z = _require_halfplane(z)
+        w = _require_halfplane(w)
+        sqrt = math.sqrt
+    return _acosh_form((abs(z - w) / (sqrt(2.0 * z.imag) * sqrt(w.imag))) ** 2)
 
 
 def disc_distance(a: complex, b):

@@ -9,12 +9,17 @@ subcommand prints one line per suite.
 
 A suite draws its random inputs as rows, in one generator call whose C
 order is the order of one scalar draw after another, so the inputs are
-those of a scalar loop, bit for bit.  Where a suite compares the scalar
-path of the library, it calls it point by point; the oracles run as array
-kernels.  The grid searches (the heights of the vertical-line suite, the
-grids of `covering.grid_slit_distance` and `covering.grid_circle_supremum`)
-are swept block by block, never built whole, and give the extremum of the
-one grid bit for bit.
+those of a scalar loop, bit for bit.  The production paths a suite checks
+(`halfplane_distance`, `deck_minimum`, `punctured_distance`, `contains`
+and the rest) are called point by point.  The oracles and checks run as
+array kernels, one call on all of a suite's rows: the acosh form on the
+10,000 half-plane pairs, the deck enumeration on each group of rows,
+`poly_eval` on each polynomial's 2,500 points as columns, and
+`numeric_scaling_check` on all its trials.  The grid searches (the heights
+of the vertical-line suite, the grids of `covering.grid_slit_distance` and
+`covering.grid_circle_supremum`) and the deck enumeration's rows of
+translates are swept block by block, never built whole; the grids give the
+extremum of the one grid bit for bit.
 `SuiteResult.expect_rows` then makes one check per row and formats a
 message only for the rows that fail.
 """
@@ -96,9 +101,10 @@ class SuiteResult:
 def suite_halfplane_forms(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("halfplane-closed-form-vs-acosh")
     rng = np.random.default_rng(cfg.seed)
-    pairs = rng.uniform([-5, 0.05], 5, size=(10_000, 2, 2)).view(np.complex128)[..., 0].tolist()
+    rows = rng.uniform([-5, 0.05], 5, size=(10_000, 2, 2)).view(np.complex128)[..., 0]
+    pairs = rows.tolist()
     d1 = np.array([halfplane_distance(z, w) for z, w in pairs])
-    gap = np.abs(d1 - [halfplane_distance_acosh(z, w) for z, w in pairs])
+    gap = np.abs(d1 - halfplane_distance_acosh(rows[:, 0], rows[:, 1]))
     res.expect_rows(gap <= 5e-13, lambda k: f"closed form deviates from acosh by {gap[k]:.3e} at {tuple(pairs[k])}")
     (z, w), last = pairs[-1], float(d1[-1])
     edge = kobayashi_distance(UpperHalfPlane(), z, w, MetricMode.POINCARE)
@@ -177,9 +183,10 @@ def suite_deck_oracle(cfg: RunConfig) -> SuiteResult:
     # the closed form is the deck infimum on offsets up to pi; past that the
     # infimum wraps around the puncture, to the closed form at 2 pi - theta
     for count, low, high, wraps in ((1_000, 0.0, math.pi, False), (200, math.pi, two_pi, True)):
-        rows = rng.uniform([0.01, low], [0.99, high], size=(count, 2)).tolist()
+        drawn = rng.uniform([0.01, low], [0.99, high], size=(count, 2))
+        rows = drawn.tolist()
         closed = np.array([covering.deck_minimum(p, two_pi - t if wraps else t) for p, t in rows])
-        brute = [covering.deck_minimum_enumerated(p, t) for p, t in rows]
+        brute = covering.deck_minimum_enumerated(*drawn.T)
         metric = [covering.punctured_distance(p, p * complex(math.cos(t), math.sin(t))) for p, t in rows]
         at = lambda k: "at p={}, theta={}".format(*rows[k])
         res.expect_rows(np.abs(closed - brute) <= 5e-13, lambda k: f"deck enumeration differs {at(k)}")
@@ -313,8 +320,8 @@ def suite_polynomials(cfg: RunConfig) -> SuiteResult:
     for poly in polys:
         errors.append(None)
         try:
-            for w in rng.normal(size=(2_500, poly.nvars, 2)).view(np.complex128)[..., 0].tolist():
-                poly_eval(poly, w)  # raises if the imaginary part exceeds tolerance
+            # all 2,500 points as columns; raises if an imaginary part exceeds tolerance
+            poly_eval(poly, rng.normal(size=(2_500, poly.nvars, 2)).view(np.complex128)[..., 0].T)
         except ValueError as exc:
             errors[-1] = exc
     res.expect_rows(

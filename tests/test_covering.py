@@ -169,6 +169,17 @@ class TestDeckMinimum:
         with pytest.raises(ValueError):
             deck_minimum(0.5, -0.1)
 
+    def test_enumeration_takes_arrays(self):
+        """Arrays of ``p`` and ``theta``, over more rows than one block
+        holds: one distance per entry, each within 1e-15 relative of the
+        scalar form; a modulus out of range raises."""
+        rng = np.random.default_rng(10)
+        p, theta = rng.uniform([0.01, 0.0], [0.99, TWO_PI], size=(200, 2)).T
+        rows = [deck_minimum_enumerated(a, t) for a, t in zip(p.tolist(), theta.tolist())]
+        assert deck_minimum_enumerated(p, theta) == pytest.approx(rows, rel=1e-15, abs=0.0)
+        with pytest.raises(ValueError, match="modulus must lie in"):
+            deck_minimum_enumerated(np.array([0.5, 1.0]), np.array([0.3, 0.3]))
+
 
 class TestSlitDistance:
     def test_unit_ratio_value(self):

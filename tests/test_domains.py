@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biholo import domains
 from biholo.domains import (
     Ball,
     HalfPlaneC,
@@ -439,6 +440,35 @@ class TestPolyEval:
         with pytest.raises(ValueError, match="conjugate"):
             poly_eval(lopsided, (0.5 + 0.5j,))
 
+    @pytest.mark.parametrize(
+        "point",
+        [(float("nan"),), (float("inf"),), (complex(0.5, float("-inf")),), (1j, float("nan"))],
+        ids=["nan", "inf", "imaginary-inf", "second-nan"],
+    )
+    def test_non_finite_point_raises(self, point):
+        """A NaN coordinate once evaluated to NaN and an infinite one raised
+        ``OverflowError``; both are rejected as ``as_point`` rejects them."""
+        poly = modulus_power(len(point), 0, 1)
+        with pytest.raises(ValueError, match="non-finite coordinates"):
+            poly_eval(poly, point)
+
+    def test_columns_give_one_value_per_row(self):
+        p = modulus_power(2, 0, 1) + modulus_power(2, 1, 1)
+        columns = np.array([[1.0, 2j, 0.5], [2j, 0.0, 0.5j]])
+        assert poly_eval(p, columns).tolist() == [poly_eval(p, tuple(w)) for w in columns.T.tolist()]
+
+    def test_columns_must_match_the_variables(self):
+        with pytest.raises(ValueError, match="expected the 2 columns of rows, got 1"):
+            poly_eval(modulus_power(2, 0, 1), np.ones((1, 4), dtype=complex))
+
+    def test_a_non_real_row_raises_the_point_error(self):
+        """Of columns, the first row's value that is not real is named in
+        the point's message, as a Python number."""
+        lopsided = WeightedPolynomial.from_terms([Term((2,), (1,), 1.0)], 1)
+        columns = np.array([[0.5, 0.5 + 0.5j, 0.25j]])
+        with pytest.raises(ValueError, match=r"^polynomial evaluated to a non-real value \(0\.25\+0\.25j\); "):
+            poly_eval(lopsided, columns)
+
     @pytest.mark.parametrize("coeff", [float("nan"), float("inf"), complex(1.0, float("nan"))])
     def test_non_finite_coefficient_rejected(self, coeff):
         with pytest.raises(ValueError, match="not finite"):
@@ -501,6 +531,18 @@ class TestHomogeneity:
             bad = good + modulus_power(1, 0, max(1, m - 1), 0.5)
             assert symbolic_weight_check(good, mt) == numeric_scaling_check(good, mt, 50, rng)
             assert symbolic_weight_check(bad, mt) == numeric_scaling_check(bad, mt, 200, rng)
+
+    def test_numeric_check_draws_the_deltas_then_the_points(self, monkeypatch):
+        """One draw of ``trials`` deltas, then one of ``trials`` points, as
+        the columns of the first evaluation."""
+        evaluated = []
+        monkeypatch.setattr(domains, "poly_eval", lambda poly, w: evaluated.append(w) or poly_eval(poly, w))
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        assert numeric_scaling_check(modulus_power(2, 0, 1) + modulus_power(2, 1, 1), Multitype((1, 2, 2)), 30, rng)
+        twin.uniform(0.0, 2.0, size=30)
+        points = twin.normal(size=(30, 2, 2)).view(np.complex128)[..., 0]
+        assert np.array_equal(evaluated[0], points.T)
+        assert rng.uniform() == twin.uniform()
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_numeric_check_needs_a_trial(self, trials):

@@ -74,6 +74,16 @@ class TestHalfplaneDistance:
         assert d == pytest.approx(expected, rel=1e-15)
         assert halfplane_distance_acosh(z, w) == pytest.approx(d, rel=1e-15)
 
+    def test_acosh_oracle_takes_arrays(self):
+        """Two arrays of pairs: one distance per entry, each within 1e-15
+        relative of the scalar form; a point off the half-plane raises."""
+        z = np.array([1j, 0.5 + 2j, -3 + 0.1j])
+        w = np.array([2j, 1e-3j, 4 + 5j])
+        pairs = [halfplane_distance_acosh(a, b) for a, b in zip(z.tolist(), w.tolist())]
+        assert halfplane_distance_acosh(z, w) == pytest.approx(pairs, rel=1e-15, abs=0.0)
+        with pytest.raises(ValueError, match="every point must lie in the open upper half-plane"):
+            halfplane_distance_acosh(z, np.array([1j, -1j, 1j]))
+
     @given(z=halfplane_points, w=halfplane_points)
     @settings(max_examples=300)
     def test_mode_factor_is_exactly_two(self, z, w):

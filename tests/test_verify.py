@@ -1,9 +1,12 @@
 """Tests of the verification suites themselves."""
 
+import functools
 import itertools
+import math
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from biholo import covering, verify
@@ -46,7 +49,14 @@ def test_halfplane_suite_reports_the_one_failing_pair(monkeypatch):
     """One acosh value off by 1e-9 is one failed check among the 10,003,
     and only that failure's message is formatted; it names the pair."""
     record = []
-    perturbed = _perturbed_at(verify.halfplane_distance_acosh, 4_321, record)
+    acosh = verify.halfplane_distance_acosh
+
+    def perturbed(z, w):
+        value = acosh(z, w)
+        value[4_321] += 1e-9
+        record.append((z[4_321].item(), w[4_321].item()))
+        return value
+
     monkeypatch.setattr(verify, "halfplane_distance_acosh", perturbed)
     res = verify.suite_halfplane_forms(RunConfig())
     assert res.checks == 10_003
@@ -115,21 +125,76 @@ def test_domain_suite_checks_the_slit_sampler(monkeypatch):
     assert res.failures == ["1 sampled slit-disc points off the punctured disc or on the slit"]
 
 
+def _suite_arguments(monkeypatch, module, name, suite):
+    """The arguments of every call the suite makes to ``module.<name>``."""
+    calls, original = [], getattr(module, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    suite(RunConfig())
+    monkeypatch.undo()
+    return calls
+
+
+def _deck_rows():
+    """The deck suite's 1,000 + 200 ``(p, theta)`` rows, drawn as it draws
+    them, as two arrays."""
+    rng = np.random.default_rng(RunConfig().seed + 4)
+    bounds = ((1_000, 0.0, math.pi), (200, math.pi, covering.TWO_PI))
+    return tuple(np.concatenate([rng.uniform([0.01, low], [0.99, high], size=(n, 2)) for n, low, high in bounds]).T)
+
+
+def test_the_acosh_oracle_on_arrays_agrees_with_its_points(monkeypatch):
+    """On the half-plane suite's one call, 10,000 pairs, the array form is
+    within 1e-15 relative of the scalar form of each pair."""
+    [(z, w)] = _suite_arguments(monkeypatch, verify, "halfplane_distance_acosh", verify.suite_halfplane_forms)
+    assert z.shape == w.shape == (10_000,)
+    points = [verify.halfplane_distance_acosh(a, b) for a, b in zip(z.tolist(), w.tolist())]
+    assert verify.halfplane_distance_acosh(z, w) == pytest.approx(points, rel=1e-15, abs=0.0)
+
+
+def test_the_deck_enumeration_on_arrays_agrees_with_its_rows(monkeypatch):
+    """On the deck suite's two calls, 1,000 and 200 rows, the array form is
+    within 1e-15 relative of the scalar form of each row."""
+    calls = _suite_arguments(monkeypatch, covering, "deck_minimum_enumerated", verify.suite_deck_oracle)
+    assert [len(p) for p, _ in calls] == [1_000, 200]
+    p, theta = (np.concatenate(column) for column in zip(*calls))
+    assert np.array_equal(np.stack((p, theta)), _deck_rows())
+    rows = [covering.deck_minimum_enumerated(a, t) for a, t in zip(p.tolist(), theta.tolist())]
+    assert covering.deck_minimum_enumerated(p, theta) == pytest.approx(rows, rel=1e-15, abs=0.0)
+
+
+def test_poly_eval_on_columns_agrees_with_its_points(monkeypatch):
+    """On the polynomial suite's four calls, 2,500 points each as columns,
+    every value is within 1e-15 relative of the point's."""
+    calls = _suite_arguments(monkeypatch, verify, "poly_eval", verify.suite_polynomials)
+    assert [columns.shape[1] for _, columns in calls] == [2_500] * 4
+    for poly, columns in calls:
+        points = [verify.poly_eval(poly, w) for w in columns.T.tolist()]
+        assert verify.poly_eval(poly, columns) == pytest.approx(points, rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "sweep",
     [
         lambda: covering.grid_circle_supremum(0.5),
         lambda: verify.suite_vertical_line(RunConfig()),
         lambda: covering.grid_slit_distance(0.5),
+        functools.partial(covering.deck_minimum_enumerated, *_deck_rows()),
     ],
-    ids=["grid_circle_supremum", "suite_vertical_line", "grid_slit_distance"],
+    ids=["grid_circle_supremum", "suite_vertical_line", "grid_slit_distance", "deck_minimum_enumerated"],
 )
 def test_grids_are_swept_in_blocks(sweep):
     """The circle oracle's ``CIRCLE_GRID`` angles, the vertical-line suite's
-    million heights and the slit oracle's ``SLIT_GRID`` moduli are never one
+    million heights, the slit oracle's ``SLIT_GRID`` moduli and the deck
+    suite's 1,200 rows of ``2 DECK_RANGE + 1`` translates are never one
     array: each sweep's traced peak stays below 2 MiB, where one
-    million-entry float array alone is 7.6 MiB (built whole, the three read
-    15.3, 23.6 and 3.1 MiB)."""
+    million-entry float array alone is 7.6 MiB and one 1,200 x 201 float
+    array 1.9 MiB (built whole, the first three read 15.3, 23.6 and
+    3.1 MiB)."""
     tracemalloc.start()
     try:
         sweep()
