@@ -224,8 +224,7 @@ def _ball_points(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
 RETRACT_EQUALITIES = {
     "axis-and-diagonal": (_axis_and_diagonal_gap, (2, 3, 5), 1e-12),
     "ball-line-sections": (_ball_section_gap, (2, 3, 5), 1e-12),
-    # the section's centre -B/A loses digits where |v'| is small; n = 5 is left out for that
-    "siegel-line-sections": (_siegel_section_gap, (2, 3), 1e-11),
+    "siegel-line-sections": (_siegel_section_gap, (2, 3, 5), 1e-11),
 }
 
 
@@ -263,8 +262,8 @@ class TestHolomorphicRetracts:
     def test_a_cayley_map_off_by_1e_9_fails_the_siegel_line_sections(self, monkeypatch):
         """Siegel's record carries the ball's through ``_siegel_to_ball``;
         with its ``z'`` images scaled by 1 + 1e-9 the line sections read
-        gaps of 9.1e-9 (n = 2) and 2.1e-8 (n = 3), against 4.8e-15 and
-        3.0e-15 unmutated."""
+        gaps of 9.1e-9, 2.1e-8 and 3.0e-8 at n = 2, 3 and 5, against
+        4.8e-15, 3.0e-15 and 4.9e-15 unmutated."""
         cayley = metrics._siegel_to_ball
 
         def scaled(z):
