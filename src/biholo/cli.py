@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -27,6 +26,8 @@ import math
 import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import invariants, scaling, verify
 from .domains import (
@@ -254,6 +255,16 @@ _KIND_CHECKS = {
 }
 
 
+def _hausdorff_grid(lo: float, hi: float, n: int, dim: int) -> np.ndarray:
+    """The Hausdorff check's grid: in the plane the ``n`` by ``n`` grid of
+    :func:`scaling.complex_grid`; otherwise every ordered pair of points of
+    its coarser ``max(3, n // 3)`` grid, as rows of shape ``[k * k, 2]``."""
+    if dim == 1:
+        return scaling.complex_grid(lo, hi, n)
+    coarse = scaling.complex_grid(lo, hi, max(3, n // 3))
+    return np.column_stack((np.repeat(coarse, coarse.size), np.tile(coarse, coarse.size)))
+
+
 def _run_scale_spec(spec: dict, args) -> tuple[dict[str, list[dict]], bool]:
     """Execute one experiment spec; returns (files to write, all passed)."""
     kind = spec.get("kind")
@@ -294,22 +305,15 @@ def _run_scale_spec(spec: dict, args) -> tuple[dict[str, list[dict]], bool]:
         approach = _approach_from_spec(spec, 1)
         report = scaling.convergence_experiment(PuncturedDisc(), approach)
         factor = _mode(args).factor
-        outputs["convergence"] = [
-            dict(dataclasses.asdict(r), upper_bound=r.upper_bound / factor) for r in report.rows
-        ]
+        outputs["convergence"] = [dict(vars(r), upper_bound=r.upper_bound / factor) for r in report.rows]
         return outputs, report.strictly_decreasing
 
     if "hausdorff" in checks:
         g = _object("grid", spec.get("grid", {}))
         lo, hi, n = float(g.get("min", -2)), float(g.get("max", 2)), int(g.get("n", 15))
-        planar = scaling.complex_grid(lo, hi, n)
-        if family.limit.dim == 1:
-            grid = planar
-        else:
-            coarse = scaling.complex_grid(lo, hi, max(3, n // 3))
-            grid = [(a, b) for a in coarse for b in coarse]
+        grid = _hausdorff_grid(lo, hi, n, family.limit.dim)
         report = scaling.hausdorff_check(family, grid, float(spec.get("tol", 1e-2)))
-        outputs["hausdorff"] = [dataclasses.asdict(r) for r in report.rows]
+        outputs["hausdorff"] = [dict(vars(r)) for r in report.rows]
         passed &= report.passed
     if "ball_inclusion" in checks:
         bi = _object("ball_inclusion", spec.get("ball_inclusion", {}))
@@ -322,9 +326,7 @@ def _run_scale_spec(spec: dict, args) -> tuple[dict[str, list[dict]], bool]:
             samples=int(bi.get("samples", 200)),
             seed=args.seed,
         )
-        outputs["ball_inclusion"] = [
-            dict(dataclasses.asdict(r), max_distance=r.max_distance * factor) for r in report.rows
-        ]
+        outputs["ball_inclusion"] = [dict(vars(r), max_distance=r.max_distance * factor) for r in report.rows]
         passed &= report.passed
     return outputs, passed
 

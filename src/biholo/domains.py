@@ -304,10 +304,17 @@ def poly_eval(poly: WeightedPolynomial, w):
 
     ``w`` is a point, which ``as_point`` checks (a non-finite coordinate
     raises ``ValueError``), or the ``poly.nvars`` columns of rows (an array
-    of shape ``[nvars, m]``): then one value per row, and a non-real value
-    at any row raises the point's ``ValueError``.
+    of shape ``[nvars, m]``): then one value per row, and a non-finite
+    entry or a non-real value at any row raises the point's ``ValueError``
+    for the first such row.
     """
-    return _poly_value(poly, _coordinates(w, poly.nvars))
+    w = _coordinates(w, poly.nvars)
+    if isinstance(w, np.ndarray) or isinstance(w[0], np.ndarray):  # columns, which as_point did not check
+        finite = np.isfinite(np.asarray(w)).all(axis=0)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(f"point {tuple(complex(np.ravel(c)[k]) for c in w)!r} has non-finite coordinates")
+    return _poly_value(poly, w)
 
 
 def symbolic_weight_check(poly: WeightedPolynomial, multitype: Multitype) -> bool:

@@ -15,13 +15,17 @@ The checks run on rows, complex arrays of shape ``[m, n]``, as the
 estimators do.  The dilations, the defining functions of the families and
 ``ScaledFamily.scaled_defining`` each have one formula, which takes a point
 tuple or the columns of rows (``rows.T``), like ``defining(z)`` of the
-domain variants.
+domain variants.  ``scaled_defining`` also takes a slice of steps and then
+evaluates all of them in one call, with a leading step axis: the same
+formulas run on the steps' dilations stacked as columns
+(:meth:`Dilation.stack`), so the Hausdorff check makes one evaluation for
+all its steps and the ball-inclusion check one for all its memberships.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -147,19 +151,49 @@ def disc_defining() -> PlanarDefiningFunction:
 class Dilation:
     """Dilation ``z_k -> (z_k - center_k) / scale^(e_k)`` with positive scale
     and exponents ``e_k``, of a point or of the columns of rows.  On rows
-    ``scale`` may be an array with one scale per row."""
+    ``scale`` may be an array with one scale per row.
+
+    ``powers`` holds ``scale^(e_k)`` per exponent, computed once here unless
+    given: :meth:`stack` gives its dilations' own."""
 
     center: Point
     scale: float | np.ndarray
     exponents: tuple[float, ...]
+    powers: tuple | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.powers is None:
+            object.__setattr__(self, "powers", tuple(self.scale**e for e in self.exponents))
+
+    @classmethod
+    def stack(cls, dilations: Sequence["Dilation"]) -> "Dilation":
+        """The dilations as one whose center coordinates, scale and powers
+        are columns of shape ``[k, 1]``, one entry per dilation: on the
+        columns of rows (shape ``[m]`` each) it gives every dilation's image
+        at once, columns of shape ``[k, m]`` whose row ``i`` is the image
+        under ``dilations[i]``, bit for bit.  The dilations must share their
+        exponents."""
+        exponents = dilations[0].exponents
+        if any(d.exponents != exponents for d in dilations):
+            raise ValueError("stacked dilations must share their exponents")
+
+        def column(values):
+            return np.array(values)[:, None]
+
+        return cls(
+            tuple(map(column, zip(*(d.center for d in dilations)))),
+            column([d.scale for d in dilations]),
+            exponents,
+            tuple(map(column, zip(*(d.powers for d in dilations)))),
+        )
 
     def forward(self, z) -> tuple:
         z = _coordinates(z, len(self.exponents))
-        return tuple((c - a) / self.scale**e for c, a, e in zip(z, self.center, self.exponents, strict=True))
+        return tuple((c - a) / p for c, a, p in zip(z, self.center, self.powers, strict=True))
 
     def inverse(self, w) -> tuple:
         w = _coordinates(w, len(self.exponents))
-        return tuple(a + self.scale**e * c for c, a, e in zip(w, self.center, self.exponents, strict=True))
+        return tuple(a + p * c for c, a, p in zip(w, self.center, self.powers, strict=True))
 
 
 @dataclass(frozen=True)
@@ -184,10 +218,17 @@ class ScaledFamily:
     def __len__(self) -> int:
         return len(self.dilations)
 
-    def scaled_defining(self, index: int, w):
+    def scaled_defining(self, index: int | slice, w):
         """Defining function of the rescaled domain ``D_j`` at the point
-        ``w``, or at every row whose columns ``w`` holds."""
+        ``w``, or at every row whose columns ``w`` holds.
+
+        A slice of steps (``slice(None)`` for all) evaluates them in one
+        call through :meth:`Dilation.stack`: on columns of shape ``[m]`` the
+        values have shape ``[k, m]``, with row ``i`` equal bit for bit to
+        the ``i``-th step's own values."""
         dil = self.dilations[index]
+        if isinstance(index, slice):
+            dil = Dilation.stack(dil)
         return self.defining(dil.inverse(w)) / dil.scale
 
 
@@ -317,10 +358,14 @@ def tangential_modulus_remainder(
     return rem, rate
 
 
-def complex_grid(lo: float, hi: float, n: int) -> list[complex]:
-    """The ``n`` by ``n`` grid on the square ``[lo, hi]^2`` of the plane."""
+def complex_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """The ``n`` by ``n`` grid on the square ``[lo, hi]^2`` of the plane, as
+    a complex array of ``n * n`` points: real part ``axis[a]`` and imaginary
+    part ``axis[b]`` at index ``a * n + b``, with ``axis = linspace(lo, hi, n)``."""
     axis = np.linspace(lo, hi, n)
-    return [complex(a, b) for a in axis for b in axis]
+    grid = np.empty((n, n), dtype=complex)
+    grid.real, grid.imag = axis[:, None], axis
+    return grid.ravel()
 
 
 @dataclass(frozen=True)
@@ -346,7 +391,7 @@ def hausdorff_check(family: ScaledFamily, grid: Sequence, tol: float) -> Hausdor
     Passes iff the sup errors are non-increasing and the final one is below
     ``tol``.  Also reports the fraction of grid points classified the same
     way (inside/outside) by the scaled and limit domains.  The grid is
-    evaluated as rows: one evaluation of the limit, one per step.
+    evaluated as rows: one evaluation of the limit, one of all the steps.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"the Hausdorff tolerance must be finite and positive, got {tol}")
@@ -355,13 +400,13 @@ def hausdorff_check(family: ScaledFamily, grid: Sequence, tol: float) -> Hausdor
         raise ValueError("empty grid")
     pts = as_rows(grid.reshape(len(grid), -1), family.limit.dim)
     limit_vals = defining_rows(family.limit, pts)
-    limit_inside = limit_vals < 0.0
-    rows = []
-    for idx, (j, delta) in enumerate(zip(family.approach.js, family.approach.deltas)):
-        sv = family.scaled_defining(idx, pts.T)
-        sup_err = float(np.abs(sv - limit_vals).max())
-        agree = int(np.count_nonzero((sv < 0.0) == limit_inside))
-        rows.append(HausdorffRow(j, delta, sup_err, agree / len(pts)))
+    scaled = family.scaled_defining(slice(None), pts.T)
+    sup_errors = np.abs(scaled - limit_vals).max(axis=1).tolist()
+    agreements = np.count_nonzero((scaled < 0.0) == (limit_vals < 0.0), axis=1).tolist()
+    rows = [
+        HausdorffRow(j, delta, sup_err, agree / len(pts))
+        for j, delta, sup_err, agree in zip(family.approach.js, family.approach.deltas, sup_errors, agreements)
+    ]
     errors = [r.sup_error for r in rows]
     monotone = all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
     passed = monotone and errors[-1] < tol
@@ -443,9 +488,9 @@ def ball_inclusion_check(
 
     Samples the limit-domain ball and verifies each sample lies in the
     scaled domain within distance R of the basepoint; reports the first
-    index ``j0`` from which every later step passes.  Each step tests
-    membership on rows and takes the distances of the samples inside in one
-    call of ``family.distance``.
+    index ``j0`` from which every later step passes.  Membership is tested
+    on rows for all the steps in one evaluation; each step takes the
+    distances of its samples inside in one call of ``family.distance``.
     """
     if not 0.0 <= eps < radius < math.inf:
         raise ValueError(f"need 0 <= eps < radius < inf (Kobayashi), got eps={eps} and radius={radius}")
@@ -456,8 +501,8 @@ def ball_inclusion_check(
     rng = np.random.default_rng(seed)
     pts = sample_metric_ball(family.limit, family.basepoint, radius - eps, samples, rng)
     rows = []
-    for idx, (j, delta) in enumerate(zip(family.approach.js, family.approach.deltas)):
-        inside = family.scaled_defining(idx, pts.T) < 0.0
+    masks = family.scaled_defining(slice(None), pts.T) < 0.0
+    for idx, (j, delta, inside) in enumerate(zip(family.approach.js, family.approach.deltas, masks)):
         worst = float(family.distance(idx, family.basepoint, pts[inside]).max()) if inside.any() else 0.0
         rows.append(BallInclusionRow(j, delta, bool(inside.all()) and worst <= radius, worst))
     j0 = None

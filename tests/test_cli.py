@@ -4,10 +4,11 @@ import argparse
 import json
 import math
 
+import numpy as np
 import pytest
 
 from biholo import verify
-from biholo.cli import build_parser, main, parse_domain, parse_point
+from biholo.cli import _hausdorff_grid, build_parser, main, parse_domain, parse_point
 from biholo.domains import (
     Ball,
     Polydisc,
@@ -19,6 +20,7 @@ from biholo.domains import (
     parse_complex_literal,
 )
 from biholo.metrics import kobayashi_distance
+from biholo.scaling import complex_grid
 
 
 class TestParsing:
@@ -263,6 +265,17 @@ class TestScale:
         errors = [float(line.split(",")[2]) for line in hausdorff[1:]]
         assert errors == sorted(errors, reverse=True)
         assert (out_dir / "exp_ball_inclusion.csv").exists()
+
+    @pytest.mark.parametrize("n", [9, 15, 21])
+    def test_hausdorff_grid_in_two_variables_is_the_list_of_pairs(self, n):
+        """Every ordered pair of points of the coarse planar grid, as the
+        list of tuples it once was, in order and bit for bit."""
+        axis = np.linspace(-2, 2, max(3, n // 3))
+        coarse = [complex(a, b) for a in axis for b in axis]
+        pairs = [(a, b) for a in coarse for b in coarse]
+        grid = _hausdorff_grid(-2.0, 2.0, n, 2)
+        assert grid.shape == (len(pairs), 2) and grid.tobytes() == np.array(pairs).tobytes()
+        assert _hausdorff_grid(-2.0, 2.0, n, 1).tobytes() == complex_grid(-2.0, 2.0, n).tobytes()
 
     def test_convergence_spec(self, tmp_path, capsys):
         spec = self.make_spec(

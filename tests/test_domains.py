@@ -1,5 +1,6 @@
 """Tests for domain membership, defining functions and weighted polynomials."""
 
+import re
 import typing
 from fractions import Fraction
 
@@ -451,6 +452,21 @@ class TestPolyEval:
         poly = modulus_power(len(point), 0, 1)
         with pytest.raises(ValueError, match="non-finite coordinates"):
             poly_eval(poly, point)
+
+    @pytest.mark.parametrize(
+        "columns,message",
+        [
+            (np.array([np.nan]), "point ((nan+0j),) has non-finite coordinates"),
+            (np.array([[np.nan, 1.0]]), "point ((nan+0j),) has non-finite coordinates"),
+            (np.array([[0.5, 1j, complex(0.0, np.inf), np.nan]]), "point (infj,) has non-finite coordinates"),
+        ],
+        ids=["one-entry", "first-row", "third-row"],
+    )
+    def test_non_finite_columns_raise_the_point_error(self, columns, message):
+        """Columns are checked for finite entries as a point is, and the
+        first bad row is named as the point."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            poly_eval(modulus_power(1, 0, 1), columns)
 
     def test_columns_give_one_value_per_row(self):
         p = modulus_power(2, 0, 1) + modulus_power(2, 1, 1)

@@ -193,6 +193,16 @@ class TestHausdorffCheck:
             assert row.membership_agreement == agree
             assert row.sup_error == pytest.approx(sup, rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize("n", [5, 15, 21])
+    def test_complex_grid_is_the_list_of_its_points(self, n):
+        """The array holds, in order, the points the grid once listed as
+        ``complex(a, b)``, signs of zero included."""
+        axis = np.linspace(-2, 2, n)
+        points = [complex(a, b) for a in axis for b in axis]
+        grid = complex_grid(-2, 2, n)
+        assert grid.dtype == complex and grid.tolist() == points
+        assert grid.tobytes() == np.array(points).tobytes()
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty grid"):
             hausdorff_check(disc_family(), [], tol=1e-2)
@@ -330,6 +340,32 @@ class TestScaledFamily:
         for idx, dil in enumerate(disc.dilations):
             z = dil.inverse(w[:1])[0]
             assert disc.scaled_defining(idx, w[:1]) == (abs(z) ** 2 - 1.0) / dil.scale
+
+    @pytest.mark.parametrize("which", ["disc", "quartic-sextic-remainder", "siegel"])
+    def test_all_steps_equal_each_step_bit_for_bit(self, which):
+        """A slice of steps puts them on a leading axis of one evaluation,
+        whose row for a step is that step's own values bit for bit, on rows
+        inside and outside the scaled domains."""
+        if which == "disc":
+            fam, rows = disc_family(1, 12), complex_grid(-2, 2, 21)[:, None]
+        else:
+            if which == "siegel":
+                approach = BoundaryApproach.geometric((0j, 0j), (0j, 1.0), 1, 10)
+                fam = make_anisotropic(modulus_power(1, 0, 1), Multitype((1, 2)), approach)
+            else:
+                fam = quartic_family(remainder_exponent=6)
+            coarse = complex_grid(-2, 2, 7)
+            rows = np.array([(a, b) for a in coarse for b in coarse])
+        stacked = fam.scaled_defining(slice(None), rows.T)
+        assert stacked.shape == (len(fam), len(rows))
+        assert (stacked < 0.0).any(axis=1).all() and (stacked > 0.0).any(axis=1).all()
+        for idx in range(len(fam)):
+            assert stacked[idx].tobytes() == fam.scaled_defining(idx, rows.T).tobytes()
+        assert fam.scaled_defining(slice(2, 5), rows.T).tobytes() == stacked[2:5].tobytes()
+
+    def test_stacked_dilations_share_their_exponents(self):
+        with pytest.raises(ValueError, match="share their exponents"):
+            Dilation.stack([Dilation((0j, 0j), 0.5, (0.25, 1.0)), Dilation((0j, 0j), 0.5, (0.5, 1.0))])
 
     def test_distance_only_where_computable(self):
         assert disc_family().distance is not None
