@@ -310,9 +310,9 @@ def poly_eval(poly: WeightedPolynomial, w):
     """
     w = _coordinates(w, poly.nvars)
     if isinstance(w, np.ndarray) or isinstance(w[0], np.ndarray):  # columns, which as_point did not check
-        finite = np.isfinite(np.asarray(w)).all(axis=0)
-        if not finite.all():
-            k = int(np.argmin(finite))
+        finite = np.isfinite(w)
+        if not finite.all():  # the per-row reduction only on failure, as in as_rows
+            k = int(np.argmin(finite.all(axis=0)))
             raise ValueError(f"point {tuple(complex(np.ravel(c)[k]) for c in w)!r} has non-finite coordinates")
     return _poly_value(poly, w)
 
