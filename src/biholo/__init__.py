@@ -61,7 +61,6 @@ from .scaling import (
     ScaledFamily,
     ball_inclusion_check,
     convergence_experiment,
-    disc_defining,
     hausdorff_check,
     invariance_check,
     make_anisotropic,

@@ -257,12 +257,13 @@ _KIND_CHECKS = {
 
 def _hausdorff_grid(lo: float, hi: float, n: int, dim: int) -> np.ndarray:
     """The Hausdorff check's grid: in the plane the ``n`` by ``n`` grid of
-    :func:`scaling.complex_grid`; otherwise every ordered pair of points of
-    its coarser ``max(3, n // 3)`` grid, as rows of shape ``[k * k, 2]``."""
+    :func:`scaling.complex_grid`; in ``dim`` variables every ``dim``-tuple of
+    points of its coarser ``max(3, n // 3)`` grid, the last coordinate
+    running fastest, as rows of shape ``[k ** dim, dim]``."""
     if dim == 1:
         return scaling.complex_grid(lo, hi, n)
     coarse = scaling.complex_grid(lo, hi, max(3, n // 3))
-    return np.column_stack((np.repeat(coarse, coarse.size), np.tile(coarse, coarse.size)))
+    return np.stack(np.meshgrid(*[coarse] * dim, indexing="ij"), -1).reshape(-1, dim)
 
 
 def _run_scale_spec(spec: dict, args) -> tuple[dict[str, list[dict]], bool]:
@@ -280,7 +281,7 @@ def _run_scale_spec(spec: dict, args) -> tuple[dict[str, list[dict]], bool]:
         if spec.get("rho", "disc") != "disc":
             raise CliError("only the unit-disc defining function is built in; rho must be 'disc'")
         approach = _approach_from_spec(spec, 1)
-        family = scaling.make_isotropic(scaling.disc_defining(), approach)
+        family = scaling.make_isotropic(Ball(1), approach)
     elif kind == "anisotropic":
         mt = Multitype(_integers(spec, "multitype"))
         poly = parse_polynomial(str(spec["poly"]))

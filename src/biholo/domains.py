@@ -14,7 +14,10 @@ defining function (negative inside, zero on the boundary):
 
 Each variant is a class that owns its ``dim``, ``label``, its one sampler
 ``sample_rows(rng, m)`` and its one defining formula ``defining(z)``; the
-module functions below only hand over to them.
+module functions below only hand over to them.  ``Ball`` and
+``PuncturedDisc`` also give ``dz(z)``, the z-derivative ``conj z_k`` of
+``|z|^2 - 1`` per coordinate (of the outer circle on ``PuncturedDisc``),
+which isotropic rescaling reads at a boundary point.
 
 Points are plain tuples of complex numbers; planar domains also accept a
 bare complex scalar.  ``as_point`` is the one scalar coercion: it makes the
@@ -476,6 +479,9 @@ class Ball:
     def defining(self, z):
         return sum(abs(c) ** 2 for c in z) - 1.0
 
+    def dz(self, z):
+        return tuple(c.conjugate() for c in z)
+
     def sample_rows(self, rng: np.random.Generator, m: int) -> np.ndarray:
         radius = rng.uniform(size=m) ** (1.0 / (2 * self.dim))
         return random_unit_vectors(self.dim, m, rng) * radius[:, None]
@@ -550,6 +556,9 @@ class PuncturedDisc:
     def defining(self, z):
         m = abs(z[0])
         return _max(m * m - 1.0, -m)
+
+    def dz(self, z):  # of the outer circle's |z|^2 - 1, so 0 at the puncture
+        return (z[0].conjugate(),)
 
     def sample_rows(self, rng: np.random.Generator, m: int) -> np.ndarray:
         return _disc_rows_inside(self, rng, m)

@@ -4,9 +4,10 @@ Given a boundary point and a sequence of interior points approaching it
 along the normal, the domain is rescaled by dilations normalizing the
 approach points.  One :class:`Dilation` serves both kinds: isotropic in the
 plane (translation by the point, division by the defining-function value,
-exponent 1), anisotropic in C^n with the multitype weights of the limit
-model as exponents, by the one constructor :func:`rescale` of a domain
-given by its own defining function and distance.  The rescaled defining
+exponent 1), by :func:`make_isotropic` of a planar variant, its
+``defining``, ``dz`` and record distance; anisotropic in C^n with the
+multitype weights of the limit model as exponents, by the one constructor
+:func:`rescale` of a domain given by its own defining function and distance.  The rescaled defining
 functions converge locally uniformly to the defining function of a model
 domain; the checks here quantify that convergence, the dilation invariance
 of weight-one models, and the resulting inclusions of metric balls.
@@ -48,14 +49,11 @@ from .domains import (
     defining_rows,
     symbolic_weight_check,
 )
-from .hyperbolic import disc_distance
 from .metrics import _geometry, sample_metric_ball
 from . import covering
 
 __all__ = [
     "BoundaryApproach",
-    "PlanarDefiningFunction",
-    "disc_defining",
     "Dilation",
     "ScaledFamily",
     "make_isotropic",
@@ -118,33 +116,6 @@ class BoundaryApproach:
             tuple(b - d * n for b, n in zip(self.base_point, self.normal))
             for d in self.deltas
         ]
-
-
-@dataclass(frozen=True)
-class PlanarDefiningFunction:
-    """C^2 defining function of a planar domain with its z-derivative, and
-    the Kobayashi distance of the domain ``f(a, b)`` where one is known.
-
-    ``func`` is evaluated on a complex number and on a complex array (a
-    column of rows), so its formula must serve both, as the disc's does.
-    ``distance`` likewise takes a complex array as its second argument and
-    returns one distance per entry, as :func:`disc_distance` does."""
-
-    func: Callable[[complex], float]
-    dz: Callable[[complex], complex]
-    distance: Callable[[complex, np.ndarray], np.ndarray] | None = None
-
-    def __call__(self, z: complex) -> float:
-        return float(self.func(complex(z)))
-
-
-def disc_defining() -> PlanarDefiningFunction:
-    """The unit disc as ``|z|^2 - 1``."""
-    return PlanarDefiningFunction(
-        func=lambda z: abs(z) ** 2 - 1.0,
-        dz=lambda z: z.conjugate(),
-        distance=disc_distance,
-    )
 
 
 @dataclass(frozen=True)
@@ -238,36 +209,36 @@ def _pulled_back(distance: Callable, dilations: Sequence) -> Callable[[int, Poin
     return lambda index, u, rows: distance(dilations[index].inverse(u), dilations[index].inverse(rows.T))
 
 
-def make_isotropic(rho: PlanarDefiningFunction, approach: BoundaryApproach) -> ScaledFamily:
-    """Isotropic rescaling of a planar domain along a boundary approach.
+def make_isotropic(d: ModelDomain, approach: BoundaryApproach) -> ScaledFamily:
+    """Isotropic rescaling of the planar variant ``d`` (``Ball(1)``,
+    ``PuncturedDisc()``) along a boundary approach.
 
-    The dilations are ``T_j(z) = (z - p_j) / (-rho(p_j))``, each a
-    :class:`Dilation` with center ``p_j`` and exponent 1; the limit is the
-    half-plane ``{2 Re(a z) - 1 < 0}`` with ``a`` the z-derivative of the
-    defining function at the boundary point.  A base point off the boundary,
+    The dilations are ``T_j(z) = (z - p_j) / (-rho(p_j))`` with ``rho =
+    d.defining``, each a :class:`Dilation` with center ``p_j`` and exponent
+    1; the limit is the half-plane ``{2 Re(a z) - 1 < 0}`` with ``a =
+    d.dz`` at the boundary point.  The distance is ``d``'s record's, pulled
+    back like :func:`rescale`'s.  A variant that is not planar or has no
+    ``dz`` raises ``UnsupportedDomainError``; a base point off the boundary,
     or one where the gradient vanishes, raises ``ValueError``.
     """
-    base = as_point(approach.base_point, 1)[0]
-    if not abs(rho(base)) <= BOUNDARY_TOL:
-        raise ValueError(f"base point {base!r} off the boundary: the defining function is {rho(base)!r} there")
-    grad = complex(rho.dz(base))
+    if d.dim != 1 or not hasattr(d, "dz"):
+        raise UnsupportedDomainError(f"no isotropic rescaling of {d.label}: it needs a planar variant with dz")
+    base = as_point(approach.base_point, 1)
+    value = d.defining(base)
+    if not abs(value) <= BOUNDARY_TOL:
+        raise ValueError(f"base point {base[0]!r} off the boundary: the defining function is {value!r} there")
+    grad = complex(d.dz(base)[0])
     if abs(grad) < BOUNDARY_TOL:
         raise ValueError("the defining function has vanishing gradient at the base point")
     dilations = []
     for p in approach.points():
-        value = rho(p[0])
+        value = d.defining(p)
         if not value < 0:
             raise ValueError(f"approach point {p[0]!r} is not inside the domain")
         dilations.append(Dilation(p, -value, (1.0,)))
-    distance = rho.distance and _pulled_back(lambda p, q: rho.distance(p[0], q[0]), dilations)
-    return ScaledFamily(
-        approach=approach,
-        dilations=tuple(dilations),
-        limit=HalfPlaneC(grad),
-        basepoint=(0j,),
-        defining=lambda z: rho.func(z[0]),
-        distance=distance,
-    )
+    record = _geometry(d).distance
+    distance = record and _pulled_back(lambda p, q: record(d, p, q), dilations)
+    return ScaledFamily(approach, tuple(dilations), HalfPlaneC(grad), (0j,), d.defining, distance)
 
 
 def rescale(

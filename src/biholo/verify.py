@@ -421,7 +421,7 @@ def suite_scaling(cfg: RunConfig) -> SuiteResult:
     rng = np.random.default_rng(cfg.seed + 10)
     # round trips and normalization
     approach = scaling.BoundaryApproach.geometric((1.0,), (1.0,), 1, 12)
-    fam = scaling.make_isotropic(scaling.disc_defining(), approach)
+    fam = scaling.make_isotropic(Ball(1), approach)
     mt = Multitype((1, 4))
     aniso_approach = scaling.BoundaryApproach.geometric((0j, 0j), (0j, 1.0), 1, 10)
     _, rate = scaling.tangential_modulus_remainder((6,), mt)

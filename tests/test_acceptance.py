@@ -35,7 +35,6 @@ from biholo.scaling import (
     ball_inclusion_check,
     complex_grid,
     convergence_experiment,
-    disc_defining,
     hausdorff_check,
     invariance_check,
     make_isotropic,
@@ -165,7 +164,7 @@ def test_criterion_05_halfplane_form_vs_acosh():
 def test_criterion_06_planar_scaling():
     """Defining-function decay at unit slope, and stabilized ball inclusion."""
     approach = BoundaryApproach.geometric((1.0,), (1.0,), 3, 12)
-    family = make_isotropic(disc_defining(), approach)
+    family = make_isotropic(Ball(1), approach)
     hausdorff = hausdorff_check(family, complex_grid(-2, 2, 21), tol=1e-2)
     inclusion = ball_inclusion_check(family, radius=1.0 / POINCARE, eps=0.1 / POINCARE, samples=120, seed=0)
     stabilized = inclusion.passed and all(

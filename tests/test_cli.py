@@ -3,12 +3,14 @@
 import argparse
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from biholo import verify
-from biholo.cli import _hausdorff_grid, build_parser, main, parse_domain, parse_point
+from biholo.cli import _KIND_CHECKS, _hausdorff_grid, build_parser, main, parse_domain, parse_point
 from biholo.domains import (
     Ball,
     Polydisc,
@@ -321,6 +323,25 @@ class TestScale:
         inv = json.loads((out_dir / "exp_invariance.json").read_text())
         assert inv[0]["invariant_under_dilations"] is True
 
+    def test_three_variable_spec(self, tmp_path, capsys):
+        """The Hausdorff grid in three variables is every triple of points of
+        the coarse planar grid, 25 ** 3 rows at the default n = 15; the
+        ball's unbounded realization is its own limit, so every sup error
+        is rounding."""
+        spec = self.make_spec(tmp_path, {
+            "kind": "anisotropic",
+            "multitype": [1, 2, 2],
+            "poly": "1.0 1 0 | 1 0\n1.0 0 1 | 0 1\n",
+            "deltas": {"j_start": 1, "j_end": 4},
+        })
+        out_dir = tmp_path / "three"
+        code, _, err = run_cli(capsys, "scale", str(spec), "--out", str(out_dir))
+        assert code == 0, err
+        assert [f.name for f in out_dir.iterdir()] == ["exp_hausdorff.json"]
+        rows = json.loads((out_dir / "exp_hausdorff.json").read_text())
+        assert [r["j"] for r in rows] == [1, 2, 3, 4]
+        assert all(r["sup_error"] < 1e-13 and r["membership_agreement"] == 1.0 for r in rows)
+
     def test_out_that_is_a_file_is_a_usage_error(self, tmp_path, capsys):
         spec = self.make_spec(tmp_path, {
             "kind": "convergence", "domain": "punctured", "base_point": "1", "normal": "1",
@@ -561,3 +582,27 @@ class TestFlags:
         err = capsys.readouterr().err
         assert err.count("error:") == 1
         assert "error: argument --seed: must be a nonnegative integer, got '-1'" in err
+
+
+def _readme_specs() -> list[str]:
+    """The fenced ``json`` blocks of the README's spec-file section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("### Experiment spec files (`biholo scale`)\n", 1)[1].split("\n### ", 1)[0]
+    return re.findall(r"```json\n(.*?)```", section, re.S)
+
+
+def test_readme_has_spec_examples():
+    assert len(_readme_specs()) >= 2
+
+
+@pytest.mark.parametrize("text", _readme_specs(), ids=lambda text: json.loads(text)["kind"])
+def test_readme_spec_examples_run(tmp_path, capsys, text):
+    """Each spec example of the README parses and runs, and writes one file
+    per check it declares, so a spec-format change cannot leave it behind."""
+    spec = json.loads(text)
+    path = tmp_path / "example.json"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "scale", str(path), "--out", str(tmp_path / "out"))
+    assert code != 2, err
+    checks = spec.get("checks", _KIND_CHECKS[spec["kind"]][:1])
+    assert sorted(f.name for f in (tmp_path / "out").iterdir()) == sorted(f"example_{c}.json" for c in checks)

@@ -1,7 +1,9 @@
 """Tests for dilations, Hausdorff-limit diagnostics and boundary experiments."""
 
+import cmath
+import hashlib
 import math
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -9,11 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biholo.domains import (
+    Ball,
     HalfPlaneC,
     Multitype,
     PuncturedDisc,
     Siegel,
+    SlitDisc,
     UnsupportedDomainError,
+    UpperHalfPlane,
     WeightedModel,
     as_point,
     contains,
@@ -21,18 +26,15 @@ from biholo.domains import (
     modulus_power,
 )
 from biholo import metrics
-from biholo.covering import punctured_distance
 from biholo.hyperbolic import disc_distance
 from biholo.metrics import ball_distance, sample_metric_ball
 from biholo.scaling import (
     BoundaryApproach,
     Dilation,
-    PlanarDefiningFunction,
     ScaledFamily,
     ball_inclusion_check,
     complex_grid,
     convergence_experiment,
-    disc_defining,
     hausdorff_check,
     invariance_check,
     loglog_slope,
@@ -47,7 +49,7 @@ small_complex = st.complex_numbers(max_magnitude=3.0, allow_infinity=False, allo
 
 def disc_family(j_start=1, j_end=12):
     approach = BoundaryApproach.geometric((1.0,), (1.0,), j_start, j_end)
-    return make_isotropic(disc_defining(), approach)
+    return make_isotropic(Ball(1), approach)
 
 
 def quartic_family(remainder_exponent=None, j_end=10):
@@ -120,28 +122,33 @@ class TestIsotropicFamily:
         for dil, p in zip(fam.dilations, fam.approach.points()):
             assert abs(dil.forward(p)[0]) <= 1e-12
 
-    def test_numeric_gradient_agrees_with_analytic(self):
-        """The disc's ``dz`` is the Wirtinger derivative of its ``func``."""
-        rho, h = disc_defining(), 1e-6
+    @pytest.mark.parametrize("d", [Ball(1), PuncturedDisc()], ids=["disc", "punctured"])
+    def test_numeric_gradient_agrees_with_analytic(self, d):
+        """``dz`` is the Wirtinger derivative of ``defining`` on its piece
+        ``|z|^2 - 1``, which is the punctured disc's where ``|z| > 0.62``."""
+        h = 1e-6
+
+        def rho(z):
+            return d.defining((z,))
+
         for z in (1.0 + 0j, 0.5 + 0.5j, -0.2 + 0.9j):
             dx = (rho(z + h) - rho(z - h)) / (2.0 * h)
             dy = (rho(z + 1j * h) - rho(z - 1j * h)) / (2.0 * h)
-            assert rho.dz(z) == pytest.approx(0.5 * complex(dx, -dy), abs=1e-8)
+            assert d.dz((z,))[0] == pytest.approx(0.5 * complex(dx, -dy), abs=1e-8)
 
     def test_vanishing_gradient_rejected(self):
-        flat = PlanarDefiningFunction(
-            func=lambda z: abs(z) ** 4 - abs(z) ** 2,
-            dz=lambda z: (2.0 * abs(z) ** 2 - 1.0) * z.conjugate(),
-        )
+        """The puncture is a boundary point of the punctured disc, where the
+        outer circle's derivative ``dz`` reads 0."""
         approach = BoundaryApproach((0j,), (1.0,), (0.5, 0.25))
         with pytest.raises(ValueError, match="gradient"):
-            make_isotropic(flat, approach)
+            make_isotropic(PuncturedDisc(), approach)
 
-    def test_nan_gradient_rejected(self):
-        """A gradient that is not a number builds no limit half-plane."""
-        broken = PlanarDefiningFunction(func=disc_defining().func, dz=lambda z: complex(math.nan, 0.0))
-        with pytest.raises(ValueError, match="finite and nonzero"):
-            make_isotropic(broken, BoundaryApproach((1.0,), (1.0,), (0.5, 0.25)))
+    @pytest.mark.parametrize("d", [Ball(2), UpperHalfPlane(), SlitDisc()], ids=["ball2", "halfplane", "slit"])
+    def test_variant_without_planar_dz_rejected(self, d):
+        """Isotropic rescaling needs a planar variant with ``dz``."""
+        approach = BoundaryApproach.geometric((1.0,), (1.0,), 1, 4)
+        with pytest.raises(UnsupportedDomainError, match=f"no isotropic rescaling of {d.label}"):
+            make_isotropic(d, approach)
 
     @pytest.mark.parametrize("base,off", [(0.5, True), (1.0 + 1e-12, True), (1.0 + 2e-13, False)])
     def test_base_point_off_the_boundary_rejected(self, base, off):
@@ -152,14 +159,14 @@ class TestIsotropicFamily:
         approach = BoundaryApproach.geometric((base,), (1.0,), 3, 8)
         if off:
             with pytest.raises(ValueError, match="off the boundary"):
-                make_isotropic(disc_defining(), approach)
+                make_isotropic(Ball(1), approach)
         else:
-            assert make_isotropic(disc_defining(), approach).limit == HalfPlaneC(base)
+            assert make_isotropic(Ball(1), approach).limit == HalfPlaneC(base)
 
     def test_exterior_approach_rejected(self):
         approach = BoundaryApproach((1.0,), (-1.0,), (0.5, 0.25))  # marches outward
         with pytest.raises(ValueError, match="inside"):
-            make_isotropic(disc_defining(), approach)
+            make_isotropic(Ball(1), approach)
 
     @given(z=small_complex)
     @settings(max_examples=300)
@@ -326,7 +333,6 @@ class TestScaledFamily:
         assert [f.name for f in fields(ScaledFamily)] == [
             "approach", "dilations", "limit", "basepoint", "defining", "distance",
         ]
-        assert [f.name for f in fields(PlanarDefiningFunction)] == ["func", "dz", "distance"]
 
     def test_scaled_defining_is_the_rescaled_defining_function(self):
         """``defining(T_j^-1 w) / scale_j`` for both dilation types."""
@@ -371,9 +377,68 @@ class TestScaledFamily:
         assert disc_family().distance is not None
         assert quartic_family().distance is None
         assert quartic_family(remainder_exponent=6).distance is None
-        no_distance = PlanarDefiningFunction(func=lambda z: abs(z) ** 2 - 1.0, dz=lambda z: z.conjugate())
-        approach = BoundaryApproach.geometric((1.0,), (1.0,), 1, 4)
-        assert make_isotropic(no_distance, approach).distance is None
+
+
+def _hexed(value):
+    """A report with every float as ``float.hex``, field by field."""
+    if is_dataclass(value):
+        return tuple((f.name, _hexed(getattr(value, f.name))) for f in fields(value))
+    if isinstance(value, tuple):
+        return tuple(map(_hexed, value))
+    return value.hex() if isinstance(value, float) else value
+
+
+def _digest(report) -> str:
+    return hashlib.sha256(repr(_hexed(report)).encode()).hexdigest()
+
+
+# sha256 of the reports with every float as float.hex, recorded from the
+# families built by hand before the variants built them: |z|^2 - 1 with its
+# derivative and disc_distance, or with punctured_distance.  The disc family
+# (steps 1-12) at three base points: Hausdorff on complex_grid(-2, 2, 21) with
+# tol 1e-2, and ball inclusion at R = 1, eps = 0.1, 120 samples, seed 0.
+# The ball inclusion at 1 and at -i agree: the samples turn with the half-plane.
+DISC_FAMILY_PINS = {
+    "1": (
+        "f3bd8ef57a97e7af55259d6ddaac8c01f5001e94a91a9b6e6d566f4b5b0abd36",
+        "d431546a60792e79b966b3237c4d41771862bb0f0548f0c9d676abdb2c5a4ad5",
+    ),
+    "exp(0.7i)": (
+        "f480e7f4cfe606c0ecad4b8ec83eaaa2f8031c5d45fcdcaef88ffa5dcf0a90ea",
+        "c936e8a324d7b7a12bad9bbdb81d2ffda6f5f73dbd6cea22cff0d47f70128a88",
+    ),
+    "-i": (
+        "9ad6e2d8b32cbf494981fc6a34fcfd681e4f68062131cf6a263431e1c508d4d3",
+        "d431546a60792e79b966b3237c4d41771862bb0f0548f0c9d676abdb2c5a4ad5",
+    ),
+}
+BASE_POINTS = {"1": 1.0, "exp(0.7i)": cmath.exp(0.7j), "-i": -1j}
+# The punctured family (steps 3-12 at 1, in TestBallInclusion): ball inclusion
+# as above.  Its Hausdorff report is not pinned: the grid reaches |z| < 0.618
+# at j = 3, where PuncturedDisc.defining's -|z| piece, absent from |z|^2 - 1,
+# is active.
+PUNCTURED_BALL_INCLUSION_PIN = "27131ebe147f9319f40e30b79b38b9ee515110ddf391daa865fee8533ebf0aef"
+
+
+class TestVariantFamilies:
+    @pytest.mark.parametrize("base", list(DISC_FAMILY_PINS))
+    def test_disc_family_reports_are_pinned(self, base):
+        approach = BoundaryApproach.geometric((BASE_POINTS[base],), (BASE_POINTS[base],), 1, 12)
+        fam = make_isotropic(Ball(1), approach)
+        hausdorff = hausdorff_check(fam, complex_grid(-2, 2, 21), 1e-2)
+        inclusion = ball_inclusion_check(fam, radius=1.0, eps=0.1, samples=120, seed=0)
+        assert (_digest(hausdorff), _digest(inclusion)) == DISC_FAMILY_PINS[base]
+
+    def test_family_reads_the_variant(self):
+        """The family's defining function is the variant's, ``-|z|`` near
+        the puncture, and its distance the record's at the pulled-back
+        points, to rounding (rows against a point)."""
+        fam = make_isotropic(PuncturedDisc(), BoundaryApproach.geometric((1,), (1,), 3, 6))
+        assert fam.limit == HalfPlaneC(1.0) and fam.defining((0.1j,)) == -0.1
+        rows = np.array([[0.1 + 0.2j], [-0.3j]])
+        dil = fam.dilations[2]
+        expected = metrics.kobayashi_distance(PuncturedDisc(), dil.inverse((0j,)), dil.inverse(rows[1]))
+        assert fam.distance(2, (0j,), rows)[1] == pytest.approx(expected, rel=1e-14)
 
 
 class TestInvarianceCheck:
@@ -437,9 +502,11 @@ class TestBallInclusion:
         since the punctured disc lies in the disc, and the worst distance
         comes down to R - eps = 0.9 as the scaled domains fill the limit."""
         approach = BoundaryApproach.geometric((1,), (1,), 3, 12)
-        punctured = PlanarDefiningFunction(lambda z: abs(z) ** 2 - 1.0, lambda z: z.conjugate(), punctured_distance)
-        report = ball_inclusion_check(make_isotropic(punctured, approach), radius=1.0, eps=0.1, samples=120, seed=0)
-        disc = ball_inclusion_check(make_isotropic(disc_defining(), approach), radius=1.0, eps=0.1, samples=120, seed=0)
+        report, disc = (
+            ball_inclusion_check(make_isotropic(d, approach), radius=1.0, eps=0.1, samples=120, seed=0)
+            for d in (PuncturedDisc(), Ball(1))
+        )
+        assert _digest(report) == PUNCTURED_BALL_INCLUSION_PIN
         assert report.passed and report.j0 == 4
         assert [row.inside for row in report.rows] == [row.inside for row in disc.rows]
         assert all(a.max_distance >= b.max_distance for a, b in zip(report.rows, disc.rows))

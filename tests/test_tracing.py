@@ -87,3 +87,24 @@ def test_boundary_entry_reaches_the_wrapped_sampler(monkeypatch):
             tracer.uninstall()
         counts.append(tracer.calls("metrics.polydisc_sphere_sample"))
     assert counts == [0, 1]
+
+
+def test_no_wrapper_survives_uninstall_in_a_scaled_family(monkeypatch):
+    """A family built while the tracer is installed keeps no wrapped
+    function: its distance is the ``Ball(1)`` record's, which looks
+    ``disc_distance`` up when called, so a ball-inclusion check run after
+    ``uninstall`` records no call; a stored wrapper would count one per step."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    from tracer import Tracer
+
+    from biholo import Ball, scaling
+
+    tracer = Tracer()
+    try:
+        layers.install(tracer)
+        family = scaling.make_isotropic(Ball(1), scaling.BoundaryApproach.geometric((1.0,), (1.0,), 3, 12))
+    finally:
+        tracer.uninstall()
+    scaling.ball_inclusion_check(family, radius=1.0, eps=0.1, samples=60, seed=0)
+    assert tracer.calls("hyperbolic.disc_distance") == 0
